@@ -19,8 +19,6 @@ from .costly_cut import (
     solve_brute_force,
     solve_fold_nodes,
     solve_ignore_nodes,
-    two_sided_brute_force,
-    two_sided_node_costs,
 )
 from .errors import (
     CapacityOverflowError,
@@ -33,7 +31,6 @@ from .errors import (
 from .indices import (
     IndexEntry,
     IndexReport,
-    WeightAssignment,
     baseline_fold_nodes,
     baseline_ignore_nodes,
     exactness_condition,
@@ -56,6 +53,7 @@ from .power_model import (
     MeasurementPlacement,
     ModelMatrix,
     PowerNetwork,
+    WeightAssignment,
     attack_from_partition,
     bdd_residual,
     build_3sat_gadget,

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .costly_cut import CostlyCutInstance, as_cost
 from .errors import CaseParseError, InputError
-from .indices import WeightAssignment
-from .power_model import MeasurementPlacement, PowerNetwork
+from .power_model import MeasurementPlacement, PowerNetwork, WeightAssignment
 
 _TOP_KEYS = {"buses", "lines", "measurements", "weights"}
 _MEAS_KEYS = {"flow_from", "flow_to", "injection"}

@@ -18,7 +18,14 @@ import numpy as np
 
 from . import caseio, costly_cut, indices, oracle
 from .errors import InputError, InvariantError
-from .power_model import RESIDUAL_TOL, build_3sat_gadget, build_h, is_observable
+from .power_model import (
+    INJECTION,
+    RESIDUAL_TOL,
+    WeightAssignment,
+    build_3sat_gadget,
+    build_h,
+    is_observable,
+)
 
 CSV_HEADER = "measurement_id,kind,line_or_bus,index,exact,error_bound,method,attack_support"
 
@@ -73,26 +80,32 @@ def _report_csv(report: indices.IndexReport) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _target_entry(case: caseio.CaseFile, target: int, method: str) -> indices.IndexEntry:
+    """The entry of the 1-based measurement id ``target``, computed alone."""
+    count = case.meas.measurement_count
+    if not (1 <= target <= count):
+        raise InputError(f"--target {target} out of range 1..{count}")
+    kind, ident = case.meas.ordering()[target - 1]
+    if kind == INJECTION:
+        return indices.index_node_target(case.net, case.meas, case.weights, ident, method=method)
+    return indices.index_edge_target(
+        case.net, case.meas, case.weights, ident, end=kind, method=method
+    )
+
+
 def _cmd_index(args) -> int:
     case = _load_case(args.case, sidecar=args.measurements)
-    report = indices.index_all(case.net, case.meas, case.weights, method=args.method)
-    if args.target is not None:
-        count = case.meas.measurement_count
-        if not (1 <= args.target <= count):
-            raise InputError(f"--target {args.target} out of range 1..{count}")
-        report = indices.IndexReport(entries=(report.entries[args.target - 1],))
+    if args.target is None:
+        report = indices.index_all(case.net, case.meas, case.weights, method=args.method)
+    else:
+        report = indices.IndexReport(entries=(_target_entry(case, args.target, args.method),))
     _write(_report_csv(report), args.out)
     return 0
 
 
 def _cmd_attack(args) -> int:
     case = _load_case(args.case, sidecar=args.measurements)
-    count = case.meas.measurement_count
-    if not (1 <= args.target <= count):
-        raise InputError(f"--target {args.target} out of range 1..{count}")
-    kind, target = case.meas.ordering()[args.target - 1]
-    engine = indices._Engine(case.net, case.meas, case.weights, indices.METHOD_EXACT)
-    entry = engine.entry_for(kind, target)
+    entry = _target_entry(case, args.target, indices.METHOD_EXACT)
     lines = ["quantity,id,value"]
     for bus, value in enumerate(entry.attack.delta_theta):
         lines.append(f"delta_theta,{bus + 1},{float(value)!r}")
@@ -186,12 +199,7 @@ def _cmd_verify(args) -> int:
             net, meas, case.weights, edge_targets=edge_targets,
             node_targets=node_targets, model=model,
         )
-        bound = indices.binary_gap_bound(
-            net,
-            case.weights
-            if case.weights is not None
-            else indices.WeightAssignment.from_placement(net, meas),
-        )
+        bound = indices.binary_gap_bound(net, WeightAssignment.resolve(net, meas, case.weights))
         sandwich = True
         exact_match = True
         for e in exact_report.entries:

@@ -9,11 +9,15 @@ with edges of cost strictly larger than any node charge, so a standard
 integer min cut on the auxiliary graph yields the optimum; the partition of
 the original nodes is read off the v layer.
 
-Rational costs are scaled to integers by the LCM of their denominators, so
-optimality is exact. A brute-force solver over all partitions is provided
-for verification, along with the two classical approximations (dropping
-node charges, and folding node charges into incident edges) that report the
-true objective of whatever partition they select.
+Rational costs are scaled to integers by the LCM of their denominators
+(``scale_to_int``, the package's one scaling helper), so optimality is
+exact. A node may charge differently as the tail and as the head of a cut
+edge (``TwoSidedCutInstance``); ``CostlyCutInstance`` exposes its single
+charge through the same ``node_costs_out`` / ``node_costs_in`` pair, so
+``solve`` and the exhaustive verifier ``solve_brute_force`` take either
+flavor. The two classical approximations (dropping node charges, and
+folding node charges into incident edges) report the true objective of
+whatever partition they select.
 """
 
 from __future__ import annotations
@@ -102,6 +106,16 @@ class CostlyCutInstance:
                         f"symmetric flag set but edge ({u},{v}) cost {c} has no mirror"
                     )
 
+    @property
+    def node_costs_out(self) -> tuple[Fraction, ...]:
+        """Charge for a node at the tail of a cut edge: its one node cost."""
+        return self.node_costs
+
+    @property
+    def node_costs_in(self) -> tuple[Fraction, ...]:
+        """Charge for a node at the head of a cut edge: its one node cost."""
+        return self.node_costs
+
 
 @dataclass(frozen=True)
 class TwoSidedCutInstance:
@@ -149,36 +163,38 @@ class AuxiliaryGraph:
     big_cost_edges: frozenset[int]
 
 
-def _scale_for(costs) -> int:
-    scale = 1
-    for c in costs:
-        scale = math.lcm(scale, c.denominator)
-    return scale
+def scale_to_int(*groups):
+    """Least common denominator of every Fraction in ``groups``, and each
+    group multiplied by it as a list of ints."""
+    scale = math.lcm(*(c.denominator for group in groups for c in group))
+    return scale, [[c.numerator * (scale // c.denominator) for c in group] for group in groups]
 
 
-def _build_aux(node_count, edges, p_out, p_in):
-    scale = _scale_for([c for (_, _, c) in edges] + list(p_out) + list(p_in))
-    p_out_scaled = [int(p * scale) for p in p_out]
-    p_in_scaled = [int(p * scale) for p in p_in]
+def build_auxiliary(inst: CostlyCutInstance | TwoSidedCutInstance) -> AuxiliaryGraph:
+    """Construct the tripled auxiliary graph for a costly-cut instance."""
+    n = inst.node_count
+    scale, (edge_scaled, p_out_scaled, p_in_scaled) = scale_to_int(
+        [c for (_, _, c) in inst.edges], inst.node_costs_out, inst.node_costs_in
+    )
     big = max(p_out_scaled + p_in_scaled) + 1
 
-    v_of = tuple(range(node_count))
-    w_of = tuple(node_count + i for i in range(node_count))
-    z_of = tuple(2 * node_count + i for i in range(node_count))
+    v_of = tuple(range(n))
+    w_of = tuple(n + i for i in range(n))
+    z_of = tuple(2 * n + i for i in range(n))
 
     aux_edges = []
-    for i in range(node_count):
+    for i in range(n):
         aux_edges.append((w_of[i], v_of[i], p_in_scaled[i]))
         aux_edges.append((v_of[i], z_of[i], p_out_scaled[i]))
     big_edges = set()
-    for u, v, c in edges:
-        aux_edges.append((v_of[u], v_of[v], int(c * scale)))
+    for (u, v, _), c in zip(inst.edges, edge_scaled):
+        aux_edges.append((v_of[u], v_of[v], c))
         big_edges.add(len(aux_edges))
         aux_edges.append((v_of[u], w_of[v], big))
         big_edges.add(len(aux_edges))
         aux_edges.append((z_of[u], v_of[v], big))
 
-    graph = DiGraph(node_count=3 * node_count, edges=tuple(aux_edges))
+    graph = DiGraph(node_count=3 * n, edges=tuple(aux_edges))
     return AuxiliaryGraph(
         graph=graph,
         v_of=v_of,
@@ -188,11 +204,6 @@ def _build_aux(node_count, edges, p_out, p_in):
         big_cost=big,
         big_cost_edges=frozenset(big_edges),
     )
-
-
-def build_auxiliary(inst: CostlyCutInstance) -> AuxiliaryGraph:
-    """Construct the tripled auxiliary graph for a costly-cut instance."""
-    return _build_aux(inst.node_count, inst.edges, inst.node_costs, inst.node_costs)
 
 
 def dump_auxiliary(aux: AuxiliaryGraph) -> str:
@@ -211,10 +222,6 @@ def evaluate_partition(inst, source_side):
     for node in side:
         if not (0 <= node < inst.node_count):
             raise InputError(f"node id {node} out of range")
-    two_sided = isinstance(inst, TwoSidedCutInstance)
-    p_out = inst.node_costs_out if two_sided else inst.node_costs
-    p_in = inst.node_costs_in if two_sided else inst.node_costs
-
     objective = Fraction(0)
     cut_edges = []
     charged = set()
@@ -227,15 +234,18 @@ def evaluate_partition(inst, source_side):
             tails.add(u)
             heads.add(v)
     for u in tails:
-        objective += p_out[u]
+        objective += inst.node_costs_out[u]
         charged.add(u)
     for v in heads:
-        objective += p_in[v]
+        objective += inst.node_costs_in[v]
         charged.add(v)
     return objective, tuple(cut_edges), frozenset(charged)
 
 
-def _solve_via_aux(inst, aux: AuxiliaryGraph) -> CostlyCutSolution:
+def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
+    """Optimal costly-node cut via a single min cut on the auxiliary graph;
+    takes either instance flavor."""
+    aux = build_auxiliary(inst)
     cut = min_cut(aux.graph, aux.v_of[inst.source], aux.v_of[inst.sink])
     for e in cut.cut_edges:
         if e in aux.big_cost_edges:
@@ -256,31 +266,18 @@ def _solve_via_aux(inst, aux: AuxiliaryGraph) -> CostlyCutSolution:
     )
 
 
-def solve(inst: CostlyCutInstance) -> CostlyCutSolution:
-    """Optimal costly-node cut via a single min cut on the auxiliary graph."""
-    return _solve_via_aux(inst, build_auxiliary(inst))
-
-
-def two_sided_node_costs(inst: TwoSidedCutInstance) -> CostlyCutSolution:
-    """Optimal cut when outgoing and incoming charges differ per node."""
-    aux = _build_aux(inst.node_count, inst.edges, inst.node_costs_out, inst.node_costs_in)
-    return _solve_via_aux(inst, aux)
-
-
-def _brute_force(inst) -> CostlyCutSolution:
+def solve_brute_force(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
+    """Exhaustive minimizer over all partitions of either instance flavor;
+    ties favor the lexicographically smallest membership vector."""
     n = inst.node_count
     if n > BRUTE_FORCE_MAX_NODES:
         raise SizeLimitError(
             f"brute force refuses instances with more than {BRUTE_FORCE_MAX_NODES} nodes"
         )
-    two_sided = isinstance(inst, TwoSidedCutInstance)
-    p_out = inst.node_costs_out if two_sided else inst.node_costs
-    p_in = inst.node_costs_in if two_sided else inst.node_costs
-
-    scale = _scale_for([c for (_, _, c) in inst.edges] + list(p_out) + list(p_in))
-    edge_cost = np.array([int(c * scale) for (_, _, c) in inst.edges], dtype=np.int64)
-    pout = np.array([int(p * scale) for p in p_out], dtype=np.int64)
-    pin = np.array([int(p * scale) for p in p_in], dtype=np.int64)
+    scale, scaled = scale_to_int(
+        [c for (_, _, c) in inst.edges], inst.node_costs_out, inst.node_costs_in
+    )
+    edge_cost, pout, pin = (np.array(group, dtype=np.int64) for group in scaled)
     if int(edge_cost.sum()) + int(pout.sum()) + int(pin.sum()) >= 2**62:
         raise InputError("scaled costs too large for brute force")
 
@@ -330,16 +327,6 @@ def _brute_force(inst) -> CostlyCutSolution:
     )
 
 
-def solve_brute_force(inst: CostlyCutInstance) -> CostlyCutSolution:
-    """Exhaustive minimizer over all partitions; ties favor the
-    lexicographically smallest membership vector."""
-    return _brute_force(inst)
-
-
-def two_sided_brute_force(inst: TwoSidedCutInstance) -> CostlyCutSolution:
-    return _brute_force(inst)
-
-
 def _partition_from_plain_cut(inst, graph: DiGraph) -> CostlyCutSolution:
     # A plain min cut is blind to node charges, and its tie class can hold
     # partitions with very different true costs. Both canonical cuts fall
@@ -364,10 +351,10 @@ def solve_ignore_nodes(inst: CostlyCutInstance) -> CostlyCutSolution:
     """Baseline: min cut on edge costs alone; node charges are added after
     the fact, so the reported objective is the true cost of the partition
     this heuristic picks (not necessarily the optimum)."""
-    scale = _scale_for([c for (_, _, c) in inst.edges])
+    _, (scaled,) = scale_to_int([c for (_, _, c) in inst.edges])
     graph = DiGraph(
         node_count=inst.node_count,
-        edges=tuple((u, v, int(c * scale)) for (u, v, c) in inst.edges),
+        edges=tuple((u, v, c) for (u, v, _), c in zip(inst.edges, scaled)),
     )
     return _partition_from_plain_cut(inst, graph)
 
@@ -380,9 +367,9 @@ def solve_fold_nodes(inst: CostlyCutInstance) -> CostlyCutSolution:
     folded = [
         (u, v, c + inst.node_costs[u] + inst.node_costs[v]) for (u, v, c) in inst.edges
     ]
-    scale = _scale_for([c for (_, _, c) in folded])
+    _, (scaled,) = scale_to_int([c for (_, _, c) in folded])
     graph = DiGraph(
         node_count=inst.node_count,
-        edges=tuple((u, v, int(c * scale)) for (u, v, c) in folded),
+        edges=tuple((u, v, c) for (u, v, _), c in zip(folded, scaled)),
     )
     return _partition_from_plain_cut(inst, graph)

@@ -5,11 +5,13 @@ unobservable corruption whose support includes that measurement. For a flow
 measurement this maps onto a costly-node cut between the line's endpoints
 (every line carries its meter count as an undirected cost, every metered bus
 a unit charge); for an injection measurement it is the minimum over the
-bus's incident lines of the same edge-constrained problem, a decomposition
-that is exact whenever the binary restriction is (full measurement, or any
-placement whose node charges never exceed the incident line costs). In the
-remaining cases the answer is an upper approximation and the reported error
-bound caps its distance from the true continuous optimum.
+bus's incident lines of the same edge-constrained problem. Weights default
+to ``WeightAssignment.from_placement``. The decomposition is exact whenever
+the binary restriction is, which ``binary_gap_bound`` certifies by reading 0:
+no node charge exceeds the cost of any incident line (full measurement under
+derived weights is one such case). Otherwise the answer is an upper
+approximation and that bound caps its distance from the true continuous
+optimum.
 
 Two published heuristics are kept as baselines: dropping node charges from
 the cut, and folding them into incident edge costs. Both report the true
@@ -24,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import costly_cut
-from .costly_cut import CostlyCutInstance, CostlyCutSolution, as_cost
+from .costly_cut import CostlyCutInstance
 from .errors import InputError, InvariantError
 from .oracle import attack_cost
 from .power_model import (
@@ -36,42 +38,26 @@ from .power_model import (
     MeasurementPlacement,
     ModelMatrix,
     PowerNetwork,
+    WeightAssignment,
     attack_from_partition,
     build_h,
     check_placement,
-    meter_counts,
 )
 
 METHOD_EXACT = "exact"
 METHOD_IGNORE_NODES = "ignore-nodes"
 METHOD_FOLD_NODES = "fold-nodes"
-METHODS = (METHOD_EXACT, METHOD_IGNORE_NODES, METHOD_FOLD_NODES)
+# Solver per method, named rather than referenced: it is looked up in
+# ``costly_cut`` at call time, so a wrapper set on that module attribute runs.
+_SOLVERS = {
+    METHOD_EXACT: "solve",
+    METHOD_IGNORE_NODES: "solve_ignore_nodes",
+    METHOD_FOLD_NODES: "solve_fold_nodes",
+}
+METHODS = tuple(_SOLVERS)
 
-
-@dataclass(frozen=True)
-class WeightAssignment:
-    """Attack cost per line and per bus.
-
-    Derived weights (meter count per line, indicator per metered bus) make
-    the weighted objective coincide with support cardinality; custom weights
-    price tampering effort instead.
-    """
-
-    edge_costs: tuple[Fraction, ...]
-    node_costs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edge_costs", tuple(as_cost(c) for c in self.edge_costs))
-        object.__setattr__(self, "node_costs", tuple(as_cost(p) for p in self.node_costs))
-
-    @classmethod
-    def from_placement(cls, net: PowerNetwork, meas: MeasurementPlacement) -> "WeightAssignment":
-        c, p = meter_counts(net, meas)
-        return cls(edge_costs=tuple(Fraction(x) for x in c), node_costs=tuple(Fraction(x) for x in p))
-
-    def check(self, net: PowerNetwork) -> None:
-        if len(self.edge_costs) != net.line_count or len(self.node_costs) != net.bus_count:
-            raise InputError("weight vectors must match line and bus counts")
+_EXACT_REASON = "node costs never exceed incident edge costs"
+_APPROXIMATE_REASON = "approximation bound applies"
 
 
 @dataclass(frozen=True)
@@ -135,7 +121,7 @@ def binary_gap_bound(net: PowerNetwork, weights: WeightAssignment) -> Fraction:
         incident = net.incident_lines(bus)
         if not incident:
             continue
-        worst = max(weights.node_costs[bus] - weights.edge_costs[ln] for ln in incident)
+        worst = weights.node_costs[bus] - min(weights.edge_costs[ln] for ln in incident)
         if worst > 0:
             total += worst
     return total
@@ -145,41 +131,12 @@ def exactness_condition(
     net: PowerNetwork, meas: MeasurementPlacement, weights: WeightAssignment
 ):
     """Whether the binary restriction (and hence the cut pipeline) is exact,
-    and which sufficient condition certifies it.
-
-    Each clause is a property of the weights; the placement shortcuts only
-    apply while the weights are the ones the placement derives, since a
-    custom assignment can reopen the gap on a fully metered system.
-    """
+    and the reason: exact precisely when no node charge exceeds the cost of
+    any of its incident lines, i.e. when the gap bound is zero."""
     check_placement(net, meas)
-    weights.check(net)
-    all_lines = set(range(net.line_count))
-    derived = weights == WeightAssignment.from_placement(net, meas)
-    if (
-        derived
-        and set(meas.flow_from) == all_lines
-        and set(meas.flow_to) == all_lines
-        and set(meas.injection) == set(range(net.bus_count))
-    ):
-        return True, "full measurement"
-    metered = set(meas.flow_from) | set(meas.flow_to)
-    if metered == all_lines and all(p <= 1 for p in weights.node_costs) and all(
-        c >= 1 for c in weights.edge_costs
-    ):
-        return True, "meter on every line, node costs at most one"
     if binary_gap_bound(net, weights) == 0:
-        return True, "node costs never exceed incident edge costs"
-    return False, "approximation bound applies"
-
-
-def _solve_line_cut(inst: CostlyCutInstance, method: str) -> CostlyCutSolution:
-    if method == METHOD_EXACT:
-        return costly_cut.solve(inst)
-    if method == METHOD_IGNORE_NODES:
-        return costly_cut.solve_ignore_nodes(inst)
-    if method == METHOD_FOLD_NODES:
-        return costly_cut.solve_fold_nodes(inst)
-    raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
+        return True, _EXACT_REASON
+    return False, _APPROXIMATE_REASON
 
 
 class _Engine:
@@ -187,21 +144,21 @@ class _Engine:
 
     def __init__(self, net, meas, weights, method, model=None):
         check_placement(net, meas)
-        if weights is None:
-            weights = WeightAssignment.from_placement(net, meas)
-        weights.check(net)
+        self.weights = WeightAssignment.resolve(net, meas, weights)
         if method not in METHODS:
             raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
+        self._derived = weights is None or weights == WeightAssignment.from_placement(net, meas)
         self.net = net
         self.meas = meas
-        self.weights = weights
+        self.ordering = meas.ordering()
         self.method = method
         self.model = model if model is not None else build_h(net, meas)
-        self.exact, self.reason = exactness_condition(net, meas, weights)
-        if method != METHOD_EXACT:
-            self.exact, self.reason = False, "heuristic method"
-        self.bound = Fraction(0) if self.exact else binary_gap_bound(net, weights)
-        self._derived = weights == WeightAssignment.from_placement(net, meas)
+        if method == METHOD_EXACT:
+            self.bound = binary_gap_bound(net, self.weights)
+            self.exact = self.bound == 0
+            self.reason = _EXACT_REASON if self.exact else _APPROXIMATE_REASON
+        else:
+            self.exact, self.reason, self.bound = False, "heuristic method", None
         self._line_cache: dict[int, tuple[Fraction, AttackVector]] = {}
 
     def line_value(self, line: int):
@@ -210,7 +167,7 @@ class _Engine:
         if hit is not None:
             return hit
         inst = cut_instance_for_line(self.net, self.weights, line)
-        sol = _solve_line_cut(inst, self.method)
+        sol = getattr(costly_cut, _SOLVERS[self.method])(inst)
         dtheta = np.zeros(self.net.bus_count)
         for bus in sol.source_side:
             dtheta[bus] = 1.0
@@ -225,14 +182,27 @@ class _Engine:
         self._line_cache[line] = (sol.objective, attack)
         return self._line_cache[line]
 
-    def entry_for(self, kind: str, target: int) -> IndexEntry:
-        if kind in (FLOW_FROM, FLOW_TO):
-            value, attack = self.line_value(target)
-        elif kind == INJECTION:
+    def node_value(self, bus: int):
+        """Minimum over the bus's incident lines of the edge-constrained
+        problem; any cut separating an incident line's endpoints flips the
+        bus's injection, so the target constraint holds automatically."""
+        incident = self.net.incident_lines(bus)
+        if not incident:
+            raise InputError(f"bus {bus} has no incident lines")
+        best = None
+        for line in incident:
+            value, attack = self.line_value(line)
+            if best is None or value < best[0]:
+                best = (value, attack)
+        return best
+
+    def entry_for(self, k: int) -> IndexEntry:
+        """The entry of measurement ``k`` in the global measurement order."""
+        kind, target = self.ordering[k]
+        if kind == INJECTION:
             value, attack = self.node_value(target)
         else:
-            raise InputError(f"unknown measurement kind {kind!r}")
-        k = self.meas.index_of(kind, target)
+            value, attack = self.line_value(target)
         if abs(attack.delta_z[k]) <= ZERO_TOL:
             raise InvariantError(
                 f"attack for measurement {k} does not touch its own target"
@@ -246,28 +216,10 @@ class _Engine:
             index=value,
             exact=self.exact,
             exact_reason=self.reason,
-            error_bound=(Fraction(0) if self.exact else self.bound)
-            if self.method == METHOD_EXACT
-            else None,
+            error_bound=self.bound,
             method=self.method,
             attack=attack,
         )
-
-    def node_value(self, bus: int):
-        """Minimum over the bus's incident lines of the edge-constrained
-        problem; any cut separating an incident line's endpoints flips the
-        bus's injection, so the target constraint holds automatically."""
-        if bus not in self.meas.injection:
-            raise InputError(f"bus {bus} has no injection measurement")
-        incident = self.net.incident_lines(bus)
-        if not incident:
-            raise InputError(f"bus {bus} has no incident lines")
-        best = None
-        for line in incident:
-            value, attack = self.line_value(line)
-            if best is None or value < best[0]:
-                best = (value, attack)
-        return best
 
 
 def index_edge_target(
@@ -286,7 +238,7 @@ def index_edge_target(
     if line not in metered:
         raise InputError(f"line {line} is not metered at the {end} end")
     engine = _Engine(net, meas, weights, method, model)
-    return engine.entry_for(end, line)
+    return engine.entry_for(meas.index_of(end, line))
 
 
 def index_node_target(
@@ -298,8 +250,10 @@ def index_node_target(
     model: ModelMatrix | None = None,
 ) -> IndexEntry:
     """Security index of a single injection measurement."""
+    if bus not in meas.injection:
+        raise InputError(f"bus {bus} has no injection measurement")
     engine = _Engine(net, meas, weights, method, model)
-    return engine.entry_for(INJECTION, bus)
+    return engine.entry_for(meas.index_of(INJECTION, bus))
 
 
 def index_all(
@@ -311,8 +265,7 @@ def index_all(
 ) -> IndexReport:
     """One index per measurement, in the global measurement order."""
     engine = _Engine(net, meas, weights, method, model)
-    entries = tuple(engine.entry_for(kind, target) for kind, target in meas.ordering())
-    return IndexReport(entries=entries)
+    return IndexReport(entries=tuple(map(engine.entry_for, range(meas.measurement_count))))
 
 
 def baseline_ignore_nodes(net, meas, weights=None, model=None) -> IndexReport:

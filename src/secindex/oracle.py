@@ -1,7 +1,10 @@
 """Independent brute-force solvers for the sparse-attack optimization problems.
 
-These oracles certify the min-cut pipeline without sharing any of its code
-paths. Two continuous solvers are provided:
+These oracles certify the min-cut pipeline without sharing its solvers.
+They share only the weight derivation (``WeightAssignment``) and the
+rational-to-integer scaling helper (``scale_to_int``), and every optimum
+they report is re-checked in exact Fractions through ``attack_cost``. Two
+continuous solvers are provided:
 
 * ``oracle_continuous`` works on a raw matrix. It enumerates candidate
   nonzero row sets in increasing cost and checks feasibility of each by a
@@ -26,21 +29,20 @@ objective before being returned.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .costly_cut import as_cost
+from .costly_cut import as_cost, scale_to_int
 from .errors import InputError, InvariantError, SizeLimitError
 from .power_model import (
     ZERO_TOL,
     MeasurementPlacement,
     ModelMatrix,
     PowerNetwork,
+    WeightAssignment,
     build_h,
-    meter_counts,
 )
 
 ROW_LIMIT = 40
@@ -349,7 +351,7 @@ def _null_of_row(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
 class _PartitionView:
     """Per-partition injection analysis data."""
 
-    def __init__(self, labels, cut_lines, net, p_scaled, bus_lines):
+    def __init__(self, labels, cut_lines, net, p_scaled):
         self.labels = labels
         self.cut_lines = cut_lines
         self.group_count = max(labels) + 1
@@ -372,7 +374,7 @@ class _PartitionView:
         self.forced_sum = 0
         cut_set = set(cut_lines)
         for bus in range(net.bus_count):
-            inc = [ln for ln in bus_lines[bus] if ln in cut_set]
+            inc = [ln for ln in net.incident_lines(bus) if ln in cut_set]
             if not inc:
                 continue
             f = np.zeros(self.group_count)
@@ -456,19 +458,6 @@ def _witness_from_partition(view, zeroed, basis, scale_row=None):
     return dtheta
 
 
-def derived_weights(net, meas, weights=None):
-    """Edge and node cost vectors as exact Fractions; defaults to meter
-    counts and injection indicators."""
-    if weights is None:
-        c, p = meter_counts(net, meas)
-        return tuple(Fraction(x) for x in c), tuple(Fraction(x) for x in p)
-    edge_costs = tuple(as_cost(c) for c in weights.edge_costs)
-    node_costs = tuple(as_cost(p) for p in weights.node_costs)
-    if len(edge_costs) != net.line_count or len(node_costs) != net.bus_count:
-        raise InputError("weight vectors must match line and bus counts")
-    return edge_costs, node_costs
-
-
 def oracle_continuous_network(
     net: PowerNetwork,
     meas: MeasurementPlacement,
@@ -488,7 +477,8 @@ def oracle_continuous_network(
         raise SizeLimitError(
             f"partition oracle refuses more than {PARTITION_LINE_LIMIT} lines"
         )
-    edge_costs, node_costs = derived_weights(net, meas, weights)
+    weights = WeightAssignment.resolve(net, meas, weights)
+    edge_costs, node_costs = weights.edge_costs, weights.node_costs
     for bus in node_targets:
         if bus not in meas.injection:
             raise InputError(f"bus {bus} has no injection measurement")
@@ -498,15 +488,11 @@ def oracle_continuous_network(
     if model is None:
         model = build_h(net, meas)
 
-    scale = 1
-    for c in list(edge_costs) + list(node_costs):
-        scale = math.lcm(scale, c.denominator)
-    c_s = np.array([int(c * scale) for c in edge_costs], dtype=np.int64)
-    p_s = [int(p * scale) for p in node_costs]
+    scale, (c_s, p_s) = scale_to_int(edge_costs, node_costs)
+    c_s = np.array(c_s, dtype=np.int64)
 
     tails = np.array([u for (u, _, _) in net.lines], dtype=np.intp)
     heads = np.array([v for (_, v, _) in net.lines], dtype=np.intp)
-    bus_lines = [net.incident_lines(b) for b in range(net.bus_count)]
 
     partitions = _connected_partitions(net.bus_count, [(u, v) for (u, v, _) in net.lines])
     records = []
@@ -541,7 +527,7 @@ def oracle_continuous_network(
             if budget <= 0:
                 continue
             if view is None:
-                view = _PartitionView(labels, cut_lines, net, p_s, bus_lines)
+                view = _PartitionView(labels, cut_lines, net, p_s)
             if base is None:
                 base = _min_injection_dfs(view, p_s, 1 << 62)
             if base is not None and base[0] < budget:
@@ -552,7 +538,7 @@ def oracle_continuous_network(
             if budget <= 0:
                 continue
             if view is None:
-                view = _PartitionView(labels, cut_lines, net, p_s, bus_lines)
+                view = _PartitionView(labels, cut_lines, net, p_s)
             if view.lam.get(bus) is None:
                 continue
             found = _min_injection_dfs(view, p_s, budget, required_bus=bus)
@@ -634,15 +620,13 @@ def oracle_binary(
     n = net.bus_count
     if n > BINARY_BUS_LIMIT:
         raise SizeLimitError(f"binary oracle refuses more than {BINARY_BUS_LIMIT} buses")
-    edge_costs, node_costs = derived_weights(net, meas, weights)
+    weights = WeightAssignment.resolve(net, meas, weights)
+    edge_costs, node_costs = weights.edge_costs, weights.node_costs
     if model is None:
         model = build_h(net, meas)
 
-    scale = 1
-    for c in list(edge_costs) + list(node_costs):
-        scale = math.lcm(scale, c.denominator)
-    c_s = np.array([int(c * scale) for c in edge_costs], dtype=np.int64)
-    p_s = np.array([int(p * scale) for p in node_costs], dtype=np.int64)
+    scale, scaled = scale_to_int(edge_costs, node_costs)
+    c_s, p_s = (np.array(group, dtype=np.int64) for group in scaled)
 
     tails = np.array([u for (u, _, _) in net.lines], dtype=np.intp)
     heads = np.array([v for (_, v, _) in net.lines], dtype=np.intp)

@@ -4,7 +4,8 @@ A network is a connected graph of buses and transmission lines with positive
 reactances. A measurement placement selects line power flows (metered at the
 outgoing or incoming end) and bus power injections; stacking those rows in a
 fixed global order yields the measurement matrix mapping bus phase angles to
-measured values. Least-squares estimation against that matrix, with the
+measured values. Attack weights price each line and bus; a placement
+derives them as meter counts and injection indicators. Least-squares estimation against that matrix, with the
 first bus as the phase reference, drives the bad-data-detection residual.
 
 Any angle perturbation pushed through the measurement matrix produces a
@@ -16,10 +17,12 @@ that encodes positive one-in-three 3SAT instances as measurement systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
+from .costly_cut import as_cost
 from .errors import EstimationError, InputError, InvariantError
 
 ZERO_TOL = 1e-9
@@ -41,11 +44,13 @@ class PowerNetwork:
 
     bus_count: int
     lines: tuple[tuple[int, int, float], ...]
+    _incident: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bus_count < 1:
             raise InputError("bus_count must be positive")
         normalized = []
+        incident = [[] for _ in range(self.bus_count)]
         for idx, (u, v, x) in enumerate(self.lines):
             u, v, x = int(u), int(v), float(x)
             if not (0 <= u < self.bus_count and 0 <= v < self.bus_count):
@@ -55,23 +60,24 @@ class PowerNetwork:
             if not x > 0:
                 raise InputError(f"line {idx}: reactance must be positive, got {x}")
             normalized.append((u, v, x))
+            incident[u].append(idx)
+            incident[v].append(idx)
         object.__setattr__(self, "lines", tuple(normalized))
+        object.__setattr__(self, "_incident", tuple(tuple(ids) for ids in incident))
         if self.bus_count > 1 and not self._connected():
             raise InputError("network is not connected")
 
     def _connected(self) -> bool:
-        adj = [[] for _ in range(self.bus_count)]
-        for u, v, _ in self.lines:
-            adj[u].append(v)
-            adj[v].append(u)
         seen = {0}
         stack = [0]
         while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
+            bus = stack.pop()
+            for idx in self._incident[bus]:
+                u, v, _ = self.lines[idx]
+                other = v if u == bus else u
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
         return len(seen) == self.bus_count
 
     @property
@@ -79,9 +85,9 @@ class PowerNetwork:
         return len(self.lines)
 
     def incident_lines(self, bus: int) -> tuple[int, ...]:
-        return tuple(
-            idx for idx, (u, v, _) in enumerate(self.lines) if bus in (u, v)
-        )
+        """Ids of the lines at ``bus`` in ascending order, parallel lines
+        each listed."""
+        return self._incident[bus]
 
     def incidence(self) -> np.ndarray:
         """Directed incidence matrix: one column per line, +1 at the from bus
@@ -152,18 +158,46 @@ def check_placement(net: PowerNetwork, meas: MeasurementPlacement) -> None:
             raise InputError(f"metered bus id {bus} out of range")
 
 
-def meter_counts(net: PowerNetwork, meas: MeasurementPlacement):
-    """Per-line meter counts (0..2) and per-bus injection indicators."""
-    check_placement(net, meas)
-    c = [0] * net.line_count
-    for line in meas.flow_from:
-        c[line] += 1
-    for line in meas.flow_to:
-        c[line] += 1
-    p = [0] * net.bus_count
-    for bus in meas.injection:
-        p[bus] = 1
-    return tuple(c), tuple(p)
+@dataclass(frozen=True)
+class WeightAssignment:
+    """Attack cost per line and per bus.
+
+    Derived weights (meter count per line, indicator per metered bus) make
+    the weighted objective coincide with support cardinality; custom weights
+    price tampering effort instead.
+    """
+
+    edge_costs: tuple[Fraction, ...]
+    node_costs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "edge_costs", tuple(as_cost(c) for c in self.edge_costs))
+        object.__setattr__(self, "node_costs", tuple(as_cost(p) for p in self.node_costs))
+
+    @classmethod
+    def from_placement(cls, net: PowerNetwork, meas: MeasurementPlacement) -> "WeightAssignment":
+        """The derived weights of a placement."""
+        check_placement(net, meas)
+        c = [0] * net.line_count
+        for line in meas.flow_from + meas.flow_to:
+            c[line] += 1
+        p = [0] * net.bus_count
+        for bus in meas.injection:
+            p[bus] = 1
+        return cls(edge_costs=c, node_costs=p)
+
+    @classmethod
+    def resolve(cls, net: PowerNetwork, meas: MeasurementPlacement, weights) -> "WeightAssignment":
+        """``weights`` checked against the network; the placement's derived
+        weights when ``weights`` is None."""
+        if weights is None:
+            weights = cls.from_placement(net, meas)
+        weights.check(net)
+        return weights
+
+    def check(self, net: PowerNetwork) -> None:
+        if len(self.edge_costs) != net.line_count or len(self.node_costs) != net.bus_count:
+            raise InputError("weight vectors must match line and bus counts")
 
 
 class ModelMatrix:

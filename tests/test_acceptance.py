@@ -34,7 +34,7 @@ from secindex import (
 from secindex.caseio import parse_cut_instance, parse_matpower_subset, parse_native
 from secindex.cases import path as case_path
 from secindex.cli import main as cli_main
-from secindex.oracle import attack_cost, derived_weights
+from secindex.oracle import attack_cost
 from secindex.power_model import ModelMatrix
 from test_costly_cut import random_instance
 from test_power_model import WORKED_K, WORKED_PERMUTATION
@@ -217,7 +217,8 @@ def test_criterion_6_attack_unobservability(capsys):
     for net, meas, model, entry in COLLECTED:
         attack = entry.attack
         assert attack.residual_inf <= 1e-9
-        c, p = derived_weights(net, meas)
+        w = WeightAssignment.from_placement(net, meas)
+        c, p = w.edge_costs, w.node_costs
         assert attack_cost(net, c, p, attack.delta_theta) == entry.index
         assert entry.measurement in attack.support
         checked += 1

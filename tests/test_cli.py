@@ -1,7 +1,8 @@
 import random
 
 from helpers import random_observable_case
-from secindex.caseio import emit_native, CaseFile
+from secindex import costly_cut
+from secindex.caseio import CaseFile, emit_native, parse_matpower_subset, parse_native
 from secindex.cases import path as case_path
 from secindex.cli import CSV_HEADER, main
 
@@ -49,7 +50,7 @@ def test_index_csv_is_byte_identical_across_runs(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_index_single_target(capsys):
+def test_index_single_target(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, "index", str(case_path("example4bus.json")), "--target", "3"
     )
@@ -58,6 +59,38 @@ def test_index_single_target(capsys):
     assert len(rows) == 1
     assert rows[0]["measurement_id"] == "3"
     assert rows[0]["index"] == "1"
+
+    # --target K prints the header and row K of the full CSV, byte for byte,
+    # and runs only the cuts of its own line or bus
+    solved = []
+
+    def counted(solver):
+        def run(inst):
+            solved.append(inst)
+            return solver(inst)
+
+        return run
+
+    for name in ("solve", "solve_ignore_nodes", "solve_fold_nodes"):
+        monkeypatch.setattr(costly_cut, name, counted(getattr(costly_cut, name)))
+    rng = random.Random(118)
+    for case_name in ("example4bus.json", "ieee118.m"):
+        case = str(case_path(case_name))
+        parsed = parse_matpower_subset(case) if case.endswith(".m") else parse_native(case)
+        count = parsed.meas.measurement_count
+        targets = range(1, count + 1) if count <= 20 else sorted(rng.sample(range(1, count + 1), 20))
+        for method in ("exact", "ignore-nodes", "fold-nodes"):
+            code, full, _ = run_cli(capsys, "index", case, "--method", method)
+            assert code == 0
+            full_rows = full.splitlines(keepends=True)
+            for k in targets:
+                del solved[:]
+                code, out, _ = run_cli(capsys, "index", case, "--method", method, "--target", str(k))
+                assert code == 0
+                assert out == full_rows[0] + full_rows[k], (case_name, method, k)
+                kind, ident = parsed.meas.ordering()[k - 1]
+                cuts = len(parsed.net.incident_lines(ident)) if kind == "injection" else 1
+                assert 1 <= len(solved) <= cuts, (case_name, method, k, len(solved))
 
 
 def test_index_methods(capsys):

@@ -16,8 +16,6 @@ from secindex import (
     solve_brute_force,
     solve_fold_nodes,
     solve_ignore_nodes,
-    two_sided_brute_force,
-    two_sided_node_costs,
 )
 from secindex.caseio import parse_cut_instance
 from secindex.cases import path as case_path
@@ -199,7 +197,7 @@ def test_two_sided_degenerates_to_single():
             source=inst.source,
             sink=inst.sink,
         )
-        assert two_sided_node_costs(two).objective == solve(inst).objective
+        assert solve(two).objective == solve(inst).objective
 
 
 def test_two_sided_in_costs_zero_charges_tails_only():
@@ -214,8 +212,8 @@ def test_two_sided_in_costs_zero_charges_tails_only():
             source=base.source,
             sink=base.sink,
         )
-        fast = two_sided_node_costs(two)
-        slow = two_sided_brute_force(two)
+        fast = solve(two)
+        slow = solve_brute_force(two)
         assert fast.objective == slow.objective
         # hand recomputation: edges plus tail charges only
         side = fast.source_side
@@ -240,7 +238,7 @@ def test_two_sided_random_against_brute_force():
             source=base.source,
             sink=base.sink,
         )
-        assert two_sided_node_costs(two).objective == two_sided_brute_force(two).objective
+        assert solve(two).objective == solve_brute_force(two).objective
 
 
 def test_dump_format():

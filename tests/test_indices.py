@@ -69,14 +69,15 @@ def test_derived_weights():
 
 
 def test_exactness_clauses():
+    # one condition certifies exactness: the gap bound reads zero
     net, meas = worked_case()
     w = WeightAssignment.from_placement(net, meas)
     exact, reason = exactness_condition(net, meas, w)
-    assert exact and "every line" in reason
+    assert exact and reason == "node costs never exceed incident edge costs"
 
     full = full_measurement(net)
     exact, reason = exactness_condition(net, full, WeightAssignment.from_placement(net, full))
-    assert exact and reason == "full measurement"
+    assert exact and reason == "node costs never exceed incident edge costs"
 
     # every unmetered line has unmetered endpoints -> zero bound clause
     chain = PowerNetwork(
@@ -91,8 +92,41 @@ def test_exactness_clauses():
     bad = MeasurementPlacement(flow_from=(0,), injection=(3,))
     wb = WeightAssignment.from_placement(net, bad)
     exact, reason = exactness_condition(net, bad, wb)
-    assert not exact
+    assert not exact and reason == "approximation bound applies"
     assert binary_gap_bound(net, wb) >= 1
+
+    # the condition is the zero bound on custom weights too; derived weights
+    # under full measurement (c = 2, p = 1) and every line metered with
+    # p <= 1 <= c both satisfy it
+    rng = random.Random(2024)
+    choices = [Fraction(k, 2) for k in range(5)]
+    outcomes = set()
+    for _ in range(60):
+        net, meas, _ = random_observable_case(rng, max_buses=8, max_lines=12)
+        weights = WeightAssignment(
+            edge_costs=[rng.choice(choices) for _ in range(net.line_count)],
+            node_costs=[rng.choice(choices) for _ in range(net.bus_count)],
+        )
+        exact, _ = exactness_condition(net, meas, weights)
+        assert exact == (binary_gap_bound(net, weights) == 0)
+        outcomes.add(exact)
+
+        full = full_measurement(net)
+        assert exactness_condition(net, full, WeightAssignment.from_placement(net, full))[0]
+
+        from_end = tuple(i for i in range(net.line_count) if rng.random() < 0.5)
+        metered = MeasurementPlacement(
+            flow_from=from_end,
+            flow_to=tuple(i for i in range(net.line_count) if i not in from_end),
+            injection=meas.injection,
+        )
+        covered = WeightAssignment(
+            edge_costs=[rng.choice(choices[2:]) for _ in range(net.line_count)],
+            node_costs=[rng.choice(choices[:3]) for _ in range(net.bus_count)],
+        )
+        assert exactness_condition(net, metered, covered)[0]
+        assert exactness_condition(net, metered, WeightAssignment.from_placement(net, metered))[0]
+    assert outcomes == {True, False}
 
 
 def test_binary_gap_bound_values():

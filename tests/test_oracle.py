@@ -9,6 +9,7 @@ from secindex import (
     InputError,
     PowerNetwork,
     SizeLimitError,
+    WeightAssignment,
     build_h,
     full_measurement,
     index_edge_target,
@@ -18,7 +19,7 @@ from secindex import (
 )
 from secindex.caseio import parse_native
 from secindex.cases import path as case_path
-from secindex.oracle import attack_cost, derived_weights
+from secindex.oracle import attack_cost
 
 
 def worked_case():
@@ -152,7 +153,8 @@ def test_network_oracle_witnesses_hit_their_targets():
     lines = sorted({t for kk, t in order if kk != "injection"})
     nodes = [t for kk, t in order if kk == "injection"]
     res = oracle_continuous_network(net, meas, edge_targets=lines, node_targets=nodes, model=model)
-    c, p = derived_weights(net, meas)
+    w = WeightAssignment.from_placement(net, meas)
+    c, p = w.edge_costs, w.node_costs
     for (key_kind, ident), result in res.items():
         assert result.feasible
         witness = result.witness

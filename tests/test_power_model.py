@@ -9,6 +9,7 @@ from secindex import (
     MeasurementPlacement,
     ModelMatrix,
     PowerNetwork,
+    WeightAssignment,
     attack_from_partition,
     bdd_residual,
     build_3sat_gadget,
@@ -21,7 +22,7 @@ from secindex import (
 )
 from secindex.caseio import parse_native
 from secindex.cases import path as case_path
-from secindex.oracle import attack_cost, derived_weights
+from secindex.oracle import attack_cost
 
 # The published 4-bus worked example: reduced measurement matrix and the
 # unit-weight hat matrix, rows ordered injection@1, flow 1->2 (outgoing),
@@ -67,6 +68,14 @@ def test_worked_example_reduced_matrix():
     assert np.allclose(model.reduced(), WORKED_H2)
 
 
+def assert_incident_lines_match_scan(net):
+    # node_value's first-minimum tie-break, and with it attack_support,
+    # relies on ascending line ids with parallel lines each listed
+    for b in range(net.bus_count):
+        scan = [i for i, (u, v, _) in enumerate(net.lines) if b in (u, v)]
+        assert list(net.incident_lines(b)) == scan
+
+
 def test_row_sums_zero_on_random_networks():
     rng = random.Random(2)
     for _ in range(20):
@@ -75,6 +84,14 @@ def test_row_sums_zero_on_random_networks():
         model = build_h(net, meas)
         if model.h.size:
             assert np.abs(model.h.sum(axis=1)).max() < 1e-12
+        assert_incident_lines_match_scan(net)
+    parallel = PowerNetwork(
+        bus_count=3, lines=((1, 2, 1.0), (0, 1, 1.0), (1, 0, 2.0), (2, 1, 0.5))
+    )
+    model = build_h(parallel, full_measurement(parallel))
+    assert np.abs(model.h.sum(axis=1)).max() < 1e-12
+    assert_incident_lines_match_scan(parallel)
+    assert parallel.incident_lines(1) == (0, 1, 2, 3)
 
 
 def test_empty_placement_gives_zero_rows():
@@ -164,7 +181,8 @@ def test_attack_support_cost_matches_partition_objective():
         model = build_h(net, meas)
         dtheta = np.array([float(rng.random() < 0.5) for _ in range(net.bus_count)])
         attack = attack_from_partition(net, meas, dtheta, model=model)
-        c, p = derived_weights(net, meas)
+        w = WeightAssignment.from_placement(net, meas)
+        c, p = w.edge_costs, w.node_costs
         assert len(attack.support) == attack_cost(net, c, p, dtheta)
 
 
