@@ -178,13 +178,13 @@ def _cmd_verify(args) -> int:
     if meas.measurement_count:
         report("observable", is_observable(model))
 
-    exact_report = indices.index_all(net, meas, case.weights)
+    exact_report = indices.index_all(net, meas, case.weights, model=model)
     residual = max((e.attack.residual_inf for e in exact_report.entries), default=0.0)
     report("attack-residuals", residual <= RESIDUAL_TOL, f"max {residual:.2e}")
 
     for name, method in (("ignore-nodes", indices.METHOD_IGNORE_NODES),
                          ("fold-nodes", indices.METHOD_FOLD_NODES)):
-        heur = indices.index_all(net, meas, case.weights, method=method)
+        heur = indices.index_all(net, meas, case.weights, method=method, model=model)
         passed = all(
             h.index >= e.index for h, e in zip(heur.entries, exact_report.entries)
         )

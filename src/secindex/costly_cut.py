@@ -11,8 +11,12 @@ the original nodes is read off the v layer.
 
 Rational costs are scaled to integers by the LCM of their denominators
 (``scale_to_int``, the package's one scaling helper), so optimality is
-exact. A node may charge differently as the tail and as the head of a cut
-edge (``TwoSidedCutInstance``); ``CostlyCutInstance`` exposes its single
+exact. The scaling happens once per instance (``int_costs``); the instances
+``CostlyCutInstance.with_terminals`` derives for other terminal pairs share
+it, together with the already validated edges and charges, so a sweep over
+many terminal pairs validates and scales its costs once. A node may charge
+differently as the tail and as the head of a cut edge
+(``TwoSidedCutInstance``); ``CostlyCutInstance`` exposes its single
 charge through the same ``node_costs_out`` / ``node_costs_in`` pair, so
 ``solve`` and the exhaustive verifier ``solve_brute_force`` take either
 flavor. The two classical approximations (dropping node charges, and
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -61,19 +66,32 @@ def as_cost(value) -> Fraction:
     return cost
 
 
-def _check_structure(node_count, edges, source, sink):
-    if node_count < 2:
-        raise InputError("instance needs at least source and sink")
+def _check_terminals(node_count, source, sink):
     for name, node in (("source", source), ("sink", sink)):
         if not (0 <= node < node_count):
             raise InputError(f"{name} id {node} out of range [0, {node_count})")
     if source == sink:
         raise InputError("source and sink must differ")
+
+
+def _check_structure(node_count, edges, source, sink):
+    if node_count < 2:
+        raise InputError("instance needs at least source and sink")
+    _check_terminals(node_count, source, sink)
     for idx, (u, v, _) in enumerate(edges):
         if not (0 <= u < node_count and 0 <= v < node_count):
             raise InputError(f"edge {idx}: node id out of range")
         if u == v:
             raise InputError(f"edge {idx}: self-loop at node {u}")
+
+
+def _int_costs(inst):
+    """``(scale, edge costs, tail charges, head charges)`` of an instance of
+    either flavor, every cost times ``scale`` as a tuple of ints."""
+    scale, groups = scale_to_int(
+        [c for (_, _, c) in inst.edges], inst.node_costs_out, inst.node_costs_in
+    )
+    return (scale, *map(tuple, groups))
 
 
 @dataclass(frozen=True)
@@ -106,6 +124,19 @@ class CostlyCutInstance:
                         f"symmetric flag set but edge ({u},{v}) cost {c} has no mirror"
                     )
 
+    int_costs = cached_property(_int_costs)
+
+    def with_terminals(self, source: int, sink: int) -> CostlyCutInstance:
+        """The same instance between other terminals.
+
+        The result shares this instance's validated edges and charges and its
+        integer scaling; only the terminals are checked.
+        """
+        _check_terminals(self.node_count, source, sink)
+        derived = object.__new__(type(self))
+        derived.__dict__.update(self.__dict__, source=source, sink=sink, int_costs=self.int_costs)
+        return derived
+
     @property
     def node_costs_out(self) -> tuple[Fraction, ...]:
         """Charge for a node at the tail of a cut edge: its one node cost."""
@@ -137,6 +168,8 @@ class TwoSidedCutInstance:
         if len(self.node_costs_out) != self.node_count or len(self.node_costs_in) != self.node_count:
             raise InputError("node cost vectors must match node_count")
         _check_structure(self.node_count, edges, self.source, self.sink)
+
+    int_costs = cached_property(_int_costs)
 
 
 @dataclass(frozen=True)
@@ -171,38 +204,36 @@ def scale_to_int(*groups):
 
 
 def build_auxiliary(inst: CostlyCutInstance | TwoSidedCutInstance) -> AuxiliaryGraph:
-    """Construct the tripled auxiliary graph for a costly-cut instance."""
-    n = inst.node_count
-    scale, (edge_scaled, p_out_scaled, p_in_scaled) = scale_to_int(
-        [c for (_, _, c) in inst.edges], inst.node_costs_out, inst.node_costs_in
-    )
-    big = max(p_out_scaled + p_in_scaled) + 1
+    """Construct the tripled auxiliary graph for a costly-cut instance.
 
-    v_of = tuple(range(n))
-    w_of = tuple(n + i for i in range(n))
-    z_of = tuple(2 * n + i for i in range(n))
+    Node i of the instance is v_i = i, w_i = n + i and z_i = 2n + i. Edges:
+    w_i -> v_i and v_i -> z_i per node (head and tail charge), then per
+    instance edge u -> v its cost v_u -> v_v and the two protective edges
+    v_u -> w_v and z_u -> v_v.
+    """
+    n = inst.node_count
+    scale, edge_scaled, p_out_scaled, p_in_scaled = inst.int_costs
+    big = max(p_out_scaled + p_in_scaled) + 1
 
     aux_edges = []
     for i in range(n):
-        aux_edges.append((w_of[i], v_of[i], p_in_scaled[i]))
-        aux_edges.append((v_of[i], z_of[i], p_out_scaled[i]))
-    big_edges = set()
+        aux_edges.append((n + i, i, p_in_scaled[i]))
+        aux_edges.append((i, 2 * n + i, p_out_scaled[i]))
     for (u, v, _), c in zip(inst.edges, edge_scaled):
-        aux_edges.append((v_of[u], v_of[v], c))
-        big_edges.add(len(aux_edges))
-        aux_edges.append((v_of[u], w_of[v], big))
-        big_edges.add(len(aux_edges))
-        aux_edges.append((z_of[u], v_of[v], big))
+        aux_edges.append((u, v, c))
+        aux_edges.append((u, n + v, big))
+        aux_edges.append((2 * n + u, v, big))
+    first, stop = 2 * n, len(aux_edges)
 
     graph = DiGraph(node_count=3 * n, edges=tuple(aux_edges))
     return AuxiliaryGraph(
         graph=graph,
-        v_of=v_of,
-        w_of=w_of,
-        z_of=z_of,
+        v_of=tuple(range(n)),
+        w_of=tuple(range(n, 2 * n)),
+        z_of=tuple(range(2 * n, 3 * n)),
         scale=scale,
         big_cost=big,
-        big_cost_edges=frozenset(big_edges),
+        big_cost_edges=frozenset(range(first + 1, stop, 3)).union(range(first + 2, stop, 3)),
     )
 
 
@@ -274,9 +305,7 @@ def solve_brute_force(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCu
         raise SizeLimitError(
             f"brute force refuses instances with more than {BRUTE_FORCE_MAX_NODES} nodes"
         )
-    scale, scaled = scale_to_int(
-        [c for (_, _, c) in inst.edges], inst.node_costs_out, inst.node_costs_in
-    )
+    scale, *scaled = inst.int_costs
     edge_cost, pout, pin = (np.array(group, dtype=np.int64) for group in scaled)
     if int(edge_cost.sum()) + int(pout.sum()) + int(pin.sum()) >= 2**62:
         raise InputError("scaled costs too large for brute force")

@@ -160,13 +160,23 @@ class _Engine:
         else:
             self.exact, self.reason, self.bound = False, "heuristic method", None
         self._line_cache: dict[int, tuple[Fraction, AttackVector]] = {}
+        self._instance: CostlyCutInstance | None = None
+
+    def cut_instance(self, line: int) -> CostlyCutInstance:
+        """``cut_instance_for_line(net, weights, line)``. The first call builds
+        and validates it; later calls derive it from that one, sharing its
+        edges, charges and integer scaling and checking only the terminals."""
+        if self._instance is None:
+            self._instance = cut_instance_for_line(self.net, self.weights, line)
+        u, v, _ = self.net.lines[line]
+        return self._instance.with_terminals(u, v)
 
     def line_value(self, line: int):
         """Index value and attack for separating the endpoints of a line."""
         hit = self._line_cache.get(line)
         if hit is not None:
             return hit
-        inst = cut_instance_for_line(self.net, self.weights, line)
+        inst = self.cut_instance(line)
         sol = getattr(costly_cut, _SOLVERS[self.method])(inst)
         dtheta = np.zeros(self.net.bus_count)
         for bus in sol.source_side:

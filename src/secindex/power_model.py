@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -134,10 +135,14 @@ class MeasurementPlacement:
     def measurement_count(self) -> int:
         return len(self.flow_from) + len(self.flow_to) + len(self.injection)
 
+    @cached_property
+    def _positions(self) -> dict[tuple[str, int], int]:
+        return {label: k for k, label in enumerate(self.ordering())}
+
     def index_of(self, kind: str, ident: int) -> int:
         try:
-            return self.ordering().index((kind, ident))
-        except ValueError:
+            return self._positions[(kind, ident)]
+        except (KeyError, TypeError):
             raise InputError(f"measurement ({kind}, {ident}) not in placement") from None
 
 

@@ -1,7 +1,8 @@
+import hashlib
 import random
 
 from helpers import random_observable_case
-from secindex import costly_cut
+from secindex import costly_cut, power_model
 from secindex.caseio import CaseFile, emit_native, parse_matpower_subset, parse_native
 from secindex.cases import path as case_path
 from secindex.cli import CSV_HEADER, main
@@ -48,6 +49,25 @@ def test_index_csv_is_byte_identical_across_runs(capsys, tmp_path):
         )
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# sha256 of `secindex index ieee118.m --method M`; the heuristics read both
+# canonical cuts of one flow, the exact method only the minimal one.
+IEEE118_CSV_SHA256 = {
+    "exact": "a8a7e92c1cb8929d35fc6c32ed4c6dffc5fd1ae85905efb00265ebb5148c4c70",
+    "ignore-nodes": "0b7acb72cb110608fcd0d550413d70b471585b2764f2d28636e1392f840edea4",
+    "fold-nodes": "098a7452791d6c115d837ba3c759053c63f4bccc9c78503d7a801e733f334f2a",
+}
+
+
+def test_index_csv_golden_digests(capsys, tmp_path):
+    for method, digest in IEEE118_CSV_SHA256.items():
+        out = tmp_path / f"{method}.csv"
+        code, _, _ = run_cli(
+            capsys, "index", str(case_path("ieee118.m")), "--method", method, "--out", str(out)
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, method
 
 
 def test_index_single_target(capsys, monkeypatch):
@@ -196,6 +216,32 @@ def test_verify_many_seeded_cases(capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 0, (i, out, err)
         assert "FAIL" not in out
+
+
+def test_verify_builds_one_measurement_matrix(capsys, tmp_path, monkeypatch):
+    # the oracle and all three index runs share the matrix verify builds,
+    # so it is assembled and factored once per case
+    built = []
+    init = power_model.ModelMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(power_model.ModelMatrix, "__init__", counted)
+    cases = [str(case_path("example4bus.json"))]
+    rng = random.Random(5)
+    for i in range(5):
+        net, meas, _ = random_observable_case(rng, max_buses=7, max_lines=9)
+        path = tmp_path / f"case{i}.json"
+        path.write_text(emit_native(CaseFile(net=net, meas=meas, weights=None)))
+        cases.append(str(path))
+    for case in cases:
+        del built[:]
+        code, out, _ = run_cli(capsys, "verify", case)
+        assert code == 0 and "FAIL" not in out
+        assert len(built) == 1, case
+        assert built[0]._range_basis is not None
 
 
 def test_sidecar_rejected_for_native_cases(capsys):

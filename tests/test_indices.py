@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -20,8 +21,10 @@ from secindex import (
     oracle_continuous_network,
     binary_gap_bound,
 )
-from secindex.caseio import parse_native
+from secindex import costly_cut
+from secindex.caseio import parse_matpower_subset, parse_native
 from secindex.cases import path as case_path
+from secindex.indices import METHODS, _Engine, cut_instance_for_line
 from secindex.oracle import attack_cost
 
 
@@ -278,3 +281,62 @@ def test_custom_weights_can_void_full_measurement_exactness():
     entry = index_edge_target(net, meas, weights, 0)
     assert not entry.exact
     assert entry.error_bound == 4
+
+
+def test_engine_derives_each_line_instance_from_one_validated_instance():
+    rng = random.Random(3131)
+    choices = [Fraction(k, 2) for k in range(5)]
+    for draw in range(30):
+        net, meas, model = random_observable_case(rng, max_buses=8, max_lines=12)
+        custom = WeightAssignment(
+            edge_costs=[rng.choice(choices) for _ in range(net.line_count)],
+            node_costs=[rng.choice(choices) for _ in range(net.bus_count)],
+        )
+        for weights in (None, custom):
+            engine = _Engine(net, meas, weights, "exact", model)
+            w = WeightAssignment.resolve(net, meas, weights)
+            lines = list(range(net.line_count))
+            rng.shuffle(lines)
+            for line in lines:
+                inst = engine.cut_instance(line)
+                ref = cut_instance_for_line(net, w, line)
+                for f in dataclasses.fields(ref):
+                    assert getattr(inst, f.name) == getattr(ref, f.name), (draw, line, f.name)
+                assert inst == ref
+                assert inst.int_costs == ref.int_costs
+                assert costly_cut.dump_auxiliary(
+                    costly_cut.build_auxiliary(inst)
+                ) == costly_cut.dump_auxiliary(costly_cut.build_auxiliary(ref))
+            # one scaling, shared by every line's instance
+            first, last = engine.cut_instance(lines[0]), engine.cut_instance(lines[-1])
+            assert first.int_costs is last.int_costs
+            assert first.edges is last.edges
+
+
+def test_derived_instance_checks_its_terminals():
+    net, meas = worked_case()
+    inst = cut_instance_for_line(net, WeightAssignment.from_placement(net, meas), 0)
+    for source, sink in ((0, 4), (-1, 1), (2, 2)):
+        with pytest.raises(InputError) as derived:
+            inst.with_terminals(source, sink)
+        with pytest.raises(InputError) as built:
+            dataclasses.replace(inst, source=source, sink=sink)
+        assert str(derived.value) == str(built.value)
+
+
+def test_one_instance_validation_per_sweep(monkeypatch):
+    calls = []
+    post_init = costly_cut.CostlyCutInstance.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(costly_cut.CostlyCutInstance, "__post_init__", counted)
+    case = parse_matpower_subset(case_path("ieee118.m"))
+    model = build_h(case.net, case.meas)
+    for method in METHODS:
+        del calls[:]
+        report = index_all(case.net, case.meas, method=method, model=model)
+        assert len(report.entries) == 490
+        assert len(calls) == 1, method

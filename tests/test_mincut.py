@@ -142,3 +142,68 @@ def test_concurrent_solves_share_graph():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: min_cut(g, 0, 7), range(32)))
     assert all(r == expected for r in results)
+
+
+def _split_cases():
+    rng = random.Random(4242)
+    for _ in range(200):
+        yield random_digraph(rng), 0, 7
+    # parallel edges, some of them zero, in both directions
+    for _ in range(50):
+        g = random_digraph(rng, nodes=5, edges=8, max_cap=4)
+        yield DiGraph(node_count=5, edges=g.edges + g.edges[:4] + ((0, 4, 0), (0, 4, 0))), 0, 4
+    # zero capacities only, and a sink cut off entirely
+    yield DiGraph(node_count=4, edges=((0, 1, 0), (1, 2, 0), (2, 3, 0))), 0, 3
+    yield DiGraph(node_count=4, edges=((0, 1, 3), (1, 2, 2))), 0, 3
+    # a deep path with a shortcut: the first phase labels the sink at level
+    # 1 and stops; the next phase needs the whole path, past a dead-end
+    # branch as deep as the sink
+    depth = 6
+    path_edges = tuple((i, i + 1, 1 + i % 3) for i in range(depth))
+    branch = tuple((i, i + 1, 5) for i in range(depth + 1, 2 * depth)) + ((0, depth + 1, 5),)
+    for shortcut in (1, 2, 5):
+        edges = path_edges + branch + ((0, depth, shortcut),)
+        yield DiGraph(node_count=2 * depth + 1, edges=edges), 0, depth
+
+
+def test_min_cut_is_the_minimal_extreme():
+    for g, s, t in _split_cases():
+        sol = min_cut(g, s, t)
+        assert sol == min_cut_extremes(g, s, t)[0]
+        assert sol.value == brute_force_min_cut_value(g, s, t)
+
+
+def test_bulk_validation_names_the_first_offending_edge():
+    good = (0, 1, 1)
+    cases = [
+        ((good, (0, 2, 1), (1, 1, 1)), "edge 1: node id out of range in (0, 2, 1)"),
+        ((good, (1, 1, 1), (0, 1, -1)), "edge 1: self-loop at node 1"),
+        ((good, (0, 1, -1), (0, 1, 1.0)), "edge 1: negative capacity -1"),
+        ((good, (0, 1, 1.0), (0, 5, 1)),
+         "edge 1: endpoints and capacity must be integers, got (0, 1, 1.0)"),
+        ((good, (-1, 1, 1)), "edge 1: node id out of range in (-1, 1, 1)"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(InputError) as err:
+            DiGraph(node_count=2, edges=edges)
+        assert str(err.value) == message
+    with pytest.raises(ValueError):
+        DiGraph(node_count=2, edges=(good, (0, 1)))
+    # a one-shot iterable is read once and judged whole
+    with pytest.raises(ValueError):
+        DiGraph(node_count=2, edges=(e for e in (good, (0, 1))))
+    assert DiGraph(node_count=2, edges=(e for e in (good,))).edges == (good,)
+
+
+def test_bulk_validation_accepts_every_int():
+    import enum
+
+    class Node(enum.IntEnum):
+        A = 0
+        B = 1
+
+    g = DiGraph(node_count=2, edges=[[0, 1, True], (Node.B, Node.A, 2), (0, 1, False)])
+    assert g.edges == ((0, 1, True), (1, 0, 2), (0, 1, False))
+    assert all(type(e) is tuple for e in g.edges)
+    assert min_cut(g, 0, 1).value == 1
+    assert DiGraph(node_count=1, edges=[]).edges == ()

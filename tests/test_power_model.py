@@ -269,3 +269,16 @@ def test_weighted_estimation_recovers_state_and_hides_attacks():
     attack = attack_from_partition(net, meas, dtheta, model=model)
     _, residual = estimate(model, attack.delta_z, weights=w)
     assert np.abs(residual).max() < 1e-9  # invisible under any weighting
+
+
+def test_index_of_matches_the_ordering():
+    rng = random.Random(77)
+    for _ in range(20):
+        net = random_network(rng)
+        meas = random_placement(rng, net)
+        order = meas.ordering()
+        for k, (kind, ident) in enumerate(order):
+            assert meas.index_of(kind, ident) == k
+        for kind, ident in (("flow_from", net.line_count), ("injection", -1), ("flow", 0)):
+            with pytest.raises(InputError, match=rf"measurement \({kind}, {ident}\) not in placement"):
+                meas.index_of(kind, ident)
