@@ -205,6 +205,9 @@ def _cmd_verify(args) -> int:
         for e in exact_report.entries:
             key = ("node", e.target) if e.kind == "injection" else ("edge", e.target)
             opt = results[key].optimum
+            if opt is None:  # the oracle finds no attack where the index has one
+                sandwich = exact_match = False
+                continue
             gap = e.index - opt
             if not (0 <= gap <= bound):
                 sandwich = False

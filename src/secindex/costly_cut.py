@@ -21,7 +21,9 @@ charge through the same ``node_costs_out`` / ``node_costs_in`` pair, so
 ``solve`` and the exhaustive verifier ``solve_brute_force`` take either
 flavor. The two classical approximations (dropping node charges, and
 folding node charges into incident edges) report the true objective of
-whatever partition they select.
+whatever partition they select. The edge-only graph each of them cuts does
+not depend on the terminals either, so it is built and validated once and
+shared the same way with every instance ``with_terminals`` derives.
 """
 
 from __future__ import annotations
@@ -123,14 +125,19 @@ class CostlyCutInstance:
                     raise InputError(
                         f"symmetric flag set but edge ({u},{v}) cost {c} has no mirror"
                     )
+        # The heuristics' edge-only graphs, keyed by whether node charges are
+        # folded in; built on first use and shared with every instance
+        # ``with_terminals`` derives, since they do not depend on the terminals.
+        object.__setattr__(self, "_plain_graphs", {})
 
     int_costs = cached_property(_int_costs)
 
     def with_terminals(self, source: int, sink: int) -> CostlyCutInstance:
         """The same instance between other terminals.
 
-        The result shares this instance's validated edges and charges and its
-        integer scaling; only the terminals are checked.
+        The result shares this instance's validated edges and charges, its
+        integer scaling and the heuristics' graphs; only the terminals are
+        checked.
         """
         _check_terminals(self.node_count, source, sink)
         derived = object.__new__(type(self))
@@ -376,16 +383,30 @@ def _partition_from_plain_cut(inst, graph: DiGraph) -> CostlyCutSolution:
     return best
 
 
+def _plain_graph(inst: CostlyCutInstance, fold: bool) -> DiGraph:
+    """The scaled edge-only graph a heuristic cuts: edge costs alone, or with
+    both endpoint charges folded into each edge. Built once per family of
+    instances sharing edges and charges."""
+    graph = inst._plain_graphs.get(fold)
+    if graph is None:
+        costs = [
+            c + inst.node_costs[u] + inst.node_costs[v] if fold else c
+            for (u, v, c) in inst.edges
+        ]
+        _, (scaled,) = scale_to_int(costs)
+        graph = DiGraph(
+            node_count=inst.node_count,
+            edges=tuple((u, v, c) for (u, v, _), c in zip(inst.edges, scaled)),
+        )
+        inst._plain_graphs[fold] = graph
+    return graph
+
+
 def solve_ignore_nodes(inst: CostlyCutInstance) -> CostlyCutSolution:
     """Baseline: min cut on edge costs alone; node charges are added after
     the fact, so the reported objective is the true cost of the partition
     this heuristic picks (not necessarily the optimum)."""
-    _, (scaled,) = scale_to_int([c for (_, _, c) in inst.edges])
-    graph = DiGraph(
-        node_count=inst.node_count,
-        edges=tuple((u, v, c) for (u, v, _), c in zip(inst.edges, scaled)),
-    )
-    return _partition_from_plain_cut(inst, graph)
+    return _partition_from_plain_cut(inst, _plain_graph(inst, fold=False))
 
 
 def solve_fold_nodes(inst: CostlyCutInstance) -> CostlyCutSolution:
@@ -393,12 +414,4 @@ def solve_fold_nodes(inst: CostlyCutInstance) -> CostlyCutSolution:
 
     Reported objective is again the true cost of the selected partition.
     """
-    folded = [
-        (u, v, c + inst.node_costs[u] + inst.node_costs[v]) for (u, v, c) in inst.edges
-    ]
-    _, (scaled,) = scale_to_int([c for (_, _, c) in folded])
-    graph = DiGraph(
-        node_count=inst.node_count,
-        edges=tuple((u, v, c) for (u, v, _), c in zip(folded, scaled)),
-    )
-    return _partition_from_plain_cut(inst, graph)
+    return _partition_from_plain_cut(inst, _plain_graph(inst, fold=True))

@@ -33,7 +33,6 @@ from .power_model import (
     FLOW_FROM,
     FLOW_TO,
     INJECTION,
-    ZERO_TOL,
     AttackVector,
     MeasurementPlacement,
     ModelMatrix,
@@ -213,7 +212,7 @@ class _Engine:
             value, attack = self.node_value(target)
         else:
             value, attack = self.line_value(target)
-        if abs(attack.delta_z[k]) <= ZERO_TOL:
+        if k not in attack.support:
             raise InvariantError(
                 f"attack for measurement {k} does not touch its own target"
             )

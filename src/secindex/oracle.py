@@ -12,13 +12,19 @@ continuous solvers are provided:
   groups let physically coupled rows (the two flow rows of one line are
   scalar multiples of each other) be switched together.
 
-* ``oracle_continuous_network`` exploits network structure: it enumerates
-  every partition of the buses into connected groups (level sets of the
-  angle perturbation up to merging of non-adjacent groups), pays metered
-  cut lines combinatorially, and decides exactly which metered injections
-  can be cancelled by solving for group values in a shrinking subspace.
-  One scan prices every edge and injection target at once, which is what
-  makes whole-network sweeps affordable.
+* ``oracle_continuous_network`` exploits network structure: it scans the
+  partitions of the buses into connected groups (level sets of the angle
+  perturbation up to merging of non-adjacent groups) in order of their cut
+  cost, pays metered cut lines combinatorially, and decides exactly which
+  metered injections can be cancelled by solving for group values in a
+  shrinking subspace. One scan prices every edge and injection target at
+  once, which is what makes whole-network sweeps affordable. Once every
+  target has an answer, the scan stops at the first partition whose cut
+  alone costs at least as much as each of them, so the enumeration is
+  cost-bounded: it produces the partitions one band of cut cost at a time,
+  pruning each branch whose cost reaches the band's cap, and builds no band
+  past the stopping point. The scan meets the same partitions in the same
+  order as a full enumeration.
 
 ``oracle_binary`` exhaustively evaluates the 0/1-restricted problem.
 
@@ -297,8 +303,16 @@ def _proportional(a: np.ndarray, b: np.ndarray) -> bool:
 # Network partition oracle.
 
 
-def _connected_partitions(bus_count: int, endpoints) -> list[tuple[int, ...]]:
-    """All partitions of the buses into connected groups, each exactly once."""
+def _connected_partitions(bus_count: int, endpoints, costs, cap) -> list:
+    """Every partition of the buses into connected groups whose cut lines
+    cost less than ``cap`` in total, each exactly once, as ``(cost, labels,
+    cut lines)``.
+
+    The lines taken on the different-group branch are exactly the cut lines
+    of the partitions below it, so a branch adds up its cost as it recurses
+    and is pruned once that cost reaches ``cap``. Pruning only drops leaves:
+    the records come in the order of the uncapped enumeration.
+    """
     parent = list(range(bus_count))
 
     def find(x):
@@ -306,8 +320,8 @@ def _connected_partitions(bus_count: int, endpoints) -> list[tuple[int, ...]]:
             x = parent[x]
         return x
 
-    forbidden: list[tuple[int, int]] = []
-    out: list[tuple[int, ...]] = []
+    cut: list[int] = []
+    out: list = []
 
     def labels() -> tuple[int, ...]:
         ids = {}
@@ -319,27 +333,60 @@ def _connected_partitions(bus_count: int, endpoints) -> list[tuple[int, ...]]:
             lab.append(ids[r])
         return tuple(lab)
 
-    def rec(i: int):
+    def rec(i: int, cost):
         if i == len(endpoints):
-            out.append(labels())
+            out.append((cost, labels(), tuple(cut)))
             return
         u, v = endpoints[i]
         ru, rv = find(u), find(v)
         if ru == rv:
-            rec(i + 1)
+            rec(i + 1, cost)
             return
         # Same-group branch: contract, then make sure no separated pair merged.
         parent[rv] = ru
-        if all(find(a) != find(b) for a, b in forbidden):
-            rec(i + 1)
+        if all(find(endpoints[j][0]) != find(endpoints[j][1]) for j in cut):
+            rec(i + 1, cost)
         parent[rv] = rv
-        # Different-group branch.
-        forbidden.append((u, v))
-        rec(i + 1)
-        forbidden.pop()
+        # Different-group branch: line i is cut.
+        if cost + costs[i] < cap:
+            cut.append(i)
+            rec(i + 1, cost + costs[i])
+            cut.pop()
 
-    rec(0)
+    if cap > 0:
+        rec(0, 0)
     return out
+
+
+def _band_caps(costs):
+    """Caps of the successive cost bands of the partition scan: doubling
+    from ``max(costs) + 1``; the last one exceeds the total cost, so the
+    bands cover every partition."""
+    cap, total = max(costs, default=0) + 1, sum(costs)
+    while True:
+        yield cap
+        if cap > total:
+            return
+        cap *= 2
+
+
+def _partitions_by_cost(bus_count: int, endpoints, costs, stop):
+    """Every connected partition as ``(cost, labels, cut lines)`` in
+    ``(cost, labels)`` order, enumerated one cost band ``[low, cap)`` at a
+    time, so a scan that stops early never enumerates the costlier bands.
+    ``stop()`` is the cost at which the scan will stop, or None while that is
+    unknown; no band reaches it."""
+    low = 0
+    for cap in _band_caps(costs):
+        bound = stop()
+        if bound is not None:
+            if low >= bound:
+                return
+            cap = min(cap, bound)
+        band = [r for r in _connected_partitions(bus_count, endpoints, costs, cap) if r[0] >= low]
+        band.sort(key=lambda r: r[:2])
+        yield from band
+        low = cap
 
 
 def _null_of_row(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -489,20 +536,6 @@ def oracle_continuous_network(
         model = build_h(net, meas)
 
     scale, (c_s, p_s) = scale_to_int(edge_costs, node_costs)
-    c_s = np.array(c_s, dtype=np.int64)
-
-    tails = np.array([u for (u, _, _) in net.lines], dtype=np.intp)
-    heads = np.array([v for (_, v, _) in net.lines], dtype=np.intp)
-
-    partitions = _connected_partitions(net.bus_count, [(u, v) for (u, v, _) in net.lines])
-    records = []
-    for labels in partitions:
-        lab = np.array(labels, dtype=np.intp)
-        cut = lab[tails] != lab[heads]
-        flow = int(cut @ c_s) if net.line_count else 0
-        records.append((flow, labels, tuple(int(i) for i in np.flatnonzero(cut))))
-    records.sort(key=lambda rec: (rec[0], rec[1]))
-
     edge_best = {line: None for line in edge_targets}
     node_best = {bus: None for bus in node_targets}
 
@@ -512,7 +545,10 @@ def oracle_continuous_network(
             return None
         return max((v[0] for v in payloads), default=0)
 
-    for flow, labels, cut_lines in records:
+    endpoints = [(u, v) for (u, v, _) in net.lines]
+    for flow, labels, cut_lines in _partitions_by_cost(
+        net.bus_count, endpoints, c_s, resolved_bound
+    ):
         bound = resolved_bound()
         if bound is not None and flow >= bound:
             break
@@ -572,19 +608,27 @@ def oracle_continuous_network(
 
 
 def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta, tol=ZERO_TOL) -> Fraction:
-    """Structural objective of an angle perturbation: cut-line costs plus
-    charges for buses with nonzero net injection shift."""
-    dtheta = np.asarray(dtheta, dtype=float)
+    """Structural objective of an angle perturbation: the costs of the cut
+    lines (endpoint angles differ) plus the charges of buses with nonzero net
+    injection shift. An injection counts as nonzero when it exceeds ``tol``
+    times the summed magnitudes of its line terms, so the decision does not
+    depend on the scale of the reactances; for a 0/1 shift, whose cut lines
+    at a bus never cancel, it is exactly "the bus meets a cut line"."""
+    theta = np.asarray(dtheta, dtype=float).tolist()
     total = Fraction(0)
-    inj = np.zeros(net.bus_count)
+    inj = [0.0] * net.bus_count
+    mag = [0.0] * net.bus_count
     for (u, v, x), c in zip(net.lines, edge_costs):
-        diff = (dtheta[u] - dtheta[v]) / x
-        if abs(diff) > tol:
+        delta = theta[u] - theta[v]
+        if delta != 0:
             total += c
-        inj[u] += diff
-        inj[v] -= diff
+            flow = delta / x
+            inj[u] += flow
+            inj[v] -= flow
+            mag[u] += abs(flow)
+            mag[v] += abs(flow)
     for bus, p in enumerate(node_costs):
-        if abs(inj[bus]) > tol:
+        if abs(inj[bus]) > tol * mag[bus]:
             total += p
     return total
 

@@ -260,15 +260,12 @@ def build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
 
 def is_observable(model: ModelMatrix) -> bool:
     """Redundant observability: rank stays at bus_count - 1 after deleting
-    any single column."""
+    any single column. Every row sums to zero, so each column is minus the
+    sum of the others and deleting any one leaves the same rank: one rank
+    computation, of the reduced matrix, decides it."""
     if model.measurement_count == 0:
         raise InputError("observability of an empty measurement set is undefined")
-    n = model.bus_count - 1
-    for j in range(model.bus_count):
-        sub = np.delete(model.h, j, axis=1)
-        if np.linalg.matrix_rank(sub, tol=1e-9) != n:
-            return False
-    return True
+    return np.linalg.matrix_rank(model.reduced(), tol=1e-9) == model.bus_count - 1
 
 
 def estimate(model: ModelMatrix, z: np.ndarray, weights: np.ndarray | None = None):
@@ -334,6 +331,23 @@ class AttackVector:
     residual_inf: float
 
 
+def _touched_rows(net: PowerNetwork, labels, delta_theta) -> tuple[int, ...]:
+    """Rows a 0/1 angle shift moves, decided combinatorially rather than by
+    comparing ``H @ delta_theta`` with a tolerance: a flow row moves iff its
+    line is cut (its endpoints shift differently), an injection row iff its
+    bus meets a cut line, since every cut line at a bus pulls its injection
+    the same way. ``labels`` are the rows' (kind, id) in order."""
+    theta = delta_theta.tolist()
+    cut = [theta[u] != theta[v] for (u, v, _) in net.lines]
+    hit = [False] * net.bus_count
+    for (u, v, _), is_cut in zip(net.lines, cut):
+        if is_cut:
+            hit[u] = hit[v] = True
+    return tuple(
+        k for k, (kind, ident) in enumerate(labels) if (hit if kind == INJECTION else cut)[ident]
+    )
+
+
 def attack_from_partition(
     net: PowerNetwork,
     meas: MeasurementPlacement,
@@ -353,7 +367,7 @@ def attack_from_partition(
     if model is None:
         model = build_h(net, meas)
     delta_z = model.h @ dtheta
-    support = tuple(int(i) for i in np.flatnonzero(np.abs(delta_z) > ZERO_TOL))
+    support = _touched_rows(net, model.labels, dtheta)
     residual_inf = float(np.abs(bdd_residual(model, delta_z)).max()) if len(delta_z) else 0.0
     if residual_inf > RESIDUAL_TOL:
         raise InvariantError(

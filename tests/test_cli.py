@@ -1,8 +1,9 @@
 import hashlib
+import json
 import random
 
 from helpers import random_observable_case
-from secindex import costly_cut, power_model
+from secindex import costly_cut, oracle, power_model
 from secindex.caseio import CaseFile, emit_native, parse_matpower_subset, parse_native
 from secindex.cases import path as case_path
 from secindex.cli import CSV_HEADER, main
@@ -253,3 +254,39 @@ def test_sidecar_rejected_for_native_cases(capsys):
         str(case_path("example4bus.json")),
     )
     assert code == 1 and "sidecar" in err
+
+
+def test_huge_reactance_gives_the_unit_reactance_answers(capsys, tmp_path):
+    # A reactance of 1e10 puts 1e-10 into its rows of the measurement
+    # matrix; whether an attack touches a row or charges a bus must not
+    # depend on that scale.
+    outputs = {}
+    for x in (1.0, 1e10):
+        path = tmp_path / f"triangle{x:g}.json"
+        path.write_text(json.dumps({
+            "buses": 3,
+            "lines": [[1, 2, 1.0], [2, 3, x], [1, 3, 1.0]],
+            "measurements": {"flow_from": "all", "flow_to": "all", "injection": "all"},
+        }))
+        runs = [("index", str(path), "--method", m) for m in ("exact", "ignore-nodes", "fold-nodes")]
+        runs += [("attack", str(path), "--target", str(k)) for k in range(1, 10)]
+        runs.append(("verify", str(path)))
+        outputs[x] = []
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, (x, argv, err)
+            outputs[x].append(out)
+    for index_csv in range(3):
+        assert outputs[1e10][index_csv] == outputs[1.0][index_csv]
+    assert "FAIL" not in outputs[1e10][-1]
+
+
+def test_verify_fails_where_the_oracle_finds_no_attack(capsys, monkeypatch):
+    def no_attack(net, meas, weights, edge_targets, node_targets, model):
+        keys = [("edge", t) for t in edge_targets] + [("node", t) for t in node_targets]
+        return dict.fromkeys(keys, oracle.INFEASIBLE)
+
+    monkeypatch.setattr(oracle, "oracle_continuous_network", no_attack)
+    code, out, _ = run_cli(capsys, "verify", str(case_path("example4bus.json")))
+    assert code == 2
+    assert "FAIL oracle-sandwich" in out and "FAIL oracle-exactness" in out

@@ -340,3 +340,21 @@ def test_one_instance_validation_per_sweep(monkeypatch):
         report = index_all(case.net, case.meas, method=method, model=model)
         assert len(report.entries) == 490
         assert len(calls) == 1, method
+
+
+def test_one_heuristic_graph_per_engine(monkeypatch):
+    built = []
+
+    class Counted(costly_cut.DiGraph):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(costly_cut, "DiGraph", Counted)
+    case = parse_matpower_subset(case_path("ieee118.m"))
+    model = build_h(case.net, case.meas)
+    for method in ("ignore-nodes", "fold-nodes"):
+        del built[:]
+        report = index_all(case.net, case.meas, method=method, model=model)
+        assert len(report.entries) == 490
+        assert len(built) == 1, method

@@ -17,9 +17,10 @@ from secindex import (
     oracle_continuous,
     oracle_continuous_network,
 )
+from secindex import oracle
 from secindex.caseio import parse_native
 from secindex.cases import path as case_path
-from secindex.oracle import attack_cost
+from secindex.oracle import _connected_partitions, _partitions_by_cost, attack_cost
 
 
 def worked_case():
@@ -228,3 +229,92 @@ def test_doubly_constrained_sandwich_on_node_targets():
                 assert relaxed <= double.optimum <= binary
                 doubles.append(double.optimum)
             assert min(doubles) == res[("node", bus)].optimum
+
+
+def _connected_set_partitions(net):
+    """Independent reference: every labelling in first-occurrence form whose
+    groups each induce a connected subgraph."""
+    n = net.bus_count
+    out = []
+
+    def grow(lab, groups):
+        if len(lab) == n:
+            if all(_group_connected(net, lab, g) for g in range(groups)):
+                out.append(tuple(lab))
+            return
+        for g in range(groups + 1):
+            grow(lab + [g], max(groups, g + 1))
+
+    grow([], 0)
+    return out
+
+
+def _group_connected(net, lab, g):
+    members = [b for b in range(net.bus_count) if lab[b] == g]
+    seen, stack = {members[0]}, [members[0]]
+    while stack:
+        bus = stack.pop()
+        for ln in net.incident_lines(bus):
+            u, v, _ = net.lines[ln]
+            other = v if u == bus else u
+            if lab[other] == g and other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return len(seen) == len(members)
+
+
+def test_capped_enumeration_is_the_full_one_filtered_by_cost():
+    rng = random.Random(2718)
+    for _ in range(40):
+        net = random_network(rng, min_buses=2, max_buses=7, max_lines=10)
+        # zero-cost lines are unmetered lines: cutting them is free
+        costs = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(net.line_count)]
+        endpoints = [(u, v) for (u, v, _) in net.lines]
+        total = sum(costs)
+        full = _connected_partitions(net.bus_count, endpoints, costs, total + 1)
+        assert sorted(r[1] for r in full) == sorted(_connected_set_partitions(net))
+        for cost, labels, cut in full:
+            assert cut == tuple(i for i, (u, v) in enumerate(endpoints) if labels[u] != labels[v])
+            assert cost == sum(costs[i] for i in cut)
+        for cap in (0, 1, total // 2, total, total + 1, total + 7):
+            capped = _connected_partitions(net.bus_count, endpoints, costs, cap)
+            assert capped == [r for r in full if r[0] < cap], cap
+        # the banded scan meets every record once, in (cost, labels) order,
+        # and stops short of the cost it is told the scan stops at
+        ordered = sorted(full, key=lambda r: r[:2])
+        for stop in (None, 0, 1, total // 2, total + 1):
+            banded = list(_partitions_by_cost(net.bus_count, endpoints, costs, lambda: stop))
+            assert banded == [r for r in ordered if stop is None or r[0] < stop], stop
+
+
+def test_network_oracle_equals_one_uncapped_pass(monkeypatch):
+    rng = random.Random(4242)
+    choices = [Fraction(k, 3) for k in range(7)]
+    cases = []
+    while len(cases) < 25:
+        net, meas, model = random_observable_case(rng, max_buses=8, max_lines=12)
+        custom = WeightAssignment(
+            edge_costs=[rng.choice(choices) for _ in range(net.line_count)],
+            node_costs=[rng.choice(choices) for _ in range(net.bus_count)],
+        )
+        for weights in (None, custom):
+            cases.append((net, meas, model, weights))
+
+    def solve_all():
+        out = []
+        for net, meas, model, weights in cases:
+            res = oracle_continuous_network(
+                net, meas, weights,
+                edge_targets=sorted(set(meas.flow_from) | set(meas.flow_to)),
+                node_targets=list(meas.injection), model=model,
+            )
+            out.append({
+                key: (r.optimum, None if r.witness is None else r.witness.tobytes(), r.support)
+                for key, r in res.items()
+            })
+        return out
+
+    banded = solve_all()
+    monkeypatch.setattr(oracle, "_band_caps", lambda costs: iter([sum(costs) + 1]))
+    assert solve_all() == banded
+    assert any(key[0] == "node" for res in banded for key in res)

@@ -282,3 +282,25 @@ def test_index_of_matches_the_ordering():
         for kind, ident in (("flow_from", net.line_count), ("injection", -1), ("flow", 0)):
             with pytest.raises(InputError, match=rf"measurement \({kind}, {ident}\) not in placement"):
                 meas.index_of(kind, ident)
+
+
+def test_observability_is_one_rank_of_the_reduced_matrix():
+    # reference: the definition, one rank per deleted column
+    def per_column(model):
+        return all(
+            np.linalg.matrix_rank(np.delete(model.h, j, axis=1), tol=1e-9) == model.bus_count - 1
+            for j in range(model.bus_count)
+        )
+
+    rng = random.Random(1729)
+    seen = set()
+    for _ in range(300):
+        net = random_network(rng, min_buses=2, max_buses=9, max_lines=14)
+        meas = random_placement(rng, net, density=rng.uniform(0.1, 0.7))
+        if meas.measurement_count == 0:
+            continue
+        model = build_h(net, meas)
+        observable = is_observable(model)
+        assert observable == per_column(model)
+        seen.add(observable)
+    assert seen == {True, False}
