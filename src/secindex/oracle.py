@@ -48,7 +48,9 @@ from .power_model import (
     ModelMatrix,
     PowerNetwork,
     WeightAssignment,
+    _touched_rows,
     build_h,
+    check_placement,
 )
 
 ROW_LIMIT = 40
@@ -654,11 +656,11 @@ def oracle_binary(
     meas: MeasurementPlacement,
     line: int,
     weights=None,
-    model: ModelMatrix | None = None,
 ) -> OracleResult:
     """Exhaustive optimum of the 0/1-restricted problem separating the
     endpoints of ``line``; ties favor the lexicographically smallest
-    membership vector."""
+    membership vector. The witness is 0/1, so its support is decided
+    combinatorially, whatever the reactances."""
     if not (0 <= line < net.line_count):
         raise InputError(f"line id {line} out of range")
     n = net.bus_count
@@ -666,8 +668,7 @@ def oracle_binary(
         raise SizeLimitError(f"binary oracle refuses more than {BINARY_BUS_LIMIT} buses")
     weights = WeightAssignment.resolve(net, meas, weights)
     edge_costs, node_costs = weights.edge_costs, weights.node_costs
-    if model is None:
-        model = build_h(net, meas)
+    check_placement(net, meas)
 
     scale, scaled = scale_to_int(edge_costs, node_costs)
     c_s, p_s = (np.array(group, dtype=np.int64) for group in scaled)
@@ -704,5 +705,6 @@ def oracle_binary(
     recomputed = attack_cost(net, edge_costs, node_costs, dtheta)
     if recomputed != optimum:
         raise InvariantError("binary oracle objective recomputation mismatch")
-    support = tuple(int(i) for i in np.flatnonzero(np.abs(model.h @ dtheta) > ZERO_TOL))
-    return OracleResult(optimum=optimum, witness=dtheta, support=support)
+    return OracleResult(
+        optimum=optimum, witness=dtheta, support=_touched_rows(net, meas.ordering(), dtheta)
+    )

@@ -218,21 +218,129 @@ class ModelMatrix:
     def measurement_count(self) -> int:
         return self.h.shape[0]
 
+    @cached_property
+    def max_abs_entry(self) -> float:
+        """max|H|, without an |H|-sized temporary (0 for an empty matrix)."""
+        return float(max(self.h.max(), -self.h.min())) if self.h.size else 0.0
+
     def reduced(self) -> np.ndarray:
         """The matrix with the reference-bus column removed."""
         return self.h[:, 1:]
 
-    def range_basis(self) -> np.ndarray:
-        """Orthonormal basis of the column space of the reduced matrix."""
+    def range_basis(self) -> "_GramFactor | _SvdBasis":
+        """The residual guard's factor of the column space of the reduced
+        matrix H2, built once per model.
+
+        Normally a :class:`_GramFactor`: the nonzeros of H2 and the inverse
+        W = L^-1 of the Cholesky factor of its (n-1)x(n-1) Gram matrix
+        G = H2^T H2 = L L^T. G is assembled from the nonzeros of each row (2
+        to deg+1 of them), so the cost is O(nnz + n^3) rather than the SVD's
+        O(m n^2). The factor is used only under the conditioning certificate
+        ||G||_F ||W||_F^2 < GRAM_COND_LIMIT, which bounds cond(G), since
+        ||W||_F^2 = trace(G^-1) >= ||G^-1||_2, and so cond(H2) < 1e5: H2 has
+        full column rank with a margin and its SVD would keep every singular
+        value, so both factors span the same subspace.
+
+        Otherwise, where H2 is rank-deficient (an unobservable placement) or
+        its reactances lie many decades apart, it is a :class:`_SvdBasis`,
+        the singular vectors above the SVD's rank cutoff."""
         if self._range_basis is None:
-            h2 = self.reduced()
-            if h2.size == 0:
-                self._range_basis = np.zeros((h2.shape[0], 0))
-            else:
-                u, s, _ = np.linalg.svd(h2, full_matrices=False)
-                cutoff = max(h2.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-                self._range_basis = u[:, s > cutoff]
+            self._range_basis = _GramFactor.certified(self.h) or _SvdBasis(self.reduced())
         return self._range_basis
+
+
+# Bound on ||G||_F trace(G^-1), at least cond_2(G) = cond_2(H2)^2, under which
+# the Gram path is used: cond(H2) < 1e5.
+GRAM_COND_LIMIT = 1e10
+
+
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix by halves, in
+    matrix products: [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]].
+    numpy has no triangular inverse, and np.linalg.inv(G) takes 2n^3 flops
+    against n^3/3 for the Cholesky factor plus n^3/3 for this."""
+    n = lower.shape[0]
+    if n <= 128:
+        return np.linalg.inv(lower)
+    k = n // 2
+    a = _lower_inverse(lower[:k, :k])
+    c = _lower_inverse(lower[k:, k:])
+    out = np.zeros_like(lower)
+    out[:k, :k] = a
+    out[k:, k:] = c
+    out[k:, :k] = -(c @ (lower[k:, :k] @ a))
+    return out
+
+
+class _GramFactor:
+    """The nonzeros (rows, cols, vals) of H2, in row order, and W = L^-1 for
+    the Cholesky factor L of G = H2^T H2, so that G^-1 = W^T W."""
+
+    def __init__(self, shape, rows, cols, vals, w):
+        self.shape = shape
+        self.rows, self.cols, self.vals = rows, cols, vals
+        self.w = w
+
+    @classmethod
+    def certified(cls, h: np.ndarray) -> "_GramFactor | None":
+        """The factor of the reduced matrix ``h[:, 1:]``, or None where G has
+        no Cholesky factor or the conditioning certificate fails."""
+        m, n = h.shape[0], h.shape[1] - 1
+        if m == 0 or n == 0:
+            return None
+        h = np.ascontiguousarray(h)  # a scan of the reduced view would copy it
+        flat = np.flatnonzero(h)
+        rows, cols = np.divmod(flat, n + 1)
+        keep = cols > 0
+        flat, rows, cols = flat[keep], rows[keep], cols[keep] - 1
+        vals = h.ravel()[flat]
+        # G[i, j] sums vals[a] * vals[b] over the pairs a, b of nonzeros in
+        # one row at columns i, j: pair each nonzero with each of its row's.
+        counts = np.bincount(rows, minlength=m)  # nonzeros per row
+        first = np.cumsum(counts) - counts  # position of each row's first
+        reps = counts[rows]
+        left = np.repeat(np.arange(flat.size), reps)  # each, once per partner
+        turn = np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        right = first[rows[left]] + turn  # its row's nonzeros in turn
+        g = np.bincount(
+            cols[left] * n + cols[right], weights=vals[left] * vals[right], minlength=n * n
+        ).reshape(n, n)
+        try:
+            w = _lower_inverse(np.linalg.cholesky(g))
+        except np.linalg.LinAlgError:
+            return None
+        if not np.linalg.norm(g) * np.linalg.norm(w) ** 2 < GRAM_COND_LIMIT:
+            return None
+        return cls((m, n), rows, cols, vals, w)
+
+    def _fit(self, z):
+        """H2 y for the least-squares y = G^-1 H2^T z of z."""
+        t = np.bincount(self.cols, weights=self.vals * z[self.rows], minlength=self.shape[1])
+        y = self.w.T @ (self.w @ t)
+        return np.bincount(self.rows, weights=self.vals * y[self.cols], minlength=self.shape[0])
+
+    def residual(self, delta_z: np.ndarray) -> np.ndarray:
+        """delta_z - H2 y for the least-squares y of the normal equations,
+        after one step of iterative refinement, which fits the first
+        residual again (Bjorck, Numerical Methods for Least Squares Problems,
+        SIAM 1996, sec. 2.9)."""
+        r = delta_z - self._fit(delta_z)
+        return r - self._fit(r)
+
+
+class _SvdBasis:
+    """Orthonormal basis of the column space of H2 from its SVD."""
+
+    def __init__(self, h2: np.ndarray):
+        if h2.size == 0:
+            self.q = np.zeros((h2.shape[0], 0))
+        else:
+            u, s, _ = np.linalg.svd(h2, full_matrices=False)
+            cutoff = max(h2.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+            self.q = u[:, s > cutoff]
+
+    def residual(self, delta_z: np.ndarray) -> np.ndarray:
+        return delta_z - self.q @ (self.q.T @ delta_z)
 
 
 def build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
@@ -315,10 +423,25 @@ def hat_matrix(model: ModelMatrix, weights: np.ndarray | None = None) -> np.ndar
 
 def bdd_residual(model: ModelMatrix, delta_z: np.ndarray) -> np.ndarray:
     """Bad-data-detection residual of a measurement corruption under unit
-    weights: the component of delta_z outside the model's column space."""
-    q = model.range_basis()
-    delta_z = np.asarray(delta_z, dtype=float)
-    return delta_z - q @ (q.T @ delta_z)
+    weights: the component of delta_z outside the model's column space.
+
+    It is the least-squares residual delta_z - H2 y through the model's
+    :meth:`ModelMatrix.range_basis` factor: from the normal equations with
+    one refinement step when the Gram factor is certified, else by
+    projecting onto the SVD basis. Any y bounds the least-squares residual
+    from above in the 2-norm, so a poor solve could raise a false alarm but
+    never hide a corruption outside the column space."""
+    return model.range_basis().residual(np.asarray(delta_z, dtype=float))
+
+
+def residual_tolerance(model: ModelMatrix, delta_theta) -> float:
+    """The residual guard's bound for the corruption ``H @ delta_theta``:
+    RESIDUAL_TOL relative to the largest entry that corruption can have,
+    max|H| * max|delta_theta|, and absolute where that is below 1, so data
+    with entries up to 1 keeps the absolute RESIDUAL_TOL."""
+    dtheta = np.asarray(delta_theta, dtype=float)
+    scale = model.max_abs_entry * float(np.abs(dtheta).max()) if dtheta.size else 0.0
+    return RESIDUAL_TOL * max(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -369,10 +492,9 @@ def attack_from_partition(
     delta_z = model.h @ dtheta
     support = _touched_rows(net, model.labels, dtheta)
     residual_inf = float(np.abs(bdd_residual(model, delta_z)).max()) if len(delta_z) else 0.0
-    if residual_inf > RESIDUAL_TOL:
-        raise InvariantError(
-            f"attack residual {residual_inf:g} exceeds {RESIDUAL_TOL:g}"
-        )
+    tolerance = residual_tolerance(model, dtheta)
+    if residual_inf > tolerance:
+        raise InvariantError(f"attack residual {residual_inf:g} exceeds {tolerance:g}")
     return AttackVector(
         delta_theta=dtheta, delta_z=delta_z, support=support, residual_inf=residual_inf
     )

@@ -258,10 +258,11 @@ def test_sidecar_rejected_for_native_cases(capsys):
 
 def test_huge_reactance_gives_the_unit_reactance_answers(capsys, tmp_path):
     # A reactance of 1e10 puts 1e-10 into its rows of the measurement
-    # matrix; whether an attack touches a row or charges a bus must not
-    # depend on that scale.
+    # matrix, one of 1e-12 puts 1e12 there; whether an attack touches a row
+    # or charges a bus must not depend on that scale, nor may the residual
+    # guard's verdict.
     outputs = {}
-    for x in (1.0, 1e10):
+    for x in (1.0, 1e10, 1e-12):
         path = tmp_path / f"triangle{x:g}.json"
         path.write_text(json.dumps({
             "buses": 3,
@@ -276,9 +277,10 @@ def test_huge_reactance_gives_the_unit_reactance_answers(capsys, tmp_path):
             code, out, err = run_cli(capsys, *argv)
             assert code == 0, (x, argv, err)
             outputs[x].append(out)
-    for index_csv in range(3):
-        assert outputs[1e10][index_csv] == outputs[1.0][index_csv]
-    assert "FAIL" not in outputs[1e10][-1]
+    for x in (1e10, 1e-12):
+        for index_csv in range(3):
+            assert outputs[x][index_csv] == outputs[1.0][index_csv]
+        assert "FAIL" not in outputs[x][-1]
 
 
 def test_verify_fails_where_the_oracle_finds_no_attack(capsys, monkeypatch):

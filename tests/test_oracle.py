@@ -96,6 +96,16 @@ def test_binary_two_bus_full_measurement():
     assert oracle_binary(net, meas, 0).optimum == 4
 
 
+def test_binary_support_does_not_depend_on_reactance_scale():
+    # A reactance of 1e10 puts 1e-10 into its rows of the measurement matrix;
+    # the rows the 0/1 witness touches are the same as with unit reactance.
+    for x in (1.0, 1e10, 1e-12):
+        net = PowerNetwork(bus_count=3, lines=((0, 1, x), (1, 2, 1.0), (0, 2, 1.0)))
+        result = oracle_binary(net, full_measurement(net), 0)
+        assert result.optimum == 7, x
+        assert result.support == (0, 1, 3, 4, 6, 7, 8), x
+
+
 def test_binary_matches_cut_pipeline():
     rng = random.Random(321)
     for _ in range(25):
@@ -104,7 +114,7 @@ def test_binary_matches_cut_pipeline():
         model = build_h(net, meas)
         weights = None
         for line in range(net.line_count):
-            b = oracle_binary(net, meas, line, model=model)
+            b = oracle_binary(net, meas, line)
             inst_value = None
             if line in meas.flow_from:
                 inst_value = index_edge_target(net, meas, weights, line, model=model).index
@@ -123,7 +133,7 @@ def test_binary_at_least_continuous():
         lines = sorted(set(meas.flow_from) | set(meas.flow_to))
         res = oracle_continuous_network(net, meas, edge_targets=lines, model=model)
         for line in lines:
-            assert oracle_binary(net, meas, line, model=model).optimum >= res[("edge", line)].optimum
+            assert oracle_binary(net, meas, line).optimum >= res[("edge", line)].optimum
 
 
 def test_network_oracle_matches_rowsets():
@@ -225,7 +235,7 @@ def test_doubly_constrained_sandwich_on_node_targets():
                     model.h, k, relation="nonzero", row_groups=groups, extra_nonzero=a_e
                 )
                 relaxed = res[("edge", line)].optimum
-                binary = oracle_binary(net, meas, line, model=model).optimum
+                binary = oracle_binary(net, meas, line).optimum
                 assert relaxed <= double.optimum <= binary
                 doubles.append(double.optimum)
             assert min(doubles) == res[("node", bus)].optimum

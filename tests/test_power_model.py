@@ -3,9 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from helpers import random_network, random_placement
+from helpers import random_network, random_observable_case, random_placement
 from secindex import (
     InputError,
+    InvariantError,
     MeasurementPlacement,
     ModelMatrix,
     PowerNetwork,
@@ -23,6 +24,7 @@ from secindex import (
 from secindex.caseio import parse_native
 from secindex.cases import path as case_path
 from secindex.oracle import attack_cost
+from secindex.power_model import RESIDUAL_TOL, _GramFactor, _SvdBasis, residual_tolerance
 
 # The published 4-bus worked example: reduced measurement matrix and the
 # unit-weight hat matrix, rows ordered injection@1, flow 1->2 (outgoing),
@@ -304,3 +306,76 @@ def test_observability_is_one_rank_of_the_reduced_matrix():
         assert observable == per_column(model)
         seen.add(observable)
     assert seen == {True, False}
+
+
+def _svd_residual(model, delta_z):
+    """Reference: delta_z minus its projection onto the left singular
+    vectors of the reduced matrix above the SVD's rank cutoff."""
+    h2 = model.reduced()
+    u, s, _ = np.linalg.svd(h2, full_matrices=False)
+    q = u[:, s > max(h2.shape) * np.finfo(float).eps * s[0]]
+    return delta_z - q @ (q.T @ delta_z)
+
+
+def _guard_cases():
+    """Seeded (net, meas, model, factor type) cases: observable placements
+    take the Gram path; unobservable ones with more rows than rank, and a
+    triangle whose reactances lie 12 decades apart, take the SVD path. A
+    triangle 4 decades apart (cond(H2) about 1e4) is still certified."""
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(8):
+        net, meas, model = random_observable_case(rng)
+        cases.append((net, meas, model, _GramFactor))
+    unobservable = 0
+    while unobservable < 8:
+        net = random_network(rng)
+        meas = random_placement(rng, net, density=0.3)
+        if meas.measurement_count == 0:
+            continue
+        model = build_h(net, meas)
+        if is_observable(model):
+            continue
+        if np.linalg.matrix_rank(model.reduced()) < meas.measurement_count:
+            cases.append((net, meas, model, _SvdBasis))
+            unobservable += 1
+    for x, factor in ((1e-4, _GramFactor), (1e-12, _SvdBasis)):
+        net = PowerNetwork(bus_count=3, lines=((0, 1, 1.0), (1, 2, x), (0, 2, 1.0)))
+        meas = full_measurement(net)
+        cases.append((net, meas, build_h(net, meas), factor))
+    return cases
+
+
+def test_residual_guard_agrees_with_the_svd_projector():
+    nrng = np.random.default_rng(7)
+    for net, meas, model, factor in _guard_cases():
+        assert isinstance(model.range_basis(), factor)
+        dtheta = nrng.standard_normal(net.bus_count)
+        delta_z = model.h @ dtheta
+        scale = residual_tolerance(model, dtheta) / RESIDUAL_TOL
+        outside = _svd_residual(model, nrng.standard_normal(len(delta_z)))
+        outside *= 1e-6 * scale / np.abs(outside).max()
+        for dz in (delta_z, delta_z + outside):
+            got = bdd_residual(model, dz)
+            assert np.abs(got - _svd_residual(model, dz)).max() <= 1e-12 * scale
+        assert np.abs(bdd_residual(model, delta_z)).max() <= 1e-12 * scale
+        assert np.abs(bdd_residual(model, delta_z + outside)).max() >= 1e-7 * scale
+
+
+def test_residual_guard_rejects_a_corruption_outside_the_column_space(monkeypatch):
+    # Shifting the reference column moves H @ dtheta off the column space of
+    # the reduced matrix, which the guard's factor was built from.
+    nrng = np.random.default_rng(11)
+    for net, meas, model, factor in _guard_cases():
+        assert isinstance(model.range_basis(), factor)
+        dtheta = np.ones(net.bus_count)
+        dtheta[-1] = 0.0
+        attack_from_partition(net, meas, dtheta, model=model)
+        shift = _svd_residual(model, nrng.standard_normal(model.measurement_count))
+        shift *= 1e3 * residual_tolerance(model, dtheta) / np.abs(shift).max()
+        shifted = model.h.copy()
+        shifted[:, 0] += shift
+        monkeypatch.setattr(model, "h", shifted)
+        with pytest.raises(InvariantError, match="attack residual"):
+            attack_from_partition(net, meas, dtheta, model=model)
+        monkeypatch.undo()
