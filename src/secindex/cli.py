@@ -148,7 +148,7 @@ def _cmd_gadget(args) -> int:
         raise InputError(f"{args.clauses}: missing `vars <n>` line")
     gadget = build_3sat_gadget(clauses, n_vars)
     model = build_h(gadget.net, gadget.meas)
-    result = oracle.oracle_continuous(model.h, gadget.target, relation="equals-one")
+    result = oracle.oracle_continuous(model.h, gadget.target)
     threshold = n_vars + 1
     optimum = result.optimum
     verdict = "satisfiable" if optimum == threshold else "unsatisfiable"

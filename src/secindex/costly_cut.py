@@ -192,14 +192,11 @@ class CostlyCutSolution:
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    """The tripled graph, its node-id maps, and the cost scaling in effect."""
+    """The tripled graph, the ids of its v nodes, and the cost scaling in effect."""
 
     graph: DiGraph
     v_of: tuple[int, ...]
-    w_of: tuple[int, ...]
-    z_of: tuple[int, ...]
     scale: int
-    big_cost: int
     big_cost_edges: frozenset[int]
 
 
@@ -236,10 +233,7 @@ def build_auxiliary(inst: CostlyCutInstance | TwoSidedCutInstance) -> AuxiliaryG
     return AuxiliaryGraph(
         graph=graph,
         v_of=tuple(range(n)),
-        w_of=tuple(range(n, 2 * n)),
-        z_of=tuple(range(2 * n, 3 * n)),
         scale=scale,
-        big_cost=big,
         big_cost_edges=frozenset(range(first + 1, stop, 3)).union(range(first + 2, stop, 3)),
     )
 

@@ -48,7 +48,6 @@ from .power_model import (
     ModelMatrix,
     PowerNetwork,
     WeightAssignment,
-    _touched_rows,
     build_h,
     check_placement,
 )
@@ -124,7 +123,6 @@ def _pick_off_hyperplanes(basis: np.ndarray, functionals) -> np.ndarray:
 def oracle_continuous(
     h: np.ndarray,
     row: int,
-    relation: str = "equals-one",
     weights=None,
     row_groups=None,
     extra_nonzero: np.ndarray | None = None,
@@ -134,9 +132,8 @@ def oracle_continuous(
     ``weights`` are nonnegative per-row costs (default 1 each). ``row_groups``
     optionally partitions row indices into groups whose rows are pairwise
     proportional and therefore vanish together. ``extra_nonzero`` is an
-    additional functional on x required to be nonzero. With
-    relation="equals-one" the witness is scaled so the constraint row maps
-    to exactly 1; the optimum itself is scale-invariant either way.
+    additional functional on x required to be nonzero. The witness is
+    scaled so the constraint row maps to exactly 1.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2:
@@ -146,8 +143,6 @@ def oracle_continuous(
         raise SizeLimitError(f"row-set oracle refuses more than {ROW_LIMIT} rows")
     if not (0 <= row < m):
         raise InputError(f"constraint row {row} out of range")
-    if relation not in ("equals-one", "nonzero"):
-        raise InputError(f"unknown relation {relation!r}")
     w = [as_cost(x) for x in weights] if weights is not None else [Fraction(1)] * m
     if len(w) != m:
         raise InputError("need one weight per row")
@@ -450,11 +445,16 @@ def _min_injection_dfs(view, p_scaled, budget, required_bus=None):
 
     Returns (cost, zeroed set, final basis) or None when nothing beats
     ``budget`` (or the required functional cannot survive).
+
+    An injection functional vanishes on the span below NULLSPACE_TOL times
+    its largest coefficient, the bus's own, whatever the reactances' scale.
     """
     basis0 = np.eye(view.group_count)
     required = view.lam.get(required_bus) if required_bus is not None else None
     if required_bus is not None and required is None:
         return None
+    if required is not None:
+        required_tol = NULLSPACE_TOL * required[view.labels[required_bus]]
     cancellable = view.cancellable
     best = None
 
@@ -462,7 +462,7 @@ def _min_injection_dfs(view, p_scaled, budget, required_bus=None):
         for f in view.pair_functionals:
             if np.abs(f @ basis).max() <= NULLSPACE_TOL:
                 return False
-        if required is not None and np.abs(required @ basis).max() <= NULLSPACE_TOL:
+        if required is not None and np.abs(required @ basis).max() <= required_tol:
             return False
         return True
 
@@ -481,7 +481,7 @@ def _min_injection_dfs(view, p_scaled, budget, required_bus=None):
         lam = view.lam[bus]
         if bus != required_bus:
             restricted = lam @ basis
-            if np.abs(restricted).max() <= NULLSPACE_TOL:
+            if np.abs(restricted).max() <= NULLSPACE_TOL * lam[view.labels[bus]]:
                 rec(i + 1, basis, nonzero_cost, zeroed + [bus])
             else:
                 shrunk = _null_of_row(basis, restricted)
@@ -641,10 +641,7 @@ def _verified_result(net, model, edge_costs, node_costs, optimum, dtheta) -> Ora
         raise InvariantError(
             f"witness objective {recomputed} disagrees with combinatorial optimum {optimum}"
         )
-    support = tuple(
-        int(i) for i in np.flatnonzero(np.abs(model.h @ dtheta) > ZERO_TOL)
-    )
-    return OracleResult(optimum=optimum, witness=dtheta, support=support)
+    return OracleResult(optimum=optimum, witness=dtheta, support=model.apply(dtheta)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +702,5 @@ def oracle_binary(
     recomputed = attack_cost(net, edge_costs, node_costs, dtheta)
     if recomputed != optimum:
         raise InvariantError("binary oracle objective recomputation mismatch")
-    return OracleResult(
-        optimum=optimum, witness=dtheta, support=_touched_rows(net, meas.ordering(), dtheta)
-    )
+    support = build_h(net, meas).apply(dtheta)[1]
+    return OracleResult(optimum=optimum, witness=dtheta, support=support)

@@ -206,22 +206,52 @@ class WeightAssignment:
 
 
 class ModelMatrix:
-    """Dense measurement matrix with row labels in the global order."""
+    """The measurement matrix H, held as the line flows each row sums: term t
+    adds ``coeffs[t] * (theta[tails[t]] - theta[heads[t]])`` to row
+    ``rows[t]``, so every row sums to zero term by term. ``labels`` are the
+    rows' (kind, id) in the global order. H @ delta_theta, its support, max|H|
+    and the Gram factor come from the table; the dense ``h`` is built on
+    first read."""
 
-    def __init__(self, h: np.ndarray, labels, bus_count: int):
-        self.h = h
+    def __init__(self, labels, bus_count: int, rows, tails, heads, coeffs):
         self.labels = tuple(labels)
         self.bus_count = bus_count
+        self.rows, self.tails, self.heads = np.array([rows, tails, heads], dtype=np.intp)
+        self.coeffs = np.asarray(coeffs, dtype=float)
         self._range_basis = None
 
     @property
     def measurement_count(self) -> int:
-        return self.h.shape[0]
+        return len(self.labels)
+
+    def apply(self, delta_theta) -> tuple[np.ndarray, tuple[int, ...]]:
+        """H @ delta_theta and its support: the rows whose terms' sum exceeds
+        ZERO_TOL times the sum of their magnitudes, whatever the reactances'
+        scale. For a 0/1 shift these are exactly the rows reading a cut line,
+        as the cut lines at a bus all pull one way; the others are exactly 0."""
+        dtheta = np.asarray(delta_theta, dtype=float)
+        flows = self.coeffs * (dtheta[self.tails] - dtheta[self.heads])
+        m = self.measurement_count
+        delta_z = np.bincount(self.rows, weights=flows, minlength=m)
+        magnitude = np.bincount(self.rows, weights=np.abs(flows), minlength=m)
+        return delta_z, tuple(np.flatnonzero(np.abs(delta_z) > ZERO_TOL * magnitude).tolist())
 
     @cached_property
-    def max_abs_entry(self) -> float:
-        """max|H|, without an |H|-sized temporary (0 for an empty matrix)."""
-        return float(max(self.h.max(), -self.h.min())) if self.h.size else 0.0
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of the entries of H the table writes, row-major,
+        each summing its terms in table order."""
+        n = self.bus_count
+        keys = np.concatenate((self.rows * n + self.tails, self.rows * n + self.heads))
+        keys, slot = np.unique(keys, return_inverse=True)
+        rows, cols = np.divmod(keys, n)
+        return rows, cols, np.bincount(slot, weights=np.concatenate((self.coeffs, -self.coeffs)))
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """The dense matrix, which only ``verify``, the oracles and estimation read."""
+        h = np.zeros((self.measurement_count, self.bus_count))
+        h[self.entries[:2]] = self.entries[2]
+        return h
 
     def reduced(self) -> np.ndarray:
         """The matrix with the reference-bus column removed."""
@@ -233,9 +263,9 @@ class ModelMatrix:
 
         Normally a :class:`_GramFactor`: the nonzeros of H2 and the inverse
         W = L^-1 of the Cholesky factor of its (n-1)x(n-1) Gram matrix
-        G = H2^T H2 = L L^T. G is assembled from the nonzeros of each row (2
-        to deg+1 of them), so the cost is O(nnz + n^3) rather than the SVD's
-        O(m n^2). The factor is used only under the conditioning certificate
+        G = H2^T H2 = L L^T. G is assembled from the table's entries of each
+        row (2 to deg+1 of them), so the cost is O(nnz + n^3) rather than the
+        SVD's O(m n^2). The factor is used only under the conditioning certificate
         ||G||_F ||W||_F^2 < GRAM_COND_LIMIT, which bounds cond(G), since
         ||W||_F^2 = trace(G^-1) >= ||G^-1||_2, and so cond(H2) < 1e5: H2 has
         full column rank with a margin and its SVD would keep every singular
@@ -245,7 +275,7 @@ class ModelMatrix:
         its reactances lie many decades apart, it is a :class:`_SvdBasis`,
         the singular vectors above the SVD's rank cutoff."""
         if self._range_basis is None:
-            self._range_basis = _GramFactor.certified(self.h) or _SvdBasis(self.reduced())
+            self._range_basis = _GramFactor.certified(self) or _SvdBasis(self.reduced())
         return self._range_basis
 
 
@@ -282,24 +312,21 @@ class _GramFactor:
         self.w = w
 
     @classmethod
-    def certified(cls, h: np.ndarray) -> "_GramFactor | None":
-        """The factor of the reduced matrix ``h[:, 1:]``, or None where G has
-        no Cholesky factor or the conditioning certificate fails."""
-        m, n = h.shape[0], h.shape[1] - 1
+    def certified(cls, model: ModelMatrix) -> "_GramFactor | None":
+        """The factor of the model's reduced matrix, or None where G has no
+        Cholesky factor or the conditioning certificate fails."""
+        m, n = model.measurement_count, model.bus_count - 1
         if m == 0 or n == 0:
             return None
-        h = np.ascontiguousarray(h)  # a scan of the reduced view would copy it
-        flat = np.flatnonzero(h)
-        rows, cols = np.divmod(flat, n + 1)
+        rows, cols, vals = model.entries
         keep = cols > 0
-        flat, rows, cols = flat[keep], rows[keep], cols[keep] - 1
-        vals = h.ravel()[flat]
+        rows, cols, vals = rows[keep], cols[keep] - 1, vals[keep]
         # G[i, j] sums vals[a] * vals[b] over the pairs a, b of nonzeros in
         # one row at columns i, j: pair each nonzero with each of its row's.
         counts = np.bincount(rows, minlength=m)  # nonzeros per row
         first = np.cumsum(counts) - counts  # position of each row's first
         reps = counts[rows]
-        left = np.repeat(np.arange(flat.size), reps)  # each, once per partner
+        left = np.repeat(np.arange(rows.size), reps)  # each, once per partner
         turn = np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps)
         right = first[rows[left]] + turn  # its row's nonzeros in turn
         g = np.bincount(
@@ -344,36 +371,31 @@ class _SvdBasis:
 
 
 def build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
-    """Assemble the measurement matrix: flow rows are +-1/x at the line ends
-    (negated for the incoming end), injection rows are weighted Laplacian rows.
+    """The measurement matrix of a placement as its table of line-flow terms
+    (see :class:`ModelMatrix`): a flow row is +-1/x across its line (negated
+    for the incoming end), an injection row a weighted Laplacian row.
     """
     check_placement(net, meas)
     labels = meas.ordering()
-    h = np.zeros((len(labels), net.bus_count))
+    terms = []
     for r, (kind, ident) in enumerate(labels):
-        if kind == FLOW_FROM or kind == FLOW_TO:
-            u, v, x = net.lines[ident]
-            sign = 1.0 if kind == FLOW_FROM else -1.0
-            h[r, u] += sign / x
-            h[r, v] -= sign / x
-        else:
+        if kind == INJECTION:
             for u, v, x in (net.lines[i] for i in net.incident_lines(ident)):
-                other = v if u == ident else u
-                h[r, ident] += 1.0 / x
-                h[r, other] -= 1.0 / x
-    if h.size and np.abs(h.sum(axis=1)).max() > ZERO_TOL:
-        raise InvariantError("measurement matrix rows do not sum to zero")
-    return ModelMatrix(h, labels, net.bus_count)
+                terms.append((r, ident, v if u == ident else u, 1.0 / x))
+        else:
+            u, v, x = net.lines[ident]
+            terms.append((r, u, v, 1.0 / x if kind == FLOW_FROM else -1.0 / x))
+    return ModelMatrix(labels, net.bus_count, *(zip(*terms) if terms else [()] * 4))
 
 
 def is_observable(model: ModelMatrix) -> bool:
     """Redundant observability: rank stays at bus_count - 1 after deleting
     any single column. Every row sums to zero, so each column is minus the
     sum of the others and deleting any one leaves the same rank: one rank
-    computation, of the reduced matrix, decides it."""
+    computation, of the reduced matrix at numpy's relative cutoff, decides it."""
     if model.measurement_count == 0:
         raise InputError("observability of an empty measurement set is undefined")
-    return np.linalg.matrix_rank(model.reduced(), tol=1e-9) == model.bus_count - 1
+    return np.linalg.matrix_rank(model.reduced()) == model.bus_count - 1
 
 
 def estimate(model: ModelMatrix, z: np.ndarray, weights: np.ndarray | None = None):
@@ -427,10 +449,11 @@ def bdd_residual(model: ModelMatrix, delta_z: np.ndarray) -> np.ndarray:
 
     It is the least-squares residual delta_z - H2 y through the model's
     :meth:`ModelMatrix.range_basis` factor: from the normal equations with
-    one refinement step when the Gram factor is certified, else by
-    projecting onto the SVD basis. Any y bounds the least-squares residual
-    from above in the 2-norm, so a poor solve could raise a false alarm but
-    never hide a corruption outside the column space."""
+    one refinement step when the Gram factor, built from the model's table,
+    is certified, else by projecting onto the SVD basis of the dense matrix.
+    Any y bounds the least-squares residual from above in the 2-norm, so a
+    poor solve could raise a false alarm but never hide a corruption outside
+    the column space."""
     return model.range_basis().residual(np.asarray(delta_z, dtype=float))
 
 
@@ -439,9 +462,8 @@ def residual_tolerance(model: ModelMatrix, delta_theta) -> float:
     RESIDUAL_TOL relative to the largest entry that corruption can have,
     max|H| * max|delta_theta|, and absolute where that is below 1, so data
     with entries up to 1 keeps the absolute RESIDUAL_TOL."""
-    dtheta = np.asarray(delta_theta, dtype=float)
-    scale = model.max_abs_entry * float(np.abs(dtheta).max()) if dtheta.size else 0.0
-    return RESIDUAL_TOL * max(1.0, scale)
+    scale = np.abs(model.entries[2]).max(initial=0.0) * np.abs(delta_theta).max(initial=0.0)
+    return RESIDUAL_TOL * max(1.0, float(scale))
 
 
 @dataclass(frozen=True)
@@ -452,23 +474,6 @@ class AttackVector:
     delta_z: np.ndarray
     support: tuple[int, ...]
     residual_inf: float
-
-
-def _touched_rows(net: PowerNetwork, labels, delta_theta) -> tuple[int, ...]:
-    """Rows a 0/1 angle shift moves, decided combinatorially rather than by
-    comparing ``H @ delta_theta`` with a tolerance: a flow row moves iff its
-    line is cut (its endpoints shift differently), an injection row iff its
-    bus meets a cut line, since every cut line at a bus pulls its injection
-    the same way. ``labels`` are the rows' (kind, id) in order."""
-    theta = delta_theta.tolist()
-    cut = [theta[u] != theta[v] for (u, v, _) in net.lines]
-    hit = [False] * net.bus_count
-    for (u, v, _), is_cut in zip(net.lines, cut):
-        if is_cut:
-            hit[u] = hit[v] = True
-    return tuple(
-        k for k, (kind, ident) in enumerate(labels) if (hit if kind == INJECTION else cut)[ident]
-    )
 
 
 def attack_from_partition(
@@ -489,8 +494,7 @@ def attack_from_partition(
         raise InputError("delta_theta must be a 0/1 vector")
     if model is None:
         model = build_h(net, meas)
-    delta_z = model.h @ dtheta
-    support = _touched_rows(net, model.labels, dtheta)
+    delta_z, support = model.apply(dtheta)
     residual_inf = float(np.abs(bdd_residual(model, delta_z)).max()) if len(delta_z) else 0.0
     tolerance = residual_tolerance(model, dtheta)
     if residual_inf > tolerance:

@@ -35,9 +35,8 @@ from secindex.caseio import parse_cut_instance, parse_matpower_subset, parse_nat
 from secindex.cases import path as case_path
 from secindex.cli import main as cli_main
 from secindex.oracle import attack_cost
-from secindex.power_model import ModelMatrix
 from test_costly_cut import random_instance
-from test_power_model import WORKED_K, WORKED_PERMUTATION
+from test_power_model import WORKED_K, worked_model_published_order
 
 # Attacks produced while running criteria 1, 4, and 5; criterion 6 audits them.
 COLLECTED = []
@@ -94,14 +93,7 @@ def test_criterion_1_worked_example_indices(capsys):
 
 
 def test_criterion_2_hat_matrix(capsys):
-    case = parse_native(case_path("example4bus.json"))
-    model = build_h(case.net, case.meas)
-    published = ModelMatrix(
-        model.h[WORKED_PERMUTATION],
-        [model.labels[i] for i in WORKED_PERMUTATION],
-        case.net.bus_count,
-    )
-    k = hat_matrix(published)  # unit weights
+    k = hat_matrix(worked_model_published_order())  # unit weights
     error = np.abs(k - WORKED_K).max()
     assert error <= 1e-9
     assert np.abs(k[3] - np.eye(5)[3]).max() <= 1e-9  # the critical row
@@ -156,7 +148,6 @@ def test_criterion_4_full_measurement_exactness(capsys):
                 direct = oracle_continuous(
                     model.h,
                     e.measurement,
-                    relation="equals-one",
                     row_groups=_paired_groups(meas),
                 )
                 assert direct.optimum == e.index
@@ -273,14 +264,14 @@ def test_criterion_9_gadget_behavior(capsys):
     assert one_in_three_satisfiable(sat_clauses, 3)
     gadget = build_3sat_gadget(sat_clauses, 3)
     model = build_h(gadget.net, gadget.meas)
-    result = oracle_continuous(model.h, gadget.target, relation="equals-one")
+    result = oracle_continuous(model.h, gadget.target)
     assert result.optimum == 3 + 1
 
     unsat_clauses = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     assert not one_in_three_satisfiable(unsat_clauses, 4)
     gadget = build_3sat_gadget(unsat_clauses, 4)
     model = build_h(gadget.net, gadget.meas)
-    result = oracle_continuous(model.h, gadget.target, relation="equals-one")
+    result = oracle_continuous(model.h, gadget.target)
     assert result.optimum > 4 + 1
 
     elapsed = time.monotonic() - t0

@@ -260,27 +260,34 @@ def test_huge_reactance_gives_the_unit_reactance_answers(capsys, tmp_path):
     # A reactance of 1e10 puts 1e-10 into its rows of the measurement
     # matrix, one of 1e-12 puts 1e12 there; whether an attack touches a row
     # or charges a bus must not depend on that scale, nor may the residual
-    # guard's verdict.
-    outputs = {}
-    for x in (1.0, 1e10, 1e-12):
-        path = tmp_path / f"triangle{x:g}.json"
-        path.write_text(json.dumps({
-            "buses": 3,
-            "lines": [[1, 2, 1.0], [2, 3, x], [1, 3, 1.0]],
-            "measurements": {"flow_from": "all", "flow_to": "all", "injection": "all"},
-        }))
-        runs = [("index", str(path), "--method", m) for m in ("exact", "ignore-nodes", "fold-nodes")]
-        runs += [("attack", str(path), "--target", str(k)) for k in range(1, 10)]
-        runs.append(("verify", str(path)))
-        outputs[x] = []
-        for argv in runs:
-            code, out, err = run_cli(capsys, *argv)
-            assert code == 0, (x, argv, err)
-            outputs[x].append(out)
-    for x in (1e10, 1e-12):
-        for index_csv in range(3):
-            assert outputs[x][index_csv] == outputs[1.0][index_csv]
-        assert "FAIL" not in outputs[x][-1]
+    # guard's verdict. On the path the line is a bridge, so the rank and
+    # kernel decisions see the scale too.
+    shapes = {
+        "triangle": lambda x: [[1, 2, 1.0], [2, 3, x], [1, 3, 1.0]],
+        "path": lambda x: [[1, 2, 1.0], [2, 3, x]],
+    }
+    for shape, lines in shapes.items():
+        outputs = {}
+        for x in (1.0, 1e10, 1e-12):
+            path = tmp_path / f"{shape}{x:g}.json"
+            path.write_text(json.dumps({
+                "buses": 3,
+                "lines": lines(x),
+                "measurements": {"flow_from": "all", "flow_to": "all", "injection": "all"},
+            }))
+            count = 2 * len(lines(x)) + 3  # flow at both ends, injection at each bus
+            runs = [("index", str(path), "--method", m) for m in ("exact", "ignore-nodes", "fold-nodes")]
+            runs += [("attack", str(path), "--target", str(k)) for k in range(1, count + 1)]
+            runs.append(("verify", str(path)))
+            outputs[x] = []
+            for argv in runs:
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 0, (shape, x, argv, err)
+                outputs[x].append(out)
+        for x in (1e10, 1e-12):
+            for index_csv in range(3):
+                assert outputs[x][index_csv] == outputs[1.0][index_csv]
+            assert "FAIL" not in outputs[x][-1], (shape, x)
 
 
 def test_verify_fails_where_the_oracle_finds_no_attack(capsys, monkeypatch):

@@ -358,3 +358,20 @@ def test_one_heuristic_graph_per_engine(monkeypatch):
         report = index_all(case.net, case.meas, method=method, model=model)
         assert len(report.entries) == 490
         assert len(built) == 1, method
+
+
+def test_index_and_attack_never_build_the_dense_matrix():
+    # The cuts, their attacks and the residual guard read the model's table
+    # of line-flow terms; the dense matrix is built when ``h`` is first read.
+    case = parse_matpower_subset(case_path("ieee118.m"))
+    model = build_h(case.net, case.meas)
+    assert len(index_all(case.net, case.meas, model=model).entries) == 490
+    assert "h" not in model.__dict__
+    net = random_network(random.Random(5), min_buses=40, max_buses=60, max_lines=90)
+    meas = full_measurement(net)
+    model = build_h(net, meas)
+    entry = index_node_target(net, meas, None, net.bus_count - 1, model=model)
+    assert entry.attack.residual_inf <= 1e-9
+    assert "h" not in model.__dict__
+    assert model.h.shape == (meas.measurement_count, net.bus_count)
+    assert "h" in model.__dict__

@@ -58,7 +58,7 @@ def test_worked_example_indices_via_rowsets():
         ("flow_from", 1): 2,
     }
     for k, label in enumerate(meas.ordering()):
-        res = oracle_continuous(model.h, k, relation="equals-one")
+        res = oracle_continuous(model.h, k)
         assert res.optimum == expected[label]
         assert abs(model.h[k] @ res.witness - 1.0) < 1e-9
         assert k in res.support
@@ -106,6 +106,25 @@ def test_binary_support_does_not_depend_on_reactance_scale():
         assert result.support == (0, 1, 3, 4, 6, 7, 8), x
 
 
+def test_network_supports_match_the_optimum_at_any_reactance_scale():
+    # Under derived weights the optimum counts the rows its witness touches,
+    # whether one line's rows hold 1e12 or 1e-12.
+    for x in (1e-12, 1.0, 1e9, 1e10, 1e12):
+        triangle = PowerNetwork(bus_count=3, lines=((0, 1, x), (1, 2, 1.0), (0, 2, 1.0)))
+        mesh = PowerNetwork(
+            bus_count=4, lines=((0, 1, x), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0), (0, 2, 1.0))
+        )
+        for net in (triangle, mesh):
+            results = oracle_continuous_network(
+                net,
+                full_measurement(net),
+                edge_targets=range(net.line_count),
+                node_targets=range(net.bus_count),
+            )
+            for key, res in results.items():
+                assert len(res.support) == res.optimum, (x, net.bus_count, key)
+
+
 def test_binary_matches_cut_pipeline():
     rng = random.Random(321)
     for _ in range(25):
@@ -151,7 +170,7 @@ def test_network_oracle_matches_rowsets():
             net, meas, edge_targets=lines, node_targets=nodes, model=model
         )
         for k, (kind, ident) in enumerate(order):
-            direct = oracle_continuous(model.h, k, relation="equals-one", row_groups=groups)
+            direct = oracle_continuous(model.h, k, row_groups=groups)
             key = ("node", ident) if kind == "injection" else ("edge", ident)
             assert direct.optimum == res[key].optimum, (kind, ident)
             compared += 1
@@ -232,7 +251,7 @@ def test_doubly_constrained_sandwich_on_node_targets():
                 a_e = np.zeros(net.bus_count)
                 a_e[u], a_e[v] = 1.0, -1.0
                 double = oracle_continuous(
-                    model.h, k, relation="nonzero", row_groups=groups, extra_nonzero=a_e
+                    model.h, k, row_groups=groups, extra_nonzero=a_e
                 )
                 relaxed = res[("edge", line)].optimum
                 binary = oracle_binary(net, meas, line).optimum

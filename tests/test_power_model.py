@@ -61,8 +61,15 @@ def worked_case():
 def worked_model_published_order() -> ModelMatrix:
     net, meas = worked_case()
     model = build_h(net, meas)
-    h = model.h[WORKED_PERMUTATION]
-    return ModelMatrix(h, [model.labels[i] for i in WORKED_PERMUTATION], net.bus_count)
+    published_row = np.argsort(WORKED_PERMUTATION)  # of each row of the model
+    return ModelMatrix(
+        [model.labels[i] for i in WORKED_PERMUTATION],
+        net.bus_count,
+        published_row[model.rows],
+        model.tails,
+        model.heads,
+        model.coeffs,
+    )
 
 
 def test_worked_example_reduced_matrix():
@@ -186,6 +193,23 @@ def test_attack_support_cost_matches_partition_objective():
         w = WeightAssignment.from_placement(net, meas)
         c, p = w.edge_costs, w.node_costs
         assert len(attack.support) == attack_cost(net, c, p, dtheta)
+
+
+def test_untouched_rows_shift_by_exactly_zero():
+    # An injection row whose bus meets no cut line adds +-1/x terms that
+    # cancel; with reactances such as 0.123 they must cancel exactly rather
+    # than leave rounding residue in delta_z.
+    rng = random.Random(404)
+    for _ in range(40):
+        base = random_network(rng)
+        net = PowerNetwork(
+            bus_count=base.bus_count,
+            lines=tuple((u, v, rng.randint(1, 2000) / 1000) for u, v, _ in base.lines),
+        )
+        dtheta = np.array([float(rng.random() < 0.5) for _ in range(net.bus_count)])
+        attack = attack_from_partition(net, full_measurement(net), dtheta)
+        untouched = np.delete(attack.delta_z, attack.support)
+        assert (untouched == 0.0).all(), untouched[untouched != 0.0]
 
 
 def test_attack_rejects_non_binary():
@@ -363,8 +387,8 @@ def test_residual_guard_agrees_with_the_svd_projector():
 
 
 def test_residual_guard_rejects_a_corruption_outside_the_column_space(monkeypatch):
-    # Shifting the reference column moves H @ dtheta off the column space of
-    # the reduced matrix, which the guard's factor was built from.
+    # A shift off the column space of the reduced matrix, which the guard's
+    # factor was built from, added to H @ dtheta where the attack computes it.
     nrng = np.random.default_rng(11)
     for net, meas, model, factor in _guard_cases():
         assert isinstance(model.range_basis(), factor)
@@ -373,9 +397,8 @@ def test_residual_guard_rejects_a_corruption_outside_the_column_space(monkeypatc
         attack_from_partition(net, meas, dtheta, model=model)
         shift = _svd_residual(model, nrng.standard_normal(model.measurement_count))
         shift *= 1e3 * residual_tolerance(model, dtheta) / np.abs(shift).max()
-        shifted = model.h.copy()
-        shifted[:, 0] += shift
-        monkeypatch.setattr(model, "h", shifted)
+        delta_z, support = model.apply(dtheta)
+        monkeypatch.setattr(model, "apply", lambda _: (delta_z + shift, support))
         with pytest.raises(InvariantError, match="attack residual"):
             attack_from_partition(net, meas, dtheta, model=model)
         monkeypatch.undo()
