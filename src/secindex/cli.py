@@ -5,12 +5,15 @@ Subcommands: ``index`` (per-measurement security indices as CSV),
 vector), ``cut`` (solve a raw costly-cut instance), and ``gadget``
 (one-in-three 3SAT satisfiability via the hardness construction).
 
-Exit codes: 0 success, 1 input error, 2 internal invariant violation.
+Exit codes: 0 success, 1 input error, 2 internal invariant violation. A
+reader that closes stdout early (``secindex index case | head``) is not an
+error: the command stops quietly with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -221,6 +224,16 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at the null device, so the flush at
+    interpreter exit finds no closed pipe to complain about."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _Parser(prog="secindex", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -255,6 +268,7 @@ def main(argv=None) -> int:
     p_gadget.add_argument("--clauses", required=True)
     p_gadget.set_defaults(func=_cmd_gadget)
 
+    args = None
     try:
         args = parser.parse_args(argv)
         if args.command == "index" and args.target is not None and args.all:
@@ -264,6 +278,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
+        # With --out the command writes nothing to stdout, so a broken pipe
+        # there is the output file's and an error like any other.
+        if isinstance(exc, BrokenPipeError) and getattr(args, "out", None) is None:
+            _stdout_to_devnull()
+            return 0
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:

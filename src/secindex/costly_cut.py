@@ -21,9 +21,12 @@ charge through the same ``node_costs_out`` / ``node_costs_in`` pair, so
 ``solve`` and the exhaustive verifier ``solve_brute_force`` take either
 flavor. The two classical approximations (dropping node charges, and
 folding node charges into incident edges) report the true objective of
-whatever partition they select. The edge-only graph each of them cuts does
-not depend on the terminals either, so it is built and validated once and
-shared the same way with every instance ``with_terminals`` derives.
+whatever partition they select. None of the graphs cut here depends on
+the terminals: the auxiliary graph ``solve`` cuts and the edge-only graph
+each approximation cuts are built and validated once per family of
+instances, on first use, and shared with every instance ``with_terminals``
+derives. A flow on a shared graph copies only its capacities, so a sweep
+over many terminal pairs pays the graph's set-up once.
 """
 
 from __future__ import annotations
@@ -125,10 +128,10 @@ class CostlyCutInstance:
                     raise InputError(
                         f"symmetric flag set but edge ({u},{v}) cost {c} has no mirror"
                     )
-        # The heuristics' edge-only graphs, keyed by whether node charges are
-        # folded in; built on first use and shared with every instance
-        # ``with_terminals`` derives, since they do not depend on the terminals.
-        object.__setattr__(self, "_plain_graphs", {})
+        # The graphs cut for this instance, by recipe; built on first use and
+        # shared with every instance ``with_terminals`` derives, since they
+        # do not depend on the terminals.
+        object.__setattr__(self, "_graphs", {})
 
     int_costs = cached_property(_int_costs)
 
@@ -136,8 +139,8 @@ class CostlyCutInstance:
         """The same instance between other terminals.
 
         The result shares this instance's validated edges and charges, its
-        integer scaling and the heuristics' graphs; only the terminals are
-        checked.
+        integer scaling and the graphs cut for it (the auxiliary graph and
+        the heuristics' graphs); only the terminals are checked.
         """
         _check_terminals(self.node_count, source, sink)
         derived = object.__new__(type(self))
@@ -175,6 +178,7 @@ class TwoSidedCutInstance:
         if len(self.node_costs_out) != self.node_count or len(self.node_costs_in) != self.node_count:
             raise InputError("node cost vectors must match node_count")
         _check_structure(self.node_count, edges, self.source, self.sink)
+        object.__setattr__(self, "_graphs", {})
 
     int_costs = cached_property(_int_costs)
 
@@ -207,14 +211,30 @@ def scale_to_int(*groups):
     return scale, [[c.numerator * (scale // c.denominator) for c in group] for group in groups]
 
 
+def _shared_graph(inst, build, *args):
+    """``build(inst, *args)``, made once per family of instances sharing
+    edges and charges and kept in the family's graph dict."""
+    key = (build, *args)
+    graph = inst._graphs.get(key)
+    if graph is None:
+        graph = inst._graphs[key] = build(inst, *args)
+    return graph
+
+
 def build_auxiliary(inst: CostlyCutInstance | TwoSidedCutInstance) -> AuxiliaryGraph:
-    """Construct the tripled auxiliary graph for a costly-cut instance.
+    """The tripled auxiliary graph of a costly-cut instance.
 
     Node i of the instance is v_i = i, w_i = n + i and z_i = 2n + i. Edges:
     w_i -> v_i and v_i -> z_i per node (head and tail charge), then per
     instance edge u -> v its cost v_u -> v_v and the two protective edges
-    v_u -> w_v and z_u -> v_v.
+    v_u -> w_v and z_u -> v_v. The graph does not depend on the terminals:
+    it is built on the first call and shared by every instance
+    ``with_terminals`` derives.
     """
+    return _shared_graph(inst, _tripled)
+
+
+def _tripled(inst) -> AuxiliaryGraph:
     n = inst.node_count
     scale, edge_scaled, p_out_scaled, p_in_scaled = inst.int_costs
     big = max(p_out_scaled + p_in_scaled) + 1
@@ -379,28 +399,23 @@ def _partition_from_plain_cut(inst, graph: DiGraph) -> CostlyCutSolution:
 
 def _plain_graph(inst: CostlyCutInstance, fold: bool) -> DiGraph:
     """The scaled edge-only graph a heuristic cuts: edge costs alone, or with
-    both endpoint charges folded into each edge. Built once per family of
-    instances sharing edges and charges."""
-    graph = inst._plain_graphs.get(fold)
-    if graph is None:
-        costs = [
-            c + inst.node_costs[u] + inst.node_costs[v] if fold else c
-            for (u, v, c) in inst.edges
-        ]
-        _, (scaled,) = scale_to_int(costs)
-        graph = DiGraph(
-            node_count=inst.node_count,
-            edges=tuple((u, v, c) for (u, v, _), c in zip(inst.edges, scaled)),
-        )
-        inst._plain_graphs[fold] = graph
-    return graph
+    both endpoint charges folded into each edge."""
+    costs = [
+        c + inst.node_costs[u] + inst.node_costs[v] if fold else c
+        for (u, v, c) in inst.edges
+    ]
+    _, (scaled,) = scale_to_int(costs)
+    return DiGraph(
+        node_count=inst.node_count,
+        edges=tuple((u, v, c) for (u, v, _), c in zip(inst.edges, scaled)),
+    )
 
 
 def solve_ignore_nodes(inst: CostlyCutInstance) -> CostlyCutSolution:
     """Baseline: min cut on edge costs alone; node charges are added after
     the fact, so the reported objective is the true cost of the partition
     this heuristic picks (not necessarily the optimum)."""
-    return _partition_from_plain_cut(inst, _plain_graph(inst, fold=False))
+    return _partition_from_plain_cut(inst, _shared_graph(inst, _plain_graph, False))
 
 
 def solve_fold_nodes(inst: CostlyCutInstance) -> CostlyCutSolution:
@@ -408,4 +423,4 @@ def solve_fold_nodes(inst: CostlyCutInstance) -> CostlyCutSolution:
 
     Reported objective is again the true cost of the selected partition.
     """
-    return _partition_from_plain_cut(inst, _plain_graph(inst, fold=True))
+    return _partition_from_plain_cut(inst, _shared_graph(inst, _plain_graph, True))

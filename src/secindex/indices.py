@@ -164,7 +164,8 @@ class _Engine:
     def cut_instance(self, line: int) -> CostlyCutInstance:
         """``cut_instance_for_line(net, weights, line)``. The first call builds
         and validates it; later calls derive it from that one, sharing its
-        edges, charges and integer scaling and checking only the terminals."""
+        edges, charges, integer scaling and the graph each method cuts, and
+        checking only the terminals."""
         if self._instance is None:
             self._instance = cut_instance_for_line(self.net, self.weights, line)
         u, v, _ = self.net.lines[line]

@@ -9,7 +9,10 @@ partition does not depend on augmentation order or algorithm choice.
 ``min_cut_extremes`` returns that cut and the inclusion-maximal one (the
 complement of the nodes that still reach the sink) from the same flow.
 ``DiGraph`` validates its edges in whole-list passes and falls back to an
-edge-by-edge pass only to name the first offending edge.
+edge-by-edge pass only to name the first offending edge. A graph builds its
+residual layout (arcs per node, arc heads, arc capacities) once, on its
+first flow; each flow then copies only the capacity list and runs on the
+copy, so many flows between different terminals share one graph.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapacityOverflowError, InputError, InvariantError
 
@@ -31,7 +35,9 @@ class DiGraph:
 
     Node ids run from 0 to ``node_count - 1``. Parallel edges are kept as
     distinct entries (their indices matter for cut extraction); self-loops
-    are rejected. Instances are immutable and safe to share across threads.
+    are rejected. Instances are immutable and safe to share across threads:
+    the residual layout is cached as tuples no flow writes to, and each flow
+    works on its own copy of the capacities.
     """
 
     node_count: int
@@ -50,6 +56,23 @@ class DiGraph:
                 f"total capacity {total} exceeds the 64-bit limit {MAX_TOTAL_CAPACITY}"
             )
         object.__setattr__(self, "edges", normalized)
+
+    @cached_property
+    def residual_layout(self):
+        """``(adj, to, cap)``: arc 2i is edge i, arc 2i+1 its reverse with
+        capacity 0; ``to[a]`` is the head of arc ``a`` and ``adj[u]`` lists
+        the arcs leaving node u in ascending order. Built on first use."""
+        edges = self.edges
+        to = [0] * (2 * len(edges))
+        cap = [0] * (2 * len(edges))
+        to[0::2] = [v for (_, v, _) in edges]
+        to[1::2] = [u for (u, _, _) in edges]
+        cap[0::2] = [c for (_, _, c) in edges]
+        adj: list[list[int]] = [[] for _ in range(self.node_count)]
+        for i, (u, v, _) in enumerate(edges):
+            adj[u].append(2 * i)
+            adj[v].append(2 * i + 1)
+        return tuple(map(tuple, adj)), tuple(to), tuple(cap)
 
     def check_node(self, node: int, what: str = "node") -> None:
         if not isinstance(node, int) or not (0 <= node < self.node_count):
@@ -152,27 +175,18 @@ def cut_value(g: DiGraph, source_side) -> int:
 
 
 def _max_flow(g: DiGraph, source: int, sink: int):
-    """Check the terminals and run Dinic's algorithm. Returns the flow value,
-    the residual network ``(adj, to, cap)`` and the source's residual
-    reachable set, which must exclude the sink."""
+    """Check the terminals and run Dinic's algorithm on a copy of the graph's
+    residual capacities. Returns the flow value, the residual network
+    ``(adj, to, cap)`` and the source's residual reachable set, which must
+    exclude the sink."""
     g.check_node(source, "source")
     g.check_node(sink, "sink")
     if source == sink:
         raise InputError("source and sink must differ")
 
     n = g.node_count
-    edges = g.edges
-    # Residual arrays: forward edge 2i, reverse edge 2i+1.
-    to = [0] * (2 * len(edges))
-    cap = [0] * (2 * len(edges))
-    to[0::2] = [v for (_, v, _) in edges]
-    to[1::2] = [u for (u, _, _) in edges]
-    cap[0::2] = [c for (_, _, c) in edges]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, v, _) in enumerate(edges):
-        adj[u].append(2 * i)
-        adj[v].append(2 * i + 1)
-
+    adj, to, cap = g.residual_layout
+    cap = list(cap)
     flow = 0
     while True:
         level = _bfs_levels(n, adj, to, cap, source, sink)
@@ -187,10 +201,14 @@ def _max_flow(g: DiGraph, source: int, sink: int):
 
 
 def _checked_cut(g: DiGraph, side: frozenset[int], flow: int) -> CutSolution:
-    cut_edges = tuple(
-        i for i, (u, v, _) in enumerate(g.edges) if u in side and v not in side
+    # Walk the forward (even) arcs out of the source side: the crossing
+    # edges, found in time linear in the side's degree, not the graph's size.
+    adj, to, cap = g.residual_layout
+    cut_arcs = sorted(
+        e for u in side for e in adj[u] if not e & 1 and to[e] not in side
     )
-    cut_cap = sum(g.edges[i][2] for i in cut_edges)
+    cut_edges = tuple(e >> 1 for e in cut_arcs)
+    cut_cap = sum(cap[e] for e in cut_arcs)
     if cut_cap != flow:
         raise InvariantError(
             f"max-flow/min-cut mismatch: flow {flow}, crossing capacity {cut_cap}"

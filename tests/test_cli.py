@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import sys
 
 from helpers import random_observable_case
-from secindex import costly_cut, oracle, power_model
+from secindex import cli, costly_cut, oracle, power_model
 from secindex.caseio import CaseFile, emit_native, parse_matpower_subset, parse_native
 from secindex.cases import path as case_path
 from secindex.cli import CSV_HEADER, main
@@ -299,3 +301,57 @@ def test_verify_fails_where_the_oracle_finds_no_attack(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", str(case_path("example4bus.json")))
     assert code == 2
     assert "FAIL oracle-sandwich" in out and "FAIL oracle-exactness" in out
+
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_pipe_is_a_quiet_success(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main(["index", str(case_path("example4bus.json"))]) == 0
+        assert main(["cut", str(case_path("comparison.cut"))]) == 0
+        # the descriptor now leads to the null device
+        os.write(fd, b"left over")
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+    assert target.read_bytes() == b""
+
+
+def test_failed_out_write_is_still_an_error(capsys, tmp_path, monkeypatch):
+    case = str(case_path("example4bus.json"))
+    code, _, err = run_cli(capsys, "index", case, "--out", str(tmp_path))
+    assert code == 1 and err.startswith("error: ")
+
+    class BrokenFile:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    # stdout is closed too, but the broken pipe is the output file's
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(-1))
+    monkeypatch.setattr(cli, "open", lambda *a, **k: BrokenFile(), raising=False)
+    code, _, err = run_cli(capsys, "index", case, "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and err == "error: [Errno 32] Broken pipe\n"

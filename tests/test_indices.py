@@ -342,7 +342,9 @@ def test_one_instance_validation_per_sweep(monkeypatch):
         assert len(calls) == 1, method
 
 
-def test_one_heuristic_graph_per_engine(monkeypatch):
+def test_one_cut_graph_per_engine(monkeypatch):
+    # The auxiliary graph and the heuristics' graphs do not depend on the
+    # line, so each engine builds and validates its one graph once.
     built = []
 
     class Counted(costly_cut.DiGraph):
@@ -353,7 +355,7 @@ def test_one_heuristic_graph_per_engine(monkeypatch):
     monkeypatch.setattr(costly_cut, "DiGraph", Counted)
     case = parse_matpower_subset(case_path("ieee118.m"))
     model = build_h(case.net, case.meas)
-    for method in ("ignore-nodes", "fold-nodes"):
+    for method in METHODS:
         del built[:]
         report = index_all(case.net, case.meas, method=method, model=model)
         assert len(report.entries) == 490

@@ -134,14 +134,25 @@ def test_flow_equals_cut_property(raw_edges, _rng):
 
 
 def test_concurrent_solves_share_graph():
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
     rng = random.Random(2718)
-    g = random_digraph(rng, nodes=8, edges=20)
-    expected = min_cut(g, 0, 7)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: min_cut(g, 0, 7), range(32)))
-    assert all(r == expected for r in results)
+    edges = random_digraph(rng, nodes=8, edges=20).edges
+    pairs = [(s, t) for s in range(8) for t in range(8) if s != t]
+    expected = {p: min_cut(DiGraph(node_count=8, edges=edges), *p) for p in pairs}
+    # A graph whose residual layout no flow has built yet: the threads race
+    # to build it, then run flows on it side by side.
+    g = DiGraph(node_count=8, edges=edges)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda p: (p, min_cut(g, *p)), pairs * 4, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4 * len(pairs)
+    assert all(r == expected[p] for p, r in results)
 
 
 def _split_cases():
@@ -207,3 +218,27 @@ def test_bulk_validation_accepts_every_int():
     assert all(type(e) is tuple for e in g.edges)
     assert min_cut(g, 0, 1).value == 1
     assert DiGraph(node_count=1, edges=[]).edges == ()
+
+
+def test_reused_graph_cuts_like_a_fresh_one():
+    # Every flow on a graph starts from its cached residual layout; no flow
+    # may leave residual capacity behind for the next pair of terminals.
+    rng = random.Random(8086)
+    for _ in range(40):
+        base = random_digraph(rng, nodes=7, edges=14, max_cap=5)
+        # parallel copies of some edges, and parallel zero-capacity edges
+        edges = base.edges + base.edges[:5] + ((0, 6, 0), (0, 6, 0), (3, 1, 0))
+        g = DiGraph(node_count=7, edges=edges)
+        layout = g.residual_layout
+        for s in range(7):
+            for t in range(7):
+                if s == t:
+                    continue
+                assert min_cut(g, s, t) == min_cut(DiGraph(node_count=7, edges=edges), s, t)
+                reused = min_cut_extremes(g, s, t)
+                assert reused == min_cut_extremes(DiGraph(node_count=7, edges=edges), s, t)
+                for cut in reused:
+                    assert cut.cut_edges == tuple(sorted(cut.cut_edges))
+        assert g.residual_layout is layout
+        assert layout[2][0::2] == tuple(c for (_, _, c) in edges)
+        assert not any(layout[2][1::2])
