@@ -302,7 +302,9 @@ def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
     for e in cut.cut_edges:
         if e in aux.big_cost_edges:
             raise InvariantError("a protective big-cost edge appeared in the minimum cut")
-    source_side = frozenset(i for i in range(inst.node_count) if aux.v_of[i] in cut.source_side)
+    # v_i = i: the instance's source side is the aux side's nodes below n.
+    n = inst.node_count
+    source_side = frozenset(x for x in cut.source_side if x < n)
     objective = Fraction(cut.value, aux.scale)
     recomputed, cut_edges, charged = evaluate_partition(inst, source_side)
     if recomputed != objective:

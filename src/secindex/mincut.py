@@ -1,8 +1,10 @@
 """Integer-capacity directed graphs and an exact s-t max-flow / min-cut solver.
 
 Capacities are nonnegative integers, so flow values and cut values are
-computed exactly. The solver (Dinic's algorithm) finds one maximum flow per
-call. ``min_cut`` returns the canonical minimum cut whose source side is the
+computed exactly. The solver finds one maximum flow per call by shortest
+augmenting paths, each found by a BFS from both terminals that expands the
+side with the smaller frontier, and stops once either side closes; it reads
+only the nodes its searches visit, not the whole graph. ``min_cut`` returns the canonical minimum cut whose source side is the
 set of nodes reachable from the source in the residual network: the unique
 inclusion-minimal source side over all minimum cuts, so the returned
 partition does not depend on augmentation order or algorithm choice.
@@ -18,7 +20,6 @@ copy, so many flows between different terminals share one graph.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -161,7 +162,7 @@ def min_cut_extremes(g: DiGraph, source: int, sink: int) -> tuple[CutSolution, C
     co_reaching = _residual_co_reaching(*residual, sink)
     return (
         _checked_cut(g, frozenset(reachable), flow),
-        _checked_cut(g, frozenset(range(g.node_count)) - co_reaching, flow),
+        _checked_cut(g, frozenset(range(g.node_count)).difference(co_reaching), flow),
     )
 
 
@@ -175,29 +176,86 @@ def cut_value(g: DiGraph, source_side) -> int:
 
 
 def _max_flow(g: DiGraph, source: int, sink: int):
-    """Check the terminals and run Dinic's algorithm on a copy of the graph's
+    """Check the terminals and find a maximum flow on a copy of the graph's
     residual capacities. Returns the flow value, the residual network
     ``(adj, to, cap)`` and the source's residual reachable set, which must
-    exclude the sink."""
+    exclude the sink.
+
+    Each round grows a BFS forward from the source and one backward into
+    the sink, a whole layer at a time, always on the side with the smaller
+    frontier. Where they meet they join into a shortest augmenting path
+    (Edmonds-Karp), so the number of rounds does not depend on the
+    capacities; the round pushes its bottleneck and the next starts afresh.
+    Once either search closes, no augmenting path is left. If the forward
+    one closed, what it reached is the reachable set; if the backward one
+    closed first, the forward search runs on to the end. A round reads only
+    the nodes its two searches visit, so a small minimal source side is
+    found without reading the rest of the graph.
+    """
     g.check_node(source, "source")
     g.check_node(sink, "sink")
     if source == sink:
         raise InputError("source and sink must differ")
 
-    n = g.node_count
     adj, to, cap = g.residual_layout
     cap = list(cap)
     flow = 0
     while True:
-        level = _bfs_levels(n, adj, to, cap, source, sink)
-        if level is None:
+        # node -> the residual arc that found it (-1 for the terminals):
+        # forward, the arc into it; backward, the arc out of it to the sink
+        fwd, bwd = {source: -1}, {sink: -1}
+        f_layer, b_layer = [source], [sink]
+        meet = -1
+        while meet < 0 and f_layer and b_layer:
+            if len(f_layer) <= len(b_layer):
+                f_layer, meet = _grow(adj, to, cap, f_layer, fwd, bwd, 0)
+            else:
+                b_layer, meet = _grow(adj, to, cap, b_layer, bwd, fwd, 1)
+        if meet < 0:
             break
-        flow += _blocking_flow(adj, to, cap, level, source, sink)
+        flow += _augment(to, cap, fwd, bwd, meet)
 
-    reachable = _residual_reachable(adj, to, cap, source)
-    if sink in reachable:
+    while f_layer:
+        f_layer, _ = _grow(adj, to, cap, f_layer, fwd, (), 0)
+    if sink in fwd:
         raise InvariantError("sink reachable in residual network after max flow")
-    return flow, (adj, to, cap), reachable
+    return flow, (adj, to, cap), fwd.keys()
+
+
+def _grow(adj, to, cap, layer, seen, other, back):
+    """Expand one BFS layer of the residual network, forward (``back`` 0)
+    or backward (``back`` 1: arc e is read as the residual arc e ^ 1 into
+    the layer's node). Returns the next layer and -1, or, at the first node
+    the ``other`` search has seen, the arc joining the two searches."""
+    nxt = []
+    for u in layer:
+        for e in adj[u]:
+            if cap[e ^ back] and to[e] not in seen:
+                v = to[e]
+                if v in other:
+                    return nxt, e ^ back
+                seen[v] = e ^ back
+                nxt.append(v)
+    return nxt, -1
+
+
+def _augment(to, cap, fwd, bwd, meet) -> int:
+    """Push the bottleneck of the path source -> tail(meet) -> head(meet) ->
+    sink that the two search trees spell out."""
+    path = [meet]
+    e = fwd[to[meet ^ 1]]
+    while e >= 0:
+        path.append(e)
+        e = fwd[to[e ^ 1]]
+    e = bwd[to[meet]]
+    while e >= 0:
+        path.append(e)
+        e = bwd[to[e]]
+    aug = min([cap[e] for e in path])
+    for e in path:
+        cap[e] -= aug
+        cap[e ^ 1] += aug
+    return aug
 
 
 def _checked_cut(g: DiGraph, side: frozenset[int], flow: int) -> CutSolution:
@@ -221,103 +279,9 @@ def _checked_cut(g: DiGraph, side: frozenset[int], flow: int) -> CutSolution:
     )
 
 
-def _bfs_levels(n, adj, to, cap, s, t):
-    """BFS levels of the residual network, or ``None`` when t is unreachable.
-
-    The search stops once t is labelled: every node closer to s than t
-    already has its level by then, and a node no closer than t cannot lie
-    on a shortest augmenting path.
-    """
-    level = [-1] * n
-    level[s] = 0
-    queue = deque([s])
-    pop, push = queue.popleft, queue.append
-    while queue:
-        u = pop()
-        next_level = level[u] + 1
-        for e in adj[u]:
-            v = to[e]
-            if cap[e] > 0 and level[v] < 0:
-                level[v] = next_level
-                if v == t:
-                    return level
-                push(v)
-    return None
-
-
-def _blocking_flow(adj, to, cap, level, s, t) -> int:
-    """Push shortest augmenting paths until the level graph has none left.
-
-    Iterative DFS; ``it`` keeps per-node scan positions so dead edges are
-    never revisited within a phase, and a dead end leaves the level graph.
-    After a push the search resumes at the tail of the first edge the push
-    saturated: the path up to it is still live, so this finds the same next
-    path as a restart from s would.
-    """
-    it = [0] * len(adj)
-    pushed = 0
-    path: list[int] = []
-    u = s
-    while True:
-        if u == t:
-            aug = min([cap[e] for e in path])
-            for e in path:
-                cap[e] -= aug
-                cap[e ^ 1] += aug
-            pushed += aug
-            for j, e in enumerate(path):
-                if cap[e] == 0:
-                    break
-            del path[j:]
-            u = to[e ^ 1]
-            continue
-        arcs = adj[u]
-        end = len(arcs)
-        want = level[u] + 1
-        i = it[u]
-        while i < end:
-            e = arcs[i]
-            if cap[e] > 0 and level[to[e]] == want:
-                break
-            i += 1
-        it[u] = i
-        if i < end:
-            path.append(e)
-            u = to[e]
-        elif path:
-            level[u] = -1
-            e = path.pop()
-            u = to[e ^ 1]
-            it[u] += 1
-        else:
-            return pushed
-
-
-def _residual_reachable(adj, to, cap, s) -> set[int]:
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for e in adj[u]:
-            v = to[e]
-            if cap[e] > 0 and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
-def _residual_co_reaching(adj, to, cap, t) -> set[int]:
-    # Nodes with a positive-capacity residual path into t: walk residual
-    # edges backwards (edge e enters to[e], its tail is to[e ^ 1]).
-    seen = {t}
-    queue = deque([t])
-    while queue:
-        v = queue.popleft()
-        for e in adj[v]:
-            u = to[e]
-            # adj[v] holds residual arcs incident to v; e ^ 1 is the arc
-            # u -> v, usable when it still has capacity.
-            if cap[e ^ 1] > 0 and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
+def _residual_co_reaching(adj, to, cap, t):
+    """The nodes with a positive-capacity residual path into t."""
+    seen, layer = {t: -1}, [t]
+    while layer:
+        layer, _ = _grow(adj, to, cap, layer, seen, (), 1)
+    return seen.keys()

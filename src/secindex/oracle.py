@@ -7,10 +7,10 @@ they report is re-checked in exact Fractions through ``attack_cost``. Two
 continuous solvers are provided:
 
 * ``oracle_continuous`` works on a raw matrix. It enumerates candidate
-  nonzero row sets in increasing cost and checks feasibility of each by a
-  nullspace computation; the first feasible candidate is optimal. Row
-  groups let physically coupled rows (the two flow rows of one line are
-  scalar multiples of each other) be switched together.
+  nonzero row sets in increasing cost and checks feasibility of each by
+  rank tests on the rows scaled to unit norm; the first feasible candidate
+  is optimal. Row groups let physically coupled rows (the two flow rows of
+  one line are scalar multiples of each other) be switched together.
 
 * ``oracle_continuous_network`` exploits network structure: it scans the
   partitions of the buses into connected groups (level sets of the angle
@@ -56,6 +56,7 @@ ROW_LIMIT = 40
 BINARY_BUS_LIMIT = 22
 PARTITION_LINE_LIMIT = 17
 NULLSPACE_TOL = 1e-8
+_EPS = np.finfo(float).eps
 _CHUNK = 1 << 16
 _CHUNK_SVD = 4096
 
@@ -80,12 +81,16 @@ INFEASIBLE = OracleResult(optimum=None, witness=None, support=())
 # Generic row-set oracle.
 
 
-def _nullspace(mat: np.ndarray, dim: int) -> np.ndarray:
-    if mat.shape[0] == 0:
-        return np.eye(dim)
-    _, s, vt = np.linalg.svd(mat)
-    rank = int(np.sum(s > NULLSPACE_TOL * s[0])) if s.size and s[0] > 0 else 0
-    return vt[rank:].T
+def _ranks(mats: np.ndarray) -> np.ndarray:
+    """Numerical ranks of a stack of matrices at numpy's relative cutoff:
+    singular values above the largest times max(rows, cols) times eps.
+    A singular value moves no more than the rounding of the entries, so a
+    rank decided this way holds at any spread of scales inside a row,
+    where a test on the computed null vectors would not."""
+    if mats.shape[-2] == 0:
+        return np.zeros(mats.shape[:-2], dtype=int)
+    s = np.linalg.svd(mats, compute_uv=False)
+    return (s > s[..., :1] * (max(mats.shape[-2:]) * _EPS)).sum(axis=-1)
 
 
 def _pick_off_hyperplanes(basis: np.ndarray, functionals) -> np.ndarray:
@@ -175,33 +180,49 @@ def oracle_continuous(
         if gi == target_group or group_weight[gi] == 0:
             free_rows.update(g)
 
-    def feasibility(chosen) -> np.ndarray | None:
+    # A row's zero pattern does not change when the row is scaled, so every
+    # decision reads the rows (and the extra functional) at unit norm.
+    norms = np.linalg.norm(h, axis=1)
+    unit = h / np.where(norms > 0, norms, 1.0)[:, None]
+    targets = [unit[row]]
+    if extra_nonzero is not None:
+        extra = np.asarray(extra_nonzero, dtype=float)
+        targets.append(extra / (np.linalg.norm(extra) or 1.0))
+
+    def feasibility(chosen):
+        """The zero rows of ``chosen``, their rank and a basis of their
+        kernel, or None when some target vanishes on that kernel: when
+        appending it to the zero rows does not raise their rank."""
         allowed = set(free_rows)
         for gi in chosen:
             allowed.update(groups[gi])
-        zero_rows = [i for i in range(m) if i not in allowed]
-        basis = _nullspace(h[zero_rows], dim)
-        if basis.shape[1] == 0:
+        zero = [i for i in range(m) if i not in allowed]
+        rank = int(_ranks(unit[zero]))
+        if any(_ranks(np.vstack([unit[zero], f])) == rank for f in targets):
             return None
-        if np.abs(h[row] @ basis).max() <= NULLSPACE_TOL:
-            return None
-        if extra_nonzero is not None and np.abs(extra_nonzero @ basis).max() <= NULLSPACE_TOL:
-            return None
-        return basis
+        return zero, rank, (np.linalg.svd(unit[zero])[2][rank:].T if rank else np.eye(dim))
 
     # Everything allowed is the easiest candidate; if that fails, so does all.
     if feasibility(tuple(candidates)) is None:
         return INFEASIBLE
 
-    def finalize(chosen, basis) -> OracleResult:
-        functionals = [h[row] @ basis]
-        if extra_nonzero is not None:
-            functionals.append(extra_nonzero @ basis)
+    def finalize(chosen, kernel) -> OracleResult:
+        zero, rank, basis = kernel
+        functionals = [f @ basis for f in targets]
         coeff_point = _pick_off_hyperplanes(np.eye(basis.shape[1]), functionals)
         witness = basis @ coeff_point
-        scale = float(h[row] @ witness)
-        witness = witness / scale
-        support = tuple(int(i) for i in np.flatnonzero(np.abs(h @ witness) > ZERO_TOL))
+        witness = witness / float(h[row] @ witness)
+        # The witness is a generic point of the kernel, so its support is
+        # the rows that do not vanish there, decided by the same rank test.
+        # Read off h @ witness, a row whose terms are 1e12 times its sum
+        # would look zero.
+        zero_rows = np.broadcast_to(unit[zero], (m, len(zero), dim))
+        grown = np.concatenate([zero_rows, unit[:, None]], axis=1)
+        support = tuple(np.flatnonzero(_ranks(grown) > rank).tolist())
+        # The zero rows vanish on the witness by ModelMatrix.apply's rule:
+        # the sum is at most ZERO_TOL times the sum of the terms' magnitudes.
+        if np.any(np.abs(h[zero] @ witness) > ZERO_TOL * (np.abs(h[zero]) @ np.abs(witness))):
+            raise InvariantError("witness does not vanish on its zero rows")
         cost = base_cost + sum((group_weight[gi] for gi in chosen), Fraction(0))
         support_cost = sum((w[i] for i in support), Fraction(0))
         if support_cost != cost:
@@ -210,9 +231,9 @@ def oracle_continuous(
             )
         return OracleResult(optimum=cost, witness=witness, support=support)
 
-    basis = feasibility(())
-    if basis is not None:
-        return finalize((), basis)
+    kernel = feasibility(())
+    if kernel is not None:
+        return finalize((), kernel)
 
     def zero_rows_for(subset):
         allowed = set(free_rows)
@@ -234,23 +255,13 @@ def oracle_continuous(
                 continue
             for start in range(0, len(items), _CHUNK_SVD):
                 part = items[start : start + _CHUNK_SVD]
-                stack = np.stack([h[list(zr)] for _, zr in part])
-                s, vt = np.linalg.svd(stack, full_matrices=True)[1:]
-                s0 = s[:, :1]
-                ranks = np.where(
-                    s0[:, 0] > 0, (s > NULLSPACE_TOL * s0).sum(axis=1), 0
-                )
-                f1 = np.abs(vt @ h[row])
-                f2 = np.abs(vt @ extra_nonzero) if extra_nonzero is not None else None
-                for b, (pos, _) in enumerate(part):
-                    rank = int(ranks[b])
-                    if rank >= dim:
-                        continue
-                    if f1[b, rank:].max() <= NULLSPACE_TOL:
-                        continue
-                    if f2 is not None and f2[b, rank:].max() <= NULLSPACE_TOL:
-                        continue
-                    feasible.add(pos)
+                stack = np.stack([unit[list(zr)] for _, zr in part])
+                ranks = _ranks(stack)
+                ok = ranks < dim
+                for f in targets:
+                    grown = np.concatenate([stack, np.broadcast_to(f, (len(part), 1, dim))], axis=1)
+                    ok &= _ranks(grown) > ranks
+                feasible.update(pos for (pos, _), b in zip(part, ok) if b)
         for pos in range(len(subsets)):
             if pos in feasible:
                 return pos
@@ -283,10 +294,10 @@ def oracle_continuous(
         winner = batch_first_feasible(stratum)
         if winner is not None:
             chosen = tuple(candidates[i] for i in stratum[winner])
-            basis = feasibility(chosen)
-            if basis is None:
+            kernel = feasibility(chosen)
+            if kernel is None:
                 raise InvariantError("batched feasibility disagreed with direct check")
-            return finalize(chosen, basis)
+            return finalize(chosen, kernel)
     raise InvariantError("row-set enumeration exhausted without finding the optimum")
 
 

@@ -166,15 +166,22 @@ def _split_cases():
     # zero capacities only, and a sink cut off entirely
     yield DiGraph(node_count=4, edges=((0, 1, 0), (1, 2, 0), (2, 3, 0))), 0, 3
     yield DiGraph(node_count=4, edges=((0, 1, 3), (1, 2, 2))), 0, 3
-    # a deep path with a shortcut: the first phase labels the sink at level
-    # 1 and stops; the next phase needs the whole path, past a dead-end
-    # branch as deep as the sink
+    # a deep path with a shortcut: the first augmenting path is the
+    # shortcut; the next needs the whole path, beside a dead-end branch as
+    # deep as the sink
     depth = 6
     path_edges = tuple((i, i + 1, 1 + i % 3) for i in range(depth))
     branch = tuple((i, i + 1, 5) for i in range(depth + 1, 2 * depth)) + ((0, depth + 1, 5),)
     for shortcut in (1, 2, 5):
         edges = path_edges + branch + ((0, depth, shortcut),)
         yield DiGraph(node_count=2 * depth + 1, edges=edges), 0, depth
+    # the small side at the sink: heavy edges among the other nodes and a
+    # few light ones into the sink, so the backward search closes first and
+    # the forward one runs on to the minimal source side
+    for _ in range(60):
+        inner = random_digraph(rng, nodes=7, edges=18, max_cap=9).edges
+        into_sink = tuple((rng.randrange(7), 7, rng.randint(0, 2)) for _ in range(3))
+        yield DiGraph(node_count=8, edges=inner + into_sink), 0, 7
 
 
 def test_min_cut_is_the_minimal_extreme():
@@ -182,6 +189,62 @@ def test_min_cut_is_the_minimal_extreme():
         sol = min_cut(g, s, t)
         assert sol == min_cut_extremes(g, s, t)[0]
         assert sol.value == brute_force_min_cut_value(g, s, t)
+
+
+def test_augmentations_do_not_grow_with_the_capacities():
+    # The classic diamond: an augmenting path through the unit cross edge
+    # would leave one more unit each time, so 2 * 10**15 of them. Shortest
+    # augmenting paths never use it.
+    big = 10**15
+    for cross in ((1, 2, 1), (2, 1, 1)):
+        edges = ((0, 1, big), (0, 2, big), cross, (1, 3, big), (2, 3, big))
+        for order in (edges, edges[::-1]):
+            g = DiGraph(node_count=4, edges=order)
+            assert min_cut(g, 0, 3).value == 2 * big == brute_force_min_cut_value(g, 0, 3)
+
+
+class _CountingList:
+    """A list that counts the items read from it."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+
+def _tree_fed_sink(depth, fan_in=5):
+    # Source 0 reaches the sink 1 through nodes 2, 3 and 4, with a small cut
+    # around {0, 2, 3}. The sink is also fed by an in-tree of the given
+    # depth, numbered layer by layer, so trees of different depths share
+    # their nodes, edges and edge order near the sink.
+    edges = [(0, 2, 5), (0, 3, 5), (2, 1, 1), (3, 1, 1), (2, 4, 1), (4, 1, 1)]
+    layer, nxt = [1], 5
+    for _ in range(depth):
+        children = []
+        for parent in layer:
+            for _ in range(fan_in):
+                edges.append((nxt, parent, 1))
+                children.append(nxt)
+                nxt += 1
+        layer = children
+    return DiGraph(node_count=nxt, edges=tuple(edges))
+
+
+def test_search_reads_only_the_neighbourhood_of_the_cut():
+    reads = []
+    for depth in (3, 6):
+        g = _tree_fed_sink(depth)
+        adj, to, cap = g.residual_layout
+        counting = _CountingList(adj)
+        g.__dict__["residual_layout"] = (counting, to, cap)
+        sol = min_cut(g, 0, 1)
+        assert sol.value == 3 and sol.source_side == frozenset({0, 2, 3})
+        reads.append((g.node_count, counting.reads))
+    (small, small_reads), (large, large_reads) = reads
+    assert small < 200 and large > 19000
+    assert small_reads == large_reads < 40
 
 
 def test_bulk_validation_names_the_first_offending_edge():

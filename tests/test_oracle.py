@@ -12,6 +12,7 @@ from secindex import (
     WeightAssignment,
     build_h,
     full_measurement,
+    index_all,
     index_edge_target,
     oracle_binary,
     oracle_continuous,
@@ -88,6 +89,24 @@ def test_rejects_bad_groups():
     h = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
     with pytest.raises(InputError):
         oracle_continuous(h, 0, row_groups=[(0, 1)])
+
+
+@pytest.mark.parametrize("reactance", [1.0, 1e9, 1e12])
+def test_rowset_oracle_prices_every_row_at_any_reactance(reactance):
+    # A full-measurement triangle whose line 0-2 has reactance 1, 1e9 or
+    # 1e12. Its flow rows are that small, and the injection rows at buses 0
+    # and 2 differ from the neighbouring flow rows only that far down; the
+    # zero pattern of a row does not depend on its scale, so each of the
+    # nine rows costs 7, as the cut pipeline says.
+    net = PowerNetwork(bus_count=3, lines=((0, 1, 1.0), (1, 2, 1.0), (0, 2, reactance)))
+    meas = full_measurement(net)
+    model = build_h(net, meas)
+    assert index_all(net, meas).indices() == (7,) * 9
+    for k in range(9):
+        res = oracle_continuous(model.h, k)
+        assert res.optimum == 7, k
+        assert k in res.support and len(res.support) == 7
+        assert abs(model.h[k] @ res.witness - 1.0) < 1e-9
 
 
 def test_binary_two_bus_full_measurement():
