@@ -26,7 +26,11 @@ the terminals: the auxiliary graph ``solve`` cuts and the edge-only graph
 each approximation cuts are built and validated once per family of
 instances, on first use, and shared with every instance ``with_terminals``
 derives. A flow on a shared graph copies only its capacities, so a sweep
-over many terminal pairs pays the graph's set-up once.
+over many terminal pairs pays the graph's set-up once. ``evaluate_partition``
+rechecks every cut exactly in Fractions; it reads the crossing edges, their
+costs and their endpoints' charges from the smaller side of the partition,
+through a per-family index of each node's outgoing and incoming edges, so
+its cost follows the smaller side's degree, not the number of edges.
 """
 
 from __future__ import annotations
@@ -128,9 +132,10 @@ class CostlyCutInstance:
                     raise InputError(
                         f"symmetric flag set but edge ({u},{v}) cost {c} has no mirror"
                     )
-        # The graphs cut for this instance, by recipe; built on first use and
-        # shared with every instance ``with_terminals`` derives, since they
-        # do not depend on the terminals.
+        # The graphs cut for this instance and its edge incidence index, by
+        # recipe; built on first use and shared with every instance
+        # ``with_terminals`` derives, since they do not depend on the
+        # terminals.
         object.__setattr__(self, "_graphs", {})
 
     int_costs = cached_property(_int_costs)
@@ -139,8 +144,9 @@ class CostlyCutInstance:
         """The same instance between other terminals.
 
         The result shares this instance's validated edges and charges, its
-        integer scaling and the graphs cut for it (the auxiliary graph and
-        the heuristics' graphs); only the terminals are checked.
+        integer scaling, the graphs cut for it (the auxiliary graph and
+        the heuristics' graphs) and its edge incidence index; only the
+        terminals are checked.
         """
         _check_terminals(self.node_count, source, sink)
         derived = object.__new__(type(self))
@@ -265,33 +271,62 @@ def dump_auxiliary(aux: AuxiliaryGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _incidence(inst):
+    """Per node, the ids of the instance edges leaving it and of those
+    entering it: for the tails and then the heads, ``(start, ids)`` with
+    node u's edges ``ids[start[u]:start[u + 1]]``, ascending. Two flat
+    lists per end rather than a list per node, so building the index
+    allocates a handful of objects, not two per node for the garbage
+    collector to trace."""
+    index = []
+    for end in (0, 1):
+        nodes = np.fromiter((e[end] for e in inst.edges), dtype=np.intp, count=len(inst.edges))
+        start = np.zeros(inst.node_count + 1, dtype=np.intp)
+        np.cumsum(np.bincount(nodes, minlength=inst.node_count), out=start[1:])
+        index.append((start.tolist(), np.argsort(nodes, kind="stable").tolist()))
+    return index
+
+
 def evaluate_partition(inst, source_side):
     """Exact objective of a partition: crossing edge costs plus one charge per
-    node incident to a crossing edge. Works for both instance flavors."""
+    node incident to a crossing edge. Works for both instance flavors.
+
+    The crossing edges are read from the smaller side, through the
+    family's edge incidence index, so the cost is linear in that side's
+    degree, not in the number of edges."""
     side = frozenset(source_side)
+    n = inst.node_count
     if inst.source not in side or inst.sink in side:
         raise InputError("source side must contain the source and exclude the sink")
-    for node in side:
-        if not (0 <= node < inst.node_count):
-            raise InputError(f"node id {node} out of range")
+    low, high = min(side), max(side)
+    if low < 0 or high >= n:
+        raise InputError(f"node id {low if low < 0 else high} out of range")
+    (out_start, out_ids), (in_start, in_ids) = _shared_graph(inst, _incidence)
+    edges = inst.edges
+    if 2 * len(side) <= n:
+        cut_edges = [
+            idx for u in side for idx in out_ids[out_start[u]:out_start[u + 1]]
+            if edges[idx][1] not in side
+        ]
+    else:
+        other = frozenset(range(n)).difference(side)
+        cut_edges = [
+            idx for v in other for idx in in_ids[in_start[v]:in_start[v + 1]]
+            if edges[idx][0] in side
+        ]
+    cut_edges.sort()
     objective = Fraction(0)
-    cut_edges = []
-    charged = set()
-    tails = set()
-    heads = set()
-    for idx, (u, v, c) in enumerate(inst.edges):
-        if u in side and v not in side:
-            cut_edges.append(idx)
-            objective += c
-            tails.add(u)
-            heads.add(v)
+    tails, heads = set(), set()
+    for idx in cut_edges:
+        u, v, c = edges[idx]
+        objective += c
+        tails.add(u)
+        heads.add(v)
     for u in tails:
         objective += inst.node_costs_out[u]
-        charged.add(u)
     for v in heads:
         objective += inst.node_costs_in[v]
-        charged.add(v)
-    return objective, tuple(cut_edges), frozenset(charged)
+    return objective, tuple(cut_edges), frozenset(tails | heads)
 
 
 def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
@@ -303,8 +338,7 @@ def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
         if e in aux.big_cost_edges:
             raise InvariantError("a protective big-cost edge appeared in the minimum cut")
     # v_i = i: the instance's source side is the aux side's nodes below n.
-    n = inst.node_count
-    source_side = frozenset(x for x in cut.source_side if x < n)
+    source_side = frozenset(range(inst.node_count)).intersection(cut.source_side)
     objective = Fraction(cut.value, aux.scale)
     recomputed, cut_edges, charged = evaluate_partition(inst, source_side)
     if recomputed != objective:

@@ -179,8 +179,7 @@ class _Engine:
         inst = self.cut_instance(line)
         sol = getattr(costly_cut, _SOLVERS[self.method])(inst)
         dtheta = np.zeros(self.net.bus_count)
-        for bus in sol.source_side:
-            dtheta[bus] = 1.0
+        dtheta[list(sol.source_side)] = 1.0
         attack = attack_from_partition(self.net, self.meas, dtheta, model=self.model)
         structural = attack_cost(
             self.net, self.weights.edge_costs, self.weights.node_costs, dtheta

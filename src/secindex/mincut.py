@@ -4,10 +4,13 @@ Capacities are nonnegative integers, so flow values and cut values are
 computed exactly. The solver finds one maximum flow per call by shortest
 augmenting paths, each found by a BFS from both terminals that expands the
 side with the smaller frontier, and stops once either side closes; it reads
-only the nodes its searches visit, not the whole graph. ``min_cut`` returns the canonical minimum cut whose source side is the
-set of nodes reachable from the source in the residual network: the unique
-inclusion-minimal source side over all minimum cuts, so the returned
-partition does not depend on augmentation order or algorithm choice.
+only the nodes its searches visit, not the whole graph. ``min_cut`` returns
+the canonical minimum cut whose source side is the set of nodes reachable
+from the source in the residual network: the unique inclusion-minimal
+source side over all minimum cuts, so the returned partition does not
+depend on augmentation order or algorithm choice. The cut's crossing edges
+are read from the arcs of the smaller side, so that step costs time in
+proportion to the smaller side's degree.
 ``min_cut_extremes`` returns that cut and the inclusion-maximal one (the
 complement of the nodes that still reach the sink) from the same flow.
 ``DiGraph`` validates its edges in whole-list passes and falls back to an
@@ -259,24 +262,25 @@ def _augment(to, cap, fwd, bwd, meet) -> int:
 
 
 def _checked_cut(g: DiGraph, side: frozenset[int], flow: int) -> CutSolution:
-    # Walk the forward (even) arcs out of the source side: the crossing
-    # edges, found in time linear in the side's degree, not the graph's size.
+    # The crossing edges, read from the smaller side's arcs: the forward
+    # (even) arcs out of the source side, or the reverse (odd) arcs at the
+    # sink side whose head is on the source side, each the mirror of the
+    # crossing forward arc e ^ 1. Either way the time is linear in the
+    # smaller side's degree, not the graph's size.
     adj, to, cap = g.residual_layout
-    cut_arcs = sorted(
-        e for u in side for e in adj[u] if not e & 1 and to[e] not in side
-    )
+    other = frozenset(range(g.node_count)) - side
+    if len(side) <= len(other):
+        cut_arcs = [e for u in side for e in adj[u] if not e & 1 and to[e] not in side]
+    else:
+        cut_arcs = [e ^ 1 for u in other for e in adj[u] if e & 1 and to[e] in side]
+    cut_arcs.sort()
     cut_edges = tuple(e >> 1 for e in cut_arcs)
     cut_cap = sum(cap[e] for e in cut_arcs)
     if cut_cap != flow:
         raise InvariantError(
             f"max-flow/min-cut mismatch: flow {flow}, crossing capacity {cut_cap}"
         )
-    return CutSolution(
-        source_side=side,
-        sink_side=frozenset(range(g.node_count)) - side,
-        value=flow,
-        cut_edges=cut_edges,
-    )
+    return CutSolution(source_side=side, sink_side=other, value=flow, cut_edges=cut_edges)
 
 
 def _residual_co_reaching(adj, to, cap, t):

@@ -415,12 +415,11 @@ class _PartitionView:
             u, v, _ = net.lines[ln]
             a, b = labels[u], labels[v]
             pairs.add((min(a, b), max(a, b)))
-        self.pair_functionals = []
-        for a, b in sorted(pairs):
-            f = np.zeros(self.group_count)
-            f[a] = 1.0
-            f[b] = -1.0
-            self.pair_functionals.append(f)
+        # One row per pair of groups a cut line joins: +1 at a, -1 at b.
+        self.pair_functionals = np.zeros((len(pairs), self.group_count))
+        for i, (a, b) in enumerate(sorted(pairs)):
+            self.pair_functionals[i, a] = 1.0
+            self.pair_functionals[i, b] = -1.0
         # Injection functional per bus over group values; None when no cut
         # incident line (identically zero).
         self.lam = {}
@@ -470,9 +469,8 @@ def _min_injection_dfs(view, p_scaled, budget, required_bus=None):
     best = None
 
     def ok(basis) -> bool:
-        for f in view.pair_functionals:
-            if np.abs(f @ basis).max() <= NULLSPACE_TOL:
-                return False
+        if (np.abs(view.pair_functionals @ basis).max(axis=1) <= NULLSPACE_TOL).any():
+            return False
         if required is not None and np.abs(required @ basis).max() <= required_tol:
             return False
         return True
@@ -626,23 +624,27 @@ def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta, tol=ZERO_TOL)
     injection shift. An injection counts as nonzero when it exceeds ``tol``
     times the summed magnitudes of its line terms, so the decision does not
     depend on the scale of the reactances; for a 0/1 shift, whose cut lines
-    at a bus never cancel, it is exactly "the bus meets a cut line"."""
-    theta = np.asarray(dtheta, dtype=float).tolist()
+    at a bus never cancel, it is exactly "the bus meets a cut line". Only
+    the cut lines and their endpoints are visited; every other bus has no
+    injection shift."""
+    theta = np.asarray(dtheta, dtype=float)
+    tails, heads = net.endpoints
+    cut = np.flatnonzero(theta[tails] - theta[heads]).tolist()
+    theta = theta.tolist()
     total = Fraction(0)
-    inj = [0.0] * net.bus_count
-    mag = [0.0] * net.bus_count
-    for (u, v, x), c in zip(net.lines, edge_costs):
-        delta = theta[u] - theta[v]
-        if delta != 0:
-            total += c
-            flow = delta / x
-            inj[u] += flow
-            inj[v] -= flow
-            mag[u] += abs(flow)
-            mag[v] += abs(flow)
-    for bus, p in enumerate(node_costs):
+    inj = {}
+    mag = {}
+    for ln in cut:
+        u, v, x = net.lines[ln]
+        total += edge_costs[ln]
+        flow = (theta[u] - theta[v]) / x
+        inj[u] = inj.get(u, 0.0) + flow
+        inj[v] = inj.get(v, 0.0) - flow
+        mag[u] = mag.get(u, 0.0) + abs(flow)
+        mag[v] = mag.get(v, 0.0) + abs(flow)
+    for bus in sorted(inj):
         if abs(inj[bus]) > tol * mag[bus]:
-            total += p
+            total += node_costs[bus]
     return total
 
 

@@ -90,6 +90,14 @@ class PowerNetwork:
         each listed."""
         return self._incident[bus]
 
+    @cached_property
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lines' from buses and to buses, as two index arrays."""
+        return tuple(
+            np.fromiter((line[end] for line in self.lines), dtype=np.intp, count=self.line_count)
+            for end in (0, 1)
+        )
+
     def incidence(self) -> np.ndarray:
         """Directed incidence matrix: one column per line, +1 at the from bus
         and -1 at the to bus."""
@@ -245,6 +253,11 @@ class ModelMatrix:
         keys, slot = np.unique(keys, return_inverse=True)
         rows, cols = np.divmod(keys, n)
         return rows, cols, np.bincount(slot, weights=np.concatenate((self.coeffs, -self.coeffs)))
+
+    @cached_property
+    def max_abs_entry(self) -> float:
+        """max|H|, 0 for a matrix without entries."""
+        return float(np.abs(self.entries[2]).max(initial=0.0))
 
     @cached_property
     def h(self) -> np.ndarray:
@@ -462,7 +475,7 @@ def residual_tolerance(model: ModelMatrix, delta_theta) -> float:
     RESIDUAL_TOL relative to the largest entry that corruption can have,
     max|H| * max|delta_theta|, and absolute where that is below 1, so data
     with entries up to 1 keeps the absolute RESIDUAL_TOL."""
-    scale = np.abs(model.entries[2]).max(initial=0.0) * np.abs(delta_theta).max(initial=0.0)
+    scale = model.max_abs_entry * np.abs(delta_theta).max(initial=0.0)
     return RESIDUAL_TOL * max(1.0, float(scale))
 
 

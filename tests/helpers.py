@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from secindex import DiGraph, MeasurementPlacement, PowerNetwork, build_h, is_observable
 
@@ -32,6 +33,46 @@ def brute_force_min_cut_value(g: DiGraph, source: int, sink: int) -> int:
         if best is None or value < best:
             best = value
     return best
+
+
+def full_scan_crossing_edges(edges, source_side) -> tuple[int, ...]:
+    """Ids of the edges ``(u, v, ...)`` leaving ``source_side``, by a scan
+    of every edge: the reference for the cut readers that walk one side."""
+    side = frozenset(source_side)
+    return tuple(i for i, (u, v, *_) in enumerate(edges) if u in side and v not in side)
+
+
+def full_scan_partition_objective(inst, source_side):
+    """``evaluate_partition`` by a scan of every edge and every node."""
+    cut_edges = full_scan_crossing_edges(inst.edges, source_side)
+    tails = {inst.edges[i][0] for i in cut_edges}
+    heads = {inst.edges[i][1] for i in cut_edges}
+    objective = sum((inst.edges[i][2] for i in cut_edges), Fraction(0))
+    for node in range(inst.node_count):
+        objective += inst.node_costs_out[node] * (node in tails)
+        objective += inst.node_costs_in[node] * (node in heads)
+    return objective, cut_edges, frozenset(tails | heads)
+
+
+def full_scan_attack_cost(net, edge_costs, node_costs, dtheta, tol=1e-9):
+    """``oracle.attack_cost`` by a scan of every line and every bus."""
+    theta = [float(t) for t in dtheta]
+    total = Fraction(0)
+    inj = [0.0] * net.bus_count
+    mag = [0.0] * net.bus_count
+    for (u, v, x), c in zip(net.lines, edge_costs):
+        delta = theta[u] - theta[v]
+        if delta != 0:
+            total += c
+            flow = delta / x
+            inj[u] += flow
+            inj[v] -= flow
+            mag[u] += abs(flow)
+            mag[v] += abs(flow)
+    for bus, p in enumerate(node_costs):
+        if abs(inj[bus]) > tol * mag[bus]:
+            total += p
+    return total
 
 
 def random_network(rng: random.Random, min_buses=4, max_buses=10, max_lines=15) -> PowerNetwork:

@@ -292,6 +292,26 @@ def test_huge_reactance_gives_the_unit_reactance_answers(capsys, tmp_path):
             assert "FAIL" not in outputs[x][-1], (shape, x)
 
 
+def test_verify_judges_row_sums_relative_to_the_row(capsys, tmp_path):
+    # Rows of a tiny-reactance mesh hold entries near 1e9 or 1e12, whose sum
+    # rounds to far more than an absolute 1e-9; the row-sum check, like the
+    # support rule, must judge it against the row's own magnitude.
+    rng = random.Random(9)
+    for scale in (1e-9, 1e-12):
+        for i in range(6):
+            n = rng.randint(4, 8)
+            ends = [(b, b + 1) for b in range(1, n)] + [(1, n), (2, n)]
+            path = tmp_path / f"mesh{scale:g}-{i}.json"
+            path.write_text(json.dumps({
+                "buses": n,
+                "lines": [[u, v, round(rng.uniform(0.1, 1.0), 3) * scale] for u, v in ends],
+                "measurements": {"flow_from": "all", "flow_to": "all", "injection": "all"},
+            }))
+            code, out, _ = run_cli(capsys, "verify", str(path))
+            assert code == 0 and "FAIL" not in out, (scale, i, out)
+            assert out.startswith("PASS row-sums-zero (max ")
+
+
 def test_verify_fails_where_the_oracle_finds_no_attack(capsys, monkeypatch):
     def no_attack(net, meas, weights, edge_targets, node_targets, model):
         keys = [("edge", t) for t in edge_targets] + [("node", t) for t in node_targets]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import full_scan_partition_objective
 from secindex import (
     CostlyCutInstance,
     InputError,
@@ -286,6 +287,44 @@ def test_evaluate_partition_validates_sides():
     )
     with pytest.raises(InputError):
         evaluate_partition(inst, {1})
+    with pytest.raises(InputError, match="node id 2 out of range"):
+        evaluate_partition(inst, {0, 2})
+
+
+def test_evaluate_partition_matches_the_full_scan():
+    # Both instance flavors, with parallel and zero-cost edges, on sides of
+    # every size: the small side at the source and at the sink, so the
+    # crossing edges are read from either side of the partition.
+    rng = random.Random(1789)
+    walked = set()
+    for trial in range(120):
+        n = rng.randint(3, 12)
+        edges = []
+        for _ in range(rng.randint(1, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            edges.append((u, v, Fraction(rng.choice((0, 0, 1, 2, 5)), rng.choice((1, 3)))))
+            if rng.random() < 0.3:
+                edges.append((u, v, Fraction(rng.randint(0, 3))))
+
+        def charges():
+            return tuple(Fraction(rng.randint(0, 4), rng.choice((1, 2))) for _ in range(n))
+
+        family = CostlyCutInstance(node_count=n, edges=tuple(edges), node_costs=charges(),
+                                   source=0, sink=1)
+        out_costs, in_costs = charges(), charges()
+        for _ in range(4):
+            s, t = rng.sample(range(n), 2)
+            rest = [x for x in range(n) if x not in (s, t)]
+            for inst in (
+                family.with_terminals(s, t),
+                TwoSidedCutInstance(node_count=n, edges=tuple(edges), node_costs_out=out_costs,
+                                    node_costs_in=in_costs, source=s, sink=t),
+            ):
+                for k in (0, len(rest), rng.randint(0, len(rest))):
+                    side = {s, *rng.sample(rest, k)}
+                    walked.add(2 * len(side) <= n)
+                    assert evaluate_partition(inst, side) == full_scan_partition_objective(inst, side)
+    assert walked == {True, False}
 
 
 def test_parallel_edges_kept_separately():

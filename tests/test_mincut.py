@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_min_cut_value, random_digraph
+from helpers import brute_force_min_cut_value, full_scan_crossing_edges, random_digraph
 from secindex import (
     CapacityOverflowError,
     DiGraph,
@@ -13,7 +13,7 @@ from secindex import (
     min_cut,
     min_cut_extremes,
 )
-from secindex.mincut import MAX_TOTAL_CAPACITY
+from secindex.mincut import MAX_TOTAL_CAPACITY, _checked_cut
 
 
 def test_single_edge_cut():
@@ -245,6 +245,58 @@ def test_search_reads_only_the_neighbourhood_of_the_cut():
     (small, small_reads), (large, large_reads) = reads
     assert small < 200 and large > 19000
     assert small_reads == large_reads < 40
+
+
+def test_checked_cut_matches_the_full_scan_on_both_extremes():
+    # Both canonical cuts of each flow, read from whichever side is smaller,
+    # against a scan of every edge; parallel and zero-capacity edges included.
+    rng = random.Random(2718)
+    walked = set()
+    for _ in range(150):
+        nodes = rng.randint(3, 12)
+        base = random_digraph(rng, nodes=nodes, edges=rng.randint(1, 3 * nodes), max_cap=4)
+        g = DiGraph(node_count=nodes, edges=base.edges + base.edges[:3] + ((0, 1, 0),))
+        s, t = rng.sample(range(nodes), 2)
+        for cut in min_cut_extremes(g, s, t):
+            walked.add(len(cut.source_side) <= len(cut.sink_side))
+            assert cut.cut_edges == full_scan_crossing_edges(g.edges, cut.source_side)
+            assert cut.sink_side == frozenset(range(nodes)) - cut.source_side
+            assert cut.value == sum(g.edges[i][2] for i in cut.cut_edges)
+            assert _checked_cut(g, cut.source_side, cut.value) == cut
+    assert walked == {True, False}
+
+
+def _tree_fed_by_source(depth, fan_out=5):
+    # Source 0 reaches the sink 1 through nodes 2 and 3; the minimum cut
+    # consists of the edges 2 -> 1 and 0 -> 3, so the sink side is {1, 3}.
+    # The source also feeds an out-tree of the given depth that never
+    # reaches the sink, so the source side holds all the other nodes.
+    edges = [(0, 2, 5), (2, 1, 1), (0, 3, 1), (3, 1, 5)]
+    layer, nxt = [0], 4
+    for _ in range(depth):
+        children = []
+        for parent in layer:
+            for _ in range(fan_out):
+                edges.append((parent, nxt, 1))
+                children.append(nxt)
+                nxt += 1
+        layer = children
+    return DiGraph(node_count=nxt, edges=tuple(edges))
+
+
+def test_cut_readout_reads_only_the_smaller_side():
+    # Where the source side is nearly the whole graph, the crossing edges
+    # are read from the adjacency lists of the sink side alone.
+    for depth in (3, 6):
+        g = _tree_fed_by_source(depth)
+        sol = min_cut(g, 0, 1)
+        assert sol.value == 2 and sol.sink_side == frozenset({1, 3})
+        assert sol.cut_edges == (1, 2)
+        adj, to, cap = g.residual_layout
+        counting = _CountingList(adj)
+        g.__dict__["residual_layout"] = (counting, to, cap)
+        assert _checked_cut(g, sol.source_side, sol.value) == sol
+        assert counting.reads == len(sol.sink_side) == 2
 
 
 def test_bulk_validation_names_the_first_offending_edge():

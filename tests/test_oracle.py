@@ -4,7 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_network, random_observable_case, random_placement
+from helpers import (
+    full_scan_attack_cost,
+    random_network,
+    random_observable_case,
+    random_placement,
+)
 from secindex import (
     InputError,
     PowerNetwork,
@@ -214,6 +219,36 @@ def test_network_oracle_witnesses_hit_their_targets():
         else:
             k = meas.index_of("injection", ident)
             assert abs(model.h[k] @ witness - 1.0) < 1e-6
+
+
+def test_attack_cost_matches_the_full_scan():
+    # 0/1 shifts, continuous shifts with equal angles at both ends of some
+    # lines, and the partition oracle's witnesses, whose injections cancel,
+    # at three reactance scales and on parallel lines.
+    rng = random.Random(4711)
+    ties = 0
+    for trial in range(90):
+        base = random_network(rng, max_buses=9, max_lines=14)
+        scale = (1.0, 1e-12, 1e10)[trial % 3]
+        u, v, x = rng.choice(base.lines)
+        lines = tuple((a, b, y * scale) for (a, b, y) in base.lines + ((u, v, 2 * x),))
+        net = PowerNetwork(bus_count=base.bus_count, lines=lines)
+        c = [Fraction(rng.randint(0, 3), rng.choice((1, 2))) for _ in range(net.line_count)]
+        p = [Fraction(rng.randint(0, 3), rng.choice((1, 3))) for _ in range(net.bus_count)]
+        n = net.bus_count
+        shifts = [
+            np.array([float(rng.random() < 0.5) for _ in range(n)]),
+            np.array([rng.choice((0.0, 0.5, 1.0, -2.0)) for _ in range(n)]),
+            np.array([rng.uniform(-1.0, 1.0) for _ in range(n)]),
+        ]
+        if trial < 12:
+            meas = full_measurement(net)
+            found = oracle_continuous_network(net, meas, edge_targets=range(net.line_count))
+            shifts += [r.witness for r in found.values() if r.feasible]
+        for dtheta in shifts:
+            ties += sum(dtheta[a] == dtheta[b] != 0 for (a, b, _) in net.lines)
+            assert attack_cost(net, c, p, dtheta) == full_scan_attack_cost(net, c, p, dtheta)
+    assert ties > 0
 
 
 def test_deterministic_results():
