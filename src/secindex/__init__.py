@@ -35,8 +35,7 @@ from .indices import (
     baseline_ignore_nodes,
     exactness_condition,
     index_all,
-    index_edge_target,
-    index_node_target,
+    index_target,
     binary_gap_bound,
 )
 from .mincut import CutSolution, DiGraph, cut_value, min_cut, min_cut_extremes

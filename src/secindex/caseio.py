@@ -8,6 +8,7 @@ File ids are 1-based (power-systems convention); everything internal is
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,14 @@ class CaseFile:
 
 def _fail(source: str, msg: str):
     raise CaseParseError(f"{source}: {msg}")
+
+
+def _check_line(source, where, fbus, tbus, x):
+    """The checks of one line that name its buses, by the file's ids."""
+    if fbus == tbus:
+        _fail(source, f"{where}: self-loop at bus {fbus}")
+    if not 0 < x < math.inf:
+        _fail(source, f"{where}: reactance must be positive and finite, got {x}")
 
 
 def _meas_ids(source, raw, count, what):
@@ -110,6 +119,7 @@ def parse_native_text(text: str, source: str = "<case>") -> CaseFile:
                 _fail(source, f"lines[{i}]: bus id {end} out of range 1..{buses}")
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             _fail(source, f"lines[{i}]: reactance {x!r} is not a number")
+        _check_line(source, f"lines[{i}]", u, v, x)
         lines.append((u - 1, v - 1, float(x)))
     if not isinstance(doc["measurements"], dict):
         _fail(source, "measurements must be an object")
@@ -220,6 +230,7 @@ def parse_matpower_subset(path, sidecar_path=None) -> CaseFile:
         for end in (fbus, tbus):
             if end not in index_of:
                 _fail(source, f"branch row {i + 1}: unknown bus id {end}")
+        _check_line(source, f"branch row {i + 1}", fbus, tbus, row[3])
         lines.append((index_of[fbus], index_of[tbus], float(row[3])))
 
     try:
@@ -328,10 +339,6 @@ def parse_cut_instance_text(text: str, source: str = "<instance>") -> CostlyCutI
         if not (0 <= ident < node_count):
             _fail(source, f"node id {ident + 1} out of range")
     costs = tuple(node_costs.get(i, Fraction(0)) for i in range(node_count))
-    mirror = {}
-    for u, v, c in edges:
-        mirror[(u, v)] = mirror.get((u, v), Fraction(0)) + c
-    symmetric = bool(edges) and all(mirror.get((v, u)) == c for (u, v), c in mirror.items())
     try:
         return CostlyCutInstance(
             node_count=node_count,
@@ -339,7 +346,6 @@ def parse_cut_instance_text(text: str, source: str = "<instance>") -> CostlyCutI
             node_costs=costs,
             source=source_id,
             sink=sink_id,
-            symmetric=symmetric,
         )
     except InputError as exc:
         _fail(source, str(exc))

@@ -22,7 +22,6 @@ import numpy as np
 from . import caseio, costly_cut, indices, oracle
 from .errors import InputError, InvariantError
 from .power_model import (
-    INJECTION,
     ZERO_TOL,
     WeightAssignment,
     build_3sat_gadget,
@@ -89,12 +88,7 @@ def _target_entry(case: caseio.CaseFile, target: int, method: str) -> indices.In
     count = case.meas.measurement_count
     if not (1 <= target <= count):
         raise InputError(f"--target {target} out of range 1..{count}")
-    kind, ident = case.meas.ordering()[target - 1]
-    if kind == INJECTION:
-        return indices.index_node_target(case.net, case.meas, case.weights, ident, method=method)
-    return indices.index_edge_target(
-        case.net, case.meas, case.weights, ident, end=kind, method=method
-    )
+    return indices.index_target(case.net, case.meas, case.weights, target - 1, method=method)
 
 
 def _cmd_index(args) -> int:

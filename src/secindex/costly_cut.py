@@ -7,7 +7,9 @@ source side, heads on the sink side). The reduction triples each node i into
 a chain w_i -> v_i -> z_i carrying the node charge, and protects the chain
 with edges of cost strictly larger than any node charge, so a standard
 integer min cut on the auxiliary graph yields the optimum; the partition of
-the original nodes is read off the v layer.
+the original nodes is read off the v layer. Edges are directed; an
+undirected instance lists each edge in both directions, and no solver needs
+to know that it does.
 
 Rational costs are scaled to integers by the LCM of their denominators
 (``scale_to_int``, the package's one scaling helper), so optimality is
@@ -105,14 +107,15 @@ def _int_costs(inst):
 
 @dataclass(frozen=True)
 class CostlyCutInstance:
-    """A directed graph with edge costs, per-node charges, and two terminals."""
+    """A directed graph with edge costs, per-node charges, and two terminals.
+
+    Construction checks node ids, self-loops, costs and terminals once."""
 
     node_count: int
     edges: tuple[tuple[int, int, Fraction], ...]
     node_costs: tuple[Fraction, ...]
     source: int
     sink: int
-    symmetric: bool = False
 
     def __post_init__(self):
         edges = tuple((int(u), int(v), as_cost(c)) for (u, v, c) in self.edges)
@@ -123,15 +126,6 @@ class CostlyCutInstance:
                 f"expected {self.node_count} node costs, got {len(self.node_costs)}"
             )
         _check_structure(self.node_count, edges, self.source, self.sink)
-        if self.symmetric:
-            forward = {}
-            for u, v, c in edges:
-                forward[(u, v)] = forward.get((u, v), Fraction(0)) + c
-            for (u, v), c in forward.items():
-                if forward.get((v, u)) != c:
-                    raise InputError(
-                        f"symmetric flag set but edge ({u},{v}) cost {c} has no mirror"
-                    )
         # The graphs cut for this instance and its edge incidence index, by
         # recipe; built on first use and shared with every instance
         # ``with_terminals`` derives, since they do not depend on the

@@ -30,8 +30,6 @@ from .costly_cut import CostlyCutInstance
 from .errors import InputError, InvariantError
 from .oracle import attack_cost
 from .power_model import (
-    FLOW_FROM,
-    FLOW_TO,
     INJECTION,
     AttackVector,
     MeasurementPlacement,
@@ -107,7 +105,6 @@ def cut_instance_for_line(
         node_costs=weights.node_costs,
         source=u,
         sink=v,
-        symmetric=True,
     )
 
 
@@ -231,38 +228,21 @@ class _Engine:
         )
 
 
-def index_edge_target(
+def index_target(
     net: PowerNetwork,
     meas: MeasurementPlacement,
     weights: WeightAssignment | None,
-    line: int,
-    end: str = FLOW_FROM,
+    k: int,
     method: str = METHOD_EXACT,
     model: ModelMatrix | None = None,
 ) -> IndexEntry:
-    """Security index of a single flow measurement (given line and end)."""
-    if end not in (FLOW_FROM, FLOW_TO):
-        raise InputError(f"end must be {FLOW_FROM!r} or {FLOW_TO!r}")
-    metered = meas.flow_from if end == FLOW_FROM else meas.flow_to
-    if line not in metered:
-        raise InputError(f"line {line} is not metered at the {end} end")
-    engine = _Engine(net, meas, weights, method, model)
-    return engine.entry_for(meas.index_of(end, line))
-
-
-def index_node_target(
-    net: PowerNetwork,
-    meas: MeasurementPlacement,
-    weights: WeightAssignment | None,
-    bus: int,
-    method: str = METHOD_EXACT,
-    model: ModelMatrix | None = None,
-) -> IndexEntry:
-    """Security index of a single injection measurement."""
-    if bus not in meas.injection:
-        raise InputError(f"bus {bus} has no injection measurement")
-    engine = _Engine(net, meas, weights, method, model)
-    return engine.entry_for(meas.index_of(INJECTION, bus))
+    """Security index of measurement ``k`` alone, ``k`` its 0-based position
+    in the global measurement order (``meas.index_of`` maps a metered
+    (kind, id) there)."""
+    count = meas.measurement_count
+    if not (0 <= k < count):
+        raise InputError(f"measurement {k} out of range 0..{count - 1}")
+    return _Engine(net, meas, weights, method, model).entry_for(k)
 
 
 def index_all(

@@ -13,16 +13,15 @@ are read from the arcs of the smaller side, so that step costs time in
 proportion to the smaller side's degree.
 ``min_cut_extremes`` returns that cut and the inclusion-maximal one (the
 complement of the nodes that still reach the sink) from the same flow.
-``DiGraph`` validates its edges in whole-list passes and falls back to an
-edge-by-edge pass only to name the first offending edge. A graph builds its
-residual layout (arcs per node, arc heads, arc capacities) once, on its
-first flow; each flow then copies only the capacity list and runs on the
-copy, so many flows between different terminals share one graph.
+``DiGraph`` validates its edges in one pass that names the first offending
+edge. A graph builds its residual layout (arcs per node, arc heads, arc
+capacities) once, on its first flow; each flow then copies only the
+capacity list and runs on the copy, so many flows between different
+terminals share one graph.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,11 +49,7 @@ class DiGraph:
     def __post_init__(self):
         if not isinstance(self.node_count, int) or self.node_count <= 0:
             raise InputError(f"node_count must be a positive integer, got {self.node_count!r}")
-        edges = tuple(self.edges)
-        checked = _checked_in_bulk(self.node_count, edges)
-        if checked is None:
-            checked = _checked_edge_by_edge(self.node_count, edges)
-        normalized, total = checked
+        normalized, total = _checked_edges(self.node_count, self.edges)
         if total > MAX_TOTAL_CAPACITY:
             raise CapacityOverflowError(
                 f"total capacity {total} exceeds the 64-bit limit {MAX_TOTAL_CAPACITY}"
@@ -83,37 +78,9 @@ class DiGraph:
             raise InputError(f"{what} id {node!r} out of range [0, {self.node_count})")
 
 
-# Exact types the bulk pass accepts; any other ``int`` subclass is judged
-# by the edge-by-edge pass, which accepts every ``isinstance(x, int)``.
-_INT_TYPES = frozenset((int, bool))
-
-
-def _checked_in_bulk(node_count, edges):
-    """The edges as triples and their total capacity when every edge passes
-    every check, decided by whole-list passes; ``None`` when any check (or
-    the unpacking itself) fails, so the edge-by-edge pass can name the first
-    offending edge."""
-    try:
-        normalized = tuple([(u, v, c) for u, v, c in edges])
-    except (TypeError, ValueError):
-        return None
-    if not normalized:
-        return normalized, 0
-    tails, heads, caps = zip(*normalized)
-    if not (
-        _INT_TYPES.issuperset(map(type, tails + heads + caps))
-        and min(tails) >= 0
-        and min(heads) >= 0
-        and max(tails) < node_count
-        and max(heads) < node_count
-        and not any(map(operator.eq, tails, heads))
-        and min(caps) >= 0
-    ):
-        return None
-    return normalized, sum(caps)
-
-
-def _checked_edge_by_edge(node_count, edges):
+def _checked_edges(node_count, edges):
+    """The edges as triples and their total capacity; the first edge that
+    fails a check is named in the error."""
     normalized = []
     total = 0
     for idx, edge in enumerate(edges):

@@ -618,10 +618,10 @@ def oracle_continuous_network(
     return results
 
 
-def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta, tol=ZERO_TOL) -> Fraction:
+def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta) -> Fraction:
     """Structural objective of an angle perturbation: the costs of the cut
     lines (endpoint angles differ) plus the charges of buses with nonzero net
-    injection shift. An injection counts as nonzero when it exceeds ``tol``
+    injection shift. An injection counts as nonzero when it exceeds ``ZERO_TOL``
     times the summed magnitudes of its line terms, so the decision does not
     depend on the scale of the reactances; for a 0/1 shift, whose cut lines
     at a bus never cancel, it is exactly "the bus meets a cut line". Only
@@ -643,7 +643,7 @@ def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta, tol=ZERO_TOL)
         mag[u] = mag.get(u, 0.0) + abs(flow)
         mag[v] = mag.get(v, 0.0) + abs(flow)
     for bus in sorted(inj):
-        if abs(inj[bus]) > tol * mag[bus]:
+        if abs(inj[bus]) > ZERO_TOL * mag[bus]:
             total += node_costs[bus]
     return total
 

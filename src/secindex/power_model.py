@@ -39,7 +39,7 @@ class PowerNetwork:
     """Bus/line topology with per-line reactances.
 
     Buses are 0-based; each line is (from_bus, to_bus, reactance) with
-    reactance strictly positive. Parallel lines are allowed, self-loops are
+    reactance positive and finite. Parallel lines are allowed, self-loops are
     not, and the network must be connected as an undirected graph.
     """
 
@@ -58,8 +58,8 @@ class PowerNetwork:
                 raise InputError(f"line {idx}: bus id out of range")
             if u == v:
                 raise InputError(f"line {idx}: self-loop at bus {u}")
-            if not x > 0:
-                raise InputError(f"line {idx}: reactance must be positive, got {x}")
+            if not 0 < x < np.inf:
+                raise InputError(f"line {idx}: reactance must be positive and finite, got {x}")
             normalized.append((u, v, x))
             incident[u].append(idx)
             incident[v].append(idx)

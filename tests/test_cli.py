@@ -152,6 +152,24 @@ def test_malformed_case_is_input_error(capsys, tmp_path):
     assert code == 1 and "reactance" in err
 
 
+def test_non_finite_reactance_is_an_input_error(capsys, tmp_path):
+    native = tmp_path / "inf.json"
+    native.write_text(
+        '{"buses": 3, "lines": [[1, 2, 1.0], [2, 3, Infinity]], "measurements": {"flow_from": "all"}}'
+    )
+    text = case_path("ieee118.m").read_text()
+    first = "\t1\t2\t0\t0.0999\t"
+    assert text.count(first) == 1
+    matpower = tmp_path / "inf.m"
+    matpower.write_text(text.replace(first, "\t1\t2\t0\tInf\t"))
+    for case, where in ((native, "lines[1]"), (matpower, "branch row 1")):
+        for argv in (["index", str(case)], ["attack", str(case), "--target", "1"],
+                     ["verify", str(case)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert f"{where}: reactance must be positive and finite, got inf" in err, argv
+
+
 def test_cut_command_on_comparison_instance(capsys):
     code, out, _ = run_cli(capsys, "cut", str(case_path("comparison.cut")))
     assert code == 0
@@ -184,9 +202,7 @@ def test_attack_command(capsys, tmp_path):
 
 
 def test_gadget_command(capsys, tmp_path):
-    sat = tmp_path / "sat.clauses"
-    sat.write_text("vars 3\n1 2 3\n")
-    code, out, _ = run_cli(capsys, "gadget", "--clauses", str(sat))
+    code, out, _ = run_cli(capsys, "gadget", "--clauses", str(case_path("satisfiable.clauses")))
     assert code == 0
     report = dict(line.split(" ", 1) for line in out.strip().splitlines())
     assert report["optimum"] == "4"

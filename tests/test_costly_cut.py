@@ -42,7 +42,6 @@ def random_instance(rng: random.Random, symmetric: bool, max_nodes=12):
         node_costs=tuple(Fraction(rng.randint(0, 5)) for _ in range(n)),
         source=0,
         sink=n - 1,
-        symmetric=symmetric,
     )
 
 
@@ -138,7 +137,6 @@ def test_symmetric_source_sink_swap():
             node_costs=inst.node_costs,
             source=inst.sink,
             sink=inst.source,
-            symmetric=True,
         )
         assert solve(inst).objective == solve(swapped).objective
 
@@ -266,18 +264,6 @@ def test_brute_force_guard():
     )
     with pytest.raises(SizeLimitError):
         solve_brute_force(inst)
-
-
-def test_symmetric_flag_requires_mirrors():
-    with pytest.raises(InputError):
-        CostlyCutInstance(
-            node_count=2,
-            edges=((0, 1, Fraction(1)),),
-            node_costs=(Fraction(0), Fraction(0)),
-            source=0,
-            sink=1,
-            symmetric=True,
-        )
 
 
 def test_evaluate_partition_validates_sides():

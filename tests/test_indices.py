@@ -1,7 +1,10 @@
 import dataclasses
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import random_network, random_observable_case, random_placement
@@ -16,13 +19,12 @@ from secindex import (
     exactness_condition,
     full_measurement,
     index_all,
-    index_edge_target,
-    index_node_target,
+    index_target,
     oracle_continuous_network,
     binary_gap_bound,
 )
 from secindex import costly_cut
-from secindex.caseio import parse_matpower_subset, parse_native
+from secindex.caseio import parse_matpower_subset, parse_native, parse_native_text
 from secindex.cases import path as case_path
 from secindex.indices import METHODS, _Engine, cut_instance_for_line
 from secindex.oracle import attack_cost
@@ -59,7 +61,7 @@ def test_empty_placement_empty_report():
 def test_two_bus_full_measurement_index_four():
     net = PowerNetwork(bus_count=2, lines=((0, 1, 1.0),))
     meas = full_measurement(net)
-    entry = index_edge_target(net, meas, None, 0)
+    entry = index_target(net, meas, None, meas.index_of("flow_from", 0))
     assert entry.index == 4
     assert entry.exact
 
@@ -227,7 +229,7 @@ def test_uniform_reactance_scaling_invariance():
 def test_parallel_lines_count_separately():
     net = PowerNetwork(bus_count=2, lines=((0, 1, 1.0), (0, 1, 2.0)))
     meas = full_measurement(net)
-    entry = index_edge_target(net, meas, None, 0)
+    entry = index_target(net, meas, None, meas.index_of("flow_from", 0))
     # cutting the pair costs both lines' meters plus both bus charges
     assert entry.index == 6
 
@@ -247,13 +249,13 @@ def test_custom_weights_reproduce_weighted_objective():
 def test_edge_target_requires_metered_end():
     net, meas = worked_case()
     with pytest.raises(InputError):
-        index_edge_target(net, meas, None, 1, end="flow_to")
+        index_target(net, meas, None, meas.index_of("flow_to", 1))
 
 
 def test_node_target_requires_metered_injection():
     net, meas = worked_case()
     with pytest.raises(InputError):
-        index_node_target(net, meas, None, 2)
+        index_target(net, meas, None, meas.index_of("injection", 2))
 
 
 def test_node_target_tie_prefers_smallest_line():
@@ -261,7 +263,7 @@ def test_node_target_tie_prefers_smallest_line():
     # must separate the endpoints of the lowest-id line
     net = PowerNetwork(bus_count=3, lines=((0, 1, 1.0), (0, 2, 1.0)))
     meas = full_measurement(net)
-    entry = index_node_target(net, meas, None, 0)
+    entry = index_target(net, meas, None, meas.index_of("injection", 0))
     u, v, _ = net.lines[0]
     assert entry.attack.delta_theta[u] != entry.attack.delta_theta[v]
 
@@ -278,7 +280,7 @@ def test_custom_weights_can_void_full_measurement_exactness():
     exact, _ = exactness_condition(net, meas, weights)
     assert not exact
     assert binary_gap_bound(net, weights) == 4
-    entry = index_edge_target(net, meas, weights, 0)
+    entry = index_target(net, meas, weights, meas.index_of("flow_from", 0))
     assert not entry.exact
     assert entry.error_bound == 4
 
@@ -372,8 +374,48 @@ def test_index_and_attack_never_build_the_dense_matrix():
     net = random_network(random.Random(5), min_buses=40, max_buses=60, max_lines=90)
     meas = full_measurement(net)
     model = build_h(net, meas)
-    entry = index_node_target(net, meas, None, net.bus_count - 1, model=model)
+    k = meas.index_of("injection", net.bus_count - 1)
+    entry = index_target(net, meas, None, k, model=model)
     assert entry.attack.residual_inf <= 1e-9
     assert "h" not in model.__dict__
     assert model.h.shape == (meas.measurement_count, net.bus_count)
     assert "h" in model.__dict__
+
+
+def _same_entry(a, b):
+    assert dataclasses.replace(a, attack=None) == dataclasses.replace(b, attack=None)
+    assert a.attack.support == b.attack.support
+    assert a.attack.residual_inf == b.attack.residual_inf
+    assert np.array_equal(a.attack.delta_theta, b.attack.delta_theta)
+    assert np.array_equal(a.attack.delta_z, b.attack.delta_z)
+
+
+def _desk_cases(seed):
+    """The benchmark's seeded verify-desk stream, one case per size class."""
+    spec = importlib.util.spec_from_file_location(
+        "desk_generate", Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    )
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    for i in range(len(generate.DESK_CLASSES)):
+        yield parse_native_text(generate.dump(generate.desk_case(seed, i)).decode())
+
+
+def test_index_target_is_the_entry_of_the_full_report():
+    cases = [(parse_native(case_path("example4bus.json")), METHODS)]
+    cases.append((parse_matpower_subset(case_path("ieee118.m")), ("exact",)))
+    cases.extend((case, METHODS) for case in _desk_cases(1))
+    for case, methods in cases:
+        model = build_h(case.net, case.meas)
+        for method in methods:
+            report = index_all(case.net, case.meas, case.weights, method=method, model=model)
+            for k, want in enumerate(report.entries):
+                got = index_target(case.net, case.meas, case.weights, k, method=method, model=model)
+                _same_entry(got, want)
+
+
+def test_index_target_rejects_positions_out_of_range():
+    net, meas = worked_case()
+    for k in (-1, meas.measurement_count, meas.measurement_count + 3):
+        with pytest.raises(InputError, match="out of range"):
+            index_target(net, meas, None, k)

@@ -18,7 +18,7 @@ from secindex import (
     build_h,
     full_measurement,
     index_all,
-    index_edge_target,
+    index_target,
     oracle_binary,
     oracle_continuous,
     oracle_continuous_network,
@@ -160,11 +160,11 @@ def test_binary_matches_cut_pipeline():
             b = oracle_binary(net, meas, line)
             inst_value = None
             if line in meas.flow_from:
-                inst_value = index_edge_target(net, meas, weights, line, model=model).index
+                k = meas.index_of("flow_from", line)
+                inst_value = index_target(net, meas, weights, k, model=model).index
             elif line in meas.flow_to:
-                inst_value = index_edge_target(
-                    net, meas, weights, line, end="flow_to", model=model
-                ).index
+                k = meas.index_of("flow_to", line)
+                inst_value = index_target(net, meas, weights, k, model=model).index
             if inst_value is not None:
                 assert b.optimum == inst_value
 
