@@ -45,6 +45,24 @@ def _check_line(source, where, fbus, tbus, x):
         _fail(source, f"{where}: reactance must be positive and finite, got {x}")
 
 
+def _json(source, text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CaseParseError(
+            f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise CaseParseError(f"{source}: {exc}") from exc
+
+
+def _bus_id(source, where, value):
+    """A MATPOWER bus id, read as a float, as the integer it must be."""
+    if not value.is_integer():
+        _fail(source, f"{where}: bus id {value!r} is not an integer")
+    return int(value)
+
+
 def _meas_ids(source, raw, count, what):
     if raw == "all":
         return tuple(range(count))
@@ -88,12 +106,7 @@ def _parse_weights(source, raw, net, meas):
 
 
 def parse_native_text(text: str, source: str = "<case>") -> CaseFile:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CaseParseError(
-            f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = _json(source, text)
     if not isinstance(doc, dict):
         _fail(source, "top level must be an object")
     unknown = set(doc) - _TOP_KEYS
@@ -120,7 +133,10 @@ def parse_native_text(text: str, source: str = "<case>") -> CaseFile:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             _fail(source, f"lines[{i}]: reactance {x!r} is not a number")
         _check_line(source, f"lines[{i}]", u, v, x)
-        lines.append((u - 1, v - 1, float(x)))
+        try:
+            lines.append((u - 1, v - 1, float(x)))
+        except OverflowError:
+            _fail(source, f"lines[{i}]: reactance is an integer too large for a float")
     if not isinstance(doc["measurements"], dict):
         _fail(source, "measurements must be an object")
     unknown = set(doc["measurements"]) - _MEAS_KEYS
@@ -212,8 +228,8 @@ def parse_matpower_subset(path, sidecar_path=None) -> CaseFile:
 
     bus_ids = []
     index_of = {}
-    for row in bus_rows:
-        ident = int(row[0])
+    for i, row in enumerate(bus_rows):
+        ident = _bus_id(source, f"bus row {i + 1}", row[0])
         if ident in index_of:
             _fail(source, f"duplicate bus id {ident}")
         index_of[ident] = len(bus_ids)
@@ -226,7 +242,7 @@ def parse_matpower_subset(path, sidecar_path=None) -> CaseFile:
         status = row[10] if len(row) > 10 else 1.0
         if status == 0:
             continue
-        fbus, tbus = int(row[0]), int(row[1])
+        fbus, tbus = (_bus_id(source, f"branch row {i + 1}", end) for end in row[:2])
         for end in (fbus, tbus):
             if end not in index_of:
                 _fail(source, f"branch row {i + 1}: unknown bus id {end}")
@@ -252,12 +268,7 @@ def parse_matpower_subset(path, sidecar_path=None) -> CaseFile:
 def _parse_sidecar(path, net, bus_index_of):
     source = str(path)
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CaseParseError(
-                f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+        doc = _json(source, fh.read())
     if not isinstance(doc, dict):
         _fail(source, "top level must be an object")
     unknown = set(doc) - {"measurements", "weights"}

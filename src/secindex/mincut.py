@@ -8,11 +8,17 @@ only the nodes its searches visit, not the whole graph. ``min_cut`` returns
 the canonical minimum cut whose source side is the set of nodes reachable
 from the source in the residual network: the unique inclusion-minimal
 source side over all minimum cuts, so the returned partition does not
-depend on augmentation order or algorithm choice. The cut's crossing edges
-are read from the arcs of the smaller side, so that step costs time in
-proportion to the smaller side's degree.
-``min_cut_extremes`` returns that cut and the inclusion-maximal one (the
-complement of the nodes that still reach the sink) from the same flow.
+depend on augmentation order or algorithm choice. ``min_cut_extremes``
+returns that cut and the inclusion-maximal one, whose sink side is the set
+of nodes that still reach the sink, from the same flow. Where the search
+from the other terminal closed first, each of these sets is found locally
+from the closed one: a graph neighbour of the closed side joins it when a
+search from it closes before meeting the terminal's search, and the nodes
+the terminal does not reach even through positive capacities, which need
+not border the closed side, come from the strongly connected components of
+the graph's positive-capacity edges, built once per graph. The cut's
+crossing edges are read from the arcs of the smaller side, so that step
+costs time in proportion to the smaller side's degree.
 ``DiGraph`` validates its edges in one pass that names the first offending
 edge. A graph builds its residual layout (arcs per node, arc heads, arc
 capacities) once, on its first flow; each flow then copies only the
@@ -39,8 +45,8 @@ class DiGraph:
     Node ids run from 0 to ``node_count - 1``. Parallel edges are kept as
     distinct entries (their indices matter for cut extraction); self-loops
     are rejected. Instances are immutable and safe to share across threads:
-    the residual layout is cached as tuples no flow writes to, and each flow
-    works on its own copy of the capacities.
+    the residual layout and the capacity components are cached as tuples no
+    flow writes to, and each flow works on its own copy of the capacities.
     """
 
     node_count: int
@@ -72,6 +78,59 @@ class DiGraph:
             adj[u].append(2 * i)
             adj[v].append(2 * i + 1)
         return tuple(map(tuple, adj)), tuple(to), tuple(cap)
+
+    @cached_property
+    def capacity_components(self):
+        """``(comp, members, succ, pred)``: the strongly connected components
+        of the positive-capacity edges. ``comp[u]`` is node u's component,
+        ``members[c]`` the nodes of component c, and ``succ[c]`` /
+        ``pred[c]`` the components a positive-capacity edge leads to from c
+        / into c. Built on first use, by Tarjan's algorithm."""
+        n = self.node_count
+        heads: list[list[int]] = [[] for _ in range(n)]
+        for u, v, c in self.edges:
+            if c:
+                heads[u].append(v)
+        order, low, comp = [-1] * n, [0] * n, [-1] * n
+        members: list[frozenset[int]] = []
+        stack: list[int] = []
+        count = 0
+        for root in range(n):
+            if order[root] >= 0:
+                continue
+            order[root] = low[root] = count
+            count += 1
+            stack.append(root)
+            work = [(root, iter(heads[root]))]
+            while work:
+                u, rest = work[-1]
+                for v in rest:
+                    if order[v] < 0:
+                        order[v] = low[v] = count
+                        count += 1
+                        stack.append(v)
+                        work.append((v, iter(heads[v])))
+                        break
+                    if comp[v] < 0 and order[v] < low[u]:
+                        low[u] = order[v]
+                else:
+                    work.pop()
+                    if work and low[u] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[u]
+                    if low[u] == order[u]:
+                        group = [stack.pop()]
+                        while group[-1] != u:
+                            group.append(stack.pop())
+                        for w in group:
+                            comp[w] = len(members)
+                        members.append(frozenset(group))
+        succ = [set() for _ in members]
+        pred = [set() for _ in members]
+        for u, v, c in self.edges:
+            if c and comp[u] != comp[v]:
+                succ[comp[u]].add(comp[v])
+                pred[comp[v]].add(comp[u])
+        return tuple(comp), tuple(members), tuple(map(tuple, succ)), tuple(map(tuple, pred))
 
     def check_node(self, node: int, what: str = "node") -> None:
         if not isinstance(node, int) or not (0 <= node < self.node_count):
@@ -115,8 +174,8 @@ def min_cut(g: DiGraph, source: int, sink: int) -> CutSolution:
     the indices of edges crossing source side -> sink side, and their
     capacities sum to the value exactly.
     """
-    flow, _, reachable = _max_flow(g, source, sink)
-    return _checked_cut(g, frozenset(reachable), flow)
+    flow, *residual = _max_flow(g, source, sink)
+    return _checked_cut(g, frozenset(_reach(g, *residual, 0)), flow)
 
 
 def min_cut_extremes(g: DiGraph, source: int, sink: int) -> tuple[CutSolution, CutSolution]:
@@ -128,12 +187,10 @@ def min_cut_extremes(g: DiGraph, source: int, sink: int) -> tuple[CutSolution, C
     sink in the residual network). They coincide when the minimum cut is
     unique.
     """
-    flow, residual, reachable = _max_flow(g, source, sink)
-    co_reaching = _residual_co_reaching(*residual, sink)
-    return (
-        _checked_cut(g, frozenset(reachable), flow),
-        _checked_cut(g, frozenset(range(g.node_count)).difference(co_reaching), flow),
-    )
+    flow, *residual = _max_flow(g, source, sink)
+    minimal = frozenset(_reach(g, *residual, 0))
+    maximal = frozenset(range(g.node_count)).difference(_reach(g, *residual, 1))
+    return _checked_cut(g, minimal, flow), _checked_cut(g, maximal, flow)
 
 
 def cut_value(g: DiGraph, source_side) -> int:
@@ -147,26 +204,28 @@ def cut_value(g: DiGraph, source_side) -> int:
 
 def _max_flow(g: DiGraph, source: int, sink: int):
     """Check the terminals and find a maximum flow on a copy of the graph's
-    residual capacities. Returns the flow value, the residual network
-    ``(adj, to, cap)`` and the source's residual reachable set, which must
-    exclude the sink.
+    residual capacities. Returns the flow value, the residual capacities,
+    the last round's two searches as ``(root, tree, frontier)`` (forward
+    from the source, then backward into the sink) and whether the graph had
+    served a flow before this one.
 
     Each round grows a BFS forward from the source and one backward into
     the sink, a whole layer at a time, always on the side with the smaller
     frontier. Where they meet they join into a shortest augmenting path
     (Edmonds-Karp), so the number of rounds does not depend on the
     capacities; the round pushes its bottleneck and the next starts afresh.
-    Once either search closes, no augmenting path is left. If the forward
-    one closed, what it reached is the reachable set; if the backward one
-    closed first, the forward search runs on to the end. A round reads only
-    the nodes its two searches visit, so a small minimal source side is
-    found without reading the rest of the graph.
+    Once either search closes, no augmenting path is left, and the closed
+    search is its terminal's whole residual reach; ``_reach`` finds the
+    other terminal's from there. A round reads only the nodes its two
+    searches visit.
     """
     g.check_node(source, "source")
     g.check_node(sink, "sink")
     if source == sink:
         raise InputError("source and sink must differ")
 
+    # the first flow on a graph is the one that builds its residual layout
+    warm = "residual_layout" in vars(g)
     adj, to, cap = g.residual_layout
     cap = list(cap)
     flow = 0
@@ -182,14 +241,81 @@ def _max_flow(g: DiGraph, source: int, sink: int):
             else:
                 b_layer, meet = _grow(adj, to, cap, b_layer, bwd, fwd, 1)
         if meet < 0:
-            break
+            return flow, cap, ((source, fwd, f_layer), (sink, bwd, b_layer)), warm
         flow += _augment(to, cap, fwd, bwd, meet)
 
-    while f_layer:
-        f_layer, _ = _grow(adj, to, cap, f_layer, fwd, (), 0)
-    if sink in fwd:
+
+def _reach(g: DiGraph, cap, searches, warm, back):
+    """The nodes the source reaches in the residual network (``back`` 0),
+    or the nodes that reach the sink (``back`` 1), from the searches of a
+    flow's last round; the search from that terminal is the tree here.
+
+    A closed tree is the answer. Otherwise the other search closed, on a
+    set of nodes the tree's root cannot reach, and the rest of that set is
+    found locally (Picard and Queyranne, 1980). Each graph neighbour y of
+    the set so far is tested by a search from y in the other direction
+    that never enters the set, against the tree, which persists across
+    tests and grows a whole layer at a time; the smaller frontier grows.
+    If they meet, the root reaches y and y joins the tree. If y's search
+    closes, all it found joins the set, and their neighbours are tested in
+    turn. If the tree closes first, it is the answer. A node the root
+    reaches only through the positive-capacity graph's other nodes need not
+    border the set, so the answer is the root's reach in that graph
+    (``DiGraph.capacity_components``) less the set. A graph's first flow
+    grows the tree to the end instead: it costs less than building the
+    components, which a graph that serves one flow never repays.
+    """
+    root, tree, layer = searches[back]
+    other, near, _ = searches[1 - back]
+    adj, to, _ = g.residual_layout
+    if layer and not warm:
+        while layer:
+            layer, _ = _grow(adj, to, cap, layer, tree, (), back)
+    if layer:
+        comp, members, *links = g.capacity_components
+        bound = _reached_components(links[back], comp[root])
+        region = dict.fromkeys(near, -1)
+        todo = [to[e] for u in near for e in adj[u]]
+        while todo and layer:
+            y = todo.pop()
+            if y in region or y in tree or comp[y] not in bound:
+                continue
+            region[y] = -1
+            found, probe, met = [y], [y], False
+            while not met and probe and layer:
+                if len(probe) <= len(layer):
+                    probe, meet = _grow(adj, to, cap, probe, region, tree, 1 - back)
+                    found += probe
+                    met = meet >= 0
+                else:
+                    layer, _ = _grow(adj, to, cap, layer, tree, (), back)
+                    met = not region.keys().isdisjoint(layer)
+            if met:
+                for v in found:
+                    del region[v]
+                if y not in tree:
+                    tree[y] = -1
+                    layer.append(y)
+            elif not probe:
+                todo.extend(to[e] for u in found for e in adj[u])
+    if layer:
+        reached = frozenset().union(*map(members.__getitem__, bound)).difference(region)
+    else:
+        reached = tree.keys()
+    if other in reached:
         raise InvariantError("sink reachable in residual network after max flow")
-    return flow, (adj, to, cap), fwd.keys()
+    return reached
+
+
+def _reached_components(links, start):
+    """The components reachable from ``start`` along ``links``."""
+    seen, todo = {start}, [start]
+    while todo:
+        for c in links[todo.pop()]:
+            if c not in seen:
+                seen.add(c)
+                todo.append(c)
+    return seen
 
 
 def _grow(adj, to, cap, layer, seen, other, back):
@@ -248,11 +374,3 @@ def _checked_cut(g: DiGraph, side: frozenset[int], flow: int) -> CutSolution:
             f"max-flow/min-cut mismatch: flow {flow}, crossing capacity {cut_cap}"
         )
     return CutSolution(source_side=side, sink_side=other, value=flow, cut_edges=cut_edges)
-
-
-def _residual_co_reaching(adj, to, cap, t):
-    """The nodes with a positive-capacity residual path into t."""
-    seen, layer = {t: -1}, [t]
-    while layer:
-        layer, _ = _grow(adj, to, cap, layer, seen, (), 1)
-    return seen.keys()

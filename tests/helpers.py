@@ -42,6 +42,28 @@ def full_scan_crossing_edges(edges, source_side) -> tuple[int, ...]:
     return tuple(i for i, (u, v, *_) in enumerate(edges) if u in side and v not in side)
 
 
+def full_search_reach(g: DiGraph, cap, root: int, back: int = 0) -> frozenset[int]:
+    """The nodes ``root`` reaches (``back`` 0), or the nodes that reach
+    ``root`` (``back`` 1), in the residual network of ``g`` whose arc 2i is
+    edge i and arc 2i + 1 its reverse, with capacities ``cap``: a BFS over
+    every arc, the reference for the solver's local searches."""
+    out = [[] for _ in range(g.node_count)]
+    for i, (u, v, _) in enumerate(g.edges):
+        for arc, tail, head in ((2 * i, u, v), (2 * i + 1, v, u)):
+            if cap[arc]:
+                if back:
+                    out[head].append(tail)
+                else:
+                    out[tail].append(head)
+    seen, todo = {root}, [root]
+    while todo:
+        for v in out[todo.pop()]:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return frozenset(seen)
+
+
 def full_scan_partition_objective(inst, source_side):
     """``evaluate_partition`` by a scan of every edge and every node."""
     cut_edges = full_scan_crossing_edges(inst.edges, source_side)

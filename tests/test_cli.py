@@ -4,6 +4,8 @@ import os
 import random
 import sys
 
+import pytest
+
 from helpers import random_observable_case
 from secindex import cli, costly_cut, oracle, power_model
 from secindex.caseio import CaseFile, emit_native, parse_matpower_subset, parse_native
@@ -168,6 +170,45 @@ def test_non_finite_reactance_is_an_input_error(capsys, tmp_path):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and out == "", argv
             assert f"{where}: reactance must be positive and finite, got inf" in err, argv
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("mpc.bus = [\n\t1\t", "mpc.bus = [\n\t1.5\t", "bus row 1: bus id 1.5 is not an integer"),
+        ("mpc.bus = [\n\t1\t", "mpc.bus = [\n\tInf\t", "bus row 1: bus id inf is not an integer"),
+        ("mpc.bus = [\n\t1\t", "mpc.bus = [\n\tNaN\t", "bus row 1: bus id nan is not an integer"),
+        ("\t1\t2\t0\t0.0999\t", "\t1\t2.5\t0\t0.0999\t",
+         "branch row 1: bus id 2.5 is not an integer"),
+        ("\t1\t2\t0\t0.0999\t", "\t-Inf\t2\t0\t0.0999\t",
+         "branch row 1: bus id -inf is not an integer"),
+    ],
+    ids=["bus-fraction", "bus-inf", "bus-nan", "branch-fraction", "branch-inf"],
+)
+def test_matpower_bus_id_must_be_an_integer(capsys, tmp_path, old, new, message):
+    # A bus id used to be truncated (1.5 read as bus 1) or to escape as an
+    # OverflowError / ValueError traceback (Inf, NaN).
+    text = case_path("ieee118.m").read_text()
+    assert text.count(old) == 1
+    case = tmp_path / "bad_id.m"
+    case.write_text(text.replace(old, new))
+    code, out, err = run_cli(capsys, "index", str(case))
+    assert (code, out, err) == (1, "", f"error: {case}: {message}\n")
+
+
+def test_native_number_too_large_is_an_input_error(capsys, tmp_path):
+    # An integer reactance past the float range used to stop in float(x),
+    # and one past Python's digit limit in json.loads, each as a traceback.
+    for digits, where in ((400, "lines[1]: reactance is an integer too large for a float"),
+                          (5000, "Exceeds the limit (4300 digits)")):
+        case = tmp_path / f"big{digits}.json"
+        case.write_text(
+            '{"buses": 3, "lines": [[1, 2, 1.0], [2, 3, 1' + "0" * digits + ']],'
+            ' "measurements": {"flow_from": "all"}}'
+        )
+        code, out, err = run_cli(capsys, "index", str(case))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {case}: ") and where in err
 
 
 def test_cut_command_on_comparison_instance(capsys):

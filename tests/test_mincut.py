@@ -1,10 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_min_cut_value, full_scan_crossing_edges, random_digraph
+from helpers import (
+    brute_force_min_cut_value,
+    full_scan_crossing_edges,
+    full_search_reach,
+    random_digraph,
+)
 from secindex import (
     CapacityOverflowError,
     DiGraph,
@@ -13,7 +19,12 @@ from secindex import (
     min_cut,
     min_cut_extremes,
 )
-from secindex.mincut import MAX_TOTAL_CAPACITY, _checked_cut
+from secindex.caseio import parse_matpower_subset, parse_native
+from secindex.cases import path as case_path
+from secindex.costly_cut import CostlyCutInstance, _plain_graph, build_auxiliary
+from secindex.indices import cut_instance_for_line
+from secindex.mincut import MAX_TOTAL_CAPACITY, _checked_cut, _max_flow, _reach
+from secindex.power_model import WeightAssignment
 
 
 def test_single_edge_cut():
@@ -177,7 +188,7 @@ def _split_cases():
         yield DiGraph(node_count=2 * depth + 1, edges=edges), 0, depth
     # the small side at the sink: heavy edges among the other nodes and a
     # few light ones into the sink, so the backward search closes first and
-    # the forward one runs on to the minimal source side
+    # the minimal source side is found from the sink side
     for _ in range(60):
         inner = random_digraph(rng, nodes=7, edges=18, max_cap=9).edges
         into_sink = tuple((rng.randrange(7), 7, rng.randint(0, 2)) for _ in range(3))
@@ -357,3 +368,113 @@ def test_reused_graph_cuts_like_a_fresh_one():
         assert g.residual_layout is layout
         assert layout[2][0::2] == tuple(c for (_, _, c) in edges)
         assert not any(layout[2][1::2])
+
+
+def _check_reach_of_every_flow(g, pairs, taken):
+    # Both residual reaches of each flow, as the solver finds them (locally
+    # where a search is left open on a warm graph), against a BFS over
+    # every arc; then the public extremes of the same flow. ``taken``
+    # gathers, per direction, whether a local search ended with the tree
+    # closed or with the candidates used up.
+    for s, t in pairs:
+        flow, cap, searches, warm = _max_flow(g, s, t)
+        wants = full_search_reach(g, cap, s), full_search_reach(g, cap, t, back=1)
+        for back, want in enumerate(wants):
+            tree, layer = searches[back][1:]
+            got = _reach(g, cap, searches, warm, back)
+            assert set(got) == want, (s, t, back)
+            if warm and layer:
+                taken.add((back, set(got) == set(tree)))
+        minimal, maximal = min_cut_extremes(g, s, t)
+        assert minimal.value == maximal.value == flow
+        assert minimal.source_side == wants[0]
+        assert maximal.sink_side == wants[1]
+
+
+def test_local_reach_matches_the_full_search_on_random_graphs():
+    # Every ordered pair of terminals on one shared graph, so every flow
+    # but the first runs on a warm graph; parallel and zero-capacity edges.
+    rng = random.Random(1618)
+    taken = set()
+    for _ in range(120):
+        nodes = rng.randint(2, 10)
+        base = random_digraph(rng, nodes=nodes, edges=rng.randint(0, 3 * nodes), max_cap=4)
+        edges = base.edges + base.edges[:3] + tuple((u, v, 0) for (u, v, _) in base.edges[3:6])
+        g = DiGraph(node_count=nodes, edges=edges)
+        pairs = [(s, t) for s in range(nodes) for t in range(nodes) if s != t]
+        _check_reach_of_every_flow(g, pairs, taken)
+    assert taken == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def _costly_instance(rng):
+    # Zero charges and zero edge costs are common, so the auxiliary graph
+    # has nodes no positive-capacity path from a terminal reaches.
+    n = rng.randint(3, 9)
+    edges = []
+    for _ in range(rng.randint(1, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        c = Fraction(rng.choice((0, 0, 1, 2, 3)))
+        edges += [(u, v, c), (v, u, c)]
+    costs = tuple(Fraction(rng.choice((0, 0, 1, 2))) for _ in range(n))
+    return CostlyCutInstance(node_count=n, edges=tuple(edges), node_costs=costs, source=0, sink=1)
+
+
+def test_local_reach_matches_the_full_search_on_costly_cut_graphs():
+    rng = random.Random(3141)
+    taken = set()
+    capacity_unreachable = 0
+    for _ in range(80):
+        inst = _costly_instance(rng)
+        n = inst.node_count
+        pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+        for g in (build_auxiliary(inst).graph, _plain_graph(inst, False), _plain_graph(inst, True)):
+            _check_reach_of_every_flow(g, pairs, taken)
+            positive = [x for (_, _, c) in g.edges for x in (c, 0)]
+            capacity_unreachable += sum(
+                len(full_search_reach(g, positive, s)) < g.node_count for s in range(n)
+            )
+    assert capacity_unreachable > 0
+    assert taken == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def test_local_reach_matches_the_full_search_on_the_bundled_cases():
+    # Every line of both cases, on the graph of every method, each shared
+    # by all the lines of its case as in a sweep.
+    taken = set()
+    for case in (parse_matpower_subset(case_path("ieee118.m")), parse_native(case_path("example4bus.json"))):
+        weights = WeightAssignment.resolve(case.net, case.meas, case.weights)
+        inst = cut_instance_for_line(case.net, weights, 0)
+        pairs = [(u, v) for (u, v, _) in case.net.lines]
+        for g in (build_auxiliary(inst).graph, _plain_graph(inst, False), _plain_graph(inst, True)):
+            _check_reach_of_every_flow(g, pairs, taken)
+    assert {back for back, _ in taken} == {0, 1}
+
+
+def test_far_side_is_found_locally():
+    # A second flow on a warm graph, its components built: the minimal
+    # source side beside a deep out-tree of the source, and the maximal one
+    # beside a deep in-tree of the sink, each read without walking the tree.
+    def minimal(g):
+        return min_cut(g, 0, 1)
+
+    def maximal(g):
+        return min_cut_extremes(g, 0, 1)[1]
+
+    for make, solve, small_side in (
+        (_tree_fed_by_source, minimal, {1, 3}),
+        (_tree_fed_sink, maximal, {0, 2, 3, 4}),
+    ):
+        reads = []
+        for depth in (3, 6):
+            g = make(depth)
+            first = solve(g)
+            assert min(first.source_side, first.sink_side, key=len) == small_side
+            assert g.capacity_components  # built before the reads are counted
+            adj, to, cap = g.residual_layout
+            counting = _CountingList(adj)
+            g.__dict__["residual_layout"] = (counting, to, cap)
+            assert solve(g) == first
+            reads.append((g.node_count, counting.reads))
+        (small, small_reads), (large, large_reads) = reads
+        assert small < 200 and large > 19000
+        assert small_reads == large_reads < 40
