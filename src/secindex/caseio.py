@@ -2,7 +2,11 @@
 and the line-oriented costly-cut instance format.
 
 File ids are 1-based (power-systems convention); everything internal is
-0-based. This module is the only place that boundary is crossed.
+0-based. Case and instance files cross that boundary here, in the parsers
+and ``emit_native``. The command line crosses it in ``cli``: the
+``--target`` id (``_target_entry``), the CSV of ``index``
+(``_report_csv``), the rows of ``attack`` (``_cmd_attack``), and the sides
+and edges of ``cut`` (``_cmd_cut``).
 """
 
 from __future__ import annotations

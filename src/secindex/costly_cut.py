@@ -196,10 +196,10 @@ class CostlyCutSolution:
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    """The tripled graph, the ids of its v nodes, and the cost scaling in effect."""
+    """The tripled graph (instance node i is its node v_i = i) and the cost
+    scaling in effect."""
 
     graph: DiGraph
-    v_of: tuple[int, ...]
     scale: int
     big_cost_edges: frozenset[int]
 
@@ -252,7 +252,6 @@ def _tripled(inst) -> AuxiliaryGraph:
     graph = DiGraph(node_count=3 * n, edges=tuple(aux_edges))
     return AuxiliaryGraph(
         graph=graph,
-        v_of=tuple(range(n)),
         scale=scale,
         big_cost_edges=frozenset(range(first + 1, stop, 3)).union(range(first + 2, stop, 3)),
     )
@@ -327,7 +326,7 @@ def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
     """Optimal costly-node cut via a single min cut on the auxiliary graph;
     takes either instance flavor."""
     aux = build_auxiliary(inst)
-    cut = min_cut(aux.graph, aux.v_of[inst.source], aux.v_of[inst.sink])
+    cut = min_cut(aux.graph, inst.source, inst.sink)
     for e in cut.cut_edges:
         if e in aux.big_cost_edges:
             raise InvariantError("a protective big-cost edge appeared in the minimum cut")

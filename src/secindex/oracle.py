@@ -7,10 +7,11 @@ they report is re-checked in exact Fractions through ``attack_cost``. Two
 continuous solvers are provided:
 
 * ``oracle_continuous`` works on a raw matrix. It enumerates candidate
-  nonzero row sets in increasing cost and checks feasibility of each by
-  rank tests on the rows scaled to unit norm; the first feasible candidate
-  is optimal. Row groups let physically coupled rows (the two flow rows of
-  one line are scalar multiples of each other) be switched together.
+  nonzero row sets one at a time in increasing cost and checks feasibility
+  of each by rank tests on the rows scaled to unit norm; the first feasible
+  candidate is optimal. Row groups let physically coupled rows (the two
+  flow rows of one line are scalar multiples of each other) be switched
+  together.
 
 * ``oracle_continuous_network`` exploits network structure: it scans the
   partitions of the buses into connected groups (level sets of the angle
@@ -58,7 +59,6 @@ PARTITION_LINE_LIMIT = 17
 NULLSPACE_TOL = 1e-8
 _EPS = np.finfo(float).eps
 _CHUNK = 1 << 16
-_CHUNK_SVD = 4096
 
 
 @dataclass(frozen=True)
@@ -191,14 +191,15 @@ def oracle_continuous(
 
     def feasibility(chosen):
         """The zero rows of ``chosen``, their rank and a basis of their
-        kernel, or None when some target vanishes on that kernel: when
-        appending it to the zero rows does not raise their rank."""
+        kernel, or None when no target survives on that kernel: when the
+        zero rows have full rank, or appending some target to them does not
+        strictly raise their rank."""
         allowed = set(free_rows)
         for gi in chosen:
             allowed.update(groups[gi])
         zero = [i for i in range(m) if i not in allowed]
         rank = int(_ranks(unit[zero]))
-        if any(_ranks(np.vstack([unit[zero], f])) == rank for f in targets):
+        if rank >= dim or any(_ranks(np.vstack([unit[zero], f])) <= rank for f in targets):
             return None
         return zero, rank, (np.linalg.svd(unit[zero])[2][rank:].T if rank else np.eye(dim))
 
@@ -231,73 +232,23 @@ def oracle_continuous(
             )
         return OracleResult(optimum=cost, witness=witness, support=support)
 
-    kernel = feasibility(())
-    if kernel is not None:
-        return finalize((), kernel)
-
-    def zero_rows_for(subset):
-        allowed = set(free_rows)
-        for i in subset:
-            allowed.update(groups[candidates[i]])
-        return tuple(i for i in range(m) if i not in allowed)
-
-    def batch_first_feasible(subsets):
-        """Index of the first subset whose zero set admits a feasible
-        witness, testing a whole stratum with stacked decompositions."""
-        by_size = {}
-        for pos, subset in enumerate(subsets):
-            zr = zero_rows_for(subset)
-            by_size.setdefault(len(zr), []).append((pos, zr))
-        feasible = set()
-        for size, items in by_size.items():
-            if size == 0:
-                feasible.update(pos for pos, _ in items)
-                continue
-            for start in range(0, len(items), _CHUNK_SVD):
-                part = items[start : start + _CHUNK_SVD]
-                stack = np.stack([unit[list(zr)] for _, zr in part])
-                ranks = _ranks(stack)
-                ok = ranks < dim
-                for f in targets:
-                    grown = np.concatenate([stack, np.broadcast_to(f, (len(part), 1, dim))], axis=1)
-                    ok &= _ranks(grown) > ranks
-                feasible.update(pos for (pos, _), b in zip(part, ok) if b)
-        for pos in range(len(subsets)):
-            if pos in feasible:
-                return pos
-        return None
-
-    # Enumerate nonempty subsets of paid groups in nondecreasing added cost;
-    # each subset is generated exactly once (extend-last / replace-last).
-    # Equal-cost subsets form a stratum that is tested in one batch; the
-    # first feasible one in the deterministic (cost, index tuple) order wins.
-    heap = []
-    if candidates:
-        heapq.heappush(heap, (group_weight[candidates[0]], (0,)))
+    # Best-first over subsets of paid groups, as positions in ``candidates``:
+    # the heap pops them in (added cost, index tuple) order, each exactly
+    # once (extend-last / replace-last), and the first feasible one wins.
+    heap = [(Fraction(0), ())]
     while heap:
-        cost = heap[0][0]
-        stratum = []
-        while heap and heap[0][0] == cost:
-            _, subset = heapq.heappop(heap)
-            stratum.append(subset)
-            last = subset[-1]
-            if last + 1 < len(candidates):
-                nxt = candidates[last + 1]
-                heapq.heappush(heap, (cost + group_weight[nxt], subset + (last + 1,)))
-                heapq.heappush(
-                    heap,
-                    (
-                        cost - group_weight[candidates[last]] + group_weight[nxt],
-                        subset[:-1] + (last + 1,),
-                    ),
-                )
-        winner = batch_first_feasible(stratum)
-        if winner is not None:
-            chosen = tuple(candidates[i] for i in stratum[winner])
-            kernel = feasibility(chosen)
-            if kernel is None:
-                raise InvariantError("batched feasibility disagreed with direct check")
+        cost, subset = heapq.heappop(heap)
+        chosen = tuple(candidates[i] for i in subset)
+        kernel = feasibility(chosen)
+        if kernel is not None:
             return finalize(chosen, kernel)
+        nxt = subset[-1] + 1 if subset else 0
+        if nxt < len(candidates):
+            step = group_weight[candidates[nxt]]
+            heapq.heappush(heap, (cost + step, subset + (nxt,)))
+            if subset:
+                drop = group_weight[candidates[subset[-1]]]
+                heapq.heappush(heap, (cost - drop + step, subset[:-1] + (nxt,)))
     raise InvariantError("row-set enumeration exhausted without finding the optimum")
 
 
@@ -502,18 +453,23 @@ def _min_injection_dfs(view, p_scaled, budget, required_bus=None):
     return best
 
 
-def _witness_from_partition(view, zeroed, basis, scale_row=None):
+def _witness_from_partition(view, zeroed, basis, scale_row):
     functionals = list(view.pair_functionals)
     for bus in view.cancellable:
         if bus not in zeroed:
             functionals.append(view.lam[bus])
-    if scale_row is not None:
-        functionals.append(scale_row)
+    functionals.append(scale_row)
     y = _pick_off_hyperplanes(basis, functionals)
-    dtheta = y[np.array(view.labels)]
-    if scale_row is not None:
-        dtheta = dtheta / float(scale_row @ y)
-    return dtheta
+    return y[np.array(view.labels)] / float(scale_row @ y)
+
+
+def _flow_row(net, view, line) -> np.ndarray:
+    """The flow functional of ``line`` over the group values of ``view``."""
+    u, v, x = net.lines[line]
+    row = np.zeros(view.group_count)
+    row[view.labels[u]] += 1.0 / x
+    row[view.labels[v]] -= 1.0 / x
+    return row
 
 
 def oracle_continuous_network(
@@ -593,26 +549,16 @@ def oracle_continuous_network(
                 node_best[bus] = (flow + found[0], view, found)
 
     results = {}
-    for line, payload in edge_best.items():
+    targets = [("edge", line, payload) for line, payload in edge_best.items()]
+    targets += [("node", bus, payload) for bus, payload in node_best.items()]
+    for kind, ident, payload in targets:
         if payload is None:
-            results[("edge", line)] = INFEASIBLE
+            results[(kind, ident)] = INFEASIBLE
             continue
-        total, view, (cost, zeroed, basis) = payload
-        u, v, x = net.lines[line]
-        row = np.zeros(view.group_count)
-        row[view.labels[u]] += 1.0 / x
-        row[view.labels[v]] -= 1.0 / x
-        dtheta = _witness_from_partition(view, zeroed, basis, scale_row=row)
-        results[("edge", line)] = _verified_result(
-            net, model, edge_costs, node_costs, Fraction(total, scale), dtheta
-        )
-    for bus, payload in node_best.items():
-        if payload is None:
-            results[("node", bus)] = INFEASIBLE
-            continue
-        total, view, (cost, zeroed, basis) = payload
-        dtheta = _witness_from_partition(view, zeroed, basis, scale_row=view.lam[bus])
-        results[("node", bus)] = _verified_result(
+        total, view, (_, zeroed, basis) = payload
+        row = _flow_row(net, view, ident) if kind == "edge" else view.lam[ident]
+        dtheta = _witness_from_partition(view, zeroed, basis, row)
+        results[(kind, ident)] = _verified_result(
             net, model, edge_costs, node_costs, Fraction(total, scale), dtheta
         )
     return results

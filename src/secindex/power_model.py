@@ -411,6 +411,16 @@ def is_observable(model: ModelMatrix) -> bool:
     return np.linalg.matrix_rank(model.reduced()) == model.bus_count - 1
 
 
+def _estimation_weights(model: ModelMatrix, weights) -> np.ndarray:
+    """The per-measurement weights of a least-squares fit, 1 each by default."""
+    if weights is None:
+        return np.ones(model.measurement_count)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (model.measurement_count,) or not np.all(w > 0):
+        raise InputError("weights must be positive, one per measurement")
+    return w
+
+
 def estimate(model: ModelMatrix, z: np.ndarray, weights: np.ndarray | None = None):
     """Weighted least-squares state estimate and its residual.
 
@@ -421,12 +431,7 @@ def estimate(model: ModelMatrix, z: np.ndarray, weights: np.ndarray | None = Non
     z = np.asarray(z, dtype=float)
     if z.shape != (model.measurement_count,):
         raise InputError("measurement vector has wrong length")
-    if weights is None:
-        w = np.ones(model.measurement_count)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (model.measurement_count,) or np.any(w <= 0):
-            raise InputError("weights must be positive, one per measurement")
+    w = _estimation_weights(model, weights)
     normal = h2.T @ (w[:, None] * h2)
     rhs = h2.T @ (w * z)
     try:
@@ -444,10 +449,7 @@ def estimate(model: ModelMatrix, z: np.ndarray, weights: np.ndarray | None = Non
 def hat_matrix(model: ModelMatrix, weights: np.ndarray | None = None) -> np.ndarray:
     """Projection from measurements to estimated measurements."""
     h2 = model.reduced()
-    if weights is None:
-        w = np.ones(model.measurement_count)
-    else:
-        w = np.asarray(weights, dtype=float)
+    w = _estimation_weights(model, weights)
     normal = h2.T @ (w[:, None] * h2)
     try:
         inv = np.linalg.inv(normal)

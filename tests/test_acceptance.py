@@ -111,7 +111,7 @@ def test_criterion_3_costly_cut_equivalence(capsys):
         slow = solve_brute_force(inst)
         assert fast.objective == slow.objective, trial
         aux = build_auxiliary(inst)
-        cut = min_cut(aux.graph, aux.v_of[inst.source], aux.v_of[inst.sink])
+        cut = min_cut(aux.graph, inst.source, inst.sink)
         assert not (set(cut.cut_edges) & aux.big_cost_edges), trial
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0

@@ -12,6 +12,7 @@ from secindex.caseio import (
     parse_native_text,
 )
 from secindex.cases import path as case_path
+from secindex.cli import main
 
 MINIMAL_CASE = """
 {
@@ -214,3 +215,85 @@ def test_cut_instance_errors():
         parse_cut_instance_text("nodes 2\nedge 1 2 -3\nsource 1\nsink 2\n")
     with pytest.raises(CaseParseError):
         parse_cut_instance_text("nodes 2\nedge 1 two 3\nsource 1\nsink 2\n")
+
+
+MATPOWER_TRIANGLE = """
+mpc.bus = [
+1 3 0 0;
+2 1 0 0;
+3 1 0 0;
+];
+mpc.branch = [
+1 2 0 0.1;
+2 3 0 0.2;
+1 3 0 0.3;
+];
+"""
+NATIVE_TRIANGLE = (
+    '{"buses": 3, "lines": [[1, 2, 1.0], [2, 3, 1.0], [1, 3, 1.0]], '
+    '"measurements": {"flow_from": "all"}}'
+)
+
+
+def _native(old, new):
+    assert NATIVE_TRIANGLE.count(old) == 1
+    return {"case.json": NATIVE_TRIANGLE.replace(old, new)}
+
+
+def _matpower(old, new):
+    assert MATPOWER_TRIANGLE.count(old) == 1
+    return {"case.m": MATPOWER_TRIANGLE.replace(old, new)}
+
+
+def _sidecar(text):
+    return {"case.m": MATPOWER_TRIANGLE, "side.json": text}
+
+
+@pytest.mark.parametrize(
+    "files, message",
+    [
+        (_native("[[1, 2, 1.0], [2, 3, 1.0], [1, 3, 1.0]]", "{}"), "lines must be a list"),
+        (_native("[2, 3, 1.0]", "[2, 3]"), "lines[1]: expected [from, to, reactance]"),
+        (_native("[2, 3, 1.0]", '[2, "3", 1.0]'), "lines[1]: bus id '3' is not an integer"),
+        (_native("[2, 3, 1.0]", '[2, 3, "x"]'), "lines[1]: reactance 'x' is not a number"),
+        (_native('"all"}', '"all"}, "weights": []'), "weights must be an object"),
+        (_native('"all"}', '"all"}, "weights": {"edge_costs": {"one": 1}}'),
+         "weights.edge_costs: id 'one' is not an integer"),
+        (_native('"all"}', '"all"}, "weights": {"node_costs": {"4": 1}}'),
+         "weights.node_costs: id 4 out of range 1..3"),
+        (_native('"all"}', '"all"}, "weights": {"node_costs": {"2": "-1"}}'),
+         "weights.node_costs[2]: costs must be nonnegative, got -1"),
+        (_matpower("mpc.bus", "mpc.buses"), "missing mpc.bus matrix"),
+        (_matpower("1 3 0 0;\n2 1 0 0;\n3 1 0 0;\n", "% no buses\n"), "bus matrix is empty"),
+        (_matpower("3 1 0 0;", "2 1 0 0;"), "duplicate bus id 2"),
+        (_matpower("2 3 0 0.2;", "2 3 0;"), "branch row 2: need at least 4 columns"),
+        (_matpower("2 3 0 0.2;", "2 9 0 0.2;"), "branch row 2: unknown bus id 9"),
+        (_matpower("2 3 0 0.2;", "2 3 0 x;"), "branch: non-numeric token in row 3: '2 3 0 x'"),
+        (_sidecar('{"measurements": {}, "placement": {}}'), "unknown keys: ['placement']"),
+        (_sidecar('{"measurements": {"injection": [1, 7]}}'), "unknown bus id 7"),
+        ({"inst.cut": "nodes 2 3\nsource 1\nsink 2\n"}, "line 1: nodes expects 1 arguments"),
+        ({"inst.cut": "nodes 2\nedge 1 2\nsource 1\nsink 2\n"},
+         "line 2: edge expects 3 arguments"),
+        ({"inst.cut": "nodes 2\nnode 5 1\nsource 1\nsink 2\n"}, "node id 5 out of range"),
+    ],
+    ids=[
+        "native-lines-not-list", "native-short-line", "native-string-bus",
+        "native-string-reactance", "native-weights-not-object", "native-weight-id",
+        "native-weight-range", "native-weight-negative", "matpower-no-bus",
+        "matpower-empty-bus", "matpower-duplicate-bus", "matpower-short-branch",
+        "matpower-unknown-bus", "matpower-token", "sidecar-unknown-key",
+        "sidecar-unknown-bus", "cut-nodes-arity", "cut-edge-arity", "cut-node-range",
+    ],
+)
+def test_malformed_files_are_input_errors_that_name_the_item(capsys, tmp_path, files, message):
+    paths = [tmp_path / name for name in files]
+    for path, text in zip(paths, files.values()):
+        path.write_text(text)
+    first, bad = paths[0], paths[-1]  # a sidecar follows its case
+    argv = ["cut" if first.suffix == ".cut" else "index", str(first)]
+    if len(paths) > 1:
+        argv += ["--measurements", str(bad)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ") and message in captured.err, captured.err

@@ -432,3 +432,46 @@ def test_failed_out_write_is_still_an_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "open", lambda *a, **k: BrokenFile(), raising=False)
     code, _, err = run_cli(capsys, "index", case, "--out", str(tmp_path / "x.csv"))
     assert code == 1 and err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_fractional_values_print_as_n_over_d(capsys, tmp_path):
+    case = tmp_path / "frac.json"
+    case.write_text(
+        '{"buses": 4, "lines": [[1, 2, 1.0], [1, 3, 1.0], [2, 4, 1.0]],'
+        ' "measurements": {"flow_from": [1, 2, 3], "flow_to": [1], "injection": [1]},'
+        ' "weights": {"edge_costs": {"3": "1/2"}, "node_costs": {"1": "3/2"}}}'
+    )
+    code, out, _ = run_cli(capsys, "index", str(case), "--target", "3")
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert (row["index"], row["error_bound"], row["attack_support"]) == ("1/2", "1/2", "3")
+
+    inst = tmp_path / "frac.cut"
+    inst.write_text("nodes 3\nedge 1 2 1/2\nedge 2 3 1/3\nnode 2 1/4\nsource 1\nsink 3\n")
+    code, out, _ = run_cli(capsys, "cut", str(inst))
+    assert code == 0
+    assert out.splitlines()[0] == "objective 7/12"
+
+
+def test_verify_skips_the_oracle_past_max_size(capsys, tmp_path):
+    net = power_model.PowerNetwork(
+        bus_count=13, lines=tuple((i, i + 1, 1.0) for i in range(12))
+    )
+    case = tmp_path / "path13.json"
+    case.write_text(emit_native(CaseFile(net=net, meas=power_model.full_measurement(net))))
+    code, out, _ = run_cli(capsys, "verify", str(case))
+    assert code == 0 and "FAIL" not in out
+    assert out.splitlines()[-1] == "SKIP oracle-cross-check (case larger than --max-size 12)"
+
+
+def test_failed_invariant_exits_2(capsys, monkeypatch):
+    evaluate = costly_cut.evaluate_partition
+
+    def off_by_one(inst, side):
+        objective, cut_edges, charged = evaluate(inst, side)
+        return objective + 1, cut_edges, charged
+
+    monkeypatch.setattr(costly_cut, "evaluate_partition", off_by_one)
+    code, out, err = run_cli(capsys, "cut", str(case_path("comparison.cut")))
+    assert code == 2 and out == ""
+    assert err == "internal invariant violated: partition objective 9 disagrees with cut value 8\n"

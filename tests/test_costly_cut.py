@@ -123,7 +123,7 @@ def test_no_protective_edge_in_cut():
     for _ in range(60):
         inst = random_instance(rng, symmetric=False, max_nodes=8)
         aux = build_auxiliary(inst)
-        cut = min_cut(aux.graph, aux.v_of[inst.source], aux.v_of[inst.sink])
+        cut = min_cut(aux.graph, inst.source, inst.sink)
         assert not (set(cut.cut_edges) & aux.big_cost_edges)
 
 

@@ -15,6 +15,7 @@ from secindex import (
     PowerNetwork,
     SizeLimitError,
     WeightAssignment,
+    build_3sat_gadget,
     build_h,
     full_measurement,
     index_all,
@@ -68,6 +69,24 @@ def test_worked_example_indices_via_rowsets():
         assert res.optimum == expected[label]
         assert abs(model.h[k] @ res.witness - 1.0) < 1e-9
         assert k in res.support
+
+
+@pytest.mark.parametrize(
+    "clauses, n_vars, optimum, support",
+    [
+        ([(1, 2, 3)], 3, 4, (0, 1, 3, 6)),
+        ([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)], 4, 6, (0, 1, 3, 5, 7, 13)),
+    ],
+    ids=["satisfiable", "unsatisfiable"],
+)
+def test_gadget_support_is_the_first_feasible_in_search_order(clauses, n_vars, optimum, support):
+    # Both gadgets have many optimal row sets of equal cost; the search
+    # returns the first feasible one in (cost, index tuple) order.
+    gadget = build_3sat_gadget(clauses, n_vars)
+    model = build_h(gadget.net, gadget.meas)
+    res = oracle_continuous(model.h, gadget.target)
+    assert (res.optimum, res.support) == (optimum, support)
+    assert abs(model.h[gadget.target] @ res.witness - 1.0) < 1e-9
 
 
 def test_all_zero_constraint_row_is_infeasible():

@@ -24,7 +24,13 @@ from secindex import (
 from secindex.caseio import parse_native
 from secindex.cases import path as case_path
 from secindex.oracle import attack_cost
-from secindex.power_model import RESIDUAL_TOL, _GramFactor, _SvdBasis, residual_tolerance
+from secindex.power_model import (
+    RESIDUAL_TOL,
+    _GramFactor,
+    _lower_inverse,
+    _SvdBasis,
+    residual_tolerance,
+)
 
 # The published 4-bus worked example: reduced measurement matrix and the
 # unit-weight hat matrix, rows ordered injection@1, flow 1->2 (outgoing),
@@ -155,6 +161,19 @@ def test_hat_matrix_worked_example():
     model = worked_model_published_order()
     k = hat_matrix(model)
     assert np.abs(k - WORKED_K).max() < 1e-9
+
+
+@pytest.mark.parametrize("fit", [estimate, hat_matrix], ids=["estimate", "hat_matrix"])
+@pytest.mark.parametrize(
+    "weights", [[1.0, 1.0, -1.0, 1.0, 1.0], [1.0]], ids=["negative", "one-entry"]
+)
+def test_fits_reject_bad_weights(fit, weights):
+    # hat_matrix used to return a "projection" under negative weights and to
+    # fail in numpy's matmul on a weight vector of the wrong length.
+    model = worked_model_published_order()
+    args = (np.zeros(5),) if fit is estimate else ()
+    with pytest.raises(InputError, match="weights must be positive, one per measurement"):
+        fit(model, *args, weights=np.array(weights))
 
 
 def test_unit_error_on_critical_measurement_is_invisible():
@@ -402,3 +421,29 @@ def test_residual_guard_rejects_a_corruption_outside_the_column_space(monkeypatc
         with pytest.raises(InvariantError, match="attack residual"):
             attack_from_partition(net, meas, dtheta, model=model)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [129, 200, 257])
+def test_lower_inverse_by_halves_matches_numpy(n):
+    # Past 128 columns the inverse is assembled from the inverses of halves.
+    nrng = np.random.default_rng(n)
+    lower = np.tril(nrng.standard_normal((n, n))) + n * np.eye(n)
+    want = np.linalg.inv(lower)
+    assert np.abs(_lower_inverse(lower) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_gram_factor_past_128_columns_agrees_with_the_svd_basis():
+    net = random_network(random.Random(3), min_buses=140, max_buses=150, max_lines=220)
+    meas = full_measurement(net)
+    model = build_h(net, meas)
+    factor = model.range_basis()
+    assert isinstance(factor, _GramFactor) and factor.w.shape[0] > 128
+    svd = _SvdBasis(model.reduced())
+    nrng = np.random.default_rng(5)
+    dtheta = (nrng.random(net.bus_count) < 0.5).astype(float)
+    delta_z = attack_from_partition(net, meas, dtheta, model=model).delta_z
+    outside = svd.residual(nrng.standard_normal(model.measurement_count))
+    assert np.abs(outside).max() > 0.1
+    for dz in (delta_z, delta_z + outside):
+        assert np.abs(factor.residual(dz) - svd.residual(dz)).max() <= 1e-10
+    assert np.abs(factor.residual(delta_z)).max() <= 1e-10
