@@ -220,8 +220,10 @@ def oracle_continuous(
         zero_rows = np.broadcast_to(unit[zero], (m, len(zero), dim))
         grown = np.concatenate([zero_rows, unit[:, None]], axis=1)
         support = tuple(np.flatnonzero(_ranks(grown) > rank).tolist())
-        # The zero rows vanish on the witness by ModelMatrix.apply's rule:
-        # the sum is at most ZERO_TOL times the sum of the terms' magnitudes.
+        # The zero rows vanish on the witness: each row's h @ witness is at
+        # most ZERO_TOL times |h| @ |witness|, the sum of its entries'
+        # magnitudes times the witness's. ModelMatrix.apply scales by its
+        # line-flow terms' magnitudes instead, which the raw matrix lacks.
         if np.any(np.abs(h[zero] @ witness) > ZERO_TOL * (np.abs(h[zero]) @ np.abs(witness))):
             raise InvariantError("witness does not vanish on its zero rows")
         cost = base_cost + sum((group_weight[gi] for gi in chosen), Fraction(0))

@@ -132,3 +132,19 @@ def random_observable_case(rng: random.Random, **kwargs):
         model = build_h(net, meas)
         if is_observable(model):
             return net, meas, model
+
+
+def shuffled_lattice(rng: random.Random, rows: int, cols: int) -> PowerNetwork:
+    """A rows x cols lattice of buses, every lattice edge a line with a
+    reactance in [0.01, 0.5], its bus ids shuffled so that the id order
+    says nothing of the lattice."""
+    ids = list(range(rows * cols))
+    rng.shuffle(ids)
+    lines = []
+    for r in range(rows):
+        for c in range(cols):
+            here = ids[r * cols + c]
+            for rr, cc in ((r, c + 1), (r + 1, c)):
+                if rr < rows and cc < cols:
+                    lines.append((here, ids[rr * cols + cc], round(rng.uniform(0.01, 0.5), 4)))
+    return PowerNetwork(bus_count=rows * cols, lines=tuple(lines))

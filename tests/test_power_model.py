@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import random_network, random_observable_case, random_placement
+from helpers import random_network, random_observable_case, random_placement, shuffled_lattice
 from secindex import (
     InputError,
     InvariantError,
@@ -25,9 +26,9 @@ from secindex.caseio import parse_native
 from secindex.cases import path as case_path
 from secindex.oracle import attack_cost
 from secindex.power_model import (
+    GRAM_BLOCK,
     RESIDUAL_TOL,
     _GramFactor,
-    _lower_inverse,
     _SvdBasis,
     residual_tolerance,
 )
@@ -364,7 +365,11 @@ def _guard_cases():
     """Seeded (net, meas, model, factor type) cases: observable placements
     take the Gram path; unobservable ones with more rows than rank, and a
     triangle whose reactances lie 12 decades apart, take the SVD path. A
-    triangle 4 decades apart (cond(H2) about 1e4) is still certified."""
+    triangle 4 decades apart (cond(H2) about 1e4) is still certified. A
+    300-bus lattice with shuffled ids takes the banded Gram path in three
+    blocks, and the SVD path once one of its lines is 12 decades shorter or
+    only every other line is metered, at both ends, which leaves the
+    metered lines in many components."""
     rng = random.Random(2024)
     cases = []
     for _ in range(8):
@@ -386,6 +391,15 @@ def _guard_cases():
         net = PowerNetwork(bus_count=3, lines=((0, 1, 1.0), (1, 2, x), (0, 2, 1.0)))
         meas = full_measurement(net)
         cases.append((net, meas, build_h(net, meas), factor))
+    lattice = shuffled_lattice(random.Random(300), 15, 20)
+    stiff = ((*lattice.lines[0][:2], 1e-12 * lattice.lines[0][2]),) + lattice.lines[1:]
+    for lines, factor in ((lattice.lines, _GramFactor), (stiff, _SvdBasis)):
+        net = PowerNetwork(bus_count=lattice.bus_count, lines=lines)
+        meas = full_measurement(net)
+        cases.append((net, meas, build_h(net, meas), factor))
+    every_other = tuple(range(0, lattice.line_count, 2))
+    meas = MeasurementPlacement(flow_from=every_other, flow_to=every_other)
+    cases.append((lattice, meas, build_h(lattice, meas), _SvdBasis))
     return cases
 
 
@@ -423,21 +437,12 @@ def test_residual_guard_rejects_a_corruption_outside_the_column_space(monkeypatc
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("n", [129, 200, 257])
-def test_lower_inverse_by_halves_matches_numpy(n):
-    # Past 128 columns the inverse is assembled from the inverses of halves.
-    nrng = np.random.default_rng(n)
-    lower = np.tril(nrng.standard_normal((n, n))) + n * np.eye(n)
-    want = np.linalg.inv(lower)
-    assert np.abs(_lower_inverse(lower) - want).max() <= 1e-12 * np.abs(want).max()
-
-
 def test_gram_factor_past_128_columns_agrees_with_the_svd_basis():
     net = random_network(random.Random(3), min_buses=140, max_buses=150, max_lines=220)
     meas = full_measurement(net)
     model = build_h(net, meas)
     factor = model.range_basis()
-    assert isinstance(factor, _GramFactor) and factor.w.shape[0] > 128
+    assert isinstance(factor, _GramFactor) and len(factor.w) >= 2
     svd = _SvdBasis(model.reduced())
     nrng = np.random.default_rng(5)
     dtheta = (nrng.random(net.bus_count) < 0.5).astype(float)
@@ -447,3 +452,43 @@ def test_gram_factor_past_128_columns_agrees_with_the_svd_basis():
     for dz in (delta_z, delta_z + outside):
         assert np.abs(factor.residual(dz) - svd.residual(dz)).max() <= 1e-10
     assert np.abs(factor.residual(delta_z)).max() <= 1e-10
+
+
+def _bandwidth(rows, cols):
+    """The bandwidth of the Gram matrix of a matrix with these nonzeros."""
+    width = 0
+    for r in set(rows.tolist()):
+        at = cols[rows == r]
+        width = max(width, int(at.max() - at.min()))
+    return width
+
+
+def test_banded_gram_factor_matches_the_dense_certificate():
+    # Shuffled ids put the Gram matrix's table-order bandwidth past the
+    # block, so only the bandwidth-reducing order keeps it banded.
+    net = shuffled_lattice(random.Random(300), 15, 20)
+    model = build_h(net, full_measurement(net))
+    rows, cols, _ = model.entries
+    keep = cols > 0
+    assert _bandwidth(rows[keep], cols[keep]) > GRAM_BLOCK
+    factor = model.range_basis()
+    assert isinstance(factor, _GramFactor) and len(factor.w) >= 3
+    assert _bandwidth(factor.rows, factor.cols) <= factor.k
+    g = model.reduced().T @ model.reduced()
+    dense = np.linalg.norm(g) * np.linalg.norm(np.linalg.inv(np.linalg.cholesky(g))) ** 2
+    assert abs(factor.certificate - dense) <= 1e-9 * dense
+
+
+def test_banded_gram_factor_allocates_no_dense_gram_matrix():
+    net = shuffled_lattice(random.Random(600), 20, 30)
+    build_h(net, full_measurement(net)).range_basis()  # pays numpy's lazy imports
+    model = build_h(net, full_measurement(net))
+    n = net.bus_count - 1
+    tracemalloc.start()
+    try:
+        factor = model.range_basis()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(factor, _GramFactor)
+    assert peak < n * n * np.dtype(float).itemsize, peak
