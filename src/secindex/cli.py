@@ -119,7 +119,8 @@ def _cmd_cut(args) -> int:
     sol = costly_cut.solve(inst)
     print(f"objective {_fmt_fraction(sol.objective)}")
     print("source_side " + " ".join(str(i + 1) for i in sorted(sol.source_side)))
-    print("sink_side " + " ".join(str(i + 1) for i in sorted(sol.sink_side)))
+    sink_side = (i for i in range(inst.node_count) if i not in sol.source_side)
+    print("sink_side " + " ".join(str(i + 1) for i in sink_side))
     print("cut_edges " + " ".join(str(i + 1) for i in sol.cut_edges))
     print("charged_nodes " + " ".join(str(i + 1) for i in sorted(sol.charged_nodes)))
     return 0

@@ -185,10 +185,10 @@ class TwoSidedCutInstance:
 
 @dataclass(frozen=True)
 class CostlyCutSolution:
-    """A partition with its exact objective, crossing edges, and charged nodes."""
+    """A partition by its source side (the sink side is every other node),
+    with its exact objective, crossing edges, and charged nodes."""
 
     source_side: frozenset[int]
-    sink_side: frozenset[int]
     objective: Fraction
     cut_edges: tuple[int, ...]
     charged_nodes: frozenset[int]
@@ -196,11 +196,11 @@ class CostlyCutSolution:
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    """The tripled graph (instance node i is its node v_i = i) and the cost
-    scaling in effect."""
+    """The tripled graph (instance node i is its node v_i = i) and the ids of
+    its protective edges; its capacities are the costs times the instance's
+    ``int_costs`` scale."""
 
     graph: DiGraph
-    scale: int
     big_cost_edges: frozenset[int]
 
 
@@ -236,7 +236,7 @@ def build_auxiliary(inst: CostlyCutInstance | TwoSidedCutInstance) -> AuxiliaryG
 
 def _tripled(inst) -> AuxiliaryGraph:
     n = inst.node_count
-    scale, edge_scaled, p_out_scaled, p_in_scaled = inst.int_costs
+    _, edge_scaled, p_out_scaled, p_in_scaled = inst.int_costs
     big = max(p_out_scaled + p_in_scaled) + 1
 
     aux_edges = []
@@ -252,7 +252,6 @@ def _tripled(inst) -> AuxiliaryGraph:
     graph = DiGraph(node_count=3 * n, edges=tuple(aux_edges))
     return AuxiliaryGraph(
         graph=graph,
-        scale=scale,
         big_cost_edges=frozenset(range(first + 1, stop, 3)).union(range(first + 2, stop, 3)),
     )
 
@@ -331,8 +330,8 @@ def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
         if e in aux.big_cost_edges:
             raise InvariantError("a protective big-cost edge appeared in the minimum cut")
     # v_i = i: the instance's source side is the aux side's nodes below n.
-    source_side = frozenset(range(inst.node_count)).intersection(cut.source_side)
-    objective = Fraction(cut.value, aux.scale)
+    source_side = frozenset(filter(inst.node_count.__gt__, cut.source_side))
+    objective = Fraction(cut.value, inst.int_costs[0])
     recomputed, cut_edges, charged = evaluate_partition(inst, source_side)
     if recomputed != objective:
         raise InvariantError(
@@ -340,7 +339,6 @@ def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
         )
     return CostlyCutSolution(
         source_side=source_side,
-        sink_side=frozenset(range(inst.node_count)) - source_side,
         objective=objective,
         cut_edges=cut_edges,
         charged_nodes=charged,
@@ -399,7 +397,6 @@ def solve_brute_force(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCu
         raise InvariantError("brute-force objective recomputation mismatch")
     return CostlyCutSolution(
         source_side=frozenset(side),
-        sink_side=frozenset(range(n)) - frozenset(side),
         objective=objective,
         cut_edges=cut_edges,
         charged_nodes=charged,
@@ -418,7 +415,6 @@ def _partition_from_plain_cut(inst, graph: DiGraph) -> CostlyCutSolution:
         if best is None or objective < best.objective:
             best = CostlyCutSolution(
                 source_side=cut.source_side,
-                sink_side=cut.sink_side,
                 objective=objective,
                 cut_edges=cut_edges,
                 charged_nodes=charged,

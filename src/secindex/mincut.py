@@ -4,21 +4,23 @@ Capacities are nonnegative integers, so flow values and cut values are
 computed exactly. The solver finds one maximum flow per call by shortest
 augmenting paths, each found by a BFS from both terminals that expands the
 side with the smaller frontier, and stops once either side closes; it reads
-only the nodes its searches visit, not the whole graph. ``min_cut`` returns
-the canonical minimum cut whose source side is the set of nodes reachable
-from the source in the residual network: the unique inclusion-minimal
-source side over all minimum cuts, so the returned partition does not
-depend on augmentation order or algorithm choice. ``min_cut_extremes``
-returns that cut and the inclusion-maximal one, whose sink side is the set
-of nodes that still reach the sink, from the same flow. Where the search
-from the other terminal closed first, each of these sets is found locally
-from the closed one: a graph neighbour of the closed side joins it when a
-search from it closes before meeting the terminal's search, and the nodes
-the terminal does not reach even through positive capacities, which need
-not border the closed side, come from the strongly connected components of
-the graph's positive-capacity edges, built once per graph. The cut's
-crossing edges are read from the arcs of the smaller side, so that step
-costs time in proportion to the smaller side's degree.
+only the nodes its searches visit, not the whole graph. A cut is given by
+its source side alone; the sink side is every other node. ``min_cut``
+returns the canonical minimum cut whose source side is the set of nodes
+reachable from the source in the residual network: the unique
+inclusion-minimal source side over all minimum cuts, so the returned
+partition does not depend on augmentation order or algorithm choice.
+``min_cut_extremes`` returns that cut and the inclusion-maximal one, whose
+sink side is the set of nodes that still reach the sink, from the same
+flow. Where the search from the other terminal closed first, each of these
+sets is found locally from the closed one: a graph neighbour of the closed
+side joins it when a search from it closes before meeting the terminal's
+search, and the nodes the terminal does not reach even through positive
+capacities, which need not border the closed side, come from the strongly
+connected components of the graph's positive-capacity edges, built once per
+graph. The cut's crossing edges are read from the arcs of the smaller side,
+so that step costs time in proportion to the smaller side's degree; the
+sink side is built only where it is the one walked.
 ``DiGraph`` validates its edges in one pass that names the first offending
 edge. A graph builds its residual layout (arcs per node, arc heads, arc
 capacities) once, on its first flow; each flow then copies only the
@@ -159,10 +161,10 @@ def _checked_edges(node_count, edges):
 
 @dataclass(frozen=True)
 class CutSolution:
-    """An s-t cut: node partition, exact value, and the crossing edge indices."""
+    """An s-t cut: its source side (the sink side is every other node),
+    exact value, and the crossing edge indices."""
 
     source_side: frozenset[int]
-    sink_side: frozenset[int]
     value: int
     cut_edges: tuple[int, ...]
 
@@ -359,12 +361,13 @@ def _checked_cut(g: DiGraph, side: frozenset[int], flow: int) -> CutSolution:
     # (even) arcs out of the source side, or the reverse (odd) arcs at the
     # sink side whose head is on the source side, each the mirror of the
     # crossing forward arc e ^ 1. Either way the time is linear in the
-    # smaller side's degree, not the graph's size.
+    # smaller side's degree, not the graph's size. The sink side is built
+    # only when it is the one walked.
     adj, to, cap = g.residual_layout
-    other = frozenset(range(g.node_count)) - side
-    if len(side) <= len(other):
+    if 2 * len(side) <= g.node_count:
         cut_arcs = [e for u in side for e in adj[u] if not e & 1 and to[e] not in side]
     else:
+        other = frozenset(range(g.node_count)).difference(side)
         cut_arcs = [e ^ 1 for u in other for e in adj[u] if e & 1 and to[e] in side]
     cut_arcs.sort()
     cut_edges = tuple(e >> 1 for e in cut_arcs)
@@ -373,4 +376,4 @@ def _checked_cut(g: DiGraph, side: frozenset[int], flow: int) -> CutSolution:
         raise InvariantError(
             f"max-flow/min-cut mismatch: flow {flow}, crossing capacity {cut_cap}"
         )
-    return CutSolution(source_side=side, sink_side=other, value=flow, cut_edges=cut_edges)
+    return CutSolution(source_side=side, value=flow, cut_edges=cut_edges)

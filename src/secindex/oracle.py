@@ -257,7 +257,7 @@ def oracle_continuous(
 def _proportional(a: np.ndarray, b: np.ndarray) -> bool:
     stacked = np.vstack([a, b])
     _, s, _ = np.linalg.svd(stacked)
-    return s.size < 2 or s[1] <= 1e-10 * max(s[0], 1.0)
+    return s.size < 2 or s[1] <= 1e-10 * s[0]
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +658,7 @@ def oracle_binary(
             best_val = int(values[local])
             best_member = member[local].copy()
 
-    dtheta = best_member.astype(float)
-    optimum = Fraction(best_val, scale)
-    recomputed = attack_cost(net, edge_costs, node_costs, dtheta)
-    if recomputed != optimum:
-        raise InvariantError("binary oracle objective recomputation mismatch")
-    support = build_h(net, meas).apply(dtheta)[1]
-    return OracleResult(optimum=optimum, witness=dtheta, support=support)
+    return _verified_result(
+        net, build_h(net, meas), edge_costs, node_costs, Fraction(best_val, scale),
+        best_member.astype(float),
+    )

@@ -595,10 +595,10 @@ def bdd_residual(model: ModelMatrix, delta_z: np.ndarray) -> np.ndarray:
 def residual_tolerance(model: ModelMatrix, delta_theta) -> float:
     """The residual guard's bound for the corruption ``H @ delta_theta``:
     RESIDUAL_TOL relative to the largest entry that corruption can have,
-    max|H| * max|delta_theta|, and absolute where that is below 1, so data
-    with entries up to 1 keeps the absolute RESIDUAL_TOL."""
+    max|H| * max|delta_theta|, at every scale, so a corruption the size of
+    the attack itself stays visible however large the reactances."""
     scale = model.max_abs_entry * np.abs(delta_theta).max(initial=0.0)
-    return RESIDUAL_TOL * max(1.0, float(scale))
+    return RESIDUAL_TOL * float(scale)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,13 +29,18 @@ from secindex.mincut import MAX_TOTAL_CAPACITY, _checked_cut, _max_flow, _reach
 from secindex.power_model import WeightAssignment
 
 
+def _sink_side(g, cut):
+    """The nodes of ``g`` outside the cut's source side."""
+    return frozenset(range(g.node_count)) - cut.source_side
+
+
 def test_single_edge_cut():
     g = DiGraph(node_count=2, edges=((0, 1, 5),))
     sol = min_cut(g, 0, 1)
     assert sol.value == 5
     assert sol.cut_edges == (0,)
     assert sol.source_side == frozenset({0})
-    assert sol.sink_side == frozenset({1})
+    assert _sink_side(g, sol) == frozenset({1})
 
 
 def test_disconnected_pair():
@@ -139,9 +146,10 @@ def test_flow_equals_cut_property(raw_edges, _rng):
     g = DiGraph(node_count=6, edges=edges)
     sol = min_cut(g, 0, 5)
     assert sol.value == cut_value(g, sol.source_side)
-    assert 0 in sol.source_side and 5 in sol.sink_side
-    assert sol.source_side | sol.sink_side == frozenset(range(6))
-    assert not (sol.source_side & sol.sink_side)
+    sink_side = _sink_side(g, sol)
+    assert 0 in sol.source_side and 5 in sink_side
+    assert sol.source_side | sink_side == frozenset(range(6))
+    assert not (sol.source_side & sink_side)
 
 
 def test_concurrent_solves_share_graph():
@@ -258,6 +266,22 @@ def test_search_reads_only_the_neighbourhood_of_the_cut():
     assert small_reads == large_reads < 40
 
 
+def test_cut_readout_builds_no_grid_sized_set():
+    # A source side of 3 among 19,535 nodes: reading its crossing edges
+    # allocates in proportion to those 3 nodes' arcs, not to the graph.
+    g = _tree_fed_sink(6)
+    sol = min_cut(g, 0, 1)
+    assert sol.source_side == frozenset({0, 2, 3}) and g.node_count == 19535
+    one_set = sys.getsizeof(frozenset(range(g.node_count)))
+    tracemalloc.start()
+    try:
+        assert _checked_cut(g, sol.source_side, sol.value) == sol
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_set
+
+
 def test_checked_cut_matches_the_full_scan_on_both_extremes():
     # Both canonical cuts of each flow, read from whichever side is smaller,
     # against a scan of every edge; parallel and zero-capacity edges included.
@@ -269,9 +293,9 @@ def test_checked_cut_matches_the_full_scan_on_both_extremes():
         g = DiGraph(node_count=nodes, edges=base.edges + base.edges[:3] + ((0, 1, 0),))
         s, t = rng.sample(range(nodes), 2)
         for cut in min_cut_extremes(g, s, t):
-            walked.add(len(cut.source_side) <= len(cut.sink_side))
+            sink_side = _sink_side(g, cut)
+            walked.add(len(cut.source_side) <= len(sink_side))
             assert cut.cut_edges == full_scan_crossing_edges(g.edges, cut.source_side)
-            assert cut.sink_side == frozenset(range(nodes)) - cut.source_side
             assert cut.value == sum(g.edges[i][2] for i in cut.cut_edges)
             assert _checked_cut(g, cut.source_side, cut.value) == cut
     assert walked == {True, False}
@@ -301,13 +325,14 @@ def test_cut_readout_reads_only_the_smaller_side():
     for depth in (3, 6):
         g = _tree_fed_by_source(depth)
         sol = min_cut(g, 0, 1)
-        assert sol.value == 2 and sol.sink_side == frozenset({1, 3})
+        sink_side = _sink_side(g, sol)
+        assert sol.value == 2 and sink_side == frozenset({1, 3})
         assert sol.cut_edges == (1, 2)
         adj, to, cap = g.residual_layout
         counting = _CountingList(adj)
         g.__dict__["residual_layout"] = (counting, to, cap)
         assert _checked_cut(g, sol.source_side, sol.value) == sol
-        assert counting.reads == len(sol.sink_side) == 2
+        assert counting.reads == len(sink_side) == 2
 
 
 def test_bulk_validation_names_the_first_offending_edge():
@@ -388,7 +413,7 @@ def _check_reach_of_every_flow(g, pairs, taken):
         minimal, maximal = min_cut_extremes(g, s, t)
         assert minimal.value == maximal.value == flow
         assert minimal.source_side == wants[0]
-        assert maximal.sink_side == wants[1]
+        assert _sink_side(g, maximal) == wants[1]
 
 
 def test_local_reach_matches_the_full_search_on_random_graphs():
@@ -468,7 +493,7 @@ def test_far_side_is_found_locally():
         for depth in (3, 6):
             g = make(depth)
             first = solve(g)
-            assert min(first.source_side, first.sink_side, key=len) == small_side
+            assert min(first.source_side, _sink_side(g, first), key=len) == small_side
             assert g.capacity_components  # built before the reads are counted
             adj, to, cap = g.residual_layout
             counting = _CountingList(adj)

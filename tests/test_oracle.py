@@ -115,6 +115,17 @@ def test_rejects_bad_groups():
         oracle_continuous(h, 0, row_groups=[(0, 1)])
 
 
+def test_rejects_bad_groups_of_tiny_rows():
+    # Proportionality is judged relative to the rows' own size: rows of
+    # 1e-11 are no more proportional than the same rows at unit scale.
+    h = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]]) * 1e-11
+    with pytest.raises(InputError, match="not proportional"):
+        oracle_continuous(h, 0, row_groups=[(0, 1), (2,)])
+    # zero rows are proportional to any row
+    zero = np.zeros((2, 3))
+    assert oracle_continuous(zero, 0, row_groups=[(0, 1)]).optimum is None
+
+
 @pytest.mark.parametrize("reactance", [1.0, 1e9, 1e12])
 def test_rowset_oracle_prices_every_row_at_any_reactance(reactance):
     # A full-measurement triangle whose line 0-2 has reactance 1, 1e9 or

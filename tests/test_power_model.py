@@ -437,6 +437,24 @@ def test_residual_guard_rejects_a_corruption_outside_the_column_space(monkeypatc
         monkeypatch.undo()
 
 
+def test_residual_guard_sees_a_corruption_the_size_of_the_attack_below_unit_scale(monkeypatch):
+    # Reactance 1e10 puts the entries of H at 1e-10 to 2e-10: flipping the
+    # sign of one flow row leaves a residual of about 1.7e-10, the size of
+    # the attack itself, which an absolute bound of 1e-9 would let through.
+    net = PowerNetwork(bus_count=3, lines=((0, 1, 1e10), (1, 2, 1e10), (0, 2, 1e10)))
+    meas = full_measurement(net)
+    model = build_h(net, meas)
+    dtheta = np.array([1.0, 0.0, 0.0])
+    attack_from_partition(net, meas, dtheta, model=model)
+    delta_z, support = model.apply(dtheta)
+    flipped = delta_z.copy()
+    flipped[0] = -flipped[0]
+    assert np.abs(bdd_residual(model, flipped)).max() < RESIDUAL_TOL
+    monkeypatch.setattr(model, "apply", lambda _: (flipped, support))
+    with pytest.raises(InvariantError, match="attack residual"):
+        attack_from_partition(net, meas, dtheta, model=model)
+
+
 def test_gram_factor_past_128_columns_agrees_with_the_svd_basis():
     net = random_network(random.Random(3), min_buses=140, max_buses=150, max_lines=220)
     meas = full_measurement(net)
