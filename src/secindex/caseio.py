@@ -166,7 +166,7 @@ def parse_native(path) -> CaseFile:
         return parse_native_text(fh.read(), source=str(path))
 
 
-def _cost_json(value: Fraction):
+def _cost_json(value: int | Fraction):
     return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
@@ -353,7 +353,7 @@ def parse_cut_instance_text(text: str, source: str = "<instance>") -> CostlyCutI
     for ident in node_costs:
         if not (0 <= ident < node_count):
             _fail(source, f"node id {ident + 1} out of range")
-    costs = tuple(node_costs.get(i, Fraction(0)) for i in range(node_count))
+    costs = tuple(node_costs.get(i, 0) for i in range(node_count))
     try:
         return CostlyCutInstance(
             node_count=node_count,

@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _fmt_fraction(value: Fraction | None) -> str:
+def _fmt_fraction(value: int | Fraction | None) -> str:
     if value is None:
         return ""
     if value.denominator == 1:

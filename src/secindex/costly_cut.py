@@ -29,10 +29,11 @@ each approximation cuts are built and validated once per family of
 instances, on first use, and shared with every instance ``with_terminals``
 derives. A flow on a shared graph copies only its capacities, so a sweep
 over many terminal pairs pays the graph's set-up once. ``evaluate_partition``
-rechecks every cut exactly in Fractions; it reads the crossing edges, their
-costs and their endpoints' charges from the smaller side of the partition,
-through a per-family index of each node's outgoing and incoming edges, so
-its cost follows the smaller side's degree, not the number of edges.
+rechecks every cut in exact rational arithmetic; it reads the crossing
+edges, their costs and their endpoints' charges from the smaller side of
+the partition, through a per-family index of each node's outgoing and
+incoming edges, so its cost follows the smaller side's degree, not the
+number of edges.
 """
 
 from __future__ import annotations
@@ -51,25 +52,30 @@ BRUTE_FORCE_MAX_NODES = 22
 _BRUTE_CHUNK = 1 << 16
 
 
-def as_cost(value) -> Fraction:
-    """Coerce a cost to an exact nonnegative Fraction.
+def as_cost(value) -> int | Fraction:
+    """Coerce a cost to an exact nonnegative number: an int when it is
+    integral, else a Fraction.
 
-    Accepts int, Fraction, strings like "3/2" or "0.5", and floats (read as
-    their decimal literal, so 0.1 becomes 1/10).
+    Accepts int, Fraction, strings like "3/2" or "0.5", and finite floats
+    (read as their decimal literal, so 0.1 becomes 1/10): 3, Fraction(6, 2),
+    "6/2" and 3.0 all give the int 3. Integral costs thus add and compare
+    as ints, and a sum promotes to a Fraction exactly when a term is one.
     """
-    if isinstance(value, Fraction):
-        cost = value
-    elif isinstance(value, bool):
+    if isinstance(value, bool):
         raise InputError(f"cost must be a number, got {value!r}")
-    elif isinstance(value, int):
-        cost = Fraction(value)
-    elif isinstance(value, float):
-        cost = Fraction(str(value))
-    elif isinstance(value, str):
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InputError(f"cost must be finite, got {value!r}")
+        value = str(value)
+    if isinstance(value, str):
         try:
-            cost = Fraction(value)
+            value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse cost {value!r}") from exc
+    if isinstance(value, int):
+        cost = int(value)
+    elif isinstance(value, Fraction):
+        cost = value.numerator if value.denominator == 1 else value
     else:
         raise InputError(f"cost must be a number, got {value!r}")
     if cost < 0:
@@ -112,8 +118,8 @@ class CostlyCutInstance:
     Construction checks node ids, self-loops, costs and terminals once."""
 
     node_count: int
-    edges: tuple[tuple[int, int, Fraction], ...]
-    node_costs: tuple[Fraction, ...]
+    edges: tuple[tuple[int, int, int | Fraction], ...]
+    node_costs: tuple[int | Fraction, ...]
     source: int
     sink: int
 
@@ -148,12 +154,12 @@ class CostlyCutInstance:
         return derived
 
     @property
-    def node_costs_out(self) -> tuple[Fraction, ...]:
+    def node_costs_out(self) -> tuple[int | Fraction, ...]:
         """Charge for a node at the tail of a cut edge: its one node cost."""
         return self.node_costs
 
     @property
-    def node_costs_in(self) -> tuple[Fraction, ...]:
+    def node_costs_in(self) -> tuple[int | Fraction, ...]:
         """Charge for a node at the head of a cut edge: its one node cost."""
         return self.node_costs
 
@@ -164,9 +170,9 @@ class TwoSidedCutInstance:
     versus incoming cut edges."""
 
     node_count: int
-    edges: tuple[tuple[int, int, Fraction], ...]
-    node_costs_out: tuple[Fraction, ...]
-    node_costs_in: tuple[Fraction, ...]
+    edges: tuple[tuple[int, int, int | Fraction], ...]
+    node_costs_out: tuple[int | Fraction, ...]
+    node_costs_in: tuple[int | Fraction, ...]
     source: int
     sink: int
 
@@ -189,7 +195,7 @@ class CostlyCutSolution:
     with its exact objective, crossing edges, and charged nodes."""
 
     source_side: frozenset[int]
-    objective: Fraction
+    objective: int | Fraction
     cut_edges: tuple[int, ...]
     charged_nodes: frozenset[int]
 
@@ -205,7 +211,7 @@ class AuxiliaryGraph:
 
 
 def scale_to_int(*groups):
-    """Least common denominator of every Fraction in ``groups``, and each
+    """Least common denominator of every cost in ``groups``, and each
     group multiplied by it as a list of ints."""
     scale = math.lcm(*(c.denominator for group in groups for c in group))
     return scale, [[c.numerator * (scale // c.denominator) for c in group] for group in groups]
@@ -307,7 +313,7 @@ def evaluate_partition(inst, source_side):
             if edges[idx][0] in side
         ]
     cut_edges.sort()
-    objective = Fraction(0)
+    objective = 0
     tails, heads = set(), set()
     for idx in cut_edges:
         u, v, c = edges[idx]
@@ -331,11 +337,11 @@ def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
             raise InvariantError("a protective big-cost edge appeared in the minimum cut")
     # v_i = i: the instance's source side is the aux side's nodes below n.
     source_side = frozenset(filter(inst.node_count.__gt__, cut.source_side))
-    objective = Fraction(cut.value, inst.int_costs[0])
-    recomputed, cut_edges, charged = evaluate_partition(inst, source_side)
-    if recomputed != objective:
+    cut_value = Fraction(cut.value, inst.int_costs[0])
+    objective, cut_edges, charged = evaluate_partition(inst, source_side)
+    if objective != cut_value:
         raise InvariantError(
-            f"partition objective {recomputed} disagrees with cut value {objective}"
+            f"partition objective {objective} disagrees with cut value {cut_value}"
         )
     return CostlyCutSolution(
         source_side=source_side,

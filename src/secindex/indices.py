@@ -64,10 +64,10 @@ class IndexEntry:
     measurement: int  # position in the global measurement order
     kind: str
     target: int  # line id for flows, bus id for injections
-    index: Fraction
+    index: int | Fraction
     exact: bool
     exact_reason: str
-    error_bound: Fraction | None
+    error_bound: int | Fraction | None
     method: str
     attack: AttackVector
 
@@ -76,7 +76,7 @@ class IndexEntry:
 class IndexReport:
     entries: tuple[IndexEntry, ...]
 
-    def indices(self) -> tuple[Fraction, ...]:
+    def indices(self) -> tuple[int | Fraction, ...]:
         return tuple(e.index for e in self.entries)
 
     def by_measurement(self) -> dict:
@@ -108,11 +108,11 @@ def cut_instance_for_line(
     )
 
 
-def binary_gap_bound(net: PowerNetwork, weights: WeightAssignment) -> Fraction:
+def binary_gap_bound(net: PowerNetwork, weights: WeightAssignment) -> int | Fraction:
     """Upper bound on the binary-minus-continuous optimum gap: per bus, the
     worst node charge left uncovered by some incident line cost."""
     weights.check(net)
-    total = Fraction(0)
+    total = 0
     for bus in range(net.bus_count):
         incident = net.incident_lines(bus)
         if not incident:
@@ -155,7 +155,7 @@ class _Engine:
             self.reason = _EXACT_REASON if self.exact else _APPROXIMATE_REASON
         else:
             self.exact, self.reason, self.bound = False, "heuristic method", None
-        self._line_cache: dict[int, tuple[Fraction, AttackVector]] = {}
+        self._line_cache: dict[int, tuple[int | Fraction, AttackVector]] = {}
         self._instance: CostlyCutInstance | None = None
 
     def cut_instance(self, line: int) -> CostlyCutInstance:

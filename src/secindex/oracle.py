@@ -3,7 +3,7 @@
 These oracles certify the min-cut pipeline without sharing its solvers.
 They share only the weight derivation (``WeightAssignment``) and the
 rational-to-integer scaling helper (``scale_to_int``), and every optimum
-they report is re-checked in exact Fractions through ``attack_cost``. Two
+they report is re-checked in exact rationals through ``attack_cost``. Two
 continuous solvers are provided:
 
 * ``oracle_continuous`` works on a raw matrix. It enumerates candidate
@@ -65,7 +65,7 @@ _CHUNK = 1 << 16
 class OracleResult:
     """Optimum (None when infeasible), a verified witness, and its support."""
 
-    optimum: Fraction | None
+    optimum: int | Fraction | None
     witness: np.ndarray | None
     support: tuple[int, ...]
 
@@ -148,7 +148,7 @@ def oracle_continuous(
         raise SizeLimitError(f"row-set oracle refuses more than {ROW_LIMIT} rows")
     if not (0 <= row < m):
         raise InputError(f"constraint row {row} out of range")
-    w = [as_cost(x) for x in weights] if weights is not None else [Fraction(1)] * m
+    w = [as_cost(x) for x in weights] if weights is not None else [1] * m
     if len(w) != m:
         raise InputError("need one weight per row")
 
@@ -165,7 +165,7 @@ def oracle_continuous(
                 if not _proportional(base, h[i]):
                     raise InputError(f"rows {g} are not proportional; cannot be grouped")
 
-    group_weight = [sum((w[i] for i in g), Fraction(0)) for g in groups]
+    group_weight = [sum(w[i] for i in g) for g in groups]
     target_group = next(gi for gi, g in enumerate(groups) if row in g)
 
     # Zero-weight groups and the constraint group are always allowed nonzero.
@@ -226,8 +226,8 @@ def oracle_continuous(
         # line-flow terms' magnitudes instead, which the raw matrix lacks.
         if np.any(np.abs(h[zero] @ witness) > ZERO_TOL * (np.abs(h[zero]) @ np.abs(witness))):
             raise InvariantError("witness does not vanish on its zero rows")
-        cost = base_cost + sum((group_weight[gi] for gi in chosen), Fraction(0))
-        support_cost = sum((w[i] for i in support), Fraction(0))
+        cost = base_cost + sum(group_weight[gi] for gi in chosen)
+        support_cost = sum(w[i] for i in support)
         if support_cost != cost:
             raise InvariantError(
                 f"witness support cost {support_cost} disagrees with candidate cost {cost}"
@@ -237,7 +237,7 @@ def oracle_continuous(
     # Best-first over subsets of paid groups, as positions in ``candidates``:
     # the heap pops them in (added cost, index tuple) order, each exactly
     # once (extend-last / replace-last), and the first feasible one wins.
-    heap = [(Fraction(0), ())]
+    heap = [(0, ())]
     while heap:
         cost, subset = heapq.heappop(heap)
         chosen = tuple(candidates[i] for i in subset)
@@ -566,7 +566,7 @@ def oracle_continuous_network(
     return results
 
 
-def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta) -> Fraction:
+def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta) -> int | Fraction:
     """Structural objective of an angle perturbation: the costs of the cut
     lines (endpoint angles differ) plus the charges of buses with nonzero net
     injection shift. An injection counts as nonzero when it exceeds ``ZERO_TOL``
@@ -579,7 +579,7 @@ def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta) -> Fraction:
     tails, heads = net.endpoints
     cut = np.flatnonzero(theta[tails] - theta[heads]).tolist()
     theta = theta.tolist()
-    total = Fraction(0)
+    total = 0
     inj = {}
     mag = {}
     for ln in cut:
@@ -597,12 +597,14 @@ def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta) -> Fraction:
 
 
 def _verified_result(net, model, edge_costs, node_costs, optimum, dtheta) -> OracleResult:
+    """The result of witness ``dtheta``, whose exact cost, an int when it is
+    integral, must equal ``optimum``."""
     recomputed = attack_cost(net, edge_costs, node_costs, dtheta)
     if recomputed != optimum:
         raise InvariantError(
             f"witness objective {recomputed} disagrees with combinatorial optimum {optimum}"
         )
-    return OracleResult(optimum=optimum, witness=dtheta, support=model.apply(dtheta)[1])
+    return OracleResult(optimum=recomputed, witness=dtheta, support=model.apply(dtheta)[1])
 
 
 # ---------------------------------------------------------------------------

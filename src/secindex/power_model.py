@@ -163,11 +163,12 @@ def full_measurement(net: PowerNetwork) -> MeasurementPlacement:
 
 
 def check_placement(net: PowerNetwork, meas: MeasurementPlacement) -> None:
+    line_count, bus_count = net.line_count, net.bus_count
     for line in meas.flow_from + meas.flow_to:
-        if not (0 <= line < net.line_count):
+        if not (0 <= line < line_count):
             raise InputError(f"metered line id {line} out of range")
     for bus in meas.injection:
-        if not (0 <= bus < net.bus_count):
+        if not (0 <= bus < bus_count):
             raise InputError(f"metered bus id {bus} out of range")
 
 
@@ -180,8 +181,8 @@ class WeightAssignment:
     price tampering effort instead.
     """
 
-    edge_costs: tuple[Fraction, ...]
-    node_costs: tuple[Fraction, ...]
+    edge_costs: tuple[int | Fraction, ...]
+    node_costs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "edge_costs", tuple(as_cost(c) for c in self.edge_costs))
@@ -504,19 +505,31 @@ class _SvdBasis:
 def build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
     """The measurement matrix of a placement as its table of line-flow terms
     (see :class:`ModelMatrix`): a flow row is +-1/x across its line (negated
-    for the incoming end), an injection row a weighted Laplacian row.
+    for the incoming end), an injection row a weighted Laplacian row, one
+    term per incident line from the bus to the line's other end, by
+    ascending line id. The table is built from index arrays, row by row in
+    the global measurement order.
     """
     check_placement(net, meas)
-    labels = meas.ordering()
-    terms = []
-    for r, (kind, ident) in enumerate(labels):
-        if kind == INJECTION:
-            for u, v, x in (net.lines[i] for i in net.incident_lines(ident)):
-                terms.append((r, ident, v if u == ident else u, 1.0 / x))
-        else:
-            u, v, x = net.lines[ident]
-            terms.append((r, u, v, 1.0 / x if kind == FLOW_FROM else -1.0 / x))
-    return ModelMatrix(labels, net.bus_count, *(zip(*terms) if terms else [()] * 4))
+    tails, heads = net.endpoints
+    susceptance = net.susceptances()
+    flows = np.array(meas.flow_from + meas.flow_to, dtype=np.intp)
+    sign = np.repeat([1.0, -1.0], [len(meas.flow_from), len(meas.flow_to)])
+    injected = np.array(meas.injection, dtype=np.intp)
+    # Every line at its from bus, then at its to bus; the metered buses'
+    # incidences, by (bus, line id), are the injection terms.
+    at, far = np.concatenate((tails, heads)), np.concatenate((heads, tails))
+    line_ids = np.tile(np.arange(net.line_count), 2)
+    order = np.lexsort((line_ids, at))
+    order = order[np.isin(at[order], injected)]
+    return ModelMatrix(
+        meas.ordering(),
+        net.bus_count,
+        np.concatenate((np.arange(flows.size), flows.size + np.searchsorted(injected, at[order]))),
+        np.concatenate((tails[flows], at[order])),
+        np.concatenate((heads[flows], far[order])),
+        np.concatenate((sign * susceptance[flows], susceptance[line_ids[order]])),
+    )
 
 
 def is_observable(model: ModelMatrix) -> bool:

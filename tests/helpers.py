@@ -5,7 +5,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from secindex import DiGraph, MeasurementPlacement, PowerNetwork, build_h, is_observable
+from secindex import (
+    DiGraph,
+    MeasurementPlacement,
+    ModelMatrix,
+    PowerNetwork,
+    build_h,
+    is_observable,
+)
+from secindex.power_model import FLOW_FROM, INJECTION
 
 REACTANCE_CHOICES = (0.25, 0.5, 1.0, 1.0, 2.0)
 
@@ -95,6 +103,21 @@ def full_scan_attack_cost(net, edge_costs, node_costs, dtheta, tol=1e-9):
         if abs(inj[bus]) > tol * mag[bus]:
             total += p
     return total
+
+
+def per_label_build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
+    """``build_h`` by a loop over the labels, one tuple per term: the
+    reference for the table built from index arrays."""
+    labels = meas.ordering()
+    terms = []
+    for r, (kind, ident) in enumerate(labels):
+        if kind == INJECTION:
+            for u, v, x in (net.lines[i] for i in net.incident_lines(ident)):
+                terms.append((r, ident, v if u == ident else u, 1.0 / x))
+        else:
+            u, v, x = net.lines[ident]
+            terms.append((r, u, v, 1.0 / x if kind == FLOW_FROM else -1.0 / x))
+    return ModelMatrix(labels, net.bus_count, *(zip(*terms) if terms else [()] * 4))
 
 
 def random_network(rng: random.Random, min_buses=4, max_buses=10, max_lines=15) -> PowerNetwork:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from helpers import random_observable_case
-from secindex import cli, costly_cut, oracle, power_model
+from secindex import cli, costly_cut, indices, oracle, power_model
 from secindex.caseio import CaseFile, emit_native, parse_matpower_subset, parse_native
 from secindex.cases import path as case_path
 from secindex.cli import CSV_HEADER, main
@@ -170,6 +170,55 @@ def test_non_finite_reactance_is_an_input_error(capsys, tmp_path):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and out == "", argv
             assert f"{where}: reactance must be positive and finite, got inf" in err, argv
+
+
+@pytest.mark.parametrize(
+    "literal, shown",
+    [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")],
+)
+def test_non_finite_weight_is_an_input_error(capsys, tmp_path, literal, shown):
+    # json.loads reads all four literals as floats; the cost parser used to
+    # stop on them with a ValueError traceback.
+    native = tmp_path / "w.json"
+    native.write_text(
+        '{"buses": 3, "lines": [[1, 2, 1.0], [2, 3, 1.0]], "measurements": {"flow_from": "all"},'
+        ' "weights": {"edge_costs": {"2": ' + literal + '}}}'
+    )
+    sidecar = tmp_path / "w.sidecar.json"
+    sidecar.write_text('{"weights": {"edge_costs": {"2": ' + literal + '}}}')
+    for argv, source in ((["index", str(native)], native),
+                         (["index", str(case_path("ieee118.m")), "--measurements", str(sidecar)],
+                          sidecar)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: {source}: weights.edge_costs[2]: cost must be finite, got {shown}\n"
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_integral_weight_spellings_give_identical_csvs(capsys, tmp_path, seed):
+    # An integral weight is the same int however it is spelled, so every
+    # method writes the same bytes, with no index or bound printed as k/1.
+    rng = random.Random(seed)
+    net, meas, _ = random_observable_case(rng)
+    doc = json.loads(emit_native(CaseFile(net=net, meas=meas)))
+    edge = {str(i + 1): rng.randint(0, 3) for i in range(net.line_count)}
+    node = {str(b + 1): rng.randint(0, 3) for b in range(net.bus_count)}
+    spellings = (lambda k: k, str, lambda k: f"{k}/1", float)
+    for method in indices.METHODS:
+        outputs = set()
+        for j, spell in enumerate(spellings):
+            doc["weights"] = {
+                "edge_costs": {i: spell(k) for i, k in edge.items()},
+                "node_costs": {b: spell(k) for b, k in node.items()},
+            }
+            case = tmp_path / f"spelling{j}.json"
+            case.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "index", str(case), "--method", method)
+            assert (code, err) == (0, ""), method
+            outputs.add(out)
+        assert len(outputs) == 1, method
+        for row in parse_csv(out):
+            assert "/" not in row["index"] + row["error_bound"]
 
 
 @pytest.mark.parametrize(

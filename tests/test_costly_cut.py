@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from secindex import (
 )
 from secindex.caseio import parse_cut_instance
 from secindex.cases import path as case_path
+from secindex.costly_cut import as_cost
 from secindex.mincut import DiGraph
 
 
@@ -182,6 +184,49 @@ def test_rational_costs_solved_exactly():
     )
     sol = solve(inst)
     assert sol.objective == solve_brute_force(inst).objective == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("value", [3, Fraction(6, 2), "3", "6/2", "3.0", 3.0])
+def test_as_cost_gives_an_int_for_an_integral_cost(value):
+    cost = as_cost(value)
+    assert type(cost) is int and cost == 3
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(Fraction(3, 2), Fraction(3, 2)), ("3/2", Fraction(3, 2)), ("0.5", Fraction(1, 2)),
+     (0.1, Fraction(1, 10))],
+)
+def test_as_cost_keeps_a_fraction_for_a_rational_cost(value, expected):
+    cost = as_cost(value)
+    assert type(cost) is Fraction and cost == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, -1, Fraction(-1, 2), "-3", -0.5, math.nan, math.inf, -math.inf, "nan",
+     "inf", "1/0", None, [1]],
+)
+def test_as_cost_rejects_what_is_not_a_finite_nonnegative_number(value):
+    with pytest.raises(InputError):
+        as_cost(value)
+
+
+def test_integral_costs_sum_as_ints_and_rational_ones_exactly():
+    # Integral costs never enter Fraction arithmetic; one rational cost
+    # promotes the sums it enters, exactly.
+    for costs, kind in (((2, "1", 1.0), int), ((2, "1/3", 1.0), Fraction)):
+        inst = CostlyCutInstance(
+            node_count=3,
+            edges=((0, 1, costs[0]), (1, 2, costs[1])),
+            node_costs=(0, costs[2], 0),
+            source=0,
+            sink=2,
+        )
+        for sol in (solve(inst), solve_brute_force(inst), solve_ignore_nodes(inst)):
+            assert type(sol.objective) is kind
+        edge, other_edge, charge = map(as_cost, costs)
+        assert solve(inst).objective == min(edge, other_edge) + charge
 
 
 def test_two_sided_degenerates_to_single():

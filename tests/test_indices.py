@@ -143,6 +143,24 @@ def test_binary_gap_bound_values():
     assert binary_gap_bound(net, WeightAssignment.from_placement(net, lonely)) == 1
 
 
+def test_integral_weights_give_int_indices_and_bounds():
+    # Derived weights are meter counts, so every index, bound and attack
+    # cost is an int; one rational weight makes the sums it enters exact
+    # Fractions.
+    net, _ = worked_case()
+    lonely = MeasurementPlacement(flow_from=(0, 1), flow_to=(0,), injection=(0, 3))
+    derived = WeightAssignment.from_placement(net, lonely)
+    halved = WeightAssignment(derived.edge_costs, derived.node_costs[:3] + (Fraction(3, 2),))
+    for weights, kind in ((None, int), (derived, int), (halved, Fraction)):
+        report = index_all(net, lonely, weights)
+        bound = report.entries[0].error_bound
+        assert type(bound) is kind and bound == (1 if kind is int else Fraction(3, 2))
+        w = weights or derived
+        for e in report.entries:
+            assert type(e.index) in (int, kind)
+            assert attack_cost(net, w.edge_costs, w.node_costs, e.attack.delta_theta) == e.index
+
+
 def test_bound_sandwich_on_partial_placements():
     rng = random.Random(555)
     for _ in range(10):

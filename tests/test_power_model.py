@@ -4,7 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_network, random_observable_case, random_placement, shuffled_lattice
+from helpers import (
+    per_label_build_h,
+    random_network,
+    random_observable_case,
+    random_placement,
+    shuffled_lattice,
+)
 from secindex import (
     InputError,
     InvariantError,
@@ -114,6 +120,38 @@ def test_empty_placement_gives_zero_rows():
     net, _ = worked_case()
     model = build_h(net, MeasurementPlacement())
     assert model.h.shape == (0, 4)
+
+
+def test_build_h_table_equals_the_per_label_loop():
+    # apply, entries and the Gram assembly sum in table order, so the table
+    # built from arrays must equal the per-label loop term for term and bit
+    # for bit, not only as a matrix.
+    rng = random.Random(15)
+    nets = [PowerNetwork(bus_count=2, lines=((1, 0, 0.37),))]
+    for _ in range(12):
+        net = random_network(rng)
+        # odd reactances, whose reciprocals round, and parallel lines, some
+        # of them reversed
+        lines = [(u, v, rng.uniform(0.01, 1.0)) for (u, v, _) in net.lines]
+        for u, v, _ in rng.sample(lines, 3):
+            lines.append((v, u, rng.uniform(0.01, 1.0)) if rng.random() < 0.5 else (u, v, 0.3))
+        nets.append(PowerNetwork(bus_count=net.bus_count, lines=tuple(lines)))
+    for net in nets:
+        every_line, every_bus = range(net.line_count), range(net.bus_count)
+        placements = [
+            full_measurement(net),
+            random_placement(rng, net),
+            MeasurementPlacement(flow_to=every_line),
+            MeasurementPlacement(injection=every_bus),
+            MeasurementPlacement(injection=rng.sample(every_bus, 1)),
+            MeasurementPlacement(),
+        ]
+        for meas in placements:
+            model, reference = build_h(net, meas), per_label_build_h(net, meas)
+            assert model.labels == reference.labels
+            for name in ("rows", "tails", "heads", "coeffs"):
+                got, want = getattr(model, name), getattr(reference, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def test_triangle_full_measurement_structure():
