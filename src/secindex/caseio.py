@@ -95,7 +95,10 @@ def _parse_weights(source, raw, net, meas):
         ("edge_costs", edge_costs, net.line_count),
         ("node_costs", node_costs, net.bus_count),
     ):
-        for ident, value in raw.get(key, {}).items():
+        costs = raw.get(key, {})
+        if not isinstance(costs, dict):
+            _fail(source, f"weights.{key} must be an object")
+        for ident, value in costs.items():
             try:
                 idx = int(ident)
             except ValueError:
@@ -146,15 +149,15 @@ def parse_native_text(text: str, source: str = "<case>") -> CaseFile:
     unknown = set(doc["measurements"]) - _MEAS_KEYS
     if unknown:
         _fail(source, f"unknown measurements keys: {sorted(unknown)}")
+    try:  # before the placement, which may list every bus
+        net = PowerNetwork(bus_count=buses, lines=tuple(lines))
+    except InputError as exc:
+        _fail(source, str(exc))
     meas = MeasurementPlacement(
         flow_from=_meas_ids(source, doc["measurements"].get("flow_from", []), len(lines), "flow_from"),
         flow_to=_meas_ids(source, doc["measurements"].get("flow_to", []), len(lines), "flow_to"),
         injection=_meas_ids(source, doc["measurements"].get("injection", []), buses, "injection"),
     )
-    try:
-        net = PowerNetwork(bus_count=buses, lines=tuple(lines))
-    except InputError as exc:
-        _fail(source, str(exc))
     weights = None
     if "weights" in doc:
         weights = _parse_weights(source, doc["weights"], net, meas)
@@ -279,6 +282,8 @@ def _parse_sidecar(path, net, bus_index_of):
     if unknown:
         _fail(source, f"unknown keys: {sorted(unknown)}")
     raw = doc.get("measurements", {})
+    if not isinstance(raw, dict):
+        _fail(source, "measurements must be an object")
     unknown = set(raw) - _MEAS_KEYS
     if unknown:
         _fail(source, f"unknown measurements keys: {sorted(unknown)}")
@@ -286,9 +291,11 @@ def _parse_sidecar(path, net, bus_index_of):
     def buses(raw_ids):
         if raw_ids == "all":
             return tuple(range(net.bus_count))
+        if not isinstance(raw_ids, list):
+            _fail(source, 'measurements.injection must be a list of bus ids or "all"')
         out = []
         for ident in raw_ids:
-            if ident not in bus_index_of:
+            if isinstance(ident, (list, dict)) or ident not in bus_index_of:
                 _fail(source, f"unknown bus id {ident}")
             out.append(bus_index_of[ident])
         return tuple(out)

@@ -50,6 +50,8 @@ class PowerNetwork:
     def __post_init__(self):
         if self.bus_count < 1:
             raise InputError("bus_count must be positive")
+        if self.bus_count > len(self.lines) + 1:  # fewer lines than a spanning tree
+            raise InputError("network is not connected")
         normalized = []
         incident = [[] for _ in range(self.bus_count)]
         for idx, (u, v, x) in enumerate(self.lines):
@@ -218,9 +220,10 @@ class ModelMatrix:
     """The measurement matrix H, held as the line flows each row sums: term t
     adds ``coeffs[t] * (theta[tails[t]] - theta[heads[t]])`` to row
     ``rows[t]``, so every row sums to zero term by term. ``labels`` are the
-    rows' (kind, id) in the global order. H @ delta_theta, its support, max|H|
-    and the Gram factor come from the table; the dense ``h`` is built on
-    first read."""
+    rows' (kind, id) in the global order. H @ delta_theta and its support
+    come from the table; max|H| and the residual guard's columns of H come
+    from its ``entries``, which sum the table's terms per entry. The dense
+    ``h``, and its SVD basis, are built on first read."""
 
     def __init__(self, labels, bus_count: int, rows, tails, heads, coeffs):
         self.labels = tuple(labels)
@@ -271,220 +274,36 @@ class ModelMatrix:
         """The matrix with the reference-bus column removed."""
         return self.h[:, 1:]
 
-    def range_basis(self) -> "_GramFactor | _SvdBasis":
-        """The residual guard's factor of the column space of the reduced
-        matrix H2, built once per model.
-
-        Normally a :class:`_GramFactor`: the nonzeros of H2 and a block
-        Cholesky factor G = H2^T H2 = L L^T of its (n-1)x(n-1) Gram matrix.
-        G is assembled from the table's entries of each row (2 to deg+1 of
-        them). Up to GRAM_BLOCK columns it is one dense block in table order.
-        Past that, the columns take a bandwidth-reducing order of the bus
-        graph, in which G is banded, and G is factored in blocks of
-        k = max(bandwidth, GRAM_BLOCK) columns: O(nnz + n k^2) time and
-        O(n k) memory, where a dense factor takes O(n^3) and O(n^2). The
-        factor is used only under the conditioning certificate
-        ||G||_F trace(G^-1) < GRAM_COND_LIMIT, which bounds cond(G), since
-        trace(G^-1) >= ||G^-1||_2, and so cond(H2) < 1e5: H2 has full column
-        rank with a margin and its SVD would keep every singular value, so
-        both factors span the same subspace. trace(G^-1) = ||L^-1||_F^2 is
-        read from the blocks of L alone.
-
-        Otherwise, where H2 is rank-deficient (an unobservable placement) or
-        its reactances lie many decades apart, it is a :class:`_SvdBasis`,
-        the singular vectors above the SVD's rank cutoff."""
+    def range_basis(self) -> "_ReducedColumns":
+        """The residual guard's view of the column space of the reduced
+        matrix H2: its nonzeros, read from ``entries`` without the reference
+        column, built once per model in O(nnz) with no factorization. An
+        attack H @ dtheta is certified by its own witness y = dtheta[1:] -
+        dtheta[0] (see :func:`attack_from_partition`)."""
         if self._range_basis is None:
-            self._range_basis = _GramFactor.certified(self) or _SvdBasis(self.reduced())
+            self._range_basis = _ReducedColumns(self)
         return self._range_basis
 
-
-# Bound on ||G||_F trace(G^-1), at least cond_2(G) = cond_2(H2)^2, under which
-# the Gram path is used: cond(H2) < 1e5.
-GRAM_COND_LIMIT = 1e10
-# Least width of a block of the Gram factor. A reduced matrix of at most this
-# many columns is one block in table order.
-GRAM_BLOCK = 128
+    @cached_property
+    def svd_basis(self) -> "_SvdBasis":
+        """The SVD basis of the column space of H2, which only
+        :func:`bdd_residual` reads."""
+        return _SvdBasis(self.reduced())
 
 
-def _rcm_positions(model: ModelMatrix) -> np.ndarray:
-    """Each reduced column's position in a reverse Cuthill-McKee order of the
-    graph joining the two buses of each table term (Cuthill & McKee, ACM
-    1969). Each component is searched breadth first from a pseudo-peripheral
-    bus (George & Liu, ACM TOMS 1979), the neighbours of a bus visited by
-    (degree, index); components come in the order of their least bus, and
-    the whole order is reversed. The reference bus is ordered with the
-    others and then dropped: its injection row ties its neighbours together
-    in G, and without it they may lie far apart or in separate components."""
-    n = model.bus_count
-    src, dst = np.divmod(
-        np.unique(np.concatenate((model.tails * n + model.heads, model.heads * n + model.tails))), n
-    )
-    degree = np.bincount(src, minlength=n)
-    dst = dst[np.lexsort((dst, degree[dst], src))].tolist()
-    ends = np.cumsum(degree).tolist()
-    degree = degree.tolist()
-    adj = [dst[end - d : end] for end, d in zip(ends, degree)]
+class _ReducedColumns:
+    """The nonzeros (rows, cols, vals) of H2, in row order."""
 
-    def levels(root):
-        """The breadth-first levels from root, each in the order found."""
-        seen, level, out = {root}, [root], []
-        while level:
-            out.append(level)
-            level = []
-            for x in out[-1]:
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        level.append(y)
-        return out
-
-    order, placed = [], set()
-    for start in range(n):
-        if start in placed:
-            continue
-        tiers = levels(start)
-        while True:  # move to the far end while the eccentricity grows
-            far_tiers = levels(min(tiers[-1], key=lambda x: (degree[x], x)))
-            if len(far_tiers) <= len(tiers):
-                break
-            tiers = far_tiers
-        for level in tiers:  # the Cuthill-McKee order of the component
-            order += level
-            placed.update(level)
-    columns = np.array(order[::-1]) - 1
-    pos = np.empty(n - 1, dtype=np.intp)
-    pos[columns[columns >= 0]] = np.arange(n - 1)
-    return pos
-
-
-def _gram_pairs(rows, cols, vals, m: int):
-    """G = H2^T H2 for the nonzeros (rows, cols, vals) of H2, as the terms
-    G[a[p], b[p]] += prod[p]: G[i, j] sums vals[x] * vals[y] over the pairs
-    x, y of nonzeros in one row at columns i, j, so each nonzero is paired
-    with each of its row's."""
-    counts = np.bincount(rows, minlength=m)  # nonzeros per row
-    first = np.cumsum(counts) - counts  # position of each row's first
-    reps = counts[rows]
-    left = np.repeat(np.arange(rows.size), reps)  # each, once per partner
-    turn = np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    right = first[rows[left]] + turn  # its row's nonzeros in turn
-    return cols[left], cols[right], vals[left] * vals[right]
-
-
-def _gram_blocks(rows, cols, vals, m: int, n: int):
-    """The block width k, the diagonal blocks D_i = G[i, i] and the
-    sub-diagonal blocks S_i = G[i, i-1] of G = H2^T H2, for the nonzeros
-    (rows, cols, vals) of the m x n matrix H2. Up to GRAM_BLOCK columns G is
-    one block; past that, k = max(bandwidth, GRAM_BLOCK), the last block
-    holds the rest, and G has no nonzero outside these blocks."""
-    a, b, prod = _gram_pairs(rows, cols, vals, m)
-    k = n if n <= GRAM_BLOCK else max(GRAM_BLOCK, int(np.abs(a - b).max(initial=0)))
-    if k >= n:
-        return n, [np.bincount(a * n + b, weights=prod, minlength=n * n).reshape(n, n)], []
-    count = -(-n // k)
-    sizes = [k] * (count - 1) + [n - (count - 1) * k]
-    start = a - a % k  # of the block holding a
-    width = np.where(start == (count - 1) * k, sizes[-1], k)
-    offset = b - start  # from -k, as b lies within k of a
-    diag, sub = (offset >= 0) & (offset < width), offset < 0
-    # D_i at i k^2 and S_i at (i-1) k^2 in their flat arrays, row-major
-    keys = (start * k + (a - start) * width + offset)[diag]
-    sub_keys = ((start - k) * k + (a - start) * k + offset + k)[sub]
-    weights, sub_weights = prod[diag], prod[sub]
-    del a, b, prod, start, width, offset  # before the blocks are allocated
-    flat = np.bincount(keys, weights=weights, minlength=sum(r * r for r in sizes))
-    d = [flat[i * k * k : i * k * k + r * r].reshape(r, r) for i, r in enumerate(sizes)]
-    flat = np.bincount(sub_keys, weights=sub_weights, minlength=k * sum(sizes[1:]))
-    s = [flat[i * k * k : i * k * k + r * k].reshape(r, k) for i, r in enumerate(sizes[1:])]
-    return k, d, s
-
-
-class _GramFactor:
-    """The nonzeros (rows, cols, vals) of H2, in row order, each column at
-    its position in the factor's order, and the block Cholesky factor of
-    G = H2^T H2 in that order. In blocks of k columns G is block
-    tridiagonal, with diagonal blocks D_i and sub-diagonal blocks S_i, and
-    L = chol(G) is block lower bidiagonal, with diagonal blocks L_i and
-    sub-diagonal blocks B_i. The factor keeps W_i = L_i^-1 and B_i, all that
-    solving with G reads, and ``certificate``, ||G||_F trace(G^-1)."""
-
-    def __init__(self, shape, rows, cols, vals, k, w, b, certificate):
-        self.shape = shape
-        self.rows, self.cols, self.vals = rows, cols, vals
-        self.k, self.w, self.b = k, w, b  # block width, W_i, B_i as b[i - 1]
-        self.certificate = certificate
-
-    @classmethod
-    def certified(cls, model: ModelMatrix) -> "_GramFactor | None":
-        """The factor of the model's reduced matrix, or None where G has no
-        Cholesky factor or the certificate is not below GRAM_COND_LIMIT.
-
-        Past GRAM_BLOCK columns, the columns take the order of
-        :func:`_rcm_positions` and G is assembled straight into its blocks,
-        so that no (n-1)^2 array is formed. Block by block,
-        B_i = S_i W_{i-1}^T and L_i = chol(D_i - B_i B_i^T). ||G||_F comes
-        from the blocks, and trace(G^-1) from the diagonal blocks of
-        Z = G^-1 by the backward recursion
-        Z_ii = W_i^T W_i + C_i^T Z_{i+1,i+1} C_i with C_i = B_{i+1} W_i
-        (Takahashi, Fagan & Chen, PICA 1973), each trace a Frobenius inner
-        product."""
-        m, n = model.measurement_count, model.bus_count - 1
-        if m == 0 or n == 0:
-            return None
+    def __init__(self, model: ModelMatrix):
         rows, cols, vals = model.entries
         keep = cols > 0
-        rows, cols, vals = rows[keep], cols[keep] - 1, vals[keep]
-        if n > GRAM_BLOCK:
-            cols = _rcm_positions(model)[cols]
-        k, d, s = _gram_blocks(rows, cols, vals, m, n)
-        g_norm = np.sqrt(sum(np.vdot(x, x) for x in d) + 2 * sum(np.vdot(x, x) for x in s))
-        try:
-            for i, di in enumerate(d):  # in place: D_i becomes W_i, S_i B_i
-                if i:
-                    s[i - 1][...] = s[i - 1] @ d[i - 1].T
-                    di -= s[i - 1] @ s[i - 1].T
-                di[...] = np.linalg.inv(np.linalg.cholesky(di))
-        except np.linalg.LinAlgError:
-            return None
-        w, lower = d, s
-        trace = np.vdot(w[-1], w[-1])
-        carry = 0.0  # C_{i+1}^T Z_{i+2,i+2} C_{i+1}, none past the last block
-        for i in range(len(w) - 2, -1, -1):
-            z = w[i + 1].T @ w[i + 1] + carry  # Z_{i+1,i+1}
-            c = lower[i] @ w[i]
-            zc = z @ c
-            carry = c.T @ zc
-            trace += np.vdot(w[i], w[i]) + np.vdot(c, zc)
-        certificate = float(g_norm * trace)
-        if not certificate < GRAM_COND_LIMIT:
-            return None
-        return cls((m, n), rows, cols, vals, k, w, lower, certificate)
+        self.rows, self.cols, self.vals = rows[keep], cols[keep] - 1, vals[keep]
+        self.measurement_count = model.measurement_count
 
-    def _solve(self, t):
-        """G^-1 t by block forward substitution with L, then back
-        substitution with L^T."""
-        w, b, k = self.w, self.b, self.k
-        u = [w[0] @ t[:k]]
-        for i in range(1, len(w)):
-            u.append(w[i] @ (t[i * k : (i + 1) * k] - b[i - 1] @ u[-1]))
-        y = [w[-1].T @ u[-1]]
-        for i in range(len(w) - 2, -1, -1):
-            y.append(w[i].T @ (u[i] - b[i].T @ y[-1]))
-        return y[0] if len(y) == 1 else np.concatenate(y[::-1])
-
-    def _fit(self, z):
-        """H2 y for the least-squares y = G^-1 H2^T z of z."""
-        t = np.bincount(self.cols, weights=self.vals * z[self.rows], minlength=self.shape[1])
-        y = self._solve(t)
-        return np.bincount(self.rows, weights=self.vals * y[self.cols], minlength=self.shape[0])
-
-    def residual(self, delta_z: np.ndarray) -> np.ndarray:
-        """delta_z - H2 y for the least-squares y of the normal equations,
-        after one step of iterative refinement, which fits the first
-        residual again (Bjorck, Numerical Methods for Least Squares Problems,
-        SIAM 1996, sec. 2.9)."""
-        r = delta_z - self._fit(delta_z)
-        return r - self._fit(r)
+    def residual(self, delta_z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """delta_z - H2 y."""
+        fit = self.vals * y[self.cols]
+        return delta_z - np.bincount(self.rows, weights=fit, minlength=self.measurement_count)
 
 
 class _SvdBasis:
@@ -591,18 +410,12 @@ def hat_matrix(model: ModelMatrix, weights: np.ndarray | None = None) -> np.ndar
 
 def bdd_residual(model: ModelMatrix, delta_z: np.ndarray) -> np.ndarray:
     """Bad-data-detection residual of a measurement corruption under unit
-    weights: the component of delta_z outside the model's column space.
-
-    It is the least-squares residual delta_z - H2 y through the model's
-    :meth:`ModelMatrix.range_basis` factor: from the normal equations with
-    one refinement step when the Gram factor, built from the model's table
-    and banded past GRAM_BLOCK columns, is certified, else by projecting
-    onto the SVD basis of the dense matrix. Past GRAM_BLOCK columns its last
-    digits may differ from those of a dense factor. Any y bounds the
-    least-squares residual from above in the 2-norm, so a poor solve could
-    raise a false alarm but never hide a corruption outside the column
-    space."""
-    return model.range_basis().residual(np.asarray(delta_z, dtype=float))
+    weights: the component of delta_z outside the model's column space, the
+    least-squares residual delta_z - H2 y, by projection onto the model's
+    :attr:`ModelMatrix.svd_basis`, built on first use. It serves any
+    delta_z, at the cost of a dense SVD; an attack from a partition is
+    certified by its witness instead (:func:`attack_from_partition`)."""
+    return model.svd_basis.residual(np.asarray(delta_z, dtype=float))
 
 
 def residual_tolerance(model: ModelMatrix, delta_theta) -> float:
@@ -632,8 +445,13 @@ def attack_from_partition(
 ) -> AttackVector:
     """Turn a binary bus partition into a verified unobservable attack.
 
-    The residual check failing signals an internal bug (the corruption is in
-    the column space by construction), so it raises InvariantError.
+    The attack's delta_z = H @ dtheta lies in the column space of the
+    reduced matrix H2 by construction, with the witness y = dtheta[1:] -
+    dtheta[0], since every row of H sums to zero. ``residual_inf`` is the
+    2-norm of delta_z - H2 y, with delta_z from the term table and H2 from
+    ``entries``; it bounds the max-norm of the least-squares residual from
+    above, and is 0 up to rounding. It exceeding ``residual_tolerance``
+    signals an internal bug, so it raises InvariantError.
     """
     dtheta = np.asarray(delta_theta, dtype=float)
     if dtheta.shape != (net.bus_count,):
@@ -643,7 +461,8 @@ def attack_from_partition(
     if model is None:
         model = build_h(net, meas)
     delta_z, support = model.apply(dtheta)
-    residual_inf = float(np.abs(bdd_residual(model, delta_z)).max()) if len(delta_z) else 0.0
+    witness = dtheta[1:] - dtheta[0]
+    residual_inf = float(np.linalg.norm(model.range_basis().residual(delta_z, witness)))
     tolerance = residual_tolerance(model, dtheta)
     if residual_inf > tolerance:
         raise InvariantError(f"attack residual {residual_inf:g} exceeds {tolerance:g}")

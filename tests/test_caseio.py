@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +268,10 @@ def _sidecar(text):
          "weights.node_costs: id 4 out of range 1..3"),
         (_native('"all"}', '"all"}, "weights": {"node_costs": {"2": "-1"}}'),
          "weights.node_costs[2]: costs must be nonnegative, got -1"),
+        (_native('"all"}', '"all"}, "weights": {"edge_costs": 5}'),
+         "weights.edge_costs must be an object"),
+        (_native('"all"}', '"all"}, "weights": {"node_costs": 1.5}'),
+         "weights.node_costs must be an object"),
         (_matpower("mpc.bus", "mpc.buses"), "missing mpc.bus matrix"),
         (_matpower("1 3 0 0;\n2 1 0 0;\n3 1 0 0;\n", "% no buses\n"), "bus matrix is empty"),
         (_matpower("3 1 0 0;", "2 1 0 0;"), "duplicate bus id 2"),
@@ -271,6 +280,11 @@ def _sidecar(text):
         (_matpower("2 3 0 0.2;", "2 3 0 x;"), "branch: non-numeric token in row 3: '2 3 0 x'"),
         (_sidecar('{"measurements": {}, "placement": {}}'), "unknown keys: ['placement']"),
         (_sidecar('{"measurements": {"injection": [1, 7]}}'), "unknown bus id 7"),
+        (_sidecar('{"weights": {"node_costs": [1]}}'), "weights.node_costs must be an object"),
+        (_sidecar('{"measurements": 5}'), "measurements must be an object"),
+        (_sidecar('{"measurements": {"injection": 5}}'),
+         'measurements.injection must be a list of bus ids or "all"'),
+        (_sidecar('{"measurements": {"injection": [[1]]}}'), "unknown bus id [1]"),
         ({"inst.cut": "nodes 2 3\nsource 1\nsink 2\n"}, "line 1: nodes expects 1 arguments"),
         ({"inst.cut": "nodes 2\nedge 1 2\nsource 1\nsink 2\n"},
          "line 2: edge expects 3 arguments"),
@@ -279,10 +293,13 @@ def _sidecar(text):
     ids=[
         "native-lines-not-list", "native-short-line", "native-string-bus",
         "native-string-reactance", "native-weights-not-object", "native-weight-id",
-        "native-weight-range", "native-weight-negative", "matpower-no-bus",
+        "native-weight-range", "native-weight-negative", "native-edge-costs-not-object",
+        "native-node-costs-not-object", "matpower-no-bus",
         "matpower-empty-bus", "matpower-duplicate-bus", "matpower-short-branch",
         "matpower-unknown-bus", "matpower-token", "sidecar-unknown-key",
-        "sidecar-unknown-bus", "cut-nodes-arity", "cut-edge-arity", "cut-node-range",
+        "sidecar-unknown-bus", "sidecar-node-costs-not-object",
+        "sidecar-measurements-not-object", "sidecar-injection-not-list",
+        "sidecar-injection-id-list", "cut-nodes-arity", "cut-edge-arity", "cut-node-range",
     ],
 )
 def test_malformed_files_are_input_errors_that_name_the_item(capsys, tmp_path, files, message):
@@ -297,3 +314,27 @@ def test_malformed_files_are_input_errors_that_name_the_item(capsys, tmp_path, f
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith(f"error: {bad}: ") and message in captured.err, captured.err
+
+
+def test_too_few_lines_to_connect_is_rejected_before_any_bus_is_built(tmp_path):
+    # A connected network of n buses has at least n - 1 lines, so a declared
+    # size past that is refused in O(1), before a per-bus list or an "all"
+    # placement is built. 30 million buses would take gigabytes: the run is
+    # capped at 1 GB of address space, so building them fails fast instead.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "buses": 30_000_000,
+        "lines": [[1, 2, 1.0], [2, 3, 1.0]],
+        "measurements": {"flow_from": "all", "injection": "all"},
+    }))
+    capped = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from secindex.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", capped, "index", str(path)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == f"error: {path}: network is not connected\n"

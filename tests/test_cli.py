@@ -513,6 +513,17 @@ def test_verify_skips_the_oracle_past_max_size(capsys, tmp_path):
     assert out.splitlines()[-1] == "SKIP oracle-cross-check (case larger than --max-size 12)"
 
 
+def test_verify_cross_checks_attacks_by_least_squares_at_desk_scale(capsys, monkeypatch):
+    # A least-squares residual over the tolerance fails attack-residuals
+    # where the oracles run; past --max-size the witness alone decides.
+    case = str(case_path("example4bus.json"))
+    monkeypatch.setattr(cli, "bdd_residual", lambda model, delta_z: delta_z + 1.0)
+    code, out, _ = run_cli(capsys, "verify", case)
+    assert code == 2 and "FAIL attack-residuals (max " in out
+    code, out, _ = run_cli(capsys, "verify", case, "--max-size", "3")
+    assert code == 0 and "PASS attack-residuals (max " in out
+
+
 def test_failed_invariant_exits_2(capsys, monkeypatch):
     evaluate = costly_cut.evaluate_partition
 
@@ -524,3 +535,29 @@ def test_failed_invariant_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "cut", str(case_path("comparison.cut")))
     assert code == 2 and out == ""
     assert err == "internal invariant violated: partition objective 9 disagrees with cut value 8\n"
+
+
+def test_main_builds_its_parser_once_and_keeps_no_state(capsys, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    case = str(case_path("example4bus.json"))
+    errors = []
+    for _ in range(2):
+        assert main(["index", case, "--target", "1", "--all"]) == 1
+        assert main(["attack", case]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: --target and --all are mutually exclusive\nerror: ")
+    assert "--target" in errors[0].splitlines()[1]
+    # a --target of one call is not the default of the next
+    assert main(["index", case, "--target", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert main(["index", case]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert len(parsers) == 6 and all(p is parsers[0] for p in parsers)

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,16 +27,11 @@ from secindex import (
     hat_matrix,
     is_observable,
 )
-from secindex.caseio import parse_native
+from secindex import cli
+from secindex.caseio import CaseFile, emit_native, parse_native
 from secindex.cases import path as case_path
 from secindex.oracle import attack_cost
-from secindex.power_model import (
-    GRAM_BLOCK,
-    RESIDUAL_TOL,
-    _GramFactor,
-    _SvdBasis,
-    residual_tolerance,
-)
+from secindex.power_model import RESIDUAL_TOL, residual_tolerance
 
 # The published 4-bus worked example: reduced measurement matrix and the
 # unit-weight hat matrix, rows ordered injection@1, flow 1->2 (outgoing),
@@ -400,19 +394,14 @@ def _svd_residual(model, delta_z):
 
 
 def _guard_cases():
-    """Seeded (net, meas, model, factor type) cases: observable placements
-    take the Gram path; unobservable ones with more rows than rank, and a
-    triangle whose reactances lie 12 decades apart, take the SVD path. A
-    triangle 4 decades apart (cond(H2) about 1e4) is still certified. A
-    300-bus lattice with shuffled ids takes the banded Gram path in three
-    blocks, and the SVD path once one of its lines is 12 decades shorter or
-    only every other line is metered, at both ends, which leaves the
-    metered lines in many components."""
+    """Seeded (net, meas, model) cases: observable placements; unobservable
+    ones with more rows than rank; triangles whose reactances lie 4 and 12
+    decades apart; a 300-bus lattice with shuffled ids, the same lattice with
+    one line 12 decades shorter, and the lattice with only every other line
+    metered, at both ends, which leaves the metered lines in many
+    components."""
     rng = random.Random(2024)
-    cases = []
-    for _ in range(8):
-        net, meas, model = random_observable_case(rng)
-        cases.append((net, meas, model, _GramFactor))
+    cases = [random_observable_case(rng) for _ in range(8)]
     unobservable = 0
     while unobservable < 8:
         net = random_network(rng)
@@ -423,28 +412,31 @@ def _guard_cases():
         if is_observable(model):
             continue
         if np.linalg.matrix_rank(model.reduced()) < meas.measurement_count:
-            cases.append((net, meas, model, _SvdBasis))
+            cases.append((net, meas, model))
             unobservable += 1
-    for x, factor in ((1e-4, _GramFactor), (1e-12, _SvdBasis)):
+    for x in (1e-4, 1e-12):
         net = PowerNetwork(bus_count=3, lines=((0, 1, 1.0), (1, 2, x), (0, 2, 1.0)))
         meas = full_measurement(net)
-        cases.append((net, meas, build_h(net, meas), factor))
+        cases.append((net, meas, build_h(net, meas)))
     lattice = shuffled_lattice(random.Random(300), 15, 20)
-    stiff = ((*lattice.lines[0][:2], 1e-12 * lattice.lines[0][2]),) + lattice.lines[1:]
-    for lines, factor in ((lattice.lines, _GramFactor), (stiff, _SvdBasis)):
-        net = PowerNetwork(bus_count=lattice.bus_count, lines=lines)
+    for net in (lattice, _stiff(lattice)):
         meas = full_measurement(net)
-        cases.append((net, meas, build_h(net, meas), factor))
+        cases.append((net, meas, build_h(net, meas)))
     every_other = tuple(range(0, lattice.line_count, 2))
     meas = MeasurementPlacement(flow_from=every_other, flow_to=every_other)
-    cases.append((lattice, meas, build_h(lattice, meas), _SvdBasis))
+    cases.append((lattice, meas, build_h(lattice, meas)))
     return cases
+
+
+def _stiff(net):
+    """``net`` with line 0's reactance 12 decades smaller."""
+    (u, v, x), *rest = net.lines
+    return PowerNetwork(bus_count=net.bus_count, lines=((u, v, 1e-12 * x), *rest))
 
 
 def test_residual_guard_agrees_with_the_svd_projector():
     nrng = np.random.default_rng(7)
-    for net, meas, model, factor in _guard_cases():
-        assert isinstance(model.range_basis(), factor)
+    for net, meas, model in _guard_cases():
         dtheta = nrng.standard_normal(net.bus_count)
         delta_z = model.h @ dtheta
         scale = residual_tolerance(model, dtheta) / RESIDUAL_TOL
@@ -455,14 +447,41 @@ def test_residual_guard_agrees_with_the_svd_projector():
             assert np.abs(got - _svd_residual(model, dz)).max() <= 1e-12 * scale
         assert np.abs(bdd_residual(model, delta_z)).max() <= 1e-12 * scale
         assert np.abs(bdd_residual(model, delta_z + outside)).max() >= 1e-7 * scale
+        witness = model.range_basis().residual(delta_z, dtheta[1:] - dtheta[0])
+        assert np.linalg.norm(witness) <= 1e-12 * scale
+
+
+def test_witness_residual_bounds_the_least_squares_residual():
+    # For any y, ||dz - H2 y||_2 is at least the least-squares residual's
+    # 2-norm, and so its max-norm: the attack's witness, and a witness off
+    # by noise for a shift off the column space. On an attack, whose
+    # witness residual is rounding, the SVD's rounding is the larger (about
+    # 3e-12 max|H| on the stiff lattice, where its rank cutoff is near the
+    # small singular values), but stays within the guard's tolerance.
+    nrng = np.random.default_rng(13)
+    for net, meas, model in _guard_cases():
+        dtheta = (nrng.random(net.bus_count) < 0.5).astype(float)
+        dtheta[0] = 1.0
+        attack = attack_from_partition(net, meas, dtheta, model=model)
+        scale = residual_tolerance(model, dtheta) / RESIDUAL_TOL
+        assert attack.residual_inf <= 1e-12 * scale
+        lsq = np.linalg.norm(bdd_residual(model, attack.delta_z))
+        assert lsq <= attack.residual_inf + residual_tolerance(model, dtheta)
+        outside = _svd_residual(model, nrng.standard_normal(model.measurement_count))
+        outside *= 1e-6 * scale / np.abs(outside).max()
+        dz = attack.delta_z + outside
+        witness = dtheta[1:] - dtheta[0]
+        for y in (witness, witness + 1e-6 * nrng.standard_normal(witness.size)):
+            bound = np.linalg.norm(model.range_basis().residual(dz, y))
+            assert np.linalg.norm(bdd_residual(model, dz)) <= bound * (1 + 1e-9)
+            assert bound >= np.linalg.norm(outside) * (1 - 1e-6)
 
 
 def test_residual_guard_rejects_a_corruption_outside_the_column_space(monkeypatch):
-    # A shift off the column space of the reduced matrix, which the guard's
-    # factor was built from, added to H @ dtheta where the attack computes it.
+    # A shift off the column space of the reduced matrix added to
+    # H @ dtheta where the attack computes it.
     nrng = np.random.default_rng(11)
-    for net, meas, model, factor in _guard_cases():
-        assert isinstance(model.range_basis(), factor)
+    for net, meas, model in _guard_cases():
         dtheta = np.ones(net.bus_count)
         dtheta[-1] = 0.0
         attack_from_partition(net, meas, dtheta, model=model)
@@ -473,6 +492,24 @@ def test_residual_guard_rejects_a_corruption_outside_the_column_space(monkeypatc
         with pytest.raises(InvariantError, match="attack residual"):
             attack_from_partition(net, meas, dtheta, model=model)
         monkeypatch.undo()
+
+
+def test_residual_guard_rejects_a_corrupted_entry():
+    # The guard reads H2 from ``entries``, apart from the term table that
+    # ``apply`` sums, so one entry off by 1e-6 max|H| is caught wherever
+    # the witness reads its column.
+    for net, meas, model in _guard_cases():
+        dtheta = np.zeros(net.bus_count)
+        dtheta[0] = 1.0  # the witness is -1 at every reduced column
+        attack_from_partition(net, meas, dtheta, model=model)
+        rows, cols, vals = model.entries
+        k = int(np.flatnonzero(cols > 0)[-1])
+        vals = vals.copy()
+        vals[k] += 1e-6 * model.max_abs_entry
+        corrupted = build_h(net, meas)
+        corrupted.entries = (rows, cols, vals)
+        with pytest.raises(InvariantError, match="attack residual"):
+            attack_from_partition(net, meas, dtheta, model=corrupted)
 
 
 def test_residual_guard_sees_a_corruption_the_size_of_the_attack_below_unit_scale(monkeypatch):
@@ -493,58 +530,25 @@ def test_residual_guard_sees_a_corruption_the_size_of_the_attack_below_unit_scal
         attack_from_partition(net, meas, dtheta, model=model)
 
 
-def test_gram_factor_past_128_columns_agrees_with_the_svd_basis():
-    net = random_network(random.Random(3), min_buses=140, max_buses=150, max_lines=220)
-    meas = full_measurement(net)
-    model = build_h(net, meas)
-    factor = model.range_basis()
-    assert isinstance(factor, _GramFactor) and len(factor.w) >= 2
-    svd = _SvdBasis(model.reduced())
-    nrng = np.random.default_rng(5)
-    dtheta = (nrng.random(net.bus_count) < 0.5).astype(float)
-    delta_z = attack_from_partition(net, meas, dtheta, model=model).delta_z
-    outside = svd.residual(nrng.standard_normal(model.measurement_count))
-    assert np.abs(outside).max() > 0.1
-    for dz in (delta_z, delta_z + outside):
-        assert np.abs(factor.residual(dz) - svd.residual(dz)).max() <= 1e-10
-    assert np.abs(factor.residual(delta_z)).max() <= 1e-10
+def test_stiff_and_unobservable_attacks_need_no_dense_matrix(capsys, tmp_path, monkeypatch):
+    # The witness certifies the attack, so neither a line 12 decades stiffer
+    # nor an unobservable placement sends the guard to a dense matrix or SVD.
+    lattice = shuffled_lattice(random.Random(300), 15, 20)
+    every_other = tuple(range(0, lattice.line_count, 2))
+    cases = [
+        (_stiff(lattice), full_measurement(lattice)),
+        (lattice, MeasurementPlacement(flow_from=every_other, flow_to=every_other)),
+    ]
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path taken")
 
-def _bandwidth(rows, cols):
-    """The bandwidth of the Gram matrix of a matrix with these nonzeros."""
-    width = 0
-    for r in set(rows.tolist()):
-        at = cols[rows == r]
-        width = max(width, int(at.max() - at.min()))
-    return width
-
-
-def test_banded_gram_factor_matches_the_dense_certificate():
-    # Shuffled ids put the Gram matrix's table-order bandwidth past the
-    # block, so only the bandwidth-reducing order keeps it banded.
-    net = shuffled_lattice(random.Random(300), 15, 20)
-    model = build_h(net, full_measurement(net))
-    rows, cols, _ = model.entries
-    keep = cols > 0
-    assert _bandwidth(rows[keep], cols[keep]) > GRAM_BLOCK
-    factor = model.range_basis()
-    assert isinstance(factor, _GramFactor) and len(factor.w) >= 3
-    assert _bandwidth(factor.rows, factor.cols) <= factor.k
-    g = model.reduced().T @ model.reduced()
-    dense = np.linalg.norm(g) * np.linalg.norm(np.linalg.inv(np.linalg.cholesky(g))) ** 2
-    assert abs(factor.certificate - dense) <= 1e-9 * dense
-
-
-def test_banded_gram_factor_allocates_no_dense_gram_matrix():
-    net = shuffled_lattice(random.Random(600), 20, 30)
-    build_h(net, full_measurement(net)).range_basis()  # pays numpy's lazy imports
-    model = build_h(net, full_measurement(net))
-    n = net.bus_count - 1
-    tracemalloc.start()
-    try:
-        factor = model.range_basis()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert isinstance(factor, _GramFactor)
-    assert peak < n * n * np.dtype(float).itemsize, peak
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(ModelMatrix, "h", property(refuse))
+    for i, (net, meas) in enumerate(cases):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(emit_native(CaseFile(net=net, meas=meas, weights=None)))
+        for target in (1, meas.measurement_count):
+            assert cli.main(["attack", str(path), "--target", str(target)]) == 0
+            rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
+            assert float(rows["residual_inf_norm"].lstrip(",")) <= 1e-9
