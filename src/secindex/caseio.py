@@ -295,7 +295,10 @@ def _parse_sidecar(path, net, bus_index_of):
             _fail(source, 'measurements.injection must be a list of bus ids or "all"')
         out = []
         for ident in raw_ids:
-            if isinstance(ident, (list, dict)) or ident not in bus_index_of:
+            # JSON true and 1.0 equal the id 1 as dict keys; only ints are ids
+            if not isinstance(ident, int) or isinstance(ident, bool):
+                _fail(source, f"unknown bus id {ident!r}: not an integer")
+            if ident not in bus_index_of:
                 _fail(source, f"unknown bus id {ident}")
             out.append(bus_index_of[ident])
         return tuple(out)

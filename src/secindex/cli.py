@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import caseio, costly_cut, indices, oracle
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, SizeLimitError
 from .power_model import (
     ZERO_TOL,
     WeightAssignment,
@@ -147,6 +147,14 @@ def _cmd_gadget(args) -> int:
             raise InputError(f"{args.clauses}: line {lineno}: {exc}") from exc
     if n_vars is None:
         raise InputError(f"{args.clauses}: missing `vars <n>` line")
+    # The gadget meters 3 + 2 rows per variable + 2 per clause; a gadget
+    # the oracle would refuse is refused before it is built.
+    rows = 3 + 2 * n_vars + 2 * len(clauses)
+    if rows > oracle.ROW_LIMIT:
+        raise SizeLimitError(
+            f"{args.clauses}: the gadget would have {rows} rows; "
+            f"the row-set oracle refuses more than {oracle.ROW_LIMIT}"
+        )
     gadget = build_3sat_gadget(clauses, n_vars)
     model = build_h(gadget.net, gadget.meas)
     result = oracle.oracle_continuous(model.h, gadget.target)

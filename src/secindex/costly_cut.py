@@ -27,7 +27,12 @@ whatever partition they select. None of the graphs cut here depends on
 the terminals: the auxiliary graph ``solve`` cuts and the edge-only graph
 each approximation cuts are built and validated once per family of
 instances, on first use, and shared with every instance ``with_terminals``
-derives. A flow on a shared graph copies only its capacities, so a sweep
+derives. Each is built as arrays, block by block in its documented edge
+order, from the instance's endpoint arrays (``ends``) and its scaled costs,
+and handed to ``DiGraph.from_arrays``; no per-edge tuple is made. An
+instance built by ``CostlyCutInstance.from_arrays`` starts from such
+arrays and from costs already checked, and is itself checked on the
+arrays. A flow on a shared graph copies only its capacities, so a sweep
 over many terminal pairs pays the graph's set-up once. ``evaluate_partition``
 rechecks every cut in exact rational arithmetic; it reads the crossing
 edges, their costs and their endpoints' charges from the smaller side of
@@ -45,8 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, InvariantError, SizeLimitError
-from .mincut import DiGraph, min_cut, min_cut_extremes
+from .errors import CapacityOverflowError, InputError, InvariantError, SizeLimitError
+from .mincut import MAX_TOTAL_CAPACITY, DiGraph, interleave, min_cut, min_cut_extremes
 
 BRUTE_FORCE_MAX_NODES = 22
 _BRUTE_CHUNK = 1 << 16
@@ -91,15 +96,41 @@ def _check_terminals(node_count, source, sink):
         raise InputError("source and sink must differ")
 
 
-def _check_structure(node_count, edges, source, sink):
-    if node_count < 2:
+def _coerced(edges):
+    """Edge triples with int endpoints and ``as_cost`` costs."""
+    return tuple((int(u), int(v), as_cost(c)) for (u, v, c) in edges)
+
+
+def _ends(inst):
+    """The tails and the heads of an instance's edges, as two index arrays.
+    An id outside [0, node_count) reads as -1: it then fits any array and
+    is still out of range when ``_check_structure`` judges it."""
+    n = inst.node_count
+    return tuple(
+        np.fromiter(
+            (e[end] if 0 <= e[end] < n else -1 for e in inst.edges),
+            dtype=np.int64,
+            count=len(inst.edges),
+        )
+        for end in (0, 1)
+    )
+
+
+def _check_structure(inst):
+    """Check an instance's node count, terminals, edge node ids and
+    self-loops, naming the first offending edge."""
+    n = inst.node_count
+    if n < 2:
         raise InputError("instance needs at least source and sink")
-    _check_terminals(node_count, source, sink)
-    for idx, (u, v, _) in enumerate(edges):
-        if not (0 <= u < node_count and 0 <= v < node_count):
+    _check_terminals(n, inst.source, inst.sink)
+    tails, heads = inst.ends
+    outside = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
+    failed = outside | (tails == heads)
+    if failed.any():
+        idx = int(failed.argmax())
+        if outside[idx]:
             raise InputError(f"edge {idx}: node id out of range")
-        if u == v:
-            raise InputError(f"edge {idx}: self-loop at node {u}")
+        raise InputError(f"edge {idx}: self-loop at node {int(tails[idx])}")
 
 
 def _int_costs(inst):
@@ -115,7 +146,9 @@ def _int_costs(inst):
 class CostlyCutInstance:
     """A directed graph with edge costs, per-node charges, and two terminals.
 
-    Construction checks node ids, self-loops, costs and terminals once."""
+    Construction checks node ids, self-loops, costs and terminals once;
+    ``from_arrays`` builds an instance from index arrays and costs already
+    checked."""
 
     node_count: int
     edges: tuple[tuple[int, int, int | Fraction], ...]
@@ -123,15 +156,33 @@ class CostlyCutInstance:
     source: int
     sink: int
 
+    @classmethod
+    def from_arrays(cls, node_count, tails, heads, costs, node_costs, source, sink):
+        """The instance whose edge i runs ``tails[i] -> heads[i]`` at cost
+        ``costs[i]``. The costs and charges are kept as given, so they must
+        be ``as_cost`` results already, as a ``WeightAssignment``'s are; the
+        node ids, self-loops and terminals are checked on the arrays."""
+        inst = cls.__new__(cls)
+        inst.__dict__.update(
+            node_count=node_count,
+            edges=tuple(zip(tails.tolist(), heads.tolist(), costs)),
+            node_costs=tuple(node_costs),
+            source=source,
+            sink=sink,
+            ends=(tails, heads),
+        )
+        inst.__post_init__()
+        return inst
+
     def __post_init__(self):
-        edges = tuple((int(u), int(v), as_cost(c)) for (u, v, c) in self.edges)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "node_costs", tuple(as_cost(p) for p in self.node_costs))
+        if "ends" not in vars(self):  # built from edge triples
+            object.__setattr__(self, "edges", _coerced(self.edges))
+            object.__setattr__(self, "node_costs", tuple(as_cost(p) for p in self.node_costs))
         if len(self.node_costs) != self.node_count:
             raise InputError(
                 f"expected {self.node_count} node costs, got {len(self.node_costs)}"
             )
-        _check_structure(self.node_count, edges, self.source, self.sink)
+        _check_structure(self)
         # The graphs cut for this instance and its edge incidence index, by
         # recipe; built on first use and shared with every instance
         # ``with_terminals`` derives, since they do not depend on the
@@ -139,6 +190,7 @@ class CostlyCutInstance:
         object.__setattr__(self, "_graphs", {})
 
     int_costs = cached_property(_int_costs)
+    ends = cached_property(_ends)
 
     def with_terminals(self, source: int, sink: int) -> CostlyCutInstance:
         """The same instance between other terminals.
@@ -177,16 +229,16 @@ class TwoSidedCutInstance:
     sink: int
 
     def __post_init__(self):
-        edges = tuple((int(u), int(v), as_cost(c)) for (u, v, c) in self.edges)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", _coerced(self.edges))
         object.__setattr__(self, "node_costs_out", tuple(as_cost(p) for p in self.node_costs_out))
         object.__setattr__(self, "node_costs_in", tuple(as_cost(p) for p in self.node_costs_in))
         if len(self.node_costs_out) != self.node_count or len(self.node_costs_in) != self.node_count:
             raise InputError("node cost vectors must match node_count")
-        _check_structure(self.node_count, edges, self.source, self.sink)
+        _check_structure(self)
         object.__setattr__(self, "_graphs", {})
 
     int_costs = cached_property(_int_costs)
+    ends = cached_property(_ends)
 
 
 @dataclass(frozen=True)
@@ -202,12 +254,22 @@ class CostlyCutSolution:
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    """The tripled graph (instance node i is its node v_i = i) and the ids of
-    its protective edges; its capacities are the costs times the instance's
-    ``int_costs`` scale."""
+    """The tripled graph (instance node i is its node v_i = i); its
+    capacities are the costs times the instance's ``int_costs`` scale. From
+    edge 2n on, each instance edge adds three edges, the last two of them
+    protective."""
 
     graph: DiGraph
-    big_cost_edges: frozenset[int]
+
+    def is_big_cost(self, e: int) -> bool:
+        """Whether edge ``e`` is a protective edge."""
+        first = 2 * (self.graph.node_count // 3)
+        return e >= first and (e - first) % 3 != 0
+
+    @cached_property
+    def big_cost_edges(self) -> frozenset[int]:
+        """The ids of the protective edges, built on first read."""
+        return frozenset(filter(self.is_big_cost, range(len(self.graph.arrays[0]))))
 
 
 def scale_to_int(*groups):
@@ -241,25 +303,34 @@ def build_auxiliary(inst: CostlyCutInstance | TwoSidedCutInstance) -> AuxiliaryG
 
 
 def _tripled(inst) -> AuxiliaryGraph:
+    # Each block of edges is built as columns, one row per node or per
+    # instance edge, and interleaved row by row: the edge order listed above.
     n = inst.node_count
-    _, edge_scaled, p_out_scaled, p_in_scaled = inst.int_costs
-    big = max(p_out_scaled + p_in_scaled) + 1
-
-    aux_edges = []
-    for i in range(n):
-        aux_edges.append((n + i, i, p_in_scaled[i]))
-        aux_edges.append((i, 2 * n + i, p_out_scaled[i]))
-    for (u, v, _), c in zip(inst.edges, edge_scaled):
-        aux_edges.append((u, v, c))
-        aux_edges.append((u, n + v, big))
-        aux_edges.append((2 * n + u, v, big))
-    first, stop = 2 * n, len(aux_edges)
-
-    graph = DiGraph(node_count=3 * n, edges=tuple(aux_edges))
-    return AuxiliaryGraph(
-        graph=graph,
-        big_cost_edges=frozenset(range(first + 1, stop, 3)).union(range(first + 2, stop, 3)),
+    _, edge_scaled, p_out, p_in = inst.int_costs
+    tails, heads = inst.ends
+    m = len(tails)
+    big = max(p_out + p_in) + 1
+    costs, p_out, p_in, bigs = _capacities(edge_scaled, p_out, p_in, [big] * m)
+    nodes = np.arange(n, dtype=np.int64)
+    graph = DiGraph.from_arrays(
+        3 * n,
+        np.concatenate((interleave(n + nodes, nodes), interleave(tails, tails, 2 * n + tails))),
+        np.concatenate((interleave(nodes, 2 * n + nodes), interleave(heads, n + heads, heads))),
+        np.concatenate((interleave(p_in, p_out), interleave(costs, bigs, bigs))),
     )
+    return AuxiliaryGraph(graph=graph)
+
+
+def _capacities(*groups):
+    """Each group of nonnegative scaled costs as an int64 array. A cost past
+    the 64-bit range puts its graph's total capacity past it too."""
+    try:
+        return [np.array(group, dtype=np.int64) for group in groups]
+    except OverflowError:
+        worst = max(max(group, default=0) for group in groups)
+        raise CapacityOverflowError(
+            f"scaled cost {worst} exceeds the 64-bit limit {MAX_TOTAL_CAPACITY}"
+        ) from None
 
 
 def dump_auxiliary(aux: AuxiliaryGraph) -> str:
@@ -277,8 +348,7 @@ def _incidence(inst):
     allocates a handful of objects, not two per node for the garbage
     collector to trace."""
     index = []
-    for end in (0, 1):
-        nodes = np.fromiter((e[end] for e in inst.edges), dtype=np.intp, count=len(inst.edges))
+    for nodes in inst.ends:
         start = np.zeros(inst.node_count + 1, dtype=np.intp)
         np.cumsum(np.bincount(nodes, minlength=inst.node_count), out=start[1:])
         index.append((start.tolist(), np.argsort(nodes, kind="stable").tolist()))
@@ -333,7 +403,7 @@ def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
     aux = build_auxiliary(inst)
     cut = min_cut(aux.graph, inst.source, inst.sink)
     for e in cut.cut_edges:
-        if e in aux.big_cost_edges:
+        if aux.is_big_cost(e):
             raise InvariantError("a protective big-cost edge appeared in the minimum cut")
     # v_i = i: the instance's source side is the aux side's nodes below n.
     source_side = frozenset(filter(inst.node_count.__gt__, cut.source_side))
@@ -366,8 +436,7 @@ def solve_brute_force(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCu
 
     free = [i for i in range(n) if i not in (inst.source, inst.sink)]
     f = len(free)
-    tails = np.array([u for (u, _, _) in inst.edges], dtype=np.int64)
-    heads = np.array([v for (_, v, _) in inst.edges], dtype=np.int64)
+    tails, heads = inst.ends
 
     # Bit j of a mask drives free node free[j]; weighting low-index nodes as
     # most significant makes ascending masks ascend in membership-vector
@@ -435,11 +504,8 @@ def _plain_graph(inst: CostlyCutInstance, fold: bool) -> DiGraph:
         c + inst.node_costs[u] + inst.node_costs[v] if fold else c
         for (u, v, c) in inst.edges
     ]
-    _, (scaled,) = scale_to_int(costs)
-    return DiGraph(
-        node_count=inst.node_count,
-        edges=tuple((u, v, c) for (u, v, _), c in zip(inst.edges, scaled)),
-    )
+    _, groups = scale_to_int(costs)
+    return DiGraph.from_arrays(inst.node_count, *inst.ends, *_capacities(*groups))
 
 
 def solve_ignore_nodes(inst: CostlyCutInstance) -> CostlyCutSolution:

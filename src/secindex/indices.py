@@ -28,6 +28,7 @@ import numpy as np
 from . import costly_cut
 from .costly_cut import CostlyCutInstance
 from .errors import InputError, InvariantError
+from .mincut import interleave
 from .oracle import attack_cost
 from .power_model import (
     INJECTION,
@@ -90,18 +91,22 @@ def cut_instance_for_line(
 
     Every line appears in both directions with its full cost (cutting it
     pays the cost once); unmetered lines stay in the graph with cost zero
-    because cutting them still charges their endpoints.
+    because cutting them still charges their endpoints. The instance is
+    built from the network's endpoint arrays and the weights' costs, which
+    ``WeightAssignment`` has already checked.
     """
     if not (0 <= line < net.line_count):
         raise InputError(f"line id {line} out of range")
-    edges = []
-    for (u, v, _), c in zip(net.lines, weights.edge_costs):
-        edges.append((u, v, c))
-        edges.append((v, u, c))
+    weights.check(net)
+    tails, heads = net.endpoints
+    costs = [0] * (2 * net.line_count)
+    costs[0::2] = costs[1::2] = weights.edge_costs
     u, v, _ = net.lines[line]
-    return CostlyCutInstance(
+    return CostlyCutInstance.from_arrays(
         node_count=net.bus_count,
-        edges=tuple(edges),
+        tails=interleave(tails, heads),
+        heads=interleave(heads, tails),
+        costs=costs,
         node_costs=weights.node_costs,
         source=u,
         sink=v,

@@ -21,17 +21,23 @@ connected components of the graph's positive-capacity edges, built once per
 graph. The cut's crossing edges are read from the arcs of the smaller side,
 so that step costs time in proportion to the smaller side's degree; the
 sink side is built only where it is the one walked.
-``DiGraph`` validates its edges in one pass that names the first offending
-edge. A graph builds its residual layout (arcs per node, arc heads, arc
-capacities) once, on its first flow; each flow then copies only the
-capacity list and runs on the copy, so many flows between different
-terminals share one graph.
+``DiGraph`` holds its edges as three int64 arrays (tails, heads,
+capacities), given directly (``DiGraph.from_arrays``) or made from edge
+triples, and validates them in one vectorized pass that names the first
+offending edge; a graph built from arrays makes its edge triples only if
+they are read. A graph builds its residual layout (arcs per node, arc
+heads, arc capacities) once, on its first flow, by a stable sort of the
+arcs by tail; the layout is tuples, which the flow indexes fastest. Each
+flow then copies only the capacity list and runs on the copy, so many flows
+between different terminals share one graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import CapacityOverflowError, InputError, InvariantError
 
@@ -46,40 +52,84 @@ class DiGraph:
 
     Node ids run from 0 to ``node_count - 1``. Parallel edges are kept as
     distinct entries (their indices matter for cut extraction); self-loops
-    are rejected. Instances are immutable and safe to share across threads:
-    the residual layout and the capacity components are cached as tuples no
-    flow writes to, and each flow works on its own copy of the capacities.
+    are rejected. ``DiGraph(node_count, edges)`` takes the edges as
+    ``(tail, head, capacity)`` triples; ``DiGraph.from_arrays`` takes them
+    as three int64 arrays and builds ``edges`` on first read. Either way the
+    edges are held as the arrays ``arrays`` and validated there, by
+    ``__post_init__``. Instances are immutable and safe to share across
+    threads: the residual layout and the capacity components are cached as
+    tuples no flow writes to, and each flow works on its own copy of the
+    capacities.
     """
 
     node_count: int
     edges: tuple[tuple[int, int, int], ...]
 
+    @classmethod
+    def from_arrays(cls, node_count: int, tails, heads, caps) -> DiGraph:
+        """The graph whose edge i runs ``tails[i] -> heads[i]`` with
+        capacity ``caps[i]``, three int64 arrays that the graph keeps and
+        nothing may write to."""
+        g = cls.__new__(cls)
+        object.__setattr__(g, "node_count", node_count)
+        object.__setattr__(g, "arrays", (tails, heads, caps))
+        g.__post_init__()
+        return g
+
     def __post_init__(self):
         if not isinstance(self.node_count, int) or self.node_count <= 0:
             raise InputError(f"node_count must be a positive integer, got {self.node_count!r}")
-        normalized, total = _checked_edges(self.node_count, self.edges)
+        if "arrays" in vars(self):
+            tails, heads, caps = self.arrays
+            triples, type_error = None, ""
+        else:
+            items, triples, type_error = _int_triples(self.edges)
+            tails, heads, caps = _columns(triples)
+            object.__setattr__(self, "edges", tuple(triples))
+            object.__setattr__(self, "arrays", (tails, heads, caps))
+        failure = _first_failure(self.node_count, tails, heads, caps)
+        if failure is not None:
+            idx, check = failure
+            if triples is None:
+                edge = u, _, c = int(tails[idx]), int(heads[idx]), int(caps[idx])
+            else:
+                edge, (u, _, c) = items[idx], triples[idx]
+            raise InputError(f"edge {idx}: " + _EDGE_CHECKS[check].format(edge=edge, u=u, c=c))
+        if type_error:
+            raise InputError(type_error)
+        # the tuple path sums exactly: ``_columns`` may have clamped a capacity
+        total = _total(caps) if triples is None else sum(c for (_, _, c) in triples)
         if total > MAX_TOTAL_CAPACITY:
             raise CapacityOverflowError(
                 f"total capacity {total} exceeds the 64-bit limit {MAX_TOTAL_CAPACITY}"
             )
-        object.__setattr__(self, "edges", normalized)
+
+    def __getattr__(self, name):
+        # Only reached for attributes not set: ``edges`` of a graph built
+        # from arrays, made on first read.
+        if name != "edges" or "arrays" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edges = tuple(zip(*(a.tolist() for a in self.arrays)))
+        object.__setattr__(self, "edges", edges)
+        return edges
 
     @cached_property
     def residual_layout(self):
         """``(adj, to, cap)``: arc 2i is edge i, arc 2i+1 its reverse with
         capacity 0; ``to[a]`` is the head of arc ``a`` and ``adj[u]`` lists
-        the arcs leaving node u in ascending order. Built on first use."""
-        edges = self.edges
-        to = [0] * (2 * len(edges))
-        cap = [0] * (2 * len(edges))
-        to[0::2] = [v for (_, v, _) in edges]
-        to[1::2] = [u for (u, _, _) in edges]
-        cap[0::2] = [c for (_, _, c) in edges]
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i, (u, v, _) in enumerate(edges):
-            adj[u].append(2 * i)
-            adj[v].append(2 * i + 1)
-        return tuple(map(tuple, adj)), tuple(to), tuple(cap)
+        the arcs leaving node u in ascending order. Built on first use: a
+        stable sort of the arcs by tail, cut where each node's arcs end."""
+        tails, heads, caps = self.arrays
+        arc_tails = interleave(tails, heads)
+        arcs = np.argsort(arc_tails, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(arc_tails, minlength=self.node_count)).tolist()
+        adj = tuple(tuple(arcs[start:end]) for start, end in zip([0, *ends], ends))
+        # every arc into a node holds that node's one id object, not a fresh
+        # int from ``tolist``: a node has many arcs, and the flow reads only ids
+        nodes = list(range(self.node_count))
+        to = map(nodes.__getitem__, interleave(heads, tails).tolist())
+        cap = interleave(caps, np.zeros_like(caps)).tolist()
+        return adj, tuple(to), tuple(cap)
 
     @cached_property
     def capacity_components(self):
@@ -89,10 +139,12 @@ class DiGraph:
         ``pred[c]`` the components a positive-capacity edge leads to from c
         / into c. Built on first use, by Tarjan's algorithm."""
         n = self.node_count
-        heads: list[list[int]] = [[] for _ in range(n)]
-        for u, v, c in self.edges:
-            if c:
-                heads[u].append(v)
+        tails, heads, caps = self.arrays
+        positive = caps > 0
+        tails, heads = tails[positive], heads[positive]
+        flat = heads[np.argsort(tails, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(tails, minlength=n)).tolist()
+        heads_of = [flat[start:end] for start, end in zip([0, *ends], ends)]
         order, low, comp = [-1] * n, [0] * n, [-1] * n
         members: list[frozenset[int]] = []
         stack: list[int] = []
@@ -103,7 +155,7 @@ class DiGraph:
             order[root] = low[root] = count
             count += 1
             stack.append(root)
-            work = [(root, iter(heads[root]))]
+            work = [(root, iter(heads_of[root]))]
             while work:
                 u, rest = work[-1]
                 for v in rest:
@@ -111,7 +163,7 @@ class DiGraph:
                         order[v] = low[v] = count
                         count += 1
                         stack.append(v)
-                        work.append((v, iter(heads[v])))
+                        work.append((v, iter(heads_of[v])))
                         break
                     if comp[v] < 0 and order[v] < low[u]:
                         low[u] = order[v]
@@ -128,10 +180,11 @@ class DiGraph:
                         members.append(frozenset(group))
         succ = [set() for _ in members]
         pred = [set() for _ in members]
-        for u, v, c in self.edges:
-            if c and comp[u] != comp[v]:
-                succ[comp[u]].add(comp[v])
-                pred[comp[v]].add(comp[u])
+        of = np.array(comp)
+        across = of[tails] != of[heads]
+        for a, b in zip(of[tails[across]].tolist(), of[heads[across]].tolist()):
+            succ[a].add(b)
+            pred[b].add(a)
         return tuple(comp), tuple(members), tuple(map(tuple, succ)), tuple(map(tuple, pred))
 
     def check_node(self, node: int, what: str = "node") -> None:
@@ -139,24 +192,72 @@ class DiGraph:
             raise InputError(f"{what} id {node!r} out of range [0, {self.node_count})")
 
 
-def _checked_edges(node_count, edges):
-    """The edges as triples and their total capacity; the first edge that
-    fails a check is named in the error."""
-    normalized = []
-    total = 0
-    for idx, edge in enumerate(edges):
+# What an edge that fails each check of ``_first_failure`` is told, in
+# the order the checks are made.
+_EDGE_CHECKS = (
+    "node id out of range in {edge!r}",
+    "self-loop at node {u}",
+    "negative capacity {c}",
+)
+
+
+def _int_triples(edges):
+    """The edges as given, those before the first whose members are not all
+    ints as triples, and the error that one raises ("" if none)."""
+    items = list(edges)
+    triples = []
+    for idx, edge in enumerate(items):
         u, v, c = edge
         if not (isinstance(u, int) and isinstance(v, int) and isinstance(c, int)):
-            raise InputError(f"edge {idx}: endpoints and capacity must be integers, got {edge!r}")
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise InputError(f"edge {idx}: node id out of range in {edge!r}")
-        if u == v:
-            raise InputError(f"edge {idx}: self-loop at node {u}")
-        if c < 0:
-            raise InputError(f"edge {idx}: negative capacity {c}")
-        total += c
-        normalized.append((u, v, c))
-    return tuple(normalized), total
+            return items, triples, (
+                f"edge {idx}: endpoints and capacity must be integers, got {edge!r}"
+            )
+        triples.append((u, v, c))
+    return items, triples, ""
+
+
+def _columns(triples):
+    """Tails, heads and capacities of int triples as three int64 arrays. A
+    member past the 64-bit range is stored as -1 (an id, out of range) or as
+    the limit (a capacity, whose exact total then exceeds it), which keeps
+    every check's verdict."""
+    try:
+        table = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        table = np.array(
+            [(*(x if 0 <= x <= MAX_TOTAL_CAPACITY else -1 for x in (u, v)),
+              min(max(c, -1), MAX_TOTAL_CAPACITY)) for (u, v, c) in triples],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+    return tuple(np.ascontiguousarray(table.T))
+
+
+def _first_failure(node_count, tails, heads, caps):
+    """``(index, check)`` of the first edge that fails a check, ``check``
+    indexing ``_EDGE_CHECKS``: node ids in range, no self-loop, capacity
+    nonnegative; None when every edge passes."""
+    fails = np.stack((
+        (tails < 0) | (tails >= node_count) | (heads < 0) | (heads >= node_count),
+        tails == heads,
+        caps < 0,
+    ))
+    failed = fails.any(axis=0)
+    if not failed.any():
+        return None
+    idx = int(failed.argmax())
+    return idx, int(fails[:, idx].argmax())
+
+
+def _total(caps) -> int:
+    """Exact sum of nonnegative int64 capacities: their high and low 32-bit
+    halves are summed apart, so no partial sum wraps."""
+    return (int((caps >> 32).sum()) << 32) + int((caps & 0xFFFFFFFF).sum())
+
+
+def interleave(*columns):
+    """Equal-length arrays merged element by element: ``columns[0][0],
+    columns[1][0], ..., columns[0][1], columns[1][1], ...``."""
+    return np.column_stack(columns).ravel()
 
 
 @dataclass(frozen=True)
@@ -197,11 +298,12 @@ def min_cut_extremes(g: DiGraph, source: int, sink: int) -> tuple[CutSolution, C
 
 def cut_value(g: DiGraph, source_side) -> int:
     """Sum of capacities of edges leaving ``source_side``."""
-    side = set()
+    inside = np.zeros(g.node_count, dtype=bool)
     for node in source_side:
         g.check_node(node)
-        side.add(node)
-    return sum(c for (u, v, c) in g.edges if u in side and v not in side)
+        inside[node] = True
+    tails, heads, caps = g.arrays
+    return int(caps[inside[tails] & ~inside[heads]].sum())
 
 
 def _max_flow(g: DiGraph, source: int, sink: int):

@@ -36,6 +36,7 @@ objective before being returned.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -351,9 +352,16 @@ def _partitions_by_cost(bus_count: int, endpoints, costs, stop):
 
 
 def _null_of_row(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Basis of the kernel of a single functional restricted to the span."""
-    _, _, vt = np.linalg.svd(vec.reshape(1, -1))
-    return basis @ vt[1:].T
+    """Basis of the kernel of a single functional restricted to the span.
+
+    ``vec`` is the functional in the coordinates of ``basis``'s columns,
+    and is not zero. The Householder reflector Q = I - 2vvᵀ/vᵀv with
+    v = vec + sign(vec₀)‖vec‖e₀ maps ``vec`` onto a multiple of e₀, so Q's
+    columns past the first are orthonormal and orthogonal to ``vec``; the
+    result is ``basis`` Q without its first column, formed without Q."""
+    v = vec.astype(float, copy=True)
+    v[0] += math.copysign(np.linalg.norm(v), v[0])
+    return (basis - np.outer(basis @ v, v * (2.0 / (v @ v))))[:, 1:]
 
 
 class _PartitionView:

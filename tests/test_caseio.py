@@ -285,6 +285,8 @@ def _sidecar(text):
         (_sidecar('{"measurements": {"injection": 5}}'),
          'measurements.injection must be a list of bus ids or "all"'),
         (_sidecar('{"measurements": {"injection": [[1]]}}'), "unknown bus id [1]"),
+        (_sidecar('{"measurements": {"injection": [true]}}'), "unknown bus id True: not an integer"),
+        (_sidecar('{"measurements": {"injection": [1.0]}}'), "unknown bus id 1.0: not an integer"),
         ({"inst.cut": "nodes 2 3\nsource 1\nsink 2\n"}, "line 1: nodes expects 1 arguments"),
         ({"inst.cut": "nodes 2\nedge 1 2\nsource 1\nsink 2\n"},
          "line 2: edge expects 3 arguments"),
@@ -299,7 +301,8 @@ def _sidecar(text):
         "matpower-unknown-bus", "matpower-token", "sidecar-unknown-key",
         "sidecar-unknown-bus", "sidecar-node-costs-not-object",
         "sidecar-measurements-not-object", "sidecar-injection-not-list",
-        "sidecar-injection-id-list", "cut-nodes-arity", "cut-edge-arity", "cut-node-range",
+        "sidecar-injection-id-list", "sidecar-injection-id-bool", "sidecar-injection-id-float",
+        "cut-nodes-arity", "cut-edge-arity", "cut-node-range",
     ],
 )
 def test_malformed_files_are_input_errors_that_name_the_item(capsys, tmp_path, files, message):

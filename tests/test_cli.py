@@ -2,7 +2,9 @@ import hashlib
 import json
 import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -306,6 +308,28 @@ def test_gadget_command(capsys, tmp_path):
     report = dict(line.split(" ", 1) for line in out.strip().splitlines())
     assert report["verdict"] == "unsatisfiable"
     assert int(report["optimum"]) > int(report["threshold"])
+
+
+def test_oversized_gadget_is_refused_before_it_is_built(tmp_path):
+    # 2^32 variables would take hundreds of gigabytes of buses. The run is
+    # capped at 1 GB of address space, so only a size check made before the
+    # gadget is built ends in one error line and exit 1.
+    path = tmp_path / "huge.clauses"
+    path.write_text("vars 4294967296\n1 2 3\n")
+    capped = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from secindex.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", capped, "gadget", "--clauses", str(path)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == (
+        f"error: {path}: the gadget would have 8589934597 rows; "
+        f"the row-set oracle refuses more than {oracle.ROW_LIMIT}\n"
+    )
 
 
 def test_verify_worked_example(capsys):

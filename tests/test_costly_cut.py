@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import full_scan_partition_objective
@@ -21,7 +23,7 @@ from secindex import (
 )
 from secindex.caseio import parse_cut_instance
 from secindex.cases import path as case_path
-from secindex.costly_cut import as_cost
+from secindex.costly_cut import _plain_graph, as_cost
 from secindex.mincut import DiGraph
 
 
@@ -384,3 +386,125 @@ def test_scaling_overflow_rejected():
     )
     with pytest.raises(CapacityOverflowError):
         build_auxiliary(inst)
+
+
+def _tuple_auxiliary(inst):
+    """The auxiliary graph built edge by edge through the public tuple
+    constructor, in the order ``build_auxiliary`` documents, and the ids of
+    its protective edges."""
+    n = inst.node_count
+    _, edge_scaled, p_out, p_in = inst.int_costs
+    big = max(p_out + p_in) + 1
+    edges = []
+    for i in range(n):
+        edges += [(n + i, i, p_in[i]), (i, 2 * n + i, p_out[i])]
+    for (u, v, _), c in zip(inst.edges, edge_scaled):
+        edges += [(u, v, c), (u, n + v, big), (2 * n + u, v, big)]
+    protective = {e for e in range(2 * n, len(edges)) if (e - 2 * n) % 3}
+    return DiGraph(node_count=3 * n, edges=tuple(edges)), protective
+
+
+def _loop_layout(g):
+    """The residual layout built arc by arc from the edge triples."""
+    adj = [[] for _ in range(g.node_count)]
+    to, cap = [], []
+    for i, (u, v, c) in enumerate(g.edges):
+        to += [v, u]
+        cap += [c, 0]
+        adj[u].append(2 * i)
+        adj[v].append(2 * i + 1)
+    return tuple(map(tuple, adj)), tuple(to), tuple(cap)
+
+
+def test_array_built_graphs_match_the_tuple_constructor():
+    # Both flavors, rational and zero costs: the auxiliary graph and the
+    # heuristics' graphs, built from arrays, hold the edges, protective ids,
+    # dump and residual layout that edge-by-edge tuples give.
+    rng = random.Random(1717)
+    costs = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(7, 4)]
+    for trial in range(60):
+        base = random_instance(rng, symmetric=trial % 2 == 0)
+        n = base.node_count
+        edges = tuple((u, v, rng.choice(costs)) for (u, v, _) in base.edges)
+        if trial % 3 == 0:
+            inst = TwoSidedCutInstance(
+                node_count=n, edges=edges,
+                node_costs_out=tuple(rng.choice(costs) for _ in range(n)),
+                node_costs_in=tuple(rng.choice(costs) for _ in range(n)),
+                source=0, sink=n - 1,
+            )
+        else:
+            inst = CostlyCutInstance(
+                node_count=n, edges=edges,
+                node_costs=tuple(rng.choice(costs) for _ in range(n)),
+                source=0, sink=n - 1,
+            )
+        aux = build_auxiliary(inst)
+        ref, protective = _tuple_auxiliary(inst)
+        assert aux.graph.edges == ref.edges, trial
+        assert aux.big_cost_edges == protective, trial
+        assert dump_auxiliary(aux) == "".join(
+            f"{line}\n" for line in [str(3 * n)] + [f"{u} {v} {c}" for (u, v, c) in ref.edges]
+        )
+        assert aux.graph.residual_layout == ref.residual_layout == _loop_layout(ref), trial
+        if isinstance(inst, CostlyCutInstance):
+            for fold in (False, True):
+                plain = _plain_graph(inst, fold)
+                folded = [
+                    c + inst.node_costs[u] + inst.node_costs[v] if fold else c
+                    for (u, v, c) in inst.edges
+                ]
+                scale = math.lcm(*(Fraction(c).denominator for c in folded))
+                ref = DiGraph(node_count=n, edges=tuple(
+                    (u, v, int(c * scale)) for (u, v, _), c in zip(inst.edges, folded)
+                ))
+                assert plain.edges == ref.edges, (trial, fold)
+                assert plain.residual_layout == _loop_layout(ref), (trial, fold)
+
+
+def test_instance_from_arrays_checks_like_the_tuple_constructor():
+    tails, heads = np.array([0, 1, 2]), np.array([1, 2, 0])
+    inst = CostlyCutInstance.from_arrays(3, tails, heads, [1, Fraction(1, 2), 0], (0, 1, 2), 0, 2)
+    assert inst == CostlyCutInstance(
+        node_count=3, edges=((0, 1, 1), (1, 2, Fraction(1, 2)), (2, 0, 0)),
+        node_costs=(0, 1, 2), source=0, sink=2,
+    )
+    for bad_heads in ([1, 3, 0], [1, 1, 0], [1, 2, -1]):
+        edges = tuple(zip(tails.tolist(), bad_heads, [1, 1, 1]))
+        with pytest.raises(InputError) as built:
+            CostlyCutInstance(node_count=3, edges=edges, node_costs=(0, 0, 0), source=0, sink=2)
+        with pytest.raises(InputError) as arrays:
+            CostlyCutInstance.from_arrays(3, tails, np.array(bad_heads), [1, 1, 1], (0, 0, 0), 0, 2)
+        assert str(arrays.value) == str(built.value)
+    # an id past 64 bits is out of range, not an OverflowError
+    with pytest.raises(InputError, match="edge 1: node id out of range"):
+        CostlyCutInstance(node_count=3, edges=((0, 1, 1), (0, 2**70, 1)),
+                          node_costs=(0, 0, 0), source=0, sink=2)
+
+
+@pytest.mark.parametrize("edge_cost, node_cost", [
+    (2**64, 0),  # one scaled cost past 64 bits
+    (2**62, 2**62),  # each fits, the total does not
+    (0, 2**63 - 1),  # the protective edges' cost, one more than a charge, does not fit
+    (Fraction(2**62, 3), Fraction(1, 5)),  # the scaling pushes the total past the limit
+])
+def test_scaled_capacity_overflow_is_an_input_error(tmp_path, capsys, edge_cost, node_cost):
+    from secindex import CapacityOverflowError
+    from secindex.cli import main
+
+    inst = CostlyCutInstance(
+        node_count=2, edges=((0, 1, edge_cost), (1, 0, edge_cost)),
+        node_costs=(node_cost, 0), source=0, sink=1,
+    )
+    with pytest.raises(CapacityOverflowError):
+        build_auxiliary(inst)
+    with pytest.raises(CapacityOverflowError):
+        solve_fold_nodes(dataclasses.replace(inst, node_costs=(node_cost, node_cost)))
+    path = tmp_path / "big.cut"
+    path.write_text(
+        f"nodes 2\nedge 1 2 {edge_cost}\nedge 2 1 {edge_cost}\nnode 1 {node_cost}\n"
+        "source 1\nsink 2\n"
+    )
+    assert main(["cut", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "64-bit limit" in err, err

@@ -333,6 +333,33 @@ def test_engine_derives_each_line_instance_from_one_validated_instance():
             assert first.edges is last.edges
 
 
+def test_line_instance_matches_the_one_built_from_edge_triples():
+    # ``cut_instance_for_line`` builds from the endpoint arrays and the
+    # checked weights; the public constructor, fed each line both ways,
+    # must give the same instance, scaling and endpoint arrays.
+    rng = random.Random(4141)
+    choices = [Fraction(0), Fraction(1, 3), Fraction(1, 2), 1, 2]
+    for draw in range(20):
+        net, meas, _ = random_observable_case(rng, max_buses=8, max_lines=12)
+        for w in (WeightAssignment.from_placement(net, meas), WeightAssignment(
+            edge_costs=[rng.choice(choices) for _ in range(net.line_count)],
+            node_costs=[rng.choice(choices) for _ in range(net.bus_count)],
+        )):
+            edges = tuple(
+                e for (u, v, _), c in zip(net.lines, w.edge_costs) for e in ((u, v, c), (v, u, c))
+            )
+            for line in range(net.line_count):
+                inst = cut_instance_for_line(net, w, line)
+                u, v, _ = net.lines[line]
+                ref = costly_cut.CostlyCutInstance(
+                    node_count=net.bus_count, edges=edges, node_costs=w.node_costs, source=u, sink=v
+                )
+                assert inst == ref and inst.int_costs == ref.int_costs, (draw, line)
+                assert all(map(np.array_equal, inst.ends, ref.ends))
+    with pytest.raises(InputError, match="weight vectors must match"):
+        cut_instance_for_line(net, WeightAssignment(edge_costs=[1], node_costs=[]), 0)
+
+
 def test_derived_instance_checks_its_terminals():
     net, meas = worked_case()
     inst = cut_instance_for_line(net, WeightAssignment.from_placement(net, meas), 0)

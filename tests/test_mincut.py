@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -503,3 +504,83 @@ def test_far_side_is_found_locally():
         (small, small_reads), (large, large_reads) = reads
         assert small < 200 and large > 19000
         assert small_reads == large_reads < 40
+
+
+def _arrays(edges):
+    return tuple(np.array(column, dtype=np.int64).reshape(-1) for column in zip(*edges)) or (
+        np.zeros(0, dtype=np.int64),) * 3
+
+
+def test_array_graphs_validate_like_tuple_graphs():
+    good = (0, 1, 1)
+    for edges in [
+        (good, (0, 2, 1), (1, 1, 1)),
+        (good, (1, 1, 1), (0, 1, -1)),
+        (good, (0, 1, -1)),
+        (good, (-1, 1, 1)),
+        (good, (2, 0, 3)),
+    ]:
+        with pytest.raises(InputError) as built:
+            DiGraph(node_count=2, edges=edges)
+        with pytest.raises(InputError) as arrays:
+            DiGraph.from_arrays(2, *_arrays(edges))
+        assert str(arrays.value) == str(built.value)
+    with pytest.raises(CapacityOverflowError):
+        DiGraph.from_arrays(2, *_arrays(((0, 1, 2**62), (1, 0, 2**62), (0, 1, 2**62))))
+    g = DiGraph.from_arrays(2, *_arrays(((0, 1, 2**62), (1, 0, 2**62 - 1))))
+    assert g.edges == ((0, 1, 2**62), (1, 0, 2**62 - 1))
+    assert g == DiGraph(node_count=2, edges=g.edges)
+
+
+def test_members_past_64_bits_fail_their_own_check():
+    # The tuple constructor stores its edges in int64 arrays; a member that
+    # does not fit still fails the check it fails today, not with OverflowError.
+    good = (0, 1, 1)
+    cases = [
+        ((good, (0, 2**70, 1)), InputError, "edge 1: node id out of range in (0, 1180591620717411303424, 1)"),
+        ((good, (-2**70, 1, 1)), InputError, "edge 1: node id out of range in (-1180591620717411303424, 1, 1)"),
+        ((good, (0, 1, -2**70)), InputError, "edge 1: negative capacity -1180591620717411303424"),
+        ((good, (0, 1, 2**64)), CapacityOverflowError, "total capacity 18446744073709551617"),
+        ((good, (1, 0, 2**64), (1, 1, 1)), InputError, "edge 2: self-loop at node 1"),
+    ]
+    for edges, error, message in cases:
+        with pytest.raises(error) as err:
+            DiGraph(node_count=2, edges=edges)
+        assert str(err.value).startswith(message), err.value
+
+
+def test_array_graph_builds_its_edges_on_first_read():
+    edges = ((0, 1, 3), (1, 2, 4), (2, 0, 5))
+    g = DiGraph.from_arrays(3, *_arrays(edges))
+    assert "edges" not in vars(g)
+    assert min_cut(g, 0, 2).value == 3 and cut_value(g, {0}) == 3
+    assert "edges" not in vars(g)
+    assert g.edges == edges and g.edges is g.edges
+    with pytest.raises(AttributeError):
+        g.no_such_attribute
+
+
+def test_capacity_components_are_the_mutual_reach_classes():
+    # Two nodes share a component exactly when each reaches the other along
+    # positive-capacity edges; the links are the positive edges between
+    # components.
+    rng = random.Random(2024)
+    for _ in range(40):
+        g = random_digraph(rng, nodes=rng.randint(2, 9), edges=rng.randint(1, 20), max_cap=2)
+        n = g.node_count
+        reach = []
+        for s in range(n):
+            seen, todo = {s}, [s]
+            while todo:
+                u = todo.pop()
+                for a, b, c in g.edges:
+                    if a == u and c and b not in seen:
+                        seen.add(b)
+                        todo.append(b)
+            reach.append(seen)
+        comp, members, succ, pred = g.capacity_components
+        for u in range(n):
+            assert members[comp[u]] == {v for v in reach[u] if u in reach[v]}
+        links = {(comp[u], comp[v]) for u, v, c in g.edges if c and comp[u] != comp[v]}
+        assert {(a, b) for a in range(len(members)) for b in succ[a]} == links
+        assert {(a, b) for b in range(len(members)) for a in pred[b]} == links

@@ -431,3 +431,24 @@ def test_network_oracle_equals_one_uncapped_pass(monkeypatch):
     monkeypatch.setattr(oracle, "_band_caps", lambda costs: iter([sum(costs) + 1]))
     assert solve_all() == banded
     assert any(key[0] == "node" for res in banded for key in res)
+
+
+def test_null_of_row_is_an_orthonormal_kernel_of_the_row():
+    # The shrunk basis spans exactly the part of the old span the row
+    # vanishes on: one column fewer, orthonormal, each annihilated by the
+    # row, and every column inside the old span.
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3, 6):
+        for lead in (1.0, -1.0, 0.0):
+            basis = np.linalg.qr(rng.standard_normal((k + 3, k)))[0]
+            row = rng.standard_normal(k + 3)
+            restricted = row @ basis
+            restricted[0] *= lead
+            row = np.linalg.lstsq(basis.T, restricted, rcond=None)[0]  # row @ basis == restricted
+            if not np.abs(restricted).max() > 0:
+                continue
+            kernel = oracle._null_of_row(basis, restricted)
+            assert kernel.shape == (k + 3, k - 1)
+            assert np.allclose(kernel.T @ kernel, np.eye(k - 1), atol=1e-12)
+            assert np.allclose(row @ kernel, 0.0, atol=1e-12)
+            assert np.allclose(basis @ (basis.T @ kernel), kernel, atol=1e-12)
