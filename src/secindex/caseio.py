@@ -7,6 +7,14 @@ and ``emit_native``. The command line crosses it in ``cli``: the
 ``--target`` id (``_target_entry``), the CSV of ``index``
 (``_report_csv``), the rows of ``attack`` (``_cmd_attack``), and the sides
 and edges of ``cut`` (``_cmd_cut``).
+
+A case's lines become arrays in one validated pass. The native reader
+checks its ``lines`` rows column by column (``_native_lines``) and names
+the first failing row with its first failing check, the message a
+row-by-row check would give; the MATPOWER reader collects its in-service
+branches row by row. Both hand the arrays to ``PowerNetwork.from_arrays``,
+which checks connectivity. A placement of ``"all"`` is read as a
+``range``, which ``MeasurementPlacement`` takes without sorting.
 """
 
 from __future__ import annotations
@@ -16,10 +24,14 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from .costly_cut import CostlyCutInstance, as_cost
 from .errors import CaseParseError, InputError
-from .power_model import MeasurementPlacement, PowerNetwork, WeightAssignment
+from .mincut import first_failure
+from .power_model import MeasurementPlacement, PowerNetwork, WeightAssignment, full_measurement
 
 _TOP_KEYS = {"buses", "lines", "measurements", "weights"}
 _MEAS_KEYS = {"flow_from", "flow_to", "injection"}
@@ -39,14 +51,6 @@ class CaseFile:
 
 def _fail(source: str, msg: str):
     raise CaseParseError(f"{source}: {msg}")
-
-
-def _check_line(source, where, fbus, tbus, x):
-    """The checks of one line that name its buses, by the file's ids."""
-    if fbus == tbus:
-        _fail(source, f"{where}: self-loop at bus {fbus}")
-    if not 0 < x < math.inf:
-        _fail(source, f"{where}: reactance must be positive and finite, got {x}")
 
 
 def _json(source, text):
@@ -69,7 +73,7 @@ def _bus_id(source, where, value):
 
 def _meas_ids(source, raw, count, what):
     if raw == "all":
-        return tuple(range(count))
+        return range(count)
     if not isinstance(raw, list):
         _fail(source, f"measurements.{what} must be a list of ids or \"all\"")
     out = []
@@ -112,6 +116,58 @@ def _parse_weights(source, raw, net, meas):
     return WeightAssignment(edge_costs=tuple(edge_costs), node_costs=tuple(node_costs))
 
 
+# What a native ``lines`` row that fails each check of ``_native_lines`` is
+# told, in the order the checks are made.
+_ROW_CHECKS = (
+    "bus id {u!r} is not an integer",
+    "bus id {u} out of range 1..{buses}",
+    "bus id {v!r} is not an integer",
+    "bus id {v} out of range 1..{buses}",
+    "reactance {x!r} is not a number",
+    "self-loop at bus {u}",
+    "reactance must be positive and finite, got {x}",
+    "reactance is an integer too large for a float",
+)
+# The least int that ``float`` rounds past the largest float: halfway from
+# it, 2**1024 - 2**971, to 2**1024, where ties round to the even 2**1024.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def _native_lines(source, rows, buses):
+    """The 0-based from buses, to buses and reactances of the native
+    ``lines`` rows, checked column by column: each row is a [from, to,
+    reactance] list, then goes through ``_ROW_CHECKS`` in order, and the
+    first row that fails is named with its first failing check. The cells
+    stay Python objects, so a bool or an int past 64 bits is judged as it
+    was written; ``PowerNetwork.from_arrays`` converts them only after its
+    O(1) size check, which refuses a bus count past the lines."""
+    shaped = [type(row) is list and len(row) == 3 for row in rows]
+    count = shaped.index(False) if False in shaped else len(rows)
+    # a later row's failure never comes first, so the rows past the first
+    # malformed one are not looked at
+    cells = np.fromiter(chain.from_iterable(rows[:count]), object, 3 * count).reshape(count, 3)
+    kinds = np.fromiter(map(type, cells.flat), object, 3 * count).reshape(count, 3)
+    is_id = kinds[:, :2] == int
+    is_number = (kinds[:, 2] == int) | (kinds[:, 2] == float)
+    ids = np.where(is_id, cells[:, :2], 1)
+    in_range = (ids >= 1) & (ids <= buses)
+    x = np.where(is_number, cells[:, 2], 1.0)
+    with np.errstate(invalid="ignore"):  # a NaN compares False, as it should
+        positive = (x > 0) & (x < math.inf)
+        overflows = x >= _FLOAT_OVERFLOW
+    failure = first_failure(np.stack((
+        ~is_id[:, 0], ~in_range[:, 0], ~is_id[:, 1], ~in_range[:, 1], ~is_number,
+        ids[:, 0] == ids[:, 1], ~positive, overflows,
+    )))
+    if failure is not None:
+        idx, check = failure
+        u, v, x = rows[idx]
+        _fail(source, f"lines[{idx}]: " + _ROW_CHECKS[check].format(u=u, v=v, x=x, buses=buses))
+    if count < len(rows):
+        _fail(source, f"lines[{count}]: expected [from, to, reactance]")
+    return ids[:, 0] - 1, ids[:, 1] - 1, x
+
+
 def parse_native_text(text: str, source: str = "<case>") -> CaseFile:
     doc = _json(source, text)
     if not isinstance(doc, dict):
@@ -125,37 +181,21 @@ def parse_native_text(text: str, source: str = "<case>") -> CaseFile:
     buses = doc["buses"]
     if not isinstance(buses, int) or isinstance(buses, bool) or buses < 1:
         _fail(source, "buses must be a positive integer")
-    lines = []
     if not isinstance(doc["lines"], list):
         _fail(source, "lines must be a list")
-    for i, row in enumerate(doc["lines"]):
-        if not (isinstance(row, list) and len(row) == 3):
-            _fail(source, f"lines[{i}]: expected [from, to, reactance]")
-        u, v, x = row
-        for end in (u, v):
-            if not isinstance(end, int) or isinstance(end, bool):
-                _fail(source, f"lines[{i}]: bus id {end!r} is not an integer")
-            if not (1 <= end <= buses):
-                _fail(source, f"lines[{i}]: bus id {end} out of range 1..{buses}")
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            _fail(source, f"lines[{i}]: reactance {x!r} is not a number")
-        _check_line(source, f"lines[{i}]", u, v, x)
-        try:
-            lines.append((u - 1, v - 1, float(x)))
-        except OverflowError:
-            _fail(source, f"lines[{i}]: reactance is an integer too large for a float")
+    tails, heads, reactances = _native_lines(source, doc["lines"], buses)
     if not isinstance(doc["measurements"], dict):
         _fail(source, "measurements must be an object")
     unknown = set(doc["measurements"]) - _MEAS_KEYS
     if unknown:
         _fail(source, f"unknown measurements keys: {sorted(unknown)}")
     try:  # before the placement, which may list every bus
-        net = PowerNetwork(bus_count=buses, lines=tuple(lines))
+        net = PowerNetwork.from_arrays(buses, tails, heads, reactances)
     except InputError as exc:
         _fail(source, str(exc))
     meas = MeasurementPlacement(
-        flow_from=_meas_ids(source, doc["measurements"].get("flow_from", []), len(lines), "flow_from"),
-        flow_to=_meas_ids(source, doc["measurements"].get("flow_to", []), len(lines), "flow_to"),
+        flow_from=_meas_ids(source, doc["measurements"].get("flow_from", []), net.line_count, "flow_from"),
+        flow_to=_meas_ids(source, doc["measurements"].get("flow_to", []), net.line_count, "flow_to"),
         injection=_meas_ids(source, doc["measurements"].get("injection", []), buses, "injection"),
     )
     weights = None
@@ -242,7 +282,7 @@ def parse_matpower_subset(path, sidecar_path=None) -> CaseFile:
         index_of[ident] = len(bus_ids)
         bus_ids.append(ident)
 
-    lines = []
+    tails, heads, reactances = [], [], []
     for i, row in enumerate(branch_rows):
         if len(row) < 4:
             _fail(source, f"branch row {i + 1}: need at least 4 columns")
@@ -253,19 +293,20 @@ def parse_matpower_subset(path, sidecar_path=None) -> CaseFile:
         for end in (fbus, tbus):
             if end not in index_of:
                 _fail(source, f"branch row {i + 1}: unknown bus id {end}")
-        _check_line(source, f"branch row {i + 1}", fbus, tbus, row[3])
-        lines.append((index_of[fbus], index_of[tbus], float(row[3])))
+        if fbus == tbus:
+            _fail(source, f"branch row {i + 1}: self-loop at bus {fbus}")
+        if not 0 < row[3] < math.inf:
+            _fail(source, f"branch row {i + 1}: reactance must be positive and finite, got {row[3]}")
+        tails.append(index_of[fbus])
+        heads.append(index_of[tbus])
+        reactances.append(row[3])
 
     try:
-        net = PowerNetwork(bus_count=len(bus_ids), lines=tuple(lines))
+        net = PowerNetwork.from_arrays(len(bus_ids), tails, heads, reactances)
     except InputError as exc:
         _fail(source, str(exc))
 
-    meas = MeasurementPlacement(
-        flow_from=tuple(range(net.line_count)),
-        flow_to=tuple(range(net.line_count)),
-        injection=tuple(range(net.bus_count)),
-    )
+    meas = full_measurement(net)
     weights = None
     if sidecar_path is not None:
         meas, weights = _parse_sidecar(sidecar_path, net, index_of)
@@ -290,7 +331,7 @@ def _parse_sidecar(path, net, bus_index_of):
 
     def buses(raw_ids):
         if raw_ids == "all":
-            return tuple(range(net.bus_count))
+            return range(net.bus_count)
         if not isinstance(raw_ids, list):
             _fail(source, 'measurements.injection must be a list of bus ids or "all"')
         out = []

@@ -106,11 +106,12 @@ def _cmd_index(args) -> int:
 def _cmd_attack(args) -> int:
     case = _load_case(args.case, sidecar=args.measurements)
     entry = _target_entry(case, args.target, indices.METHOD_EXACT)
+    # ``tolist`` gives Python floats, whose repr is the float() of each scalar
     lines = ["quantity,id,value"]
-    for bus, value in enumerate(entry.attack.delta_theta):
-        lines.append(f"delta_theta,{bus + 1},{float(value)!r}")
-    for meas_id, value in enumerate(entry.attack.delta_z):
-        lines.append(f"delta_z,{meas_id + 1},{float(value)!r}")
+    lines += [f"delta_theta,{bus},{value!r}"
+              for bus, value in enumerate(entry.attack.delta_theta.tolist(), start=1)]
+    lines += [f"delta_z,{meas_id},{value!r}"
+              for meas_id, value in enumerate(entry.attack.delta_z.tolist(), start=1)]
     lines.append(f"residual_inf_norm,,{float(entry.attack.residual_inf)!r}")
     _write("\n".join(lines) + "\n", args.out)
     return 0

@@ -101,30 +101,36 @@ def cut_instance_for_line(
     tails, heads = net.endpoints
     costs = [0] * (2 * net.line_count)
     costs[0::2] = costs[1::2] = weights.edge_costs
-    u, v, _ = net.lines[line]
     return CostlyCutInstance.from_arrays(
         node_count=net.bus_count,
         tails=interleave(tails, heads),
         heads=interleave(heads, tails),
         costs=costs,
         node_costs=weights.node_costs,
-        source=u,
-        sink=v,
+        source=int(tails[line]),
+        sink=int(heads[line]),
     )
 
 
 def binary_gap_bound(net: PowerNetwork, weights: WeightAssignment) -> int | Fraction:
     """Upper bound on the binary-minus-continuous optimum gap: per bus, the
-    worst node charge left uncovered by some incident line cost."""
+    worst node charge left uncovered by some incident line cost. Each bus's
+    cheapest incident line is found by array ops over the costs' ranks, so
+    the costs themselves, ints or Fractions, are only compared and
+    subtracted exactly, and only at the buses that charge more."""
     weights.check(net)
+    if net.line_count == 0:
+        return 0
+    values = sorted(set(weights.edge_costs).union(weights.node_costs))
+    rank = {cost: r for r, cost in enumerate(values)}.__getitem__
+    line_rank = np.fromiter(map(rank, weights.edge_costs), np.intp, net.line_count)
+    node_rank = np.fromiter(map(rank, weights.node_costs), np.intp, net.bus_count)
+    # every bus of a connected network with a line meets one: no run is empty
+    lines, starts = net.adjacency
+    cheapest = np.minimum.reduceat(line_rank[lines], starts[:-1])
     total = 0
-    for bus in range(net.bus_count):
-        incident = net.incident_lines(bus)
-        if not incident:
-            continue
-        worst = weights.node_costs[bus] - min(weights.edge_costs[ln] for ln in incident)
-        if worst > 0:
-            total += worst
+    for bus in np.flatnonzero(node_rank > cheapest).tolist():
+        total += values[node_rank[bus]] - values[cheapest[bus]]
     return total
 
 
@@ -170,8 +176,8 @@ class _Engine:
         checking only the terminals."""
         if self._instance is None:
             self._instance = cut_instance_for_line(self.net, self.weights, line)
-        u, v, _ = self.net.lines[line]
-        return self._instance.with_terminals(u, v)
+        tails, heads, _ = self.net.columns
+        return self._instance.with_terminals(tails[line], heads[line])
 
     def line_value(self, line: int):
         """Index value and attack for separating the endpoints of a line."""

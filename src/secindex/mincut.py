@@ -118,10 +118,13 @@ class DiGraph:
         """``(adj, to, cap)``: arc 2i is edge i, arc 2i+1 its reverse with
         capacity 0; ``to[a]`` is the head of arc ``a`` and ``adj[u]`` lists
         the arcs leaving node u in ascending order. Built on first use: a
-        stable sort of the arcs by tail, cut where each node's arcs end."""
+        stable sort of the arcs by tail, cut where each node's arcs end; the
+        tails are sorted as the narrowest unsigned type that holds every
+        node id, which NumPy radix-sorts, to the same permutation."""
         tails, heads, caps = self.arrays
         arc_tails = interleave(tails, heads)
-        arcs = np.argsort(arc_tails, kind="stable").tolist()
+        keys = arc_tails.astype(np.min_scalar_type(self.node_count))
+        arcs = np.argsort(keys, kind="stable").tolist()
         ends = np.cumsum(np.bincount(arc_tails, minlength=self.node_count)).tolist()
         adj = tuple(tuple(arcs[start:end]) for start, end in zip([0, *ends], ends))
         # every arc into a node holds that node's one id object, not a fresh
@@ -236,11 +239,17 @@ def _first_failure(node_count, tails, heads, caps):
     """``(index, check)`` of the first edge that fails a check, ``check``
     indexing ``_EDGE_CHECKS``: node ids in range, no self-loop, capacity
     nonnegative; None when every edge passes."""
-    fails = np.stack((
+    return first_failure(np.stack((
         (tails < 0) | (tails >= node_count) | (heads < 0) | (heads >= node_count),
         tails == heads,
         caps < 0,
-    ))
+    )))
+
+
+def first_failure(fails) -> tuple[int, int] | None:
+    """``(item, check)`` of the first item that fails a check, ``fails`` a
+    (checks, items) boolean array whose rows are the checks in the order
+    each item is put through them; None when every item passes."""
     failed = fails.any(axis=0)
     if not failed.any():
         return None

@@ -587,11 +587,12 @@ def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta) -> int | Frac
     tails, heads = net.endpoints
     cut = np.flatnonzero(theta[tails] - theta[heads]).tolist()
     theta = theta.tolist()
+    tails, heads, reactances = net.columns
     total = 0
     inj = {}
     mag = {}
     for ln in cut:
-        u, v, x = net.lines[ln]
+        u, v, x = tails[ln], heads[ln], reactances[ln]
         total += edge_costs[ln]
         flow = (theta[u] - theta[v]) / x
         inj[u] = inj.get(u, 0.0) + flow
@@ -641,9 +642,8 @@ def oracle_binary(
     scale, scaled = scale_to_int(edge_costs, node_costs)
     c_s, p_s = (np.array(group, dtype=np.int64) for group in scaled)
 
-    tails = np.array([u for (u, _, _) in net.lines], dtype=np.intp)
-    heads = np.array([v for (_, v, _) in net.lines], dtype=np.intp)
-    su, sv = net.lines[line][0], net.lines[line][1]
+    tails, heads = net.endpoints
+    su, sv = int(tails[line]), int(heads[line])
 
     best_val = None
     best_member = None

@@ -13,18 +13,27 @@ measurement corruption with zero residual, since it lies in the matrix's
 column space; this module constructs such corruptions from binary bus
 partitions and verifies their residuals. It also builds the hardness gadget
 that encodes positive one-in-three 3SAT instances as measurement systems.
+
+A network holds its lines as arrays (``PowerNetwork.arrays``), validated in
+one vectorized pass, with connectivity decided by union-find over the
+lines; its line triples are built only when read, and the lines at each
+bus come from one stable sort (``PowerNetwork.adjacency``). A placement's
+label order is built once, and derived weights come from a ``bincount``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
 from .costly_cut import as_cost
 from .errors import EstimationError, InputError, InvariantError
+from .mincut import first_failure, interleave
 
 ZERO_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
@@ -41,51 +50,110 @@ class PowerNetwork:
     Buses are 0-based; each line is (from_bus, to_bus, reactance) with
     reactance positive and finite. Parallel lines are allowed, self-loops are
     not, and the network must be connected as an undirected graph.
+    ``PowerNetwork(bus_count, lines)`` takes the lines as triples;
+    ``PowerNetwork.from_arrays`` takes them as three arrays and builds
+    ``lines`` on first read. Either way the lines are held as the arrays
+    ``arrays`` (from buses, to buses, reactances) and validated there, by
+    ``__post_init__``, one vectorized check per failure kind.
     """
 
     bus_count: int
     lines: tuple[tuple[int, int, float], ...]
-    _incident: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_arrays(cls, bus_count: int, tails, heads, reactances) -> PowerNetwork:
+        """The network whose line i runs ``tails[i] - heads[i]`` with
+        reactance ``reactances[i]``: integer bus ids and float reactances,
+        converted to arrays that the network keeps and nothing may write to."""
+        net = cls.__new__(cls)
+        object.__setattr__(net, "bus_count", bus_count)
+        object.__setattr__(net, "arrays", (tails, heads, reactances))
+        net.__post_init__()
+        return net
 
     def __post_init__(self):
-        if self.bus_count < 1:
+        n = self.bus_count
+        if n < 1:
             raise InputError("bus_count must be positive")
-        if self.bus_count > len(self.lines) + 1:  # fewer lines than a spanning tree
+        built = "arrays" in vars(self)
+        if n > len(self.arrays[0] if built else self.lines) + 1:  # fewer lines than a spanning tree
             raise InputError("network is not connected")
-        normalized = []
-        incident = [[] for _ in range(self.bus_count)]
-        for idx, (u, v, x) in enumerate(self.lines):
-            u, v, x = int(u), int(v), float(x)
-            if not (0 <= u < self.bus_count and 0 <= v < self.bus_count):
-                raise InputError(f"line {idx}: bus id out of range")
-            if u == v:
-                raise InputError(f"line {idx}: self-loop at bus {u}")
-            if not 0 < x < np.inf:
-                raise InputError(f"line {idx}: reactance must be positive and finite, got {x}")
-            normalized.append((u, v, x))
-            incident[u].append(idx)
-            incident[v].append(idx)
-        object.__setattr__(self, "lines", tuple(normalized))
-        object.__setattr__(self, "_incident", tuple(tuple(ids) for ids in incident))
-        if self.bus_count > 1 and not self._connected():
+        if built:
+            columns, error = self.arrays, None
+        else:
+            columns, error = _line_columns(self.lines, n)
+            object.__setattr__(self, "lines", tuple(zip(*columns)))
+        tails, heads = (np.asarray(ends, dtype=np.intp) for ends in columns[:2])
+        x = np.asarray(columns[2], dtype=float)
+        object.__setattr__(self, "arrays", (tails, heads, x))
+        failure = first_failure(np.stack((
+            (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n),
+            tails == heads,
+            ~((x > 0) & (x < np.inf)),
+        )))
+        if failure is not None:
+            idx, check = failure
+            raise InputError(
+                f"line {idx}: " + _LINE_CHECKS[check].format(u=int(tails[idx]), x=float(x[idx]))
+            )
+        if error is not None:
+            raise error
+        if n > 1 and not self._connected():
             raise InputError("network is not connected")
 
+    def __getattr__(self, name):
+        # Only reached for attributes not set: ``lines`` of a network built
+        # from arrays, made on first read.
+        if name != "lines" or "arrays" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        lines = tuple(zip(*self.columns))
+        object.__setattr__(self, "lines", lines)
+        return lines
+
+    @cached_property
+    def columns(self) -> tuple[list[int], list[int], list[float]]:
+        """``arrays`` as three lists, which per-line Python loops index
+        fastest; built on first read."""
+        return tuple(a.tolist() for a in self.arrays)
+
+    @cached_property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lines, starts)``, the lines by bus: the ids of the lines at
+        bus b, ascending and parallel lines each listed, are
+        ``lines[starts[b]:starts[b + 1]]``. Built by one stable sort of the
+        lines' ends (line i's from bus, then its to bus, for each i in
+        turn), as the narrowest unsigned type, which NumPy radix-sorts."""
+        tails, heads, _ = self.arrays
+        at = interleave(tails, heads)
+        order = np.argsort(at.astype(np.min_scalar_type(self.bus_count)), kind="stable")
+        ends = np.cumsum(np.bincount(at, minlength=self.bus_count))
+        return order >> 1, np.concatenate(([0], ends))
+
     def _connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            bus = stack.pop()
-            for idx in self._incident[bus]:
-                u, v, _ = self.lines[idx]
-                other = v if u == bus else u
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        return len(seen) == self.bus_count
+        """Whether every bus is linked to bus 0. Each bus points at a bus of
+        no larger id in its component, at first itself; each round, every
+        root that a line links to a smaller root is pointed at the least
+        such root, then every bus at its root, until no line links two
+        roots (Shiloach and Vishkin's scheme). Bus 0 is then the root of
+        its component."""
+        tails, heads, _ = self.arrays
+        parent = np.arange(self.bus_count)
+        while True:
+            a, b = parent[tails], parent[heads]
+            apart = a != b
+            if not apart.any():
+                return not parent.any()
+            a, b = a[apart], b[apart]
+            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                up = parent[parent]
+                if (up == parent).all():
+                    break
+                parent = up
 
     @property
     def line_count(self) -> int:
-        return len(self.lines)
+        return len(self.arrays[0])
 
     def incident_lines(self, bus: int) -> tuple[int, ...]:
         """Ids of the lines at ``bus`` in ascending order, parallel lines
@@ -93,25 +161,56 @@ class PowerNetwork:
         return self._incident[bus]
 
     @cached_property
+    def _incident(self) -> tuple[tuple[int, ...], ...]:
+        # one tuple per bus, which the oracles' per-partition loops read
+        lines, starts = (tuple(a.tolist()) for a in self.adjacency)
+        return tuple(lines[a:b] for a, b in zip(starts, starts[1:]))
+
+    @cached_property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """The lines' from buses and to buses, as two index arrays."""
-        return tuple(
-            np.fromiter((line[end] for line in self.lines), dtype=np.intp, count=self.line_count)
-            for end in (0, 1)
-        )
+        return self.arrays[:2]
 
     def incidence(self) -> np.ndarray:
         """Directed incidence matrix: one column per line, +1 at the from bus
         and -1 at the to bus."""
+        tails, heads = self.endpoints
         a = np.zeros((self.bus_count, self.line_count))
-        for idx, (u, v, _) in enumerate(self.lines):
-            a[u, idx] = 1.0
-            a[v, idx] = -1.0
+        ids = np.arange(self.line_count)
+        a[tails, ids] = 1.0
+        a[heads, ids] = -1.0
         return a
 
     def susceptances(self) -> np.ndarray:
         """Reciprocal reactances, one per line."""
-        return np.array([1.0 / x for (_, _, x) in self.lines])
+        return 1.0 / self.arrays[2]
+
+
+# What a line that fails each check of ``PowerNetwork.__post_init__`` is
+# told, in the order the checks are made.
+_LINE_CHECKS = (
+    "bus id out of range",
+    "self-loop at bus {u}",
+    "reactance must be positive and finite, got {x}",
+)
+
+
+def _line_columns(lines, bus_count):
+    """The from buses, to buses and reactances of line triples, through
+    ``int``, ``int`` and ``float``, up to the first line that does not
+    convert, and the exception that line raised (None if none). An id
+    outside [0, bus_count) reads as -1, which fits any array and is still
+    out of range."""
+    columns = ([], [], [])
+    try:
+        for u, v, x in lines:
+            u, v, x = int(u), int(v), float(x)
+            columns[0].append(u if 0 <= u < bus_count else -1)
+            columns[1].append(v if 0 <= v < bus_count else -1)
+            columns[2].append(x)
+    except Exception as exc:  # raised once every earlier line has passed
+        return columns, exc
+    return columns, None
 
 
 @dataclass(frozen=True)
@@ -120,7 +219,9 @@ class MeasurementPlacement:
 
     The global measurement order is all flow_from rows by ascending line id,
     then flow_to rows, then injection rows by ascending bus id; that order
-    defines the measurement index used everywhere else.
+    defines the measurement index used everywhere else. Each id group is
+    kept sorted and without repeats; a ``range`` already is, and is taken
+    as it stands.
     """
 
     flow_from: tuple[int, ...] = ()
@@ -129,16 +230,24 @@ class MeasurementPlacement:
 
     def __post_init__(self):
         for name in ("flow_from", "flow_to", "injection"):
-            ids = tuple(sorted({int(i) for i in getattr(self, name)}))
-            if any(i < 0 for i in ids):
+            ids = getattr(self, name)
+            if not (isinstance(ids, range) and ids.step > 0):
+                ids = sorted({int(i) for i in ids})
+            ids = tuple(ids)
+            if ids and ids[0] < 0:
                 raise InputError(f"{name}: negative id")
             object.__setattr__(self, name, ids)
 
     def ordering(self) -> tuple[tuple[str, int], ...]:
+        """The (kind, id) labels in the global order, built once."""
+        return self._labels
+
+    @cached_property
+    def _labels(self) -> tuple[tuple[str, int], ...]:
         return (
-            tuple((FLOW_FROM, i) for i in self.flow_from)
-            + tuple((FLOW_TO, i) for i in self.flow_to)
-            + tuple((INJECTION, i) for i in self.injection)
+            tuple(zip(repeat(FLOW_FROM), self.flow_from))
+            + tuple(zip(repeat(FLOW_TO), self.flow_to))
+            + tuple(zip(repeat(INJECTION), self.injection))
         )
 
     @property
@@ -158,20 +267,24 @@ class MeasurementPlacement:
 
 def full_measurement(net: PowerNetwork) -> MeasurementPlacement:
     """Every line metered at both ends and every injection metered."""
-    all_lines = tuple(range(net.line_count))
+    all_lines = range(net.line_count)
     return MeasurementPlacement(
-        flow_from=all_lines, flow_to=all_lines, injection=tuple(range(net.bus_count))
+        flow_from=all_lines, flow_to=all_lines, injection=range(net.bus_count)
     )
 
 
 def check_placement(net: PowerNetwork, meas: MeasurementPlacement) -> None:
-    line_count, bus_count = net.line_count, net.bus_count
-    for line in meas.flow_from + meas.flow_to:
-        if not (0 <= line < line_count):
-            raise InputError(f"metered line id {line} out of range")
-    for bus in meas.injection:
-        if not (0 <= bus < bus_count):
-            raise InputError(f"metered bus id {bus} out of range")
+    """Every metered id names a line or a bus of ``net``; the first that
+    does not is named. The ids are sorted and nonnegative, so the first past
+    the end is found by bisection."""
+    for ids, count, what in (
+        (meas.flow_from, net.line_count, "line"),
+        (meas.flow_to, net.line_count, "line"),
+        (meas.injection, net.bus_count, "bus"),
+    ):
+        past = bisect_left(ids, count)
+        if past < len(ids):
+            raise InputError(f"metered {what} id {ids[past]} out of range")
 
 
 @dataclass(frozen=True)
@@ -187,20 +300,20 @@ class WeightAssignment:
     node_costs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edge_costs", tuple(as_cost(c) for c in self.edge_costs))
-        object.__setattr__(self, "node_costs", tuple(as_cost(p) for p in self.node_costs))
+        object.__setattr__(self, "edge_costs", _costs(self.edge_costs))
+        object.__setattr__(self, "node_costs", _costs(self.node_costs))
 
     @classmethod
     def from_placement(cls, net: PowerNetwork, meas: MeasurementPlacement) -> "WeightAssignment":
         """The derived weights of a placement."""
         check_placement(net, meas)
-        c = [0] * net.line_count
-        for line in meas.flow_from + meas.flow_to:
-            c[line] += 1
-        p = [0] * net.bus_count
-        for bus in meas.injection:
-            p[bus] = 1
-        return cls(edge_costs=c, node_costs=p)
+        metered = np.fromiter(chain(meas.flow_from, meas.flow_to), dtype=np.intp)
+        injected = np.zeros(net.bus_count, dtype=np.intp)
+        injected[np.array(meas.injection, dtype=np.intp)] = 1
+        return cls(
+            edge_costs=np.bincount(metered, minlength=net.line_count).tolist(),
+            node_costs=injected.tolist(),
+        )
 
     @classmethod
     def resolve(cls, net: PowerNetwork, meas: MeasurementPlacement, weights) -> "WeightAssignment":
@@ -214,6 +327,15 @@ class WeightAssignment:
     def check(self, net: PowerNetwork) -> None:
         if len(self.edge_costs) != net.line_count or len(self.node_costs) != net.bus_count:
             raise InputError("weight vectors must match line and bus counts")
+
+
+def _costs(values) -> tuple[int | Fraction, ...]:
+    """``values`` as costs: as they stand when every one is a nonnegative
+    int, else each through ``as_cost``, which leaves those unchanged."""
+    costs = tuple(values)
+    if set(map(type, costs)) <= {int} and min(costs, default=0) >= 0:
+        return costs
+    return tuple(map(as_cost, costs))
 
 
 class ModelMatrix:

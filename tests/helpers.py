@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from secindex import (
+    CaseParseError,
     DiGraph,
     MeasurementPlacement,
     ModelMatrix,
@@ -118,6 +120,50 @@ def per_label_build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMat
             u, v, x = net.lines[ident]
             terms.append((r, u, v, 1.0 / x if kind == FLOW_FROM else -1.0 / x))
     return ModelMatrix(labels, net.bus_count, *(zip(*terms) if terms else [()] * 4))
+
+
+def per_row_lines(source, rows, buses):
+    """The native ``lines`` rows checked one row at a time, every check of a
+    row before the next row: the reference for the column-wise check of
+    ``caseio``. Returns the 0-based (from, to, reactance) lines, or raises
+    the CaseParseError that names the first failing row."""
+
+    def fail(msg):
+        raise CaseParseError(f"{source}: {msg}")
+
+    lines = []
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 3):
+            fail(f"lines[{i}]: expected [from, to, reactance]")
+        u, v, x = row
+        for end in (u, v):
+            if not isinstance(end, int) or isinstance(end, bool):
+                fail(f"lines[{i}]: bus id {end!r} is not an integer")
+            if not (1 <= end <= buses):
+                fail(f"lines[{i}]: bus id {end} out of range 1..{buses}")
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            fail(f"lines[{i}]: reactance {x!r} is not a number")
+        if u == v:
+            fail(f"lines[{i}]: self-loop at bus {u}")
+        if not 0 < x < math.inf:
+            fail(f"lines[{i}]: reactance must be positive and finite, got {x}")
+        try:
+            lines.append((u - 1, v - 1, float(x)))
+        except OverflowError:
+            fail(f"lines[{i}]: reactance is an integer too large for a float")
+    return lines
+
+
+def per_bus_gap_bound(net, weights):
+    """``binary_gap_bound`` by a Python ``min`` over each bus's lines."""
+    total = 0
+    for bus in range(net.bus_count):
+        incident = net.incident_lines(bus)
+        if incident:
+            worst = weights.node_costs[bus] - min(weights.edge_costs[ln] for ln in incident)
+            if worst > 0:
+                total += worst
+    return total
 
 
 def random_network(rng: random.Random, min_buses=4, max_buses=10, max_lines=15) -> PowerNetwork:

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import per_row_lines
 from secindex import CaseParseError, MeasurementPlacement
 from secindex.caseio import (
     emit_native,
@@ -341,3 +349,86 @@ def test_too_few_lines_to_connect_is_rejected_before_any_bus_is_built(tmp_path):
                          capture_output=True, text=True, env=env, timeout=60)
     assert (run.returncode, run.stdout) == (1, "")
     assert run.stderr == f"error: {path}: network is not connected\n"
+
+
+# Cells no bus id may be: bools, floats, and values of no number type.
+_NOT_IDS = (True, False, 1.0, 2.5, -0.0, None, "1", [1], {"1": 1})
+# Reactances that are not positive finite floats: a float's overflow, an
+# int past the float range (either sign), and values of no number type.
+_BAD_REACTANCES = (
+    0, 0.0, -0.0, -1, -0.5, math.inf, -math.inf, math.nan,
+    10**400, -(10**400), 2**1024 - 2**970, True, None, "1.0", [1.0],
+)
+
+
+@st.composite
+def _bad_row(draw, buses, row):
+    """A ``lines`` row that fails at least one check: ``row`` with one
+    member spoiled, or a row of the wrong shape."""
+    u, v, x = row
+    kind = draw(st.sampled_from(("id", "range", "loop", "reactance", "length", "type")))
+    if kind in ("id", "range"):
+        bad = draw(st.sampled_from(_NOT_IDS)) if kind == "id" else draw(st.one_of(
+            st.integers(max_value=0), st.integers(min_value=buses + 1),
+            st.sampled_from((-(2**70), 2**70, 10**30)),
+        ))
+        return [bad, v, x] if draw(st.booleans()) else [u, bad, x]
+    if kind == "loop":
+        return [u, u, x]
+    if kind == "reactance":
+        return [u, v, draw(st.sampled_from(_BAD_REACTANCES))]
+    if kind == "length":
+        return draw(st.lists(st.integers(1, buses), max_size=5).filter(lambda r: len(r) != 3))
+    return draw(st.sampled_from(("row", 5, None, 1.5, True, {"from": 1})))
+
+
+@st.composite
+def _grid_with_bad_rows(draw):
+    """A connected native grid of 2 to 8 buses, its ``lines`` rows with
+    one or more of them malformed."""
+    buses = draw(st.integers(2, 8))
+    rows = [[draw(st.integers(1, b - 1)), b, draw(st.sampled_from((0.1, 0.25, 1.0, 2)))]
+            for b in range(2, buses + 1)]
+    rows += [[draw(st.integers(1, buses)), draw(st.integers(1, buses)), 0.5]
+             for _ in range(draw(st.integers(0, 4)))]
+    rows = [row for row in rows if row[0] != row[1]]
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3, unique=True)):
+        rows[i] = draw(_bad_row(buses, rows[i]))
+    return buses, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_grid_with_bad_rows())
+def test_column_checks_name_the_row_the_per_row_loop_names(grid):
+    # The column-wise check of the native lines must tell a malformed file
+    # exactly what the loop that checks one row at a time tells it: the
+    # first failing row and, within it, the first failing check.
+    buses, rows = grid
+    every = {"flow_from": "all", "flow_to": "all", "injection": "all"}
+    text = json.dumps({"buses": buses, "lines": rows, "measurements": every})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(CaseParseError) as expected:
+            per_row_lines(path, json.loads(text)["lines"], buses)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["index", path])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue() == f"error: {expected.value}\n"
+
+
+def test_column_checks_keep_the_reading_of_valid_rows():
+    # Every valid row reads as the per-row loop reads it: ints past 64 bits
+    # never reach an array, and an int reactance converts as ``float`` does.
+    rows = [[1, 2, 1], [2, 3, 2**1024 - 2**970 - 1], [3, 1, 0.125], [1, 3, 10**20]]
+    every = {"flow_from": "all", "flow_to": "all", "injection": "all"}
+    case = parse_native_text(json.dumps({"buses": 3, "lines": rows, "measurements": every}))
+    assert list(case.net.lines) == per_row_lines("<case>", rows, 3)
+    assert all(type(u) is int and type(x) is float for u, _, x in case.net.lines)
+    # a bus count past the lines is refused once the rows have been read
+    for buses, message in ((10**30, "network is not connected"),
+                           (2, "lines[1]: bus id 3 out of range 1..2")):
+        with pytest.raises(CaseParseError, match=re.escape(f": {message}") + "$"):
+            parse_native_text(json.dumps({"buses": buses, "lines": rows, "measurements": {}}))

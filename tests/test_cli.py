@@ -293,6 +293,29 @@ def test_attack_command(capsys, tmp_path):
     assert residual <= 1e-9
 
 
+def test_attack_rows_format_each_value_as_its_float_repr(capsys, tmp_path):
+    # The rows are formatted from lists; each value must read as the repr
+    # of the float it is, as formatting each numpy scalar through float()
+    # reads, on an attack whose dz holds sums of reciprocal reactances.
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({
+        "buses": 4,
+        "lines": [[1, 2, 0.3], [2, 3, 0.7], [3, 4, 0.11], [4, 1, 1.9], [1, 3, 0.013]],
+        "measurements": {"flow_from": "all", "flow_to": "all", "injection": "all"},
+    }))
+    case = parse_native(path)
+    for target in (1, 7, 11, 14):
+        attack = indices.index_target(case.net, case.meas, None, target - 1).attack
+        assert set(attack.delta_z.tolist()) - {0.0, 1.0, -1.0}
+        rows = ["quantity,id,value"]
+        rows += [f"delta_theta,{i + 1},{float(v)!r}" for i, v in enumerate(attack.delta_theta)]
+        rows += [f"delta_z,{i + 1},{float(v)!r}" for i, v in enumerate(attack.delta_z)]
+        rows.append(f"residual_inf_norm,,{float(attack.residual_inf)!r}")
+        code, out, err = run_cli(capsys, "attack", str(path), "--target", str(target))
+        assert (code, err) == (0, "")
+        assert out.encode() == ("\n".join(rows) + "\n").encode()
+
+
 def test_gadget_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "gadget", "--clauses", str(case_path("satisfiable.clauses")))
     assert code == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_network, random_observable_case, random_placement
+from helpers import per_bus_gap_bound, random_network, random_observable_case, random_placement
 from secindex import (
     InputError,
     MeasurementPlacement,
@@ -141,6 +141,28 @@ def test_binary_gap_bound_values():
     # a metered injection on a bus with no metered incident line contributes 1
     lonely = MeasurementPlacement(flow_from=(0,), injection=(3,))
     assert binary_gap_bound(net, WeightAssignment.from_placement(net, lonely)) == 1
+
+
+def test_binary_gap_bound_equals_the_per_bus_minimum():
+    # The bound reads each bus's cheapest line from the costs' ranks; it
+    # must equal the per-bus Python minimum, exactly and with its type, for
+    # int, Fraction and mixed costs, parallel lines and ties.
+    rng = random.Random(18)
+    costs = (0, 1, 2, 3, Fraction(1, 3), Fraction(3, 2), Fraction(5, 2))
+    kinds = set()
+    for _ in range(150):
+        net = random_network(rng, min_buses=2, max_buses=9)
+        weights = WeightAssignment(
+            edge_costs=[rng.choice(costs) for _ in range(net.line_count)],
+            node_costs=[rng.choice(costs) for _ in range(net.bus_count)],
+        )
+        bound = binary_gap_bound(net, weights)
+        expected = per_bus_gap_bound(net, weights)
+        assert bound == expected and type(bound) is type(expected)
+        kinds.add((type(bound), bound > 0))
+    assert kinds == {(int, False), (int, True), (Fraction, True)}
+    lone = PowerNetwork(bus_count=1, lines=())
+    assert binary_gap_bound(lone, WeightAssignment(edge_costs=(), node_costs=(5,))) == 0
 
 
 def test_integral_weights_give_int_indices_and_bounds():

@@ -26,7 +26,7 @@ from secindex.caseio import parse_matpower_subset, parse_native
 from secindex.cases import path as case_path
 from secindex.costly_cut import CostlyCutInstance, _plain_graph, build_auxiliary
 from secindex.indices import cut_instance_for_line
-from secindex.mincut import MAX_TOTAL_CAPACITY, _checked_cut, _max_flow, _reach
+from secindex.mincut import MAX_TOTAL_CAPACITY, _checked_cut, _max_flow, _reach, interleave
 from secindex.power_model import WeightAssignment
 
 
@@ -584,3 +584,21 @@ def test_capacity_components_are_the_mutual_reach_classes():
         links = {(comp[u], comp[v]) for u, v, c in g.edges if c and comp[u] != comp[v]}
         assert {(a, b) for a in range(len(members)) for b in succ[a]} == links
         assert {(a, b) for b in range(len(members)) for a in pred[b]} == links
+
+
+def test_layout_sorted_as_narrow_keys_equals_the_int64_layout():
+    # The arc tails are sorted as the narrowest unsigned type that holds a
+    # node id (uint8, uint16, uint32 across these counts); a stable sort of
+    # the same keys gives the permutation the int64 keys gave.
+    rng = np.random.default_rng(18)
+    for node_count in (255, 256, 257, 65535, 65536, 65537):
+        tails = rng.integers(0, node_count, 3000)
+        heads = (tails + rng.integers(1, node_count, 3000)) % node_count
+        tails[:2], heads[:2] = (0, node_count - 1), (node_count - 1, 0)
+        g = DiGraph.from_arrays(node_count, tails, heads, rng.integers(0, 9, 3000))
+        adj, to, cap = g.residual_layout
+        arcs = np.argsort(interleave(tails, heads), kind="stable").tolist()
+        ends = np.cumsum(np.bincount(interleave(tails, heads), minlength=node_count)).tolist()
+        assert adj == tuple(tuple(arcs[a:b]) for a, b in zip([0, *ends], ends))
+        assert to == tuple(interleave(heads, tails).tolist())
+        assert cap == tuple(interleave(g.arrays[2], np.zeros(3000, dtype=np.int64)).tolist())

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from secindex import cli
 from secindex.caseio import CaseFile, emit_native, parse_native
 from secindex.cases import path as case_path
 from secindex.oracle import attack_cost
-from secindex.power_model import RESIDUAL_TOL, residual_tolerance
+from secindex.power_model import RESIDUAL_TOL, check_placement, residual_tolerance
 
 # The published 4-bus worked example: reduced measurement matrix and the
 # unit-weight hat matrix, rows ordered injection@1, flow 1->2 (outgoing),
@@ -291,6 +292,125 @@ def test_network_validation():
         PowerNetwork(bus_count=4, lines=((0, 1, 1.0),))  # disconnected
     with pytest.raises(InputError):
         PowerNetwork(bus_count=2, lines=((0, 3, 1.0),))
+
+
+def _scan_connected(bus_count, lines):
+    """Whether the lines link every bus, by a search over a neighbour list."""
+    near = [[] for _ in range(bus_count)]
+    for u, v, _ in lines:
+        near[u].append(v)
+        near[v].append(u)
+    seen, todo = {0}, [0]
+    while todo:
+        for w in near[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == bus_count
+
+
+def test_connectivity_matches_a_search_on_random_multigraphs():
+    rng = random.Random(18)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        ids = list(range(n))
+        rng.shuffle(ids)
+        lines = [(ids[rng.randrange(i)], ids[i], 1.0) for i in range(1, n) if rng.random() < 0.93]
+        for _ in range(rng.randint(0, n)):
+            u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if u != v:
+                lines.append((u, v, 0.5))
+        rng.shuffle(lines)
+        connected = _scan_connected(n, lines)
+        verdicts.add(connected)
+        if connected:
+            net = PowerNetwork(bus_count=n, lines=tuple(lines))
+            assert net.lines == tuple(lines)
+        else:
+            with pytest.raises(InputError, match="^network is not connected$"):
+                PowerNetwork(bus_count=n, lines=tuple(lines))
+    assert verdicts == {True, False}
+
+
+def test_array_networks_validate_like_tuple_networks():
+    good = (0, 1, 1.0)
+    for bus_count, lines, message in [
+        (3, (good, (1, 2, 1.0), (0, 3, 1.0), (1, 1, 1.0)), "line 2: bus id out of range"),
+        (3, (good, (1, 2, 1.0), (-1, 2, 1.0)), "line 2: bus id out of range"),
+        (3, (good, (2, 2, 0.0), (1, 2, 1.0)), "line 1: self-loop at bus 2"),
+        (3, (good, (1, 2, float("nan"))), "line 1: reactance must be positive and finite, got nan"),
+        (3, (good, (1, 2, -np.inf)), "line 1: reactance must be positive and finite, got -inf"),
+        (3, (good, (1, 2, 0.0)), "line 1: reactance must be positive and finite, got 0.0"),
+        (4, (good, (1, 0, 1.0), (2, 3, 1.0)), "network is not connected"),
+        (5, (good, (1, 2, 1.0)), "network is not connected"),
+        (0, (), "bus_count must be positive"),
+    ]:
+        with pytest.raises(InputError) as built:
+            PowerNetwork(bus_count=bus_count, lines=lines)
+        assert str(built.value) == message
+        with pytest.raises(InputError) as arrays:
+            PowerNetwork.from_arrays(bus_count, *(list(zip(*lines)) or ([], [], [])))
+        assert str(arrays.value) == message
+    # a member past 64 bits fails its own check; one that does not convert
+    # raises as it did, but only once every earlier line has passed
+    with pytest.raises(InputError, match="^line 1: bus id out of range$"):
+        PowerNetwork(bus_count=2, lines=(good, (0, 2**70, 1.0)))
+    with pytest.raises(InputError, match="^line 0: self-loop at bus 0$"):
+        PowerNetwork(bus_count=2, lines=((0, 0, 1.0), ("a", 1, 1.0)))
+    with pytest.raises(ValueError):
+        PowerNetwork(bus_count=2, lines=(good, ("a", 1, 1.0), (0, 0, 1.0)))
+
+
+def test_array_network_builds_its_lines_on_first_read():
+    lines = ((0, 1, 0.5), (2, 1, 0.25), (0, 2, 2.0), (1, 0, 1.0))
+    net = PowerNetwork.from_arrays(3, *(np.array(column) for column in zip(*lines)))
+    meas = full_measurement(net)
+    model = build_h(net, meas)
+    assert "lines" not in vars(net)
+    assert net == PowerNetwork(bus_count=3, lines=lines) and net.lines is net.lines
+    assert all(type(u) is int and type(x) is float for u, _, x in net.lines)
+    assert_incident_lines_match_scan(net)
+    assert net.incident_lines(1) == (0, 1, 3)
+    assert np.array_equal(model.h, build_h(PowerNetwork(bus_count=3, lines=lines), meas).h)
+    incidence = np.zeros((3, 4))
+    for idx, (u, v, _) in enumerate(lines):
+        incidence[u, idx], incidence[v, idx] = 1.0, -1.0
+    assert np.array_equal(net.incidence(), incidence)
+    assert net.susceptances().tolist() == [1.0 / x for (_, _, x) in lines]
+    with pytest.raises(AttributeError):
+        net.no_such_attribute
+
+
+def test_placements_are_sorted_once_and_checked_by_their_extremes():
+    net, _ = worked_case()
+    assert MeasurementPlacement(flow_from=range(5), injection=range(4)) == MeasurementPlacement(
+        flow_from=(4, 3, 2, 1, 0, 0), injection=[3, 1, 2, 0])
+    meas = MeasurementPlacement(flow_from=(1, 3), flow_to=range(2), injection=(2,))
+    assert meas.ordering() is meas.ordering()
+    assert meas.ordering() == (
+        ("flow_from", 1), ("flow_from", 3), ("flow_to", 0), ("flow_to", 1), ("injection", 2))
+    with pytest.raises(InputError, match="^injection: negative id$"):
+        MeasurementPlacement(injection=(2, -1))
+    for bad, message in [
+        (MeasurementPlacement(flow_from=(1, 7, 9), flow_to=(8,)), "metered line id 7 out of range"),
+        (MeasurementPlacement(flow_from=(1,), flow_to=(6, 8)), "metered line id 6 out of range"),
+        (MeasurementPlacement(flow_to=(5,), injection=(4,)), "metered line id 5 out of range"),
+        (MeasurementPlacement(injection=range(3, 6)), "metered bus id 4 out of range"),
+    ]:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            check_placement(net, bad)
+
+
+def test_weights_keep_nonnegative_ints_and_coerce_the_rest():
+    edge = (3, 0, 2)
+    weights = WeightAssignment(edge_costs=edge, node_costs=(1, "3/2", 2.0, Fraction(4, 2)))
+    assert weights.edge_costs == edge
+    assert weights.node_costs == (1, Fraction(3, 2), 2, 2)
+    assert [type(p) for p in weights.node_costs] == [int, Fraction, int, int]
+    for bad in ((1, -1), (1, True), (1, float("nan"))):
+        with pytest.raises(InputError):
+            WeightAssignment(edge_costs=bad, node_costs=())
 
 
 def test_gadget_shape():
