@@ -13,7 +13,8 @@ to know that it does.
 
 Rational costs are scaled to integers by the LCM of their denominators
 (``scale_to_int``, the package's one scaling helper), so optimality is
-exact. The scaling happens once per instance (``int_costs``); the instances
+exact; where every cost is already an int the scale is 1 and the costs are
+taken as given. The scaling happens once per instance (``int_costs``); the instances
 ``CostlyCutInstance.with_terminals`` derives for other terminal pairs share
 it, together with the already validated edges and charges, so a sweep over
 many terminal pairs validates and scales its costs once. A node may charge
@@ -31,14 +32,16 @@ derives. Each is built as arrays, block by block in its documented edge
 order, from the instance's endpoint arrays (``ends``) and its scaled costs,
 and handed to ``DiGraph.from_arrays``; no per-edge tuple is made. An
 instance built by ``CostlyCutInstance.from_arrays`` starts from such
-arrays and from costs already checked, and is itself checked on the
-arrays. A flow on a shared graph copies only its capacities, so a sweep
-over many terminal pairs pays the graph's set-up once. ``evaluate_partition``
-rechecks every cut in exact rational arithmetic; it reads the crossing
-edges, their costs and their endpoints' charges from the smaller side of
-the partition, through a per-family index of each node's outgoing and
-incoming edges, so its cost follows the smaller side's degree, not the
-number of edges.
+arrays and from a cost list already checked, and is itself checked on the
+arrays; it makes its ``edges`` triples, which no solver reads, only on
+first read, once per family. A flow on a shared graph copies only its
+capacities, so a sweep over many terminal pairs pays the graph's set-up
+once. ``evaluate_partition`` rechecks every cut in exact rational
+arithmetic; it reads the crossing edges, their costs and their endpoints'
+charges from the smaller side of the partition, through a per-family index
+of each node's outgoing and incoming edges and per-family lists of the
+edges' ends, so its cost follows the smaller side's degree, not the number
+of edges.
 """
 
 from __future__ import annotations
@@ -136,10 +139,26 @@ def _check_structure(inst):
 def _int_costs(inst):
     """``(scale, edge costs, tail charges, head charges)`` of an instance of
     either flavor, every cost times ``scale`` as a tuple of ints."""
-    scale, groups = scale_to_int(
-        [c for (_, _, c) in inst.edges], inst.node_costs_out, inst.node_costs_in
-    )
+    scale, groups = scale_to_int(inst.costs, inst.node_costs_out, inst.node_costs_in)
     return (scale, *map(tuple, groups))
+
+
+def _costs(inst):
+    """The edge costs in edge order, read off the edge triples (an
+    instance built from arrays is given them)."""
+    return [c for (_, _, c) in inst.edges]
+
+
+def _end_lists(inst):
+    """The tails and the heads of the edges as two lists of ints, made once
+    per family: ``evaluate_partition`` reads a cut edge's ends there, since
+    reading them from ``ends`` would make a NumPy scalar per read."""
+    return tuple(nodes.tolist() for nodes in inst.ends)
+
+
+def _edge_triples(inst):
+    """The ``edges`` of an instance built from arrays, made once per family."""
+    return tuple(zip(*_shared_graph(inst, _end_lists), inst.costs))
 
 
 @dataclass(frozen=True)
@@ -148,7 +167,8 @@ class CostlyCutInstance:
 
     Construction checks node ids, self-loops, costs and terminals once;
     ``from_arrays`` builds an instance from index arrays and costs already
-    checked."""
+    checked, and makes its ``edges`` triples only if they are read, once
+    for the instance and every instance ``with_terminals`` derives."""
 
     node_count: int
     edges: tuple[tuple[int, int, int | Fraction], ...]
@@ -160,12 +180,13 @@ class CostlyCutInstance:
     def from_arrays(cls, node_count, tails, heads, costs, node_costs, source, sink):
         """The instance whose edge i runs ``tails[i] -> heads[i]`` at cost
         ``costs[i]``. The costs and charges are kept as given, so they must
-        be ``as_cost`` results already, as a ``WeightAssignment``'s are; the
-        node ids, self-loops and terminals are checked on the arrays."""
+        be ``as_cost`` results already, as a ``WeightAssignment``'s are, and
+        nothing may write to them or to the arrays; the node ids,
+        self-loops and terminals are checked on the arrays."""
         inst = cls.__new__(cls)
         inst.__dict__.update(
             node_count=node_count,
-            edges=tuple(zip(tails.tolist(), heads.tolist(), costs)),
+            costs=costs,
             node_costs=tuple(node_costs),
             source=source,
             sink=sink,
@@ -183,13 +204,23 @@ class CostlyCutInstance:
                 f"expected {self.node_count} node costs, got {len(self.node_costs)}"
             )
         _check_structure(self)
-        # The graphs cut for this instance and its edge incidence index, by
-        # recipe; built on first use and shared with every instance
-        # ``with_terminals`` derives, since they do not depend on the
-        # terminals.
+        # The graphs cut for this instance, its edge incidence index and
+        # its edge lists, by recipe; built on first use and shared with
+        # every instance ``with_terminals`` derives, since they do not
+        # depend on the terminals.
         object.__setattr__(self, "_graphs", {})
 
+    def __getattr__(self, name):
+        # Only reached for attributes not set: ``edges`` of an instance
+        # built from arrays, made on first read and kept for its family.
+        if name != "edges" or "_graphs" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edges = _shared_graph(self, _edge_triples)
+        object.__setattr__(self, "edges", edges)
+        return edges
+
     int_costs = cached_property(_int_costs)
+    costs = cached_property(_costs)
     ends = cached_property(_ends)
 
     def with_terminals(self, source: int, sink: int) -> CostlyCutInstance:
@@ -238,6 +269,7 @@ class TwoSidedCutInstance:
         object.__setattr__(self, "_graphs", {})
 
     int_costs = cached_property(_int_costs)
+    costs = cached_property(_costs)
     ends = cached_property(_ends)
 
 
@@ -274,7 +306,11 @@ class AuxiliaryGraph:
 
 def scale_to_int(*groups):
     """Least common denominator of every cost in ``groups``, and each
-    group multiplied by it as a list of ints."""
+    group multiplied by it as a list of ints. Where every cost is an int,
+    as ``as_cost`` makes every integral one, that is 1 and the groups as
+    given, found without touching each cost's denominator."""
+    if all(set(map(type, group)) <= {int} for group in groups):
+        return 1, [list(group) for group in groups]
     scale = math.lcm(*(c.denominator for group in groups for c in group))
     return scale, [[c.numerator * (scale // c.denominator) for c in group] for group in groups]
 
@@ -370,31 +406,31 @@ def evaluate_partition(inst, source_side):
     if low < 0 or high >= n:
         raise InputError(f"node id {low if low < 0 else high} out of range")
     (out_start, out_ids), (in_start, in_ids) = _shared_graph(inst, _incidence)
-    edges = inst.edges
+    tails, heads = _shared_graph(inst, _end_lists)
+    costs = inst.costs
     if 2 * len(side) <= n:
         cut_edges = [
             idx for u in side for idx in out_ids[out_start[u]:out_start[u + 1]]
-            if edges[idx][1] not in side
+            if heads[idx] not in side
         ]
     else:
         other = frozenset(range(n)).difference(side)
         cut_edges = [
             idx for v in other for idx in in_ids[in_start[v]:in_start[v + 1]]
-            if edges[idx][0] in side
+            if tails[idx] in side
         ]
     cut_edges.sort()
     objective = 0
-    tails, heads = set(), set()
+    cut_tails, cut_heads = set(), set()
     for idx in cut_edges:
-        u, v, c = edges[idx]
-        objective += c
-        tails.add(u)
-        heads.add(v)
-    for u in tails:
+        objective += costs[idx]
+        cut_tails.add(tails[idx])
+        cut_heads.add(heads[idx])
+    for u in cut_tails:
         objective += inst.node_costs_out[u]
-    for v in heads:
+    for v in cut_heads:
         objective += inst.node_costs_in[v]
-    return objective, tuple(cut_edges), frozenset(tails | heads)
+    return objective, tuple(cut_edges), frozenset(cut_tails | cut_heads)
 
 
 def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
@@ -450,11 +486,11 @@ def solve_brute_force(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCu
         member[:, inst.source] = True
         for j, node in enumerate(free):
             member[:, node] = (masks >> np.uint64(f - 1 - j)) & np.uint64(1)
-        cut = member[:, tails] & ~member[:, heads] if len(inst.edges) else np.zeros((stop - start, 0), dtype=bool)
-        values = cut @ edge_cost if len(inst.edges) else np.zeros(stop - start, dtype=np.int64)
+        cut = member[:, tails] & ~member[:, heads] if len(tails) else np.zeros((stop - start, 0), dtype=bool)
+        values = cut @ edge_cost if len(tails) else np.zeros(stop - start, dtype=np.int64)
         tail_hit = np.zeros((stop - start, n), dtype=bool)
         head_hit = np.zeros((stop - start, n), dtype=bool)
-        for idx in range(len(inst.edges)):
+        for idx in range(len(tails)):
             np.logical_or(tail_hit[:, tails[idx]], cut[:, idx], out=tail_hit[:, tails[idx]])
             np.logical_or(head_hit[:, heads[idx]], cut[:, idx], out=head_hit[:, heads[idx]])
         values = values + tail_hit @ pout + head_hit @ pin
@@ -500,10 +536,10 @@ def _partition_from_plain_cut(inst, graph: DiGraph) -> CostlyCutSolution:
 def _plain_graph(inst: CostlyCutInstance, fold: bool) -> DiGraph:
     """The scaled edge-only graph a heuristic cuts: edge costs alone, or with
     both endpoint charges folded into each edge."""
-    costs = [
-        c + inst.node_costs[u] + inst.node_costs[v] if fold else c
-        for (u, v, c) in inst.edges
-    ]
+    costs = inst.costs
+    if fold:
+        p = inst.node_costs
+        costs = [c + p[u] + p[v] for u, v, c in zip(*_shared_graph(inst, _end_lists), costs)]
     _, groups = scale_to_int(costs)
     return DiGraph.from_arrays(inst.node_count, *inst.ends, *_capacities(*groups))
 

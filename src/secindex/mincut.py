@@ -25,17 +25,22 @@ sink side is built only where it is the one walked.
 capacities), given directly (``DiGraph.from_arrays``) or made from edge
 triples, and validates them in one vectorized pass that names the first
 offending edge; a graph built from arrays makes its edge triples only if
-they are read. A graph builds its residual layout (arcs per node, arc
-heads, arc capacities) once, on its first flow, by a stable sort of the
-arcs by tail; the layout is tuples, which the flow indexes fastest. Each
-flow then copies only the capacity list and runs on the copy, so many flows
-between different terminals share one graph.
+they are read. A graph builds its residual layout once, on its first
+flow, by a stable sort of the arcs by tail: the arc ids in that order with
+each node's start offset (compressed sparse rows), the arc heads and the
+arc capacities, as flat lists. A node's own arc tuple, which the flow's
+inner loop indexes fastest, is cut from those rows the first time a search
+visits the node, so a flow that stays near its terminals pays for the
+nodes it reads, not for the graph. Each flow copies only the capacity list
+and runs on the copy, so many flows between different terminals share one
+graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +49,25 @@ from .errors import CapacityOverflowError, InputError, InvariantError
 # Total capacity must stay inside signed 64-bit range. Python integers do
 # not wrap, but the bound keeps instances portable and is checked up front.
 MAX_TOTAL_CAPACITY = 2**63 - 1
+
+
+class ResidualLayout(NamedTuple):
+    """A graph's residual arcs, as the flow reads them.
+
+    Flat lists, which no flow writes to but ``adj``. ``to[a]`` is the head
+    of arc ``a`` and ``cap[a]`` its capacity before any flow. The arcs
+    leaving node u, ascending, are ``arcs[starts[u]:starts[u + 1]]``
+    (compressed sparse rows). ``adj[u]`` is that slice as a tuple once a
+    search has read node u, and None before: a node's arc tuple is made the
+    first time a search visits it (``_arcs``), so a flow whose searches
+    stay near the terminals makes a handful, not one per node. Filling an
+    entry is idempotent: threads that race on one store equal tuples."""
+
+    adj: list[tuple[int, ...] | None]
+    arcs: list[int]
+    starts: list[int]
+    to: list[int]
+    cap: list[int]
 
 
 @dataclass(frozen=True)
@@ -56,10 +80,14 @@ class DiGraph:
     ``(tail, head, capacity)`` triples; ``DiGraph.from_arrays`` takes them
     as three int64 arrays and builds ``edges`` on first read. Either way the
     edges are held as the arrays ``arrays`` and validated there, by
-    ``__post_init__``. Instances are immutable and safe to share across
-    threads: the residual layout and the capacity components are cached as
-    tuples no flow writes to, and each flow works on its own copy of the
-    capacities.
+    ``__post_init__``. Instances are immutable in content and safe to
+    share across threads: the capacity components and the residual
+    layout's arcs, heads and capacities are cached where no flow writes to
+    them, and each flow works on its own copy of the capacities. The one
+    thing a flow writes is the layout's per-node arc tuple, on the node's
+    first visit; that fill is idempotent, since racing threads build and
+    store equal tuples from the same slice, so a reader sees either None
+    (and builds the tuple itself) or a tuple equal to its own.
     """
 
     node_count: int
@@ -114,25 +142,28 @@ class DiGraph:
         return edges
 
     @cached_property
-    def residual_layout(self):
-        """``(adj, to, cap)``: arc 2i is edge i, arc 2i+1 its reverse with
-        capacity 0; ``to[a]`` is the head of arc ``a`` and ``adj[u]`` lists
-        the arcs leaving node u in ascending order. Built on first use: a
-        stable sort of the arcs by tail, cut where each node's arcs end; the
-        tails are sorted as the narrowest unsigned type that holds every
-        node id, which NumPy radix-sorts, to the same permutation."""
+    def residual_layout(self) -> ResidualLayout:
+        """The graph's arcs for the flow: arc 2i is edge i, arc 2i+1 its
+        reverse with capacity 0. Built on first use by a stable sort of the
+        arcs by tail; the tails are sorted as the narrowest unsigned type
+        that holds every node id, which NumPy radix-sorts, to the same
+        permutation. See ``ResidualLayout``."""
+        n = self.node_count
         tails, heads, caps = self.arrays
         arc_tails = interleave(tails, heads)
-        keys = arc_tails.astype(np.min_scalar_type(self.node_count))
-        arcs = np.argsort(keys, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(arc_tails, minlength=self.node_count)).tolist()
-        adj = tuple(tuple(arcs[start:end]) for start, end in zip([0, *ends], ends))
+        arcs = np.argsort(arc_tails.astype(np.min_scalar_type(n)), kind="stable")
         # every arc into a node holds that node's one id object, not a fresh
         # int from ``tolist``: a node has many arcs, and the flow reads only ids
-        nodes = list(range(self.node_count))
-        to = map(nodes.__getitem__, interleave(heads, tails).tolist())
-        cap = interleave(caps, np.zeros_like(caps)).tolist()
-        return adj, tuple(to), tuple(cap)
+        ids = np.array(range(n), dtype=object)
+        cap = [0] * len(arc_tails)
+        cap[0::2] = caps.tolist()
+        return ResidualLayout(
+            adj=[None] * n,
+            arcs=arcs.tolist(),
+            starts=[0, *np.cumsum(np.bincount(arc_tails, minlength=n)).tolist()],
+            to=ids[interleave(heads, tails)].tolist(),
+            cap=cap,
+        )
 
     @cached_property
     def capacity_components(self):
@@ -339,7 +370,7 @@ def _max_flow(g: DiGraph, source: int, sink: int):
 
     # the first flow on a graph is the one that builds its residual layout
     warm = "residual_layout" in vars(g)
-    adj, to, cap = g.residual_layout
+    adj, arcs, starts, to, cap = g.residual_layout
     cap = list(cap)
     flow = 0
     while True:
@@ -350,9 +381,9 @@ def _max_flow(g: DiGraph, source: int, sink: int):
         meet = -1
         while meet < 0 and f_layer and b_layer:
             if len(f_layer) <= len(b_layer):
-                f_layer, meet = _grow(adj, to, cap, f_layer, fwd, bwd, 0)
+                f_layer, meet = _grow(adj, arcs, starts, to, cap, f_layer, fwd, bwd, 0)
             else:
-                b_layer, meet = _grow(adj, to, cap, b_layer, bwd, fwd, 1)
+                b_layer, meet = _grow(adj, arcs, starts, to, cap, b_layer, bwd, fwd, 1)
         if meet < 0:
             return flow, cap, ((source, fwd, f_layer), (sink, bwd, b_layer)), warm
         flow += _augment(to, cap, fwd, bwd, meet)
@@ -380,15 +411,16 @@ def _reach(g: DiGraph, cap, searches, warm, back):
     """
     root, tree, layer = searches[back]
     other, near, _ = searches[1 - back]
-    adj, to, _ = g.residual_layout
+    layout = g.residual_layout
+    adj, arcs, starts, to, _ = layout
     if layer and not warm:
         while layer:
-            layer, _ = _grow(adj, to, cap, layer, tree, (), back)
+            layer, _ = _grow(adj, arcs, starts, to, cap, layer, tree, (), back)
     if layer:
         comp, members, *links = g.capacity_components
         bound = _reached_components(links[back], comp[root])
         region = dict.fromkeys(near, -1)
-        todo = [to[e] for u in near for e in adj[u]]
+        todo = [to[e] for u in near for e in adj[u] or _arcs(layout, u)]
         while todo and layer:
             y = todo.pop()
             if y in region or y in tree or comp[y] not in bound:
@@ -397,11 +429,11 @@ def _reach(g: DiGraph, cap, searches, warm, back):
             found, probe, met = [y], [y], False
             while not met and probe and layer:
                 if len(probe) <= len(layer):
-                    probe, meet = _grow(adj, to, cap, probe, region, tree, 1 - back)
+                    probe, meet = _grow(adj, arcs, starts, to, cap, probe, region, tree, 1 - back)
                     found += probe
                     met = meet >= 0
                 else:
-                    layer, _ = _grow(adj, to, cap, layer, tree, (), back)
+                    layer, _ = _grow(adj, arcs, starts, to, cap, layer, tree, (), back)
                     met = not region.keys().isdisjoint(layer)
             if met:
                 for v in found:
@@ -410,7 +442,7 @@ def _reach(g: DiGraph, cap, searches, warm, back):
                     tree[y] = -1
                     layer.append(y)
             elif not probe:
-                todo.extend(to[e] for u in found for e in adj[u])
+                todo.extend(to[e] for u in found for e in adj[u] or _arcs(layout, u))
     if layer:
         reached = frozenset().union(*map(members.__getitem__, bound)).difference(region)
     else:
@@ -431,14 +463,32 @@ def _reached_components(links, start):
     return seen
 
 
-def _grow(adj, to, cap, layer, seen, other, back):
+def _arcs(layout, u):
+    """The arcs leaving node u, ascending: ``layout.adj[u]``, made from the
+    node's slice of ``layout.arcs`` on its first read. Callers read
+    ``adj[u] or _arcs(layout, u)``, so a node already made costs no call."""
+    adj, arcs, starts, _, _ = layout
+    out = adj[u]
+    if out is None:
+        out = adj[u] = tuple(arcs[starts[u]:starts[u + 1]])
+    return out
+
+
+def _grow(adj, arcs, starts, to, cap, layer, seen, other, back):
     """Expand one BFS layer of the residual network, forward (``back`` 0)
     or backward (``back`` 1: arc e is read as the residual arc e ^ 1 into
     the layer's node). Returns the next layer and -1, or, at the first node
-    the ``other`` search has seen, the arc joining the two searches."""
+    the ``other`` search has seen, the arc joining the two searches. This
+    is the flow's inner loop: it reads each node's arcs as ``_arcs`` does,
+    inline, and takes the layout's lists one by one, since unpacking the
+    ``ResidualLayout`` record, a tuple subclass, on every call takes the
+    interpreter's generic path."""
     nxt = []
     for u in layer:
-        for e in adj[u]:
+        out = adj[u]
+        if out is None:
+            out = adj[u] = tuple(arcs[starts[u]:starts[u + 1]])
+        for e in out:
             if cap[e ^ back] and to[e] not in seen:
                 v = to[e]
                 if v in other:
@@ -474,12 +524,15 @@ def _checked_cut(g: DiGraph, side: frozenset[int], flow: int) -> CutSolution:
     # crossing forward arc e ^ 1. Either way the time is linear in the
     # smaller side's degree, not the graph's size. The sink side is built
     # only when it is the one walked.
-    adj, to, cap = g.residual_layout
+    layout = g.residual_layout
+    adj, to, cap = layout.adj, layout.to, layout.cap
     if 2 * len(side) <= g.node_count:
-        cut_arcs = [e for u in side for e in adj[u] if not e & 1 and to[e] not in side]
+        cut_arcs = [e for u in side for e in adj[u] or _arcs(layout, u)
+                    if not e & 1 and to[e] not in side]
     else:
         other = frozenset(range(g.node_count)).difference(side)
-        cut_arcs = [e ^ 1 for u in other for e in adj[u] if e & 1 and to[e] in side]
+        cut_arcs = [e ^ 1 for u in other for e in adj[u] or _arcs(layout, u)
+                    if e & 1 and to[e] in side]
     cut_arcs.sort()
     cut_edges = tuple(e >> 1 for e in cut_arcs)
     cut_cap = sum(cap[e] for e in cut_arcs)

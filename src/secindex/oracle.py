@@ -387,11 +387,15 @@ class _PartitionView:
         self.forced = []
         self.cancellable = []
         self.forced_sum = 0
-        cut_set = set(cut_lines)
-        for bus in range(net.bus_count):
-            inc = [ln for ln in net.incident_lines(bus) if ln in cut_set]
-            if not inc:
-                continue
+        # The buses the cut lines touch, ascending, each with its cut lines
+        # ascending, as ``incident_lines`` lists them: a bus no cut line
+        # touches has an identically zero functional.
+        cut_at = {}
+        for ln in sorted(set(cut_lines)):
+            u, v, _ = net.lines[ln]
+            cut_at.setdefault(u, []).append(ln)
+            cut_at.setdefault(v, []).append(ln)
+        for bus, inc in sorted(cut_at.items()):
             f = np.zeros(self.group_count)
             neighbor_groups = set()
             for ln in inc:

@@ -15,6 +15,7 @@ from secindex import (
     build_h,
     is_observable,
 )
+from secindex.mincut import _arcs
 from secindex.power_model import FLOW_FROM, INJECTION
 
 REACTANCE_CHOICES = (0.25, 0.5, 1.0, 1.0, 2.0)
@@ -72,6 +73,22 @@ def full_search_reach(g: DiGraph, cap, root: int, back: int = 0) -> frozenset[in
                 seen.add(v)
                 todo.append(v)
     return frozenset(seen)
+
+
+def layout_rows(g: DiGraph):
+    """``g``'s residual layout as ``(arcs per node, heads, capacities)``,
+    every node's arcs read through ``mincut._arcs``, which makes the ones
+    no flow has read yet. Each must equal the node's compressed row, and so
+    must every arc tuple a flow made before."""
+    layout = g.residual_layout
+    made = list(layout.adj)
+    rows = tuple(_arcs(layout, u) for u in range(g.node_count))
+    starts = layout.starts
+    assert len(starts) == g.node_count + 1 and starts[-1] == len(layout.arcs)
+    for u, row in enumerate(rows):
+        assert type(row) is tuple and row == tuple(layout.arcs[starts[u]:starts[u + 1]])
+        assert made[u] is None or made[u] == row
+    return rows, tuple(layout.to), tuple(layout.cap)
 
 
 def full_scan_partition_objective(inst, source_side):

@@ -1,16 +1,28 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_observable_case
 from secindex import cli, costly_cut, indices, oracle, power_model
-from secindex.caseio import CaseFile, emit_native, parse_matpower_subset, parse_native
+from secindex.caseio import (
+    CaseFile,
+    emit_native,
+    parse_cut_instance,
+    parse_matpower_subset,
+    parse_native,
+)
 from secindex.cases import path as case_path
 from secindex.cli import CSV_HEADER, main
 
@@ -270,6 +282,75 @@ def test_cut_command_on_comparison_instance(capsys):
     assert lines["source_side"] == "1"
     assert set(lines["sink_side"].split()) == {"2", "3", "4"}
     assert set(lines["charged_nodes"].split()) == {"1", "2", "3"}
+
+
+# Costs a .cut file may give: integral, rational and decimal ones, and
+# ones the reader or the solver must refuse.
+_CUT_COSTS = ("0", "1", "2", "3", "7", "1/2", "2/3", "0.25", "6/2",
+              "-1", "1/0", "nan", "inf", "abc", "1e400", "99999999999999999999")
+
+
+@st.composite
+def _cut_texts(draw):
+    """A .cut text of at most 8 nodes: a well-formed instance, most of the
+    time, with up to two of its lines dropped, spoiled or joined by junk."""
+    n = draw(st.sampled_from(range(8, 0, -1)))
+    node = st.integers(0, n + 1).map(str)
+    cost = st.sampled_from(_CUT_COSTS[:9] if draw(st.integers(0, 3)) else _CUT_COSTS)
+    lines = [f"nodes {n}"]
+    for _ in range(draw(st.integers(0, 14))):
+        u, v = draw(st.integers(1, n)), draw(st.integers(1, n))
+        if u != v or draw(st.integers(0, 9)) == 0:
+            lines.append(f"edge {u} {v} {draw(cost)}")
+    for i in draw(st.lists(st.integers(1, n), max_size=n, unique=True)):
+        lines.append(f"node {i} {draw(cost)}")
+    source, shift = draw(st.integers(1, n)), draw(st.sampled_from(range(n)[::-1]))
+    lines += [f"source {source}", f"sink {(source + shift - 1) % n + 1}"]
+    junk = st.one_of(
+        st.sampled_from(("", "# note", "edge 1 2", "nodes", "bogus 1", "source x", "node 1")),
+        st.tuples(st.sampled_from(("edge", "node", "source", "sink", "nodes")),
+                  st.lists(st.one_of(node, st.sampled_from(_CUT_COSTS)), max_size=4))
+        .map(lambda t: " ".join((t[0], *t[1]))),
+    )
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        at = draw(st.integers(0, len(lines)))
+        if draw(st.booleans()) and at < len(lines):
+            del lines[at]
+        else:
+            lines.insert(at, draw(junk))
+    return "\n".join(lines) + "\n"
+
+
+def test_cut_command_on_small_texts_solves_or_says_why():
+    # Any text of at most 8 nodes either solves, at the brute-force optimum
+    # of the instance it parses to, or is refused with one error line; it
+    # never stops with an invariant (exit 2) or a traceback.
+    outcomes = set()
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(_cut_texts())
+    def check(text):
+        path = os.path.join(tmp, "case.cut")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["cut", path])
+        out, err = out.getvalue(), err.getvalue()
+        outcomes.add(code)
+        if code == 0:
+            assert err == ""
+            objective = out.splitlines()[0]
+            best = costly_cut.solve_brute_force(parse_cut_instance(path)).objective
+            assert objective.startswith("objective ") and Fraction(objective[10:]) == best
+        else:
+            assert code == 1 and out == "", (code, text)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+
+    with tempfile.TemporaryDirectory() as tmp:
+        check()
+    assert outcomes == {0, 1}
 
 
 def test_attack_command(capsys, tmp_path):

@@ -349,10 +349,17 @@ def test_engine_derives_each_line_instance_from_one_validated_instance():
                 assert costly_cut.dump_auxiliary(
                     costly_cut.build_auxiliary(inst)
                 ) == costly_cut.dump_auxiliary(costly_cut.build_auxiliary(ref))
-            # one scaling, shared by every line's instance
+            # one scaling, shared by every line's instance; the edge triples,
+            # which solving never reads, are made on first read, once for the
+            # family
+            engine = _Engine(net, meas, weights, "exact", model)
             first, last = engine.cut_instance(lines[0]), engine.cut_instance(lines[-1])
             assert first.int_costs is last.int_costs
-            assert first.edges is last.edges
+            assert costly_cut.solve(first) and costly_cut.solve(last)
+            family = (engine._instance, first, last)
+            assert not any("edges" in vars(inst) for inst in family)
+            assert first.edges is last.edges is engine._instance.edges
+            assert first.edges == cut_instance_for_line(net, w, lines[0]).edges
 
 
 def test_line_instance_matches_the_one_built_from_edge_triples():

@@ -12,6 +12,7 @@ from helpers import (
     brute_force_min_cut_value,
     full_scan_crossing_edges,
     full_search_reach,
+    layout_rows,
     random_digraph,
 )
 from secindex import (
@@ -174,6 +175,40 @@ def test_concurrent_solves_share_graph():
     assert len(results) == 4 * len(pairs)
     assert all(r == expected[p] for p, r in results)
 
+    # A cold graph of 40 clusters of 10 nodes, each cluster linked to the
+    # next by zero-capacity edges, with terminal pairs in 24 clusters spread
+    # over it: the threads fill the per-node arc tuples of different
+    # regions side by side, and of the same nodes where their flows meet.
+    nodes, size = 400, 10
+    edges = []
+    for base in range(0, nodes, size):
+        edges += [(base + u, base + v, c) for u, v, c in random_digraph(rng, size, 30, 9).edges]
+        edges += [(base, (base + size) % nodes, 0), ((base + size) % nodes, base, 0)]
+    clusters = rng.sample(range(0, nodes, size), 24)
+    pairs = [(base + s, base + t) for base in clusters for _ in range(2)
+             for s, t in [rng.sample(range(size), 2)]]
+    expected = {
+        p: (min_cut(DiGraph(node_count=nodes, edges=edges), *p),
+            min_cut_extremes(DiGraph(node_count=nodes, edges=edges), *p))
+        for p in pairs
+    }
+    g = DiGraph(node_count=nodes, edges=edges)
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(
+                lambda p: (p, (min_cut(g, *p), min_cut_extremes(g, *p))), pairs * 2, timeout=60
+            ))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 2 * len(pairs)
+    assert all(r == expected[p] for p, r in results)
+    # no flow crosses a zero-capacity link: the clusters without terminals
+    # are never read
+    made = {u for u, arcs in enumerate(g.residual_layout.adj) if arcs is not None}
+    assert made and {u - u % size for u in made} <= set(clusters)
+    assert layout_rows(g) == layout_rows(DiGraph(node_count=nodes, edges=edges))
+
 
 def _split_cases():
     rng = random.Random(4242)
@@ -233,6 +268,18 @@ class _CountingList:
         self.reads += 1
         return self.items[i]
 
+    def __setitem__(self, i, value):
+        self.items[i] = value
+
+
+def _count_arc_reads(g):
+    """Swap the per-node arc list of ``g``'s residual layout for one that
+    counts its reads, and return it."""
+    layout = g.residual_layout
+    counting = _CountingList(layout.adj)
+    g.__dict__["residual_layout"] = layout._replace(adj=counting)
+    return counting
+
 
 def _tree_fed_sink(depth, fan_in=5):
     # Source 0 reaches the sink 1 through nodes 2, 3 and 4, with a small cut
@@ -256,15 +303,31 @@ def test_search_reads_only_the_neighbourhood_of_the_cut():
     reads = []
     for depth in (3, 6):
         g = _tree_fed_sink(depth)
-        adj, to, cap = g.residual_layout
-        counting = _CountingList(adj)
-        g.__dict__["residual_layout"] = (counting, to, cap)
+        counting = _count_arc_reads(g)
         sol = min_cut(g, 0, 1)
         assert sol.value == 3 and sol.source_side == frozenset({0, 2, 3})
         reads.append((g.node_count, counting.reads))
     (small, small_reads), (large, large_reads) = reads
     assert small < 200 and large > 19000
     assert small_reads == large_reads < 40
+
+
+def test_a_cold_flow_makes_arc_tuples_only_for_the_nodes_it_reads():
+    # The first flow on a graph builds its residual layout; the per-node arc
+    # tuples in it are made only for the nodes the searches and the cut
+    # readout visit, as many on 19,535 nodes as on 156.
+    made = []
+    for depth in (3, 6):
+        g = _tree_fed_sink(depth)
+        assert "residual_layout" not in vars(g)
+        sol = min_cut(g, 0, 1)
+        assert sol.value == 3 and sol.source_side == frozenset({0, 2, 3})
+        adj = g.residual_layout.adj
+        assert len(adj) == g.node_count
+        made.append((g.node_count, sum(arcs is not None for arcs in adj)))
+    (small, small_made), (large, large_made) = made
+    assert small < 200 and large > 19000
+    assert small_made == large_made < 40
 
 
 def test_cut_readout_builds_no_grid_sized_set():
@@ -329,9 +392,7 @@ def test_cut_readout_reads_only_the_smaller_side():
         sink_side = _sink_side(g, sol)
         assert sol.value == 2 and sink_side == frozenset({1, 3})
         assert sol.cut_edges == (1, 2)
-        adj, to, cap = g.residual_layout
-        counting = _CountingList(adj)
-        g.__dict__["residual_layout"] = (counting, to, cap)
+        counting = _count_arc_reads(g)
         assert _checked_cut(g, sol.source_side, sol.value) == sol
         assert counting.reads == len(sink_side) == 2
 
@@ -392,8 +453,12 @@ def test_reused_graph_cuts_like_a_fresh_one():
                 for cut in reused:
                     assert cut.cut_edges == tuple(sorted(cut.cut_edges))
         assert g.residual_layout is layout
-        assert layout[2][0::2] == tuple(c for (_, _, c) in edges)
-        assert not any(layout[2][1::2])
+        assert layout.cap[0::2] == [c for (_, _, c) in edges]
+        assert not any(layout.cap[1::2])
+        # every node was a terminal, so some flow made its arcs: each as
+        # the node's rows say, and as a fresh graph's layout lists them
+        assert None not in layout.adj
+        assert layout_rows(g) == layout_rows(DiGraph(node_count=7, edges=edges))
 
 
 def _check_reach_of_every_flow(g, pairs, taken):
@@ -496,9 +561,7 @@ def test_far_side_is_found_locally():
             first = solve(g)
             assert min(first.source_side, _sink_side(g, first), key=len) == small_side
             assert g.capacity_components  # built before the reads are counted
-            adj, to, cap = g.residual_layout
-            counting = _CountingList(adj)
-            g.__dict__["residual_layout"] = (counting, to, cap)
+            counting = _count_arc_reads(g)
             assert solve(g) == first
             reads.append((g.node_count, counting.reads))
         (small, small_reads), (large, large_reads) = reads
@@ -596,7 +659,7 @@ def test_layout_sorted_as_narrow_keys_equals_the_int64_layout():
         heads = (tails + rng.integers(1, node_count, 3000)) % node_count
         tails[:2], heads[:2] = (0, node_count - 1), (node_count - 1, 0)
         g = DiGraph.from_arrays(node_count, tails, heads, rng.integers(0, 9, 3000))
-        adj, to, cap = g.residual_layout
+        adj, to, cap = layout_rows(g)
         arcs = np.argsort(interleave(tails, heads), kind="stable").tolist()
         ends = np.cumsum(np.bincount(interleave(tails, heads), minlength=node_count)).tolist()
         assert adj == tuple(tuple(arcs[a:b]) for a, b in zip([0, *ends], ends))
