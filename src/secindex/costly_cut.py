@@ -38,10 +38,10 @@ first read, once per family. A flow on a shared graph copies only its
 capacities, so a sweep over many terminal pairs pays the graph's set-up
 once. ``evaluate_partition`` rechecks every cut in exact rational
 arithmetic; it reads the crossing edges, their costs and their endpoints'
-charges from the smaller side of the partition, through a per-family index
-of each node's outgoing and incoming edges and per-family lists of the
-edges' ends, so its cost follows the smaller side's degree, not the number
-of edges.
+charges from the smaller side of the partition, through the arc layout of
+the instance's edges (``mincut.arc_layout``, built once per family),
+whose per-node rows are made only for the nodes it walks, so its cost
+follows the smaller side's degree, not the number of edges.
 """
 
 from __future__ import annotations
@@ -54,7 +54,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityOverflowError, InputError, InvariantError, SizeLimitError
-from .mincut import MAX_TOTAL_CAPACITY, DiGraph, interleave, min_cut, min_cut_extremes
+from .mincut import (
+    MAX_TOTAL_CAPACITY,
+    DiGraph,
+    arc_ends,
+    arc_layout,
+    crossing_arcs,
+    interleave,
+    min_cut,
+    min_cut_extremes,
+)
 
 BRUTE_FORCE_MAX_NODES = 22
 _BRUTE_CHUNK = 1 << 16
@@ -151,8 +160,8 @@ def _costs(inst):
 
 def _end_lists(inst):
     """The tails and the heads of the edges as two lists of ints, made once
-    per family: ``evaluate_partition`` reads a cut edge's ends there, since
-    reading them from ``ends`` would make a NumPy scalar per read."""
+    per family, for the loops that read every edge's ends: the folded
+    heuristic's costs and the ``edges`` triples."""
     return tuple(nodes.tolist() for nodes in inst.ends)
 
 
@@ -204,7 +213,7 @@ class CostlyCutInstance:
                 f"expected {self.node_count} node costs, got {len(self.node_costs)}"
             )
         _check_structure(self)
-        # The graphs cut for this instance, its edge incidence index and
+        # The graphs cut for this instance, its edge layout and
         # its edge lists, by recipe; built on first use and shared with
         # every instance ``with_terminals`` derives, since they do not
         # depend on the terminals.
@@ -228,7 +237,7 @@ class CostlyCutInstance:
 
         The result shares this instance's validated edges and charges, its
         integer scaling, the graphs cut for it (the auxiliary graph and
-        the heuristics' graphs) and its edge incidence index; only the
+        the heuristics' graphs) and its edge layout; only the
         terminals are checked.
         """
         _check_terminals(self.node_count, source, sink)
@@ -345,8 +354,9 @@ def _tripled(inst) -> AuxiliaryGraph:
     _, edge_scaled, p_out, p_in = inst.int_costs
     tails, heads = inst.ends
     m = len(tails)
-    big = max(p_out + p_in) + 1
-    costs, p_out, p_in, bigs = _capacities(edge_scaled, p_out, p_in, [big] * m)
+    big = max(max(p_out), max(p_in)) + 1
+    costs, p_out, p_in, big = _capacities(edge_scaled, p_out, p_in, [big])
+    bigs = np.repeat(big, m)
     nodes = np.arange(n, dtype=np.int64)
     graph = DiGraph.from_arrays(
         3 * n,
@@ -376,28 +386,25 @@ def dump_auxiliary(aux: AuxiliaryGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _incidence(inst):
-    """Per node, the ids of the instance edges leaving it and of those
-    entering it: for the tails and then the heads, ``(start, ids)`` with
-    node u's edges ``ids[start[u]:start[u + 1]]``, ascending. Two flat
-    lists per end rather than a list per node, so building the index
-    allocates a handful of objects, not two per node for the garbage
-    collector to trace."""
-    index = []
-    for nodes in inst.ends:
-        start = np.zeros(inst.node_count + 1, dtype=np.intp)
-        np.cumsum(np.bincount(nodes, minlength=inst.node_count), out=start[1:])
-        index.append((start.tolist(), np.argsort(nodes, kind="stable").tolist()))
-    return index
+def _edge_arcs(inst):
+    """The arc layout of the instance's edges (``mincut.arc_layout``, all
+    capacities 0), made once per family: ``evaluate_partition`` reads a
+    partition's crossing edges from its per-node arcs, which are made only
+    for the nodes it walks."""
+    tails, heads = inst.ends
+    return arc_layout(inst.node_count, tails, heads, np.zeros(len(tails), dtype=np.int64))
 
 
-def evaluate_partition(inst, source_side):
+def evaluate_partition(inst, source_side, layout=None):
     """Exact objective of a partition: crossing edge costs plus one charge per
     node incident to a crossing edge. Works for both instance flavors.
 
-    The crossing edges are read from the smaller side, through the
-    family's edge incidence index, so the cost is linear in that side's
-    degree, not in the number of edges."""
+    The crossing edges and their ends are read from the arcs of the
+    smaller side (``mincut.crossing_arcs``), so the cost is linear in that
+    side's degree, not in the number of edges, and nothing family-wide is
+    built but an arc order. ``layout`` is the residual layout of a graph
+    whose edge i is the instance's edge i, as a heuristic's graph is; by
+    default the family's own (``_edge_arcs``)."""
     side = frozenset(source_side)
     n = inst.node_count
     if inst.source not in side or inst.sink in side:
@@ -405,32 +412,22 @@ def evaluate_partition(inst, source_side):
     low, high = min(side), max(side)
     if low < 0 or high >= n:
         raise InputError(f"node id {low if low < 0 else high} out of range")
-    (out_start, out_ids), (in_start, in_ids) = _shared_graph(inst, _incidence)
-    tails, heads = _shared_graph(inst, _end_lists)
+    if layout is None:
+        layout = _shared_graph(inst, _edge_arcs)
+    cut = crossing_arcs(layout, side)
     costs = inst.costs
-    if 2 * len(side) <= n:
-        cut_edges = [
-            idx for u in side for idx in out_ids[out_start[u]:out_start[u + 1]]
-            if heads[idx] not in side
-        ]
-    else:
-        other = frozenset(range(n)).difference(side)
-        cut_edges = [
-            idx for v in other for idx in in_ids[in_start[v]:in_start[v + 1]]
-            if tails[idx] in side
-        ]
-    cut_edges.sort()
     objective = 0
     cut_tails, cut_heads = set(), set()
-    for idx in cut_edges:
-        objective += costs[idx]
-        cut_tails.add(tails[idx])
-        cut_heads.add(heads[idx])
+    for e in cut:
+        objective += costs[e >> 1]
+        u, v = arc_ends(layout, e)
+        cut_tails.add(u)
+        cut_heads.add(v)
     for u in cut_tails:
         objective += inst.node_costs_out[u]
     for v in cut_heads:
         objective += inst.node_costs_in[v]
-    return objective, tuple(cut_edges), frozenset(cut_tails | cut_heads)
+    return objective, tuple([e >> 1 for e in cut]), frozenset(cut_tails | cut_heads)
 
 
 def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
@@ -518,11 +515,12 @@ def _partition_from_plain_cut(inst, graph: DiGraph) -> CostlyCutSolution:
     # A plain min cut is blind to node charges, and its tie class can hold
     # partitions with very different true costs. Both canonical cuts fall
     # out of one max flow; score each with the node charges added post hoc
-    # and keep the cheaper (the minimal source side on a tie).
+    # and keep the cheaper (the minimal source side on a tie). The graph's
+    # edge i is the instance's edge i, so its arcs serve the recheck.
     minimal, maximal = min_cut_extremes(graph, inst.source, inst.sink)
     best = None
     for cut in (minimal, maximal):
-        objective, cut_edges, charged = evaluate_partition(inst, cut.source_side)
+        objective, cut_edges, charged = evaluate_partition(inst, cut.source_side, graph.residual_layout)
         if best is None or objective < best.objective:
             best = CostlyCutSolution(
                 source_side=cut.source_side,

@@ -157,7 +157,6 @@ class _Engine:
         self._derived = weights is None or weights == WeightAssignment.from_placement(net, meas)
         self.net = net
         self.meas = meas
-        self.ordering = meas.ordering()
         self.method = method
         self.model = model if model is not None else build_h(net, meas)
         if method == METHOD_EXACT:
@@ -215,7 +214,7 @@ class _Engine:
 
     def entry_for(self, k: int) -> IndexEntry:
         """The entry of measurement ``k`` in the global measurement order."""
-        kind, target = self.ordering[k]
+        kind, target = self.meas.label(k)
         if kind == INJECTION:
             value, attack = self.node_value(target)
         else:

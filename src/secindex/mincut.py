@@ -18,22 +18,25 @@ side joins it when a search from it closes before meeting the terminal's
 search, and the nodes the terminal does not reach even through positive
 capacities, which need not border the closed side, come from the strongly
 connected components of the graph's positive-capacity edges, built once per
-graph. The cut's crossing edges are read from the arcs of the smaller side,
-so that step costs time in proportion to the smaller side's degree; the
-sink side is built only where it is the one walked.
+graph by vectorized forward-backward searches. No flow walks the graph to
+its end, the first on a graph included. The cut's crossing edges are read
+from the arcs of the smaller side (``crossing_arcs``), so that step costs
+time in proportion to the smaller side's degree; the sink side is built
+only where it is the one walked.
 ``DiGraph`` holds its edges as three int64 arrays (tails, heads,
 capacities), given directly (``DiGraph.from_arrays``) or made from edge
 triples, and validates them in one vectorized pass that names the first
 offending edge; a graph built from arrays makes its edge triples only if
 they are read. A graph builds its residual layout once, on its first
-flow, by a stable sort of the arcs by tail: the arc ids in that order with
-each node's start offset (compressed sparse rows), the arc heads and the
-arc capacities, as flat lists. A node's own arc tuple, which the flow's
-inner loop indexes fastest, is cut from those rows the first time a search
-visits the node, so a flow that stays near its terminals pays for the
-nodes it reads, not for the graph. Each flow copies only the capacity list
-and runs on the copy, so many flows between different terminals share one
-graph.
+flow (``arc_layout``). What is built per graph is a handful of arrays and
+one list of capacities: a stable sort of the arcs by tail (compressed
+sparse rows) and the arcs' heads in that order. What the flow's inner
+loop reads per node, the node's arc tuple and its arcs' heads as Python
+objects, is made the first time a search visits the node, from a block
+of rows turned into lists for a few nodes at once, so a flow that stays
+near its terminals pays for the nodes it reads, not for the graph. Each
+flow copies only the capacity list and runs on the copy, so many flows
+between different terminals share one graph.
 """
 
 from __future__ import annotations
@@ -49,25 +52,41 @@ from .errors import CapacityOverflowError, InputError, InvariantError
 # Total capacity must stay inside signed 64-bit range. Python integers do
 # not wrap, but the bound keeps instances portable and is checked up front.
 MAX_TOTAL_CAPACITY = 2**63 - 1
+# ``DiGraph.capacity_components`` splits a part of at most this many nodes
+# by Tarjan's algorithm: the two ways cost about the same on the 354-node
+# auxiliary graph of the bundled 118-bus case.
+TARJAN_NODES = 512
+# The residual layout turns its rows into Python lists this many nodes at
+# a time (``ResidualLayout.blocks``): a block costs a few NumPy calls, and
+# a node's tuples are then two list slices.
+ROW_BLOCK = 64
 
 
 class ResidualLayout(NamedTuple):
     """A graph's residual arcs, as the flow reads them.
 
-    Flat lists, which no flow writes to but ``adj``. ``to[a]`` is the head
-    of arc ``a`` and ``cap[a]`` its capacity before any flow. The arcs
-    leaving node u, ascending, are ``arcs[starts[u]:starts[u + 1]]``
-    (compressed sparse rows). ``adj[u]`` is that slice as a tuple once a
-    search has read node u, and None before: a node's arc tuple is made the
-    first time a search visits it (``_arcs``), so a flow whose searches
-    stay near the terminals makes a handful, not one per node. Filling an
-    entry is idempotent: threads that race on one store equal tuples."""
+    Arrays no flow writes to: ``arcs``, the arc ids stably sorted by tail,
+    so that the arcs leaving node u, ascending, are
+    ``arcs[starts[u]:starts[u + 1]]`` (compressed sparse rows); ``heads``,
+    the head of each arc in that order; and ``ids``, an object array
+    holding each node's one id object. Lists: ``cap[a]``, the capacity of
+    arc a before any flow, and what the flow reads per node, made the
+    first time a search reaches the node (``_arcs``): ``adj[u]``, node u's
+    arcs as a tuple, and ``to[a]`` for each of them, the head of arc a as
+    the head's one id object, so that a search's ``seen`` lookups hit on
+    identity. Both hold None until then, so a flow whose searches stay
+    near the terminals makes a handful of entries, not one per node. They
+    are read from ``blocks[k]``, the rows of nodes k * ROW_BLOCK on as
+    Python lists, which is made on first use of one of its nodes."""
 
     adj: list[tuple[int, ...] | None]
-    arcs: list[int]
-    starts: list[int]
-    to: list[int]
+    to: list[int | None]
     cap: list[int]
+    blocks: list[tuple[list[int], list[int], list[int]] | None]
+    arcs: np.ndarray
+    starts: np.ndarray
+    heads: np.ndarray
+    ids: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -143,27 +162,9 @@ class DiGraph:
 
     @cached_property
     def residual_layout(self) -> ResidualLayout:
-        """The graph's arcs for the flow: arc 2i is edge i, arc 2i+1 its
-        reverse with capacity 0. Built on first use by a stable sort of the
-        arcs by tail; the tails are sorted as the narrowest unsigned type
-        that holds every node id, which NumPy radix-sorts, to the same
-        permutation. See ``ResidualLayout``."""
-        n = self.node_count
-        tails, heads, caps = self.arrays
-        arc_tails = interleave(tails, heads)
-        arcs = np.argsort(arc_tails.astype(np.min_scalar_type(n)), kind="stable")
-        # every arc into a node holds that node's one id object, not a fresh
-        # int from ``tolist``: a node has many arcs, and the flow reads only ids
-        ids = np.array(range(n), dtype=object)
-        cap = [0] * len(arc_tails)
-        cap[0::2] = caps.tolist()
-        return ResidualLayout(
-            adj=[None] * n,
-            arcs=arcs.tolist(),
-            starts=[0, *np.cumsum(np.bincount(arc_tails, minlength=n)).tolist()],
-            to=ids[interleave(heads, tails)].tolist(),
-            cap=cap,
-        )
+        """The graph's arcs for the flow (``arc_layout``), built on first
+        use."""
+        return arc_layout(self.node_count, *self.arrays)
 
     @cached_property
     def capacity_components(self):
@@ -171,55 +172,42 @@ class DiGraph:
         of the positive-capacity edges. ``comp[u]`` is node u's component,
         ``members[c]`` the nodes of component c, and ``succ[c]`` /
         ``pred[c]`` the components a positive-capacity edge leads to from c
-        / into c. Built on first use, by Tarjan's algorithm."""
+        / into c. Built on first use, by forward-backward reach with
+        trimming (Fleischer, Hendrickson & Pinar, 2000), vectorized: each
+        step is a pass over the edges or one BFS layer. The nodes still open
+        are split into parts that no component crosses, at first one. A
+        node with no positive edge in or out inside its part is a component
+        of its own. Otherwise the component of the part's lowest node is the
+        set of nodes it reaches within the part that also reach it there;
+        the rest of its reach, the rest of the nodes that reach it and the
+        rest of the part are parts of their own. The reach both ways is one
+        search, over the edges and their reverses. On the graphs a power
+        network gives, which are one component or a few, that is one search
+        per component. A part of at most ``TARJAN_NODES`` nodes is split by
+        Tarjan's algorithm in Python instead, which costs less there than
+        the searches' fixed cost per step, as a quicksort leaves short runs
+        to an insertion sort."""
         n = self.node_count
         tails, heads, caps = self.arrays
         positive = caps > 0
         tails, heads = tails[positive], heads[positive]
-        flat = heads[np.argsort(tails, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(tails, minlength=n)).tolist()
-        heads_of = [flat[start:end] for start, end in zip([0, *ends], ends)]
-        order, low, comp = [-1] * n, [0] * n, [-1] * n
-        members: list[frozenset[int]] = []
-        stack: list[int] = []
-        count = 0
-        for root in range(n):
-            if order[root] >= 0:
-                continue
-            order[root] = low[root] = count
-            count += 1
-            stack.append(root)
-            work = [(root, iter(heads_of[root]))]
-            while work:
-                u, rest = work[-1]
-                for v in rest:
-                    if order[v] < 0:
-                        order[v] = low[v] = count
-                        count += 1
-                        stack.append(v)
-                        work.append((v, iter(heads_of[v])))
-                        break
-                    if comp[v] < 0 and order[v] < low[u]:
-                        low[u] = order[v]
-                else:
-                    work.pop()
-                    if work and low[u] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[u]
-                    if low[u] == order[u]:
-                        group = [stack.pop()]
-                        while group[-1] != u:
-                            group.append(stack.pop())
-                        for w in group:
-                            comp[w] = len(members)
-                        members.append(frozenset(group))
+        if n <= TARJAN_NODES:
+            starts, far = (a.tolist() for a in _rows_by(tails, heads, n))
+            labels, count = _tarjan([far[a:b] for a, b in zip(starts, starts[1:])], 0)
+            comp = np.array(labels, dtype=np.intp)
+        else:
+            comp = np.full(n, -1, dtype=np.intp)
+            count = _forward_backward(self.residual_layout, positive, tails, heads, comp)
+        order = np.argsort(comp, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(comp, minlength=count)).tolist()
+        members = tuple(frozenset(order[a:b]) for a, b in zip([0, *ends], ends))
         succ = [set() for _ in members]
         pred = [set() for _ in members]
-        of = np.array(comp)
-        across = of[tails] != of[heads]
-        for a, b in zip(of[tails[across]].tolist(), of[heads[across]].tolist()):
+        across = comp[tails] != comp[heads]
+        for a, b in zip(comp[tails[across]].tolist(), comp[heads[across]].tolist()):
             succ[a].add(b)
             pred[b].add(a)
-        return tuple(comp), tuple(members), tuple(map(tuple, succ)), tuple(map(tuple, pred))
+        return tuple(comp.tolist()), members, tuple(map(tuple, succ)), tuple(map(tuple, pred))
 
     def check_node(self, node: int, what: str = "node") -> None:
         if not isinstance(node, int) or not (0 <= node < self.node_count):
@@ -297,7 +285,161 @@ def _total(caps) -> int:
 def interleave(*columns):
     """Equal-length arrays merged element by element: ``columns[0][0],
     columns[1][0], ..., columns[0][1], columns[1][1], ...``."""
-    return np.column_stack(columns).ravel()
+    out = np.empty((len(columns[0]), len(columns)), dtype=np.result_type(*columns))
+    for j, column in enumerate(columns):
+        out[:, j] = column
+    return out.reshape(-1)
+
+
+def arc_layout(node_count: int, tails, heads, caps) -> ResidualLayout:
+    """The residual arcs of the graph whose edge i runs ``tails[i] ->
+    heads[i]`` with capacity ``caps[i]``: arc 2i is edge i, arc 2i+1 its
+    reverse with capacity 0. The arcs are stably sorted by tail, as the
+    narrowest unsigned type that holds every node id, which NumPy
+    radix-sorts, to the same permutation. See ``ResidualLayout``."""
+    arc_tails = interleave(tails, heads)
+    cap = [0] * len(arc_tails)
+    cap[0::2] = caps.tolist()
+    arcs = np.argsort(arc_tails.astype(np.min_scalar_type(node_count)), kind="stable")
+    return ResidualLayout(
+        adj=[None] * node_count,
+        to=[None] * len(arc_tails),
+        cap=cap,
+        blocks=[None] * -(-node_count // ROW_BLOCK),
+        arcs=arcs,
+        starts=_offsets(arc_tails, node_count),
+        heads=interleave(heads, tails)[arcs],
+        ids=np.arange(node_count).astype(object),
+    )
+
+
+def _offsets(keys, n):
+    """Where each node's run starts in ``keys`` sorted, and where the last
+    ends: the compressed-row offsets of node ids ``keys`` below ``n``."""
+    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+
+
+def _rows_by(keys, values, n):
+    """``(starts, values)`` with ``values`` stably sorted by ``keys``, node
+    ids below ``n``: the compressed rows of ``values`` by key."""
+    order = np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")
+    return _offsets(keys, n), values[order]
+
+
+def _forward_backward(layout, positive, tails, heads, comp) -> int:
+    """Number the strongly connected components of the positive edges
+    ``tails -> heads`` (``positive`` marks them among the graph's edges) in
+    ``comp`` from 0, as ``DiGraph.capacity_components`` says, and return
+    their count."""
+    n = len(comp)
+    # Rows for one search that spreads both ways from the pivot at once,
+    # read off the residual layout's arcs: node u's row u lists the heads
+    # of its positive edges, its row n + u, shifted by n, the tails of the
+    # positive edges into it (the heads of their mirror arcs).
+    arcs = layout.arcs
+    live = positive[arcs >> 1]
+    odd = (arcs & 1).astype(bool)
+    out, into = live & ~odd, live & odd
+    out_ends = np.concatenate(([0], np.cumsum(out)))[layout.starts]
+    in_ends = np.concatenate(([0], np.cumsum(into)))[layout.starts] + out_ends[-1]
+    rows = (np.concatenate((out_ends[:-1], in_ends)),
+            np.concatenate((layout.heads[out], layout.heads[into] + n)))
+    count = 0
+    parts = [np.ones(n, dtype=bool)]
+    while parts:
+        part = parts.pop()
+        nodes = np.flatnonzero(part)
+        if len(nodes) <= TARJAN_NODES:
+            local = {u: i for i, u in enumerate(nodes.tolist())}
+            heads_of = [[local[v] for v in rows[1][rows[0][u]:rows[0][u + 1]].tolist() if v in local]
+                        for u in local]
+            comp[nodes], count = _tarjan(heads_of, count)
+            continue
+        inner = part[tails] & part[heads]
+        lone = part & ~(_marked(tails[inner], n) & _marked(heads[inner], n))
+        if lone.any():
+            singles = np.flatnonzero(lone)
+            comp[singles] = np.arange(count, count + len(singles))
+            count += len(singles)
+            parts.append(part & ~lone)
+            continue
+        pivot = int(nodes[0])
+        reach, back = _spread(rows, np.concatenate((part, part)), [pivot, n + pivot]).reshape(2, n)
+        own = reach & back
+        comp[own] = count
+        count += 1
+        parts += [rest for rest in (reach & ~own, back & ~own, part & ~(reach | back)) if rest.any()]
+    return count
+
+
+def _tarjan(heads_of, count):
+    """Tarjan's algorithm on the graph of nodes 0 .. len(heads_of) - 1
+    whose edges out of node u lead to ``heads_of[u]``: each node's
+    component, numbered from ``count``, and the next number."""
+    n = len(heads_of)
+    order, low, comp = [-1] * n, [0] * n, [-1] * n
+    stack = []
+    seen = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        work = [(root, iter(heads_of[root]))]
+        while work:
+            u, rest = work[-1]
+            for v in rest:
+                if order[v] < 0:
+                    order[v] = low[v] = seen
+                    seen += 1
+                    stack.append(v)
+                    work.append((v, iter(heads_of[v])))
+                    break
+                if comp[v] < 0 and order[v] < low[u]:
+                    low[u] = order[v]
+            else:
+                work.pop()
+                if work and low[u] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[u]
+                if low[u] == order[u]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == u:
+                            break
+                    count += 1
+    return comp, count
+
+
+def _marked(nodes, n):
+    """A mask of ``n`` nodes, True at ``nodes``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[nodes] = True
+    return mask
+
+
+def _spread(rows, allowed, roots):
+    """The nodes of the mask ``allowed`` that ``roots``, a list of them,
+    reach along the compressed rows ``rows`` without leaving ``allowed``,
+    as a mask; a BFS that takes one whole layer per step."""
+    starts, heads = rows
+    seen = ~allowed
+    seen[roots] = True
+    layer = np.array(roots)
+    last = np.empty(len(seen), dtype=np.intp)  # a node's last place in a layer
+    while len(layer):
+        # the rows of the layer's nodes, one after another
+        lo = starts[layer]
+        count = starts[layer + 1] - lo
+        ends = np.cumsum(count)
+        nxt = heads[np.repeat(lo - ends + count, count) + np.arange(ends[-1])]
+        nxt = nxt[~seen[nxt]]
+        place = np.arange(len(nxt))
+        last[nxt] = place
+        layer = nxt[last[nxt] == place]
+        seen[layer] = True
+    return seen & allowed
 
 
 @dataclass(frozen=True)
@@ -317,8 +459,8 @@ def min_cut(g: DiGraph, source: int, sink: int) -> CutSolution:
     the indices of edges crossing source side -> sink side, and their
     capacities sum to the value exactly.
     """
-    flow, *residual = _max_flow(g, source, sink)
-    return _checked_cut(g, frozenset(_reach(g, *residual, 0)), flow)
+    flow, cap, searches = _max_flow(g, source, sink)
+    return _checked_cut(g, frozenset(_reach(g, cap, searches, 0)), flow)
 
 
 def min_cut_extremes(g: DiGraph, source: int, sink: int) -> tuple[CutSolution, CutSolution]:
@@ -330,9 +472,9 @@ def min_cut_extremes(g: DiGraph, source: int, sink: int) -> tuple[CutSolution, C
     sink in the residual network). They coincide when the minimum cut is
     unique.
     """
-    flow, *residual = _max_flow(g, source, sink)
-    minimal = frozenset(_reach(g, *residual, 0))
-    maximal = frozenset(range(g.node_count)).difference(_reach(g, *residual, 1))
+    flow, cap, searches = _max_flow(g, source, sink)
+    minimal = frozenset(_reach(g, cap, searches, 0))
+    maximal = frozenset(range(g.node_count)).difference(_reach(g, cap, searches, 1))
     return _checked_cut(g, minimal, flow), _checked_cut(g, maximal, flow)
 
 
@@ -348,10 +490,9 @@ def cut_value(g: DiGraph, source_side) -> int:
 
 def _max_flow(g: DiGraph, source: int, sink: int):
     """Check the terminals and find a maximum flow on a copy of the graph's
-    residual capacities. Returns the flow value, the residual capacities,
-    the last round's two searches as ``(root, tree, frontier)`` (forward
-    from the source, then backward into the sink) and whether the graph had
-    served a flow before this one.
+    residual capacities. Returns the flow value, the residual capacities
+    and the last round's two searches as ``(root, tree, frontier)``
+    (forward from the source, then backward into the sink).
 
     Each round grows a BFS forward from the source and one backward into
     the sink, a whole layer at a time, always on the side with the smaller
@@ -368,10 +509,9 @@ def _max_flow(g: DiGraph, source: int, sink: int):
     if source == sink:
         raise InputError("source and sink must differ")
 
-    # the first flow on a graph is the one that builds its residual layout
-    warm = "residual_layout" in vars(g)
-    adj, arcs, starts, to, cap = g.residual_layout
-    cap = list(cap)
+    layout = g.residual_layout
+    adj, to = layout.adj, layout.to
+    cap = list(layout.cap)
     flow = 0
     while True:
         # node -> the residual arc that found it (-1 for the terminals):
@@ -381,15 +521,15 @@ def _max_flow(g: DiGraph, source: int, sink: int):
         meet = -1
         while meet < 0 and f_layer and b_layer:
             if len(f_layer) <= len(b_layer):
-                f_layer, meet = _grow(adj, arcs, starts, to, cap, f_layer, fwd, bwd, 0)
+                f_layer, meet = _grow(adj, to, cap, layout, f_layer, fwd, bwd, 0)
             else:
-                b_layer, meet = _grow(adj, arcs, starts, to, cap, b_layer, bwd, fwd, 1)
+                b_layer, meet = _grow(adj, to, cap, layout, b_layer, bwd, fwd, 1)
         if meet < 0:
-            return flow, cap, ((source, fwd, f_layer), (sink, bwd, b_layer)), warm
-        flow += _augment(to, cap, fwd, bwd, meet)
+            return flow, cap, ((source, fwd, f_layer), (sink, bwd, b_layer))
+        flow += _augment(layout, cap, fwd, bwd, meet)
 
 
-def _reach(g: DiGraph, cap, searches, warm, back):
+def _reach(g: DiGraph, cap, searches, back):
     """The nodes the source reaches in the residual network (``back`` 0),
     or the nodes that reach the sink (``back`` 1), from the searches of a
     flow's last round; the search from that terminal is the tree here.
@@ -405,22 +545,18 @@ def _reach(g: DiGraph, cap, searches, warm, back):
     turn. If the tree closes first, it is the answer. A node the root
     reaches only through the positive-capacity graph's other nodes need not
     border the set, so the answer is the root's reach in that graph
-    (``DiGraph.capacity_components``) less the set. A graph's first flow
-    grows the tree to the end instead: it costs less than building the
-    components, which a graph that serves one flow never repays.
+    (``DiGraph.capacity_components``) less the set. A closed search has
+    expanded every node it holds, so their arcs are made.
     """
     root, tree, layer = searches[back]
     other, near, _ = searches[1 - back]
-    layout = g.residual_layout
-    adj, arcs, starts, to, _ = layout
-    if layer and not warm:
-        while layer:
-            layer, _ = _grow(adj, arcs, starts, to, cap, layer, tree, (), back)
     if layer:
+        layout = g.residual_layout
+        adj, to = layout.adj, layout.to
         comp, members, *links = g.capacity_components
         bound = _reached_components(links[back], comp[root])
         region = dict.fromkeys(near, -1)
-        todo = [to[e] for u in near for e in adj[u] or _arcs(layout, u)]
+        todo = [to[e] for u in near for e in adj[u]]
         while todo and layer:
             y = todo.pop()
             if y in region or y in tree or comp[y] not in bound:
@@ -429,11 +565,11 @@ def _reach(g: DiGraph, cap, searches, warm, back):
             found, probe, met = [y], [y], False
             while not met and probe and layer:
                 if len(probe) <= len(layer):
-                    probe, meet = _grow(adj, arcs, starts, to, cap, probe, region, tree, 1 - back)
+                    probe, meet = _grow(adj, to, cap, layout, probe, region, tree, 1 - back)
                     found += probe
                     met = meet >= 0
                 else:
-                    layer, _ = _grow(adj, arcs, starts, to, cap, layer, tree, (), back)
+                    layer, _ = _grow(adj, to, cap, layout, layer, tree, (), back)
                     met = not region.keys().isdisjoint(layer)
             if met:
                 for v in found:
@@ -442,7 +578,7 @@ def _reach(g: DiGraph, cap, searches, warm, back):
                     tree[y] = -1
                     layer.append(y)
             elif not probe:
-                todo.extend(to[e] for u in found for e in adj[u] or _arcs(layout, u))
+                todo.extend(to[e] for u in found for e in adj[u])
     if layer:
         reached = frozenset().union(*map(members.__getitem__, bound)).difference(region)
     else:
@@ -464,30 +600,51 @@ def _reached_components(links, start):
 
 
 def _arcs(layout, u):
-    """The arcs leaving node u, ascending: ``layout.adj[u]``, made from the
-    node's slice of ``layout.arcs`` on its first read. Callers read
+    """The arcs leaving node u, ascending: ``layout.adj[u]``, made on its
+    first read, with their heads in ``layout.to``, from u's block of rows.
+    The heads are stored first, so whoever finds the arcs finds them;
+    threads that race on a node store equal values. Callers read
     ``adj[u] or _arcs(layout, u)``, so a node already made costs no call."""
-    adj, arcs, starts, _, _ = layout
-    out = adj[u]
+    out = layout.adj[u]
     if out is None:
-        out = adj[u] = tuple(arcs[starts[u]:starts[u + 1]])
+        k, i = divmod(u, ROW_BLOCK)
+        offsets, arcs, heads = layout.blocks[k] or _block(layout, k)
+        lo, hi = offsets[i], offsets[i + 1]
+        out = tuple(arcs[lo:hi])
+        to = layout.to
+        for e, v in zip(out, heads[lo:hi]):
+            to[e] = v
+        layout.adj[u] = out
     return out
 
 
-def _grow(adj, arcs, starts, to, cap, layer, seen, other, back):
+def _block(layout, k):
+    """Block k of the rows, stored in ``layout.blocks``: each node's start
+    within the block, the arc ids and their heads' id objects, as lists."""
+    first = k * ROW_BLOCK
+    starts = layout.starts[first:first + ROW_BLOCK + 1]
+    lo, hi = starts[0], starts[-1]
+    block = layout.blocks[k] = (
+        (starts - lo).tolist(),
+        layout.arcs[lo:hi].tolist(),
+        layout.ids[layout.heads[lo:hi]].tolist(),
+    )
+    return block
+
+
+def _grow(adj, to, cap, layout, layer, seen, other, back):
     """Expand one BFS layer of the residual network, forward (``back`` 0)
     or backward (``back`` 1: arc e is read as the residual arc e ^ 1 into
     the layer's node). Returns the next layer and -1, or, at the first node
     the ``other`` search has seen, the arc joining the two searches. This
-    is the flow's inner loop: it reads each node's arcs as ``_arcs`` does,
-    inline, and takes the layout's lists one by one, since unpacking the
-    ``ResidualLayout`` record, a tuple subclass, on every call takes the
-    interpreter's generic path."""
+    is the flow's inner loop: it takes the layout's lists one by one, since
+    unpacking the ``ResidualLayout`` record, a tuple subclass, on every
+    call takes the interpreter's generic path."""
     nxt = []
     for u in layer:
         out = adj[u]
         if out is None:
-            out = adj[u] = tuple(arcs[starts[u]:starts[u + 1]])
+            out = _arcs(layout, u)
         for e in out:
             if cap[e ^ back] and to[e] not in seen:
                 v = to[e]
@@ -498,18 +655,22 @@ def _grow(adj, arcs, starts, to, cap, layer, seen, other, back):
     return nxt, -1
 
 
-def _augment(to, cap, fwd, bwd, meet) -> int:
-    """Push the bottleneck of the path source -> tail(meet) -> head(meet) ->
-    sink that the two search trees spell out."""
+def _augment(layout, cap, fwd, bwd, meet) -> int:
+    """Push the bottleneck of the path source -> tail(meet) -> head(meet)
+    -> sink that the two search trees spell out. Each step reads the head
+    of an arc whose mirror's head is known, made if need be (``_head``)."""
+    to = layout.to
     path = [meet]
-    e = fwd[to[meet ^ 1]]
+    a = meet ^ 1
+    e = fwd[_head(layout, a) if to[a] is None else to[a]]
     while e >= 0:
         path.append(e)
-        e = fwd[to[e ^ 1]]
-    e = bwd[to[meet]]
+        a = e ^ 1
+        e = fwd[_head(layout, a) if to[a] is None else to[a]]
+    e = bwd[_head(layout, meet) if to[meet] is None else to[meet]]
     while e >= 0:
         path.append(e)
-        e = bwd[to[e]]
+        e = bwd[_head(layout, e) if to[e] is None else to[e]]
     aug = min([cap[e] for e in path])
     for e in path:
         cap[e] -= aug
@@ -517,27 +678,54 @@ def _augment(to, cap, fwd, bwd, meet) -> int:
     return aug
 
 
-def _checked_cut(g: DiGraph, side: frozenset[int], flow: int) -> CutSolution:
-    # The crossing edges, read from the smaller side's arcs: the forward
-    # (even) arcs out of the source side, or the reverse (odd) arcs at the
-    # sink side whose head is on the source side, each the mirror of the
-    # crossing forward arc e ^ 1. Either way the time is linear in the
-    # smaller side's degree, not the graph's size. The sink side is built
-    # only when it is the one walked.
-    layout = g.residual_layout
-    adj, to, cap = layout.adj, layout.to, layout.cap
-    if 2 * len(side) <= g.node_count:
-        cut_arcs = [e for u in side for e in adj[u] or _arcs(layout, u)
-                    if not e & 1 and to[e] not in side]
+def _head(layout, a):
+    """The head of arc a, not yet made, made by making the node a leaves,
+    which is known: the head of a's mirror."""
+    _arcs(layout, layout.to[a ^ 1])
+    return layout.to[a]
+
+
+def crossing_arcs(layout: ResidualLayout, side) -> list[int]:
+    """The arcs 2i of the edges i leaving the node set ``side``, ascending,
+    read from the arcs of the smaller of ``side`` and its complement: the
+    forward (even) arcs out of ``side``, or the reverse (odd) arcs at the
+    other side whose head is in ``side``, each the mirror e ^ 1 of a
+    crossing forward arc. Either way the time is linear in the smaller
+    side's degree, not the graph's size, and the complement is built only
+    when it is the one walked. One end of each arc returned is then made
+    (``arc_ends``)."""
+    adj, to = layout.adj, layout.to
+    n = len(layout.ids)
+    if 2 * len(side) <= n:
+        cut = [e for u in side for e in adj[u] or _arcs(layout, u) if not e & 1 and to[e] not in side]
     else:
-        other = frozenset(range(g.node_count)).difference(side)
-        cut_arcs = [e ^ 1 for u in other for e in adj[u] or _arcs(layout, u)
-                    if e & 1 and to[e] in side]
-    cut_arcs.sort()
-    cut_edges = tuple(e >> 1 for e in cut_arcs)
-    cut_cap = sum(cap[e] for e in cut_arcs)
+        other = frozenset(range(n)).difference(side)
+        cut = [e ^ 1 for u in other for e in adj[u] or _arcs(layout, u) if e & 1 and to[e] in side]
+    cut.sort()
+    return cut
+
+
+def arc_ends(layout: ResidualLayout, a: int) -> tuple[int, int]:
+    """The tail and the head of arc a, one end of which is made; the node
+    at the other end is made if it is not yet."""
+    to = layout.to
+    tail, head = to[a ^ 1], to[a]
+    if tail is None:
+        tail = _head(layout, a ^ 1)
+    if head is None:
+        head = _head(layout, a)
+    return tail, head
+
+
+def _checked_cut(g: DiGraph, side: frozenset[int], flow: int) -> CutSolution:
+    # The crossing edges, read from the smaller side's arcs; their
+    # capacities must add up to the flow.
+    layout = g.residual_layout
+    cap = layout.cap
+    cut_arcs = crossing_arcs(layout, side)
+    cut_cap = sum([cap[e] for e in cut_arcs])
     if cut_cap != flow:
         raise InvariantError(
             f"max-flow/min-cut mismatch: flow {flow}, crossing capacity {cut_cap}"
         )
-    return CutSolution(source_side=side, value=flow, cut_edges=cut_edges)
+    return CutSolution(source_side=side, value=flow, cut_edges=tuple([e >> 1 for e in cut_arcs]))

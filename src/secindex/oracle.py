@@ -59,6 +59,7 @@ BINARY_BUS_LIMIT = 22
 PARTITION_LINE_LIMIT = 17
 NULLSPACE_TOL = 1e-8
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 _CHUNK = 1 << 16
 
 
@@ -94,13 +95,37 @@ def _ranks(mats: np.ndarray) -> np.ndarray:
     return (s > s[..., :1] * (max(mats.shape[-2:]) * _EPS)).sum(axis=-1)
 
 
+def _binary_unit(vec: np.ndarray) -> np.ndarray:
+    """``vec`` times the power of two that brings its largest magnitude
+    into [0.5, 1). The scaling is exact, so every product, norm and ratio
+    taken of it is the one taken of ``vec``, scaled by that power, bit for
+    bit; but the squares of its entries neither overflow nor underflow,
+    whatever the reactances' spread."""
+    top = float(np.abs(vec).max(initial=0.0))
+    if top == 0.0 or not np.isfinite(top):
+        return vec
+    return np.ldexp(vec, -math.frexp(top)[1])
+
+
+def _with_norm(vec: np.ndarray):
+    """``vec`` and its 2-norm, ``vec`` read at a binary unit scale where
+    the sum of its squares would overflow or lose its precision: a scaling
+    that leaves every test on it as it was."""
+    square = float(vec @ vec)
+    if not _TINY <= square < math.inf:
+        vec = _binary_unit(vec)
+        square = float(vec @ vec)
+    return vec, math.sqrt(square)
+
+
 def _pick_off_hyperplanes(basis: np.ndarray, functionals) -> np.ndarray:
     """Deterministic point in the span of ``basis`` with a healthy margin
-    against every functional in the list (each is nonzero on the span)."""
+    against every functional in the list (each is nonzero on the span),
+    each with its norm taken once (``_with_norm``)."""
     k = basis.shape[1]
     if k == 0:
         raise InvariantError("empty subspace has no generic point")
-    rows = [f for f in functionals]
+    rows = [_with_norm(np.asarray(f, dtype=float)) for f in functionals]
     best = None
     best_margin = 0.0
     for t in range(1, 60):
@@ -111,8 +136,7 @@ def _pick_off_hyperplanes(basis: np.ndarray, functionals) -> np.ndarray:
         if ynorm == 0:
             continue
         margin = 1.0
-        for f in rows:
-            fn = np.linalg.norm(f)
+        for f, fn in rows:
             if fn == 0:
                 continue
             margin = min(margin, abs(float(f @ y)) / (fn * ynorm))
@@ -358,9 +382,11 @@ def _null_of_row(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
     and is not zero. The Householder reflector Q = I - 2vvᵀ/vᵀv with
     v = vec + sign(vec₀)‖vec‖e₀ maps ``vec`` onto a multiple of e₀, so Q's
     columns past the first are orthonormal and orthogonal to ``vec``; the
-    result is ``basis`` Q without its first column, formed without Q."""
-    v = vec.astype(float, copy=True)
-    v[0] += math.copysign(np.linalg.norm(v), v[0])
+    result is ``basis`` Q without its first column, formed without Q. Q
+    does not depend on the scale of ``vec`` (``_with_norm``)."""
+    v, norm = _with_norm(vec.astype(float))
+    v = v.copy()
+    v[0] += math.copysign(norm, v[0])
     return (basis - np.outer(basis @ v, v * (2.0 / (v @ v))))[:, 1:]
 
 
@@ -468,13 +494,22 @@ def _min_injection_dfs(view, p_scaled, budget, required_bus=None):
 
 
 def _witness_from_partition(view, zeroed, basis, scale_row):
+    """The bus angles of a generic point of the partition's subspace,
+    scaled so that ``scale_row``, the target's functional, reads 1 on them;
+    where that would overflow (the target's coefficients near the bottom
+    of the float range, its reactance near the top), so that the target's
+    functional at binary unit scale (``_binary_unit``) reads 1."""
     functionals = list(view.pair_functionals)
     for bus in view.cancellable:
         if bus not in zeroed:
             functionals.append(view.lam[bus])
     functionals.append(scale_row)
-    y = _pick_off_hyperplanes(basis, functionals)
-    return y[np.array(view.labels)] / float(scale_row @ y)
+    with np.errstate(over="ignore", under="ignore"):
+        y = _pick_off_hyperplanes(basis, functionals)
+        witness = y[np.array(view.labels)] / float(scale_row @ y)
+    if not np.isfinite(witness).all():
+        witness = y[np.array(view.labels)] / float(_binary_unit(scale_row) @ y)
+    return witness
 
 
 def _flow_row(net, view, line) -> np.ndarray:
@@ -499,7 +534,9 @@ def oracle_continuous_network(
     Returns {("edge", line): OracleResult} for each requested line (the
     constraint being nonzero flow on it) and {("node", bus): OracleResult}
     for each requested metered injection (the constraint being nonzero
-    injection there). Witnesses are normalized so the target row maps to 1.
+    injection there). Witnesses are normalized so the target row maps to 1
+    (see ``_witness_from_partition`` for a target whose reactance is near
+    the top of the float range).
     """
     if net.line_count > PARTITION_LINE_LIMIT:
         raise SizeLimitError(
@@ -526,41 +563,44 @@ def oracle_continuous_network(
             return None
         return max((v[0] for v in payloads), default=0)
 
-    endpoints = [(u, v) for (u, v, _) in net.lines]
-    for flow, labels, cut_lines in _partitions_by_cost(
-        net.bus_count, endpoints, c_s, resolved_bound
-    ):
-        bound = resolved_bound()
-        if bound is not None and flow >= bound:
-            break
-        view = None
-        base = None  # (cost, zeroed, basis) without target constraints
-        for line in edge_best:
-            u, v, _ = net.lines[line]
-            if labels[u] == labels[v]:
-                continue
-            current = edge_best[line]
-            budget = (current[0] - flow) if current is not None else (1 << 62)
-            if budget <= 0:
-                continue
-            if view is None:
-                view = _PartitionView(labels, cut_lines, net, p_s)
-            if base is None:
-                base = _min_injection_dfs(view, p_s, 1 << 62)
-            if base is not None and base[0] < budget:
-                edge_best[line] = (flow + base[0], view, base)
-        for bus in node_best:
-            current = node_best[bus]
-            budget = (current[0] - flow) if current is not None else (1 << 62)
-            if budget <= 0:
-                continue
-            if view is None:
-                view = _PartitionView(labels, cut_lines, net, p_s)
-            if view.lam.get(bus) is None:
-                continue
-            found = _min_injection_dfs(view, p_s, budget, required_bus=bus)
-            if found is not None:
-                node_best[bus] = (flow + found[0], view, found)
+    # A reactance near either end of the float range may overflow or
+    # underflow a functional's squares; ``_with_norm`` then rescales it.
+    with np.errstate(over="ignore", under="ignore"):
+        endpoints = [(u, v) for (u, v, _) in net.lines]
+        for flow, labels, cut_lines in _partitions_by_cost(
+            net.bus_count, endpoints, c_s, resolved_bound
+        ):
+            bound = resolved_bound()
+            if bound is not None and flow >= bound:
+                break
+            view = None
+            base = None  # (cost, zeroed, basis) without target constraints
+            for line in edge_best:
+                u, v, _ = net.lines[line]
+                if labels[u] == labels[v]:
+                    continue
+                current = edge_best[line]
+                budget = (current[0] - flow) if current is not None else (1 << 62)
+                if budget <= 0:
+                    continue
+                if view is None:
+                    view = _PartitionView(labels, cut_lines, net, p_s)
+                if base is None:
+                    base = _min_injection_dfs(view, p_s, 1 << 62)
+                if base is not None and base[0] < budget:
+                    edge_best[line] = (flow + base[0], view, base)
+            for bus in node_best:
+                current = node_best[bus]
+                budget = (current[0] - flow) if current is not None else (1 << 62)
+                if budget <= 0:
+                    continue
+                if view is None:
+                    view = _PartitionView(labels, cut_lines, net, p_s)
+                if view.lam.get(bus) is None:
+                    continue
+                found = _min_injection_dfs(view, p_s, budget, required_bus=bus)
+                if found is not None:
+                    node_best[bus] = (flow + found[0], view, found)
 
     results = {}
     targets = [("edge", line, payload) for line, payload in edge_best.items()]

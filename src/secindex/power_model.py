@@ -17,12 +17,15 @@ that encodes positive one-in-three 3SAT instances as measurement systems.
 A network holds its lines as arrays (``PowerNetwork.arrays``), validated in
 one vectorized pass, with connectivity decided by union-find over the
 lines; its line triples are built only when read, and the lines at each
-bus come from one stable sort (``PowerNetwork.adjacency``). A placement's
-label order is built once, and derived weights come from a ``bincount``.
+bus come from one stable sort (``PowerNetwork.adjacency``). A placement
+reads a measurement's label by position (``MeasurementPlacement.label``)
+and builds the whole label order only for a caller that reads it whole;
+derived weights come from a ``bincount``.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,14 +160,9 @@ class PowerNetwork:
 
     def incident_lines(self, bus: int) -> tuple[int, ...]:
         """Ids of the lines at ``bus`` in ascending order, parallel lines
-        each listed."""
-        return self._incident[bus]
-
-    @cached_property
-    def _incident(self) -> tuple[tuple[int, ...], ...]:
-        # one tuple per bus, which the oracles' per-partition loops read
-        lines, starts = (tuple(a.tolist()) for a in self.adjacency)
-        return tuple(lines[a:b] for a, b in zip(starts, starts[1:]))
+        each listed: bus ``bus``'s run of ``adjacency``, read alone."""
+        lines, starts = self.adjacency
+        return tuple(lines[starts[bus]:starts[bus + 1]].tolist())
 
     @cached_property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
@@ -239,30 +237,64 @@ class MeasurementPlacement:
             object.__setattr__(self, name, ids)
 
     def ordering(self) -> tuple[tuple[str, int], ...]:
-        """The (kind, id) labels in the global order, built once."""
+        """The (kind, id) labels in the global order, built on the first
+        call and kept; ``label`` reads one of them without it."""
         return self._labels
 
     @cached_property
     def _labels(self) -> tuple[tuple[str, int], ...]:
-        return (
-            tuple(zip(repeat(FLOW_FROM), self.flow_from))
-            + tuple(zip(repeat(FLOW_TO), self.flow_to))
-            + tuple(zip(repeat(INJECTION), self.injection))
-        )
+        return tuple(chain.from_iterable(zip(repeat(kind), ids) for kind, ids in self._groups()))
+
+    def _groups(self):
+        return (FLOW_FROM, self.flow_from), (FLOW_TO, self.flow_to), (INJECTION, self.injection)
 
     @property
     def measurement_count(self) -> int:
         return len(self.flow_from) + len(self.flow_to) + len(self.injection)
 
-    @cached_property
-    def _positions(self) -> dict[tuple[str, int], int]:
-        return {label: k for k, label in enumerate(self.ordering())}
+    def label(self, k: int) -> tuple[str, int]:
+        """The (kind, id) label of measurement ``k``, 0 <= k <
+        ``measurement_count``, in the global order, read by position."""
+        if k >= 0:
+            if k < len(self.flow_from):
+                return FLOW_FROM, self.flow_from[k]
+            k -= len(self.flow_from)
+            if k < len(self.flow_to):
+                return FLOW_TO, self.flow_to[k]
+            k -= len(self.flow_to)
+            if k < len(self.injection):
+                return INJECTION, self.injection[k]
+        raise IndexError("measurement position out of range")
 
     def index_of(self, kind: str, ident: int) -> int:
-        try:
-            return self._positions[(kind, ident)]
-        except (KeyError, TypeError):
-            raise InputError(f"measurement ({kind}, {ident}) not in placement") from None
+        """The position of measurement (kind, ident) in the global order,
+        found by bisection in its sorted id group."""
+        offset = 0
+        for name, ids in self._groups():
+            if name == kind:
+                try:
+                    pos = bisect_left(ids, ident)
+                except TypeError:
+                    break
+                if pos < len(ids) and ids[pos] == ident:
+                    return offset + pos
+                break
+            offset += len(ids)
+        raise InputError(f"measurement ({kind}, {ident}) not in placement")
+
+
+class _Labels:
+    """A placement's labels in the global order, as ``ModelMatrix`` takes
+    them: their count, and the labels themselves only when iterated."""
+
+    def __init__(self, meas: MeasurementPlacement):
+        self.meas = meas
+
+    def __len__(self) -> int:
+        return self.meas.measurement_count
+
+    def __iter__(self):
+        return iter(self.meas.ordering())
 
 
 def full_measurement(net: PowerNetwork) -> MeasurementPlacement:
@@ -342,48 +374,62 @@ class ModelMatrix:
     """The measurement matrix H, held as the line flows each row sums: term t
     adds ``coeffs[t] * (theta[tails[t]] - theta[heads[t]])`` to row
     ``rows[t]``, so every row sums to zero term by term. ``labels`` are the
-    rows' (kind, id) in the global order. H @ delta_theta and its support
-    come from the table; max|H| and the residual guard's columns of H come
-    from its ``entries``, which sum the table's terms per entry. The dense
-    ``h``, and its SVD basis, are built on first read."""
+    rows' (kind, id) in the global order, made into a tuple from the
+    sequence given on first read; ``build_h`` gives its placement's, whose
+    count is known without them. H @ delta_theta and its support come from
+    the terms that read a cut line, and max|H| from the table; the residual
+    guard's columns of H come from the terms at the buses its witness
+    moves, or on a small table from ``entries``, which sum the table's
+    terms per entry. The dense ``h``, and its SVD basis, are built on first
+    read."""
 
     def __init__(self, labels, bus_count: int, rows, tails, heads, coeffs):
-        self.labels = tuple(labels)
+        self._labels = labels
+        self.measurement_count = len(labels)
         self.bus_count = bus_count
         self.rows, self.tails, self.heads = np.array([rows, tails, heads], dtype=np.intp)
         self.coeffs = np.asarray(coeffs, dtype=float)
         self._range_basis = None
 
-    @property
-    def measurement_count(self) -> int:
-        return len(self.labels)
+    @cached_property
+    def labels(self) -> tuple[tuple[str, int], ...]:
+        return tuple(self._labels)
 
     def apply(self, delta_theta) -> tuple[np.ndarray, tuple[int, ...]]:
         """H @ delta_theta and its support: the rows whose terms' sum exceeds
         ZERO_TOL times the sum of their magnitudes, whatever the reactances'
-        scale. For a 0/1 shift these are exactly the rows reading a cut line,
-        as the cut lines at a bus all pull one way; the others are exactly 0."""
+        scale. Only the terms whose two buses the shift moves apart are
+        summed, in table order, since every other term adds an exact zero.
+        For a 0/1 shift these are the terms that read a cut line, and their
+        rows are the support, as the cut lines at a bus all pull one way;
+        every other row is exactly 0."""
         dtheta = np.asarray(delta_theta, dtype=float)
-        flows = self.coeffs * (dtheta[self.tails] - dtheta[self.heads])
+        shift = dtheta[self.tails] - dtheta[self.heads]
+        across = shift.nonzero()[0]
+        flows = self.coeffs[across] * shift[across]
+        rows = self.rows[across]
         m = self.measurement_count
-        delta_z = np.bincount(self.rows, weights=flows, minlength=m)
-        magnitude = np.bincount(self.rows, weights=np.abs(flows), minlength=m)
-        return delta_z, tuple(np.flatnonzero(np.abs(delta_z) > ZERO_TOL * magnitude).tolist())
+        delta_z = np.bincount(rows, weights=flows, minlength=m)
+        magnitude = np.bincount(rows, weights=np.abs(flows), minlength=m)
+        return delta_z, tuple((np.abs(delta_z) > ZERO_TOL * magnitude).nonzero()[0].tolist())
 
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals) of the entries of H the table writes, row-major,
-        each summing its terms in table order."""
-        n = self.bus_count
-        keys = np.concatenate((self.rows * n + self.tails, self.rows * n + self.heads))
-        keys, slot = np.unique(keys, return_inverse=True)
-        rows, cols = np.divmod(keys, n)
-        return rows, cols, np.bincount(slot, weights=np.concatenate((self.coeffs, -self.coeffs)))
+        each summing its terms in table order (``_entries``)."""
+        every = np.arange(len(self.rows))
+        return _entries(self, every, every)
 
     @cached_property
     def max_abs_entry(self) -> float:
-        """max|H|, 0 for a matrix without entries."""
-        return float(np.abs(self.entries[2]).max(initial=0.0))
+        """max|H|, read from the term table as the largest sum of one row's
+        term magnitudes; 0 for a matrix without terms. Each row ``build_h``
+        makes is one term, or the terms of an injection, which share the
+        metered bus as their tail and have positive coefficients, so the
+        bus's entry is that sum, bit for bit, and the row's largest; in any
+        table the sum bounds the row's entries from above."""
+        sums = np.bincount(self.rows, weights=np.abs(self.coeffs), minlength=self.measurement_count)
+        return float(sums.max(initial=0.0))
 
     @cached_property
     def h(self) -> np.ndarray:
@@ -398,10 +444,12 @@ class ModelMatrix:
 
     def range_basis(self) -> "_ReducedColumns":
         """The residual guard's view of the column space of the reduced
-        matrix H2: its nonzeros, read from ``entries`` without the reference
-        column, built once per model in O(nnz) with no factorization. An
-        attack H @ dtheta is certified by its own witness y = dtheta[1:] -
-        dtheta[0] (see :func:`attack_from_partition`)."""
+        matrix H2, made once per model, with no factorization: the columns
+        a fit reads come from ``entries`` without the reference column, or
+        on a large table from the terms at the buses the witness moves
+        (``_ReducedColumns``). An attack H @ dtheta is certified by its own
+        witness y = dtheta[1:] - dtheta[0] (see
+        :func:`attack_from_partition`)."""
         if self._range_basis is None:
             self._range_basis = _ReducedColumns(self)
         return self._range_basis
@@ -413,19 +461,72 @@ class ModelMatrix:
         return _SvdBasis(self.reduced())
 
 
+def _entries(model: ModelMatrix, at_tail, at_head):
+    """(rows, cols, vals) of the entries of H that the terms ``at_tail``
+    write at their tails and the terms ``at_head`` write at their heads,
+    row-major. Each entry sums its terms' tail parts, then their head
+    parts, each in table order, as a pass over the whole table would. The
+    keys (row * n + col) are put in order by a stable sort, which keeps
+    each entry's terms in that order: the tails' keys are already sorted in
+    every table ``build_h`` makes, and the heads' keys nearly so, which the
+    sort's merging of runs exploits."""
+    rows = np.concatenate((model.rows[at_tail], model.rows[at_head]))
+    cols = np.concatenate((model.tails[at_tail], model.heads[at_head]))
+    keys = rows * model.bus_count + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    terms = np.concatenate((model.coeffs[at_tail], -model.coeffs[at_head]))[order]
+    vals = np.bincount(np.cumsum(first) - 1, weights=terms)
+    return rows[order][first], cols[order][first], vals
+
+
+# A fit on a table of more than this many terms reads only the columns its
+# witness moves, from their terms; on a smaller table one pass over all of
+# H2's nonzeros, grouped once per model, costs less than a local fit's
+# fixed cost (the bundled 118-bus case has 744 terms, the 2383-bus grid
+# 14,296).
+LOCAL_FIT_TERMS = 4096
+
+
 class _ReducedColumns:
-    """The nonzeros (rows, cols, vals) of H2, in row order."""
+    """The columns of H2 as the residual guard reads them. The model keeps
+    this view and the view refers back to it weakly, so that no reference
+    cycle keeps a model's arrays alive past its last use."""
 
     def __init__(self, model: ModelMatrix):
-        rows, cols, vals = model.entries
+        self._model = weakref.ref(model)
+
+    @property
+    def model(self) -> ModelMatrix:
+        return self._model()
+
+    @cached_property
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of H2, in row order, read from ``entries``."""
+        rows, cols, vals = self.model.entries
         keep = cols > 0
-        self.rows, self.cols, self.vals = rows[keep], cols[keep] - 1, vals[keep]
-        self.measurement_count = model.measurement_count
+        return rows[keep], cols[keep] - 1, vals[keep]
 
     def residual(self, delta_z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """delta_z - H2 y."""
-        fit = self.vals * y[self.cols]
-        return delta_z - np.bincount(self.rows, weights=fit, minlength=self.measurement_count)
+        """delta_z - H2 y. On a table of more than ``LOCAL_FIT_TERMS``
+        terms, only the columns where y is not 0 are read, their entries
+        summed from the terms at those buses; every column left out adds an
+        exact zero to each row, so the result is bit for bit that of the
+        whole product, which a smaller table takes from ``nonzeros``."""
+        model = self.model
+        if len(model.rows) > LOCAL_FIT_TERMS:
+            shift = np.concatenate(([0.0], y))
+            moved = shift != 0.0
+            rows, cols, vals = _entries(
+                model, moved[model.tails].nonzero()[0], moved[model.heads].nonzero()[0]
+            )
+            fit = vals * shift[cols]
+        else:
+            rows, cols, vals = self.nonzeros
+            fit = vals * y[cols]
+        return delta_z - np.bincount(rows, weights=fit, minlength=model.measurement_count)
 
 
 class _SvdBasis:
@@ -464,7 +565,7 @@ def build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
     order = np.lexsort((line_ids, at))
     order = order[np.isin(at[order], injected)]
     return ModelMatrix(
-        meas.ordering(),
+        _Labels(meas),
         net.bus_count,
         np.concatenate((np.arange(flows.size), flows.size + np.searchsorted(injected, at[order]))),
         np.concatenate((tails[flows], at[order])),
@@ -570,9 +671,11 @@ def attack_from_partition(
     The attack's delta_z = H @ dtheta lies in the column space of the
     reduced matrix H2 by construction, with the witness y = dtheta[1:] -
     dtheta[0], since every row of H sums to zero. ``residual_inf`` is the
-    2-norm of delta_z - H2 y, with delta_z from the term table and H2 from
-    ``entries``; it bounds the max-norm of the least-squares residual from
-    above, and is 0 up to rounding. It exceeding ``residual_tolerance``
+    2-norm of delta_z - H2 y, with delta_z from the terms that read a cut
+    line (``ModelMatrix.apply``) and H2 y from the columns the witness moves
+    (``ModelMatrix.range_basis``), scattered into a vector of every row
+    before the norm; it bounds the max-norm of the least-squares residual
+    from above, and is 0 up to rounding. It exceeding ``residual_tolerance``
     signals an internal bug, so it raises InvariantError.
     """
     dtheta = np.asarray(delta_theta, dtype=float)

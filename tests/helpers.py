@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from secindex import (
     CaseParseError,
@@ -19,6 +22,18 @@ from secindex.mincut import _arcs
 from secindex.power_model import FLOW_FROM, INJECTION
 
 REACTANCE_CHOICES = (0.25, 0.5, 1.0, 1.0, 2.0)
+
+
+@functools.cache
+def benchmark_generate():
+    """The benchmark's case generators (``perfbench/generate.py``), loaded
+    from the checkout: the seeded grids and desk stream it times."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_generate", Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    )
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate
 
 
 def random_digraph(rng: random.Random, nodes=8, edges=16, max_cap=10) -> DiGraph:
@@ -78,8 +93,10 @@ def full_search_reach(g: DiGraph, cap, root: int, back: int = 0) -> frozenset[in
 def layout_rows(g: DiGraph):
     """``g``'s residual layout as ``(arcs per node, heads, capacities)``,
     every node's arcs read through ``mincut._arcs``, which makes the ones
-    no flow has read yet. Each must equal the node's compressed row, and so
-    must every arc tuple a flow made before."""
+    no flow has read yet, with the heads of their arcs. Each node's arcs
+    must equal its compressed row, and so must every arc tuple a flow made
+    before; each arc leaves one node, so then every head is made, each its
+    node's one id object."""
     layout = g.residual_layout
     made = list(layout.adj)
     rows = tuple(_arcs(layout, u) for u in range(g.node_count))
@@ -88,6 +105,7 @@ def layout_rows(g: DiGraph):
     for u, row in enumerate(rows):
         assert type(row) is tuple and row == tuple(layout.arcs[starts[u]:starts[u + 1]])
         assert made[u] is None or made[u] == row
+    assert all(v is layout.ids[v] for v in layout.to)
     return rows, tuple(layout.to), tuple(layout.cap)
 
 

@@ -353,6 +353,112 @@ def test_cut_command_on_small_texts_solves_or_says_why():
     assert outcomes == {0, 1}
 
 
+@pytest.mark.parametrize("reactance", ["1e-160", "1e308"])
+def test_verify_at_a_float_range_reactance_ends_without_an_invariant(tmp_path, reactance):
+    # A 4-bus ring, full measurement, with one reactance at either end of
+    # the float range: the partition oracle reads its functionals at a
+    # binary unit scale, so verify either passes or names a FAIL line, as
+    # ``index`` answers the case; it never stops on an internal invariant.
+    path = tmp_path / "ring.json"
+    path.write_text(
+        '{"buses": 4, "lines": [[1, 2, 1.0], [2, 3, 0.5], [3, 4, %s], [4, 1, 0.25]],'
+        ' "measurements": {"flow_from": "all", "flow_to": "all", "injection": "all"}}' % reactance
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert "internal invariant" not in err and "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 2) and (code == 2) == ("FAIL" in out), (code, out)
+    assert "PASS oracle-sandwich" in out and "PASS oracle-exactness" in out
+
+
+_JUNK_IDS = (0, -1, True, 1.5, "1", None, [1])
+_JUNK_COSTS = (0, 1, 2, 3, "1/2", "3/2", 0.25, -1, "abc", True, None, [1], "1e400", 10**30)
+
+
+@st.composite
+def _native_placements(draw):
+    """A small native case whose ``measurements`` and ``weights`` sections,
+    and the keys beside them, are spoiled in a few of the ways a hand-edited
+    file is: groups missing, empty, repeated, "all", out of range or of the
+    wrong type, weights of every spelling, and unknown keys."""
+    n = draw(st.integers(2, 5))
+    lines = [[b, b + 1, draw(st.sampled_from((0.25, 0.5, 1.0, 2.0)))] for b in range(1, n)]
+    for _ in range(draw(st.integers(0, 2))):
+        u, v = draw(st.integers(1, n)), draw(st.integers(1, n))
+        if u != v:
+            lines.append([u, v, 1.0])
+    counts = {"flow_from": len(lines), "flow_to": len(lines), "injection": n}
+    group = st.one_of(
+        st.just("all"),
+        st.lists(st.integers(1, max(counts.values())), max_size=6),
+        st.lists(st.one_of(st.integers(-1, max(counts.values()) + 1), st.sampled_from(_JUNK_IDS)),
+                 max_size=4),
+        st.sampled_from(("none", 5, {}, None)),
+    )
+    measurements = {key: draw(group) for key in counts if draw(st.integers(0, 4))}
+    if not draw(st.integers(0, 9)):
+        measurements[draw(st.sampled_from(("flows", "injections", "")))] = "all"
+    doc = {"buses": n, "lines": lines, "measurements": measurements}
+    if draw(st.booleans()):
+        ids = st.one_of(st.integers(0, n + 1).map(str), st.sampled_from(("x", "1.0", " 1", "")))
+        costs = st.dictionaries(ids, st.sampled_from(_JUNK_COSTS), max_size=4)
+        weights = {key: draw(costs) for key in ("edge_costs", "node_costs") if draw(st.booleans())}
+        if not draw(st.integers(0, 9)):
+            weights[draw(st.sampled_from(("edges", "nodes")))] = {}
+        doc["weights"] = weights if draw(st.integers(0, 9)) else draw(st.sampled_from(([], "x", 1)))
+    if not draw(st.integers(0, 9)):
+        doc[draw(st.sampled_from(("name", "comment", "weight")))] = 1
+    target = draw(st.integers(0, 2 * len(lines) + n + 1))
+    return json.dumps(doc), target
+
+
+def test_index_and_attack_on_spoiled_placements_answer_or_say_why():
+    # Any placement and weights of a small valid network either answer
+    # (index: one row per measurement, in the labels' order; attack: one
+    # row per bus and per measurement) or are refused with one error line;
+    # no run stops with an invariant (exit 2) or a traceback.
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_native_placements())
+    def check(spec):
+        text, target = spec
+        path = os.path.join(tmp, "case.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for argv in (["index", path], ["attack", path, "--target", str(target)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            out, err = out.getvalue(), err.getvalue()
+            outcomes.add((argv[0], code))
+            if code == 0:
+                assert err == ""
+                case = parse_native(path)
+                count = case.meas.measurement_count
+                rows = out.splitlines()
+                if argv[0] == "index":
+                    assert len(rows) == count + 1
+                    for k, row in enumerate(rows[1:]):
+                        kind, ident = case.meas.label(k)
+                        assert row.split(",")[1:3] == [kind, str(ident + 1)]
+                else:
+                    assert len(rows) == case.net.bus_count + count + 2
+            else:
+                assert code == 1 and out == "", (code, text, argv)
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert "Traceback" not in err
+
+    with tempfile.TemporaryDirectory() as tmp:
+        check()
+    assert {("index", 0), ("index", 1), ("attack", 0), ("attack", 1)} <= outcomes
+
+
 def test_attack_command(capsys, tmp_path):
     out = tmp_path / "attack.csv"
     code, _, _ = run_cli(

@@ -1,13 +1,17 @@
 import dataclasses
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import per_bus_gap_bound, random_network, random_observable_case, random_placement
+from helpers import (
+    benchmark_generate,
+    per_bus_gap_bound,
+    random_network,
+    random_observable_case,
+    random_placement,
+)
 from secindex import (
     InputError,
     MeasurementPlacement,
@@ -23,7 +27,7 @@ from secindex import (
     oracle_continuous_network,
     binary_gap_bound,
 )
-from secindex import costly_cut
+from secindex import cli, costly_cut, mincut, power_model
 from secindex.caseio import parse_matpower_subset, parse_native, parse_native_text
 from secindex.cases import path as case_path
 from secindex.indices import METHODS, _Engine, cut_instance_for_line
@@ -466,11 +470,7 @@ def _same_entry(a, b):
 
 def _desk_cases(seed):
     """The benchmark's seeded verify-desk stream, one case per size class."""
-    spec = importlib.util.spec_from_file_location(
-        "desk_generate", Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
-    )
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
+    generate = benchmark_generate()
     for i in range(len(generate.DESK_CLASSES)):
         yield parse_native_text(generate.dump(generate.desk_case(seed, i)).decode())
 
@@ -493,3 +493,143 @@ def test_index_target_rejects_positions_out_of_range():
     for k in (-1, meas.measurement_count, meas.measurement_count + 3):
         with pytest.raises(InputError, match="out of range"):
             index_target(net, meas, None, k)
+
+
+def _made_layouts(monkeypatch):
+    """Record every residual layout built from here on, in build order."""
+    layouts = []
+    build = mincut.arc_layout
+
+    def recorded(*args):
+        layouts.append(build(*args))
+        return layouts[-1]
+
+    monkeypatch.setattr(mincut, "arc_layout", recorded)
+    monkeypatch.setattr(costly_cut, "arc_layout", recorded)
+    return layouts
+
+
+def _made(layout):
+    return {u for u, arcs in enumerate(layout.adj) if arcs is not None}
+
+
+@pytest.fixture(scope="module")
+def seed1_grid(tmp_path_factory):
+    """The benchmark's seed-1 2383-bus grid, as a case file."""
+    generate = benchmark_generate()
+    path = tmp_path_factory.mktemp("grid") / "grid-1.json"
+    path.write_bytes(generate.dump(generate.meshed_grid(1)))
+    return str(path)
+
+
+def test_an_attack_on_a_grid_makes_only_what_its_searches_visit(seed1_grid, tmp_path, monkeypatch):
+    # Measurement 2836 of the seed-1 grid is cut locally. Its one flow on
+    # the 7149-node auxiliary graph, and the edge layout that rechecks the
+    # cut, make arc tuples and heads only for nodes a search visited, and
+    # nothing reads the placement's 11,914 labels whole.
+    layouts = _made_layouts(monkeypatch)
+    visited = set()
+    grow = mincut._grow
+
+    def recorded(adj, to, cap, layout, layer, seen, other, back):
+        visited.update(layer)
+        out = grow(adj, to, cap, layout, layer, seen, other, back)
+        visited.update(seen)
+        return out
+
+    def unread(self):
+        raise AssertionError("the labels were read whole")
+
+    monkeypatch.setattr(mincut, "_grow", recorded)
+    monkeypatch.setattr(power_model.MeasurementPlacement, "ordering", unread)
+    monkeypatch.setattr(power_model.ModelMatrix, "labels", property(unread))
+    out = tmp_path / "attack.csv"
+    assert cli.main(["attack", seed1_grid, "--target", "2836", "--out", str(out)]) == 0
+    aux, edges = layouts
+    assert len(aux.adj) == 7149 and len(edges.adj) == 2383
+    made = _made(aux)
+    assert 0 < len(made) < 150 and made <= visited
+    for layout in (aux, edges):
+        made = _made(layout)
+        headed = {a for a, head in enumerate(layout.to) if head is not None}
+        assert headed == {a for u in made for a in layout.adj[u]}
+    assert 0 < len(_made(edges)) < 20
+
+
+def test_a_cold_flow_with_the_large_source_side_stays_local(seed1_grid, tmp_path, monkeypatch):
+    # Measurement 4968's minimal source side is all but a few of the 7149
+    # auxiliary nodes, and its graph serves this one flow: the far side is
+    # found from the closed search and the positive-capacity components,
+    # not by walking every node.
+    layouts = _made_layouts(monkeypatch)
+    out = tmp_path / "attack.csv"
+    assert cli.main(["attack", seed1_grid, "--target", "4968", "--out", str(out)]) == 0
+    aux = layouts[0]
+    assert len(aux.adj) == 7149 and len(_made(aux)) < 100
+    rows = out.read_text().splitlines()
+    touched = sum(r.startswith("delta_z,") and float(r.split(",")[2]) != 0.0 for r in rows)
+    assert touched == index_target_count(seed1_grid, 4968)
+
+
+def index_target_count(path, target):
+    case = parse_native(path)
+    entry = index_target(case.net, case.meas, case.weights, target - 1)
+    assert entry.index == len(entry.attack.support)
+    return len(entry.attack.support)
+
+
+def _full_table_attack(model, dtheta):
+    """H @ dtheta, its support and the witness residual from every term and
+    every entry of ``model``: the sums the attack's local reads must equal."""
+    shift = dtheta[model.tails] - dtheta[model.heads]
+    flows = model.coeffs * shift
+    m = model.measurement_count
+    delta_z = np.bincount(model.rows, weights=flows, minlength=m)
+    magnitude = np.bincount(model.rows, weights=np.abs(flows), minlength=m)
+    support = tuple(np.flatnonzero(np.abs(delta_z) > 1e-9 * magnitude).tolist())
+    n = model.bus_count
+    keys = np.concatenate((model.rows * n + model.tails, model.rows * n + model.heads))
+    keys, slot = np.unique(keys, return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+    vals = np.bincount(slot, weights=np.concatenate((model.coeffs, -model.coeffs)))
+    keep = cols > 0
+    witness = dtheta[1:] - dtheta[0]
+    fit = np.bincount(rows[keep], weights=vals[keep] * witness[cols[keep] - 1], minlength=m)
+    return delta_z, support, float(np.linalg.norm(delta_z - fit)), float(np.abs(vals).max())
+
+
+@pytest.mark.parametrize("local", [False, True])
+def test_the_attack_from_the_cut_equals_the_full_table_bit_for_bit(monkeypatch, local):
+    # Every line of the bundled 118-bus case and of the seeded 500-bus
+    # grid: delta_z and its support read from the terms of the cut lines
+    # alone (every other term is poisoned with NaN), and the witness
+    # residual, fitted from the witness side's columns alone or from every
+    # nonzero of H2, and max|H|, equal the sums over the whole table bit
+    # for bit, on lines whose smaller side holds the reference bus too.
+    monkeypatch.setattr(power_model, "LOCAL_FIT_TERMS", 0 if local else 10**9)
+    generate = benchmark_generate()
+    grid = parse_native_text(generate.dump(generate.meshed_grid(11, 500)).decode())
+    reference_side = 0
+    for case in (parse_matpower_subset(case_path("ieee118.m")), grid):
+        model = build_h(case.net, case.meas)
+        report = index_all(case.net, case.meas, case.weights, model=model)
+        assert model.max_abs_entry == _full_table_attack(model, np.zeros(case.net.bus_count))[3]
+        tails, heads = case.net.endpoints
+        for entry in report.entries[: case.net.line_count]:
+            attack = entry.attack
+            dtheta = attack.delta_theta
+            delta_z, support, residual, _ = _full_table_attack(model, dtheta)
+            assert attack.delta_z.tobytes() == delta_z.tobytes()
+            assert attack.support == support
+            assert attack.residual_inf.hex() == residual.hex()
+            cut_lines = np.flatnonzero(dtheta[tails] != dtheta[heads])
+            reads_cut = np.isin(model.tails, tails[cut_lines]) & np.isin(model.heads, heads[cut_lines])
+            reads_cut |= np.isin(model.tails, heads[cut_lines]) & np.isin(model.heads, tails[cut_lines])
+            poisoned = power_model.ModelMatrix(
+                range(model.measurement_count), model.bus_count, model.rows, model.tails,
+                model.heads, np.where(reads_cut, model.coeffs, np.nan),
+            )
+            got_z, got_support = poisoned.apply(dtheta)
+            assert got_z.tobytes() == delta_z.tobytes() and got_support == support
+            reference_side += 2 * (dtheta == dtheta[0]).sum() < case.net.bus_count
+    assert reference_side > 0

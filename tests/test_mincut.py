@@ -27,6 +27,7 @@ from secindex.caseio import parse_matpower_subset, parse_native
 from secindex.cases import path as case_path
 from secindex.costly_cut import CostlyCutInstance, _plain_graph, build_auxiliary
 from secindex.indices import cut_instance_for_line
+from secindex import mincut
 from secindex.mincut import MAX_TOTAL_CAPACITY, _checked_cut, _max_flow, _reach, interleave
 from secindex.power_model import WeightAssignment
 
@@ -463,18 +464,18 @@ def test_reused_graph_cuts_like_a_fresh_one():
 
 def _check_reach_of_every_flow(g, pairs, taken):
     # Both residual reaches of each flow, as the solver finds them (locally
-    # where a search is left open on a warm graph), against a BFS over
-    # every arc; then the public extremes of the same flow. ``taken``
+    # where a search is left open), against a BFS over every arc; then the
+    # public extremes of the same flow. ``taken``
     # gathers, per direction, whether a local search ended with the tree
     # closed or with the candidates used up.
     for s, t in pairs:
-        flow, cap, searches, warm = _max_flow(g, s, t)
+        flow, cap, searches = _max_flow(g, s, t)
         wants = full_search_reach(g, cap, s), full_search_reach(g, cap, t, back=1)
         for back, want in enumerate(wants):
             tree, layer = searches[back][1:]
-            got = _reach(g, cap, searches, warm, back)
+            got = _reach(g, cap, searches, back)
             assert set(got) == want, (s, t, back)
-            if warm and layer:
+            if layer:
                 taken.add((back, set(got) == set(tree)))
         minimal, maximal = min_cut_extremes(g, s, t)
         assert minimal.value == maximal.value == flow
@@ -647,6 +648,43 @@ def test_capacity_components_are_the_mutual_reach_classes():
         links = {(comp[u], comp[v]) for u, v, c in g.edges if c and comp[u] != comp[v]}
         assert {(a, b) for a in range(len(members)) for b in succ[a]} == links
         assert {(a, b) for b in range(len(members)) for a in pred[b]} == links
+
+
+def _component_classes(g):
+    """The capacity components of a fresh copy of ``g`` as a set of member
+    sets, with the links between them as pairs of member sets."""
+    comp, members, succ, _ = DiGraph(node_count=g.node_count, edges=g.edges).capacity_components
+    for u, c in enumerate(comp):
+        assert u in members[c]
+    links = {(members[a], members[b]) for a in range(len(members)) for b in succ[a]}
+    return set(members), links
+
+
+def test_forward_backward_components_match_tarjans(monkeypatch):
+    # Every part split by searches (no part left to Tarjan's algorithm), on
+    # small random graphs; and a 640-node graph of 16 rings chained one
+    # way, with trees hanging off them and zero-capacity links back, split
+    # by searches into parts that Tarjan's algorithm finishes: each against
+    # Tarjan's algorithm alone.
+    rng = random.Random(31)
+    graphs = [random_digraph(rng, nodes=rng.randint(2, 9), edges=rng.randint(1, 20), max_cap=2)
+              for _ in range(60)]
+    edges, size = [], 40
+    for base in range(0, 16 * size, size):
+        ring = list(range(base, base + size - 8))
+        edges += [(u, v, rng.randint(1, 3)) for u, v in zip(ring, ring[1:] + ring[:1])]
+        edges += [(rng.choice(ring), rng.choice(ring[1:]), 1) for _ in range(6)]
+        edges += [(rng.choice(ring), leaf, 1) for leaf in range(base + size - 8, base + size)]
+        if base:
+            edges += [(base - size, base, 2), (base, base - size, 0)]
+    graphs.append(DiGraph(node_count=16 * size, edges=tuple((u, v, c) for u, v, c in edges if u != v)))
+    for g in graphs:
+        monkeypatch.setattr(mincut, "TARJAN_NODES", 10**9)
+        want = _component_classes(g)
+        for split in (0, 100):
+            monkeypatch.setattr(mincut, "TARJAN_NODES", split)
+            assert _component_classes(g) == want
+    assert len(want[0]) == 16 * 9
 
 
 def test_layout_sorted_as_narrow_keys_equals_the_int64_layout():

@@ -28,7 +28,7 @@ from secindex import (
     hat_matrix,
     is_observable,
 )
-from secindex import cli
+from secindex import cli, power_model
 from secindex.caseio import CaseFile, emit_native, parse_native
 from secindex.cases import path as case_path
 from secindex.oracle import attack_cost
@@ -630,6 +630,30 @@ def test_residual_guard_rejects_a_corrupted_entry():
         corrupted.entries = (rows, cols, vals)
         with pytest.raises(InvariantError, match="attack residual"):
             attack_from_partition(net, meas, dtheta, model=corrupted)
+
+
+def test_residual_guard_rejects_a_corrupted_entry_of_a_local_fit(monkeypatch):
+    # A fit that reads only the witness side's columns sums their entries
+    # from the terms at those buses, apart from the per-row sums of
+    # ``apply``, so one of those entries off by 1e-6 max|H| is caught too.
+    monkeypatch.setattr(power_model, "LOCAL_FIT_TERMS", 0)
+    assembled = power_model._entries
+    for net, meas, model in _guard_cases():
+        dtheta = np.zeros(net.bus_count)
+        dtheta[0] = 1.0  # the witness is -1 at every reduced column
+        attack_from_partition(net, meas, dtheta, model=model)
+
+        def corrupted(*args):
+            rows, cols, vals = assembled(*args)
+            k = int(np.flatnonzero(cols > 0)[-1])
+            vals = vals.copy()
+            vals[k] += 1e-6 * model.max_abs_entry
+            return rows, cols, vals
+
+        with monkeypatch.context() as patch:
+            patch.setattr(power_model, "_entries", corrupted)
+            with pytest.raises(InvariantError, match="attack residual"):
+                attack_from_partition(net, meas, dtheta, model=model)
 
 
 def test_residual_guard_sees_a_corruption_the_size_of_the_attack_below_unit_scale(monkeypatch):
