@@ -18,11 +18,12 @@ side joins it when a search from it closes before meeting the terminal's
 search, and the nodes the terminal does not reach even through positive
 capacities, which need not border the closed side, come from the strongly
 connected components of the graph's positive-capacity edges, built once per
-graph by vectorized forward-backward searches. No flow walks the graph to
-its end, the first on a graph included. The cut's crossing edges are read
-from the arcs of the smaller side (``crossing_arcs``), so that step costs
-time in proportion to the smaller side's degree; the sink side is built
-only where it is the one walked.
+graph by vectorized trimming and one forward-backward search, with Tarjan's
+algorithm for what those leave. No flow walks the graph to its end, the
+first on a graph included. The cut's crossing edges are read from the arcs
+of the smaller side (``crossing_arcs``), so that step costs time in
+proportion to the smaller side's degree; the sink side is built only where
+it is the one walked.
 ``DiGraph`` holds its edges as three int64 arrays (tails, heads,
 capacities), given directly (``DiGraph.from_arrays``) or made from edge
 triples, and validates them in one vectorized pass that names the first
@@ -52,10 +53,18 @@ from .errors import CapacityOverflowError, InputError, InvariantError
 # Total capacity must stay inside signed 64-bit range. Python integers do
 # not wrap, but the bound keeps instances portable and is checked up front.
 MAX_TOTAL_CAPACITY = 2**63 - 1
-# ``DiGraph.capacity_components`` splits a part of at most this many nodes
-# by Tarjan's algorithm: the two ways cost about the same on the 354-node
+# ``DiGraph.capacity_components`` leaves a graph of at most this many nodes,
+# and a trimmed graph with at most this many left, to Tarjan's algorithm: a
+# search and Tarjan's algorithm cost about the same on the 354-node
 # auxiliary graph of the bundled 118-bus case.
 TARJAN_NODES = 512
+# Its vectorized trimming and search go on only while they take this many
+# nodes a step on average, past a first TARJAN_NODES. A step (a round or a
+# BFS layer, some ten NumPy calls) costs about what Tarjan's algorithm in
+# Python spends on five to ten nodes; a thinner walk stops and leaves its
+# nodes to Tarjan's algorithm, so a deep graph costs little more than
+# Tarjan's algorithm alone.
+STEP_NODES = 32
 # The residual layout turns its rows into Python lists this many nodes at
 # a time (``ResidualLayout.blocks``): a block costs a few NumPy calls, and
 # a node's tuples are then two list slices.
@@ -172,32 +181,11 @@ class DiGraph:
         of the positive-capacity edges. ``comp[u]`` is node u's component,
         ``members[c]`` the nodes of component c, and ``succ[c]`` /
         ``pred[c]`` the components a positive-capacity edge leads to from c
-        / into c. Built on first use, by forward-backward reach with
-        trimming (Fleischer, Hendrickson & Pinar, 2000), vectorized: each
-        step is a pass over the edges or one BFS layer. The nodes still open
-        are split into parts that no component crosses, at first one. A
-        node with no positive edge in or out inside its part is a component
-        of its own. Otherwise the component of the part's lowest node is the
-        set of nodes it reaches within the part that also reach it there;
-        the rest of its reach, the rest of the nodes that reach it and the
-        rest of the part are parts of their own. The reach both ways is one
-        search, over the edges and their reverses. On the graphs a power
-        network gives, which are one component or a few, that is one search
-        per component. A part of at most ``TARJAN_NODES`` nodes is split by
-        Tarjan's algorithm in Python instead, which costs less there than
-        the searches' fixed cost per step, as a quicksort leaves short runs
-        to an insertion sort."""
-        n = self.node_count
+        / into c. Built on first use (``_components``)."""
         tails, heads, caps = self.arrays
         positive = caps > 0
         tails, heads = tails[positive], heads[positive]
-        if n <= TARJAN_NODES:
-            starts, far = (a.tolist() for a in _rows_by(tails, heads, n))
-            labels, count = _tarjan([far[a:b] for a, b in zip(starts, starts[1:])], 0)
-            comp = np.array(labels, dtype=np.intp)
-        else:
-            comp = np.full(n, -1, dtype=np.intp)
-            count = _forward_backward(self.residual_layout, positive, tails, heads, comp)
+        comp, count = _components(self.residual_layout, positive, tails, heads)
         order = np.argsort(comp, kind="stable").tolist()
         ends = np.cumsum(np.bincount(comp, minlength=count)).tolist()
         members = tuple(frozenset(order[a:b]) for a, b in zip([0, *ends], ends))
@@ -319,6 +307,74 @@ def _offsets(keys, n):
     return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
 
 
+def _components(layout, positive, tails, heads):
+    """Each node's strongly connected component of the positive edges
+    ``tails -> heads`` (``positive`` marks them among the graph's edges),
+    numbered from 0, and the count. A graph of at most ``TARJAN_NODES``
+    nodes goes to Tarjan's algorithm in Python at once. On a larger one,
+    trimming comes first, in one pass: a node with no positive edge in or
+    none out among the nodes left is a component of its own, and taking it
+    out lowers its neighbours' counts, which may trim them in turn. If more than
+    ``TARJAN_NODES`` nodes are left, the component of the lowest of them is
+    the set of nodes it reaches that also reach it, found by one search
+    along the edges and their reverses at once (forward-backward reach with
+    trimming, Fleischer, Hendrickson & Pinar, 2000); on the auxiliary graph
+    of a meshed grid, that is every node. Tarjan's algorithm numbers the
+    nodes still left. Trimming and the search are vectorized, a round or a
+    BFS layer per step, so their cost grows with the graph's depth: a chain
+    trims two nodes a round, and a radial network's search takes a layer
+    per bus or two. Each stops once it has taken fewer than ``STEP_NODES``
+    nodes a step (``_thin``); trimming cut short keeps what it took, a
+    search cut short is dropped, and what they would have found is left to
+    Tarjan's algorithm."""
+    n = len(layout.ids)
+    comp = np.full(n, -1, dtype=np.intp)
+    count = 0
+    nodes = np.arange(n)
+    if n > TARJAN_NODES:
+        rows = _positive_rows(layout, positive)
+        left = np.ones(n, dtype=bool)
+        lone = _trim(rows, left)
+        comp[lone] = np.arange(len(lone))
+        count = len(lone)
+        left[lone] = False
+        if np.count_nonzero(left) > TARJAN_NODES:
+            pivot = int(left.argmax())
+            both = _spread(rows, np.concatenate((left, left)), [pivot, n + pivot])
+            if both is not None:
+                own = both[:n] & both[n:]
+                comp[own] = count
+                count += 1
+                left &= ~own
+        # the positive edges among the nodes left, as local ids
+        nodes = np.flatnonzero(left)
+        inner = left[tails] & left[heads]
+        local = np.empty(n, dtype=np.intp)
+        local[nodes] = np.arange(len(nodes))
+        tails, heads = local[tails[inner]], local[heads[inner]]
+    if len(nodes):
+        starts, far = (a.tolist() for a in _rows_by(tails, heads, len(nodes)))
+        comp[nodes], count = _tarjan([far[a:b] for a, b in zip(starts, starts[1:])], count)
+    return comp, count
+
+
+def _positive_rows(layout, positive):
+    """Compressed rows of the positive edges read off the residual layout's
+    arcs, for a search that spreads both ways at once: node u's row u lists
+    the heads of its positive edges, its row n + u, shifted by n, the tails
+    of the positive edges into it (the heads of their mirror arcs); both in
+    edge order."""
+    n = len(layout.ids)
+    arcs = layout.arcs
+    live = positive[arcs >> 1]
+    odd = (arcs & 1).astype(bool)
+    out, into = live & ~odd, live & odd
+    out_ends = np.concatenate(([0], np.cumsum(out)))[layout.starts]
+    in_ends = np.concatenate(([0], np.cumsum(into)))[layout.starts] + out_ends[-1]
+    return (np.concatenate((out_ends[:-1], in_ends)),
+            np.concatenate((layout.heads[out], layout.heads[into] + n)))
+
+
 def _rows_by(keys, values, n):
     """``(starts, values)`` with ``values`` stably sorted by ``keys``, node
     ids below ``n``: the compressed rows of ``values`` by key."""
@@ -326,50 +382,73 @@ def _rows_by(keys, values, n):
     return _offsets(keys, n), values[order]
 
 
-def _forward_backward(layout, positive, tails, heads, comp) -> int:
-    """Number the strongly connected components of the positive edges
-    ``tails -> heads`` (``positive`` marks them among the graph's edges) in
-    ``comp`` from 0, as ``DiGraph.capacity_components`` says, and return
-    their count."""
-    n = len(comp)
-    # Rows for one search that spreads both ways from the pivot at once,
-    # read off the residual layout's arcs: node u's row u lists the heads
-    # of its positive edges, its row n + u, shifted by n, the tails of the
-    # positive edges into it (the heads of their mirror arcs).
-    arcs = layout.arcs
-    live = positive[arcs >> 1]
-    odd = (arcs & 1).astype(bool)
-    out, into = live & ~odd, live & odd
-    out_ends = np.concatenate(([0], np.cumsum(out)))[layout.starts]
-    in_ends = np.concatenate(([0], np.cumsum(into)))[layout.starts] + out_ends[-1]
-    rows = (np.concatenate((out_ends[:-1], in_ends)),
-            np.concatenate((layout.heads[out], layout.heads[into] + n)))
-    count = 0
-    parts = [np.ones(n, dtype=bool)]
-    while parts:
-        part = parts.pop()
-        nodes = np.flatnonzero(part)
-        if len(nodes) <= TARJAN_NODES:
-            local = {u: i for i, u in enumerate(nodes.tolist())}
-            heads_of = [[local[v] for v in rows[1][rows[0][u]:rows[0][u + 1]].tolist() if v in local]
-                        for u in local]
-            comp[nodes], count = _tarjan(heads_of, count)
-            continue
-        inner = part[tails] & part[heads]
-        lone = part & ~(_marked(tails[inner], n) & _marked(heads[inner], n))
-        if lone.any():
-            singles = np.flatnonzero(lone)
-            comp[singles] = np.arange(count, count + len(singles))
-            count += len(singles)
-            parts.append(part & ~lone)
-            continue
-        pivot = int(nodes[0])
-        reach, back = _spread(rows, np.concatenate((part, part)), [pivot, n + pivot]).reshape(2, n)
-        own = reach & back
-        comp[own] = count
-        count += 1
-        parts += [rest for rest in (reach & ~own, back & ~own, part & ~(reach | back)) if rest.any()]
-    return count
+def _gather(rows, nodes):
+    """The rows of ``nodes``, a nonempty array, one after another."""
+    starts, far = rows
+    lo = starts[nodes]
+    count = starts[nodes + 1] - lo
+    ends = np.cumsum(count)
+    return far[np.repeat(lo - ends + count, count) + np.arange(ends[-1])]
+
+
+def _thin(steps, taken):
+    """Whether a vectorized walk that has made ``steps`` steps and taken
+    ``taken`` nodes is to stop: past a first TARJAN_NODES nodes, it took
+    fewer than STEP_NODES a step."""
+    return steps * STEP_NODES > taken + TARJAN_NODES
+
+
+def _trim(rows, part):
+    """The nodes of the mask ``part`` that trimming takes out, each a
+    component of its own: first every node with no positive edge in or none
+    out within the part, then, a round per step, those whose last such edge
+    went with the round before, until none is left or the rounds turn
+    thin."""
+    starts, far = rows
+    n = len(part)
+    left = np.concatenate((part, part))
+    # degree[u]: u's positive edges out within the part; degree[n + u]: in
+    degree = np.diff(np.concatenate(([0], np.cumsum(left[far])))[starts])
+    layer = np.flatnonzero(part & ((degree[:n] == 0) | (degree[n:] == 0)))
+    out = [layer]
+    steps, taken = 0, len(layer)
+    while len(layer) and not _thin(steps, taken):
+        steps += 1
+        left[layer] = left[layer + n] = False
+        near = _gather(rows, np.concatenate((layer, layer + n)))
+        near = near[left[near]]
+        # a head left loses an edge in, a tail left an edge out
+        lost = np.where(near < n, near + n, near - n)
+        np.subtract.at(degree, lost, 1)
+        layer = np.unique(lost[degree[lost] == 0] % n)
+        out.append(layer)
+        taken += len(layer)
+    return np.concatenate(out)
+
+
+def _spread(rows, allowed, roots):
+    """The nodes of the mask ``allowed`` that ``roots``, a list of them,
+    reach along the compressed rows ``rows`` without leaving ``allowed``,
+    as a mask; a BFS that takes one whole layer per step. None if its
+    layers turn thin."""
+    _, far = rows
+    seen = ~allowed
+    seen[roots] = True
+    layer = np.array(roots)
+    last = np.empty(len(seen), dtype=np.intp)  # a node's last place in a layer
+    steps, taken = 0, len(layer)
+    while len(layer):
+        if _thin(steps, taken):
+            return None
+        steps += 1
+        nxt = _gather(rows, layer)
+        nxt = nxt[~seen[nxt]]
+        place = np.arange(len(nxt))
+        last[nxt] = place
+        layer = nxt[last[nxt] == place]
+        seen[layer] = True
+        taken += len(layer)
+    return seen & allowed
 
 
 def _tarjan(heads_of, count):
@@ -410,36 +489,6 @@ def _tarjan(heads_of, count):
                             break
                     count += 1
     return comp, count
-
-
-def _marked(nodes, n):
-    """A mask of ``n`` nodes, True at ``nodes``."""
-    mask = np.zeros(n, dtype=bool)
-    mask[nodes] = True
-    return mask
-
-
-def _spread(rows, allowed, roots):
-    """The nodes of the mask ``allowed`` that ``roots``, a list of them,
-    reach along the compressed rows ``rows`` without leaving ``allowed``,
-    as a mask; a BFS that takes one whole layer per step."""
-    starts, heads = rows
-    seen = ~allowed
-    seen[roots] = True
-    layer = np.array(roots)
-    last = np.empty(len(seen), dtype=np.intp)  # a node's last place in a layer
-    while len(layer):
-        # the rows of the layer's nodes, one after another
-        lo = starts[layer]
-        count = starts[layer + 1] - lo
-        ends = np.cumsum(count)
-        nxt = heads[np.repeat(lo - ends + count, count) + np.arange(ends[-1])]
-        nxt = nxt[~seen[nxt]]
-        place = np.arange(len(nxt))
-        last[nxt] = place
-        layer = nxt[last[nxt] == place]
-        seen[layer] = True
-    return seen & allowed
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,12 @@ derived weights come from a ``bincount``.
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -447,9 +447,9 @@ class ModelMatrix:
         matrix H2, made once per model, with no factorization: the columns
         a fit reads come from ``entries`` without the reference column, or
         on a large table from the terms at the buses the witness moves
-        (``_ReducedColumns``). An attack H @ dtheta is certified by its own
-        witness y = dtheta[1:] - dtheta[0] (see
-        :func:`attack_from_partition`)."""
+        (``_ReducedColumns``, which holds the arrays it reads). An attack
+        H @ dtheta is certified by its own witness y = dtheta[1:] - dtheta[0]
+        (see :func:`attack_from_partition`)."""
         if self._range_basis is None:
             self._range_basis = _ReducedColumns(self)
         return self._range_basis
@@ -461,15 +461,16 @@ class ModelMatrix:
         return _SvdBasis(self.reduced())
 
 
-def _entries(model: ModelMatrix, at_tail, at_head):
+def _entries(model, at_tail, at_head):
     """(rows, cols, vals) of the entries of H that the terms ``at_tail``
     write at their tails and the terms ``at_head`` write at their heads,
-    row-major. Each entry sums its terms' tail parts, then their head
-    parts, each in table order, as a pass over the whole table would. The
-    keys (row * n + col) are put in order by a stable sort, which keeps
-    each entry's terms in that order: the tails' keys are already sorted in
-    every table ``build_h`` makes, and the heads' keys nearly so, which the
-    sort's merging of runs exploits."""
+    row-major, from the term table of ``model`` (a ModelMatrix or _Terms).
+    Each entry sums its terms' tail parts, then their head parts, each in
+    table order, as a pass over the whole table would. The keys
+    (row * n + col) are put in order by a stable sort, which keeps each
+    entry's terms in that order: the tails' keys are already sorted in every
+    table ``build_h`` makes, and the heads' keys nearly so, which the sort's
+    merging of runs exploits."""
     rows = np.concatenate((model.rows[at_tail], model.rows[at_head]))
     cols = np.concatenate((model.tails[at_tail], model.heads[at_head]))
     keys = rows * model.bus_count + cols
@@ -483,50 +484,59 @@ def _entries(model: ModelMatrix, at_tail, at_head):
 
 
 # A fit on a table of more than this many terms reads only the columns its
-# witness moves, from their terms; on a smaller table one pass over all of
-# H2's nonzeros, grouped once per model, costs less than a local fit's
-# fixed cost (the bundled 118-bus case has 744 terms, the 2383-bus grid
-# 14,296).
+# witness moves, from their terms; on a smaller one it reads H2's nonzeros,
+# grouped once per model. Each way wins where it is used: a 2383-bus grid's
+# first fit (14,296 terms) costs 0.17 ms locally against 1.28 ms for the
+# grouping, while the verify-desk stream's 2616 fits on small tables cost
+# 100 ms locally against 13 ms (79 seed-1 cases, about 4 s in all), a local
+# fit's fixed cost being some 20 NumPy calls (2-vCPU Xeon, Python 3.11).
+# The bundled 118-bus case has 744 terms.
 LOCAL_FIT_TERMS = 4096
 
 
+class _Terms(NamedTuple):
+    """A term table as ``_entries`` reads it (see :class:`ModelMatrix`)."""
+
+    rows: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
+    coeffs: np.ndarray
+    bus_count: int
+
+
 class _ReducedColumns:
-    """The columns of H2 as the residual guard reads them. The model keeps
-    this view and the view refers back to it weakly, so that no reference
-    cycle keeps a model's arrays alive past its last use."""
+    """The columns of H2 as the residual guard reads them: on a table of
+    more than ``LOCAL_FIT_TERMS`` terms, the table, from which each fit sums
+    the columns its witness moves; on a smaller one, H2's nonzeros, read
+    from the model's ``entries``. The view holds arrays, not the model."""
 
     def __init__(self, model: ModelMatrix):
-        self._model = weakref.ref(model)
-
-    @property
-    def model(self) -> ModelMatrix:
-        return self._model()
-
-    @cached_property
-    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, vals) of H2, in row order, read from ``entries``."""
-        rows, cols, vals = self.model.entries
-        keep = cols > 0
-        return rows[keep], cols[keep] - 1, vals[keep]
+        self.measurement_count = model.measurement_count
+        self.terms = self.nonzeros = None
+        if len(model.rows) > LOCAL_FIT_TERMS:
+            self.terms = _Terms(model.rows, model.tails, model.heads, model.coeffs, model.bus_count)
+        else:
+            rows, cols, vals = model.entries
+            keep = cols > 0
+            self.nonzeros = rows[keep], cols[keep] - 1, vals[keep]
 
     def residual(self, delta_z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """delta_z - H2 y. On a table of more than ``LOCAL_FIT_TERMS``
-        terms, only the columns where y is not 0 are read, their entries
-        summed from the terms at those buses; every column left out adds an
-        exact zero to each row, so the result is bit for bit that of the
-        whole product, which a smaller table takes from ``nonzeros``."""
-        model = self.model
-        if len(model.rows) > LOCAL_FIT_TERMS:
+        """delta_z - H2 y. From the table, only the columns where y is not 0
+        are read, their entries summed from the terms at those buses; every
+        column left out adds an exact zero to each row, so the result is
+        bit for bit that of the whole product."""
+        terms = self.terms
+        if terms is not None:
             shift = np.concatenate(([0.0], y))
             moved = shift != 0.0
             rows, cols, vals = _entries(
-                model, moved[model.tails].nonzero()[0], moved[model.heads].nonzero()[0]
+                terms, moved[terms.tails].nonzero()[0], moved[terms.heads].nonzero()[0]
             )
             fit = vals * shift[cols]
         else:
             rows, cols, vals = self.nonzeros
             fit = vals * y[cols]
-        return delta_z - np.bincount(rows, weights=fit, minlength=model.measurement_count)
+        return delta_z - np.bincount(rows, weights=fit, minlength=self.measurement_count)
 
 
 class _SvdBasis:

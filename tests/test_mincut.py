@@ -1,7 +1,10 @@
+import json
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from secindex.caseio import parse_matpower_subset, parse_native
 from secindex.cases import path as case_path
 from secindex.costly_cut import CostlyCutInstance, _plain_graph, build_auxiliary
 from secindex.indices import cut_instance_for_line
-from secindex import mincut
+from secindex import cli, mincut
 from secindex.mincut import MAX_TOTAL_CAPACITY, _checked_cut, _max_flow, _reach, interleave
 from secindex.power_model import WeightAssignment
 
@@ -660,12 +663,27 @@ def _component_classes(g):
     return set(members), links
 
 
-def test_forward_backward_components_match_tarjans(monkeypatch):
-    # Every part split by searches (no part left to Tarjan's algorithm), on
-    # small random graphs; and a 640-node graph of 16 rings chained one
-    # way, with trees hanging off them and zero-capacity links back, split
-    # by searches into parts that Tarjan's algorithm finishes: each against
-    # Tarjan's algorithm alone.
+def _tarjan_classes(g):
+    """The capacity components of ``g`` by Tarjan's algorithm alone, as a
+    set of member sets."""
+    heads_of = [[] for _ in range(g.node_count)]
+    for u, v, c in g.edges:
+        if c:
+            heads_of[u].append(v)
+    comp, count = mincut._tarjan(heads_of, 0)
+    members = [set() for _ in range(count)]
+    for u, c in enumerate(comp):
+        members[c].add(u)
+    return set(map(frozenset, members))
+
+
+def test_trimming_and_search_components_match_tarjans(monkeypatch):
+    # Small random graphs, and a 640-node graph of 16 rings chained one
+    # way, with trees hanging off them and zero-capacity links back: with
+    # the defaults; with trimming run to its end and the search from the
+    # lowest node left made on any graph; and with both stopped at their
+    # first step, all left to Tarjan's algorithm. Each against Tarjan's
+    # algorithm alone.
     rng = random.Random(31)
     graphs = [random_digraph(rng, nodes=rng.randint(2, 9), edges=rng.randint(1, 20), max_cap=2)
               for _ in range(60)]
@@ -679,12 +697,76 @@ def test_forward_backward_components_match_tarjans(monkeypatch):
             edges += [(base - size, base, 2), (base, base - size, 0)]
     graphs.append(DiGraph(node_count=16 * size, edges=tuple((u, v, c) for u, v, c in edges if u != v)))
     for g in graphs:
-        monkeypatch.setattr(mincut, "TARJAN_NODES", 10**9)
-        want = _component_classes(g)
-        for split in (0, 100):
-            monkeypatch.setattr(mincut, "TARJAN_NODES", split)
-            assert _component_classes(g) == want
-    assert len(want[0]) == 16 * 9
+        want = _tarjan_classes(g)
+        assert _component_classes(g)[0] == want
+        monkeypatch.setattr(mincut, "TARJAN_NODES", 0)
+        for step_nodes in (0, 10**9):
+            monkeypatch.setattr(mincut, "STEP_NODES", step_nodes)
+            assert _component_classes(g)[0] == want
+        monkeypatch.undo()
+    assert len(want) == 16 * 9
+
+
+def _timed(run, repeat=2):
+    """The best wall time of ``repeat`` calls of ``run``."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_a_cold_flow_on_a_long_chain_takes_linear_time():
+    # A directed chain of 20,000 nodes whose first edge is the cut: the
+    # search from the sink stays open, so the first flow builds the
+    # capacity components, every node its own. Trimming takes the chain two
+    # nodes a round; it stops once its rounds turn thin and Tarjan's
+    # algorithm takes the rest, about 0.15 s here, where trimming to the
+    # end, a pass over the edges a round, took 1.4 s.
+    n = 20000
+    caps = np.full(n - 1, 2, dtype=np.int64)
+    caps[0] = 1
+
+    def cold_flow():
+        g = DiGraph.from_arrays(n, np.arange(n - 1), np.arange(1, n), caps)
+        minimal, maximal = min_cut_extremes(g, 0, n - 1)
+        assert minimal.source_side == maximal.source_side == {0}
+        assert len(g.capacity_components[1]) == n
+
+    assert _timed(cold_flow) < 0.75
+
+
+def test_attacks_on_a_radial_grid_take_linear_time(tmp_path, capsys):
+    # A radial network of 2383 buses, a feeder of 800 in a line with short
+    # laterals, fully measured: its auxiliary graph is one component a few
+    # thousand BFS layers deep, which a search takes a layer at a time. The
+    # search stops once its layers turn thin and Tarjan's algorithm takes
+    # the graph, each op about 0.05 s here.
+    rng = random.Random("radial")
+    lines = []
+    for b in range(1, 2383):
+        parent = b - 1 if b < 800 or rng.random() >= 0.3 else rng.randrange(800)
+        lines.append([parent + 1, b + 1, round(rng.uniform(0.01, 0.5), 4)])
+    doc = {"buses": 2383, "lines": lines,
+           "measurements": {"flow_from": "all", "flow_to": "all", "injection": "all"}}
+    case = tmp_path / "radial.json"
+    case.write_text(json.dumps(doc))
+    built = []
+    components = DiGraph.__dict__["capacity_components"]
+
+    def counted(g):
+        built.append(g.node_count)
+        return components.func(g)
+
+    spy = cached_property(counted)
+    spy.__set_name__(DiGraph, "capacity_components")
+    for target in (1200, 3882, 5764, 7147):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DiGraph, "capacity_components", spy)
+            assert _timed(lambda: cli.main(["attack", str(case), "--target", str(target)]), 1) < 0.5
+        capsys.readouterr()
+    assert built == [3 * 2383] * 4
 
 
 def test_layout_sorted_as_narrow_keys_equals_the_int64_layout():
