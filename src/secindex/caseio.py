@@ -5,16 +5,18 @@ File ids are 1-based (power-systems convention); everything internal is
 0-based. Case and instance files cross that boundary here, in the parsers
 and ``emit_native``. The command line crosses it in ``cli``: the
 ``--target`` id (``_target_entry``), the CSV of ``index``
-(``_report_csv``), the rows of ``attack`` (``_cmd_attack``), and the sides
-and edges of ``cut`` (``_cmd_cut``).
+(``_report_csv``), the rows of ``attack`` (``_listing_rows``), and the
+sides and edges of ``cut`` (``_cmd_cut``).
 
-A case's lines become arrays in one validated pass. The native reader
-checks its ``lines`` rows column by column (``_native_lines``) and names
-the first failing row with its first failing check, the message a
-row-by-row check would give; the MATPOWER reader collects its in-service
-branches row by row. Both hand the arrays to ``PowerNetwork.from_arrays``,
-which checks connectivity. A placement of ``"all"`` is read as a
-``range``, which ``MeasurementPlacement`` takes without sorting.
+Every file is read as UTF-8 text (``read_text``); one that does not decode
+is a ``CaseParseError`` that names it. A case's lines become arrays in one
+validated pass. The native reader checks its ``lines`` rows column by
+column (``_native_lines``) and names the first failing row with its first
+failing check, the message a row-by-row check would give; the MATPOWER
+reader collects its in-service branches row by row. Both hand the arrays
+to ``PowerNetwork.from_arrays``, which checks that each susceptance 1/x is
+finite and that the network is connected. A placement of ``"all"`` is
+read as a ``range``, which ``MeasurementPlacement`` takes without sorting.
 """
 
 from __future__ import annotations
@@ -51,6 +53,16 @@ class CaseFile:
 
 def _fail(source: str, msg: str):
     raise CaseParseError(f"{source}: {msg}")
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``; a file that does not decode
+    is a CaseParseError that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        _fail(str(path), f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}, {exc.reason}")
 
 
 def _json(source, text):
@@ -205,8 +217,7 @@ def parse_native_text(text: str, source: str = "<case>") -> CaseFile:
 
 
 def parse_native(path) -> CaseFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_native_text(fh.read(), source=str(path))
+    return parse_native_text(read_text(path), source=str(path))
 
 
 def _cost_json(value: int | Fraction):
@@ -262,8 +273,7 @@ def parse_matpower_subset(path, sidecar_path=None) -> CaseFile:
     original bus ids and 1-based in-service branch positions.
     """
     source = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     matrices = {m.group(1): m.group(2) for m in _MATRIX_RE.finditer(text)}
     for required in ("bus", "branch"):
         if required not in matrices:
@@ -315,8 +325,7 @@ def parse_matpower_subset(path, sidecar_path=None) -> CaseFile:
 
 def _parse_sidecar(path, net, bus_index_of):
     source = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _json(source, fh.read())
+    doc = _json(source, read_text(path))
     if not isinstance(doc, dict):
         _fail(source, "top level must be an object")
     unknown = set(doc) - {"measurements", "weights"}
@@ -418,5 +427,4 @@ def parse_cut_instance_text(text: str, source: str = "<instance>") -> CostlyCutI
 
 
 def parse_cut_instance(path) -> CostlyCutInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cut_instance_text(fh.read(), source=str(path))
+    return parse_cut_instance_text(read_text(path), source=str(path))

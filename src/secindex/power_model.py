@@ -51,13 +51,17 @@ class PowerNetwork:
     """Bus/line topology with per-line reactances.
 
     Buses are 0-based; each line is (from_bus, to_bus, reactance) with
-    reactance positive and finite. Parallel lines are allowed, self-loops are
-    not, and the network must be connected as an undirected graph.
+    reactance x positive and finite, and its susceptance 1/x finite too (x
+    above 2**-1024). Parallel lines are allowed, self-loops are not, and the
+    network must be connected as an undirected graph.
     ``PowerNetwork(bus_count, lines)`` takes the lines as triples;
     ``PowerNetwork.from_arrays`` takes them as three arrays and builds
     ``lines`` on first read. Either way the lines are held as the arrays
     ``arrays`` (from buses, to buses, reactances) and validated there, by
-    ``__post_init__``, one vectorized check per failure kind.
+    ``__post_init__``, one vectorized check per failure kind. The case
+    readers of ``caseio``, which read their files as UTF-8 text, build
+    their networks through ``from_arrays``, so a file's lines meet the
+    same checks.
     """
 
     bus_count: int
@@ -89,10 +93,13 @@ class PowerNetwork:
         tails, heads = (np.asarray(ends, dtype=np.intp) for ends in columns[:2])
         x = np.asarray(columns[2], dtype=float)
         object.__setattr__(self, "arrays", (tails, heads, x))
+        with np.errstate(divide="ignore", over="ignore"):
+            susceptance = 1.0 / x
         failure = first_failure(np.stack((
             (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n),
             tails == heads,
             ~((x > 0) & (x < np.inf)),
+            np.isinf(susceptance),
         )))
         if failure is not None:
             idx, check = failure
@@ -190,6 +197,7 @@ _LINE_CHECKS = (
     "bus id out of range",
     "self-loop at bus {u}",
     "reactance must be positive and finite, got {x}",
+    "reactance {x} is too small: its susceptance 1/x overflows",
 )
 
 
@@ -697,7 +705,12 @@ def attack_from_partition(
         model = build_h(net, meas)
     delta_z, support = model.apply(dtheta)
     witness = dtheta[1:] - dtheta[0]
-    residual_inf = float(np.linalg.norm(model.range_basis().residual(delta_z, witness)))
+    residual = model.range_basis().residual(delta_z, witness)
+    with np.errstate(over="ignore"):
+        residual_inf = float(np.linalg.norm(residual))
+    if residual_inf == np.inf:  # the squares of entries past 1e154 overflow
+        peak = np.abs(residual).max()
+        residual_inf = float(peak * np.linalg.norm(residual / peak) if peak < np.inf else peak)
     tolerance = residual_tolerance(model, dtheta)
     if residual_inf > tolerance:
         raise InvariantError(f"attack residual {residual_inf:g} exceeds {tolerance:g}")

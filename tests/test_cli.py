@@ -10,11 +10,12 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_observable_case
+from helpers import benchmark_generate, random_observable_case
 from secindex import cli, costly_cut, indices, oracle, power_model
 from secindex.caseio import (
     CaseFile,
@@ -184,6 +185,55 @@ def test_non_finite_reactance_is_an_input_error(capsys, tmp_path):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and out == "", argv
             assert f"{where}: reactance must be positive and finite, got inf" in err, argv
+
+
+_TRIANGLE_NATIVE = (
+    '{"buses": 3, "lines": [[1, 2, %s], [2, 3, 0.2], [1, 3, 0.3]],'
+    ' "measurements": {"flow_from": "all", "flow_to": "all", "injection": "all"}}'
+)
+_TRIANGLE_MATPOWER = (
+    "mpc.bus = [\n1 1;\n2 1;\n3 1;\n];\nmpc.branch = [\n1 2 0 %s;\n2 3 0 0.2;\n1 3 0 0.3;\n];\n"
+)
+
+
+@pytest.mark.parametrize("form, name",
+                         [(_TRIANGLE_NATIVE, "tiny.json"), (_TRIANGLE_MATPOWER, "tiny.m")],
+                         ids=["native", "matpower"])
+def test_reactance_whose_susceptance_overflows_is_an_input_error(capsys, tmp_path, form, name):
+    # Below 2**-1024, 1/x is inf. Such a line used to pass validation, and
+    # every command on this triangle printed RuntimeWarnings and exited 2:
+    # "cut objective 7 disagrees with attack cost 5".
+    case = tmp_path / name
+    for x in ("5e-324", "1e-309"):
+        case.write_text(form % x)
+        for argv in (["index", str(case)], ["attack", str(case), "--target", "1"],
+                     ["verify", str(case)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err == (f"error: {case}: line 0: reactance {float(x)} is too small:"
+                           " its susceptance 1/x overflows\n")
+
+
+_NOT_UTF8 = {
+    "native": ("case.json", b'{"buses": 2, \xff}', lambda p: ["index", p]),
+    "matpower": ("case.m", b"mpc.bus = [\n1 1;\n2 1;\n];\n% caf\xff\nmpc.branch = [\n1 2 0 0.25;\n];\n",
+                 lambda p: ["index", p]),
+    "sidecar": ("side.json", b'{"measurements": {"injection": ["\xff"]}}',
+                lambda p: ["index", str(case_path("ieee118.m")), "--measurements", p]),
+    "cut": ("inst.cut", b"nodes 2\n# \xff\nsource 1\nsink 2\n", lambda p: ["cut", p]),
+    "clauses": ("f.clauses", b"vars 1\n# \xff\n1\n", lambda p: ["gadget", "--clauses", p]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_NOT_UTF8))
+def test_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, reader):
+    # Every reader used to stop on a UnicodeDecodeError traceback.
+    name, data, argv = _NOT_UTF8[reader]
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, *argv(str(path)))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not UTF-8 text: byte 0xff, invalid start byte\n"
 
 
 @pytest.mark.parametrize(
@@ -459,6 +509,118 @@ def test_index_and_attack_on_spoiled_placements_answer_or_say_why():
     assert {("index", 0), ("index", 1), ("attack", 0), ("attack", 1)} <= outcomes
 
 
+_MATPOWER_REACTANCES = ("0", "-1", "nan", "inf", "5e-324", "1e-300", "1e300", "abc")
+_MATPOWER_SPOILS = ("bus id", "no such bus", "self-loop", "short row", "reactance", "no matrix",
+                    "sidecar")
+
+
+@st.composite
+def _matpower_cases(draw):
+    """A MATPOWER-subset text of 1 to 8 buses and, half the time, a
+    measurements sidecar. The bus ids are sparse, branches may be out of
+    service, and the reactances mix unit values with 1e-300 and 1e300. At
+    most one of ``_MATPOWER_SPOILS`` is made, in the ways a converted or
+    hand-edited case is spoiled: a bus id repeated, fractional or not a
+    number, a branch to no bus or to its own bus, a short branch row, a
+    reactance from ``_MATPOWER_REACTANCES``, a matrix missing, or a
+    sidecar of the wrong shape or with junk ids and costs."""
+    n = draw(st.integers(1, 8))
+    step = draw(st.sampled_from((1, 7, 100)))
+    ids = [str(1 + step * b) for b in range(n)]
+    pairs = [(draw(st.integers(0, b - 1)), b) for b in range(1, n)]
+    pairs += [(u, v) for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                         st.integers(0, n - 1)), max_size=3))
+              if u != v]
+    reactance = st.sampled_from(("0.25", "0.5", "1", "2") * 2 + ("1e-300", "1e300"))
+    branch = []
+    for u, v in pairs:
+        row = [ids[u], ids[v], "0", draw(reactance)]
+        if draw(st.booleans()):
+            row += ["0"] * 6 + [draw(st.sampled_from("11110"))]
+        branch.append(row)
+    spoil = draw(st.sampled_from((None,) * 4 + _MATPOWER_SPOILS))
+    if spoil == "bus id":
+        ids[draw(st.integers(0, n - 1))] = draw(st.sampled_from((ids[0], "1.5", "x")))
+    elif spoil in ("no such bus", "self-loop", "short row", "reactance") and branch:
+        row = branch[draw(st.integers(0, len(branch) - 1))]
+        if spoil == "no such bus":
+            row[draw(st.integers(0, 1))] = str(1000 + n)
+        elif spoil == "self-loop":
+            row[1] = row[0]
+        elif spoil == "short row":
+            del row[draw(st.integers(1, 3)):]
+        else:
+            row[3] = draw(st.sampled_from(_MATPOWER_REACTANCES))
+    parts = ["mpc.bus = [\n" + "".join(f"{i} 1 0 0;\n" for i in ids) + "];\n",
+             "mpc.branch = [\n" + "".join(" ".join(row) + draw(st.sampled_from((";", "; % c", "")))
+                                         + "\n" for row in branch) + "];\n"]
+    if spoil == "no matrix":
+        del parts[draw(st.integers(0, 1))]
+    text = "function mpc = case\n% converted\nmpc.baseMVA = 100;\n" + "".join(parts)
+    if spoil != "sidecar" and draw(st.booleans()):
+        return text, None
+    junk = spoil == "sidecar"
+
+    def group(valid):
+        if junk and draw(st.booleans()):
+            return draw(st.sampled_from(("none", 1, None, [True], ["1"], [0], [999])))
+        return draw(st.one_of(st.just("all"), st.lists(st.sampled_from(valid), max_size=4)))
+
+    flows = list(range(1, len(branch) + 1)) or [1]
+    measurements = {key: group(flows) for key in ("flow_from", "flow_to") if draw(st.booleans())}
+    if draw(st.booleans()):
+        measurements["injection"] = group([int(i) for i in ids if i.isdigit()] or [1])
+    doc = {"measurements": measurements}
+    if draw(st.booleans()):
+        cost = st.sampled_from(_JUNK_COSTS if junk else (0, 1, 2, "1/2", 0.25))
+        costs = st.dictionaries(st.sampled_from(flows).map(str), cost, max_size=3)
+        doc["weights"] = {"edge_costs": draw(costs), "node_costs": draw(costs)}
+    if junk and draw(st.booleans()):
+        return text, draw(st.sampled_from(("[]", "{", "1", '{"bus": 1}')))
+    return text, json.dumps(doc)
+
+
+def test_matpower_cases_and_sidecars_answer_or_say_why():
+    # Any MATPOWER-subset case, with or without a sidecar, either answers
+    # (index and attack --target 1) or is refused with one error line; no
+    # run stops on an invariant (exit 2) or a traceback.
+    outcomes = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_matpower_cases())
+    # a radial case whose residual entries near 1e284 overflowed the 2-norm's
+    # squares: index and attack used to exit 2, "attack residual inf exceeds"
+    @example(("mpc.bus = [\n1 1 0 0;\n8 1 0 0;\n15 1 0 0;\n22 1 0 0;\n29 1 0 0;\n36 1 0 0;\n];\n"
+              "mpc.branch = [\n1 8 0 1e-300;\n8 15 0 2;\n1 22 0 1e-300;\n8 29 0 1e-300;\n"
+              "8 36 0 1e-300;\n];\n", None))
+    def check(spec):
+        text, sidecar = spec
+        path = os.path.join(tmp, "case.m")
+        with open(path, "w") as fh:
+            fh.write(text)
+        extra = []
+        if sidecar is not None:
+            extra = ["--measurements", os.path.join(tmp, "side.json")]
+            with open(extra[1], "w") as fh:
+                fh.write(sidecar)
+        for argv in (["index", path, *extra], ["attack", path, "--target", "1", *extra]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            out, err = out.getvalue(), err.getvalue()
+            outcomes.add((argv[0], code))
+            if code == 0:
+                assert err == "" and out, (text, sidecar, argv)
+            else:
+                assert code == 1 and out == "", (code, text, sidecar, argv, err)
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert "Traceback" not in err
+
+    with tempfile.TemporaryDirectory() as tmp:
+        check()
+    assert {("index", 0), ("index", 1), ("attack", 0), ("attack", 1)} <= outcomes
+
+
 def test_attack_command(capsys, tmp_path):
     out = tmp_path / "attack.csv"
     code, _, _ = run_cli(
@@ -480,27 +642,68 @@ def test_attack_command(capsys, tmp_path):
     assert residual <= 1e-9
 
 
+def _per_line_rows(name, values):
+    """The rows of one listing column, one f-string per entry: the
+    reference for the block writer."""
+    return "".join(f"{name},{i},{float(v)!r}\n" for i, v in enumerate(values, start=1))
+
+
+def _per_line_listing(attack):
+    return ("quantity,id,value\n" + _per_line_rows("delta_theta", attack.delta_theta)
+            + _per_line_rows("delta_z", attack.delta_z)
+            + f"residual_inf_norm,,{float(attack.residual_inf)!r}\n")
+
+
+def _run_vectors(seed, count=12_000):
+    """A vector of ``count`` entries in runs of 1 to 40 equal values, drawn
+    so that runs cross ids 9/10, 99/100, 999/1000 and 9999/10000 and -0.0
+    sits next to 0.0, with one-entry runs at both ends."""
+    rng = random.Random(seed)
+    choices = (0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1.5, 0.1 + 0.2, float("inf"))
+    values = []
+    while len(values) < count:
+        values += [rng.choice(choices)] * rng.choice((1, 1, 2, 3, 7, 11, 40))
+    values = values[:count]
+    for at in (8, 9, 10, 98, 99, 100, 998, 999, 1000, 9998, 9999, 10000):
+        values[at] = values[at - 1]  # runs that span a digit boundary
+    values[0], values[1], values[-2], values[-1] = 5e-324, 1e308, -0.0, 0.0
+    return np.array(values)
+
+
+@pytest.mark.parametrize("values", [
+    _run_vectors(1), _run_vectors(2),
+    np.array([0.0, -0.0] * 6000),
+    np.full(12_000, -1.5), np.full(9, 0.0), np.array([1e308]),  # each one run
+], ids=["runs-1", "runs-2", "alternating-zeros", "one-value", "one-run", "one-entry"])
+def test_listing_rows_match_per_line_formatting(values):
+    # A template row per run of bit-equal values, the ids' digits written
+    # into it, must give the bytes of one f-string per entry.
+    got = cli._listing_rows(b"delta_z", values)
+    assert got == _per_line_rows("delta_z", values).encode()
+
+
 def test_attack_rows_format_each_value_as_its_float_repr(capsys, tmp_path):
-    # The rows are formatted from lists; each value must read as the repr
-    # of the float it is, as formatting each numpy scalar through float()
-    # reads, on an attack whose dz holds sums of reciprocal reactances.
+    # Each value must read as the repr of the float it is, as formatting
+    # each numpy scalar through float() reads, on attacks whose dz holds
+    # sums of reciprocal reactances and on the benchmark's 2383-bus grid.
     path = tmp_path / "case.json"
     path.write_text(json.dumps({
         "buses": 4,
         "lines": [[1, 2, 0.3], [2, 3, 0.7], [3, 4, 0.11], [4, 1, 1.9], [1, 3, 0.013]],
         "measurements": {"flow_from": "all", "flow_to": "all", "injection": "all"},
     }))
-    case = parse_native(path)
-    for target in (1, 7, 11, 14):
-        attack = indices.index_target(case.net, case.meas, None, target - 1).attack
-        assert set(attack.delta_z.tolist()) - {0.0, 1.0, -1.0}
-        rows = ["quantity,id,value"]
-        rows += [f"delta_theta,{i + 1},{float(v)!r}" for i, v in enumerate(attack.delta_theta)]
-        rows += [f"delta_z,{i + 1},{float(v)!r}" for i, v in enumerate(attack.delta_z)]
-        rows.append(f"residual_inf_norm,,{float(attack.residual_inf)!r}")
-        code, out, err = run_cli(capsys, "attack", str(path), "--target", str(target))
-        assert (code, err) == (0, "")
-        assert out.encode() == ("\n".join(rows) + "\n").encode()
+    grid = tmp_path / "grid.json"
+    generate = benchmark_generate()
+    doc = generate.meshed_grid(1)
+    grid.write_text(json.dumps(doc))
+    for case_file, targets in ((path, (1, 7, 11, 14)), (grid, generate.grid_targets(1, doc, 1))):
+        case = parse_native(case_file)
+        for target in targets:
+            attack = indices.index_target(case.net, case.meas, None, target - 1).attack
+            assert set(attack.delta_z.tolist()) - {0.0, 1.0, -1.0}
+            code, out, err = run_cli(capsys, "attack", str(case_file), "--target", str(target))
+            assert (code, err) == (0, "")
+            assert out.encode() == _per_line_listing(attack).encode()
 
 
 def test_gadget_command(capsys, tmp_path):

@@ -342,6 +342,9 @@ def test_array_networks_validate_like_tuple_networks():
         (3, (good, (1, 2, float("nan"))), "line 1: reactance must be positive and finite, got nan"),
         (3, (good, (1, 2, -np.inf)), "line 1: reactance must be positive and finite, got -inf"),
         (3, (good, (1, 2, 0.0)), "line 1: reactance must be positive and finite, got 0.0"),
+        (3, (good, (1, 2, 5e-324)), "line 1: reactance 5e-324 is too small: its susceptance 1/x overflows"),
+        (3, (good, (1, 2, 2.0**-1024), (2, 0, 0.0)),
+         "line 1: reactance 5.562684646268003e-309 is too small: its susceptance 1/x overflows"),
         (4, (good, (1, 0, 1.0), (2, 3, 1.0)), "network is not connected"),
         (5, (good, (1, 2, 1.0)), "network is not connected"),
         (0, (), "bus_count must be positive"),
@@ -360,6 +363,8 @@ def test_array_networks_validate_like_tuple_networks():
         PowerNetwork(bus_count=2, lines=((0, 0, 1.0), ("a", 1, 1.0)))
     with pytest.raises(ValueError):
         PowerNetwork(bus_count=2, lines=(good, ("a", 1, 1.0), (0, 0, 1.0)))
+    # the least reactance whose susceptance is finite
+    assert PowerNetwork(bus_count=2, lines=((0, 1, np.nextafter(2.0**-1024, 1.0)),)).line_count == 1
 
 
 def test_array_network_builds_its_lines_on_first_read():
