@@ -10,11 +10,11 @@ sides and edges of ``cut`` (``_cmd_cut``).
 
 Every file is read as UTF-8 text (``read_text``); one that does not decode
 is a ``CaseParseError`` that names it. A case's lines become arrays in one
-validated pass. The native reader checks its ``lines`` rows column by
-column (``_native_lines``) and names the first failing row with its first
-failing check, the message a row-by-row check would give; the MATPOWER
-reader collects its in-service branches row by row. Both hand the arrays
-to ``PowerNetwork.from_arrays``, which checks that each susceptance 1/x is
+validated pass. The native reader checks its ``lines`` rows in one loop
+(``_native_lines``) and names the first failing row with its first
+failing check; the MATPOWER reader collects its in-service branches row
+by row. Both hand the columns to ``PowerNetwork.from_arrays``, which
+converts them to arrays and checks that each susceptance 1/x is
 finite and that the network is connected. A placement of ``"all"`` is
 read as a ``range``, which ``MeasurementPlacement`` takes without sorting.
 """
@@ -26,13 +26,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
 from .costly_cut import CostlyCutInstance, as_cost
 from .errors import CaseParseError, InputError
-from .mincut import first_failure
+from .mincut import interleave
 from .power_model import MeasurementPlacement, PowerNetwork, WeightAssignment, full_measurement
 
 _TOP_KEYS = {"buses", "lines", "measurements", "weights"}
@@ -128,18 +127,6 @@ def _parse_weights(source, raw, net, meas):
     return WeightAssignment(edge_costs=tuple(edge_costs), node_costs=tuple(node_costs))
 
 
-# What a native ``lines`` row that fails each check of ``_native_lines`` is
-# told, in the order the checks are made.
-_ROW_CHECKS = (
-    "bus id {u!r} is not an integer",
-    "bus id {u} out of range 1..{buses}",
-    "bus id {v!r} is not an integer",
-    "bus id {v} out of range 1..{buses}",
-    "reactance {x!r} is not a number",
-    "self-loop at bus {u}",
-    "reactance must be positive and finite, got {x}",
-    "reactance is an integer too large for a float",
-)
 # The least int that ``float`` rounds past the largest float: halfway from
 # it, 2**1024 - 2**971, to 2**1024, where ties round to the even 2**1024.
 _FLOAT_OVERFLOW = 2**1024 - 2**970
@@ -147,37 +134,58 @@ _FLOAT_OVERFLOW = 2**1024 - 2**970
 
 def _native_lines(source, rows, buses):
     """The 0-based from buses, to buses and reactances of the native
-    ``lines`` rows, checked column by column: each row is a [from, to,
-    reactance] list, then goes through ``_ROW_CHECKS`` in order, and the
-    first row that fails is named with its first failing check. The cells
-    stay Python objects, so a bool or an int past 64 bits is judged as it
-    was written; ``PowerNetwork.from_arrays`` converts them only after its
+    ``lines`` rows, as lists, checked row by row: the first row that fails
+    is named with its first failing check. Each cell is judged as it was
+    written, so a bool is no number and an int past 64 bits is compared
+    exactly; ``PowerNetwork.from_arrays`` converts the lists only after its
     O(1) size check, which refuses a bus count past the lines."""
-    shaped = [type(row) is list and len(row) == 3 for row in rows]
-    count = shaped.index(False) if False in shaped else len(rows)
-    # a later row's failure never comes first, so the rows past the first
-    # malformed one are not looked at
-    cells = np.fromiter(chain.from_iterable(rows[:count]), object, 3 * count).reshape(count, 3)
-    kinds = np.fromiter(map(type, cells.flat), object, 3 * count).reshape(count, 3)
-    is_id = kinds[:, :2] == int
-    is_number = (kinds[:, 2] == int) | (kinds[:, 2] == float)
-    ids = np.where(is_id, cells[:, :2], 1)
-    in_range = (ids >= 1) & (ids <= buses)
-    x = np.where(is_number, cells[:, 2], 1.0)
-    with np.errstate(invalid="ignore"):  # a NaN compares False, as it should
-        positive = (x > 0) & (x < math.inf)
-        overflows = x >= _FLOAT_OVERFLOW
-    failure = first_failure(np.stack((
-        ~is_id[:, 0], ~in_range[:, 0], ~is_id[:, 1], ~in_range[:, 1], ~is_number,
-        ids[:, 0] == ids[:, 1], ~positive, overflows,
-    )))
-    if failure is not None:
-        idx, check = failure
-        u, v, x = rows[idx]
-        _fail(source, f"lines[{idx}]: " + _ROW_CHECKS[check].format(u=u, v=v, x=x, buses=buses))
-    if count < len(rows):
-        _fail(source, f"lines[{count}]: expected [from, to, reactance]")
-    return ids[:, 0] - 1, ids[:, 1] - 1, x
+    tails, heads, reactances = [], [], []
+    for row in rows:
+        if type(row) is not list or len(row) != 3:
+            problem = "expected [from, to, reactance]"
+        else:
+            u, v, x = row
+            if type(u) is not int:
+                problem = f"bus id {u!r} is not an integer"
+            elif not 1 <= u <= buses:
+                problem = f"bus id {u} out of range 1..{buses}"
+            elif type(v) is not int:
+                problem = f"bus id {v!r} is not an integer"
+            elif not 1 <= v <= buses:
+                problem = f"bus id {v} out of range 1..{buses}"
+            elif type(x) is not float and type(x) is not int:
+                problem = f"reactance {x!r} is not a number"
+            elif u == v:
+                problem = f"self-loop at bus {u}"
+            elif not 0 < x < math.inf:  # a NaN compares False, as it should
+                problem = f"reactance must be positive and finite, got {x}"
+            elif x >= _FLOAT_OVERFLOW:
+                problem = "reactance is an integer too large for a float"
+            else:
+                tails.append(u - 1)
+                heads.append(v - 1)
+                reactances.append(x)
+                continue
+        # every row before this one was kept
+        _fail(source, f"lines[{len(tails)}]: {problem}")
+    return tails, heads, reactances
+
+
+def _check_injections(source, net, meas, bus_ids):
+    """Refuse a metered injection that cannot be indexed, naming the first
+    such bus by its id in the file, ``bus_ids[bus]``: a bus with no lines,
+    or one whose lines' susceptances 1/x sum past the float range, so that
+    its row of H would read inf. Each bus's sum is taken in line order, as
+    ``build_h`` sums the injection's terms."""
+    ends = interleave(*net.endpoints)
+    total = np.bincount(ends, weights=np.repeat(net.susceptances(), 2), minlength=net.bus_count)
+    metered = total[np.asarray(meas.injection, dtype=np.intp)]
+    failed = ~((metered > 0) & (metered < math.inf))
+    if failed.any():
+        bus = meas.injection[int(failed.argmax())]
+        why = ("which has no lines" if total[bus] == 0
+               else "whose lines' susceptances 1/x sum past the float range")
+        _fail(source, f"metered injection at bus {bus_ids[bus]}, {why}")
 
 
 def parse_native_text(text: str, source: str = "<case>") -> CaseFile:
@@ -210,6 +218,7 @@ def parse_native_text(text: str, source: str = "<case>") -> CaseFile:
         flow_to=_meas_ids(source, doc["measurements"].get("flow_to", []), net.line_count, "flow_to"),
         injection=_meas_ids(source, doc["measurements"].get("injection", []), buses, "injection"),
     )
+    _check_injections(source, net, meas, range(1, buses + 1))
     weights = None
     if "weights" in doc:
         weights = _parse_weights(source, doc["weights"], net, meas)
@@ -320,6 +329,7 @@ def parse_matpower_subset(path, sidecar_path=None) -> CaseFile:
     weights = None
     if sidecar_path is not None:
         meas, weights = _parse_sidecar(sidecar_path, net, index_of)
+    _check_injections(source, net, meas, bus_ids)
     return CaseFile(net=net, meas=meas, weights=weights, bus_ids=tuple(bus_ids))
 
 

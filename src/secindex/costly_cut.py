@@ -37,11 +37,9 @@ arrays; it makes its ``edges`` triples, which no solver reads, only on
 first read, once per family. A flow on a shared graph copies only its
 capacities, so a sweep over many terminal pairs pays the graph's set-up
 once. ``evaluate_partition`` rechecks every cut in exact rational
-arithmetic; it reads the crossing edges, their costs and their endpoints'
-charges from the smaller side of the partition, through the arc layout of
-the instance's edges (``mincut.arc_layout``, built once per family),
-whose per-node rows are made only for the nodes it walks, so its cost
-follows the smaller side's degree, not the number of edges.
+arithmetic; it finds the crossing edges by a mask of the source side over
+the instance's own endpoint arrays, not through any graph a solver cuts,
+so the recheck shares no cut reader with the solvers it checks.
 """
 
 from __future__ import annotations
@@ -57,9 +55,6 @@ from .errors import CapacityOverflowError, InputError, InvariantError, SizeLimit
 from .mincut import (
     MAX_TOTAL_CAPACITY,
     DiGraph,
-    arc_ends,
-    arc_layout,
-    crossing_arcs,
     interleave,
     min_cut,
     min_cut_extremes,
@@ -213,10 +208,10 @@ class CostlyCutInstance:
                 f"expected {self.node_count} node costs, got {len(self.node_costs)}"
             )
         _check_structure(self)
-        # The graphs cut for this instance, its edge layout and
-        # its edge lists, by recipe; built on first use and shared with
-        # every instance ``with_terminals`` derives, since they do not
-        # depend on the terminals.
+        # The graphs cut for this instance and its edge lists, by recipe;
+        # built on first use and shared with every instance
+        # ``with_terminals`` derives, since they do not depend on the
+        # terminals.
         object.__setattr__(self, "_graphs", {})
 
     def __getattr__(self, name):
@@ -237,8 +232,8 @@ class CostlyCutInstance:
 
         The result shares this instance's validated edges and charges, its
         integer scaling, the graphs cut for it (the auxiliary graph and
-        the heuristics' graphs) and its edge layout; only the
-        terminals are checked.
+        the heuristics' graphs) and its edge lists; only the terminals
+        are checked.
         """
         _check_terminals(self.node_count, source, sink)
         derived = object.__new__(type(self))
@@ -386,25 +381,14 @@ def dump_auxiliary(aux: AuxiliaryGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _edge_arcs(inst):
-    """The arc layout of the instance's edges (``mincut.arc_layout``, all
-    capacities 0), made once per family: ``evaluate_partition`` reads a
-    partition's crossing edges from its per-node arcs, which are made only
-    for the nodes it walks."""
-    tails, heads = inst.ends
-    return arc_layout(inst.node_count, tails, heads, np.zeros(len(tails), dtype=np.int64))
-
-
-def evaluate_partition(inst, source_side, layout=None):
+def evaluate_partition(inst, source_side):
     """Exact objective of a partition: crossing edge costs plus one charge per
     node incident to a crossing edge. Works for both instance flavors.
 
-    The crossing edges and their ends are read from the arcs of the
-    smaller side (``mincut.crossing_arcs``), so the cost is linear in that
-    side's degree, not in the number of edges, and nothing family-wide is
-    built but an arc order. ``layout`` is the residual layout of a graph
-    whose edge i is the instance's edge i, as a heuristic's graph is; by
-    default the family's own (``_edge_arcs``)."""
+    The crossing edges are read by a mask of the source side over the
+    instance's endpoint arrays (``ends``), as ``mincut.cut_value`` reads a
+    graph's, and their costs and their endpoints' charges are summed
+    exactly from the instance's own cost lists."""
     side = frozenset(source_side)
     n = inst.node_count
     if inst.source not in side or inst.sink in side:
@@ -412,22 +396,16 @@ def evaluate_partition(inst, source_side, layout=None):
     low, high = min(side), max(side)
     if low < 0 or high >= n:
         raise InputError(f"node id {low if low < 0 else high} out of range")
-    if layout is None:
-        layout = _shared_graph(inst, _edge_arcs)
-    cut = crossing_arcs(layout, side)
-    costs = inst.costs
-    objective = 0
-    cut_tails, cut_heads = set(), set()
-    for e in cut:
-        objective += costs[e >> 1]
-        u, v = arc_ends(layout, e)
-        cut_tails.add(u)
-        cut_heads.add(v)
-    for u in cut_tails:
-        objective += inst.node_costs_out[u]
-    for v in cut_heads:
-        objective += inst.node_costs_in[v]
-    return objective, tuple([e >> 1 for e in cut]), frozenset(cut_tails | cut_heads)
+    inside = np.zeros(n, dtype=bool)
+    inside[np.fromiter(side, dtype=np.int64, count=len(side))] = True
+    tails, heads = inst.ends
+    cut = np.flatnonzero(inside[tails] & ~inside[heads])
+    cut_tails, cut_heads = set(tails[cut].tolist()), set(heads[cut].tolist())
+    cut = cut.tolist()
+    costs, out, into = inst.costs, inst.node_costs_out, inst.node_costs_in
+    objective = sum([costs[e] for e in cut]) + sum([out[u] for u in cut_tails])
+    objective += sum([into[v] for v in cut_heads])
+    return objective, tuple(cut), frozenset(cut_tails | cut_heads)
 
 
 def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
@@ -515,12 +493,11 @@ def _partition_from_plain_cut(inst, graph: DiGraph) -> CostlyCutSolution:
     # A plain min cut is blind to node charges, and its tie class can hold
     # partitions with very different true costs. Both canonical cuts fall
     # out of one max flow; score each with the node charges added post hoc
-    # and keep the cheaper (the minimal source side on a tie). The graph's
-    # edge i is the instance's edge i, so its arcs serve the recheck.
+    # and keep the cheaper (the minimal source side on a tie).
     minimal, maximal = min_cut_extremes(graph, inst.source, inst.sink)
     best = None
     for cut in (minimal, maximal):
-        objective, cut_edges, charged = evaluate_partition(inst, cut.source_side, graph.residual_layout)
+        objective, cut_edges, charged = evaluate_partition(inst, cut.source_side)
         if best is None or objective < best.objective:
             best = CostlyCutSolution(
                 source_side=cut.source_side,

@@ -115,23 +115,25 @@ def cut_instance_for_line(
 def binary_gap_bound(net: PowerNetwork, weights: WeightAssignment) -> int | Fraction:
     """Upper bound on the binary-minus-continuous optimum gap: per bus, the
     worst node charge left uncovered by some incident line cost. Each bus's
-    cheapest incident line is found by array ops over the costs' ranks, so
-    the costs themselves, ints or Fractions, are only compared and
-    subtracted exactly, and only at the buses that charge more."""
+    cheapest incident line is found by array ops over the costs themselves,
+    held where they all fit as int64 and else as Python objects, so ints
+    and Fractions are compared and subtracted exactly."""
     weights.check(net)
     if net.line_count == 0:
         return 0
-    values = sorted(set(weights.edge_costs).union(weights.node_costs))
-    rank = {cost: r for r, cost in enumerate(values)}.__getitem__
-    line_rank = np.fromiter(map(rank, weights.edge_costs), np.intp, net.line_count)
-    node_rank = np.fromiter(map(rank, weights.node_costs), np.intp, net.bus_count)
+    line_cost, node_cost = _exact_array(weights.edge_costs), _exact_array(weights.node_costs)
     # every bus of a connected network with a line meets one: no run is empty
     lines, starts = net.adjacency
-    cheapest = np.minimum.reduceat(line_rank[lines], starts[:-1])
-    total = 0
-    for bus in np.flatnonzero(node_rank > cheapest).tolist():
-        total += values[node_rank[bus]] - values[cheapest[bus]]
-    return total
+    cheapest = np.minimum.reduceat(line_cost[lines], starts[:-1])
+    over = np.flatnonzero(node_cost > cheapest)
+    return sum((node_cost[over] - cheapest[over]).tolist())
+
+
+def _exact_array(costs):
+    """``costs`` as an int64 array where numpy makes one of them, else as an
+    object array: ints past 63 bits come out as uint64 or float64 arrays."""
+    array = np.asarray(costs)
+    return array if array.dtype == np.int64 else np.asarray(costs, dtype=object)
 
 
 def exactness_condition(

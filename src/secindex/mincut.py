@@ -741,8 +741,7 @@ def crossing_arcs(layout: ResidualLayout, side) -> list[int]:
     other side whose head is in ``side``, each the mirror e ^ 1 of a
     crossing forward arc. Either way the time is linear in the smaller
     side's degree, not the graph's size, and the complement is built only
-    when it is the one walked. One end of each arc returned is then made
-    (``arc_ends``)."""
+    when it is the one walked."""
     adj, to = layout.adj, layout.to
     n = len(layout.ids)
     if 2 * len(side) <= n:
@@ -752,18 +751,6 @@ def crossing_arcs(layout: ResidualLayout, side) -> list[int]:
         cut = [e ^ 1 for u in other for e in adj[u] or _arcs(layout, u) if e & 1 and to[e] in side]
     cut.sort()
     return cut
-
-
-def arc_ends(layout: ResidualLayout, a: int) -> tuple[int, int]:
-    """The tail and the head of arc a, one end of which is made; the node
-    at the other end is made if it is not yet."""
-    to = layout.to
-    tail, head = to[a ^ 1], to[a]
-    if tail is None:
-        tail = _head(layout, a ^ 1)
-    if head is None:
-        head = _head(layout, a)
-    return tail, head
 
 
 def _checked_cut(g: DiGraph, side: frozenset[int], flow: int) -> CutSolution:

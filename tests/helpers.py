@@ -159,9 +159,9 @@ def per_label_build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMat
 
 def per_row_lines(source, rows, buses):
     """The native ``lines`` rows checked one row at a time, every check of a
-    row before the next row: the reference for the column-wise check of
-    ``caseio``. Returns the 0-based (from, to, reactance) lines, or raises
-    the CaseParseError that names the first failing row."""
+    row before the next row: the reference for ``caseio``'s check of the
+    native ``lines``. Returns the 0-based (from, to, reactance) lines, or
+    raises the CaseParseError that names the first failing row."""
 
     def fail(msg):
         raise CaseParseError(f"{source}: {msg}")

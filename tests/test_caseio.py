@@ -262,6 +262,16 @@ def _sidecar(text):
     return {"case.m": MATPOWER_TRIANGLE, "side.json": text}
 
 
+# A metered injection at bus 2 of this triangle reads 1e308 + 1e308 = inf.
+_TINY_REACTANCES = ((1, 2, "1e-308"), (2, 3, "1e-308"), (1, 3, "0.3"))
+
+
+def _matpower_case(bus_ids, lines):
+    rows = "".join(f"{bus_ids[u - 1]} {bus_ids[v - 1]} 0 {x};\n" for u, v, x in lines)
+    buses = "".join(f"{b} 1 0 0;\n" for b in bus_ids)
+    return {"case.m": f"mpc.bus = [\n{buses}];\nmpc.branch = [\n{rows}];\n"}
+
+
 @pytest.mark.parametrize(
     "files, message",
     [
@@ -280,12 +290,21 @@ def _sidecar(text):
          "weights.edge_costs must be an object"),
         (_native('"all"}', '"all"}, "weights": {"node_costs": 1.5}'),
          "weights.node_costs must be an object"),
+        ({"case.json": '{"buses": 1, "lines": [], "measurements": {"injection": "all"}}'},
+         "metered injection at bus 1, which has no lines"),
+        ({"case.json": json.dumps({
+            "buses": 3, "lines": [[u, v, float(x)] for u, v, x in _TINY_REACTANCES],
+            "measurements": {"flow_from": "all", "flow_to": "all", "injection": "all"}})},
+         "metered injection at bus 2, whose lines' susceptances 1/x sum past the float range"),
         (_matpower("mpc.bus", "mpc.buses"), "missing mpc.bus matrix"),
         (_matpower("1 3 0 0;\n2 1 0 0;\n3 1 0 0;\n", "% no buses\n"), "bus matrix is empty"),
         (_matpower("3 1 0 0;", "2 1 0 0;"), "duplicate bus id 2"),
         (_matpower("2 3 0 0.2;", "2 3 0;"), "branch row 2: need at least 4 columns"),
         (_matpower("2 3 0 0.2;", "2 9 0 0.2;"), "branch row 2: unknown bus id 9"),
         (_matpower("2 3 0 0.2;", "2 3 0 x;"), "branch: non-numeric token in row 3: '2 3 0 x'"),
+        (_matpower_case((7,), ()), "metered injection at bus 7, which has no lines"),
+        (_matpower_case((10, 20, 30), _TINY_REACTANCES),
+         "metered injection at bus 20, whose lines' susceptances 1/x sum past the float range"),
         (_sidecar('{"measurements": {}, "placement": {}}'), "unknown keys: ['placement']"),
         (_sidecar('{"measurements": {"injection": [1, 7]}}'), "unknown bus id 7"),
         (_sidecar('{"weights": {"node_costs": [1]}}'), "weights.node_costs must be an object"),
@@ -304,9 +323,11 @@ def _sidecar(text):
         "native-lines-not-list", "native-short-line", "native-string-bus",
         "native-string-reactance", "native-weights-not-object", "native-weight-id",
         "native-weight-range", "native-weight-negative", "native-edge-costs-not-object",
-        "native-node-costs-not-object", "matpower-no-bus",
+        "native-node-costs-not-object", "native-injection-without-lines",
+        "native-injection-past-float-range", "matpower-no-bus",
         "matpower-empty-bus", "matpower-duplicate-bus", "matpower-short-branch",
-        "matpower-unknown-bus", "matpower-token", "sidecar-unknown-key",
+        "matpower-unknown-bus", "matpower-token", "matpower-injection-without-lines",
+        "matpower-injection-past-float-range", "sidecar-unknown-key",
         "sidecar-unknown-bus", "sidecar-node-costs-not-object",
         "sidecar-measurements-not-object", "sidecar-injection-not-list",
         "sidecar-injection-id-list", "sidecar-injection-id-bool", "sidecar-injection-id-float",
@@ -400,7 +421,7 @@ def _grid_with_bad_rows(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_grid_with_bad_rows())
 def test_column_checks_name_the_row_the_per_row_loop_names(grid):
-    # The column-wise check of the native lines must tell a malformed file
+    # The reader's check of the native lines must tell a malformed file
     # exactly what the loop that checks one row at a time tells it: the
     # first failing row and, within it, the first failing check.
     buses, rows = grid

@@ -13,9 +13,11 @@ from secindex import (
     SizeLimitError,
     TwoSidedCutInstance,
     build_auxiliary,
+    costly_cut,
     dump_auxiliary,
     evaluate_partition,
     min_cut,
+    mincut,
     solve,
     solve_brute_force,
     solve_fold_nodes,
@@ -358,6 +360,30 @@ def test_evaluate_partition_matches_the_full_scan():
                     walked.add(2 * len(side) <= n)
                     assert evaluate_partition(inst, side) == full_scan_partition_objective(inst, side)
     assert walked == {True, False}
+
+
+def test_the_recheck_does_not_lean_on_the_flows_cut_reader(monkeypatch):
+    # A cut reader that drops one zero-capacity crossing arc leaves the
+    # flow's cut value as it was, so only a recheck that reads the crossing
+    # edges on its own still lists edge 0: it costs 0, and its ends are
+    # charged through edges 1 and 3, which cross the cut too.
+    inst = CostlyCutInstance(
+        node_count=3, edges=((0, 2, 0), (0, 1, 1), (1, 2, 10), (0, 2, 1)),
+        node_costs=(1, 1, 1), source=0, sink=2,
+    )
+    read = mincut.crossing_arcs
+
+    def omitting(layout, side):
+        cut = read(layout, side)
+        zero = [e for e in cut if layout.cap[e] == 0]
+        return [e for e in cut if e != zero[0]] if zero else cut
+
+    monkeypatch.setattr(mincut, "crossing_arcs", omitting)
+    monkeypatch.setattr(costly_cut, "crossing_arcs", omitting, raising=False)
+    sol = solve(inst)
+    objective, cut_edges, charged = full_scan_partition_objective(inst, sol.source_side)
+    assert sol.source_side == {0} and cut_edges == (0, 1, 3)
+    assert (sol.objective, sol.cut_edges, sol.charged_nodes) == (objective, cut_edges, charged)
 
 
 def test_parallel_edges_kept_separately():
