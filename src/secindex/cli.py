@@ -153,24 +153,48 @@ def _cmd_cut(args) -> int:
     return 0
 
 
-def _cmd_gadget(args) -> int:
-    text = caseio.read_text(args.clauses)
+def _read_clauses(path):
+    """``(variable count, clauses)`` of a ``.clauses`` file: one ``vars <n>``
+    line and one line of three 1-based variable ids per clause, ``#``
+    comments and blank lines ignored. Every error names the file and the
+    line."""
+    text = caseio.read_text(path)
     n_vars = None
-    clauses = []
+    clauses = []  # (where, triple)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}: line {lineno}"
         tokens = line.split()
+        is_vars = tokens[0] == "vars"
         try:
-            if tokens[0] == "vars":
-                n_vars = int(tokens[1])
-            else:
-                clauses.append(tuple(int(t) for t in tokens))
-        except (ValueError, IndexError) as exc:
-            raise InputError(f"{args.clauses}: line {lineno}: {exc}") from exc
+            numbers = tuple(int(t) for t in tokens[is_vars:])
+        except ValueError as exc:
+            raise InputError(f"{where}: {exc}") from exc
+        if not is_vars:
+            if len(numbers) != 3:
+                raise InputError(f"{where}: expected a triple, got {numbers}")
+            clauses.append((where, numbers))
+        elif n_vars is not None:
+            raise InputError(f"{where}: a second `vars` line")
+        elif len(numbers) != 1:
+            raise InputError(f"{where}: expected `vars <n>`")
+        elif numbers[0] < 1:
+            raise InputError(f"{where}: need at least one variable")
+        else:
+            n_vars = numbers[0]
     if n_vars is None:
-        raise InputError(f"{args.clauses}: missing `vars <n>` line")
+        raise InputError(f"{path}: missing `vars <n>` line")
+    for where, triple in clauses:
+        for i in triple:
+            if not 1 <= i <= n_vars:
+                raise InputError(f"{where}: variable {i} out of range 1..{n_vars}")
+    return n_vars, [triple for _, triple in clauses]
+
+
+def _cmd_gadget(args) -> int:
+    n_vars, clauses = _read_clauses(args.clauses)
     # The gadget meters 3 + 2 rows per variable + 2 per clause; a gadget
     # the oracle would refuse is refused before it is built.
     rows = 3 + 2 * n_vars + 2 * len(clauses)

@@ -36,10 +36,12 @@ arrays and from a cost list already checked, and is itself checked on the
 arrays; it makes its ``edges`` triples, which no solver reads, only on
 first read, once per family. A flow on a shared graph copies only its
 capacities, so a sweep over many terminal pairs pays the graph's set-up
-once. ``evaluate_partition`` rechecks every cut in exact rational
-arithmetic; it finds the crossing edges by a mask of the source side over
-the instance's own endpoint arrays, not through any graph a solver cuts,
-so the recheck shares no cut reader with the solvers it checks.
+once. A solution carries the side of the partition its cut carried, the
+source side or the sink side, as the flow found it.
+``evaluate_partition`` rechecks every cut in exact rational arithmetic;
+it finds the crossing edges by a mask of either side over the instance's
+own endpoint arrays, not through any graph a solver cuts, so the recheck
+shares no cut reader with the solvers it checks.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .mincut import (
     interleave,
     min_cut,
     min_cut_extremes,
+    source_side_of,
 )
 
 BRUTE_FORCE_MAX_NODES = 22
@@ -279,13 +282,22 @@ class TwoSidedCutInstance:
 
 @dataclass(frozen=True)
 class CostlyCutSolution:
-    """A partition by its source side (the sink side is every other node),
-    with its exact objective, crossing edges, and charged nodes."""
+    """A partition by one of its sides: ``side``, the sink side if
+    ``is_sink`` and else the source side (the other side is every other
+    node of the ``node_count``), as the cut that found it carried it, with
+    its exact objective, crossing edges, and charged nodes.
+    ``source_side`` is built from them on first read."""
 
-    source_side: frozenset[int]
+    side: frozenset[int]
+    is_sink: bool
+    node_count: int
     objective: int | Fraction
     cut_edges: tuple[int, ...]
     charged_nodes: frozenset[int]
+
+    @cached_property
+    def source_side(self) -> frozenset[int]:
+        return source_side_of(self.side, self.is_sink, self.node_count)
 
 
 @dataclass(frozen=True)
@@ -381,23 +393,26 @@ def dump_auxiliary(aux: AuxiliaryGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate_partition(inst, source_side):
-    """Exact objective of a partition: crossing edge costs plus one charge per
-    node incident to a crossing edge. Works for both instance flavors.
+def evaluate_partition(inst, side, is_sink=False):
+    """Exact objective of a partition, given by ``side``, its sink side if
+    ``is_sink`` and else its source side: crossing edge costs plus one
+    charge per node incident to a crossing edge. Works for both instance
+    flavors.
 
-    The crossing edges are read by a mask of the source side over the
-    instance's endpoint arrays (``ends``), as ``mincut.cut_value`` reads a
-    graph's, and their costs and their endpoints' charges are summed
-    exactly from the instance's own cost lists."""
-    side = frozenset(source_side)
+    The crossing edges are read by a mask of ``side`` over the instance's
+    endpoint arrays (``ends``), as ``mincut.cut_value`` reads a graph's,
+    and their costs and their endpoints' charges are summed exactly from
+    the instance's own cost lists."""
+    side = frozenset(side)
     n = inst.node_count
-    if inst.source not in side or inst.sink in side:
+    inner, outer = (inst.sink, inst.source) if is_sink else (inst.source, inst.sink)
+    if inner not in side or outer in side:
         raise InputError("source side must contain the source and exclude the sink")
     low, high = min(side), max(side)
     if low < 0 or high >= n:
         raise InputError(f"node id {low if low < 0 else high} out of range")
-    inside = np.zeros(n, dtype=bool)
-    inside[np.fromiter(side, dtype=np.int64, count=len(side))] = True
+    inside = np.full(n, is_sink)
+    inside[np.fromiter(side, dtype=np.int64, count=len(side))] = not is_sink
     tails, heads = inst.ends
     cut = np.flatnonzero(inside[tails] & ~inside[heads])
     cut_tails, cut_heads = set(tails[cut].tolist()), set(heads[cut].tolist())
@@ -416,16 +431,18 @@ def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
     for e in cut.cut_edges:
         if aux.is_big_cost(e):
             raise InvariantError("a protective big-cost edge appeared in the minimum cut")
-    # v_i = i: the instance's source side is the aux side's nodes below n.
-    source_side = frozenset(filter(inst.node_count.__gt__, cut.source_side))
+    # v_i = i: the instance's side is the aux side's nodes below n.
+    side = frozenset(filter(inst.node_count.__gt__, cut.side))
     cut_value = Fraction(cut.value, inst.int_costs[0])
-    objective, cut_edges, charged = evaluate_partition(inst, source_side)
+    objective, cut_edges, charged = evaluate_partition(inst, side, cut.is_sink)
     if objective != cut_value:
         raise InvariantError(
             f"partition objective {objective} disagrees with cut value {cut_value}"
         )
     return CostlyCutSolution(
-        source_side=source_side,
+        side=side,
+        is_sink=cut.is_sink,
+        node_count=inst.node_count,
         objective=objective,
         cut_edges=cut_edges,
         charged_nodes=charged,
@@ -482,7 +499,9 @@ def solve_brute_force(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCu
     if objective != Fraction(best_val, scale):
         raise InvariantError("brute-force objective recomputation mismatch")
     return CostlyCutSolution(
-        source_side=frozenset(side),
+        side=frozenset(side),
+        is_sink=False,
+        node_count=n,
         objective=objective,
         cut_edges=cut_edges,
         charged_nodes=charged,
@@ -497,10 +516,12 @@ def _partition_from_plain_cut(inst, graph: DiGraph) -> CostlyCutSolution:
     minimal, maximal = min_cut_extremes(graph, inst.source, inst.sink)
     best = None
     for cut in (minimal, maximal):
-        objective, cut_edges, charged = evaluate_partition(inst, cut.source_side)
+        objective, cut_edges, charged = evaluate_partition(inst, cut.side, cut.is_sink)
         if best is None or objective < best.objective:
             best = CostlyCutSolution(
-                source_side=cut.source_side,
+                side=cut.side,
+                is_sink=cut.is_sink,
+                node_count=inst.node_count,
                 objective=objective,
                 cut_edges=cut_edges,
                 charged_nodes=charged,

@@ -187,8 +187,10 @@ class _Engine:
             return hit
         inst = self.cut_instance(line)
         sol = getattr(costly_cut, _SOLVERS[self.method])(inst)
-        dtheta = np.zeros(self.net.bus_count)
-        dtheta[list(sol.source_side)] = 1.0
+        # 1.0 on the source side, 0.0 on the sink side, set from the side
+        # the solution carries
+        dtheta = np.full(self.net.bus_count, float(sol.is_sink))
+        dtheta[list(sol.side)] = float(not sol.is_sink)
         attack = attack_from_partition(self.net, self.meas, dtheta, model=self.model)
         structural = attack_cost(
             self.net, self.weights.edge_costs, self.weights.node_costs, dtheta

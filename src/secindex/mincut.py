@@ -5,7 +5,8 @@ computed exactly. The solver finds one maximum flow per call by shortest
 augmenting paths, each found by a BFS from both terminals that expands the
 side with the smaller frontier, and stops once either side closes; it reads
 only the nodes its searches visit, not the whole graph. A cut is given by
-its source side alone; the sink side is every other node. ``min_cut``
+one side, the one the flow has in hand, and a flag saying which side it
+is; the other side is every other node. ``min_cut``
 returns the canonical minimum cut whose source side is the set of nodes
 reachable from the source in the residual network: the unique
 inclusion-minimal source side over all minimum cuts, so the returned
@@ -20,10 +21,12 @@ capacities, which need not border the closed side, come from the strongly
 connected components of the graph's positive-capacity edges, built once per
 graph by vectorized trimming and one forward-backward search, with Tarjan's
 algorithm for what those leave. No flow walks the graph to its end, the
-first on a graph included. The cut's crossing edges are read from the arcs
-of the smaller side (``crossing_arcs``), so that step costs time in
-proportion to the smaller side's degree; the sink side is built only where
-it is the one walked.
+first on a graph included. Where the terminal's components cover the
+graph, the cut is carried by the set the other search closed on, its
+other side, so a side nearly as large as the graph is never built. The
+cut's crossing edges are read from the arcs of the side carried
+(``crossing_arcs``), so that step costs time in proportion to that side's
+degree.
 ``DiGraph`` holds its edges as three int64 arrays (tails, heads,
 capacities), given directly (``DiGraph.from_arrays``) or made from edge
 triples, and validates them in one vectorized pass that names the first
@@ -491,14 +494,29 @@ def _tarjan(heads_of, count):
     return comp, count
 
 
+def source_side_of(side, is_sink: bool, node_count: int) -> frozenset[int]:
+    """The source side of a cut of ``node_count`` nodes given by ``side``,
+    its sink side if ``is_sink``, else its source side."""
+    return frozenset(range(node_count)).difference(side) if is_sink else frozenset(side)
+
+
 @dataclass(frozen=True)
 class CutSolution:
-    """An s-t cut: its source side (the sink side is every other node),
-    exact value, and the crossing edge indices."""
+    """An s-t cut by the one of its sides the flow had in hand: ``side``,
+    the sink side if ``is_sink`` and else the source side (the other side
+    is every other node of the ``node_count``), with the exact value and
+    the crossing edge indices. ``source_side`` is built from them on first
+    read."""
 
-    source_side: frozenset[int]
+    side: frozenset[int]
+    is_sink: bool
+    node_count: int
     value: int
     cut_edges: tuple[int, ...]
+
+    @cached_property
+    def source_side(self) -> frozenset[int]:
+        return source_side_of(self.side, self.is_sink, self.node_count)
 
 
 def min_cut(g: DiGraph, source: int, sink: int) -> CutSolution:
@@ -509,7 +527,7 @@ def min_cut(g: DiGraph, source: int, sink: int) -> CutSolution:
     capacities sum to the value exactly.
     """
     flow, cap, searches = _max_flow(g, source, sink)
-    return _checked_cut(g, frozenset(_reach(g, cap, searches, 0)), flow)
+    return _checked_cut(g, *_reach(g, cap, searches, 0), flow)
 
 
 def min_cut_extremes(g: DiGraph, source: int, sink: int) -> tuple[CutSolution, CutSolution]:
@@ -522,9 +540,8 @@ def min_cut_extremes(g: DiGraph, source: int, sink: int) -> tuple[CutSolution, C
     unique.
     """
     flow, cap, searches = _max_flow(g, source, sink)
-    minimal = frozenset(_reach(g, cap, searches, 0))
-    maximal = frozenset(range(g.node_count)).difference(_reach(g, cap, searches, 1))
-    return _checked_cut(g, minimal, flow), _checked_cut(g, maximal, flow)
+    minimal, maximal = (_reach(g, cap, searches, back) for back in (0, 1))
+    return _checked_cut(g, *minimal, flow), _checked_cut(g, *maximal, flow)
 
 
 def cut_value(g: DiGraph, source_side) -> int:
@@ -579,9 +596,12 @@ def _max_flow(g: DiGraph, source: int, sink: int):
 
 
 def _reach(g: DiGraph, cap, searches, back):
-    """The nodes the source reaches in the residual network (``back`` 0),
-    or the nodes that reach the sink (``back`` 1), from the searches of a
-    flow's last round; the search from that terminal is the tree here.
+    """The cut whose source side is the nodes the source reaches in the
+    residual network (``back`` 0), or whose sink side is the nodes that
+    reach the sink (``back`` 1), from the searches of a flow's last round,
+    as ``(side, is_sink)``: one side of the cut as a frozenset, and whether
+    it is the sink side. The search from that terminal is the tree here,
+    and the side returned is the one the searches have in hand.
 
     A closed tree is the answer. Otherwise the other search closed, on a
     set of nodes the tree's root cannot reach, and the rest of that set is
@@ -594,8 +614,12 @@ def _reach(g: DiGraph, cap, searches, back):
     turn. If the tree closes first, it is the answer. A node the root
     reaches only through the positive-capacity graph's other nodes need not
     border the set, so the answer is the root's reach in that graph
-    (``DiGraph.capacity_components``) less the set. A closed search has
-    expanded every node it holds, so their arcs are made.
+    (``DiGraph.capacity_components``) less the set. Where that reach is the
+    whole graph, the set is the answer's complement, the cut's other side,
+    and is returned instead: on a graph whose positive capacities join
+    every node, the cut is carried by the set the searches found, not by a
+    side nearly as large as the graph. A closed search has expanded every
+    node it holds, so their arcs are made.
     """
     root, tree, layer = searches[back]
     other, near, _ = searches[1 - back]
@@ -628,13 +652,16 @@ def _reach(g: DiGraph, cap, searches, back):
                     layer.append(y)
             elif not probe:
                 todo.extend(to[e] for u in found for e in adj[u])
-    if layer:
-        reached = frozenset().union(*map(members.__getitem__, bound)).difference(region)
+    whole = bool(layer) and len(bound) == len(members)
+    if whole:
+        side = frozenset(region)
+    elif layer:
+        side = frozenset().union(*map(members.__getitem__, bound)).difference(region)
     else:
-        reached = tree.keys()
-    if other in reached:
+        side = frozenset(tree)
+    if (other in side) != whole:
         raise InvariantError("sink reachable in residual network after max flow")
-    return reached
+    return side, bool(back) != whole
 
 
 def _reached_components(links, start):
@@ -682,25 +709,42 @@ def _block(layout, k):
 
 
 def _grow(adj, to, cap, layout, layer, seen, other, back):
-    """Expand one BFS layer of the residual network, forward (``back`` 0)
-    or backward (``back`` 1: arc e is read as the residual arc e ^ 1 into
-    the layer's node). Returns the next layer and -1, or, at the first node
-    the ``other`` search has seen, the arc joining the two searches. This
-    is the flow's inner loop: it takes the layout's lists one by one, since
-    unpacking the ``ResidualLayout`` record, a tuple subclass, on every
-    call takes the interpreter's generic path."""
+    """Expand one BFS layer of the residual network, forward (``back`` 0:
+    arc e leaves the layer's node) or backward (``back`` 1: arc e is read
+    as the residual arc e ^ 1 into the layer's node). Returns the next
+    layer and -1, or, at the first node the ``other`` search has seen, the
+    arc joining the two searches. This is the flow's inner loop: each
+    direction has a loop of its own, which reads the head of an arc with
+    residual capacity once, and it takes the layout's lists one by one,
+    since unpacking the ``ResidualLayout`` record, a tuple subclass, on
+    every call takes the interpreter's generic path."""
     nxt = []
+    if back:
+        for u in layer:
+            out = adj[u]
+            if out is None:
+                out = _arcs(layout, u)
+            for e in out:
+                if cap[e ^ 1]:
+                    v = to[e]
+                    if v not in seen:
+                        if v in other:
+                            return nxt, e ^ 1
+                        seen[v] = e ^ 1
+                        nxt.append(v)
+        return nxt, -1
     for u in layer:
         out = adj[u]
         if out is None:
             out = _arcs(layout, u)
         for e in out:
-            if cap[e ^ back] and to[e] not in seen:
+            if cap[e]:
                 v = to[e]
-                if v in other:
-                    return nxt, e ^ back
-                seen[v] = e ^ back
-                nxt.append(v)
+                if v not in seen:
+                    if v in other:
+                        return nxt, e
+                    seen[v] = e
+                    nxt.append(v)
     return nxt, -1
 
 
@@ -734,34 +778,41 @@ def _head(layout, a):
     return layout.to[a]
 
 
-def crossing_arcs(layout: ResidualLayout, side) -> list[int]:
-    """The arcs 2i of the edges i leaving the node set ``side``, ascending,
-    read from the arcs of the smaller of ``side`` and its complement: the
-    forward (even) arcs out of ``side``, or the reverse (odd) arcs at the
-    other side whose head is in ``side``, each the mirror e ^ 1 of a
-    crossing forward arc. Either way the time is linear in the smaller
-    side's degree, not the graph's size, and the complement is built only
-    when it is the one walked."""
+def crossing_arcs(layout: ResidualLayout, side, is_sink: bool) -> list[int]:
+    """The arcs 2i of the edges i that cross a cut from its source side to
+    its sink side, ascending, read from the arcs of ``side``, the cut's
+    sink side if ``is_sink`` and else its source side: the arcs out of
+    ``side`` whose head is not in it, forward (even) ones out of a source
+    side, reverse (odd) ones out of a sink side, each of them the mirror
+    e ^ 1 of a crossing forward arc. The time is linear in the degree of
+    ``side``, not in the graph's size."""
     adj, to = layout.adj, layout.to
-    n = len(layout.ids)
-    if 2 * len(side) <= n:
-        cut = [e for u in side for e in adj[u] or _arcs(layout, u) if not e & 1 and to[e] not in side]
-    else:
-        other = frozenset(range(n)).difference(side)
-        cut = [e ^ 1 for u in other for e in adj[u] or _arcs(layout, u) if e & 1 and to[e] in side]
+    odd = int(is_sink)
+    cut = [
+        e ^ odd
+        for u in side
+        for e in adj[u] or _arcs(layout, u)
+        if e & 1 == odd and to[e] not in side
+    ]
     cut.sort()
     return cut
 
 
-def _checked_cut(g: DiGraph, side: frozenset[int], flow: int) -> CutSolution:
-    # The crossing edges, read from the smaller side's arcs; their
+def _checked_cut(g: DiGraph, side: frozenset[int], is_sink: bool, flow: int) -> CutSolution:
+    # The crossing edges, read from the arcs of the side carried; their
     # capacities must add up to the flow.
     layout = g.residual_layout
     cap = layout.cap
-    cut_arcs = crossing_arcs(layout, side)
+    cut_arcs = crossing_arcs(layout, side, is_sink)
     cut_cap = sum([cap[e] for e in cut_arcs])
     if cut_cap != flow:
         raise InvariantError(
             f"max-flow/min-cut mismatch: flow {flow}, crossing capacity {cut_cap}"
         )
-    return CutSolution(source_side=side, value=flow, cut_edges=tuple([e >> 1 for e in cut_arcs]))
+    return CutSolution(
+        side=side,
+        is_sink=is_sink,
+        node_count=g.node_count,
+        value=flow,
+        cut_edges=tuple([e >> 1 for e in cut_arcs]),
+    )

@@ -298,8 +298,17 @@ def _connected_partitions(bus_count: int, endpoints, costs, cap) -> list:
     of the partitions below it, so a branch adds up its cost as it recurses
     and is pruned once that cost reaches ``cap``. Pruning only drops leaves:
     the records come in the order of the uncapped enumeration.
+
+    Each group keeps two bitmasks of buses at its root: ``members``, and
+    ``apart``, the buses of the groups a cut line joins it to, which it may
+    never merge with. A cut line between two groups puts each one's
+    members in the other's ``apart``, so contracting line i's two groups
+    is allowed iff one group's members miss the other's ``apart``: a test
+    of two integers in place of a pass over every cut line.
     """
     parent = list(range(bus_count))
+    members = [1 << b for b in range(bus_count)]
+    apart = [0] * bus_count
 
     def find(x):
         while parent[x] != x:
@@ -328,15 +337,20 @@ def _connected_partitions(bus_count: int, endpoints, costs, cap) -> list:
         if ru == rv:
             rec(i + 1, cost)
             return
-        # Same-group branch: contract, then make sure no separated pair merged.
-        parent[rv] = ru
-        if all(find(endpoints[j][0]) != find(endpoints[j][1]) for j in cut):
+        mu, mv, au, av = members[ru], members[rv], apart[ru], apart[rv]
+        # Same-group branch: contract, unless a cut line joins the groups.
+        if not mu & av:
+            parent[rv] = ru
+            members[ru], apart[ru] = mu | mv, au | av
             rec(i + 1, cost)
-        parent[rv] = rv
+            parent[rv] = rv
+            members[ru], apart[ru] = mu, au
         # Different-group branch: line i is cut.
         if cost + costs[i] < cap:
             cut.append(i)
+            apart[ru], apart[rv] = au | mv, av | mu
             rec(i + 1, cost + costs[i])
+            apart[ru], apart[rv] = au, av
             cut.pop()
 
     if cap > 0:

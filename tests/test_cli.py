@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -745,6 +746,85 @@ def test_oversized_gadget_is_refused_before_it_is_built(tmp_path):
     )
 
 
+@pytest.mark.parametrize("text, message", [
+    ("vars 3\n1 2\n", "line 2: expected a triple, got (1, 2)"),
+    ("vars 0\n", "line 1: need at least one variable"),
+    ("vars 3\n1 2 3\n# a comment\nvars 4\n", "line 4: a second `vars` line"),
+    ("\n1 2 5\nvars 3\n", "line 2: variable 5 out of range 1..3"),
+    ("vars 2\n1 2 -1\n", "line 2: variable -1 out of range 1..2"),
+    ("vars\n", "line 1: expected `vars <n>`"),
+    ("vars 2 3\n", "line 1: expected `vars <n>`"),
+    ("vars 3\n1 2 x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+])
+def test_gadget_input_errors_name_the_file_and_the_line(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.clauses"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "gadget", "--clauses", str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
+
+
+def _one_in_three(n_vars, clauses):
+    """Whether some assignment makes exactly one variable true in every
+    clause, by trying every assignment."""
+    return any(
+        all(sum(values[i - 1] for i in clause) == 1 for clause in clauses)
+        for values in itertools.product((0, 1), repeat=n_vars)
+    )
+
+
+@st.composite
+def _clauses_texts(draw):
+    # At most three lines, so a text with one `vars` line (at most 4
+    # variables) has at most two clauses: a valid gadget stays small.
+    junk = st.sampled_from(["x", "vars", "#", "1.0", "0x1"])
+    token = st.one_of(st.integers(-1, 5).map(str), junk)
+    line = st.one_of(
+        st.integers(-1, 4).map("vars {}".format),
+        st.lists(token, max_size=4).map(" ".join),
+        st.sampled_from(["", "# note", "vars", "1 2 3 # note"]),
+    )
+    return "\n".join(draw(st.lists(line, max_size=3))) + "\n"
+
+
+def test_gadget_on_small_clause_files_answers_or_says_where():
+    # Any small `.clauses` text either answers, with the verdict of a
+    # search over every assignment, or is refused with one error line that
+    # names the file; never an invariant (exit 2) or a traceback.
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_clauses_texts())
+    def check(text):
+        path = os.path.join(tmp, "case.clauses")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["gadget", "--clauses", path])
+        out, err = out.getvalue(), err.getvalue()
+        outcomes.add(code)
+        if code == 0:
+            assert err == ""
+            report = dict(line.split(" ", 1) for line in out.splitlines())
+            n_vars = int(report["variables"])
+            clauses = [
+                tuple(map(int, line.split()))
+                for line in (raw.split("#", 1)[0] for raw in text.splitlines())
+                if line.split() and line.split()[0] != "vars"
+            ]
+            assert n_vars <= 4 and int(report["clauses"]) == len(clauses) <= 2
+            want = "satisfiable" if _one_in_three(n_vars, clauses) else "unsatisfiable"
+            assert report["verdict"] == want, text
+        else:
+            assert code == 1 and out == "", (code, text)
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+
+    with tempfile.TemporaryDirectory() as tmp:
+        check()
+    assert outcomes == {0, 1}
+
+
 def test_verify_worked_example(capsys):
     code, out, _ = run_cli(capsys, "verify", str(case_path("example4bus.json")))
     assert code == 0
@@ -964,8 +1044,8 @@ def test_verify_cross_checks_attacks_by_least_squares_at_desk_scale(capsys, monk
 def test_failed_invariant_exits_2(capsys, monkeypatch):
     evaluate = costly_cut.evaluate_partition
 
-    def off_by_one(inst, side):
-        objective, cut_edges, charged = evaluate(inst, side)
+    def off_by_one(inst, *side):
+        objective, cut_edges, charged = evaluate(inst, *side)
         return objective + 1, cut_edges, charged
 
     monkeypatch.setattr(costly_cut, "evaluate_partition", off_by_one)

@@ -373,8 +373,8 @@ def test_the_recheck_does_not_lean_on_the_flows_cut_reader(monkeypatch):
     )
     read = mincut.crossing_arcs
 
-    def omitting(layout, side):
-        cut = read(layout, side)
+    def omitting(layout, *side):
+        cut = read(layout, *side)
         zero = [e for e in cut if layout.cap[e] == 0]
         return [e for e in cut if e != zero[0]] if zero else cut
 

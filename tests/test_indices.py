@@ -30,7 +30,7 @@ from secindex import (
 from secindex import cli, costly_cut, mincut, power_model
 from secindex.caseio import parse_matpower_subset, parse_native, parse_native_text
 from secindex.cases import path as case_path
-from secindex.indices import METHODS, _Engine, cut_instance_for_line
+from secindex.indices import _SOLVERS, METHODS, _Engine, cut_instance_for_line
 from secindex.oracle import attack_cost
 
 
@@ -570,6 +570,26 @@ def test_a_cold_flow_with_the_large_source_side_stays_local(seed1_grid, tmp_path
     rows = out.read_text().splitlines()
     touched = sum(r.startswith("delta_z,") and float(r.split(",")[2]) != 0.0 for r in rows)
     assert touched == index_target_count(seed1_grid, 4968)
+
+
+def test_the_shift_from_the_carried_side_equals_the_source_sides_bit_for_bit():
+    # Every line of the bundled 118-bus case under every method: the
+    # attack's delta_theta, set from whichever side the cut carries, has
+    # the bits of the vector set from the source side, 1.0 there and 0.0
+    # elsewhere; the sweep carries source sides and sink sides both.
+    case = parse_matpower_subset(case_path("ieee118.m"))
+    carried = set()
+    for method in METHODS:
+        engine = _Engine(case.net, case.meas, case.weights, method)
+        solve = getattr(costly_cut, _SOLVERS[method])
+        for line in range(case.net.line_count):
+            sol = solve(engine.cut_instance(line))
+            carried.add((method, sol.is_sink))
+            want = np.zeros(case.net.bus_count)
+            want[list(sol.source_side)] = 1.0
+            _, attack = engine.line_value(line)
+            assert attack.delta_theta.tobytes() == want.tobytes(), (method, line)
+    assert carried >= {("exact", False), ("exact", True)}
 
 
 def index_target_count(path, target):

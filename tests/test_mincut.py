@@ -340,10 +340,11 @@ def test_cut_readout_builds_no_grid_sized_set():
     g = _tree_fed_sink(6)
     sol = min_cut(g, 0, 1)
     assert sol.source_side == frozenset({0, 2, 3}) and g.node_count == 19535
+    assert sol.side == sol.source_side and not sol.is_sink
     one_set = sys.getsizeof(frozenset(range(g.node_count)))
     tracemalloc.start()
     try:
-        assert _checked_cut(g, sol.source_side, sol.value) == sol
+        assert _checked_cut(g, sol.side, sol.is_sink, sol.value) == sol
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,8 +352,9 @@ def test_cut_readout_builds_no_grid_sized_set():
 
 
 def test_checked_cut_matches_the_full_scan_on_both_extremes():
-    # Both canonical cuts of each flow, read from whichever side is smaller,
-    # against a scan of every edge; parallel and zero-capacity edges included.
+    # Both canonical cuts of each flow, read from the side each carries and
+    # from the other side, against a scan of every edge; parallel and
+    # zero-capacity edges included.
     rng = random.Random(2718)
     walked = set()
     for _ in range(150):
@@ -362,11 +364,58 @@ def test_checked_cut_matches_the_full_scan_on_both_extremes():
         s, t = rng.sample(range(nodes), 2)
         for cut in min_cut_extremes(g, s, t):
             sink_side = _sink_side(g, cut)
-            walked.add(len(cut.source_side) <= len(sink_side))
+            walked.add(cut.is_sink)
+            assert cut.side == (sink_side if cut.is_sink else cut.source_side)
             assert cut.cut_edges == full_scan_crossing_edges(g.edges, cut.source_side)
             assert cut.value == sum(g.edges[i][2] for i in cut.cut_edges)
-            assert _checked_cut(g, cut.source_side, cut.value) == cut
+            assert _checked_cut(g, cut.side, cut.is_sink, cut.value) == cut
+            far = cut.source_side if cut.is_sink else sink_side
+            other = _checked_cut(g, far, not cut.is_sink, cut.value)
+            assert (other.cut_edges, other.source_side) == (cut.cut_edges, cut.source_side)
     assert walked == {True, False}
+
+
+def test_a_near_whole_source_side_is_carried_by_its_sink_side():
+    # A ring of 20,000 nodes, every arc of capacity 5, with the sink hung
+    # off node 1 by two arcs of capacity 1: the minimal source side is the
+    # whole ring. Reading the cut from the finished flow carries its sink
+    # side instead, and allocates less than one set of the ring's nodes.
+    n = 20000
+    ring = [(i, (i + 1) % n, 5) for i in range(n)] + [((i + 1) % n, i, 5) for i in range(n)]
+    g = DiGraph(node_count=n + 1, edges=tuple(ring + [(1, n, 1), (n, 1, 1)]))
+    flow, cap, searches = _max_flow(g, 0, n)
+    assert flow == 1 and len(g.capacity_components[1]) == 1
+    one_set = sys.getsizeof(frozenset(range(n)))
+    tracemalloc.start()
+    try:
+        sol = _checked_cut(g, *_reach(g, cap, searches, 0), flow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_set
+    assert (sol.side, sol.is_sink, sol.value, sol.cut_edges) == ({n}, True, 1, (2 * n,))
+    assert sol.source_side == frozenset(range(n))
+    assert min_cut(g, 0, n) == sol
+
+
+def test_carried_side_matches_the_full_search_across_capacity_components():
+    # Graphs whose positive-capacity edges form several strongly connected
+    # components, every ordered pair of terminals, so that a local search
+    # ends each way in both directions: with the tree closed, with the
+    # set found carried as the cut's other side (the root's components
+    # cover the graph), and with the root's components less that set.
+    rng = random.Random(1729)
+    taken = set()
+    graphs = 0
+    while graphs < 150:
+        nodes = rng.randint(3, 10)
+        g = random_digraph(rng, nodes=nodes, edges=rng.randint(2, 2 * nodes), max_cap=2)
+        if len(g.capacity_components[1]) < 2:
+            continue
+        graphs += 1
+        pairs = [(s, t) for s in range(nodes) for t in range(nodes) if s != t]
+        _check_reach_of_every_flow(g, pairs, taken)
+    assert taken == {(b, k) for b in (0, 1) for k in ("closed", "components", "other side")}
 
 
 def _tree_fed_by_source(depth, fan_out=5):
@@ -388,16 +437,18 @@ def _tree_fed_by_source(depth, fan_out=5):
 
 
 def test_cut_readout_reads_only_the_smaller_side():
-    # Where the source side is nearly the whole graph, the crossing edges
-    # are read from the adjacency lists of the sink side alone.
+    # Where the source side is nearly the whole graph, the cut carries its
+    # sink side, and the crossing edges are read from the adjacency lists
+    # of the sink side alone.
     for depth in (3, 6):
         g = _tree_fed_by_source(depth)
         sol = min_cut(g, 0, 1)
         sink_side = _sink_side(g, sol)
         assert sol.value == 2 and sink_side == frozenset({1, 3})
+        assert sol.is_sink and sol.side == sink_side
         assert sol.cut_edges == (1, 2)
         counting = _count_arc_reads(g)
-        assert _checked_cut(g, sol.source_side, sol.value) == sol
+        assert _checked_cut(g, sol.side, sol.is_sink, sol.value) == sol
         assert counting.reads == len(sink_side) == 2
 
 
@@ -467,23 +518,38 @@ def test_reused_graph_cuts_like_a_fresh_one():
 
 def _check_reach_of_every_flow(g, pairs, taken):
     # Both residual reaches of each flow, as the solver finds them (locally
-    # where a search is left open), against a BFS over every arc; then the
-    # public extremes of the same flow. ``taken``
-    # gathers, per direction, whether a local search ended with the tree
-    # closed or with the candidates used up.
+    # where a search is left open), against a BFS over every arc: the side
+    # each carries is the reach itself or the cut's other side, its
+    # complement. Then the public extremes of the same flow, which carry
+    # the same sides. ``taken`` gathers, per direction, how a local search
+    # ended: with the tree closed, or with the candidates used up and the
+    # root's components less the set found returned, or, where those
+    # components cover the graph, the set found itself.
+    everything = frozenset(range(g.node_count))
     for s, t in pairs:
         flow, cap, searches = _max_flow(g, s, t)
         wants = full_search_reach(g, cap, s), full_search_reach(g, cap, t, back=1)
+        carried = []
         for back, want in enumerate(wants):
             tree, layer = searches[back][1:]
-            got = _reach(g, cap, searches, back)
-            assert set(got) == want, (s, t, back)
+            side, is_sink = _reach(g, cap, searches, back)
+            assert type(side) is frozenset and type(is_sink) is bool
+            own = is_sink == bool(back)
+            assert (side if own else everything - side) == want, (s, t, back)
             if layer:
-                taken.add((back, set(got) == set(tree)))
+                branch = "closed" if side == set(tree) else "components" if own else "other side"
+                taken.add((back, branch))
+            carried.append((side, is_sink))
         minimal, maximal = min_cut_extremes(g, s, t)
         assert minimal.value == maximal.value == flow
+        assert [(cut.side, cut.is_sink) for cut in (minimal, maximal)] == carried
         assert minimal.source_side == wants[0]
         assert _sink_side(g, maximal) == wants[1]
+
+
+def _closed_or_not(taken):
+    """Per direction, whether a local search ended with the tree closed."""
+    return {(back, branch == "closed") for back, branch in taken}
 
 
 def test_local_reach_matches_the_full_search_on_random_graphs():
@@ -498,7 +564,7 @@ def test_local_reach_matches_the_full_search_on_random_graphs():
         g = DiGraph(node_count=nodes, edges=edges)
         pairs = [(s, t) for s in range(nodes) for t in range(nodes) if s != t]
         _check_reach_of_every_flow(g, pairs, taken)
-    assert taken == {(0, False), (0, True), (1, False), (1, True)}
+    assert _closed_or_not(taken) == {(0, False), (0, True), (1, False), (1, True)}
 
 
 def _costly_instance(rng):
@@ -529,7 +595,7 @@ def test_local_reach_matches_the_full_search_on_costly_cut_graphs():
                 len(full_search_reach(g, positive, s)) < g.node_count for s in range(n)
             )
     assert capacity_unreachable > 0
-    assert taken == {(0, False), (0, True), (1, False), (1, True)}
+    assert _closed_or_not(taken) == {(0, False), (0, True), (1, False), (1, True)}
 
 
 def test_local_reach_matches_the_full_search_on_the_bundled_cases():
