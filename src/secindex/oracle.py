@@ -25,7 +25,15 @@ continuous solvers are provided:
   cost-bounded: it produces the partitions one band of cut cost at a time,
   pruning each branch whose cost reaches the band's cap, and builds no band
   past the stopping point. The scan meets the same partitions in the same
-  order as a full enumeration.
+  order as a full enumeration. It settles each partition by its forced
+  charges before it builds or searches anything: one pass over the cut
+  lines finds the buses they touch and the metered ones among them whose
+  injection no group values cancel, which every attack on the partition
+  pays. A target whose best answer so far leaves no more than that beyond
+  the cut cost, and an injection target at a bus no cut line touches, is
+  passed over; only for the targets left are the partition's functionals
+  built and searched, the edge targets' shared search bounded by the
+  widest budget still open among them.
 
 ``oracle_binary`` exhaustively evaluates the 0/1-restricted problem.
 
@@ -39,6 +47,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +70,8 @@ NULLSPACE_TOL = 1e-8
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _CHUNK = 1 << 16
+_UNBOUNDED = 1 << 62  # the budget of a target with no answer yet
+_SEVERAL = -1  # a bus whose cut lines reach several groups
 
 
 @dataclass(frozen=True)
@@ -355,6 +366,9 @@ def _connected_partitions(bus_count: int, endpoints, costs, cap) -> list:
 
     if cap > 0:
         rec(0, 0)
+    # ``rec`` holds itself through its closure; a cycle would keep ``out``
+    # and its records alive until the cyclic collector ran.
+    del rec
     return out
 
 
@@ -404,53 +418,92 @@ def _null_of_row(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (basis - np.outer(basis @ v, v * (2.0 / (v @ v))))[:, 1:]
 
 
-class _PartitionView:
-    """Per-partition injection analysis data."""
+class _CutCharges(NamedTuple):
+    """What one pass over a partition's cut lines settles (``_cut_charges``)."""
 
-    def __init__(self, labels, cut_lines, net, p_scaled):
-        self.labels = labels
-        self.cut_lines = cut_lines
+    labels: tuple[int, ...]
+    cut_lines: tuple[int, ...]
+    reach: dict  # touched bus -> the one group its cut lines reach, or _SEVERAL
+    cancellable: list  # metered buses whose cut lines reach several groups
+    forced_sum: int  # the charges of the other metered touched buses
+
+
+def _cut_charges(labels, cut_lines, endpoints, p_scaled) -> _CutCharges:
+    """One pass over the cut lines of a partition: the buses they touch,
+    the group each one's cut lines reach, and so its charge. A bus whose
+    cut lines all reach one other group has an injection that no choice of
+    group values cancels, so every attack on the partition pays its charge
+    (``forced_sum``); one whose lines reach several groups may be
+    cancelled, and the search decides (``cancellable``, ascending). A bus
+    no cut line touches has no injection shift."""
+    reach = {}
+    for ln in cut_lines:
+        u, v = endpoints[ln]
+        for bus, group in ((u, labels[v]), (v, labels[u])):
+            if reach.setdefault(bus, group) != group:
+                reach[bus] = _SEVERAL
+    forced_sum = 0
+    cancellable = []
+    for bus in sorted(reach):
+        if p_scaled[bus] > 0:
+            if reach[bus] == _SEVERAL:
+                cancellable.append(bus)
+            else:
+                forced_sum += p_scaled[bus]
+    return _CutCharges(labels, cut_lines, reach, cancellable, forced_sum)
+
+
+def _open_targets(cut: _CutCharges, flow, edge_best, node_best, endpoints):
+    """The targets whose searches on the partition could beat their best
+    answers so far, each with its budget: the cost of that answer beyond
+    the partition's cut cost ``flow``, or ``_UNBOUNDED`` without one. An
+    edge target is open where the partition cuts its line, an injection
+    target where a cut line touches its bus, and either only if its budget
+    exceeds the charges every attack on the partition pays."""
+    labels, forced = cut.labels, cut.forced_sum
+    edges = {}
+    for line, best in edge_best.items():
+        u, v = endpoints[line]
+        if labels[u] != labels[v]:
+            budget = best[0] - flow if best is not None else _UNBOUNDED
+            if budget > forced:
+                edges[line] = budget
+    nodes = {}
+    for bus, best in node_best.items():
+        if bus in cut.reach:
+            budget = best[0] - flow if best is not None else _UNBOUNDED
+            if budget > forced:
+                nodes[bus] = budget
+    return edges, nodes
+
+
+class _PartitionView:
+    """A partition's functionals over its group values, built from its
+    ``_CutCharges`` only for a search that will run."""
+
+    def __init__(self, cut: _CutCharges, lines):
+        labels = self.labels = cut.labels
         self.group_count = max(labels) + 1
+        self.cancellable = cut.cancellable
+        self.forced_sum = cut.forced_sum
         pairs = set()
-        for ln in cut_lines:
-            u, v, _ = net.lines[ln]
+        # Injection functional over group values of each bus a cut line
+        # touches, its cut lines added in ascending order; every other
+        # bus's is identically zero.
+        self.lam = {bus: np.zeros(self.group_count) for bus in cut.reach}
+        for ln in cut.cut_lines:
+            u, v, x = lines[ln]
             a, b = labels[u], labels[v]
             pairs.add((min(a, b), max(a, b)))
+            for bus, own, other in ((u, a, b), (v, b, a)):
+                f = self.lam[bus]
+                f[own] += 1.0 / x
+                f[other] -= 1.0 / x
         # One row per pair of groups a cut line joins: +1 at a, -1 at b.
         self.pair_functionals = np.zeros((len(pairs), self.group_count))
         for i, (a, b) in enumerate(sorted(pairs)):
             self.pair_functionals[i, a] = 1.0
             self.pair_functionals[i, b] = -1.0
-        # Injection functional per bus over group values; None when no cut
-        # incident line (identically zero).
-        self.lam = {}
-        self.forced = []
-        self.cancellable = []
-        self.forced_sum = 0
-        # The buses the cut lines touch, ascending, each with its cut lines
-        # ascending, as ``incident_lines`` lists them: a bus no cut line
-        # touches has an identically zero functional.
-        cut_at = {}
-        for ln in sorted(set(cut_lines)):
-            u, v, _ = net.lines[ln]
-            cut_at.setdefault(u, []).append(ln)
-            cut_at.setdefault(v, []).append(ln)
-        for bus, inc in sorted(cut_at.items()):
-            f = np.zeros(self.group_count)
-            neighbor_groups = set()
-            for ln in inc:
-                u, v, x = net.lines[ln]
-                other = v if u == bus else u
-                f[labels[bus]] += 1.0 / x
-                f[labels[other]] -= 1.0 / x
-                neighbor_groups.add(labels[other])
-            self.lam[bus] = f
-            if p_scaled[bus] > 0:
-                if len(neighbor_groups) == 1:
-                    self.forced.append(bus)
-                    self.forced_sum += p_scaled[bus]
-                else:
-                    self.cancellable.append(bus)
 
 
 def _min_injection_dfs(view, p_scaled, budget, required_bus=None):
@@ -551,6 +604,15 @@ def oracle_continuous_network(
     injection there). Witnesses are normalized so the target row maps to 1
     (see ``_witness_from_partition`` for a target whose reactance is near
     the top of the float range).
+
+    Partitions come in order of cut cost. Each is settled by its forced
+    charges first (``_cut_charges``): a target is searched on it only if
+    its budget, what its best answer so far costs beyond the cut, exceeds
+    them, and an injection target only if a cut line touches its bus
+    (``_open_targets``). The edge targets share one search without target
+    constraints, bounded by the widest open budget; the search returns the
+    first least-cost choice in its order, and a bound above that cost
+    prunes none of its ancestors, so the bound changes no answer.
     """
     if net.line_count > PARTITION_LINE_LIMIT:
         raise SizeLimitError(
@@ -581,40 +643,29 @@ def oracle_continuous_network(
     # underflow a functional's squares; ``_with_norm`` then rescales it.
     with np.errstate(over="ignore", under="ignore"):
         endpoints = [(u, v) for (u, v, _) in net.lines]
+        bound = resolved_bound()
         for flow, labels, cut_lines in _partitions_by_cost(
             net.bus_count, endpoints, c_s, resolved_bound
         ):
-            bound = resolved_bound()
             if bound is not None and flow >= bound:
                 break
-            view = None
-            base = None  # (cost, zeroed, basis) without target constraints
-            for line in edge_best:
-                u, v, _ = net.lines[line]
-                if labels[u] == labels[v]:
-                    continue
-                current = edge_best[line]
-                budget = (current[0] - flow) if current is not None else (1 << 62)
-                if budget <= 0:
-                    continue
-                if view is None:
-                    view = _PartitionView(labels, cut_lines, net, p_s)
-                if base is None:
-                    base = _min_injection_dfs(view, p_s, 1 << 62)
-                if base is not None and base[0] < budget:
-                    edge_best[line] = (flow + base[0], view, base)
-            for bus in node_best:
-                current = node_best[bus]
-                budget = (current[0] - flow) if current is not None else (1 << 62)
-                if budget <= 0:
-                    continue
-                if view is None:
-                    view = _PartitionView(labels, cut_lines, net, p_s)
-                if view.lam.get(bus) is None:
-                    continue
+            cut = _cut_charges(labels, cut_lines, endpoints, p_s)
+            edges, nodes = _open_targets(cut, flow, edge_best, node_best, endpoints)
+            if not (edges or nodes):
+                continue
+            view = _PartitionView(cut, net.lines)
+            # One search without target constraints, below the widest open
+            # budget, serves every edge target whose budget its cost is below.
+            base = _min_injection_dfs(view, p_s, max(edges.values())) if edges else None
+            if base is not None:
+                for line, budget in edges.items():
+                    if base[0] < budget:
+                        edge_best[line] = (flow + base[0], view, base)
+            for bus, budget in nodes.items():
                 found = _min_injection_dfs(view, p_s, budget, required_bus=bus)
                 if found is not None:
                     node_best[bus] = (flow + found[0], view, found)
+            bound = resolved_bound()
 
     results = {}
     targets = [("edge", line, payload) for line, payload in edge_best.items()]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    benchmark_generate,
     full_scan_attack_cost,
     random_network,
     random_observable_case,
@@ -25,9 +26,14 @@ from secindex import (
     oracle_continuous_network,
 )
 from secindex import oracle
-from secindex.caseio import parse_native
+from secindex.caseio import parse_native, parse_native_text
 from secindex.cases import path as case_path
-from secindex.oracle import _connected_partitions, _partitions_by_cost, attack_cost
+from secindex.oracle import (
+    _UNBOUNDED,
+    _connected_partitions,
+    _partitions_by_cost,
+    attack_cost,
+)
 
 
 def worked_case():
@@ -400,6 +406,33 @@ def test_capped_enumeration_is_the_full_one_filtered_by_cost():
             assert banded == [r for r in ordered if stop is None or r[0] < stop], stop
 
 
+def _verify_scan(net, meas, weights, model):
+    """The arguments of ``verify``'s oracle call: every metered line and
+    injection as a target."""
+    return dict(
+        net=net, meas=meas, weights=weights, model=model,
+        edge_targets=sorted(set(meas.flow_from) | set(meas.flow_to)),
+        node_targets=list(meas.injection),
+    )
+
+
+def _desk_scans(seed, indices):
+    """``verify``'s oracle calls on cases ``indices`` of the benchmark's
+    seeded desk stream."""
+    generate = benchmark_generate()
+    for i in indices:
+        case = parse_native_text(generate.dump(generate.desk_case(seed, i)).decode())
+        yield _verify_scan(case.net, case.meas, case.weights, build_h(case.net, case.meas))
+
+
+def _solved(scans):
+    return [
+        {key: (r.optimum, None if r.witness is None else r.witness.tobytes(), r.support)
+         for key, r in oracle_continuous_network(**scan).items()}
+        for scan in scans
+    ]
+
+
 def test_network_oracle_equals_one_uncapped_pass(monkeypatch):
     rng = random.Random(4242)
     choices = [Fraction(k, 3) for k in range(7)]
@@ -411,26 +444,73 @@ def test_network_oracle_equals_one_uncapped_pass(monkeypatch):
             node_costs=[rng.choice(choices) for _ in range(net.bus_count)],
         )
         for weights in (None, custom):
-            cases.append((net, meas, model, weights))
+            cases.append(_verify_scan(net, meas, weights, model))
 
-    def solve_all():
-        out = []
-        for net, meas, model, weights in cases:
-            res = oracle_continuous_network(
-                net, meas, weights,
-                edge_targets=sorted(set(meas.flow_from) | set(meas.flow_to)),
-                node_targets=list(meas.injection), model=model,
-            )
-            out.append({
-                key: (r.optimum, None if r.witness is None else r.witness.tobytes(), r.support)
-                for key, r in res.items()
-            })
-        return out
-
-    banded = solve_all()
+    banded = _solved(cases)
     monkeypatch.setattr(oracle, "_band_caps", lambda costs: iter([sum(costs) + 1]))
-    assert solve_all() == banded
+    assert _solved(cases) == banded
     assert any(key[0] == "node" for res in banded for key in res)
+
+
+def test_settling_partitions_by_forced_charges_changes_no_answer(monkeypatch):
+    # The scan skips a target whose budget the partition's forced charges
+    # already spend, and an injection target at a bus no cut line touches,
+    # and bounds the edge targets' shared search by their widest open
+    # budget. Without any of that (a search for every target with a
+    # positive budget, the shared one unbounded) every optimum, witness
+    # byte and support is the same.
+    rng = random.Random(25)
+    scans = [scan for seed in (1, 7)
+             for scan in _desk_scans(seed, sorted(rng.sample(range(237), 24)))]
+    pruned = _solved(scans)
+
+    def every_target(cut, flow, edge_best, node_best, endpoints):
+        def positive(best, keep):
+            budgets = {key: _UNBOUNDED if b is None else b[0] - flow for key, b in best.items()}
+            return {key: budget for key, budget in budgets.items() if budget > 0 and keep(key)}
+
+        def is_cut(line):
+            u, v = endpoints[line]
+            return cut.labels[u] != cut.labels[v]
+
+        return positive(edge_best, is_cut), positive(node_best, lambda bus: True)
+
+    search = oracle._min_injection_dfs
+
+    def unbounded_base(view, p_scaled, budget, required_bus=None):
+        if required_bus is None:
+            budget = _UNBOUNDED
+        return search(view, p_scaled, budget, required_bus)
+
+    monkeypatch.setattr(oracle, "_open_targets", every_target)
+    monkeypatch.setattr(oracle, "_min_injection_dfs", unbounded_base)
+    assert _solved(scans) == pruned
+    assert sum(len(res) for res in pruned) > 300
+    assert any(key[0] == "node" and r[0] is not None for res in pruned for key, r in res.items())
+
+
+def test_the_desk_scan_builds_and_searches_a_quarter_of_the_partitions(monkeypatch):
+    # Over the first 79 cases of the seed-1 desk stream, the scan built
+    # 15,941 partition views and ran 31,336 injection searches when it
+    # built a view for every partition with a target left open and ran
+    # each search from there; settled by forced charges first it makes at
+    # most a quarter of each.
+    made = {"views": 0, "searches": 0}
+    view, search = oracle._PartitionView, oracle._min_injection_dfs
+
+    def counted_view(*args):
+        made["views"] += 1
+        return view(*args)
+
+    def counted_search(*args, **kwargs):
+        made["searches"] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_PartitionView", counted_view)
+    monkeypatch.setattr(oracle, "_min_injection_dfs", counted_search)
+    _solved(_desk_scans(1, range(79)))
+    assert made["views"] <= 15941 // 4
+    assert made["searches"] <= 31336 // 4
 
 
 def test_null_of_row_is_an_orthonormal_kernel_of_the_row():
