@@ -11,7 +11,6 @@ the pipeline at desk scale and bound its error on partial placements.
 from .costly_cut import (
     CostlyCutInstance,
     CostlyCutSolution,
-    TwoSidedCutInstance,
     build_auxiliary,
     dump_auxiliary,
     evaluate_partition,

@@ -239,18 +239,19 @@ def _cmd_verify(args) -> int:
     if meas.measurement_count:
         report("observable", is_observable(model))
 
-    # Each attack is certified by its witness residual; at desk scale, where
-    # the oracles run too, its least-squares residual must pass as well.
+    # Each attack is certified by its witness residual, which
+    # ``attack_from_partition`` has already held to the residual guard's
+    # bound; at desk scale, where the oracles run too, its least-squares
+    # residual must pass that bound as well.
     desk = net.bus_count <= args.max_size and net.line_count <= oracle.PARTITION_LINE_LIMIT
     exact_report = indices.index_all(net, meas, case.weights, model=model)
     attacks = [e.attack for e in exact_report.entries]
     residual = max((a.residual_inf for a in attacks), default=0.0)
-    passed = True
-    for a in attacks:
-        tolerance = residual_tolerance(model, a.delta_theta)
-        passed = passed and a.residual_inf <= tolerance
-        if desk:
-            passed = passed and np.abs(bdd_residual(model, a.delta_z)).max(initial=0.0) <= tolerance
+    passed = not desk or all(
+        np.abs(bdd_residual(model, a.delta_z)).max(initial=0.0)
+        <= residual_tolerance(model, a.delta_theta)
+        for a in attacks
+    )
     report("attack-residuals", passed, f"max {residual:.2e}")
 
     for name, method in (("ignore-nodes", indices.METHOD_IGNORE_NODES),

@@ -4,33 +4,31 @@ The problem: partition the nodes of a directed graph into a source side and
 a sink side, paying the cost of every edge crossing source -> sink plus a
 one-time charge for every node incident to a crossing edge (tails on the
 source side, heads on the sink side). The reduction triples each node i into
-a chain w_i -> v_i -> z_i carrying the node charge, and protects the chain
-with edges of cost strictly larger than any node charge, so a standard
-integer min cut on the auxiliary graph yields the optimum; the partition of
-the original nodes is read off the v layer. Edges are directed; an
-undirected instance lists each edge in both directions, and no solver needs
-to know that it does.
+a chain w_i -> v_i -> z_i whose two edges both carry the node charge: a
+tail pays it on v_i -> z_i, a head on w_i -> v_i, and no node is both. It
+protects the chain with edges of cost strictly larger than any node charge,
+so a standard integer min cut on the auxiliary graph yields the optimum; the
+partition of the original nodes is read off the v layer. Edges are directed;
+an undirected instance lists each edge in both directions, and no solver
+needs to know that it does.
 
 Rational costs are scaled to integers by the LCM of their denominators
 (``scale_to_int``, the package's one scaling helper), so optimality is
 exact; where every cost is already an int the scale is 1 and the costs are
-taken as given. The scaling happens once per instance (``int_costs``); the instances
-``CostlyCutInstance.with_terminals`` derives for other terminal pairs share
-it, together with the already validated edges and charges, so a sweep over
-many terminal pairs validates and scales its costs once. A node may charge
-differently as the tail and as the head of a cut edge
-(``TwoSidedCutInstance``); ``CostlyCutInstance`` exposes its single
-charge through the same ``node_costs_out`` / ``node_costs_in`` pair, so
-``solve`` and the exhaustive verifier ``solve_brute_force`` take either
-flavor. The two classical approximations (dropping node charges, and
-folding node charges into incident edges) report the true objective of
-whatever partition they select. None of the graphs cut here depends on
-the terminals: the auxiliary graph ``solve`` cuts and the edge-only graph
-each approximation cuts are built and validated once per family of
-instances, on first use, and shared with every instance ``with_terminals``
-derives. Each is built as arrays, block by block in its documented edge
-order, from the instance's endpoint arrays (``ends``) and its scaled costs,
-and handed to ``DiGraph.from_arrays``; no per-edge tuple is made. An
+taken as given. The scaling happens once per instance (``int_costs``); the
+instances ``CostlyCutInstance.with_terminals`` derives for other terminal
+pairs share it, together with the already validated edges and charges, so
+a sweep over many terminal pairs validates and scales its costs once.
+``solve_brute_force`` is the exhaustive verifier. The two classical
+approximations (dropping node charges, and folding node charges into
+incident edges) report the true objective of whatever partition they
+select. None of the graphs cut here depends on the terminals: the
+auxiliary graph ``solve`` cuts and the edge-only graph each approximation
+cuts are built and validated once per family of instances, on first use,
+and shared with every instance ``with_terminals`` derives. Each is built
+as arrays, block by block in its documented edge order, from the
+instance's endpoint arrays (``ends``) and its scaled costs, and handed to
+``DiGraph.from_arrays``; no per-edge tuple is made. An
 instance built by ``CostlyCutInstance.from_arrays`` starts from such
 arrays and from a cost list already checked, and is itself checked on the
 arrays; it makes its ``edges`` triples, which no solver reads, only on
@@ -144,9 +142,9 @@ def _check_structure(inst):
 
 
 def _int_costs(inst):
-    """``(scale, edge costs, tail charges, head charges)`` of an instance of
-    either flavor, every cost times ``scale`` as a tuple of ints."""
-    scale, groups = scale_to_int(inst.costs, inst.node_costs_out, inst.node_costs_in)
+    """``(scale, edge costs, node charges)`` of an instance, every cost
+    times ``scale`` as a tuple of ints."""
+    scale, groups = scale_to_int(inst.costs, inst.node_costs)
     return (scale, *map(tuple, groups))
 
 
@@ -243,42 +241,6 @@ class CostlyCutInstance:
         derived.__dict__.update(self.__dict__, source=source, sink=sink, int_costs=self.int_costs)
         return derived
 
-    @property
-    def node_costs_out(self) -> tuple[int | Fraction, ...]:
-        """Charge for a node at the tail of a cut edge: its one node cost."""
-        return self.node_costs
-
-    @property
-    def node_costs_in(self) -> tuple[int | Fraction, ...]:
-        """Charge for a node at the head of a cut edge: its one node cost."""
-        return self.node_costs
-
-
-@dataclass(frozen=True)
-class TwoSidedCutInstance:
-    """Costly-cut instance whose nodes charge differently for outgoing
-    versus incoming cut edges."""
-
-    node_count: int
-    edges: tuple[tuple[int, int, int | Fraction], ...]
-    node_costs_out: tuple[int | Fraction, ...]
-    node_costs_in: tuple[int | Fraction, ...]
-    source: int
-    sink: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", _coerced(self.edges))
-        object.__setattr__(self, "node_costs_out", tuple(as_cost(p) for p in self.node_costs_out))
-        object.__setattr__(self, "node_costs_in", tuple(as_cost(p) for p in self.node_costs_in))
-        if len(self.node_costs_out) != self.node_count or len(self.node_costs_in) != self.node_count:
-            raise InputError("node cost vectors must match node_count")
-        _check_structure(self)
-        object.__setattr__(self, "_graphs", {})
-
-    int_costs = cached_property(_int_costs)
-    costs = cached_property(_costs)
-    ends = cached_property(_ends)
-
 
 @dataclass(frozen=True)
 class CostlyCutSolution:
@@ -341,11 +303,11 @@ def _shared_graph(inst, build, *args):
     return graph
 
 
-def build_auxiliary(inst: CostlyCutInstance | TwoSidedCutInstance) -> AuxiliaryGraph:
+def build_auxiliary(inst: CostlyCutInstance) -> AuxiliaryGraph:
     """The tripled auxiliary graph of a costly-cut instance.
 
     Node i of the instance is v_i = i, w_i = n + i and z_i = 2n + i. Edges:
-    w_i -> v_i and v_i -> z_i per node (head and tail charge), then per
+    w_i -> v_i and v_i -> z_i per node, each carrying its charge, then per
     instance edge u -> v its cost v_u -> v_v and the two protective edges
     v_u -> w_v and z_u -> v_v. The graph does not depend on the terminals:
     it is built on the first call and shared by every instance
@@ -358,18 +320,17 @@ def _tripled(inst) -> AuxiliaryGraph:
     # Each block of edges is built as columns, one row per node or per
     # instance edge, and interleaved row by row: the edge order listed above.
     n = inst.node_count
-    _, edge_scaled, p_out, p_in = inst.int_costs
+    _, edge_scaled, charges = inst.int_costs
     tails, heads = inst.ends
     m = len(tails)
-    big = max(max(p_out), max(p_in)) + 1
-    costs, p_out, p_in, big = _capacities(edge_scaled, p_out, p_in, [big])
+    costs, charges, big = _capacities(edge_scaled, charges, [max(charges) + 1])
     bigs = np.repeat(big, m)
     nodes = np.arange(n, dtype=np.int64)
     graph = DiGraph.from_arrays(
         3 * n,
         np.concatenate((interleave(n + nodes, nodes), interleave(tails, tails, 2 * n + tails))),
         np.concatenate((interleave(nodes, 2 * n + nodes), interleave(heads, n + heads, heads))),
-        np.concatenate((interleave(p_in, p_out), interleave(costs, bigs, bigs))),
+        np.concatenate((interleave(charges, charges), interleave(costs, bigs, bigs))),
     )
     return AuxiliaryGraph(graph=graph)
 
@@ -396,8 +357,7 @@ def dump_auxiliary(aux: AuxiliaryGraph) -> str:
 def evaluate_partition(inst, side, is_sink=False):
     """Exact objective of a partition, given by ``side``, its sink side if
     ``is_sink`` and else its source side: crossing edge costs plus one
-    charge per node incident to a crossing edge. Works for both instance
-    flavors.
+    charge per node incident to a crossing edge.
 
     The crossing edges are read by a mask of ``side`` over the instance's
     endpoint arrays (``ends``), as ``mincut.cut_value`` reads a graph's,
@@ -415,17 +375,15 @@ def evaluate_partition(inst, side, is_sink=False):
     inside[np.fromiter(side, dtype=np.int64, count=len(side))] = not is_sink
     tails, heads = inst.ends
     cut = np.flatnonzero(inside[tails] & ~inside[heads])
-    cut_tails, cut_heads = set(tails[cut].tolist()), set(heads[cut].tolist())
+    charged = frozenset(tails[cut].tolist() + heads[cut].tolist())
     cut = cut.tolist()
-    costs, out, into = inst.costs, inst.node_costs_out, inst.node_costs_in
-    objective = sum([costs[e] for e in cut]) + sum([out[u] for u in cut_tails])
-    objective += sum([into[v] for v in cut_heads])
-    return objective, tuple(cut), frozenset(cut_tails | cut_heads)
+    costs, charges = inst.costs, inst.node_costs
+    objective = sum([costs[e] for e in cut]) + sum([charges[v] for v in charged])
+    return objective, tuple(cut), charged
 
 
-def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
-    """Optimal costly-node cut via a single min cut on the auxiliary graph;
-    takes either instance flavor."""
+def solve(inst: CostlyCutInstance) -> CostlyCutSolution:
+    """Optimal costly-node cut via a single min cut on the auxiliary graph."""
     aux = build_auxiliary(inst)
     cut = min_cut(aux.graph, inst.source, inst.sink)
     for e in cut.cut_edges:
@@ -449,17 +407,17 @@ def solve(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
     )
 
 
-def solve_brute_force(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCutSolution:
-    """Exhaustive minimizer over all partitions of either instance flavor;
-    ties favor the lexicographically smallest membership vector."""
+def solve_brute_force(inst: CostlyCutInstance) -> CostlyCutSolution:
+    """Exhaustive minimizer over all partitions; ties favor the
+    lexicographically smallest membership vector."""
     n = inst.node_count
     if n > BRUTE_FORCE_MAX_NODES:
         raise SizeLimitError(
             f"brute force refuses instances with more than {BRUTE_FORCE_MAX_NODES} nodes"
         )
     scale, *scaled = inst.int_costs
-    edge_cost, pout, pin = (np.array(group, dtype=np.int64) for group in scaled)
-    if int(edge_cost.sum()) + int(pout.sum()) + int(pin.sum()) >= 2**62:
+    edge_cost, charges = (np.array(group, dtype=np.int64) for group in scaled)
+    if int(edge_cost.sum()) + int(charges.sum()) >= 2**62:
         raise InputError("scaled costs too large for brute force")
 
     free = [i for i in range(n) if i not in (inst.source, inst.sink)]
@@ -480,12 +438,11 @@ def solve_brute_force(inst: CostlyCutInstance | TwoSidedCutInstance) -> CostlyCu
             member[:, node] = (masks >> np.uint64(f - 1 - j)) & np.uint64(1)
         cut = member[:, tails] & ~member[:, heads] if len(tails) else np.zeros((stop - start, 0), dtype=bool)
         values = cut @ edge_cost if len(tails) else np.zeros(stop - start, dtype=np.int64)
-        tail_hit = np.zeros((stop - start, n), dtype=bool)
-        head_hit = np.zeros((stop - start, n), dtype=bool)
+        touched = np.zeros((stop - start, n), dtype=bool)
         for idx in range(len(tails)):
-            np.logical_or(tail_hit[:, tails[idx]], cut[:, idx], out=tail_hit[:, tails[idx]])
-            np.logical_or(head_hit[:, heads[idx]], cut[:, idx], out=head_hit[:, heads[idx]])
-        values = values + tail_hit @ pout + head_hit @ pin
+            np.logical_or(touched[:, tails[idx]], cut[:, idx], out=touched[:, tails[idx]])
+            np.logical_or(touched[:, heads[idx]], cut[:, idx], out=touched[:, heads[idx]])
+        values = values + touched @ charges
         local = int(np.argmin(values))
         if best_val is None or values[local] < best_val:
             best_val = int(values[local])

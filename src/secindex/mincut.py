@@ -19,8 +19,8 @@ side joins it when a search from it closes before meeting the terminal's
 search, and the nodes the terminal does not reach even through positive
 capacities, which need not border the closed side, come from the strongly
 connected components of the graph's positive-capacity edges, built once per
-graph by vectorized trimming and one forward-backward search, with Tarjan's
-algorithm for what those leave. No flow walks the graph to its end, the
+graph by one vectorized forward-backward search, with Tarjan's algorithm
+for the nodes it leaves. No flow walks the graph to its end, the
 first on a graph included. Where the terminal's components cover the
 graph, the cut is carried by the set the other search closed on, its
 other side, so a side nearly as large as the graph is never built. The
@@ -56,17 +56,16 @@ from .errors import CapacityOverflowError, InputError, InvariantError
 # Total capacity must stay inside signed 64-bit range. Python integers do
 # not wrap, but the bound keeps instances portable and is checked up front.
 MAX_TOTAL_CAPACITY = 2**63 - 1
-# ``DiGraph.capacity_components`` leaves a graph of at most this many nodes,
-# and a trimmed graph with at most this many left, to Tarjan's algorithm: a
-# search and Tarjan's algorithm cost about the same on the 354-node
-# auxiliary graph of the bundled 118-bus case.
+# ``DiGraph.capacity_components`` leaves a graph of at most this many nodes
+# to Tarjan's algorithm: a search and Tarjan's algorithm cost about the same
+# on the 354-node auxiliary graph of the bundled 118-bus case.
 TARJAN_NODES = 512
-# Its vectorized trimming and search go on only while they take this many
-# nodes a step on average, past a first TARJAN_NODES. A step (a round or a
-# BFS layer, some ten NumPy calls) costs about what Tarjan's algorithm in
-# Python spends on five to ten nodes; a thinner walk stops and leaves its
-# nodes to Tarjan's algorithm, so a deep graph costs little more than
-# Tarjan's algorithm alone.
+# Its vectorized search goes on only while it takes this many nodes a step
+# on average, past a first TARJAN_NODES. A step (a BFS layer, some ten NumPy
+# calls) costs about what Tarjan's algorithm in Python spends on five to
+# ten nodes; a thinner search stops and leaves its nodes to Tarjan's
+# algorithm, so a deep graph costs little more than Tarjan's algorithm
+# alone.
 STEP_NODES = 32
 # The residual layout turns its rows into Python lists this many nodes at
 # a time (``ResidualLayout.blocks``): a block costs a few NumPy calls, and
@@ -313,48 +312,32 @@ def _offsets(keys, n):
 def _components(layout, positive, tails, heads):
     """Each node's strongly connected component of the positive edges
     ``tails -> heads`` (``positive`` marks them among the graph's edges),
-    numbered from 0, and the count. A graph of at most ``TARJAN_NODES``
-    nodes goes to Tarjan's algorithm in Python at once. On a larger one,
-    trimming comes first, in one pass: a node with no positive edge in or
-    none out among the nodes left is a component of its own, and taking it
-    out lowers its neighbours' counts, which may trim them in turn. If more than
-    ``TARJAN_NODES`` nodes are left, the component of the lowest of them is
-    the set of nodes it reaches that also reach it, found by one search
-    along the edges and their reverses at once (forward-backward reach with
-    trimming, Fleischer, Hendrickson & Pinar, 2000); on the auxiliary graph
-    of a meshed grid, that is every node. Tarjan's algorithm numbers the
-    nodes still left. Trimming and the search are vectorized, a round or a
-    BFS layer per step, so their cost grows with the graph's depth: a chain
-    trims two nodes a round, and a radial network's search takes a layer
-    per bus or two. Each stops once it has taken fewer than ``STEP_NODES``
-    nodes a step (``_thin``); trimming cut short keeps what it took, a
-    search cut short is dropped, and what they would have found is left to
-    Tarjan's algorithm."""
+    numbered from 0, and the count. On a graph of more than
+    ``TARJAN_NODES`` nodes, the component of node 0 is found first, as the
+    set of nodes it reaches that also reach it, by one search along the
+    edges and their reverses at once (forward-backward reach, Fleischer,
+    Hendrickson & Pinar, 2000); on the auxiliary graph of a fully measured
+    grid, that is every node. The search is vectorized, a BFS layer per
+    step, so its cost grows with the graph's depth: a radial network's
+    takes a layer per bus or two. It is dropped once it has taken fewer
+    than ``STEP_NODES`` nodes a step (``_thin``). Tarjan's algorithm in
+    Python numbers the nodes the search has not taken."""
     n = len(layout.ids)
     comp = np.full(n, -1, dtype=np.intp)
     count = 0
     nodes = np.arange(n)
     if n > TARJAN_NODES:
-        rows = _positive_rows(layout, positive)
-        left = np.ones(n, dtype=bool)
-        lone = _trim(rows, left)
-        comp[lone] = np.arange(len(lone))
-        count = len(lone)
-        left[lone] = False
-        if np.count_nonzero(left) > TARJAN_NODES:
-            pivot = int(left.argmax())
-            both = _spread(rows, np.concatenate((left, left)), [pivot, n + pivot])
-            if both is not None:
-                own = both[:n] & both[n:]
-                comp[own] = count
-                count += 1
-                left &= ~own
-        # the positive edges among the nodes left, as local ids
-        nodes = np.flatnonzero(left)
-        inner = left[tails] & left[heads]
-        local = np.empty(n, dtype=np.intp)
-        local[nodes] = np.arange(len(nodes))
-        tails, heads = local[tails[inner]], local[heads[inner]]
+        both = _spread(_positive_rows(layout, positive), [0, n])
+        if both is not None:
+            own = both[:n] & both[n:]
+            comp[own], count = 0, 1
+            left = ~own
+            # the positive edges among the nodes left, as local ids
+            nodes = np.flatnonzero(left)
+            inner = left[tails] & left[heads]
+            local = np.empty(n, dtype=np.intp)
+            local[nodes] = np.arange(len(nodes))
+            tails, heads = local[tails[inner]], local[heads[inner]]
     if len(nodes):
         starts, far = (a.tolist() for a in _rows_by(tails, heads, len(nodes)))
         comp[nodes], count = _tarjan([far[a:b] for a, b in zip(starts, starts[1:])], count)
@@ -395,47 +378,18 @@ def _gather(rows, nodes):
 
 
 def _thin(steps, taken):
-    """Whether a vectorized walk that has made ``steps`` steps and taken
+    """Whether a vectorized search that has made ``steps`` steps and taken
     ``taken`` nodes is to stop: past a first TARJAN_NODES nodes, it took
     fewer than STEP_NODES a step."""
     return steps * STEP_NODES > taken + TARJAN_NODES
 
 
-def _trim(rows, part):
-    """The nodes of the mask ``part`` that trimming takes out, each a
-    component of its own: first every node with no positive edge in or none
-    out within the part, then, a round per step, those whose last such edge
-    went with the round before, until none is left or the rounds turn
-    thin."""
+def _spread(rows, roots):
+    """The nodes that ``roots``, a list of them, reach along the compressed
+    rows ``rows``, as a mask; a BFS that takes one whole layer per step.
+    None if its layers turn thin."""
     starts, far = rows
-    n = len(part)
-    left = np.concatenate((part, part))
-    # degree[u]: u's positive edges out within the part; degree[n + u]: in
-    degree = np.diff(np.concatenate(([0], np.cumsum(left[far])))[starts])
-    layer = np.flatnonzero(part & ((degree[:n] == 0) | (degree[n:] == 0)))
-    out = [layer]
-    steps, taken = 0, len(layer)
-    while len(layer) and not _thin(steps, taken):
-        steps += 1
-        left[layer] = left[layer + n] = False
-        near = _gather(rows, np.concatenate((layer, layer + n)))
-        near = near[left[near]]
-        # a head left loses an edge in, a tail left an edge out
-        lost = np.where(near < n, near + n, near - n)
-        np.subtract.at(degree, lost, 1)
-        layer = np.unique(lost[degree[lost] == 0] % n)
-        out.append(layer)
-        taken += len(layer)
-    return np.concatenate(out)
-
-
-def _spread(rows, allowed, roots):
-    """The nodes of the mask ``allowed`` that ``roots``, a list of them,
-    reach along the compressed rows ``rows`` without leaving ``allowed``,
-    as a mask; a BFS that takes one whole layer per step. None if its
-    layers turn thin."""
-    _, far = rows
-    seen = ~allowed
+    seen = np.zeros(len(starts) - 1, dtype=bool)
     seen[roots] = True
     layer = np.array(roots)
     last = np.empty(len(seen), dtype=np.intp)  # a node's last place in a layer
@@ -451,7 +405,7 @@ def _spread(rows, allowed, roots):
         layer = nxt[last[nxt] == place]
         seen[layer] = True
         taken += len(layer)
-    return seen & allowed
+    return seen
 
 
 def _tarjan(heads_of, count):

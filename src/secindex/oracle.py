@@ -300,15 +300,16 @@ def _proportional(a: np.ndarray, b: np.ndarray) -> bool:
 # Network partition oracle.
 
 
-def _connected_partitions(bus_count: int, endpoints, costs, cap) -> list:
+def _connected_partitions(bus_count: int, endpoints, costs, low, cap) -> list:
     """Every partition of the buses into connected groups whose cut lines
-    cost less than ``cap`` in total, each exactly once, as ``(cost, labels,
-    cut lines)``.
+    cost at least ``low`` and less than ``cap`` in total, each exactly
+    once, as ``(cost, labels, cut lines)``.
 
     The lines taken on the different-group branch are exactly the cut lines
     of the partitions below it, so a branch adds up its cost as it recurses
-    and is pruned once that cost reaches ``cap``. Pruning only drops leaves:
-    the records come in the order of the uncapped enumeration.
+    and is pruned once that cost reaches ``cap``; a leaf below ``low`` is
+    not recorded. Both only drop leaves: the records come in the order of
+    the uncapped enumeration.
 
     Each group keeps two bitmasks of buses at its root: ``members``, and
     ``apart``, the buses of the groups a cut line joins it to, which it may
@@ -341,7 +342,8 @@ def _connected_partitions(bus_count: int, endpoints, costs, cap) -> list:
 
     def rec(i: int, cost):
         if i == len(endpoints):
-            out.append((cost, labels(), tuple(cut)))
+            if cost >= low:
+                out.append((cost, labels(), tuple(cut)))
             return
         u, v = endpoints[i]
         ru, rv = find(u), find(v)
@@ -397,7 +399,7 @@ def _partitions_by_cost(bus_count: int, endpoints, costs, stop):
             if low >= bound:
                 return
             cap = min(cap, bound)
-        band = [r for r in _connected_partitions(bus_count, endpoints, costs, cap) if r[0] >= low]
+        band = _connected_partitions(bus_count, endpoints, costs, low, cap)
         band.sort(key=lambda r: r[:2])
         yield from band
         low = cap

@@ -112,13 +112,11 @@ def layout_rows(g: DiGraph):
 def full_scan_partition_objective(inst, source_side):
     """``evaluate_partition`` by a scan of every edge and every node."""
     cut_edges = full_scan_crossing_edges(inst.edges, source_side)
-    tails = {inst.edges[i][0] for i in cut_edges}
-    heads = {inst.edges[i][1] for i in cut_edges}
+    charged = {inst.edges[i][end] for i in cut_edges for end in (0, 1)}
     objective = sum((inst.edges[i][2] for i in cut_edges), Fraction(0))
     for node in range(inst.node_count):
-        objective += inst.node_costs_out[node] * (node in tails)
-        objective += inst.node_costs_in[node] * (node in heads)
-    return objective, cut_edges, frozenset(tails | heads)
+        objective += inst.node_costs[node] * (node in charged)
+    return objective, cut_edges, frozenset(charged)
 
 
 def full_scan_attack_cost(net, edge_costs, node_costs, dtheta, tol=1e-9):

@@ -11,7 +11,6 @@ from secindex import (
     CostlyCutInstance,
     InputError,
     SizeLimitError,
-    TwoSidedCutInstance,
     build_auxiliary,
     costly_cut,
     dump_auxiliary,
@@ -233,62 +232,6 @@ def test_integral_costs_sum_as_ints_and_rational_ones_exactly():
         assert solve(inst).objective == min(edge, other_edge) + charge
 
 
-def test_two_sided_degenerates_to_single():
-    rng = random.Random(808)
-    for _ in range(30):
-        inst = random_instance(rng, symmetric=False, max_nodes=8)
-        two = TwoSidedCutInstance(
-            node_count=inst.node_count,
-            edges=inst.edges,
-            node_costs_out=inst.node_costs,
-            node_costs_in=inst.node_costs,
-            source=inst.source,
-            sink=inst.sink,
-        )
-        assert solve(two).objective == solve(inst).objective
-
-
-def test_two_sided_in_costs_zero_charges_tails_only():
-    rng = random.Random(909)
-    for _ in range(30):
-        base = random_instance(rng, symmetric=False, max_nodes=7)
-        two = TwoSidedCutInstance(
-            node_count=base.node_count,
-            edges=base.edges,
-            node_costs_out=base.node_costs,
-            node_costs_in=(Fraction(0),) * base.node_count,
-            source=base.source,
-            sink=base.sink,
-        )
-        fast = solve(two)
-        slow = solve_brute_force(two)
-        assert fast.objective == slow.objective
-        # hand recomputation: edges plus tail charges only
-        side = fast.source_side
-        expect = sum(c for (u, v, c) in two.edges if u in side and v not in side)
-        expect += sum(
-            two.node_costs_out[u]
-            for u in side
-            if any(u == a and b not in side for (a, b, _) in two.edges)
-        )
-        assert fast.objective == expect
-
-
-def test_two_sided_random_against_brute_force():
-    rng = random.Random(111)
-    for _ in range(40):
-        base = random_instance(rng, symmetric=False, max_nodes=8)
-        two = TwoSidedCutInstance(
-            node_count=base.node_count,
-            edges=base.edges,
-            node_costs_out=tuple(Fraction(rng.randint(0, 4)) for _ in range(base.node_count)),
-            node_costs_in=tuple(Fraction(rng.randint(0, 4)) for _ in range(base.node_count)),
-            source=base.source,
-            sink=base.sink,
-        )
-        assert solve(two).objective == solve_brute_force(two).objective
-
-
 def test_dump_format():
     inst = CostlyCutInstance(
         node_count=2, edges=((0, 1, Fraction(1)),), node_costs=(Fraction(1), Fraction(2)),
@@ -327,9 +270,10 @@ def test_evaluate_partition_validates_sides():
 
 
 def test_evaluate_partition_matches_the_full_scan():
-    # Both instance flavors, with parallel and zero-cost edges, on sides of
-    # every size: the small side at the source and at the sink, so the
-    # crossing edges are read from either side of the partition.
+    # Instances derived by ``with_terminals`` and built afresh, with
+    # parallel and zero-cost edges, on sides of every size: the small side
+    # at the source and at the sink, so the crossing edges are read from
+    # either side of the partition.
     rng = random.Random(1789)
     walked = set()
     for trial in range(120):
@@ -346,14 +290,14 @@ def test_evaluate_partition_matches_the_full_scan():
 
         family = CostlyCutInstance(node_count=n, edges=tuple(edges), node_costs=charges(),
                                    source=0, sink=1)
-        out_costs, in_costs = charges(), charges()
+        other = charges()
         for _ in range(4):
             s, t = rng.sample(range(n), 2)
             rest = [x for x in range(n) if x not in (s, t)]
             for inst in (
                 family.with_terminals(s, t),
-                TwoSidedCutInstance(node_count=n, edges=tuple(edges), node_costs_out=out_costs,
-                                    node_costs_in=in_costs, source=s, sink=t),
+                CostlyCutInstance(node_count=n, edges=tuple(edges), node_costs=other,
+                                  source=s, sink=t),
             ):
                 for k in (0, len(rest), rng.randint(0, len(rest))):
                     side = {s, *rng.sample(rest, k)}
@@ -419,11 +363,11 @@ def _tuple_auxiliary(inst):
     constructor, in the order ``build_auxiliary`` documents, and the ids of
     its protective edges."""
     n = inst.node_count
-    _, edge_scaled, p_out, p_in = inst.int_costs
-    big = max(p_out + p_in) + 1
+    _, edge_scaled, charges = inst.int_costs
+    big = max(charges) + 1
     edges = []
     for i in range(n):
-        edges += [(n + i, i, p_in[i]), (i, 2 * n + i, p_out[i])]
+        edges += [(n + i, i, charges[i]), (i, 2 * n + i, charges[i])]
     for (u, v, _), c in zip(inst.edges, edge_scaled):
         edges += [(u, v, c), (u, n + v, big), (2 * n + u, v, big)]
     protective = {e for e in range(2 * n, len(edges)) if (e - 2 * n) % 3}
@@ -443,28 +387,20 @@ def _loop_layout(g):
 
 
 def test_array_built_graphs_match_the_tuple_constructor():
-    # Both flavors, rational and zero costs: the auxiliary graph and the
-    # heuristics' graphs, built from arrays, hold the edges, protective ids,
-    # dump and residual layout that edge-by-edge tuples give.
+    # Rational and zero costs: the auxiliary graph and the heuristics'
+    # graphs, built from arrays, hold the edges, protective ids, dump and
+    # residual layout that edge-by-edge tuples give.
     rng = random.Random(1717)
     costs = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(7, 4)]
     for trial in range(60):
         base = random_instance(rng, symmetric=trial % 2 == 0)
         n = base.node_count
         edges = tuple((u, v, rng.choice(costs)) for (u, v, _) in base.edges)
-        if trial % 3 == 0:
-            inst = TwoSidedCutInstance(
-                node_count=n, edges=edges,
-                node_costs_out=tuple(rng.choice(costs) for _ in range(n)),
-                node_costs_in=tuple(rng.choice(costs) for _ in range(n)),
-                source=0, sink=n - 1,
-            )
-        else:
-            inst = CostlyCutInstance(
-                node_count=n, edges=edges,
-                node_costs=tuple(rng.choice(costs) for _ in range(n)),
-                source=0, sink=n - 1,
-            )
+        inst = CostlyCutInstance(
+            node_count=n, edges=edges,
+            node_costs=tuple(rng.choice(costs) for _ in range(n)),
+            source=0, sink=n - 1,
+        )
         aux = build_auxiliary(inst)
         ref, protective = _tuple_auxiliary(inst)
         assert aux.graph.edges == ref.edges, trial
@@ -473,19 +409,18 @@ def test_array_built_graphs_match_the_tuple_constructor():
             f"{line}\n" for line in [str(3 * n)] + [f"{u} {v} {c}" for (u, v, c) in ref.edges]
         )
         assert layout_rows(aux.graph) == layout_rows(ref) == _loop_layout(ref), trial
-        if isinstance(inst, CostlyCutInstance):
-            for fold in (False, True):
-                plain = _plain_graph(inst, fold)
-                folded = [
-                    c + inst.node_costs[u] + inst.node_costs[v] if fold else c
-                    for (u, v, c) in inst.edges
-                ]
-                scale = math.lcm(*(Fraction(c).denominator for c in folded))
-                ref = DiGraph(node_count=n, edges=tuple(
-                    (u, v, int(c * scale)) for (u, v, _), c in zip(inst.edges, folded)
-                ))
-                assert plain.edges == ref.edges, (trial, fold)
-                assert layout_rows(plain) == _loop_layout(ref), (trial, fold)
+        for fold in (False, True):
+            plain = _plain_graph(inst, fold)
+            folded = [
+                c + inst.node_costs[u] + inst.node_costs[v] if fold else c
+                for (u, v, c) in inst.edges
+            ]
+            scale = math.lcm(*(Fraction(c).denominator for c in folded))
+            ref = DiGraph(node_count=n, edges=tuple(
+                (u, v, int(c * scale)) for (u, v, _), c in zip(inst.edges, folded)
+            ))
+            assert plain.edges == ref.edges, (trial, fold)
+            assert layout_rows(plain) == _loop_layout(ref), (trial, fold)
 
 
 def test_instance_from_arrays_checks_like_the_tuple_constructor():

@@ -743,16 +743,22 @@ def _tarjan_classes(g):
     return set(map(frozenset, members))
 
 
-def test_trimming_and_search_components_match_tarjans(monkeypatch):
-    # Small random graphs, and a 640-node graph of 16 rings chained one
-    # way, with trees hanging off them and zero-capacity links back: with
-    # the defaults; with trimming run to its end and the search from the
-    # lowest node left made on any graph; and with both stopped at their
-    # first step, all left to Tarjan's algorithm. Each against Tarjan's
-    # algorithm alone.
+def test_search_and_tarjan_components_match_tarjans(monkeypatch):
+    # Small random graphs; a 640-node graph of 16 rings chained one way,
+    # with trees hanging off them and zero-capacity links back; and a
+    # 600-node graph whose node 0 has only zero-capacity edges out, so the
+    # search takes node 0 alone and Tarjan's algorithm the rest. With the
+    # defaults; with the search from node 0 made on any graph and run to its
+    # end; and with it stopped at its first step, all left to Tarjan's
+    # algorithm. Each against Tarjan's algorithm alone.
     rng = random.Random(31)
     graphs = [random_digraph(rng, nodes=rng.randint(2, 9), edges=rng.randint(1, 20), max_cap=2)
               for _ in range(60)]
+    edges = [(0, v, 0) for v in range(1, 600, 7)] + [(v, 0, 1) for v in range(1, 600)]
+    edges += [(v, v % 50 + 1, 2) for v in range(1, 600)]
+    edges += [(v + d, v + 1 - d, 1) for v in range(51, 599, 2) for d in (0, 1)]
+    lone = DiGraph(node_count=600, edges=tuple(edges))
+    graphs.append(lone)
     edges, size = [], 40
     for base in range(0, 16 * size, size):
         ring = list(range(base, base + size - 8))
@@ -771,6 +777,7 @@ def test_trimming_and_search_components_match_tarjans(monkeypatch):
             assert _component_classes(g)[0] == want
         monkeypatch.undo()
     assert len(want) == 16 * 9
+    assert frozenset({0}) in _tarjan_classes(lone)
 
 
 def _timed(run, repeat=2):
@@ -786,10 +793,10 @@ def _timed(run, repeat=2):
 def test_a_cold_flow_on_a_long_chain_takes_linear_time():
     # A directed chain of 20,000 nodes whose first edge is the cut: the
     # search from the sink stays open, so the first flow builds the
-    # capacity components, every node its own. Trimming takes the chain two
-    # nodes a round; it stops once its rounds turn thin and Tarjan's
-    # algorithm takes the rest, about 0.15 s here, where trimming to the
-    # end, a pass over the edges a round, took 1.4 s.
+    # capacity components, every node its own. The search from node 0 takes
+    # the chain a node a layer; it stops once its layers turn thin and
+    # Tarjan's algorithm takes the whole chain, about 0.2 s on a 2-vCPU
+    # host.
     n = 20000
     caps = np.full(n - 1, 2, dtype=np.int64)
     caps[0] = 1
@@ -808,7 +815,7 @@ def test_attacks_on_a_radial_grid_take_linear_time(tmp_path, capsys):
     # laterals, fully measured: its auxiliary graph is one component a few
     # thousand BFS layers deep, which a search takes a layer at a time. The
     # search stops once its layers turn thin and Tarjan's algorithm takes
-    # the graph, each op about 0.05 s here.
+    # the graph, each op about 0.02 s on a 2-vCPU host.
     rng = random.Random("radial")
     lines = []
     for b in range(1, 2383):

@@ -390,14 +390,18 @@ def test_capped_enumeration_is_the_full_one_filtered_by_cost():
         costs = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(net.line_count)]
         endpoints = [(u, v) for (u, v, _) in net.lines]
         total = sum(costs)
-        full = _connected_partitions(net.bus_count, endpoints, costs, total + 1)
+        full = _connected_partitions(net.bus_count, endpoints, costs, 0, total + 1)
         assert sorted(r[1] for r in full) == sorted(_connected_set_partitions(net))
         for cost, labels, cut in full:
             assert cut == tuple(i for i, (u, v) in enumerate(endpoints) if labels[u] != labels[v])
             assert cost == sum(costs[i] for i in cut)
         for cap in (0, 1, total // 2, total, total + 1, total + 7):
-            capped = _connected_partitions(net.bus_count, endpoints, costs, cap)
+            capped = _connected_partitions(net.bus_count, endpoints, costs, 0, cap)
             assert capped == [r for r in full if r[0] < cap], cap
+        for low, cap in ((1, total + 1), (total // 2, total), (2, 3), (total, total + 1),
+                         (total + 1, total + 7), (3, 1)):
+            banded = _connected_partitions(net.bus_count, endpoints, costs, low, cap)
+            assert banded == [r for r in full if low <= r[0] < cap], (low, cap)
         # the banded scan meets every record once, in (cost, labels) order,
         # and stops short of the cost it is told the scan stops at
         ordered = sorted(full, key=lambda r: r[:2])
@@ -511,6 +515,23 @@ def test_the_desk_scan_builds_and_searches_a_quarter_of_the_partitions(monkeypat
     _solved(_desk_scans(1, range(79)))
     assert made["views"] <= 15941 // 4
     assert made["searches"] <= 31336 // 4
+
+
+def test_the_desk_scan_records_only_the_partitions_of_its_bands(monkeypatch):
+    # Over the first 79 cases of the seed-1 desk stream, the scan's bands
+    # hold 23,498 partitions; the enumerator built 28,228 records when
+    # every band started from cost 0 and the records below it were dropped.
+    built = []
+    enumerate_band = oracle._connected_partitions
+
+    def counted(*args):
+        band = enumerate_band(*args)
+        built.append(len(band))
+        return band
+
+    monkeypatch.setattr(oracle, "_connected_partitions", counted)
+    _solved(_desk_scans(1, range(79)))
+    assert sum(built) == 23498
 
 
 def test_null_of_row_is_an_orthonormal_kernel_of_the_row():
