@@ -28,18 +28,21 @@ cuts are built and validated once per family of instances, on first use,
 and shared with every instance ``with_terminals`` derives. Each is built
 as arrays, block by block in its documented edge order, from the
 instance's endpoint arrays (``ends``) and its scaled costs, and handed to
-``DiGraph.from_arrays``; no per-edge tuple is made. An
-instance built by ``CostlyCutInstance.from_arrays`` starts from such
-arrays and from a cost list already checked, and is itself checked on the
-arrays; it makes its ``edges`` triples, which no solver reads, only on
-first read, once per family. A flow on a shared graph copies only its
-capacities, so a sweep over many terminal pairs pays the graph's set-up
-once. A solution carries the side of the partition its cut carried, the
-source side or the sink side, as the flow found it.
-``evaluate_partition`` rechecks every cut in exact rational arithmetic;
-it finds the crossing edges by a mask of either side over the instance's
-own endpoint arrays, not through any graph a solver cuts, so the recheck
-shares no cut reader with the solvers it checks.
+``DiGraph.from_arrays``; no per-edge tuple is made. Both constructors
+set ``ends`` and the cost list ``costs``: an instance built from edge
+triples computes them from the triples when it is checked, and one built
+by ``CostlyCutInstance.from_arrays`` is given them, together with a cost
+list already checked, and is itself checked on the arrays; it makes its
+``edges`` triples, which no solver reads, only on first read, once per
+family. A flow on a shared graph copies only its capacities, so a sweep
+over many terminal pairs pays the graph's set-up once. A solution carries
+the side of the partition its cut carried, the source side or the sink
+side, as the flow found it, and every solver builds it in one place
+(``_scored``), from ``evaluate_partition``, which rechecks every cut in
+exact rational arithmetic; it finds the crossing edges by a mask of either
+side over the instance's own endpoint arrays, not through any graph a
+solver cuts, so the recheck shares no cut reader with the solvers it
+checks.
 """
 
 from __future__ import annotations
@@ -104,26 +107,6 @@ def _check_terminals(node_count, source, sink):
         raise InputError("source and sink must differ")
 
 
-def _coerced(edges):
-    """Edge triples with int endpoints and ``as_cost`` costs."""
-    return tuple((int(u), int(v), as_cost(c)) for (u, v, c) in edges)
-
-
-def _ends(inst):
-    """The tails and the heads of an instance's edges, as two index arrays.
-    An id outside [0, node_count) reads as -1: it then fits any array and
-    is still out of range when ``_check_structure`` judges it."""
-    n = inst.node_count
-    return tuple(
-        np.fromiter(
-            (e[end] if 0 <= e[end] < n else -1 for e in inst.edges),
-            dtype=np.int64,
-            count=len(inst.edges),
-        )
-        for end in (0, 1)
-    )
-
-
 def _check_structure(inst):
     """Check an instance's node count, terminals, edge node ids and
     self-loops, naming the first offending edge."""
@@ -148,12 +131,6 @@ def _int_costs(inst):
     return (scale, *map(tuple, groups))
 
 
-def _costs(inst):
-    """The edge costs in edge order, read off the edge triples (an
-    instance built from arrays is given them)."""
-    return [c for (_, _, c) in inst.edges]
-
-
 def _end_lists(inst):
     """The tails and the heads of the edges as two lists of ints, made once
     per family, for the loops that read every edge's ends: the folded
@@ -170,10 +147,12 @@ def _edge_triples(inst):
 class CostlyCutInstance:
     """A directed graph with edge costs, per-node charges, and two terminals.
 
-    Construction checks node ids, self-loops, costs and terminals once;
-    ``from_arrays`` builds an instance from index arrays and costs already
-    checked, and makes its ``edges`` triples only if they are read, once
-    for the instance and every instance ``with_terminals`` derives."""
+    Construction checks node ids, self-loops, costs and terminals once,
+    and either constructor leaves the endpoint arrays ``ends`` and the edge
+    costs ``costs`` set: built from ``edges`` triples, the instance derives
+    them from the triples; ``from_arrays`` is given them, with costs
+    already checked, and makes its ``edges`` triples only if they are read,
+    once for the instance and every instance ``with_terminals`` derives."""
 
     node_count: int
     edges: tuple[tuple[int, int, int | Fraction], ...]
@@ -202,8 +181,21 @@ class CostlyCutInstance:
 
     def __post_init__(self):
         if "ends" not in vars(self):  # built from edge triples
-            object.__setattr__(self, "edges", _coerced(self.edges))
-            object.__setattr__(self, "node_costs", tuple(as_cost(p) for p in self.node_costs))
+            edges = tuple((int(u), int(v), as_cost(c)) for (u, v, c) in self.edges)
+            n = self.node_count
+            # An id outside [0, node_count) reads as -1: it then fits any
+            # array and is still out of range when ``_check_structure``
+            # judges it.
+            ends = tuple(
+                np.fromiter((e[end] if 0 <= e[end] < n else -1 for e in edges), np.int64, len(edges))
+                for end in (0, 1)
+            )
+            self.__dict__.update(
+                edges=edges,
+                ends=ends,
+                costs=[c for (_, _, c) in edges],
+                node_costs=tuple(as_cost(p) for p in self.node_costs),
+            )
         if len(self.node_costs) != self.node_count:
             raise InputError(
                 f"expected {self.node_count} node costs, got {len(self.node_costs)}"
@@ -225,8 +217,6 @@ class CostlyCutInstance:
         return edges
 
     int_costs = cached_property(_int_costs)
-    costs = cached_property(_costs)
-    ends = cached_property(_ends)
 
     def with_terminals(self, source: int, sink: int) -> CostlyCutInstance:
         """The same instance between other terminals.
@@ -382,6 +372,22 @@ def evaluate_partition(inst, side, is_sink=False):
     return objective, tuple(cut), charged
 
 
+def _scored(inst, side, is_sink=False) -> CostlyCutSolution:
+    """The partition given by ``side``, its sink side if ``is_sink`` and
+    else its source side, as a solution scored by ``evaluate_partition``:
+    the one place where any solver turns a side into a solution."""
+    side = frozenset(side)
+    objective, cut_edges, charged = evaluate_partition(inst, side, is_sink)
+    return CostlyCutSolution(
+        side=side,
+        is_sink=is_sink,
+        node_count=inst.node_count,
+        objective=objective,
+        cut_edges=cut_edges,
+        charged_nodes=charged,
+    )
+
+
 def solve(inst: CostlyCutInstance) -> CostlyCutSolution:
     """Optimal costly-node cut via a single min cut on the auxiliary graph."""
     aux = build_auxiliary(inst)
@@ -392,19 +398,12 @@ def solve(inst: CostlyCutInstance) -> CostlyCutSolution:
     # v_i = i: the instance's side is the aux side's nodes below n.
     side = frozenset(filter(inst.node_count.__gt__, cut.side))
     cut_value = Fraction(cut.value, inst.int_costs[0])
-    objective, cut_edges, charged = evaluate_partition(inst, side, cut.is_sink)
-    if objective != cut_value:
+    sol = _scored(inst, side, cut.is_sink)
+    if sol.objective != cut_value:
         raise InvariantError(
-            f"partition objective {objective} disagrees with cut value {cut_value}"
+            f"partition objective {sol.objective} disagrees with cut value {cut_value}"
         )
-    return CostlyCutSolution(
-        side=side,
-        is_sink=cut.is_sink,
-        node_count=inst.node_count,
-        objective=objective,
-        cut_edges=cut_edges,
-        charged_nodes=charged,
-    )
+    return sol
 
 
 def solve_brute_force(inst: CostlyCutInstance) -> CostlyCutSolution:
@@ -452,17 +451,10 @@ def solve_brute_force(inst: CostlyCutInstance) -> CostlyCutSolution:
     for j, node in enumerate(free):
         if (best_mask >> (f - 1 - j)) & 1:
             side.add(node)
-    objective, cut_edges, charged = evaluate_partition(inst, side)
-    if objective != Fraction(best_val, scale):
+    sol = _scored(inst, side)
+    if sol.objective != Fraction(best_val, scale):
         raise InvariantError("brute-force objective recomputation mismatch")
-    return CostlyCutSolution(
-        side=frozenset(side),
-        is_sink=False,
-        node_count=n,
-        objective=objective,
-        cut_edges=cut_edges,
-        charged_nodes=charged,
-    )
+    return sol
 
 
 def _partition_from_plain_cut(inst, graph: DiGraph) -> CostlyCutSolution:
@@ -470,20 +462,11 @@ def _partition_from_plain_cut(inst, graph: DiGraph) -> CostlyCutSolution:
     # partitions with very different true costs. Both canonical cuts fall
     # out of one max flow; score each with the node charges added post hoc
     # and keep the cheaper (the minimal source side on a tie).
-    minimal, maximal = min_cut_extremes(graph, inst.source, inst.sink)
-    best = None
-    for cut in (minimal, maximal):
-        objective, cut_edges, charged = evaluate_partition(inst, cut.side, cut.is_sink)
-        if best is None or objective < best.objective:
-            best = CostlyCutSolution(
-                side=cut.side,
-                is_sink=cut.is_sink,
-                node_count=inst.node_count,
-                objective=objective,
-                cut_edges=cut_edges,
-                charged_nodes=charged,
-            )
-    return best
+    minimal, maximal = (
+        _scored(inst, cut.side, cut.is_sink)
+        for cut in min_cut_extremes(graph, inst.source, inst.sink)
+    )
+    return maximal if maximal.objective < minimal.objective else minimal
 
 
 def _plain_graph(inst: CostlyCutInstance, fold: bool) -> DiGraph:

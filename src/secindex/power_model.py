@@ -19,8 +19,11 @@ one vectorized pass, with connectivity decided by union-find over the
 lines; its line triples are built only when read, and the lines at each
 bus come from one stable sort (``PowerNetwork.adjacency``). A placement
 reads a measurement's label by position (``MeasurementPlacement.label``)
-and builds the whole label order only for a caller that reads it whole;
-derived weights come from a ``bincount``.
+and builds ``ordering()``, the one whole label order, only for a caller
+that reads it whole; derived weights come from a ``bincount``. The measurement matrix (``ModelMatrix``) is its term table
+and its row count, built from a placement by ``build_h``; it holds no
+labels. ``estimate`` and ``hat_matrix`` read their normal equations from
+one builder, and ``bdd_residual`` projects on the matrix's SVD basis.
 """
 
 from __future__ import annotations
@@ -291,20 +294,6 @@ class MeasurementPlacement:
         raise InputError(f"measurement ({kind}, {ident}) not in placement")
 
 
-class _Labels:
-    """A placement's labels in the global order, as ``ModelMatrix`` takes
-    them: their count, and the labels themselves only when iterated."""
-
-    def __init__(self, meas: MeasurementPlacement):
-        self.meas = meas
-
-    def __len__(self) -> int:
-        return self.meas.measurement_count
-
-    def __iter__(self):
-        return iter(self.meas.ordering())
-
-
 def full_measurement(net: PowerNetwork) -> MeasurementPlacement:
     """Every line metered at both ends and every injection metered."""
     all_lines = range(net.line_count)
@@ -381,27 +370,21 @@ def _costs(values) -> tuple[int | Fraction, ...]:
 class ModelMatrix:
     """The measurement matrix H, held as the line flows each row sums: term t
     adds ``coeffs[t] * (theta[tails[t]] - theta[heads[t]])`` to row
-    ``rows[t]``, so every row sums to zero term by term. ``labels`` are the
-    rows' (kind, id) in the global order, made into a tuple from the
-    sequence given on first read; ``build_h`` gives its placement's, whose
-    count is known without them. H @ delta_theta and its support come from
-    the terms that read a cut line, and max|H| from the table; the residual
-    guard's columns of H come from the terms at the buses its witness
-    moves, or on a small table from ``entries``, which sum the table's
-    terms per entry. The dense ``h``, and its SVD basis, are built on first
-    read."""
+    ``rows[t]`` of the ``measurement_count`` rows, so every row sums to zero
+    term by term. ``build_h`` is its one builder from a placement, whose
+    ``ordering()`` names the rows; the matrix holds no labels. H @
+    delta_theta and its support come from the terms that read a cut line,
+    and max|H| from the table; the residual guard's columns of H come from
+    the terms at the buses its witness moves, or on a small table from
+    ``entries``, which sum the table's terms per entry. The dense ``h``, and
+    its SVD basis, are built on first read."""
 
-    def __init__(self, labels, bus_count: int, rows, tails, heads, coeffs):
-        self._labels = labels
-        self.measurement_count = len(labels)
+    def __init__(self, measurement_count: int, bus_count: int, rows, tails, heads, coeffs):
+        self.measurement_count = measurement_count
         self.bus_count = bus_count
         self.rows, self.tails, self.heads = np.array([rows, tails, heads], dtype=np.intp)
         self.coeffs = np.asarray(coeffs, dtype=float)
         self._range_basis = None
-
-    @cached_property
-    def labels(self) -> tuple[tuple[str, int], ...]:
-        return tuple(self._labels)
 
     def apply(self, delta_theta) -> tuple[np.ndarray, tuple[int, ...]]:
         """H @ delta_theta and its support: the rows whose terms' sum exceeds
@@ -463,10 +446,15 @@ class ModelMatrix:
         return self._range_basis
 
     @cached_property
-    def svd_basis(self) -> "_SvdBasis":
-        """The SVD basis of the column space of H2, which only
-        :func:`bdd_residual` reads."""
-        return _SvdBasis(self.reduced())
+    def svd_basis(self) -> np.ndarray:
+        """An orthonormal basis of the column space of H2, as columns: the
+        left singular vectors whose singular values exceed max(m, n) * eps
+        times the largest. Only :func:`bdd_residual` reads it."""
+        h2 = self.reduced()
+        if h2.size == 0:
+            return np.zeros((h2.shape[0], 0))
+        u, s, _ = np.linalg.svd(h2, full_matrices=False)
+        return u[:, s > max(h2.shape) * np.finfo(float).eps * s[0]]
 
 
 def _entries(model, at_tail, at_head):
@@ -547,21 +535,6 @@ class _ReducedColumns:
         return delta_z - np.bincount(rows, weights=fit, minlength=self.measurement_count)
 
 
-class _SvdBasis:
-    """Orthonormal basis of the column space of H2 from its SVD."""
-
-    def __init__(self, h2: np.ndarray):
-        if h2.size == 0:
-            self.q = np.zeros((h2.shape[0], 0))
-        else:
-            u, s, _ = np.linalg.svd(h2, full_matrices=False)
-            cutoff = max(h2.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-            self.q = u[:, s > cutoff]
-
-    def residual(self, delta_z: np.ndarray) -> np.ndarray:
-        return delta_z - self.q @ (self.q.T @ delta_z)
-
-
 def build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
     """The measurement matrix of a placement as its table of line-flow terms
     (see :class:`ModelMatrix`): a flow row is +-1/x across its line (negated
@@ -583,7 +556,7 @@ def build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
     order = np.lexsort((line_ids, at))
     order = order[np.isin(at[order], injected)]
     return ModelMatrix(
-        _Labels(meas),
+        meas.measurement_count,
         net.bus_count,
         np.concatenate((np.arange(flows.size), flows.size + np.searchsorted(injected, at[order]))),
         np.concatenate((tails[flows], at[order])),
@@ -596,20 +569,26 @@ def is_observable(model: ModelMatrix) -> bool:
     """Redundant observability: rank stays at bus_count - 1 after deleting
     any single column. Every row sums to zero, so each column is minus the
     sum of the others and deleting any one leaves the same rank: one rank
-    computation, of the reduced matrix at numpy's relative cutoff, decides it."""
+    computation, of the reduced matrix at numpy's relative cutoff, decides it.
+    Each row is first scaled by a power of two that brings its largest entry
+    into [1/2, 1), which leaves the rank as it is, so that one row's extreme
+    reactance does not hide the singular values of the others."""
     if model.measurement_count == 0:
         raise InputError("observability of an empty measurement set is undefined")
-    return np.linalg.matrix_rank(model.reduced()) == model.bus_count - 1
+    h2 = model.reduced()
+    _, exponents = np.frexp(np.abs(h2).max(axis=1, initial=0.0))
+    return np.linalg.matrix_rank(np.ldexp(h2, -exponents[:, None])) == model.bus_count - 1
 
 
-def _estimation_weights(model: ModelMatrix, weights) -> np.ndarray:
-    """The per-measurement weights of a least-squares fit, 1 each by default."""
-    if weights is None:
-        return np.ones(model.measurement_count)
-    w = np.asarray(weights, dtype=float)
+def _normal_equations(model: ModelMatrix, weights):
+    """``(h2, w, h2.T @ W @ h2)`` of a least-squares fit: the reduced
+    matrix, the per-measurement weights (1 each by default) and the normal
+    matrix."""
+    w = np.ones(model.measurement_count) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (model.measurement_count,) or not np.all(w > 0):
         raise InputError("weights must be positive, one per measurement")
-    return w
+    h2 = model.reduced()
+    return h2, w, h2.T @ (w[:, None] * h2)
 
 
 def estimate(model: ModelMatrix, z: np.ndarray, weights: np.ndarray | None = None):
@@ -618,12 +597,10 @@ def estimate(model: ModelMatrix, z: np.ndarray, weights: np.ndarray | None = Non
     Returns (theta_hat, residual) where theta_hat has the reference entry
     pinned to zero. Requires the reduced matrix to have full column rank.
     """
-    h2 = model.reduced()
     z = np.asarray(z, dtype=float)
     if z.shape != (model.measurement_count,):
         raise InputError("measurement vector has wrong length")
-    w = _estimation_weights(model, weights)
-    normal = h2.T @ (w[:, None] * h2)
+    h2, w, normal = _normal_equations(model, weights)
     rhs = h2.T @ (w * z)
     try:
         theta2 = np.linalg.solve(normal, rhs)
@@ -639,9 +616,7 @@ def estimate(model: ModelMatrix, z: np.ndarray, weights: np.ndarray | None = Non
 
 def hat_matrix(model: ModelMatrix, weights: np.ndarray | None = None) -> np.ndarray:
     """Projection from measurements to estimated measurements."""
-    h2 = model.reduced()
-    w = _estimation_weights(model, weights)
-    normal = h2.T @ (w[:, None] * h2)
+    h2, w, normal = _normal_equations(model, weights)
     try:
         inv = np.linalg.inv(normal)
     except np.linalg.LinAlgError as exc:
@@ -653,10 +628,12 @@ def bdd_residual(model: ModelMatrix, delta_z: np.ndarray) -> np.ndarray:
     """Bad-data-detection residual of a measurement corruption under unit
     weights: the component of delta_z outside the model's column space, the
     least-squares residual delta_z - H2 y, by projection onto the model's
-    :attr:`ModelMatrix.svd_basis`, built on first use. It serves any
-    delta_z, at the cost of a dense SVD; an attack from a partition is
-    certified by its witness instead (:func:`attack_from_partition`)."""
-    return model.svd_basis.residual(np.asarray(delta_z, dtype=float))
+    :attr:`ModelMatrix.svd_basis` q, as delta_z - q (q^T delta_z). It
+    serves any delta_z, at the cost of a dense SVD; an attack from a
+    partition is certified by its witness instead
+    (:func:`attack_from_partition`)."""
+    q, delta_z = model.svd_basis, np.asarray(delta_z, dtype=float)
+    return delta_z - q @ (q.T @ delta_z)
 
 
 def residual_tolerance(model: ModelMatrix, delta_theta) -> float:

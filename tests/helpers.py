@@ -152,7 +152,7 @@ def per_label_build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMat
         else:
             u, v, x = net.lines[ident]
             terms.append((r, u, v, 1.0 / x if kind == FLOW_FROM else -1.0 / x))
-    return ModelMatrix(labels, net.bus_count, *(zip(*terms) if terms else [()] * 4))
+    return ModelMatrix(len(labels), net.bus_count, *(zip(*terms) if terms else [()] * 4))
 
 
 def per_row_lines(source, rows, buses):

@@ -427,6 +427,29 @@ def test_verify_at_a_float_range_reactance_ends_without_an_invariant(tmp_path, r
     assert "PASS oracle-sandwich" in out and "PASS oracle-exactness" in out
 
 
+_EVERY = '"measurements": {"flow_from": "all", "flow_to": "all", "injection": "all"}'
+
+
+@pytest.mark.parametrize("buses, lines, code", [
+    (4, "[[1, 2, 1.0], [2, 3, 0.5], [3, 4, 1e-160], [4, 1, 0.25]]", 0),
+    (3, "[[1, 2, 1e300], [2, 3, 1e-300], [3, 1, 0.3]]", 2),
+], ids=["ring", "triangle"])
+def test_observability_is_decided_at_every_row_scale(tmp_path, buses, lines, code):
+    # Every network with every flow and injection metered is observable,
+    # however its reactances spread: on the 4-bus ring (x = 1e-160) verify
+    # passes; on the triangle (x = 1e300 and 1e-300) the observability line
+    # passes, while the partition oracle still stops on its witness.
+    path = tmp_path / "case.json"
+    path.write_text(f'{{"buses": {buses}, "lines": {lines}, {_EVERY}}}')
+    case = parse_native(path)
+    assert power_model.is_observable(power_model.build_h(case.net, case.meas))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["verify", str(path)]) == code
+    assert "PASS observable" in out.getvalue().splitlines()
+    assert "FAIL" not in out.getvalue() and "Traceback" not in err.getvalue()
+
+
 _JUNK_IDS = (0, -1, True, 1.5, "1", None, [1])
 _JUNK_COSTS = (0, 1, 2, 3, "1/2", "3/2", 0.25, -1, "abc", True, None, [1], "1e400", 10**30)
 

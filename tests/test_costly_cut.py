@@ -121,6 +121,11 @@ def test_matches_brute_force_on_random_instances():
         # objectives recompute identically from the partitions
         assert evaluate_partition(inst, fast.source_side)[0] == fast.objective
         assert evaluate_partition(inst, slow.source_side)[0] == slow.objective
+        # every solver's solution is its side's evaluation, field for field
+        for solver in (solve, solve_brute_force, solve_ignore_nodes, solve_fold_nodes):
+            sol = solver(inst)
+            scored = (sol.objective, sol.cut_edges, sol.charged_nodes)
+            assert scored == evaluate_partition(inst, sol.side, sol.is_sink), (trial, solver)
 
 
 def test_no_protective_edge_in_cut():
@@ -426,10 +431,15 @@ def test_array_built_graphs_match_the_tuple_constructor():
 def test_instance_from_arrays_checks_like_the_tuple_constructor():
     tails, heads = np.array([0, 1, 2]), np.array([1, 2, 0])
     inst = CostlyCutInstance.from_arrays(3, tails, heads, [1, Fraction(1, 2), 0], (0, 1, 2), 0, 2)
-    assert inst == CostlyCutInstance(
+    triple = CostlyCutInstance(
         node_count=3, edges=((0, 1, 1), (1, 2, Fraction(1, 2)), (2, 0, 0)),
         node_costs=(0, 1, 2), source=0, sink=2,
     )
+    assert inst == triple
+    # the triple constructor sets the endpoint arrays and the costs itself
+    assert "ends" in vars(triple) and "costs" in vars(triple)
+    assert all(a.tolist() == b.tolist() for a, b in zip(triple.ends, inst.ends))
+    assert triple.costs == inst.costs
     for bad_heads in ([1, 3, 0], [1, 1, 0], [1, 2, -1]):
         edges = tuple(zip(tails.tolist(), bad_heads, [1, 1, 1]))
         with pytest.raises(InputError) as built:

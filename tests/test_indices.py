@@ -546,7 +546,6 @@ def test_an_attack_on_a_grid_makes_only_what_its_searches_visit(seed1_grid, tmp_
 
     monkeypatch.setattr(mincut, "_grow", recorded)
     monkeypatch.setattr(power_model.MeasurementPlacement, "ordering", unread)
-    monkeypatch.setattr(power_model.ModelMatrix, "labels", property(unread))
     out = tmp_path / "attack.csv"
     assert cli.main(["attack", seed1_grid, "--target", "2836", "--out", str(out)]) == 0
     (aux,) = layouts
@@ -647,7 +646,7 @@ def test_the_attack_from_the_cut_equals_the_full_table_bit_for_bit(monkeypatch, 
             reads_cut = np.isin(model.tails, tails[cut_lines]) & np.isin(model.heads, heads[cut_lines])
             reads_cut |= np.isin(model.tails, heads[cut_lines]) & np.isin(model.heads, tails[cut_lines])
             poisoned = power_model.ModelMatrix(
-                range(model.measurement_count), model.bus_count, model.rows, model.tails,
+                model.measurement_count, model.bus_count, model.rows, model.tails,
                 model.heads, np.where(reads_cut, model.coeffs, np.nan),
             )
             got_z, got_support = poisoned.apply(dtheta)
