@@ -58,6 +58,7 @@ from .errors import CapacityOverflowError, InputError, InvariantError, SizeLimit
 from .mincut import (
     MAX_TOTAL_CAPACITY,
     DiGraph,
+    check_node,
     interleave,
     min_cut,
     min_cut_extremes,
@@ -100,20 +101,22 @@ def as_cost(value) -> int | Fraction:
 
 
 def _check_terminals(node_count, source, sink):
-    for name, node in (("source", source), ("sink", sink)):
-        if not (0 <= node < node_count):
-            raise InputError(f"{name} id {node} out of range [0, {node_count})")
+    """The terminals as Python ints, checked: node ids, and distinct."""
+    source = check_node(source, node_count, "source")
+    sink = check_node(sink, node_count, "sink")
     if source == sink:
         raise InputError("source and sink must differ")
+    return source, sink
 
 
 def _check_structure(inst):
     """Check an instance's node count, terminals, edge node ids and
-    self-loops, naming the first offending edge."""
+    self-loops, naming the first offending edge; the terminals are kept as
+    Python ints."""
     n = inst.node_count
     if n < 2:
         raise InputError("instance needs at least source and sink")
-    _check_terminals(n, inst.source, inst.sink)
+    inst.__dict__["source"], inst.__dict__["sink"] = _check_terminals(n, inst.source, inst.sink)
     tails, heads = inst.ends
     outside = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
     failed = outside | (tails == heads)
@@ -131,16 +134,9 @@ def _int_costs(inst):
     return (scale, *map(tuple, groups))
 
 
-def _end_lists(inst):
-    """The tails and the heads of the edges as two lists of ints, made once
-    per family, for the loops that read every edge's ends: the folded
-    heuristic's costs and the ``edges`` triples."""
-    return tuple(nodes.tolist() for nodes in inst.ends)
-
-
 def _edge_triples(inst):
     """The ``edges`` of an instance built from arrays, made once per family."""
-    return tuple(zip(*_shared_graph(inst, _end_lists), inst.costs))
+    return tuple(zip(*(end.tolist() for end in inst.ends), inst.costs))
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,7 @@ class CostlyCutInstance:
                 f"expected {self.node_count} node costs, got {len(self.node_costs)}"
             )
         _check_structure(self)
-        # The graphs cut for this instance and its edge lists, by recipe;
+        # The graphs cut for this instance and its edge triples, by recipe;
         # built on first use and shared with every instance
         # ``with_terminals`` derives, since they do not depend on the
         # terminals.
@@ -223,10 +219,10 @@ class CostlyCutInstance:
 
         The result shares this instance's validated edges and charges, its
         integer scaling, the graphs cut for it (the auxiliary graph and
-        the heuristics' graphs) and its edge lists; only the terminals
+        the heuristics' graphs) and its edge triples; only the terminals
         are checked.
         """
-        _check_terminals(self.node_count, source, sink)
+        source, sink = _check_terminals(self.node_count, source, sink)
         derived = object.__new__(type(self))
         derived.__dict__.update(self.__dict__, source=source, sink=sink, int_costs=self.int_costs)
         return derived
@@ -475,7 +471,7 @@ def _plain_graph(inst: CostlyCutInstance, fold: bool) -> DiGraph:
     costs = inst.costs
     if fold:
         p = inst.node_costs
-        costs = [c + p[u] + p[v] for u, v, c in zip(*_shared_graph(inst, _end_lists), costs)]
+        costs = [c + p[u] + p[v] for u, v, c in zip(*(end.tolist() for end in inst.ends), costs)]
     _, groups = scale_to_int(costs)
     return DiGraph.from_arrays(inst.node_count, *inst.ends, *_capacities(*groups))
 

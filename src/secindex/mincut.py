@@ -33,18 +33,19 @@ triples, and validates them in one vectorized pass that names the first
 offending edge; a graph built from arrays makes its edge triples only if
 they are read. A graph builds its residual layout once, on its first
 flow (``arc_layout``). What is built per graph is a handful of arrays and
-one list of capacities: a stable sort of the arcs by tail (compressed
-sparse rows) and the arcs' heads in that order. What the flow's inner
-loop reads per node, the node's arc tuple and its arcs' heads as Python
-objects, is made the first time a search visits the node, from a block
-of rows turned into lists for a few nodes at once, so a flow that stays
-near its terminals pays for the nodes it reads, not for the graph. Each
-flow copies only the capacity list and runs on the copy, so many flows
-between different terminals share one graph.
+two lists: a stable sort of the arcs by tail (compressed sparse rows), the
+arcs' heads in that order, and, indexed by arc, the capacities and the
+heads as the nodes' one id objects. A node's arc tuple, what the flow's
+inner loop reads per node, is sliced from the sorted arcs the first time
+a search visits the node, so a flow that stays near its terminals makes
+tuples for the nodes it reads, not for the graph. Each flow copies only
+the capacity list and runs on the copy, so many flows between different
+terminals share one graph.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -67,10 +68,6 @@ TARJAN_NODES = 512
 # algorithm, so a deep graph costs little more than Tarjan's algorithm
 # alone.
 STEP_NODES = 32
-# The residual layout turns its rows into Python lists this many nodes at
-# a time (``ResidualLayout.blocks``): a block costs a few NumPy calls, and
-# a node's tuples are then two list slices.
-ROW_BLOCK = 64
 
 
 class ResidualLayout(NamedTuple):
@@ -78,26 +75,21 @@ class ResidualLayout(NamedTuple):
 
     Arrays no flow writes to: ``arcs``, the arc ids stably sorted by tail,
     so that the arcs leaving node u, ascending, are
-    ``arcs[starts[u]:starts[u + 1]]`` (compressed sparse rows); ``heads``,
-    the head of each arc in that order; and ``ids``, an object array
-    holding each node's one id object. Lists: ``cap[a]``, the capacity of
-    arc a before any flow, and what the flow reads per node, made the
-    first time a search reaches the node (``_arcs``): ``adj[u]``, node u's
-    arcs as a tuple, and ``to[a]`` for each of them, the head of arc a as
-    the head's one id object, so that a search's ``seen`` lookups hit on
-    identity. Both hold None until then, so a flow whose searches stay
-    near the terminals makes a handful of entries, not one per node. They
-    are read from ``blocks[k]``, the rows of nodes k * ROW_BLOCK on as
-    Python lists, which is made on first use of one of its nodes."""
+    ``arcs[starts[u]:starts[u + 1]]`` (compressed sparse rows); and
+    ``heads``, the head of each arc in that order. Lists: ``cap[a]``, the
+    capacity of arc a before any flow; ``to[a]``, the head of arc a as the
+    head's one id object, so that a search's ``seen`` lookups hit on
+    identity, made for every arc with the layout; and ``adj[u]``, node u's
+    arcs as a tuple, which holds None until a search first reaches u
+    (``_arcs``), so a flow whose searches stay near the terminals makes a
+    handful of tuples, not one per node."""
 
     adj: list[tuple[int, ...] | None]
-    to: list[int | None]
+    to: list[int]
     cap: list[int]
-    blocks: list[tuple[list[int], list[int], list[int]] | None]
     arcs: np.ndarray
     starts: np.ndarray
     heads: np.ndarray
-    ids: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,10 +106,11 @@ class DiGraph:
     share across threads: the capacity components and the residual
     layout's arcs, heads and capacities are cached where no flow writes to
     them, and each flow works on its own copy of the capacities. The one
-    thing a flow writes is the layout's per-node arc tuple, on the node's
-    first visit; that fill is idempotent, since racing threads build and
-    store equal tuples from the same slice, so a reader sees either None
-    (and builds the tuple itself) or a tuple equal to its own.
+    thing a flow writes is a node's arc tuple in the layout's ``adj``, on
+    the node's first visit; that fill is idempotent, since racing threads
+    build and store equal tuples from the same slice of the arc order, so
+    a reader sees either None (and builds the tuple itself) or a tuple
+    equal to its own.
     """
 
     node_count: int
@@ -199,9 +192,16 @@ class DiGraph:
             pred[b].add(a)
         return tuple(comp.tolist()), members, tuple(map(tuple, succ)), tuple(map(tuple, pred))
 
-    def check_node(self, node: int, what: str = "node") -> None:
-        if not isinstance(node, int) or not (0 <= node < self.node_count):
-            raise InputError(f"{what} id {node!r} out of range [0, {self.node_count})")
+
+def check_node(node, node_count: int, what: str = "node") -> int:
+    """``node`` as a Python int, a NumPy integer included, checked to be a
+    node id below ``node_count``; a bool or a non-integer is refused."""
+    if isinstance(node, (bool, np.bool_)) or not hasattr(node, "__index__"):
+        raise InputError(f"{what} id {node!r} is not an integer")
+    index = operator.index(node)
+    if not 0 <= index < node_count:
+        raise InputError(f"{what} id {index} out of range [0, {node_count})")
+    return index
 
 
 # What an edge that fails each check of ``_first_failure`` is told, in
@@ -287,19 +287,17 @@ def arc_layout(node_count: int, tails, heads, caps) -> ResidualLayout:
     reverse with capacity 0. The arcs are stably sorted by tail, as the
     narrowest unsigned type that holds every node id, which NumPy
     radix-sorts, to the same permutation. See ``ResidualLayout``."""
-    arc_tails = interleave(tails, heads)
+    arc_tails, arc_heads = interleave(tails, heads), interleave(heads, tails)
     cap = [0] * len(arc_tails)
     cap[0::2] = caps.tolist()
     arcs = np.argsort(arc_tails.astype(np.min_scalar_type(node_count)), kind="stable")
     return ResidualLayout(
         adj=[None] * node_count,
-        to=[None] * len(arc_tails),
+        to=np.arange(node_count).astype(object)[arc_heads].tolist(),
         cap=cap,
-        blocks=[None] * -(-node_count // ROW_BLOCK),
         arcs=arcs,
         starts=_offsets(arc_tails, node_count),
-        heads=interleave(heads, tails)[arcs],
-        ids=np.arange(node_count).astype(object),
+        heads=arc_heads[arcs],
     )
 
 
@@ -322,7 +320,7 @@ def _components(layout, positive, tails, heads):
     takes a layer per bus or two. It is dropped once it has taken fewer
     than ``STEP_NODES`` nodes a step (``_thin``). Tarjan's algorithm in
     Python numbers the nodes the search has not taken."""
-    n = len(layout.ids)
+    n = len(layout.adj)
     comp = np.full(n, -1, dtype=np.intp)
     count = 0
     nodes = np.arange(n)
@@ -350,7 +348,7 @@ def _positive_rows(layout, positive):
     the heads of its positive edges, its row n + u, shifted by n, the tails
     of the positive edges into it (the heads of their mirror arcs); both in
     edge order."""
-    n = len(layout.ids)
+    n = len(layout.adj)
     arcs = layout.arcs
     live = positive[arcs >> 1]
     odd = (arcs & 1).astype(bool)
@@ -502,8 +500,7 @@ def cut_value(g: DiGraph, source_side) -> int:
     """Sum of capacities of edges leaving ``source_side``."""
     inside = np.zeros(g.node_count, dtype=bool)
     for node in source_side:
-        g.check_node(node)
-        inside[node] = True
+        inside[check_node(node, g.node_count)] = True
     tails, heads, caps = g.arrays
     return int(caps[inside[tails] & ~inside[heads]].sum())
 
@@ -524,8 +521,8 @@ def _max_flow(g: DiGraph, source: int, sink: int):
     other terminal's from there. A round reads only the nodes its two
     searches visit.
     """
-    g.check_node(source, "source")
-    g.check_node(sink, "sink")
+    source = check_node(source, g.node_count, "source")
+    sink = check_node(sink, g.node_count, "sink")
     if source == sink:
         raise InputError("source and sink must differ")
 
@@ -546,7 +543,7 @@ def _max_flow(g: DiGraph, source: int, sink: int):
                 b_layer, meet = _grow(adj, to, cap, layout, b_layer, bwd, fwd, 1)
         if meet < 0:
             return flow, cap, ((source, fwd, f_layer), (sink, bwd, b_layer))
-        flow += _augment(layout, cap, fwd, bwd, meet)
+        flow += _augment(to, cap, fwd, bwd, meet)
 
 
 def _reach(g: DiGraph, cap, searches, back):
@@ -630,36 +627,13 @@ def _reached_components(links, start):
 
 
 def _arcs(layout, u):
-    """The arcs leaving node u, ascending: ``layout.adj[u]``, made on its
-    first read, with their heads in ``layout.to``, from u's block of rows.
-    The heads are stored first, so whoever finds the arcs finds them;
-    threads that race on a node store equal values. Callers read
-    ``adj[u] or _arcs(layout, u)``, so a node already made costs no call."""
-    out = layout.adj[u]
-    if out is None:
-        k, i = divmod(u, ROW_BLOCK)
-        offsets, arcs, heads = layout.blocks[k] or _block(layout, k)
-        lo, hi = offsets[i], offsets[i + 1]
-        out = tuple(arcs[lo:hi])
-        to = layout.to
-        for e, v in zip(out, heads[lo:hi]):
-            to[e] = v
-        layout.adj[u] = out
+    """The arcs leaving node u, ascending, sliced from the arc order and
+    stored as ``layout.adj[u]``; threads that race on a node store equal
+    tuples. Callers read ``adj[u] or _arcs(layout, u)``, so a node already
+    made costs no call."""
+    starts = layout.starts
+    out = layout.adj[u] = tuple(layout.arcs[starts[u]:starts[u + 1]].tolist())
     return out
-
-
-def _block(layout, k):
-    """Block k of the rows, stored in ``layout.blocks``: each node's start
-    within the block, the arc ids and their heads' id objects, as lists."""
-    first = k * ROW_BLOCK
-    starts = layout.starts[first:first + ROW_BLOCK + 1]
-    lo, hi = starts[0], starts[-1]
-    block = layout.blocks[k] = (
-        (starts - lo).tolist(),
-        layout.arcs[lo:hi].tolist(),
-        layout.ids[layout.heads[lo:hi]].tolist(),
-    )
-    return block
 
 
 def _grow(adj, to, cap, layout, layer, seen, other, back):
@@ -667,11 +641,12 @@ def _grow(adj, to, cap, layout, layer, seen, other, back):
     arc e leaves the layer's node) or backward (``back`` 1: arc e is read
     as the residual arc e ^ 1 into the layer's node). Returns the next
     layer and -1, or, at the first node the ``other`` search has seen, the
-    arc joining the two searches. This is the flow's inner loop: each
-    direction has a loop of its own, which reads the head of an arc with
-    residual capacity once, and it takes the layout's lists one by one,
-    since unpacking the ``ResidualLayout`` record, a tuple subclass, on
-    every call takes the interpreter's generic path."""
+    arc joining the two searches. A node's arc tuple is made on its first
+    visit (``_arcs``). This is the flow's inner loop: each direction has a
+    loop of its own, which reads the head of an arc with residual capacity
+    once, and it takes the layout's lists one by one, since unpacking the
+    ``ResidualLayout`` record, a tuple subclass, on every call takes the
+    interpreter's generic path."""
     nxt = []
     if back:
         for u in layer:
@@ -702,34 +677,24 @@ def _grow(adj, to, cap, layout, layer, seen, other, back):
     return nxt, -1
 
 
-def _augment(layout, cap, fwd, bwd, meet) -> int:
+def _augment(to, cap, fwd, bwd, meet) -> int:
     """Push the bottleneck of the path source -> tail(meet) -> head(meet)
-    -> sink that the two search trees spell out. Each step reads the head
-    of an arc whose mirror's head is known, made if need be (``_head``)."""
-    to = layout.to
+    -> sink that the two search trees spell out, walked by the arcs' heads:
+    forward, the head of an arc's mirror is its tail."""
     path = [meet]
-    a = meet ^ 1
-    e = fwd[_head(layout, a) if to[a] is None else to[a]]
+    e = fwd[to[meet ^ 1]]
     while e >= 0:
         path.append(e)
-        a = e ^ 1
-        e = fwd[_head(layout, a) if to[a] is None else to[a]]
-    e = bwd[_head(layout, meet) if to[meet] is None else to[meet]]
+        e = fwd[to[e ^ 1]]
+    e = bwd[to[meet]]
     while e >= 0:
         path.append(e)
-        e = bwd[_head(layout, e) if to[e] is None else to[e]]
+        e = bwd[to[e]]
     aug = min([cap[e] for e in path])
     for e in path:
         cap[e] -= aug
         cap[e ^ 1] += aug
     return aug
-
-
-def _head(layout, a):
-    """The head of arc a, not yet made, made by making the node a leaves,
-    which is known: the head of a's mirror."""
-    _arcs(layout, layout.to[a ^ 1])
-    return layout.to[a]
 
 
 def crossing_arcs(layout: ResidualLayout, side, is_sink: bool) -> list[int]:

@@ -93,10 +93,10 @@ def full_search_reach(g: DiGraph, cap, root: int, back: int = 0) -> frozenset[in
 def layout_rows(g: DiGraph):
     """``g``'s residual layout as ``(arcs per node, heads, capacities)``,
     every node's arcs read through ``mincut._arcs``, which makes the ones
-    no flow has read yet, with the heads of their arcs. Each node's arcs
-    must equal its compressed row, and so must every arc tuple a flow made
-    before; each arc leaves one node, so then every head is made, each its
-    node's one id object."""
+    no flow has read yet. Each node's arcs must equal its compressed row,
+    and so must every arc tuple a flow made before; the heads, read in arc
+    order, must equal the layout's ``heads``, and equal heads must be one
+    object."""
     layout = g.residual_layout
     made = list(layout.adj)
     rows = tuple(_arcs(layout, u) for u in range(g.node_count))
@@ -105,7 +105,9 @@ def layout_rows(g: DiGraph):
     for u, row in enumerate(rows):
         assert type(row) is tuple and row == tuple(layout.arcs[starts[u]:starts[u + 1]])
         assert made[u] is None or made[u] == row
-    assert all(v is layout.ids[v] for v in layout.to)
+    assert [layout.to[a] for a in layout.arcs.tolist()] == layout.heads.tolist()
+    ids = {}
+    assert all(ids.setdefault(v, v) is v for v in layout.to)
     return rows, tuple(layout.to), tuple(layout.cap)
 
 

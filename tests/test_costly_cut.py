@@ -453,6 +453,32 @@ def test_instance_from_arrays_checks_like_the_tuple_constructor():
                           node_costs=(0, 0, 0), source=0, sink=2)
 
 
+def test_a_terminal_the_instance_accepts_is_one_its_solver_accepts():
+    # A NumPy integer is taken as its Python int, by the instance, by the
+    # instances it derives and by the flow.
+    edges = ((0, 1, 2), (1, 2, 1))
+    plain = CostlyCutInstance(node_count=3, edges=edges, node_costs=(0, 0, 0), source=0, sink=2)
+    inst = CostlyCutInstance(
+        node_count=3, edges=edges, node_costs=(0, 0, 0), source=np.int64(0), sink=2,
+    )
+    assert type(inst.source) is int and inst == plain
+    assert solve(inst) == solve(plain)
+    derived = plain.with_terminals(np.int32(2), np.int64(0))
+    assert (type(derived.source), type(derived.sink)) == (int, int)
+    assert solve(derived) == solve(plain.with_terminals(2, 0))
+    g = DiGraph(node_count=3, edges=edges)
+    assert min_cut(g, np.int64(0), np.int64(2)) == min_cut(g, 0, 2)
+    # A bool or a non-integer is refused, saying so, wherever a terminal
+    # is given.
+    for bad in (True, np.True_, 1.0, "0"):
+        with pytest.raises(InputError, match="source id .* is not an integer"):
+            min_cut(g, bad, 2)
+        with pytest.raises(InputError, match="source id .* is not an integer"):
+            CostlyCutInstance(node_count=3, edges=edges, node_costs=(0, 0, 0), source=bad, sink=2)
+        with pytest.raises(InputError, match="source id .* is not an integer"):
+            plain.with_terminals(bad, 2)
+
+
 @pytest.mark.parametrize("edge_cost, node_cost", [
     (2**64, 0),  # one scaled cost past 64 bits
     (2**62, 2**62),  # each fits, the total does not

@@ -529,8 +529,8 @@ def seed1_grid(tmp_path_factory):
 def test_an_attack_on_a_grid_makes_only_what_its_searches_visit(seed1_grid, tmp_path, monkeypatch):
     # Measurement 2836 of the seed-1 grid is cut locally. The op builds
     # one arc layout, the 7149-node auxiliary graph's; its one flow makes
-    # arc tuples and heads only for nodes a search visited, and nothing
-    # reads the placement's 11,914 labels whole.
+    # arc tuples only for nodes a search visited, and nothing reads the
+    # placement's 11,914 labels whole.
     layouts = _made_layouts(monkeypatch)
     visited = set()
     grow = mincut._grow
@@ -552,8 +552,6 @@ def test_an_attack_on_a_grid_makes_only_what_its_searches_visit(seed1_grid, tmp_
     assert len(aux.adj) == 7149
     made = _made(aux)
     assert 0 < len(made) < 150 and made <= visited
-    headed = {a for a, head in enumerate(aux.to) if head is not None}
-    assert headed == {a for u in made for a in aux.adj[u]}
 
 
 def test_a_cold_flow_with_the_large_source_side_stays_local(seed1_grid, tmp_path, monkeypatch):
