@@ -48,6 +48,7 @@ checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,6 +60,7 @@ from .mincut import (
     MAX_TOTAL_CAPACITY,
     DiGraph,
     check_node,
+    first_failure,
     interleave,
     min_cut,
     min_cut_extremes,
@@ -75,24 +77,26 @@ def as_cost(value) -> int | Fraction:
 
     Accepts int, Fraction, strings like "3/2" or "0.5", and finite floats
     (read as their decimal literal, so 0.1 becomes 1/10): 3, Fraction(6, 2),
-    "6/2" and 3.0 all give the int 3. Integral costs thus add and compare
-    as ints, and a sum promotes to a Fraction exactly when a term is one.
+    "6/2" and 3.0 all give the int 3. A NumPy integer is read as its int
+    and a NumPy floating scalar as its float; a bool is refused. Integral
+    costs thus add and compare as ints, and a sum promotes to a Fraction
+    exactly when a term is one.
     """
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         raise InputError(f"cost must be a number, got {value!r}")
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
             raise InputError(f"cost must be finite, got {value!r}")
-        value = str(value)
+        value = str(float(value))
     if isinstance(value, str):
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse cost {value!r}") from exc
-    if isinstance(value, int):
-        cost = int(value)
-    elif isinstance(value, Fraction):
+    if isinstance(value, Fraction):
         cost = value.numerator if value.denominator == 1 else value
+    elif hasattr(value, "__index__"):
+        cost = operator.index(value)
     else:
         raise InputError(f"cost must be a number, got {value!r}")
     if cost < 0:
@@ -111,20 +115,18 @@ def _check_terminals(node_count, source, sink):
 
 def _check_structure(inst):
     """Check an instance's node count, terminals, edge node ids and
-    self-loops, naming the first offending edge; the terminals are kept as
-    Python ints."""
+    self-loops, naming the first offending edge with its first failing
+    check (``first_failure``); the terminals are kept as Python ints."""
     n = inst.node_count
     if n < 2:
         raise InputError("instance needs at least source and sink")
     inst.__dict__["source"], inst.__dict__["sink"] = _check_terminals(n, inst.source, inst.sink)
-    tails, heads = inst.ends
-    outside = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
-    failed = outside | (tails == heads)
-    if failed.any():
-        idx = int(failed.argmax())
-        if outside[idx]:
-            raise InputError(f"edge {idx}: node id out of range")
-        raise InputError(f"edge {idx}: self-loop at node {int(tails[idx])}")
+    ends = np.stack(inst.ends)
+    failure = first_failure(np.stack((((ends < 0) | (ends >= n)).any(axis=0), ends[0] == ends[1])))
+    if failure is not None:
+        idx, check = failure
+        problem = f"self-loop at node {int(ends[0, idx])}" if check else "node id out of range"
+        raise InputError(f"edge {idx}: {problem}")
 
 
 def _int_costs(inst):

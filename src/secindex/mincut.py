@@ -13,20 +13,19 @@ inclusion-minimal source side over all minimum cuts, so the returned
 partition does not depend on augmentation order or algorithm choice.
 ``min_cut_extremes`` returns that cut and the inclusion-maximal one, whose
 sink side is the set of nodes that still reach the sink, from the same
-flow. Where the search from the other terminal closed first, each of these
-sets is found locally from the closed one: a graph neighbour of the closed
-side joins it when a search from it closes before meeting the terminal's
-search, and the nodes the terminal does not reach even through positive
-capacities, which need not border the closed side, come from the strongly
-connected components of the graph's positive-capacity edges, built once per
-graph by one vectorized forward-backward search, with Tarjan's algorithm
-for the nodes it leaves. No flow walks the graph to its end, the
-first on a graph included. Where the terminal's components cover the
-graph, the cut is carried by the set the other search closed on, its
-other side, so a side nearly as large as the graph is never built. The
-cut's crossing edges are read from the arcs of the side carried
-(``crossing_arcs``), so that step costs time in proportion to that side's
-degree.
+flow. Where the search from the other terminal closed first, the
+terminal reaches no node outside the components its own reaches among the
+strongly connected components of the graph's positive-capacity edges,
+built once per graph by one vectorized forward-backward search, with
+Tarjan's algorithm for the nodes it leaves. If those hold at most half the
+graph's nodes, the terminal's search is run to its end and carried.
+Otherwise the closed set is grown locally, a graph neighbour joining it
+when a search from it closes before meeting the terminal's search, and
+the cut is carried by its other side: that set, with every node of a
+component the terminal does not reach; on a graph whose positive
+capacities join every node, the set alone. The cut's crossing edges are
+read from the arcs of the side carried (``crossing_arcs``), so that step
+costs time in proportion to that side's degree.
 ``DiGraph`` holds its edges as three int64 arrays (tails, heads,
 capacities), given directly (``DiGraph.from_arrays``) or made from edge
 triples, and validates them in one vectorized pass that names the first
@@ -193,12 +192,17 @@ class DiGraph:
         return tuple(comp.tolist()), members, tuple(map(tuple, succ)), tuple(map(tuple, pred))
 
 
+def as_id(value, what: str) -> int:
+    """``value`` as a Python int, a NumPy integer included; a bool or a
+    non-integer is refused as a ``what`` id."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise InputError(f"{what} id {value!r} is not an integer")
+    return operator.index(value)
+
+
 def check_node(node, node_count: int, what: str = "node") -> int:
-    """``node`` as a Python int, a NumPy integer included, checked to be a
-    node id below ``node_count``; a bool or a non-integer is refused."""
-    if isinstance(node, (bool, np.bool_)) or not hasattr(node, "__index__"):
-        raise InputError(f"{what} id {node!r} is not an integer")
-    index = operator.index(node)
+    """``node`` as an id (``as_id``) checked to be below ``node_count``."""
+    index = as_id(node, what)
     if not 0 <= index < node_count:
         raise InputError(f"{what} id {index} out of range [0, {node_count})")
     return index
@@ -555,22 +559,19 @@ def _reach(g: DiGraph, cap, searches, back):
     and the side returned is the one the searches have in hand.
 
     A closed tree is the answer. Otherwise the other search closed, on a
-    set of nodes the tree's root cannot reach, and the rest of that set is
-    found locally (Picard and Queyranne, 1980). Each graph neighbour y of
-    the set so far is tested by a search from y in the other direction
-    that never enters the set, against the tree, which persists across
-    tests and grows a whole layer at a time; the smaller frontier grows.
-    If they meet, the root reaches y and y joins the tree. If y's search
-    closes, all it found joins the set, and their neighbours are tested in
-    turn. If the tree closes first, it is the answer. A node the root
-    reaches only through the positive-capacity graph's other nodes need not
-    border the set, so the answer is the root's reach in that graph
-    (``DiGraph.capacity_components``) less the set. Where that reach is the
-    whole graph, the set is the answer's complement, the cut's other side,
-    and is returned instead: on a graph whose positive capacities join
-    every node, the cut is carried by the set the searches found, not by a
-    side nearly as large as the graph. A closed search has expanded every
-    node it holds, so their arcs are made.
+    set of nodes the root cannot reach, and the root reaches only the
+    components its own reaches in the positive-capacity graph
+    (``DiGraph.capacity_components``). If those hold at most half the
+    graph's nodes, the tree is grown to its end. Else the set grows locally
+    (Picard and Queyranne, 1980): each graph neighbour y of it in a reached
+    component is tested by a search from y in the other direction that
+    never enters the set, against the tree, which persists across tests and
+    grows a layer at a time; the smaller frontier grows. If they meet, y
+    joins the tree; if y's search closes, all it found joins the set, and
+    their neighbours are tested in turn. If the tree closes, it is the
+    answer; if the candidates run out, the cut's other side is: the set,
+    with every node of a component the root cannot reach. A closed search
+    has expanded every node it holds, so their arcs are made.
     """
     root, tree, layer = searches[back]
     other, near, _ = searches[1 - back]
@@ -579,8 +580,12 @@ def _reach(g: DiGraph, cap, searches, back):
         adj, to = layout.adj, layout.to
         comp, members, *links = g.capacity_components
         bound = _reached_components(links[back], comp[root])
+        unreached = list(map(members.__getitem__, set(range(len(members))) - bound))
+        if 2 * sum(map(len, unreached)) >= g.node_count:
+            while layer:
+                layer, _ = _grow(adj, to, cap, layout, layer, tree, (), back)
         region = dict.fromkeys(near, -1)
-        todo = [to[e] for u in near for e in adj[u]]
+        todo = [to[e] for u in near for e in adj[u]] if layer else ()
         while todo and layer:
             y = todo.pop()
             if y in region or y in tree or comp[y] not in bound:
@@ -603,16 +608,10 @@ def _reach(g: DiGraph, cap, searches, back):
                     layer.append(y)
             elif not probe:
                 todo.extend(to[e] for u in found for e in adj[u])
-    whole = bool(layer) and len(bound) == len(members)
-    if whole:
-        side = frozenset(region)
-    elif layer:
-        side = frozenset().union(*map(members.__getitem__, bound)).difference(region)
-    else:
-        side = frozenset(tree)
-    if (other in side) != whole:
+    side = frozenset(region).union(*unreached) if layer else frozenset(tree)
+    if (other in side) != bool(layer):
         raise InvariantError("sink reachable in residual network after max flow")
-    return side, bool(back) != whole
+    return side, bool(back) != bool(layer)
 
 
 def _reached_components(links, start):

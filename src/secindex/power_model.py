@@ -39,7 +39,7 @@ import numpy as np
 
 from .costly_cut import as_cost
 from .errors import EstimationError, InputError, InvariantError
-from .mincut import first_failure, interleave
+from .mincut import as_id, first_failure, interleave
 
 ZERO_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
@@ -230,7 +230,8 @@ class MeasurementPlacement:
     then flow_to rows, then injection rows by ascending bus id; that order
     defines the measurement index used everywhere else. Each id group is
     kept sorted and without repeats; a ``range`` already is, and is taken
-    as it stands.
+    as it stands. Every other id is taken as an integer, a NumPy integer
+    included; a bool or a non-integer is refused, never truncated.
     """
 
     flow_from: tuple[int, ...] = ()
@@ -241,7 +242,7 @@ class MeasurementPlacement:
         for name in ("flow_from", "flow_to", "injection"):
             ids = getattr(self, name)
             if not (isinstance(ids, range) and ids.step > 0):
-                ids = sorted({int(i) for i in ids})
+                ids = sorted({as_id(i, name) for i in ids})
             ids = tuple(ids)
             if ids and ids[0] < 0:
                 raise InputError(f"{name}: negative id")

@@ -220,6 +220,23 @@ def test_as_cost_rejects_what_is_not_a_finite_nonnegative_number(value):
         as_cost(value)
 
 
+@pytest.mark.parametrize(
+    "value, expected",
+    [(np.int64(3), 3), (np.int32(3), 3), (np.uint8(3), 3), (np.float64(3.0), 3),
+     (np.float32(3.0), 3), (np.float64(0.5), Fraction(1, 2)), (np.float32(0.5), Fraction(1, 2))],
+)
+def test_as_cost_reads_a_numpy_scalar_as_its_number(value, expected):
+    # A NumPy integer as its int, a NumPy floating scalar as its float.
+    cost = as_cost(value)
+    assert type(cost) is type(expected) and cost == expected
+
+
+@pytest.mark.parametrize("value", [np.True_, np.False_, np.int64(-1), np.float64("nan"), np.float32("inf")])
+def test_as_cost_rejects_a_numpy_bool_or_a_negative_or_unbounded_scalar(value):
+    with pytest.raises(InputError):
+        as_cost(value)
+
+
 def test_integral_costs_sum_as_ints_and_rational_ones_exactly():
     # Integral costs never enter Fraction arithmetic; one rational cost
     # promotes the sums it enters, exactly.

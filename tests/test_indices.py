@@ -651,3 +651,94 @@ def test_the_attack_from_the_cut_equals_the_full_table_bit_for_bit(monkeypatch, 
             assert got_z.tobytes() == delta_z.tobytes() and got_support == support
             reference_side += 2 * (dtheta == dtheta[0]).sum() < case.net.bus_count
     assert reference_side > 0
+
+
+def _grid_doc(placed):
+    """The benchmark's seed-1 300-bus grid, fully measured or, if
+    ``placed``, with 60 % of each measurement kind placed, drawn from one
+    seeded generator in the order flow_from, flow_to, injection."""
+    doc = benchmark_generate().meshed_grid(1, 300)
+    if placed:
+        rng = random.Random(60)
+        lines, buses = len(doc["lines"]), doc["buses"]
+        doc["measurements"] = {
+            "flow_from": sorted(rng.sample(range(1, lines + 1), int(0.6 * lines))),
+            "flow_to": sorted(rng.sample(range(1, lines + 1), int(0.6 * lines))),
+            "injection": sorted(rng.sample(range(1, buses + 1), int(0.6 * buses))),
+        }
+    return doc
+
+
+def _parsed(doc):
+    return parse_native_text(benchmark_generate().dump(doc).decode())
+
+
+def test_a_partial_grid_sweep_carries_the_smaller_sides(monkeypatch):
+    # The 300-bus grid's partial placement splits the positive-capacity
+    # graphs into many components. A flow whose root's components hold
+    # most of the graph carries the cut's other side, and one whose
+    # components hold at most half finishes the root's search: over one
+    # exact and one ignore-nodes sweep they carry 25,313 + 4,845 nodes.
+    # Carrying the root's components less the closed set instead carries
+    # 145,571 + 98,471 = 244,042; the pin allows a quarter of that.
+    case = _parsed(_grid_doc(True))
+    carried = 0
+    check = mincut._checked_cut
+
+    def counted(g, side, is_sink, flow):
+        nonlocal carried
+        carried += len(side)
+        return check(g, side, is_sink, flow)
+
+    monkeypatch.setattr(mincut, "_checked_cut", counted)
+    for method in ("exact", "ignore-nodes"):
+        index_all(case.net, case.meas, case.weights, method=method)
+    assert 0 < carried <= 244_042 // 4
+
+
+def _by_entry(report):
+    return {(e.kind, e.target): (e.index, e.exact, e.error_bound) for e in report.entries}
+
+
+@pytest.mark.parametrize("placed", [False, True])
+def test_scaling_every_weight_scales_every_index_and_bound(placed):
+    # Every line and bus weight times 3/7 multiplies every index and every
+    # error bound by exactly 3/7 and leaves each entry's exactness as it
+    # was, on the 300-bus grid; the partial placement runs the bound path.
+    case = _parsed(_grid_doc(placed))
+    model = build_h(case.net, case.meas)
+    weights = WeightAssignment.resolve(case.net, case.meas, case.weights)
+    q = Fraction(3, 7)
+    scaled = WeightAssignment(
+        edge_costs=[q * c for c in weights.edge_costs], node_costs=[q * p for p in weights.node_costs]
+    )
+    base = _by_entry(index_all(case.net, case.meas, weights, model=model))
+    got = _by_entry(index_all(case.net, case.meas, scaled, model=model))
+    assert got == {key: (q * h, exact, q * bound) for key, (h, exact, bound) in base.items()}
+    assert any(bound > 0 for _, _, bound in base.values()) == placed
+
+
+@pytest.mark.parametrize("placed", [False, True])
+def test_relabeling_the_grid_changes_no_entry(placed):
+    # Shuffled bus ids and a shuffled line order on the 300-bus grid: each
+    # entry's index, exactness and error bound, matched through the two
+    # permutations, are those of the grid as generated.
+    doc = _grid_doc(placed)
+    rng = random.Random(300)
+    n, m = doc["buses"], len(doc["lines"])
+    bus = list(range(1, n + 1))
+    rng.shuffle(bus)  # bus b is renamed bus[b - 1]
+    order = list(range(m))
+    rng.shuffle(order)  # new line j is old line order[j]
+    line = {old: new for new, old in enumerate(order)}  # 0-based, old -> new
+    moved = {
+        "buses": n,
+        "lines": [[bus[u - 1], bus[v - 1], x] for u, v, x in (doc["lines"][i] for i in order)],
+        "measurements": {
+            kind: ids if ids == "all" else [bus[i - 1] if kind == "injection" else line[i - 1] + 1 for i in ids]
+            for kind, ids in doc["measurements"].items()
+        },
+    }
+    base, got = (_by_entry(index_all(case.net, case.meas)) for case in map(_parsed, (doc, moved)))
+    rename = {"flow_from": line.__getitem__, "flow_to": line.__getitem__, "injection": lambda b: bus[b] - 1}
+    assert got == {(kind, rename[kind](target)): row for (kind, target), row in base.items()}

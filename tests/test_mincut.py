@@ -401,9 +401,10 @@ def test_a_near_whole_source_side_is_carried_by_its_sink_side():
 def test_carried_side_matches_the_full_search_across_capacity_components():
     # Graphs whose positive-capacity edges form several strongly connected
     # components, every ordered pair of terminals, so that a local search
-    # ends each way in both directions: with the tree closed, with the
-    # set found carried as the cut's other side (the root's components
-    # cover the graph), and with the root's components less that set.
+    # ends each way in both directions: with the tree closed (the root's
+    # components hold at most half the nodes, or the tree closed first),
+    # and with the cut's other side carried: the set found, with every
+    # node of a component the root cannot reach.
     rng = random.Random(1729)
     taken = set()
     graphs = 0
@@ -415,7 +416,7 @@ def test_carried_side_matches_the_full_search_across_capacity_components():
         graphs += 1
         pairs = [(s, t) for s in range(nodes) for t in range(nodes) if s != t]
         _check_reach_of_every_flow(g, pairs, taken)
-    assert taken == {(b, k) for b in (0, 1) for k in ("closed", "components", "other side")}
+    assert taken == {(b, k) for b in (0, 1) for k in ("closed", "other side")}
 
 
 def _tree_fed_by_source(depth, fan_out=5):
@@ -522,9 +523,9 @@ def _check_reach_of_every_flow(g, pairs, taken):
     # each carries is the reach itself or the cut's other side, its
     # complement. Then the public extremes of the same flow, which carry
     # the same sides. ``taken`` gathers, per direction, how a local search
-    # ended: with the tree closed, or with the candidates used up and the
-    # root's components less the set found returned, or, where those
-    # components cover the graph, the set found itself.
+    # ended: with the tree closed and carried, or with the cut's other
+    # side carried; a side of the root's own that is not the closed tree
+    # is named "components", an outcome no test expects.
     everything = frozenset(range(g.node_count))
     for s, t in pairs:
         flow, cap, searches = _max_flow(g, s, t)

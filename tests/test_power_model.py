@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -405,6 +406,24 @@ def test_placements_are_sorted_once_and_checked_by_their_extremes():
     ]:
         with pytest.raises(InputError, match=f"^{message}$"):
             check_placement(net, bad)
+
+
+def test_placement_ids_are_integers_never_truncated():
+    # NumPy integers are ids; a float, a bool or a string is refused,
+    # never truncated, with its group and the id.
+    meas = MeasurementPlacement(flow_from=np.array([3, 1, 1]), injection=(np.int32(2),))
+    assert meas == MeasurementPlacement(flow_from=(1, 3), injection=(2,))
+    assert {type(i) for i in meas.flow_from + meas.injection} == {int}
+    for name, bad in [("flow_from", 1.5), ("flow_from", 2.0), ("injection", True),
+                      ("flow_to", np.True_), ("flow_to", "1"), ("injection", np.float64(2.7))]:
+        with pytest.raises(InputError, match=f"^{name} id {re.escape(repr(bad))} is not an integer$"):
+            MeasurementPlacement(**{name: (0, bad)})
+
+
+def test_numpy_integer_weights_are_costs():
+    weights = WeightAssignment(edge_costs=np.array([1, 2, 3]), node_costs=np.array([1, 1, 1]))
+    assert weights == WeightAssignment(edge_costs=(1, 2, 3), node_costs=(1, 1, 1))
+    assert {type(c) for c in weights.edge_costs + weights.node_costs} == {int}
 
 
 def test_weights_keep_nonnegative_ints_and_coerce_the_rest():
