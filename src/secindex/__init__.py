@@ -56,6 +56,7 @@ from .power_model import (
     bdd_residual,
     build_3sat_gadget,
     build_h,
+    cut_lines,
     estimate,
     full_measurement,
     gadget_assignment_dtheta,

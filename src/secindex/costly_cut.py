@@ -39,10 +39,11 @@ over many terminal pairs pays the graph's set-up once. A solution carries
 the side of the partition its cut carried, the source side or the sink
 side, as the flow found it, and every solver builds it in one place
 (``_scored``), from ``evaluate_partition``, which rechecks every cut in
-exact rational arithmetic; it finds the crossing edges by a mask of either
-side over the instance's own endpoint arrays, not through any graph a
-solver cuts, so the recheck shares no cut reader with the solvers it
-checks.
+exact rational arithmetic; it finds the crossing edges by walking the side
+over the instance's own edges by end (given by the caller that builds the
+instance, or sorted once per family), not through any graph a solver
+cuts, so the recheck shares no cut reader with the solvers it checks, and
+reads only the edges at the side.
 """
 
 from __future__ import annotations
@@ -146,11 +147,12 @@ class CostlyCutInstance:
     """A directed graph with edge costs, per-node charges, and two terminals.
 
     Construction checks node ids, self-loops, costs and terminals once,
-    and either constructor leaves the endpoint arrays ``ends`` and the edge
-    costs ``costs`` set: built from ``edges`` triples, the instance derives
-    them from the triples; ``from_arrays`` is given them, with costs
-    already checked, and makes its ``edges`` triples only if they are read,
-    once for the instance and every instance ``with_terminals`` derives."""
+    and either constructor leaves the endpoint arrays ``ends``, the edge
+    costs ``costs`` and the edges by end ``by_end`` (None unless given)
+    set: built from ``edges`` triples, the instance derives them from the
+    triples; ``from_arrays`` is given them, with costs already checked,
+    and makes its ``edges`` triples only if they are read, once for the
+    instance and every instance ``with_terminals`` derives."""
 
     node_count: int
     edges: tuple[tuple[int, int, int | Fraction], ...]
@@ -159,12 +161,16 @@ class CostlyCutInstance:
     sink: int
 
     @classmethod
-    def from_arrays(cls, node_count, tails, heads, costs, node_costs, source, sink):
+    def from_arrays(cls, node_count, tails, heads, costs, node_costs, source, sink, by_end=None):
         """The instance whose edge i runs ``tails[i] -> heads[i]`` at cost
         ``costs[i]``. The costs and charges are kept as given, so they must
         be ``as_cost`` results already, as a ``WeightAssignment``'s are, and
         nothing may write to them or to the arrays; the node ids,
-        self-loops and terminals are checked on the arrays."""
+        self-loops and terminals are checked on the arrays. ``by_end``, for
+        a caller that holds them, is the edges by tail and by head, each as
+        ``(order, starts)``: the edges with that end at node u, ascending,
+        are ``order[starts[u]:starts[u + 1]]``; without it they are sorted
+        on first use (``_EdgesAt``)."""
         inst = cls.__new__(cls)
         inst.__dict__.update(
             node_count=node_count,
@@ -173,6 +179,7 @@ class CostlyCutInstance:
             source=source,
             sink=sink,
             ends=(tails, heads),
+            by_end=by_end,
         )
         inst.__post_init__()
         return inst
@@ -193,16 +200,17 @@ class CostlyCutInstance:
                 ends=ends,
                 costs=[c for (_, _, c) in edges],
                 node_costs=tuple(as_cost(p) for p in self.node_costs),
+                by_end=None,
             )
         if len(self.node_costs) != self.node_count:
             raise InputError(
                 f"expected {self.node_count} node costs, got {len(self.node_costs)}"
             )
         _check_structure(self)
-        # The graphs cut for this instance and its edge triples, by recipe;
-        # built on first use and shared with every instance
-        # ``with_terminals`` derives, since they do not depend on the
-        # terminals.
+        # The graphs cut for this instance, its edges by end and its edge
+        # triples, by recipe; built on first use and shared with every
+        # instance ``with_terminals`` derives, since they do not depend on
+        # the terminals.
         object.__setattr__(self, "_graphs", {})
 
     def __getattr__(self, name):
@@ -221,8 +229,8 @@ class CostlyCutInstance:
 
         The result shares this instance's validated edges and charges, its
         integer scaling, the graphs cut for it (the auxiliary graph and
-        the heuristics' graphs) and its edge triples; only the terminals
-        are checked.
+        the heuristics' graphs), its edges by end and its edge triples;
+        only the terminals are checked.
         """
         source, sink = _check_terminals(self.node_count, source, sink)
         derived = object.__new__(type(self))
@@ -259,15 +267,11 @@ class AuxiliaryGraph:
 
     graph: DiGraph
 
-    def is_big_cost(self, e: int) -> bool:
-        """Whether edge ``e`` is a protective edge."""
-        first = 2 * (self.graph.node_count // 3)
-        return e >= first and (e - first) % 3 != 0
-
     @cached_property
     def big_cost_edges(self) -> frozenset[int]:
         """The ids of the protective edges, built on first read."""
-        return frozenset(filter(self.is_big_cost, range(len(self.graph.arrays[0]))))
+        first, count = 2 * (self.graph.node_count // 3), len(self.graph.arrays[0])
+        return frozenset(range(first + 1, count, 3)) | frozenset(range(first + 2, count, 3))
 
 
 def scale_to_int(*groups):
@@ -342,14 +346,43 @@ def dump_auxiliary(aux: AuxiliaryGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _EdgesAt:
+    """An instance's edges by one of their ends (``end`` 0, the tail, or 1,
+    the head), once per family of instances: the edges with that end at
+    node u, ascending, and their other ends are ``pairs(u)``. The order is
+    the instance's ``by_end`` where it was given, and else one stable sort
+    of the end array, as the narrowest unsigned type, which NumPy
+    radix-sorts; a node's pairs are sliced from it on the node's first
+    read and kept in ``made``."""
+
+    def __init__(self, inst, end):
+        at = inst.ends[end]
+        if inst.by_end is None:
+            order = np.argsort(at.astype(np.min_scalar_type(inst.node_count)), kind="stable")
+            starts = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=inst.node_count))))
+        else:
+            order, starts = inst.by_end[end]
+        self.order, self.far = order, inst.ends[1 - end][order]
+        self.starts = starts.tolist()
+        self.made = [None] * inst.node_count
+
+    def pairs(self, u):
+        first, last = self.starts[u], self.starts[u + 1]
+        out = self.made[u] = (
+            tuple(self.order[first:last].tolist()), tuple(self.far[first:last].tolist())
+        )
+        return out
+
+
 def evaluate_partition(inst, side, is_sink=False):
     """Exact objective of a partition, given by ``side``, its sink side if
     ``is_sink`` and else its source side: crossing edge costs plus one
     charge per node incident to a crossing edge.
 
-    The crossing edges are read by a mask of ``side`` over the instance's
-    endpoint arrays (``ends``), as ``mincut.cut_value`` reads a graph's,
-    and their costs and their endpoints' charges are summed exactly from
+    The crossing edges are found by walking ``side`` over the instance's
+    own endpoint arrays (``_EdgesAt``): the edges that leave a source
+    side's nodes, or enter a sink side's, whose other end lies off the
+    side. Their costs and their endpoints' charges are summed exactly from
     the instance's own cost lists."""
     side = frozenset(side)
     n = inst.node_count
@@ -359,12 +392,13 @@ def evaluate_partition(inst, side, is_sink=False):
     low, high = min(side), max(side)
     if low < 0 or high >= n:
         raise InputError(f"node id {low if low < 0 else high} out of range")
-    inside = np.full(n, is_sink)
-    inside[np.fromiter(side, dtype=np.int64, count=len(side))] = not is_sink
-    tails, heads = inst.ends
-    cut = np.flatnonzero(inside[tails] & ~inside[heads])
-    charged = frozenset(tails[cut].tolist() + heads[cut].tolist())
-    cut = cut.tolist()
+    edges = _shared_graph(inst, _EdgesAt, int(is_sink))
+    made = edges.made
+    crossing = {
+        e: (u, v) for u in side for e, v in zip(*made[u] or edges.pairs(u)) if v not in side
+    }
+    cut = sorted(crossing)
+    charged = frozenset(v for ends in crossing.values() for v in ends)
     costs, charges = inst.costs, inst.node_costs
     objective = sum([costs[e] for e in cut]) + sum([charges[v] for v in charged])
     return objective, tuple(cut), charged
@@ -390,12 +424,14 @@ def solve(inst: CostlyCutInstance) -> CostlyCutSolution:
     """Optimal costly-node cut via a single min cut on the auxiliary graph."""
     aux = build_auxiliary(inst)
     cut = min_cut(aux.graph, inst.source, inst.sink)
-    for e in cut.cut_edges:
-        if aux.is_big_cost(e):
-            raise InvariantError("a protective big-cost edge appeared in the minimum cut")
+    # From edge 2n on, every edge but the first of each three is protective.
+    first = 2 * inst.node_count
+    if any(e >= first and (e - first) % 3 for e in cut.cut_edges):
+        raise InvariantError("a protective big-cost edge appeared in the minimum cut")
     # v_i = i: the instance's side is the aux side's nodes below n.
     side = frozenset(filter(inst.node_count.__gt__, cut.side))
-    cut_value = Fraction(cut.value, inst.int_costs[0])
+    scale = inst.int_costs[0]
+    cut_value = cut.value if scale == 1 else Fraction(cut.value, scale)
     sol = _scored(inst, side, cut.is_sink)
     if sol.objective != cut_value:
         raise InvariantError(

@@ -93,7 +93,8 @@ def cut_instance_for_line(
     pays the cost once); unmetered lines stay in the graph with cost zero
     because cutting them still charges their endpoints. The instance is
     built from the network's endpoint arrays and the weights' costs, which
-    ``WeightAssignment`` has already checked.
+    ``WeightAssignment`` has already checked, and takes its edges by end
+    from the network's ends by bus.
     """
     if not (0 <= line < net.line_count):
         raise InputError(f"line id {line} out of range")
@@ -101,6 +102,10 @@ def cut_instance_for_line(
     tails, heads = net.endpoints
     costs = [0] * (2 * net.line_count)
     costs[0::2] = costs[1::2] = weights.edge_costs
+    # Edge 2i leaves line i's end 2i and edge 2i + 1 its end 2i + 1, so the
+    # ends by bus are the edges by tail, and each end's mirror the edges
+    # by head.
+    ends, starts = net.ends_by_bus
     return CostlyCutInstance.from_arrays(
         node_count=net.bus_count,
         tails=interleave(tails, heads),
@@ -109,6 +114,7 @@ def cut_instance_for_line(
         node_costs=weights.node_costs,
         source=int(tails[line]),
         sink=int(heads[line]),
+        by_end=((ends, starts), (ends ^ 1, starts)),
     )
 
 
@@ -168,6 +174,8 @@ class _Engine:
         else:
             self.exact, self.reason, self.bound = False, "heuristic method", None
         self._line_cache: dict[int, tuple[int | Fraction, AttackVector]] = {}
+        self._lines_at: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * net.bus_count
+        self._attacks: dict[tuple[frozenset[int], bool], tuple[AttackVector, int | Fraction]] = {}
         self._instance: CostlyCutInstance | None = None
 
     def cut_instance(self, line: int) -> CostlyCutInstance:
@@ -180,27 +188,58 @@ class _Engine:
         tails, heads, _ = self.net.columns
         return self._instance.with_terminals(tails[line], heads[line])
 
+    def leaving(self, side) -> list[int]:
+        """The lines with exactly one end in ``side``, ascending: the lines
+        at the side's buses whose other end lies off it."""
+        made = self._lines_at
+        return sorted(
+            line for bus in side for line, other in zip(*made[bus] or self._lines_of(bus))
+            if other not in side
+        )
+
+    def _lines_of(self, bus: int):
+        """The lines at ``bus`` (``PowerNetwork.incident_lines``) and their
+        other ends, kept in ``_lines_at`` from the bus's first read."""
+        tails, heads, _ = self.net.columns
+        lines = self.net.incident_lines(bus)
+        out = self._lines_at[bus] = lines, tuple([tails[line] + heads[line] - bus for line in lines])
+        return out
+
     def line_value(self, line: int):
-        """Index value and attack for separating the endpoints of a line."""
+        """Index value and attack for separating the endpoints of a line.
+        Lines whose cuts carry the same side share one attack
+        (``attack_of``)."""
         hit = self._line_cache.get(line)
         if hit is not None:
             return hit
         inst = self.cut_instance(line)
         sol = getattr(costly_cut, _SOLVERS[self.method])(inst)
-        # 1.0 on the source side, 0.0 on the sink side, set from the side
-        # the solution carries
-        dtheta = np.full(self.net.bus_count, float(sol.is_sink))
-        dtheta[list(sol.side)] = float(not sol.is_sink)
-        attack = attack_from_partition(self.net, self.meas, dtheta, model=self.model)
-        structural = attack_cost(
-            self.net, self.weights.edge_costs, self.weights.node_costs, dtheta
-        )
+        key = (sol.side, sol.is_sink)
+        made = self._attacks.get(key)
+        if made is None:
+            made = self._attacks[key] = self.attack_of(sol.side, sol.is_sink)
+        attack, structural = made
         if structural != sol.objective:
             raise InvariantError(
                 f"cut objective {sol.objective} disagrees with attack cost {structural}"
             )
         self._line_cache[line] = (sol.objective, attack)
         return self._line_cache[line]
+
+    def attack_of(self, side, is_sink: bool):
+        """The attack of the partition given by ``side``, its sink side if
+        ``is_sink`` and else its source side, and its structural cost. The
+        cut lines are found once, from the side (``leaving``), and the
+        attack and its cost check read only them."""
+        cut = self.leaving(side)
+        # 1.0 on the source side, 0.0 on the sink side
+        dtheta = np.full(self.net.bus_count, float(is_sink))
+        dtheta[list(side)] = float(not is_sink)
+        attack = attack_from_partition(self.net, self.meas, dtheta, model=self.model, cut=cut)
+        structural = attack_cost(
+            self.net, self.weights.edge_costs, self.weights.node_costs, dtheta, cut
+        )
+        return attack, structural
 
     def node_value(self, bus: int):
         """Minimum over the bus's incident lines of the edge-constrained

@@ -61,6 +61,7 @@ from .power_model import (
     WeightAssignment,
     build_h,
     check_placement,
+    cut_lines,
 )
 
 ROW_LIMIT = 40
@@ -685,19 +686,20 @@ def oracle_continuous_network(
     return results
 
 
-def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta) -> int | Fraction:
+def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta, cut=None) -> int | Fraction:
     """Structural objective of an angle perturbation: the costs of the cut
     lines (endpoint angles differ) plus the charges of buses with nonzero net
     injection shift. An injection counts as nonzero when it exceeds ``ZERO_TOL``
     times the summed magnitudes of its line terms, so the decision does not
     depend on the scale of the reactances; for a 0/1 shift, whose cut lines
-    at a bus never cancel, it is exactly "the bus meets a cut line". Only
-    the cut lines and their endpoints are visited; every other bus has no
-    injection shift."""
+    at a bus never cancel, it is exactly "the bus meets a cut line". ``cut``
+    lists the cut lines, ascending; without it they are found by
+    ``cut_lines``. Only the cut lines and the angles at their endpoints are
+    read; every other bus has no injection shift."""
     theta = np.asarray(dtheta, dtype=float)
-    tails, heads = net.endpoints
-    cut = np.flatnonzero(theta[tails] - theta[heads]).tolist()
-    theta = theta.tolist()
+    if cut is None:
+        cut = cut_lines(net, theta)
+    angle = theta.item
     tails, heads, reactances = net.columns
     total = 0
     inj = {}
@@ -705,7 +707,7 @@ def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta) -> int | Frac
     for ln in cut:
         u, v, x = tails[ln], heads[ln], reactances[ln]
         total += edge_costs[ln]
-        flow = (theta[u] - theta[v]) / x
+        flow = (angle(u) - angle(v)) / x
         inj[u] = inj.get(u, 0.0) + flow
         inj[v] = inj.get(v, 0.0) - flow
         mag[u] = mag.get(u, 0.0) + abs(flow)
@@ -718,13 +720,22 @@ def attack_cost(net: PowerNetwork, edge_costs, node_costs, dtheta) -> int | Frac
 
 def _verified_result(net, model, edge_costs, node_costs, optimum, dtheta) -> OracleResult:
     """The result of witness ``dtheta``, whose exact cost, an int when it is
-    integral, must equal ``optimum``."""
-    recomputed = attack_cost(net, edge_costs, node_costs, dtheta)
+    integral, must equal ``optimum``. Its cut lines are read from
+    ``dtheta`` as given, and its cost and support from ``dtheta`` scaled by
+    a power of two to below 1/2 in every entry: the scaling is exact (an
+    entry could only lose bits below the normal range) and keeps every flow
+    of the witness, an angle difference below 1 over a reactance whose
+    reciprocal is finite, inside the float range. The result carries the
+    witness unscaled."""
+    cut = cut_lines(net, dtheta)
+    _, exponent = np.frexp(np.abs(dtheta).max(initial=0.0))
+    scaled = np.ldexp(dtheta, -exponent - 1)
+    recomputed = attack_cost(net, edge_costs, node_costs, scaled, cut)
     if recomputed != optimum:
         raise InvariantError(
             f"witness objective {recomputed} disagrees with combinatorial optimum {optimum}"
         )
-    return OracleResult(optimum=recomputed, witness=dtheta, support=model.apply(dtheta)[1])
+    return OracleResult(optimum=recomputed, witness=dtheta, support=model.apply(scaled, cut)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,12 @@ bus come from one stable sort (``PowerNetwork.adjacency``). A placement
 reads a measurement's label by position (``MeasurementPlacement.label``)
 and builds ``ordering()``, the one whole label order, only for a caller
 that reads it whole; derived weights come from a ``bincount``. The measurement matrix (``ModelMatrix``) is its term table
-and its row count, built from a placement by ``build_h``; it holds no
-labels. ``estimate`` and ``hat_matrix`` read their normal equations from
-one builder, and ``bdd_residual`` projects on the matrix's SVD basis.
+and its row count, built from a placement by ``build_h``, with the terms
+of each line and the lines at each bus as indexes; it holds no labels. An
+attack reads only the terms of its cut lines and of the lines at the buses
+its witness moves; ``cut_lines`` finds the cut lines of a dense shift.
+``estimate`` and ``hat_matrix`` read their normal equations from one
+builder, and ``bdd_residual`` projects on the matrix's SVD basis.
 """
 
 from __future__ import annotations
@@ -133,14 +136,22 @@ class PowerNetwork:
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """``(lines, starts)``, the lines by bus: the ids of the lines at
         bus b, ascending and parallel lines each listed, are
-        ``lines[starts[b]:starts[b + 1]]``. Built by one stable sort of the
-        lines' ends (line i's from bus, then its to bus, for each i in
-        turn), as the narrowest unsigned type, which NumPy radix-sorts."""
+        ``lines[starts[b]:starts[b + 1]]``, read off ``ends_by_bus``."""
+        ends, starts = self.ends_by_bus
+        return ends >> 1, starts
+
+    @cached_property
+    def ends_by_bus(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ends, starts)``, the lines' ends by bus, end 2i being line i's
+        from bus and end 2i + 1 its to bus: the ends at bus b, ascending,
+        are ``ends[starts[b]:starts[b + 1]]``. Built by one stable sort of
+        the ends' buses, as the narrowest unsigned type, which NumPy
+        radix-sorts."""
         tails, heads, _ = self.arrays
         at = interleave(tails, heads)
         order = np.argsort(at.astype(np.min_scalar_type(self.bus_count)), kind="stable")
         ends = np.cumsum(np.bincount(at, minlength=self.bus_count))
-        return order >> 1, np.concatenate(([0], ends))
+        return order, np.concatenate(([0], ends))
 
     def _connected(self) -> bool:
         """Whether every bus is linked to bus 0. Each bus points at a bus of
@@ -373,37 +384,73 @@ class ModelMatrix:
     adds ``coeffs[t] * (theta[tails[t]] - theta[heads[t]])`` to row
     ``rows[t]`` of the ``measurement_count`` rows, so every row sums to zero
     term by term. ``build_h`` is its one builder from a placement, whose
-    ``ordering()`` names the rows; the matrix holds no labels. H @
-    delta_theta and its support come from the terms that read a cut line,
-    and max|H| from the table; the residual guard's columns of H come from
-    the terms at the buses its witness moves, or on a small table from
-    ``entries``, which sum the table's terms per entry. The dense ``h``, and
-    its SVD basis, are built on first read."""
+    ``ordering()`` names the rows; the matrix holds no labels. Two indexes
+    let a shift read only the terms near its cut: ``by_line`` (lines x 4)
+    holds the ids of the terms that read each line, in four slots (its
+    flow_from row, its flow_to row, and the injection terms at its from bus
+    and at its to bus), -1 where the line has no such term; ``adjacency``
+    is the network's lines by bus (``PowerNetwork.adjacency``). H @
+    delta_theta and its support come from the terms of the cut lines, and
+    max|H| from the table; the residual guard's columns of H come from the
+    terms of the lines at the buses its witness moves, or on a small table
+    from ``entries``, which sum the table's terms per entry. The dense
+    ``h``, and its SVD basis, are built on first read."""
 
-    def __init__(self, measurement_count: int, bus_count: int, rows, tails, heads, coeffs):
+    def __init__(self, measurement_count: int, bus_count: int, rows, tails, heads, coeffs,
+                 by_line, adjacency):
         self.measurement_count = measurement_count
         self.bus_count = bus_count
         self.rows, self.tails, self.heads = np.array([rows, tails, heads], dtype=np.intp)
         self.coeffs = np.asarray(coeffs, dtype=float)
+        self.by_line = np.asarray(by_line, dtype=np.intp)
+        self.adjacency = adjacency
+        self._line_terms = [None] * len(self.by_line)
         self._range_basis = None
 
-    def apply(self, delta_theta) -> tuple[np.ndarray, tuple[int, ...]]:
-        """H @ delta_theta and its support: the rows whose terms' sum exceeds
-        ZERO_TOL times the sum of their magnitudes, whatever the reactances'
-        scale. Only the terms whose two buses the shift moves apart are
-        summed, in table order, since every other term adds an exact zero.
-        For a 0/1 shift these are the terms that read a cut line, and their
-        rows are the support, as the cut lines at a bus all pull one way;
-        every other row is exactly 0."""
-        dtheta = np.asarray(delta_theta, dtype=float)
-        shift = dtheta[self.tails] - dtheta[self.heads]
-        across = shift.nonzero()[0]
-        flows = self.coeffs[across] * shift[across]
-        rows = self.rows[across]
-        m = self.measurement_count
-        delta_z = np.bincount(rows, weights=flows, minlength=m)
-        magnitude = np.bincount(rows, weights=np.abs(flows), minlength=m)
-        return delta_z, tuple((np.abs(delta_z) > ZERO_TOL * magnitude).nonzero()[0].tolist())
+    def apply(self, delta_theta, cut) -> tuple[np.ndarray, tuple[int, ...]]:
+        """H @ delta_theta and its support, ``cut`` being the lines whose two
+        buses the shift moves apart (``cut_lines``), ascending. Only their
+        terms are summed, since every other term adds an exact zero, and in
+        table order: a row's terms read distinct lines in ascending order
+        in every table ``build_h`` makes, so walking the cut lines in order
+        meets each row's terms in table order, and each row's sum is the
+        whole table's, bit for bit. The support is the rows whose sum
+        exceeds ZERO_TOL times the sum of their terms' magnitudes, whatever
+        the reactances' scale; for a 0/1 shift that is every row of those
+        terms, as the cut lines at a bus all pull one way."""
+        made, theta = self._line_terms, np.asarray(delta_theta, dtype=float).item
+        sums = {}
+        for line in cut:
+            tail, head, rows, coeffs = made[line] or self._terms_of(line)
+            shift = theta(tail) - theta(head)
+            for r, c in zip(rows, coeffs):
+                flow = c * shift
+                if r in sums:
+                    z, size = sums[r]
+                    sums[r] = z + flow, size + abs(flow)
+                else:
+                    sums[r] = 0.0 + flow, abs(flow)
+        delta_z = np.zeros(self.measurement_count)
+        for r, (z, _) in sums.items():
+            delta_z[r] = z
+        return delta_z, tuple(sorted(r for r, (z, size) in sums.items() if abs(z) > ZERO_TOL * size))
+
+    def _terms_of(self, line):
+        """``(tail, head, rows, coeffs)`` of ``line``: the tail and head of
+        its first term, and the row and coefficient of each of its terms
+        (``by_line``), the coefficient negated where the term runs from
+        ``head`` to ``tail``. A term's flow is then its coefficient here
+        times theta[tail] - theta[head], bit for bit, since negating a
+        difference or a product is exact. Kept in ``_line_terms`` from the
+        line's first read."""
+        row, tail_of, coeff = self.rows.item, self.tails.item, self.coeffs.item
+        ids = [t for t in self.by_line[line].tolist() if t >= 0]
+        tail, head = (tail_of(ids[0]), self.heads.item(ids[0])) if ids else (0, 0)
+        out = self._line_terms[line] = (
+            tail, head, tuple(map(row, ids)),
+            tuple([coeff(t) if tail_of(t) == tail else -coeff(t) for t in ids]),
+        )
+        return out
 
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -438,8 +485,9 @@ class ModelMatrix:
         """The residual guard's view of the column space of the reduced
         matrix H2, made once per model, with no factorization: the columns
         a fit reads come from ``entries`` without the reference column, or
-        on a large table from the terms at the buses the witness moves
-        (``_ReducedColumns``, which holds the arrays it reads). An attack
+        on a large table from the terms of the lines at the buses the
+        witness moves (``_ReducedColumns``, which holds the arrays and
+        indexes it reads). An attack
         H @ dtheta is certified by its own witness y = dtheta[1:] - dtheta[0]
         (see :func:`attack_from_partition`)."""
         if self._range_basis is None:
@@ -492,26 +540,43 @@ LOCAL_FIT_TERMS = 4096
 
 
 class _Terms(NamedTuple):
-    """A term table as ``_entries`` reads it (see :class:`ModelMatrix`)."""
+    """A term table as ``_entries`` and ``_terms_at`` read it (see
+    :class:`ModelMatrix`)."""
 
     rows: np.ndarray
     tails: np.ndarray
     heads: np.ndarray
     coeffs: np.ndarray
     bus_count: int
+    by_line: np.ndarray
+    adjacency: tuple[np.ndarray, np.ndarray]
+
+
+def _terms_at(table, buses):
+    """The ids of the terms whose tail, and of those whose head, is one of
+    ``buses`` (ascending, no repeats), each ascending: the terms of the
+    lines at those buses (``adjacency``, then ``by_line``) whose tail, or
+    head, is the bus the line was met at. A term reads one line, whose two
+    ends are its tail and its head, so it is met once at each."""
+    counts, met = _runs(*table.adjacency, buses)
+    ids = table.by_line[met]
+    real, at = ids >= 0, np.repeat(buses, counts)[:, None]
+    return np.sort(ids[real & (table.tails[ids] == at)]), np.sort(ids[real & (table.heads[ids] == at)])
 
 
 class _ReducedColumns:
     """The columns of H2 as the residual guard reads them: on a table of
-    more than ``LOCAL_FIT_TERMS`` terms, the table, from which each fit sums
-    the columns its witness moves; on a smaller one, H2's nonzeros, read
-    from the model's ``entries``. The view holds arrays, not the model."""
+    more than ``LOCAL_FIT_TERMS`` terms, the table with its indexes, from
+    which each fit sums the columns its witness moves; on a smaller one,
+    H2's nonzeros, read from the model's ``entries``. The view holds
+    arrays, not the model."""
 
     def __init__(self, model: ModelMatrix):
         self.measurement_count = model.measurement_count
         self.terms = self.nonzeros = None
         if len(model.rows) > LOCAL_FIT_TERMS:
-            self.terms = _Terms(model.rows, model.tails, model.heads, model.coeffs, model.bus_count)
+            self.terms = _Terms(model.rows, model.tails, model.heads, model.coeffs,
+                                model.bus_count, model.by_line, model.adjacency)
         else:
             rows, cols, vals = model.entries
             keep = cols > 0
@@ -519,16 +584,13 @@ class _ReducedColumns:
 
     def residual(self, delta_z: np.ndarray, y: np.ndarray) -> np.ndarray:
         """delta_z - H2 y. From the table, only the columns where y is not 0
-        are read, their entries summed from the terms at those buses; every
-        column left out adds an exact zero to each row, so the result is
-        bit for bit that of the whole product."""
+        are read, their entries summed from the terms at those buses
+        (``_terms_at``); every column left out adds an exact zero to each
+        row, so the result is bit for bit that of the whole product."""
         terms = self.terms
         if terms is not None:
             shift = np.concatenate(([0.0], y))
-            moved = shift != 0.0
-            rows, cols, vals = _entries(
-                terms, moved[terms.tails].nonzero()[0], moved[terms.heads].nonzero()[0]
-            )
+            rows, cols, vals = _entries(terms, *_terms_at(terms, np.flatnonzero(shift)))
             fit = vals * shift[cols]
         else:
             rows, cols, vals = self.nonzeros
@@ -542,7 +604,8 @@ def build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
     for the incoming end), an injection row a weighted Laplacian row, one
     term per incident line from the bus to the line's other end, by
     ascending line id. The table is built from index arrays, row by row in
-    the global measurement order.
+    the global measurement order; the injection terms are the metered
+    buses' runs of the network's lines by bus (``PowerNetwork.adjacency``).
     """
     check_placement(net, meas)
     tails, heads = net.endpoints
@@ -550,20 +613,35 @@ def build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
     flows = np.array(meas.flow_from + meas.flow_to, dtype=np.intp)
     sign = np.repeat([1.0, -1.0], [len(meas.flow_from), len(meas.flow_to)])
     injected = np.array(meas.injection, dtype=np.intp)
-    # Every line at its from bus, then at its to bus; the metered buses'
-    # incidences, by (bus, line id), are the injection terms.
-    at, far = np.concatenate((tails, heads)), np.concatenate((heads, tails))
-    line_ids = np.tile(np.arange(net.line_count), 2)
-    order = np.lexsort((line_ids, at))
-    order = order[np.isin(at[order], injected)]
+    counts, met = _runs(*net.adjacency, injected)
+    at = np.repeat(injected, counts)
+    # The terms of each line by slot: its flow_from row, its flow_to row,
+    # and its injection terms at its from bus and at its to bus.
+    by_line = np.full((net.line_count, 4), -1, dtype=np.intp)
+    metered = len(meas.flow_from)
+    by_line[flows[:metered], 0] = np.arange(metered)
+    by_line[flows[metered:], 1] = np.arange(metered, flows.size)
+    by_line[met, 2 + (at != tails[met])] = flows.size + np.arange(met.size)
     return ModelMatrix(
         meas.measurement_count,
         net.bus_count,
-        np.concatenate((np.arange(flows.size), flows.size + np.searchsorted(injected, at[order]))),
-        np.concatenate((tails[flows], at[order])),
-        np.concatenate((heads[flows], far[order])),
-        np.concatenate((sign * susceptance[flows], susceptance[line_ids[order]])),
+        np.concatenate((np.arange(flows.size), flows.size + np.repeat(np.arange(injected.size), counts))),
+        np.concatenate((tails[flows], at)),
+        np.concatenate((heads[flows], tails[met] + heads[met] - at)),
+        np.concatenate((sign * susceptance[flows], susceptance[met])),
+        by_line,
+        net.adjacency,
     )
+
+
+def _runs(lines, starts, buses):
+    """``(counts, met)``: the runs ``lines[starts[b]:starts[b + 1]]`` of a
+    lines-by-bus index for each of ``buses`` in turn, as one array ``met``,
+    and the length of each run."""
+    counts = starts[buses + 1] - starts[buses]
+    ends = np.cumsum(counts)
+    positions = np.repeat(starts[buses] + counts - ends, counts) + np.arange(int(counts.sum()))
+    return counts, lines[positions]
 
 
 def is_observable(model: ModelMatrix) -> bool:
@@ -656,32 +734,46 @@ class AttackVector:
     residual_inf: float
 
 
+def cut_lines(net: PowerNetwork, delta_theta) -> list[int]:
+    """The lines whose two buses ``delta_theta`` moves apart, ascending:
+    one vectorized pass over the lines, for a caller that holds the shift
+    as a dense vector rather than as a side of a cut."""
+    theta = np.asarray(delta_theta, dtype=float)
+    tails, heads = net.endpoints
+    return np.flatnonzero(theta[tails] - theta[heads]).tolist()
+
+
 def attack_from_partition(
     net: PowerNetwork,
     meas: MeasurementPlacement,
     delta_theta,
     model: ModelMatrix | None = None,
+    cut=None,
 ) -> AttackVector:
     """Turn a binary bus partition into a verified unobservable attack.
 
-    The attack's delta_z = H @ dtheta lies in the column space of the
-    reduced matrix H2 by construction, with the witness y = dtheta[1:] -
-    dtheta[0], since every row of H sums to zero. ``residual_inf`` is the
-    2-norm of delta_z - H2 y, with delta_z from the terms that read a cut
-    line (``ModelMatrix.apply``) and H2 y from the columns the witness moves
-    (``ModelMatrix.range_basis``), scattered into a vector of every row
-    before the norm; it bounds the max-norm of the least-squares residual
-    from above, and is 0 up to rounding. It exceeding ``residual_tolerance``
-    signals an internal bug, so it raises InvariantError.
+    ``cut`` lists the lines the partition cuts, ascending; without it they
+    are found by ``cut_lines``. The attack's delta_z = H @ dtheta lies in
+    the column space of the reduced matrix H2 by construction, with the
+    witness y = dtheta[1:] - dtheta[0], since every row of H sums to zero.
+    ``residual_inf`` is the 2-norm of delta_z - H2 y, with delta_z from the
+    terms of the cut lines (``ModelMatrix.apply``) and H2 y from the
+    columns the witness moves (``ModelMatrix.range_basis``), scattered into
+    a vector of every row before the norm; it bounds the max-norm of the
+    least-squares residual from above, and is 0 up to rounding. It
+    exceeding ``residual_tolerance`` signals an internal bug, so it raises
+    InvariantError.
     """
     dtheta = np.asarray(delta_theta, dtype=float)
     if dtheta.shape != (net.bus_count,):
         raise InputError("delta_theta must have one entry per bus")
-    if not np.all((dtheta == 0.0) | (dtheta == 1.0)):
+    if not ((dtheta == 0.0) | (dtheta == 1.0)).all():
         raise InputError("delta_theta must be a 0/1 vector")
     if model is None:
         model = build_h(net, meas)
-    delta_z, support = model.apply(dtheta)
+    if cut is None:
+        cut = cut_lines(net, dtheta)
+    delta_z, support = model.apply(dtheta, cut)
     witness = dtheta[1:] - dtheta[0]
     residual = model.range_basis().residual(delta_z, witness)
     with np.errstate(over="ignore"):

@@ -147,14 +147,19 @@ def per_label_build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMat
     reference for the table built from index arrays."""
     labels = meas.ordering()
     terms = []
+    by_line = [[-1] * 4 for _ in range(net.line_count)]
     for r, (kind, ident) in enumerate(labels):
         if kind == INJECTION:
-            for u, v, x in (net.lines[i] for i in net.incident_lines(ident)):
+            for i in net.incident_lines(ident):
+                u, v, x = net.lines[i]
+                by_line[i][2 if u == ident else 3] = len(terms)
                 terms.append((r, ident, v if u == ident else u, 1.0 / x))
         else:
             u, v, x = net.lines[ident]
+            by_line[ident][0 if kind == FLOW_FROM else 1] = len(terms)
             terms.append((r, u, v, 1.0 / x if kind == FLOW_FROM else -1.0 / x))
-    return ModelMatrix(len(labels), net.bus_count, *(zip(*terms) if terms else [()] * 4))
+    columns = zip(*terms) if terms else [()] * 4
+    return ModelMatrix(len(labels), net.bus_count, *columns, by_line, net.adjacency)
 
 
 def per_row_lines(source, rows, buses):

@@ -10,6 +10,7 @@ from helpers import full_scan_partition_objective, layout_rows
 from secindex import (
     CostlyCutInstance,
     InputError,
+    InvariantError,
     SizeLimitError,
     build_auxiliary,
     costly_cut,
@@ -135,6 +136,26 @@ def test_no_protective_edge_in_cut():
         aux = build_auxiliary(inst)
         cut = min_cut(aux.graph, inst.source, inst.sink)
         assert not (set(cut.cut_edges) & aux.big_cost_edges)
+
+
+def test_solve_refuses_a_cut_through_a_protective_edge(monkeypatch):
+    # ``solve`` tests each crossing edge's id against the tripled layout
+    # with no call per edge. A minimum cut that is made to cross any one
+    # protective edge is refused; one made to cross a cost or charge edge
+    # instead passes that test, the side and value being the true ones.
+    rng = random.Random(31)
+    for _ in range(6):
+        inst = random_instance(rng, symmetric=False, max_nodes=6)
+        aux = build_auxiliary(inst)
+        true = min_cut(aux.graph, inst.source, inst.sink)
+        for e in range(len(aux.graph.arrays[0])):
+            crossing = dataclasses.replace(true, cut_edges=(e,))
+            monkeypatch.setattr(costly_cut, "min_cut", lambda *_: crossing)
+            if e in aux.big_cost_edges:
+                with pytest.raises(InvariantError, match="protective big-cost edge"):
+                    solve(inst)
+            else:
+                assert solve(inst).objective == Fraction(true.value, inst.int_costs[0])
 
 
 def test_symmetric_source_sink_swap():

@@ -30,6 +30,7 @@ from secindex import (
 from secindex import cli, costly_cut, mincut, power_model
 from secindex.caseio import parse_matpower_subset, parse_native, parse_native_text
 from secindex.cases import path as case_path
+from secindex import indices as indices_module
 from secindex.indices import _SOLVERS, METHODS, _Engine, cut_instance_for_line
 from secindex.oracle import attack_cost
 
@@ -645,9 +646,10 @@ def test_the_attack_from_the_cut_equals_the_full_table_bit_for_bit(monkeypatch, 
             reads_cut |= np.isin(model.tails, heads[cut_lines]) & np.isin(model.heads, tails[cut_lines])
             poisoned = power_model.ModelMatrix(
                 model.measurement_count, model.bus_count, model.rows, model.tails,
-                model.heads, np.where(reads_cut, model.coeffs, np.nan),
+                model.heads, np.where(reads_cut, model.coeffs, np.nan), model.by_line,
+                model.adjacency,
             )
-            got_z, got_support = poisoned.apply(dtheta)
+            got_z, got_support = poisoned.apply(dtheta, cut_lines)
             assert got_z.tobytes() == delta_z.tobytes() and got_support == support
             reference_side += 2 * (dtheta == dtheta[0]).sum() < case.net.bus_count
     assert reference_side > 0
@@ -742,3 +744,140 @@ def test_relabeling_the_grid_changes_no_entry(placed):
     base, got = (_by_entry(index_all(case.net, case.meas)) for case in map(_parsed, (doc, moved)))
     rename = {"flow_from": line.__getitem__, "flow_to": line.__getitem__, "injection": lambda b: bus[b] - 1}
     assert got == {(kind, rename[kind](target)): row for (kind, target), row in base.items()}
+
+def _report_rows(report):
+    return [
+        (e.kind, e.target, e.index, e.exact, e.error_bound, e.attack.support) for e in report.entries
+    ]
+
+
+@pytest.mark.parametrize("placed", [False, True])
+def test_rescaling_the_reactances_changes_no_entry(placed):
+    # Each reactance of the 300-bus grid times 10**U(-3, 3), drawn from a
+    # seeded generator (reactances then span about 1e-5 to 500): under full
+    # measurement and under the partial placement, no entry's index,
+    # exactness, error bound or attack support changes, and every attack
+    # passes its witness guard again.
+    doc = _grid_doc(placed)
+    rng = random.Random(1003)
+    rescaled = dict(doc, lines=[[u, v, x * 10 ** rng.uniform(-3, 3)] for u, v, x in doc["lines"]])
+    base, got = (_report_rows(index_all(c.net, c.meas)) for c in map(_parsed, (doc, rescaled)))
+    assert got == base
+
+
+def _far_poisoned(engine, inst, side):
+    """Copies of ``engine``'s network, weights and model and of the line
+    instance ``inst`` in which everything of a line with no end in ``side``
+    (its endpoints, reactance, cost and terms) and of a bus off ``side`` and
+    off its neighbours (its charge) is spoiled: ids far out of range, and
+    None or NaN for values. The indexes built once per network, model and
+    instance family (lines by bus, terms by line, instance edges by end)
+    are taken from the clean objects, as a sweep builds them once."""
+    net, model = engine.net, engine.model
+    tails, heads, x = (np.array(a) for a in net.arrays)
+    near_lines = np.zeros(net.line_count, dtype=bool)
+    for bus in side:
+        near_lines[list(net.incident_lines(bus))] = True
+    near_buses = np.zeros(net.bus_count, dtype=bool)
+    near_buses[tails[near_lines]] = near_buses[heads[near_lines]] = True
+    far = ~near_lines
+    spoiled = net.bus_count + 10**6
+    tails[far], heads[far], x[far] = spoiled, spoiled, np.nan
+    poisoned_net = dataclasses.replace(net)
+    poisoned_net.__dict__.update(
+        arrays=(tails, heads, x),
+        endpoints=(tails, heads),
+        columns=tuple(np.where(far, None, a).tolist() for a in (tails, heads, x)),
+        adjacency=net.adjacency,
+    )
+    costs = [None if f else c for f, c in zip(far.tolist(), engine.weights.edge_costs)]
+    charges = [c if n else None for n, c in zip(near_buses.tolist(), engine.weights.node_costs)]
+    far_terms = np.ones(len(model.rows), dtype=bool)
+    for line in np.flatnonzero(near_lines):
+        slots = model.by_line[line]
+        far_terms[slots[slots >= 0]] = False
+    rows, t_tails, t_heads = model.rows.copy(), model.tails.copy(), model.heads.copy()
+    rows[far_terms] = model.measurement_count + 10**6
+    t_tails[far_terms] = t_heads[far_terms] = spoiled
+    poisoned_model = power_model.ModelMatrix(
+        model.measurement_count, model.bus_count, rows, t_tails, t_heads,
+        np.where(far_terms, np.nan, model.coeffs), model.by_line, model.adjacency,
+    )
+    poisoned_model.max_abs_entry = model.max_abs_entry
+    ends = [end.copy() for end in inst.ends]
+    far_edges = np.repeat(far, 2)
+    ends[0][far_edges] = ends[1][far_edges] = spoiled
+    poisoned_inst = inst.with_terminals(inst.source, inst.sink)
+    poisoned_inst.__dict__.update(
+        ends=tuple(ends),
+        costs=[None if f else c for f, c in zip(far_edges.tolist(), inst.costs)],
+        node_costs=tuple(charges),
+    )
+    return poisoned_net, costs, charges, poisoned_model, poisoned_inst
+
+
+@pytest.mark.parametrize("placed", [False, True])
+def test_a_lines_attack_cost_check_and_score_read_only_its_cut(monkeypatch, placed):
+    # On the 300-bus grid, for lines whose carried side holds no reference
+    # bus (bus 0, so the witness moves that side), everything of the lines
+    # that meet no bus of the side, and the charges of the buses beyond its
+    # neighbours, is spoiled (``_far_poisoned``). The line's cut lines
+    # (``_Engine.leaving``), its attack with the witness guard on the local
+    # fit, its cost check and its partition score, read again from the
+    # spoiled copies, equal the clean ones. A whole-case scan reads the
+    # spoiled endpoints and fails.
+    monkeypatch.setattr(power_model, "LOCAL_FIT_TERMS", 0)
+    case = _parsed(_grid_doc(placed))
+    engine = _Engine(case.net, case.meas, case.weights, "exact")
+    checked = 0
+    for line in range(0, case.net.line_count, 7):
+        inst = engine.cut_instance(line)
+        sol = costly_cut.solve(inst)
+        if 0 in sol.side:
+            continue
+        cut = engine.leaving(sol.side)
+        dtheta = np.full(case.net.bus_count, float(sol.is_sink))
+        dtheta[list(sol.side)] = float(not sol.is_sink)
+        attack = power_model.attack_from_partition(
+            case.net, case.meas, dtheta, model=engine.model, cut=cut
+        )
+        net, costs, charges, model, spoiled_inst = _far_poisoned(engine, inst, sol.side)
+        local = object.__new__(_Engine)
+        local.__dict__.update(engine.__dict__, net=net, _lines_at=[None] * net.bus_count)
+        assert local.leaving(sol.side) == cut
+        got = power_model.attack_from_partition(net, case.meas, dtheta, model=model, cut=cut)
+        assert got.delta_z.tobytes() == attack.delta_z.tobytes()
+        assert got.support == attack.support and got.residual_inf == attack.residual_inf
+        assert attack_cost(net, costs, charges, dtheta, cut) == sol.objective
+        score = costly_cut.evaluate_partition(spoiled_inst, sol.side, sol.is_sink)
+        assert score == (sol.objective, sol.cut_edges, sol.charged_nodes)
+        checked += 1
+    assert checked >= 20
+
+
+def test_lines_whose_cuts_carry_one_side_share_one_attack(monkeypatch):
+    # On the bundled 118-bus case, 186 line cuts carry 154 distinct sides:
+    # the engine builds one attack, and one cost check, per distinct side
+    # and cut direction, and gives every line of it the same attack.
+    case = parse_matpower_subset(case_path("ieee118.m"))
+    sides, built = [], []
+    solve = costly_cut.solve
+    attack = power_model.attack_from_partition
+
+    def solved(inst):
+        sol = solve(inst)
+        sides.append((sol.side, sol.is_sink))
+        return sol
+
+    def counted(*args, **kwargs):
+        built.append(attack(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(costly_cut, "solve", solved)
+    monkeypatch.setattr(indices_module, "attack_from_partition", counted)
+    engine = _Engine(case.net, case.meas, case.weights, "exact")
+    attacks = [engine.line_value(line)[1] for line in range(case.net.line_count)]
+    assert len(sides) == case.net.line_count and len(built) == len(set(sides)) < len(sides)
+    by_side = {}
+    for key, got in zip(sides, attacks):
+        assert by_side.setdefault(key, got) is got

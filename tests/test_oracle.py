@@ -257,6 +257,27 @@ def test_network_oracle_witnesses_hit_their_targets():
             assert abs(model.h[k] @ witness - 1.0) < 1e-6
 
 
+def test_network_oracle_answers_reactances_at_both_ends_of_the_float_range():
+    # The triangle with reactances 1e300, 1e-300 and 0.3 under full
+    # measurement (fuzz defect 5). A witness that spans 1e300 to 2e300 has
+    # a flow over the 1e-300 line past the float range; its cost and
+    # support are read from it scaled below 1/2, so every target's optimum
+    # is the cut pipeline's exact index, and each witness comes back at the
+    # scale that hits its target.
+    net = PowerNetwork(bus_count=3, lines=((0, 1, 1e300), (1, 2, 1e-300), (2, 0, 0.3)))
+    meas = full_measurement(net)
+    res = oracle_continuous_network(
+        net, meas, edge_targets=range(net.line_count), node_targets=range(net.bus_count)
+    )
+    for e in index_all(net, meas).entries:
+        key = ("node", e.target) if e.kind == "injection" else ("edge", e.target)
+        assert res[key].optimum == e.index, key
+    assert max(np.abs(r.witness).max() for r in res.values()) >= 1e300
+    for line, (u, v, x) in enumerate(net.lines):
+        witness = res[("edge", line)].witness
+        assert abs((witness[u] - witness[v]) / x - 1.0) < 1e-6
+
+
 def test_attack_cost_matches_the_full_scan():
     # 0/1 shifts, continuous shifts with equal angles at both ends of some
     # lines, and the partition oracle's witnesses, whose injections cancel,

@@ -33,7 +33,7 @@ from secindex import cli, power_model
 from secindex.caseio import CaseFile, emit_native, parse_native
 from secindex.cases import path as case_path
 from secindex.oracle import attack_cost
-from secindex.power_model import RESIDUAL_TOL, check_placement, residual_tolerance
+from secindex.power_model import RESIDUAL_TOL, check_placement, cut_lines, residual_tolerance
 
 # The published 4-bus worked example: reduced measurement matrix and the
 # unit-weight hat matrix, rows ordered injection@1, flow 1->2 (outgoing),
@@ -78,6 +78,8 @@ def worked_model_published_order() -> ModelMatrix:
         model.tails,
         model.heads,
         model.coeffs,
+        model.by_line,
+        model.adjacency,
     )
 
 
@@ -145,7 +147,7 @@ def test_build_h_table_equals_the_per_label_loop():
         for meas in placements:
             model, reference = build_h(net, meas), per_label_build_h(net, meas)
             assert model.measurement_count == reference.measurement_count
-            for name in ("rows", "tails", "heads", "coeffs"):
+            for name in ("rows", "tails", "heads", "coeffs", "by_line"):
                 got, want = getattr(model, name), getattr(reference, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
@@ -631,8 +633,8 @@ def test_residual_guard_rejects_a_corruption_outside_the_column_space(monkeypatc
         attack_from_partition(net, meas, dtheta, model=model)
         shift = _svd_residual(model, nrng.standard_normal(model.measurement_count))
         shift *= 1e3 * residual_tolerance(model, dtheta) / np.abs(shift).max()
-        delta_z, support = model.apply(dtheta)
-        monkeypatch.setattr(model, "apply", lambda _: (delta_z + shift, support))
+        delta_z, support = model.apply(dtheta, cut_lines(net, dtheta))
+        monkeypatch.setattr(model, "apply", lambda *_: (delta_z + shift, support))
         with pytest.raises(InvariantError, match="attack residual"):
             attack_from_partition(net, meas, dtheta, model=model)
         monkeypatch.undo()
@@ -689,11 +691,11 @@ def test_residual_guard_sees_a_corruption_the_size_of_the_attack_below_unit_scal
     model = build_h(net, meas)
     dtheta = np.array([1.0, 0.0, 0.0])
     attack_from_partition(net, meas, dtheta, model=model)
-    delta_z, support = model.apply(dtheta)
+    delta_z, support = model.apply(dtheta, cut_lines(net, dtheta))
     flipped = delta_z.copy()
     flipped[0] = -flipped[0]
     assert np.abs(bdd_residual(model, flipped)).max() < RESIDUAL_TOL
-    monkeypatch.setattr(model, "apply", lambda _: (flipped, support))
+    monkeypatch.setattr(model, "apply", lambda *_: (flipped, support))
     with pytest.raises(InvariantError, match="attack residual"):
         attack_from_partition(net, meas, dtheta, model=model)
 
