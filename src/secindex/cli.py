@@ -24,7 +24,6 @@ from . import caseio, costly_cut, indices, oracle
 from .errors import InputError, InvariantError, SizeLimitError
 from .power_model import (
     ZERO_TOL,
-    WeightAssignment,
     bdd_residual,
     build_3sat_gadget,
     build_h,
@@ -239,13 +238,16 @@ def _cmd_verify(args) -> int:
     if meas.measurement_count:
         report("observable", is_observable(model))
 
-    # Each attack is certified by its witness residual, which
+    # The three methods' reports come from one case state, which builds
+    # each distinct attack once. Each attack is certified by its witness residual, which
     # ``attack_from_partition`` has already held to the residual guard's
     # bound; at desk scale, where the oracles run too, its least-squares
-    # residual must pass that bound as well.
+    # residual must pass that bound as well, checked once per distinct
+    # attack.
     desk = net.bus_count <= args.max_size and net.line_count <= oracle.PARTITION_LINE_LIMIT
-    exact_report = indices.index_all(net, meas, case.weights, model=model)
-    attacks = [e.attack for e in exact_report.entries]
+    state = indices._Case(net, meas, case.weights, model)
+    exact_report = state.report(indices.METHOD_EXACT)
+    attacks = list({id(e.attack): e.attack for e in exact_report.entries}.values())
     residual = max((a.residual_inf for a in attacks), default=0.0)
     passed = not desk or all(
         np.abs(bdd_residual(model, a.delta_z)).max(initial=0.0)
@@ -256,7 +258,7 @@ def _cmd_verify(args) -> int:
 
     for name, method in (("ignore-nodes", indices.METHOD_IGNORE_NODES),
                          ("fold-nodes", indices.METHOD_FOLD_NODES)):
-        heur = indices.index_all(net, meas, case.weights, method=method, model=model)
+        heur = state.report(method)
         passed = all(
             h.index >= e.index for h, e in zip(heur.entries, exact_report.entries)
         )
@@ -271,7 +273,7 @@ def _cmd_verify(args) -> int:
             net, meas, case.weights, edge_targets=edge_targets,
             node_targets=node_targets, model=model,
         )
-        bound = indices.binary_gap_bound(net, WeightAssignment.resolve(net, meas, case.weights))
+        bound = state.bound
         sandwich = True
         exact_match = True
         for e in exact_report.entries:

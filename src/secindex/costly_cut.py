@@ -232,9 +232,15 @@ class CostlyCutInstance:
         the heuristics' graphs), its edges by end and its edge triples;
         only the terminals are checked.
         """
-        source, sink = _check_terminals(self.node_count, source, sink)
+        return self._between(*_check_terminals(self.node_count, source, sink))
+
+    def _between(self, source: int, sink: int) -> CostlyCutInstance:
+        """``with_terminals`` for terminals the caller has checked: distinct
+        node ids of this instance, as Python ints. The derived instance is
+        one update of this instance's attributes, with its integer scaling,
+        so that every derived instance shares it."""
         derived = object.__new__(type(self))
-        derived.__dict__.update(self.__dict__, source=source, sink=sink, int_costs=self.int_costs)
+        vars(derived).update(vars(self), source=source, sink=sink, int_costs=self.int_costs)
         return derived
 
 

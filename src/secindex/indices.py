@@ -16,12 +16,20 @@ optimum.
 Two published heuristics are kept as baselines: dropping node charges from
 the cut, and folding them into incident edge costs. Both report the true
 objective of whatever partition they select.
+
+The three methods share one case state (``_Case``): the weights, resolved
+once, and the gap bound; one cut-instance family, whose auxiliary graph and
+heuristic graphs are built once; and one attack per distinct carried side
+and cut direction. ``index_all`` makes one for its one method; ``verify``
+takes all three reports from one, so each distinct attack is built and
+cross-checked once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +53,9 @@ from .power_model import (
 METHOD_EXACT = "exact"
 METHOD_IGNORE_NODES = "ignore-nodes"
 METHOD_FOLD_NODES = "fold-nodes"
-# Solver per method, named rather than referenced: it is looked up in
-# ``costly_cut`` at call time, so a wrapper set on that module attribute runs.
+# Solver per method, named rather than referenced: each engine looks it up in
+# ``costly_cut`` when it is made, so a wrapper set on that module attribute
+# runs.
 _SOLVERS = {
     METHOD_EXACT: "solve",
     METHOD_IGNORE_NODES: "solve_ignore_nodes",
@@ -154,39 +163,45 @@ def exactness_condition(
     return False, _APPROXIMATE_REASON
 
 
-class _Engine:
-    """Shared state for one (network, placement, weights, method) run."""
+class _Case:
+    """The state of one (network, placement, weights) case that every
+    method's engine shares: the resolved weights, the gap bound, the
+    cut-instance family, the lines at each bus and the attacks. It lives
+    as long as the call that makes it."""
 
-    def __init__(self, net, meas, weights, method, model=None):
+    def __init__(self, net, meas, weights, model=None):
         check_placement(net, meas)
         self.weights = WeightAssignment.resolve(net, meas, weights)
-        if method not in METHODS:
-            raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
-        self._derived = weights is None or weights == WeightAssignment.from_placement(net, meas)
+        self.derived = weights is None or weights == WeightAssignment.from_placement(net, meas)
         self.net = net
         self.meas = meas
-        self.method = method
         self.model = model if model is not None else build_h(net, meas)
-        if method == METHOD_EXACT:
-            self.bound = binary_gap_bound(net, self.weights)
-            self.exact = self.bound == 0
-            self.reason = _EXACT_REASON if self.exact else _APPROXIMATE_REASON
-        else:
-            self.exact, self.reason, self.bound = False, "heuristic method", None
-        self._line_cache: dict[int, tuple[int | Fraction, AttackVector]] = {}
         self._lines_at: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * net.bus_count
         self._attacks: dict[tuple[frozenset[int], bool], tuple[AttackVector, int | Fraction]] = {}
         self._instance: CostlyCutInstance | None = None
 
+    @cached_property
+    def bound(self) -> int | Fraction:
+        """``binary_gap_bound`` of the case, computed on first read: only
+        the exact method and ``verify``'s oracle sandwich read it."""
+        return binary_gap_bound(self.net, self.weights)
+
+    def report(self, method: str) -> IndexReport:
+        """One index per measurement by ``method``, in the global
+        measurement order."""
+        engine = _Engine(self, method)
+        return IndexReport(entries=tuple(map(engine.entry_for, range(self.meas.measurement_count))))
+
     def cut_instance(self, line: int) -> CostlyCutInstance:
         """``cut_instance_for_line(net, weights, line)``. The first call builds
         and validates it; later calls derive it from that one, sharing its
-        edges, charges, integer scaling and the graph each method cuts, and
-        checking only the terminals."""
+        edges, charges, integer scaling and the graph each method cuts. A
+        line's ends are distinct buses of the checked network, so the
+        derived instance's terminals need no check."""
         if self._instance is None:
             self._instance = cut_instance_for_line(self.net, self.weights, line)
         tails, heads, _ = self.net.columns
-        return self._instance.with_terminals(tails[line], heads[line])
+        return self._instance._between(tails[line], heads[line])
 
     def leaving(self, side) -> list[int]:
         """The lines with exactly one end in ``side``, ascending: the lines
@@ -205,32 +220,15 @@ class _Engine:
         out = self._lines_at[bus] = lines, tuple([tails[line] + heads[line] - bus for line in lines])
         return out
 
-    def line_value(self, line: int):
-        """Index value and attack for separating the endpoints of a line.
-        Lines whose cuts carry the same side share one attack
-        (``attack_of``)."""
-        hit = self._line_cache.get(line)
-        if hit is not None:
-            return hit
-        inst = self.cut_instance(line)
-        sol = getattr(costly_cut, _SOLVERS[self.method])(inst)
-        key = (sol.side, sol.is_sink)
-        made = self._attacks.get(key)
-        if made is None:
-            made = self._attacks[key] = self.attack_of(sol.side, sol.is_sink)
-        attack, structural = made
-        if structural != sol.objective:
-            raise InvariantError(
-                f"cut objective {sol.objective} disagrees with attack cost {structural}"
-            )
-        self._line_cache[line] = (sol.objective, attack)
-        return self._line_cache[line]
-
     def attack_of(self, side, is_sink: bool):
         """The attack of the partition given by ``side``, its sink side if
-        ``is_sink`` and else its source side, and its structural cost. The
-        cut lines are found once, from the side (``leaving``), and the
-        attack and its cost check read only them."""
+        ``is_sink`` and else its source side, and its structural cost,
+        built once per distinct side and cut direction for every method's
+        lines. The cut lines are found once, from the side (``leaving``),
+        and the attack and its cost check read only them."""
+        made = self._attacks.get((side, is_sink))
+        if made is not None:
+            return made
         cut = self.leaving(side)
         # 1.0 on the source side, 0.0 on the sink side
         dtheta = np.full(self.net.bus_count, float(is_sink))
@@ -239,13 +237,49 @@ class _Engine:
         structural = attack_cost(
             self.net, self.weights.edge_costs, self.weights.node_costs, dtheta, cut
         )
-        return attack, structural
+        made = self._attacks[side, is_sink] = attack, structural
+        return made
+
+
+class _Engine:
+    """One method's run on a shared ``_Case``: its solver, its line values,
+    and the exactness it reports."""
+
+    def __init__(self, case: _Case, method: str):
+        if method not in METHODS:
+            raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
+        self.case = case
+        self.method = method
+        self.solve = getattr(costly_cut, _SOLVERS[method])
+        if method == METHOD_EXACT:
+            self.bound = case.bound
+            self.exact = self.bound == 0
+            self.reason = _EXACT_REASON if self.exact else _APPROXIMATE_REASON
+        else:
+            self.exact, self.reason, self.bound = False, "heuristic method", None
+        self._line_cache: dict[int, tuple[int | Fraction, AttackVector]] = {}
+
+    def line_value(self, line: int):
+        """Index value and attack for separating the endpoints of a line.
+        Lines whose cuts carry the same side share one attack
+        (``_Case.attack_of``)."""
+        hit = self._line_cache.get(line)
+        if hit is not None:
+            return hit
+        sol = self.solve(self.case.cut_instance(line))
+        attack, structural = self.case.attack_of(sol.side, sol.is_sink)
+        if structural != sol.objective:
+            raise InvariantError(
+                f"cut objective {sol.objective} disagrees with attack cost {structural}"
+            )
+        self._line_cache[line] = (sol.objective, attack)
+        return self._line_cache[line]
 
     def node_value(self, bus: int):
         """Minimum over the bus's incident lines of the edge-constrained
         problem; any cut separating an incident line's endpoints flips the
         bus's injection, so the target constraint holds automatically."""
-        incident = self.net.incident_lines(bus)
+        incident = self.case.net.incident_lines(bus)
         if not incident:
             raise InputError(f"bus {bus} has no incident lines")
         best = None
@@ -257,7 +291,7 @@ class _Engine:
 
     def entry_for(self, k: int) -> IndexEntry:
         """The entry of measurement ``k`` in the global measurement order."""
-        kind, target = self.meas.label(k)
+        kind, target = self.case.meas.label(k)
         if kind == INJECTION:
             value, attack = self.node_value(target)
         else:
@@ -266,7 +300,7 @@ class _Engine:
             raise InvariantError(
                 f"attack for measurement {k} does not touch its own target"
             )
-        if self._derived and value < 1:
+        if self.case.derived and value < 1:
             raise InvariantError("index below 1 under derived weights")
         return IndexEntry(
             measurement=k,
@@ -295,7 +329,7 @@ def index_target(
     count = meas.measurement_count
     if not (0 <= k < count):
         raise InputError(f"measurement {k} out of range 0..{count - 1}")
-    return _Engine(net, meas, weights, method, model).entry_for(k)
+    return _Engine(_Case(net, meas, weights, model), method).entry_for(k)
 
 
 def index_all(
@@ -306,8 +340,7 @@ def index_all(
     model: ModelMatrix | None = None,
 ) -> IndexReport:
     """One index per measurement, in the global measurement order."""
-    engine = _Engine(net, meas, weights, method, model)
-    return IndexReport(entries=tuple(map(engine.entry_for, range(meas.measurement_count))))
+    return _Case(net, meas, weights, model).report(method)
 
 
 def baseline_ignore_nodes(net, meas, weights=None, model=None) -> IndexReport:

@@ -1055,9 +1055,101 @@ def test_verify_skips_the_oracle_past_max_size(capsys, tmp_path):
     assert out.splitlines()[-1] == "SKIP oracle-cross-check (case larger than --max-size 12)"
 
 
-def test_verify_cross_checks_attacks_by_least_squares_at_desk_scale(capsys, monkeypatch):
+def _recorded_verify(capsys, monkeypatch, case, *flags):
+    """``secindex verify`` on ``case``, recording what it makes: the
+    reports (``IndexReport``), every attack ``attack_from_partition``
+    builds, every side and cut direction a solver carries, and the
+    ``delta_z`` each least-squares cross-check (``bdd_residual``) reads.
+    The recorders are removed before it returns."""
+    seen = {"reports": [], "built": [], "sides": set(), "checked": []}
+    with monkeypatch.context() as patch:
+        report, attack, residual = indices.IndexReport, indices.attack_from_partition, cli.bdd_residual
+
+        def reported(entries):
+            seen["reports"].append(report(entries=entries))
+            return seen["reports"][-1]
+
+        def built(*args, **kwargs):
+            seen["built"].append(attack(*args, **kwargs))
+            return seen["built"][-1]
+
+        def checked(model, delta_z):
+            seen["checked"].append(delta_z)
+            return residual(model, delta_z)
+
+        patch.setattr(indices, "IndexReport", reported)
+        patch.setattr(indices, "attack_from_partition", built)
+        patch.setattr(cli, "bdd_residual", checked)
+        for name in indices._SOLVERS.values():
+            def carried(inst, solve=getattr(costly_cut, name)):
+                sol = solve(inst)
+                seen["sides"].add((sol.side, sol.is_sink))
+                return sol
+
+            patch.setattr(costly_cut, name, carried)
+        seen["code"], seen["out"], _ = run_cli(capsys, "verify", str(case), *flags)
+    return seen
+
+
+def _verify_cases(tmp_path):
+    """The worked 4-bus example and a few of the benchmark's seed-1 desk
+    cases, among them partial placements."""
+    generate = benchmark_generate()
+    paths = [case_path("example4bus.json")]
+    for i in range(0, len(generate.DESK_CLASSES), 9):
+        paths.append(tmp_path / f"desk-{i}.json")
+        paths[-1].write_bytes(generate.dump(generate.desk_case(1, i)))
+    return paths
+
+
+def test_verify_builds_each_distinct_attack_once_across_its_three_methods(
+    capsys, monkeypatch, tmp_path
+):
+    # The three methods share one case state: one attack per distinct side
+    # and cut direction that any method's cut carries, not one per method.
+    # Each report equals its own index_all run, entry by entry.
+    shared = 0
+    for path in _verify_cases(tmp_path):
+        case = parse_native(path)
+        model = power_model.build_h(case.net, case.meas)
+        alone = [indices.index_all(case.net, case.meas, case.weights, method=method, model=model)
+                 for method in indices.METHODS]
+        seen = _recorded_verify(capsys, monkeypatch, path)
+        assert seen["code"] == 0 and "FAIL" not in seen["out"], (path, seen["out"])
+        assert len(seen["built"]) == len(seen["sides"]), path
+        assert len(seen["reports"]) == len(indices.METHODS), path
+        for want, got in zip(alone, seen["reports"]):
+            assert len(got.entries) == len(want.entries) == case.meas.measurement_count
+            for e, f in zip(want.entries, got.entries):
+                assert (e.measurement, e.kind, e.target, e.index, e.exact, e.error_bound, e.method) \
+                    == (f.measurement, f.kind, f.target, f.index, f.exact, f.error_bound, f.method)
+                assert e.attack.support == f.attack.support
+                assert e.attack.residual_inf == f.attack.residual_inf
+        built = {id(a) for a in seen["built"]}
+        per_method = [{id(e.attack) for e in r.entries} for r in seen["reports"]]
+        assert set().union(*per_method) <= built
+        shared += sum(map(len, per_method)) - len(set().union(*per_method))
+    # the methods do carry sides in common, which separate engines rebuild
+    assert shared > 0
+
+
+def test_verify_cross_checks_attacks_by_least_squares_at_desk_scale(
+    capsys, monkeypatch, tmp_path
+):
+    # At desk scale every attack of the exact report is cross-checked by
+    # least squares, once per distinct attack however many entries share
+    # it; past --max-size the witness alone decides.
+    shared = 0
+    for path in _verify_cases(tmp_path):
+        seen = _recorded_verify(capsys, monkeypatch, path)
+        exact = seen["reports"][0]
+        attacks = {id(e.attack): e.attack for e in exact.entries}
+        assert sorted(map(id, seen["checked"])) == sorted(id(a.delta_z) for a in attacks.values())
+        shared += len(exact.entries) - len(attacks)
+        assert not _recorded_verify(capsys, monkeypatch, path, "--max-size", "2")["checked"]
+    assert shared > 0
     # A least-squares residual over the tolerance fails attack-residuals
-    # where the oracles run; past --max-size the witness alone decides.
+    # where the oracles run.
     case = str(case_path("example4bus.json"))
     monkeypatch.setattr(cli, "bdd_residual", lambda model, delta_z: delta_z + 1.0)
     code, out, _ = run_cli(capsys, "verify", case)

@@ -31,7 +31,7 @@ from secindex import cli, costly_cut, mincut, power_model
 from secindex.caseio import parse_matpower_subset, parse_native, parse_native_text
 from secindex.cases import path as case_path
 from secindex import indices as indices_module
-from secindex.indices import _SOLVERS, METHODS, _Engine, cut_instance_for_line
+from secindex.indices import _SOLVERS, METHODS, _Case, _Engine, cut_instance_for_line
 from secindex.oracle import attack_cost
 
 
@@ -345,12 +345,12 @@ def test_engine_derives_each_line_instance_from_one_validated_instance():
             node_costs=[rng.choice(choices) for _ in range(net.bus_count)],
         )
         for weights in (None, custom):
-            engine = _Engine(net, meas, weights, "exact", model)
+            state = _Case(net, meas, weights, model)
             w = WeightAssignment.resolve(net, meas, weights)
             lines = list(range(net.line_count))
             rng.shuffle(lines)
             for line in lines:
-                inst = engine.cut_instance(line)
+                inst = state.cut_instance(line)
                 ref = cut_instance_for_line(net, w, line)
                 for f in dataclasses.fields(ref):
                     assert getattr(inst, f.name) == getattr(ref, f.name), (draw, line, f.name)
@@ -362,13 +362,13 @@ def test_engine_derives_each_line_instance_from_one_validated_instance():
             # one scaling, shared by every line's instance; the edge triples,
             # which solving never reads, are made on first read, once for the
             # family
-            engine = _Engine(net, meas, weights, "exact", model)
-            first, last = engine.cut_instance(lines[0]), engine.cut_instance(lines[-1])
+            state = _Case(net, meas, weights, model)
+            first, last = state.cut_instance(lines[0]), state.cut_instance(lines[-1])
             assert first.int_costs is last.int_costs
             assert costly_cut.solve(first) and costly_cut.solve(last)
-            family = (engine._instance, first, last)
+            family = (state._instance, first, last)
             assert not any("edges" in vars(inst) for inst in family)
-            assert first.edges is last.edges is engine._instance.edges
+            assert first.edges is last.edges is state._instance.edges
             assert first.edges == cut_instance_for_line(net, w, lines[0]).edges
 
 
@@ -578,10 +578,10 @@ def test_the_shift_from_the_carried_side_equals_the_source_sides_bit_for_bit():
     case = parse_matpower_subset(case_path("ieee118.m"))
     carried = set()
     for method in METHODS:
-        engine = _Engine(case.net, case.meas, case.weights, method)
+        engine = _Engine(_Case(case.net, case.meas, case.weights), method)
         solve = getattr(costly_cut, _SOLVERS[method])
         for line in range(case.net.line_count):
-            sol = solve(engine.cut_instance(line))
+            sol = solve(engine.case.cut_instance(line))
             carried.add((method, sol.is_sink))
             want = np.zeros(case.net.bus_count)
             want[list(sol.source_side)] = 1.0
@@ -765,15 +765,15 @@ def test_rescaling_the_reactances_changes_no_entry(placed):
     assert got == base
 
 
-def _far_poisoned(engine, inst, side):
-    """Copies of ``engine``'s network, weights and model and of the line
+def _far_poisoned(state, inst, side):
+    """Copies of ``state``'s network, weights and model and of the line
     instance ``inst`` in which everything of a line with no end in ``side``
     (its endpoints, reactance, cost and terms) and of a bus off ``side`` and
     off its neighbours (its charge) is spoiled: ids far out of range, and
     None or NaN for values. The indexes built once per network, model and
     instance family (lines by bus, terms by line, instance edges by end)
     are taken from the clean objects, as a sweep builds them once."""
-    net, model = engine.net, engine.model
+    net, model = state.net, state.model
     tails, heads, x = (np.array(a) for a in net.arrays)
     near_lines = np.zeros(net.line_count, dtype=bool)
     for bus in side:
@@ -790,8 +790,8 @@ def _far_poisoned(engine, inst, side):
         columns=tuple(np.where(far, None, a).tolist() for a in (tails, heads, x)),
         adjacency=net.adjacency,
     )
-    costs = [None if f else c for f, c in zip(far.tolist(), engine.weights.edge_costs)]
-    charges = [c if n else None for n, c in zip(near_buses.tolist(), engine.weights.node_costs)]
+    costs = [None if f else c for f, c in zip(far.tolist(), state.weights.edge_costs)]
+    charges = [c if n else None for n, c in zip(near_buses.tolist(), state.weights.node_costs)]
     far_terms = np.ones(len(model.rows), dtype=bool)
     for line in np.flatnonzero(near_lines):
         slots = model.by_line[line]
@@ -822,28 +822,28 @@ def test_a_lines_attack_cost_check_and_score_read_only_its_cut(monkeypatch, plac
     # bus (bus 0, so the witness moves that side), everything of the lines
     # that meet no bus of the side, and the charges of the buses beyond its
     # neighbours, is spoiled (``_far_poisoned``). The line's cut lines
-    # (``_Engine.leaving``), its attack with the witness guard on the local
+    # (``_Case.leaving``), its attack with the witness guard on the local
     # fit, its cost check and its partition score, read again from the
     # spoiled copies, equal the clean ones. A whole-case scan reads the
     # spoiled endpoints and fails.
     monkeypatch.setattr(power_model, "LOCAL_FIT_TERMS", 0)
     case = _parsed(_grid_doc(placed))
-    engine = _Engine(case.net, case.meas, case.weights, "exact")
+    state = _Case(case.net, case.meas, case.weights)
     checked = 0
     for line in range(0, case.net.line_count, 7):
-        inst = engine.cut_instance(line)
+        inst = state.cut_instance(line)
         sol = costly_cut.solve(inst)
         if 0 in sol.side:
             continue
-        cut = engine.leaving(sol.side)
+        cut = state.leaving(sol.side)
         dtheta = np.full(case.net.bus_count, float(sol.is_sink))
         dtheta[list(sol.side)] = float(not sol.is_sink)
         attack = power_model.attack_from_partition(
-            case.net, case.meas, dtheta, model=engine.model, cut=cut
+            case.net, case.meas, dtheta, model=state.model, cut=cut
         )
-        net, costs, charges, model, spoiled_inst = _far_poisoned(engine, inst, sol.side)
-        local = object.__new__(_Engine)
-        local.__dict__.update(engine.__dict__, net=net, _lines_at=[None] * net.bus_count)
+        net, costs, charges, model, spoiled_inst = _far_poisoned(state, inst, sol.side)
+        local = object.__new__(_Case)
+        local.__dict__.update(state.__dict__, net=net, _lines_at=[None] * net.bus_count)
         assert local.leaving(sol.side) == cut
         got = power_model.attack_from_partition(net, case.meas, dtheta, model=model, cut=cut)
         assert got.delta_z.tobytes() == attack.delta_z.tobytes()
@@ -875,7 +875,7 @@ def test_lines_whose_cuts_carry_one_side_share_one_attack(monkeypatch):
 
     monkeypatch.setattr(costly_cut, "solve", solved)
     monkeypatch.setattr(indices_module, "attack_from_partition", counted)
-    engine = _Engine(case.net, case.meas, case.weights, "exact")
+    engine = _Engine(_Case(case.net, case.meas, case.weights), "exact")
     attacks = [engine.line_value(line)[1] for line in range(case.net.line_count)]
     assert len(sides) == case.net.line_count and len(built) == len(set(sides)) < len(sides)
     by_side = {}
