@@ -40,10 +40,9 @@ the side of the partition its cut carried, the source side or the sink
 side, as the flow found it, and every solver builds it in one place
 (``_scored``), from ``evaluate_partition``, which rechecks every cut in
 exact rational arithmetic; it finds the crossing edges by walking the side
-over the instance's own edges by end (given by the caller that builds the
-instance, or sorted once per family), not through any graph a solver
-cuts, so the recheck shares no cut reader with the solvers it checks, and
-reads only the edges at the side.
+over the instance's own edges by end, sorted once per family, not through
+any graph a solver cuts, so the recheck shares no cut reader with the
+solvers it checks, and reads only the edges at the side.
 """
 
 from __future__ import annotations
@@ -147,12 +146,12 @@ class CostlyCutInstance:
     """A directed graph with edge costs, per-node charges, and two terminals.
 
     Construction checks node ids, self-loops, costs and terminals once,
-    and either constructor leaves the endpoint arrays ``ends``, the edge
-    costs ``costs`` and the edges by end ``by_end`` (None unless given)
-    set: built from ``edges`` triples, the instance derives them from the
-    triples; ``from_arrays`` is given them, with costs already checked,
-    and makes its ``edges`` triples only if they are read, once for the
-    instance and every instance ``with_terminals`` derives."""
+    and either constructor leaves the endpoint arrays ``ends`` and the
+    edge costs ``costs`` set: built from ``edges`` triples, the instance
+    derives them from the triples; ``from_arrays`` is given them, with
+    costs already checked, and makes its ``edges`` triples only if they
+    are read, once for the instance and every instance ``with_terminals``
+    derives."""
 
     node_count: int
     edges: tuple[tuple[int, int, int | Fraction], ...]
@@ -161,16 +160,12 @@ class CostlyCutInstance:
     sink: int
 
     @classmethod
-    def from_arrays(cls, node_count, tails, heads, costs, node_costs, source, sink, by_end=None):
+    def from_arrays(cls, node_count, tails, heads, costs, node_costs, source, sink):
         """The instance whose edge i runs ``tails[i] -> heads[i]`` at cost
         ``costs[i]``. The costs and charges are kept as given, so they must
         be ``as_cost`` results already, as a ``WeightAssignment``'s are, and
         nothing may write to them or to the arrays; the node ids,
-        self-loops and terminals are checked on the arrays. ``by_end``, for
-        a caller that holds them, is the edges by tail and by head, each as
-        ``(order, starts)``: the edges with that end at node u, ascending,
-        are ``order[starts[u]:starts[u + 1]]``; without it they are sorted
-        on first use (``_EdgesAt``)."""
+        self-loops and terminals are checked on the arrays."""
         inst = cls.__new__(cls)
         inst.__dict__.update(
             node_count=node_count,
@@ -179,7 +174,6 @@ class CostlyCutInstance:
             source=source,
             sink=sink,
             ends=(tails, heads),
-            by_end=by_end,
         )
         inst.__post_init__()
         return inst
@@ -200,7 +194,6 @@ class CostlyCutInstance:
                 ends=ends,
                 costs=[c for (_, _, c) in edges],
                 node_costs=tuple(as_cost(p) for p in self.node_costs),
-                by_end=None,
             )
         if len(self.node_costs) != self.node_count:
             raise InputError(
@@ -356,20 +349,15 @@ class _EdgesAt:
     """An instance's edges by one of their ends (``end`` 0, the tail, or 1,
     the head), once per family of instances: the edges with that end at
     node u, ascending, and their other ends are ``pairs(u)``. The order is
-    the instance's ``by_end`` where it was given, and else one stable sort
-    of the end array, as the narrowest unsigned type, which NumPy
-    radix-sorts; a node's pairs are sliced from it on the node's first
-    read and kept in ``made``."""
+    one stable sort of the end array, as the narrowest unsigned type,
+    which NumPy radix-sorts; a node's pairs are sliced from it on the
+    node's first read and kept in ``made``."""
 
     def __init__(self, inst, end):
         at = inst.ends[end]
-        if inst.by_end is None:
-            order = np.argsort(at.astype(np.min_scalar_type(inst.node_count)), kind="stable")
-            starts = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=inst.node_count))))
-        else:
-            order, starts = inst.by_end[end]
+        order = np.argsort(at.astype(np.min_scalar_type(inst.node_count)), kind="stable")
         self.order, self.far = order, inst.ends[1 - end][order]
-        self.starts = starts.tolist()
+        self.starts = [0, *np.cumsum(np.bincount(at, minlength=inst.node_count)).tolist()]
         self.made = [None] * inst.node_count
 
     def pairs(self, u):

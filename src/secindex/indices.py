@@ -34,9 +34,9 @@ from functools import cached_property
 import numpy as np
 
 from . import costly_cut
-from .costly_cut import CostlyCutInstance
+from .costly_cut import CostlyCutInstance, CostlyCutSolution
 from .errors import InputError, InvariantError
-from .mincut import interleave
+from .mincut import as_id, interleave
 from .oracle import attack_cost
 from .power_model import (
     INJECTION,
@@ -102,19 +102,17 @@ def cut_instance_for_line(
     pays the cost once); unmetered lines stay in the graph with cost zero
     because cutting them still charges their endpoints. The instance is
     built from the network's endpoint arrays and the weights' costs, which
-    ``WeightAssignment`` has already checked, and takes its edges by end
-    from the network's ends by bus.
+    ``WeightAssignment`` has already checked.
     """
+    line = as_id(line, "line")
     if not (0 <= line < net.line_count):
         raise InputError(f"line id {line} out of range")
     weights.check(net)
     tails, heads = net.endpoints
     costs = [0] * (2 * net.line_count)
     costs[0::2] = costs[1::2] = weights.edge_costs
-    # Edge 2i leaves line i's end 2i and edge 2i + 1 its end 2i + 1, so the
-    # ends by bus are the edges by tail, and each end's mirror the edges
-    # by head.
-    ends, starts = net.ends_by_bus
+    # Edges 2i and 2i + 1 are line i's two directions, so a crossing edge
+    # e is a cut of line e >> 1 (``_Case.attack_of`` reads the cut lines so).
     return CostlyCutInstance.from_arrays(
         node_count=net.bus_count,
         tails=interleave(tails, heads),
@@ -123,7 +121,6 @@ def cut_instance_for_line(
         node_costs=weights.node_costs,
         source=int(tails[line]),
         sink=int(heads[line]),
-        by_end=((ends, starts), (ends ^ 1, starts)),
     )
 
 
@@ -166,8 +163,8 @@ def exactness_condition(
 class _Case:
     """The state of one (network, placement, weights) case that every
     method's engine shares: the resolved weights, the gap bound, the
-    cut-instance family, the lines at each bus and the attacks. It lives
-    as long as the call that makes it."""
+    cut-instance family and the attacks. It lives as long as the call that
+    makes it."""
 
     def __init__(self, net, meas, weights, model=None):
         check_placement(net, meas)
@@ -176,7 +173,6 @@ class _Case:
         self.net = net
         self.meas = meas
         self.model = model if model is not None else build_h(net, meas)
-        self._lines_at: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * net.bus_count
         self._attacks: dict[tuple[frozenset[int], bool], tuple[AttackVector, int | Fraction]] = {}
         self._instance: CostlyCutInstance | None = None
 
@@ -203,41 +199,27 @@ class _Case:
         tails, heads, _ = self.net.columns
         return self._instance._between(tails[line], heads[line])
 
-    def leaving(self, side) -> list[int]:
-        """The lines with exactly one end in ``side``, ascending: the lines
-        at the side's buses whose other end lies off it."""
-        made = self._lines_at
-        return sorted(
-            line for bus in side for line, other in zip(*made[bus] or self._lines_of(bus))
-            if other not in side
-        )
-
-    def _lines_of(self, bus: int):
-        """The lines at ``bus`` (``PowerNetwork.incident_lines``) and their
-        other ends, kept in ``_lines_at`` from the bus's first read."""
-        tails, heads, _ = self.net.columns
-        lines = self.net.incident_lines(bus)
-        out = self._lines_at[bus] = lines, tuple([tails[line] + heads[line] - bus for line in lines])
-        return out
-
-    def attack_of(self, side, is_sink: bool):
-        """The attack of the partition given by ``side``, its sink side if
-        ``is_sink`` and else its source side, and its structural cost,
-        built once per distinct side and cut direction for every method's
-        lines. The cut lines are found once, from the side (``leaving``),
-        and the attack and its cost check read only them."""
-        made = self._attacks.get((side, is_sink))
+    def attack_of(self, sol: CostlyCutSolution):
+        """The attack of the partition a line instance's solution ``sol``
+        carries, and its structural cost, built once per distinct side and
+        cut direction for every method's lines. The cut lines are read off
+        the solution's crossing edges, edge e being a direction of line
+        e >> 1 (``cut_instance_for_line``), and the attack and its cost
+        check read only them. The witness guard does not take that list on
+        trust: it reads H2 y from the moved buses' columns, so a cut line
+        left out of it leaves a residual."""
+        made = self._attacks.get((sol.side, sol.is_sink))
         if made is not None:
             return made
-        cut = self.leaving(side)
+        cut = [e >> 1 for e in sol.cut_edges]
         # 1.0 on the source side, 0.0 on the sink side
-        dtheta = np.full(self.net.bus_count, float(is_sink))
-        dtheta[list(side)] = float(not is_sink)
+        dtheta = np.full(self.net.bus_count, float(sol.is_sink))
+        dtheta[list(sol.side)] = float(not sol.is_sink)
         attack = attack_from_partition(self.net, self.meas, dtheta, model=self.model, cut=cut)
         structural = attack_cost(
             self.net, self.weights.edge_costs, self.weights.node_costs, dtheta, cut
         )
-        made = self._attacks[side, is_sink] = attack, structural
+        made = self._attacks[sol.side, sol.is_sink] = attack, structural
         return made
 
 
@@ -267,7 +249,7 @@ class _Engine:
         if hit is not None:
             return hit
         sol = self.solve(self.case.cut_instance(line))
-        attack, structural = self.case.attack_of(sol.side, sol.is_sink)
+        attack, structural = self.case.attack_of(sol)
         if structural != sol.objective:
             raise InvariantError(
                 f"cut objective {sol.objective} disagrees with attack cost {structural}"
@@ -325,7 +307,9 @@ def index_target(
 ) -> IndexEntry:
     """Security index of measurement ``k`` alone, ``k`` its 0-based position
     in the global measurement order (``meas.index_of`` maps a metered
-    (kind, id) there)."""
+    (kind, id) there); a NumPy integer is read as its int, and a bool or a
+    float is refused."""
+    k = as_id(k, "measurement")
     count = meas.measurement_count
     if not (0 <= k < count):
         raise InputError(f"measurement {k} out of range 0..{count - 1}")

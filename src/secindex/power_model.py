@@ -136,22 +136,14 @@ class PowerNetwork:
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """``(lines, starts)``, the lines by bus: the ids of the lines at
         bus b, ascending and parallel lines each listed, are
-        ``lines[starts[b]:starts[b + 1]]``, read off ``ends_by_bus``."""
-        ends, starts = self.ends_by_bus
-        return ends >> 1, starts
-
-    @cached_property
-    def ends_by_bus(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(ends, starts)``, the lines' ends by bus, end 2i being line i's
-        from bus and end 2i + 1 its to bus: the ends at bus b, ascending,
-        are ``ends[starts[b]:starts[b + 1]]``. Built by one stable sort of
-        the ends' buses, as the narrowest unsigned type, which NumPy
-        radix-sorts."""
+        ``lines[starts[b]:starts[b + 1]]``. Built by one stable sort of the
+        lines' ends, end 2i being line i's from bus and end 2i + 1 its to
+        bus, as the narrowest unsigned type, which NumPy radix-sorts."""
         tails, heads, _ = self.arrays
         at = interleave(tails, heads)
         order = np.argsort(at.astype(np.min_scalar_type(self.bus_count)), kind="stable")
         ends = np.cumsum(np.bincount(at, minlength=self.bus_count))
-        return order, np.concatenate(([0], ends))
+        return order >> 1, np.concatenate(([0], ends))
 
     def _connected(self) -> bool:
         """Whether every bus is linked to bus 0. Each bus points at a bus of

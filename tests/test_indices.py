@@ -501,6 +501,26 @@ def test_index_target_rejects_positions_out_of_range():
             index_target(net, meas, None, k)
 
 
+@pytest.mark.parametrize("ident", [True, np.bool_(False), 1.0, 1.5, "1", None])
+def test_measurement_and_line_ids_refuse_bools_and_non_integers(ident):
+    net, meas = worked_case()
+    weights = WeightAssignment.from_placement(net, meas)
+    with pytest.raises(InputError, match="measurement id .* is not an integer"):
+        index_target(net, meas, None, ident)
+    with pytest.raises(InputError, match="line id .* is not an integer"):
+        cut_instance_for_line(net, weights, ident)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_numpy_measurement_and_line_ids_are_read_as_ints(kind):
+    net, meas = worked_case()
+    weights = WeightAssignment.from_placement(net, meas)
+    entry = index_target(net, meas, None, kind(2))
+    assert type(entry.measurement) is int
+    _same_entry(entry, index_target(net, meas, None, 2))
+    assert cut_instance_for_line(net, weights, kind(1)) == cut_instance_for_line(net, weights, 1)
+
+
 def _made_layouts(monkeypatch):
     """Record every residual layout built from here on, in build order."""
     layouts = []
@@ -745,6 +765,55 @@ def test_relabeling_the_grid_changes_no_entry(placed):
     rename = {"flow_from": line.__getitem__, "flow_to": line.__getitem__, "injection": lambda b: bus[b] - 1}
     assert got == {(kind, rename[kind](target)): row for (kind, target), row in base.items()}
 
+
+@pytest.mark.parametrize("placed", [False, True])
+def test_raising_one_weight_raises_no_index_by_more_than_that(placed):
+    # One line's cost, or one bus's charge, raised by 1/3 on the 300-bus
+    # grid, four seeded picks of each: every partition's objective rises
+    # by 0 or 1/3, so no index falls and none rises by more than 1/3.
+    case = _parsed(_grid_doc(placed))
+    model = build_h(case.net, case.meas)
+    weights = WeightAssignment.resolve(case.net, case.meas, case.weights)
+    base = index_all(case.net, case.meas, weights, model=model).indices()
+    rng = random.Random(1301)
+    delta, rose = Fraction(1, 3), 0
+    for key, count in (("edge_costs", case.net.line_count), ("node_costs", case.net.bus_count)):
+        for pick in rng.sample(range(count), 4):
+            costs = list(getattr(weights, key))
+            costs[pick] += delta
+            raised = dataclasses.replace(weights, **{key: costs})
+            got = index_all(case.net, case.meas, raised, model=model).indices()
+            assert all(0 <= g - b <= delta for g, b in zip(got, base)), (key, pick)
+            rose += sum(g > b for g, b in zip(got, base))
+    assert rose > 0
+
+
+def test_capping_each_charge_at_its_cheapest_line_brackets_every_index():
+    # Each bus charge capped at the cost of its cheapest line, found by a
+    # scan over the lines, gives a case with no gap. Lowering charges
+    # lowers no partition's objective below the capped one's, and raises
+    # none by more than the gap bound of the uncapped case, so on the
+    # 300-bus grid's partial placement every capped index is at most the
+    # index, which is at most the capped index plus that bound.
+    case = _parsed(_grid_doc(True))
+    model = build_h(case.net, case.meas)
+    weights = WeightAssignment.resolve(case.net, case.meas, case.weights)
+    cheapest = [None] * case.net.bus_count
+    for (u, v, _), cost in zip(case.net.lines, weights.edge_costs):
+        for bus in (u, v):
+            if cheapest[bus] is None or cost < cheapest[bus]:
+                cheapest[bus] = cost
+    capped = WeightAssignment(
+        edge_costs=weights.edge_costs, node_costs=list(map(min, weights.node_costs, cheapest))
+    )
+    bound = binary_gap_bound(case.net, weights)
+    assert binary_gap_bound(case.net, capped) == 0 < bound
+    high = index_all(case.net, case.meas, weights, model=model).indices()
+    low = index_all(case.net, case.meas, capped, model=model).indices()
+    assert all(lo <= hi <= lo + bound for lo, hi in zip(low, high))
+    assert (bound, sum(lo < hi for lo, hi in zip(low, high))) == (62, 460)
+
+
 def _report_rows(report):
     return [
         (e.kind, e.target, e.index, e.exact, e.error_bound, e.attack.support) for e in report.entries
@@ -821,11 +890,11 @@ def test_a_lines_attack_cost_check_and_score_read_only_its_cut(monkeypatch, plac
     # On the 300-bus grid, for lines whose carried side holds no reference
     # bus (bus 0, so the witness moves that side), everything of the lines
     # that meet no bus of the side, and the charges of the buses beyond its
-    # neighbours, is spoiled (``_far_poisoned``). The line's cut lines
-    # (``_Case.leaving``), its attack with the witness guard on the local
-    # fit, its cost check and its partition score, read again from the
-    # spoiled copies, equal the clean ones. A whole-case scan reads the
-    # spoiled endpoints and fails.
+    # neighbours, is spoiled (``_far_poisoned``). The line's attack, built
+    # from the cut lines its solution's crossing edges name, with the
+    # witness guard on the local fit, its cost check and its partition
+    # score, read again from the spoiled copies, equal the clean ones. A
+    # whole-case scan reads the spoiled endpoints and fails.
     monkeypatch.setattr(power_model, "LOCAL_FIT_TERMS", 0)
     case = _parsed(_grid_doc(placed))
     state = _Case(case.net, case.meas, case.weights)
@@ -835,16 +904,13 @@ def test_a_lines_attack_cost_check_and_score_read_only_its_cut(monkeypatch, plac
         sol = costly_cut.solve(inst)
         if 0 in sol.side:
             continue
-        cut = state.leaving(sol.side)
+        cut = [e >> 1 for e in sol.cut_edges]
         dtheta = np.full(case.net.bus_count, float(sol.is_sink))
         dtheta[list(sol.side)] = float(not sol.is_sink)
         attack = power_model.attack_from_partition(
             case.net, case.meas, dtheta, model=state.model, cut=cut
         )
         net, costs, charges, model, spoiled_inst = _far_poisoned(state, inst, sol.side)
-        local = object.__new__(_Case)
-        local.__dict__.update(state.__dict__, net=net, _lines_at=[None] * net.bus_count)
-        assert local.leaving(sol.side) == cut
         got = power_model.attack_from_partition(net, case.meas, dtheta, model=model, cut=cut)
         assert got.delta_z.tobytes() == attack.delta_z.tobytes()
         assert got.support == attack.support and got.residual_inf == attack.residual_inf
@@ -881,3 +947,21 @@ def test_lines_whose_cuts_carry_one_side_share_one_attack(monkeypatch):
     by_side = {}
     for key, got in zip(sides, attacks):
         assert by_side.setdefault(key, got) is got
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_a_lines_cut_lines_from_its_crossing_edges_are_the_dense_scans(grid):
+    # Edges 2i and 2i + 1 of a line instance are line i's two directions,
+    # so the attack reads each line's cut lines off its solution's crossing
+    # edges. Under every method, on the bundled 118-bus case and on the
+    # 300-bus grid's partial placement, those equal the lines whose ends
+    # the attack's dense shift moves apart.
+    case = _parsed(_grid_doc(True)) if grid else parse_matpower_subset(case_path("ieee118.m"))
+    state = _Case(case.net, case.meas, case.weights)
+    for method in METHODS:
+        solve = getattr(costly_cut, _SOLVERS[method])
+        for line in range(case.net.line_count):
+            sol = solve(state.cut_instance(line))
+            attack, _ = state.attack_of(sol)
+            want = power_model.cut_lines(case.net, attack.delta_theta)
+            assert [e >> 1 for e in sol.cut_edges] == want, (method, line)
