@@ -30,7 +30,8 @@ as arrays, block by block in its documented edge order, from the
 instance's endpoint arrays (``ends``) and its scaled costs, and handed to
 ``DiGraph.from_arrays``; no per-edge tuple is made. Both constructors
 set ``ends`` and the cost list ``costs``: an instance built from edge
-triples computes them from the triples when it is checked, and one built
+triples reads them from the triples (``mincut.read_triples``, costs
+through ``as_cost``) when it is checked, and one built
 by ``CostlyCutInstance.from_arrays`` is given them, together with a cost
 list already checked, and is itself checked on the arrays; it makes its
 ``edges`` triples, which no solver reads, only on first read, once per
@@ -59,12 +60,16 @@ from .errors import CapacityOverflowError, InputError, InvariantError, SizeLimit
 from .mincut import (
     MAX_TOTAL_CAPACITY,
     DiGraph,
-    check_node,
+    as_count,
+    check_terminals,
     first_failure,
+    id_array,
     interleave,
     min_cut,
     min_cut_extremes,
+    read_triples,
     source_side_of,
+    view_on_first_read,
 )
 
 BRUTE_FORCE_MAX_NODES = 22
@@ -104,15 +109,6 @@ def as_cost(value) -> int | Fraction:
     return cost
 
 
-def _check_terminals(node_count, source, sink):
-    """The terminals as Python ints, checked: node ids, and distinct."""
-    source = check_node(source, node_count, "source")
-    sink = check_node(sink, node_count, "sink")
-    if source == sink:
-        raise InputError("source and sink must differ")
-    return source, sink
-
-
 def _check_structure(inst):
     """Check an instance's node count, terminals, edge node ids and
     self-loops, naming the first offending edge with its first failing
@@ -120,12 +116,11 @@ def _check_structure(inst):
     n = inst.node_count
     if n < 2:
         raise InputError("instance needs at least source and sink")
-    inst.__dict__["source"], inst.__dict__["sink"] = _check_terminals(n, inst.source, inst.sink)
-    ends = np.stack(inst.ends)
-    failure = first_failure(np.stack((((ends < 0) | (ends >= n)).any(axis=0), ends[0] == ends[1])))
+    inst.__dict__["source"], inst.__dict__["sink"] = check_terminals(n, inst.source, inst.sink)
+    failure = first_failure(n, *inst.ends)
     if failure is not None:
         idx, check = failure
-        problem = f"self-loop at node {int(ends[0, idx])}" if check else "node id out of range"
+        problem = f"self-loop at node {int(inst.ends[0][idx])}" if check else "node id out of range"
         raise InputError(f"edge {idx}: {problem}")
 
 
@@ -148,7 +143,9 @@ class CostlyCutInstance:
     Construction checks node ids, self-loops, costs and terminals once,
     and either constructor leaves the endpoint arrays ``ends`` and the
     edge costs ``costs`` set: built from ``edges`` triples, the instance
-    derives them from the triples; ``from_arrays`` is given them, with
+    reads them from the triples, kept with Python int ids, and names its
+    first row that does not read only once every earlier row has passed
+    the checks above; ``from_arrays`` is given them, with
     costs already checked, and makes its ``edges`` triples only if they
     are read, once for the instance and every instance ``with_terminals``
     derives."""
@@ -165,7 +162,8 @@ class CostlyCutInstance:
         ``costs[i]``. The costs and charges are kept as given, so they must
         be ``as_cost`` results already, as a ``WeightAssignment``'s are, and
         nothing may write to them or to the arrays; the node ids,
-        self-loops and terminals are checked on the arrays."""
+        self-loops and terminals are checked on the arrays, and an id
+        array whose dtype is not an integer one is refused (``id_array``)."""
         inst = cls.__new__(cls)
         inst.__dict__.update(
             node_count=node_count,
@@ -173,33 +171,27 @@ class CostlyCutInstance:
             node_costs=tuple(node_costs),
             source=source,
             sink=sink,
-            ends=(tails, heads),
+            ends=(id_array(tails, "node"), id_array(heads, "node")),
         )
         inst.__post_init__()
         return inst
 
     def __post_init__(self):
+        n = self.__dict__["node_count"] = as_count(self.node_count, "node_count")
+        error = None
         if "ends" not in vars(self):  # built from edge triples
-            edges = tuple((int(u), int(v), as_cost(c)) for (u, v, c) in self.edges)
-            n = self.node_count
-            # An id outside [0, node_count) reads as -1: it then fits any
-            # array and is still out of range when ``_check_structure``
-            # judges it.
-            ends = tuple(
-                np.fromiter((e[end] if 0 <= e[end] < n else -1 for e in edges), np.int64, len(edges))
-                for end in (0, 1)
-            )
+            *columns, error = read_triples(self.edges, n, "edge", "node", as_cost)
             self.__dict__.update(
-                edges=edges,
-                ends=ends,
-                costs=[c for (_, _, c) in edges],
+                edges=tuple(zip(*columns)),
+                ends=tuple(np.array(ids, dtype=np.int64) for ids in columns[:2]),
+                costs=columns[2],
                 node_costs=tuple(as_cost(p) for p in self.node_costs),
             )
-        if len(self.node_costs) != self.node_count:
-            raise InputError(
-                f"expected {self.node_count} node costs, got {len(self.node_costs)}"
-            )
+        if len(self.node_costs) != n:
+            raise InputError(f"expected {n} node costs, got {len(self.node_costs)}")
         _check_structure(self)
+        if error is not None:
+            raise error
         # The graphs cut for this instance, its edges by end and its edge
         # triples, by recipe; built on first use and shared with every
         # instance ``with_terminals`` derives, since they do not depend on
@@ -209,11 +201,8 @@ class CostlyCutInstance:
     def __getattr__(self, name):
         # Only reached for attributes not set: ``edges`` of an instance
         # built from arrays, made on first read and kept for its family.
-        if name != "edges" or "_graphs" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        edges = _shared_graph(self, _edge_triples)
-        object.__setattr__(self, "edges", edges)
-        return edges
+        return view_on_first_read(
+            self, name, "edges", lambda inst: _shared_graph(inst, _edge_triples))
 
     int_costs = cached_property(_int_costs)
 
@@ -225,7 +214,7 @@ class CostlyCutInstance:
         the heuristics' graphs), its edges by end and its edge triples;
         only the terminals are checked.
         """
-        return self._between(*_check_terminals(self.node_count, source, sink))
+        return self._between(*check_terminals(self.node_count, source, sink))
 
     def _between(self, source: int, sink: int) -> CostlyCutInstance:
         """``with_terminals`` for terminals the caller has checked: distinct
@@ -351,7 +340,9 @@ class _EdgesAt:
     node u, ascending, and their other ends are ``pairs(u)``. The order is
     one stable sort of the end array, as the narrowest unsigned type,
     which NumPy radix-sorts; a node's pairs are sliced from it on the
-    node's first read and kept in ``made``."""
+    node's first read and kept in ``made``. The sort is its own, not
+    ``mincut.rows_by``, which lays out the arcs the flow cuts: the exact
+    recheck shares no code with the cut reader it checks."""
 
     def __init__(self, inst, end):
         at = inst.ends[end]

@@ -27,12 +27,14 @@ capacities join every node, the set alone. The cut's crossing edges are
 read from the arcs of the side carried (``crossing_arcs``), so that step
 costs time in proportion to that side's degree.
 ``DiGraph`` holds its edges as three int64 arrays (tails, heads,
-capacities), given directly (``DiGraph.from_arrays``) or made from edge
-triples, and validates them in one vectorized pass that names the first
-offending edge; a graph built from arrays makes its edge triples only if
-they are read. A graph builds its residual layout once, on its first
-flow (``arc_layout``). What is built per graph is a handful of arrays and
-two lists: a stable sort of the arcs by tail (compressed sparse rows), the
+capacities), given directly (``DiGraph.from_arrays``) or read from edge
+triples by ``read_triples``, the one reader of rows given as triples that
+the package's records share, and validates them in one vectorized pass
+that names the first offending edge; a graph built from arrays makes its
+edge triples only if they are read (``view_on_first_read``). A graph
+builds its residual layout once, on its first flow (``arc_layout``). What
+is built per graph is a handful of arrays and two lists: a stable sort of
+the arcs by tail (compressed sparse rows, ``rows_by``), the
 arcs' heads in that order, and, indexed by arc, the capacities and the
 heads as the nodes' one id objects. A node's arc tuple, what the flow's
 inner loop reads per node, is sliced from the sorted arcs the first time
@@ -98,8 +100,10 @@ class DiGraph:
     Node ids run from 0 to ``node_count - 1``. Parallel edges are kept as
     distinct entries (their indices matter for cut extraction); self-loops
     are rejected. ``DiGraph(node_count, edges)`` takes the edges as
-    ``(tail, head, capacity)`` triples; ``DiGraph.from_arrays`` takes them
-    as three int64 arrays and builds ``edges`` on first read. Either way the
+    ``(tail, head, capacity)`` triples (``read_triples``: ids by ``as_id``,
+    capacities by ``operator.index``), kept as Python ints;
+    ``DiGraph.from_arrays`` takes them as three int64 arrays and builds
+    ``edges`` on first read. Either way the
     edges are held as the arrays ``arrays`` and validated there, by
     ``__post_init__``. Instances are immutable in content and safe to
     share across threads: the capacity components and the residual
@@ -119,36 +123,42 @@ class DiGraph:
     def from_arrays(cls, node_count: int, tails, heads, caps) -> DiGraph:
         """The graph whose edge i runs ``tails[i] -> heads[i]`` with
         capacity ``caps[i]``, three int64 arrays that the graph keeps and
-        nothing may write to."""
+        nothing may write to; id arrays of another dtype are refused
+        (``id_array``)."""
         g = cls.__new__(cls)
         object.__setattr__(g, "node_count", node_count)
-        object.__setattr__(g, "arrays", (tails, heads, caps))
+        object.__setattr__(g, "arrays", (id_array(tails, "node"), id_array(heads, "node"), caps))
         g.__post_init__()
         return g
 
     def __post_init__(self):
-        if not isinstance(self.node_count, int) or self.node_count <= 0:
-            raise InputError(f"node_count must be a positive integer, got {self.node_count!r}")
+        n = as_count(self.node_count, "node_count")
+        if n <= 0:
+            raise InputError(f"node_count must be a positive integer, got {n!r}")
+        object.__setattr__(self, "node_count", n)
+        rows = error = None
         if "arrays" in vars(self):
             tails, heads, caps = self.arrays
-            triples, type_error = None, ""
         else:
-            items, triples, type_error = _int_triples(self.edges)
-            tails, heads, caps = _columns(triples)
-            object.__setattr__(self, "edges", tuple(triples))
+            rows = tuple(self.edges)
+            *columns, error = read_triples(rows, n, "edge", "node", operator.index)
+            object.__setattr__(self, "edges", tuple(zip(*columns)))
+            tails, heads = (np.array(ids, dtype=np.int64) for ids in columns[:2])
+            caps = _capacity_array(columns[2])
             object.__setattr__(self, "arrays", (tails, heads, caps))
-        failure = _first_failure(self.node_count, tails, heads, caps)
+        failure = first_failure(n, tails, heads, caps < 0)
         if failure is not None:
             idx, check = failure
-            if triples is None:
-                edge = u, _, c = int(tails[idx]), int(heads[idx]), int(caps[idx])
-            else:
-                edge, (u, _, c) = items[idx], triples[idx]
+            u, _, c = self.edges[idx]
+            edge = self.edges[idx] if rows is None else rows[idx]
             raise InputError(f"edge {idx}: " + _EDGE_CHECKS[check].format(edge=edge, u=u, c=c))
-        if type_error:
-            raise InputError(type_error)
-        # the tuple path sums exactly: ``_columns`` may have clamped a capacity
-        total = _total(caps) if triples is None else sum(c for (_, _, c) in triples)
+        if error is not None:
+            # reading stopped at the row that failed, the one after those kept
+            idx = len(self.edges)
+            raise InputError(
+                f"edge {idx}: endpoints and capacity must be integers, got {rows[idx]!r}")
+        # the triples sum exactly: ``_capacity_array`` may have clamped a capacity
+        total = _total(caps) if rows is None else sum(c for (_, _, c) in self.edges)
         if total > MAX_TOTAL_CAPACITY:
             raise CapacityOverflowError(
                 f"total capacity {total} exceeds the 64-bit limit {MAX_TOTAL_CAPACITY}"
@@ -157,11 +167,8 @@ class DiGraph:
     def __getattr__(self, name):
         # Only reached for attributes not set: ``edges`` of a graph built
         # from arrays, made on first read.
-        if name != "edges" or "arrays" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        edges = tuple(zip(*(a.tolist() for a in self.arrays)))
-        object.__setattr__(self, "edges", edges)
-        return edges
+        return view_on_first_read(
+            self, name, "edges", lambda g: tuple(zip(*(a.tolist() for a in g.arrays))))
 
     @cached_property
     def residual_layout(self) -> ResidualLayout:
@@ -180,9 +187,8 @@ class DiGraph:
         positive = caps > 0
         tails, heads = tails[positive], heads[positive]
         comp, count = _components(self.residual_layout, positive, tails, heads)
-        order = np.argsort(comp, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(comp, minlength=count)).tolist()
-        members = tuple(frozenset(order[a:b]) for a, b in zip([0, *ends], ends))
+        order, starts = (a.tolist() for a in rows_by(comp, count))
+        members = tuple(frozenset(order[a:b]) for a, b in zip(starts, starts[1:]))
         succ = [set() for _ in members]
         pred = [set() for _ in members]
         across = comp[tails] != comp[heads]
@@ -200,6 +206,14 @@ def as_id(value, what: str) -> int:
     return operator.index(value)
 
 
+def as_count(value, what: str) -> int:
+    """``value``, the count ``what`` of a record, as a Python int by the
+    rule of ``as_id``; the record checks its own least count."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def check_node(node, node_count: int, what: str = "node") -> int:
     """``node`` as an id (``as_id``) checked to be below ``node_count``."""
     index = as_id(node, what)
@@ -208,8 +222,70 @@ def check_node(node, node_count: int, what: str = "node") -> int:
     return index
 
 
-# What an edge that fails each check of ``_first_failure`` is told, in
-# the order the checks are made.
+def check_terminals(node_count: int, source, sink) -> tuple[int, int]:
+    """The terminals as Python ints, checked: node ids, and distinct."""
+    source = check_node(source, node_count, "source")
+    sink = check_node(sink, node_count, "sink")
+    if source == sink:
+        raise InputError("source and sink must differ")
+    return source, sink
+
+
+def id_array(ids, what: str) -> np.ndarray:
+    """``ids``, the ``what`` ids at one end of a record's rows, as an
+    integer array; an array of another dtype is refused, not truncated,
+    unless it is empty (NumPy makes ``[]`` a float array)."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise InputError(f"{what} ids must be integers, got an array of {ids.dtype}")
+    return ids if ids.size else ids.astype(np.int64)
+
+
+def read_triples(rows, count: int, what: str, node: str, convert):
+    """The rows ``(tail, head, value)`` of a record of ``count`` nodes,
+    read once, in order, up to the first that fails: the ids through
+    ``as_id`` as ``node`` ids, as two lists, an id outside [0, count) read
+    as -1, which fits any array and is still out of range; the values
+    through the record's ``convert``, as a list; and the failure of that
+    first row as an ``InputError`` naming it as ``what`` i, or None. The
+    record raises it once every earlier row has passed its own checks."""
+    tails, heads, values = [], [], []
+    for idx, row in enumerate(rows):
+        try:
+            u, v, value = row
+            u, v, value = as_id(u, node), as_id(v, node), convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return tails, heads, values, InputError(f"{what} {idx}: {exc}")
+        tails.append(u if 0 <= u < count else -1)
+        heads.append(v if 0 <= v < count else -1)
+        values.append(value)
+    return tails, heads, values, None
+
+
+def view_on_first_read(record, name: str, view: str, make):
+    """What a record's ``__getattr__`` returns, which Python calls only for
+    an attribute not set: for ``view``, the rows of a record built from
+    arrays, ``make(record)``, kept from this first read on; any other
+    ``name`` is missing."""
+    if name != view:
+        raise AttributeError(f"{type(record).__name__!r} object has no attribute {name!r}")
+    rows = make(record)
+    object.__setattr__(record, view, rows)
+    return rows
+
+
+def _capacity_array(caps):
+    """Int capacities as an int64 array, one past the 64-bit range stored
+    as -1 or as the limit, which keeps every check's verdict: the exact
+    total of a capacity past the limit exceeds it too."""
+    try:
+        return np.array(caps, dtype=np.int64)
+    except OverflowError:
+        return np.array([min(max(c, -1), MAX_TOTAL_CAPACITY) for c in caps], dtype=np.int64)
+
+
+# What an edge that fails each check of ``DiGraph.__post_init__`` is told,
+# in the order the checks are made.
 _EDGE_CHECKS = (
     "node id out of range in {edge!r}",
     "self-loop at node {u}",
@@ -217,52 +293,14 @@ _EDGE_CHECKS = (
 )
 
 
-def _int_triples(edges):
-    """The edges as given, those before the first whose members are not all
-    ints as triples, and the error that one raises ("" if none)."""
-    items = list(edges)
-    triples = []
-    for idx, edge in enumerate(items):
-        u, v, c = edge
-        if not (isinstance(u, int) and isinstance(v, int) and isinstance(c, int)):
-            return items, triples, (
-                f"edge {idx}: endpoints and capacity must be integers, got {edge!r}"
-            )
-        triples.append((u, v, c))
-    return items, triples, ""
-
-
-def _columns(triples):
-    """Tails, heads and capacities of int triples as three int64 arrays. A
-    member past the 64-bit range is stored as -1 (an id, out of range) or as
-    the limit (a capacity, whose exact total then exceeds it), which keeps
-    every check's verdict."""
-    try:
-        table = np.array(triples, dtype=np.int64).reshape(-1, 3)
-    except OverflowError:
-        table = np.array(
-            [(*(x if 0 <= x <= MAX_TOTAL_CAPACITY else -1 for x in (u, v)),
-              min(max(c, -1), MAX_TOTAL_CAPACITY)) for (u, v, c) in triples],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-    return tuple(np.ascontiguousarray(table.T))
-
-
-def _first_failure(node_count, tails, heads, caps):
-    """``(index, check)`` of the first edge that fails a check, ``check``
-    indexing ``_EDGE_CHECKS``: node ids in range, no self-loop, capacity
-    nonnegative; None when every edge passes."""
-    return first_failure(np.stack((
-        (tails < 0) | (tails >= node_count) | (heads < 0) | (heads >= node_count),
-        tails == heads,
-        caps < 0,
-    )))
-
-
-def first_failure(fails) -> tuple[int, int] | None:
-    """``(item, check)`` of the first item that fails a check, ``fails`` a
-    (checks, items) boolean array whose rows are the checks in the order
-    each item is put through them; None when every item passes."""
+def first_failure(count: int, tails, heads, *checks) -> tuple[int, int] | None:
+    """``(row, check)`` of the first row of a record that fails a check, in
+    the order each row is put through them: check 0, both ids in [0,
+    count); check 1, no self-loop; then the record's own ``checks``, one
+    boolean array each, True where a row fails. None when every row
+    passes."""
+    fails = np.stack(((tails < 0) | (tails >= count) | (heads < 0) | (heads >= count),
+                      tails == heads, *checks))
     failed = fails.any(axis=0)
     if not failed.any():
         return None
@@ -291,24 +329,39 @@ def arc_layout(node_count: int, tails, heads, caps) -> ResidualLayout:
     reverse with capacity 0. The arcs are stably sorted by tail, as the
     narrowest unsigned type that holds every node id, which NumPy
     radix-sorts, to the same permutation. See ``ResidualLayout``."""
-    arc_tails, arc_heads = interleave(tails, heads), interleave(heads, tails)
-    cap = [0] * len(arc_tails)
+    arc_heads = interleave(heads, tails)
+    cap = [0] * len(arc_heads)
     cap[0::2] = caps.tolist()
-    arcs = np.argsort(arc_tails.astype(np.min_scalar_type(node_count)), kind="stable")
+    arcs, starts = rows_by(interleave(tails, heads), node_count)
     return ResidualLayout(
         adj=[None] * node_count,
         to=np.arange(node_count).astype(object)[arc_heads].tolist(),
         cap=cap,
         arcs=arcs,
-        starts=_offsets(arc_tails, node_count),
+        starts=starts,
         heads=arc_heads[arcs],
     )
 
 
-def _offsets(keys, n):
-    """Where each node's run starts in ``keys`` sorted, and where the last
-    ends: the compressed-row offsets of node ids ``keys`` below ``n``."""
-    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+def rows_by(keys, n):
+    """``(order, starts)``: the positions of ``keys``, ids below ``n``,
+    stably sorted by key, and where each key's run starts, so that the
+    positions of key k are ``order[starts[k]:starts[k + 1]]`` (compressed
+    sparse rows). The keys are sorted as the narrowest unsigned type that
+    holds every id, which NumPy radix-sorts, to the same permutation."""
+    order = np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")
+    return order, np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+
+
+def gather(values, starts, keys):
+    """``(counts, rows)``: the rows ``values[starts[k]:starts[k + 1]]`` of
+    each of ``keys``, an id array, possibly empty, one after another as
+    one array, and the length of each."""
+    lo = starts[keys]
+    counts = starts[keys + 1] - lo
+    ends = np.cumsum(counts)
+    total = ends[-1] if len(ends) else 0
+    return counts, values[np.repeat(lo + counts - ends, counts) + np.arange(total)]
 
 
 def _components(layout, positive, tails, heads):
@@ -341,14 +394,16 @@ def _components(layout, positive, tails, heads):
             local[nodes] = np.arange(len(nodes))
             tails, heads = local[tails[inner]], local[heads[inner]]
     if len(nodes):
-        starts, far = (a.tolist() for a in _rows_by(tails, heads, len(nodes)))
+        order, starts = rows_by(tails, len(nodes))
+        far, starts = heads[order].tolist(), starts.tolist()
         comp[nodes], count = _tarjan([far[a:b] for a, b in zip(starts, starts[1:])], count)
     return comp, count
 
 
 def _positive_rows(layout, positive):
-    """Compressed rows of the positive edges read off the residual layout's
-    arcs, for a search that spreads both ways at once: node u's row u lists
+    """Compressed rows ``(values, starts)`` of the positive edges read off
+    the residual layout's arcs, for a search that spreads both ways at
+    once: node u's row u lists
     the heads of its positive edges, its row n + u, shifted by n, the tails
     of the positive edges into it (the heads of their mirror arcs); both in
     edge order."""
@@ -359,24 +414,8 @@ def _positive_rows(layout, positive):
     out, into = live & ~odd, live & odd
     out_ends = np.concatenate(([0], np.cumsum(out)))[layout.starts]
     in_ends = np.concatenate(([0], np.cumsum(into)))[layout.starts] + out_ends[-1]
-    return (np.concatenate((out_ends[:-1], in_ends)),
-            np.concatenate((layout.heads[out], layout.heads[into] + n)))
-
-
-def _rows_by(keys, values, n):
-    """``(starts, values)`` with ``values`` stably sorted by ``keys``, node
-    ids below ``n``: the compressed rows of ``values`` by key."""
-    order = np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")
-    return _offsets(keys, n), values[order]
-
-
-def _gather(rows, nodes):
-    """The rows of ``nodes``, a nonempty array, one after another."""
-    starts, far = rows
-    lo = starts[nodes]
-    count = starts[nodes + 1] - lo
-    ends = np.cumsum(count)
-    return far[np.repeat(lo - ends + count, count) + np.arange(ends[-1])]
+    return (np.concatenate((layout.heads[out], layout.heads[into] + n)),
+            np.concatenate((out_ends[:-1], in_ends)))
 
 
 def _thin(steps, taken):
@@ -388,10 +427,10 @@ def _thin(steps, taken):
 
 def _spread(rows, roots):
     """The nodes that ``roots``, a list of them, reach along the compressed
-    rows ``rows``, as a mask; a BFS that takes one whole layer per step.
-    None if its layers turn thin."""
-    starts, far = rows
-    seen = np.zeros(len(starts) - 1, dtype=bool)
+    rows ``rows`` (``(values, starts)``, as ``gather`` reads them), as a
+    mask; a BFS that takes one whole layer per step. None if its layers
+    turn thin."""
+    seen = np.zeros(len(rows[1]) - 1, dtype=bool)
     seen[roots] = True
     layer = np.array(roots)
     last = np.empty(len(seen), dtype=np.intp)  # a node's last place in a layer
@@ -400,7 +439,7 @@ def _spread(rows, roots):
         if _thin(steps, taken):
             return None
         steps += 1
-        nxt = _gather(rows, layer)
+        _, nxt = gather(*rows, layer)
         nxt = nxt[~seen[nxt]]
         place = np.arange(len(nxt))
         last[nxt] = place
@@ -525,11 +564,7 @@ def _max_flow(g: DiGraph, source: int, sink: int):
     other terminal's from there. A round reads only the nodes its two
     searches visit.
     """
-    source = check_node(source, g.node_count, "source")
-    sink = check_node(sink, g.node_count, "sink")
-    if source == sink:
-        raise InputError("source and sink must differ")
-
+    source, sink = check_terminals(g.node_count, source, sink)
     layout = g.residual_layout
     adj, to = layout.adj, layout.to
     cap = list(layout.cap)

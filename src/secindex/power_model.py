@@ -42,7 +42,8 @@ import numpy as np
 
 from .costly_cut import as_cost
 from .errors import EstimationError, InputError, InvariantError
-from .mincut import as_id, first_failure, interleave
+from .mincut import (as_count, as_id, first_failure, gather, id_array, interleave, read_triples,
+                     rows_by, view_on_first_read)
 
 ZERO_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
@@ -60,7 +61,9 @@ class PowerNetwork:
     reactance x positive and finite, and its susceptance 1/x finite too (x
     above 2**-1024). Parallel lines are allowed, self-loops are not, and the
     network must be connected as an undirected graph.
-    ``PowerNetwork(bus_count, lines)`` takes the lines as triples;
+    ``PowerNetwork(bus_count, lines)`` takes the lines as triples
+    (``mincut.read_triples``: bus ids by ``as_id``, reactances through
+    ``float``), kept with Python int ids;
     ``PowerNetwork.from_arrays`` takes them as three arrays and builds
     ``lines`` on first read. Either way the lines are held as the arrays
     ``arrays`` (from buses, to buses, reactances) and validated there, by
@@ -77,36 +80,34 @@ class PowerNetwork:
     def from_arrays(cls, bus_count: int, tails, heads, reactances) -> PowerNetwork:
         """The network whose line i runs ``tails[i] - heads[i]`` with
         reactance ``reactances[i]``: integer bus ids and float reactances,
-        converted to arrays that the network keeps and nothing may write to."""
+        converted to arrays that the network keeps and nothing may write to;
+        id arrays of another dtype are refused (``id_array``)."""
         net = cls.__new__(cls)
         object.__setattr__(net, "bus_count", bus_count)
-        object.__setattr__(net, "arrays", (tails, heads, reactances))
+        ends = id_array(tails, "bus"), id_array(heads, "bus")
+        object.__setattr__(net, "arrays", (*ends, reactances))
         net.__post_init__()
         return net
 
     def __post_init__(self):
-        n = self.bus_count
+        n = as_count(self.bus_count, "bus_count")
         if n < 1:
             raise InputError("bus_count must be positive")
+        object.__setattr__(self, "bus_count", n)
         built = "arrays" in vars(self)
         if n > len(self.arrays[0] if built else self.lines) + 1:  # fewer lines than a spanning tree
             raise InputError("network is not connected")
         if built:
             columns, error = self.arrays, None
         else:
-            columns, error = _line_columns(self.lines, n)
+            *columns, error = read_triples(self.lines, n, "line", "bus", float)
             object.__setattr__(self, "lines", tuple(zip(*columns)))
         tails, heads = (np.asarray(ends, dtype=np.intp) for ends in columns[:2])
         x = np.asarray(columns[2], dtype=float)
         object.__setattr__(self, "arrays", (tails, heads, x))
         with np.errstate(divide="ignore", over="ignore"):
             susceptance = 1.0 / x
-        failure = first_failure(np.stack((
-            (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n),
-            tails == heads,
-            ~((x > 0) & (x < np.inf)),
-            np.isinf(susceptance),
-        )))
+        failure = first_failure(n, tails, heads, ~((x > 0) & (x < np.inf)), np.isinf(susceptance))
         if failure is not None:
             idx, check = failure
             raise InputError(
@@ -120,11 +121,7 @@ class PowerNetwork:
     def __getattr__(self, name):
         # Only reached for attributes not set: ``lines`` of a network built
         # from arrays, made on first read.
-        if name != "lines" or "arrays" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        lines = tuple(zip(*self.columns))
-        object.__setattr__(self, "lines", lines)
-        return lines
+        return view_on_first_read(self, name, "lines", lambda net: tuple(zip(*net.columns)))
 
     @cached_property
     def columns(self) -> tuple[list[int], list[int], list[float]]:
@@ -137,13 +134,10 @@ class PowerNetwork:
         """``(lines, starts)``, the lines by bus: the ids of the lines at
         bus b, ascending and parallel lines each listed, are
         ``lines[starts[b]:starts[b + 1]]``. Built by one stable sort of the
-        lines' ends, end 2i being line i's from bus and end 2i + 1 its to
-        bus, as the narrowest unsigned type, which NumPy radix-sorts."""
-        tails, heads, _ = self.arrays
-        at = interleave(tails, heads)
-        order = np.argsort(at.astype(np.min_scalar_type(self.bus_count)), kind="stable")
-        ends = np.cumsum(np.bincount(at, minlength=self.bus_count))
-        return order >> 1, np.concatenate(([0], ends))
+        lines' ends (``rows_by``), end 2i being line i's from bus and end
+        2i + 1 its to bus."""
+        order, starts = rows_by(interleave(*self.arrays[:2]), self.bus_count)
+        return order >> 1, starts
 
     def _connected(self) -> bool:
         """Whether every bus is linked to bus 0. Each bus points at a bus of
@@ -205,24 +199,6 @@ _LINE_CHECKS = (
     "reactance must be positive and finite, got {x}",
     "reactance {x} is too small: its susceptance 1/x overflows",
 )
-
-
-def _line_columns(lines, bus_count):
-    """The from buses, to buses and reactances of line triples, through
-    ``int``, ``int`` and ``float``, up to the first line that does not
-    convert, and the exception that line raised (None if none). An id
-    outside [0, bus_count) reads as -1, which fits any array and is still
-    out of range."""
-    columns = ([], [], [])
-    try:
-        for u, v, x in lines:
-            u, v, x = int(u), int(v), float(x)
-            columns[0].append(u if 0 <= u < bus_count else -1)
-            columns[1].append(v if 0 <= v < bus_count else -1)
-            columns[2].append(x)
-    except Exception as exc:  # raised once every earlier line has passed
-        return columns, exc
-    return columns, None
 
 
 @dataclass(frozen=True)
@@ -524,9 +500,10 @@ def _entries(model, at_tail, at_head):
 # witness moves, from their terms; on a smaller one it reads H2's nonzeros,
 # grouped once per model. Each way wins where it is used: a 2383-bus grid's
 # first fit (14,296 terms) costs 0.17 ms locally against 1.28 ms for the
-# grouping, while the verify-desk stream's 2616 fits on small tables cost
-# 100 ms locally against 13 ms (79 seed-1 cases, about 4 s in all), a local
-# fit's fixed cost being some 20 NumPy calls (2-vCPU Xeon, Python 3.11).
+# grouping, while the verify-desk stream's 834 fits on small tables cost
+# 53-59 ms locally against 4.0-4.6 ms, grouping included (79 seed-1 cases,
+# about 0.9 s of ``verify`` in all), a local fit's fixed cost being some
+# 20 NumPy calls (thread CPU, 2-vCPU Xeon, Python 3.11, NumPy 2.4).
 # The bundled 118-bus case has 744 terms.
 LOCAL_FIT_TERMS = 4096
 
@@ -550,7 +527,7 @@ def _terms_at(table, buses):
     lines at those buses (``adjacency``, then ``by_line``) whose tail, or
     head, is the bus the line was met at. A term reads one line, whose two
     ends are its tail and its head, so it is met once at each."""
-    counts, met = _runs(*table.adjacency, buses)
+    counts, met = gather(*table.adjacency, buses)
     ids = table.by_line[met]
     real, at = ids >= 0, np.repeat(buses, counts)[:, None]
     return np.sort(ids[real & (table.tails[ids] == at)]), np.sort(ids[real & (table.heads[ids] == at)])
@@ -605,7 +582,7 @@ def build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
     flows = np.array(meas.flow_from + meas.flow_to, dtype=np.intp)
     sign = np.repeat([1.0, -1.0], [len(meas.flow_from), len(meas.flow_to)])
     injected = np.array(meas.injection, dtype=np.intp)
-    counts, met = _runs(*net.adjacency, injected)
+    counts, met = gather(*net.adjacency, injected)
     at = np.repeat(injected, counts)
     # The terms of each line by slot: its flow_from row, its flow_to row,
     # and its injection terms at its from bus and at its to bus.
@@ -624,16 +601,6 @@ def build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
         by_line,
         net.adjacency,
     )
-
-
-def _runs(lines, starts, buses):
-    """``(counts, met)``: the runs ``lines[starts[b]:starts[b + 1]]`` of a
-    lines-by-bus index for each of ``buses`` in turn, as one array ``met``,
-    and the length of each run."""
-    counts = starts[buses + 1] - starts[buses]
-    ends = np.cumsum(counts)
-    positions = np.repeat(starts[buses] + counts - ends, counts) + np.arange(int(counts.sum()))
-    return counts, lines[positions]
 
 
 def is_observable(model: ModelMatrix) -> bool:

@@ -293,3 +293,19 @@ def test_criterion_10_out_of_scope_statement(capsys):
     assert "big-M" in text or "big M" in text
     with capsys.disabled():
         _stamp(10, "non-reproduced studies documented in README")
+
+
+def test_readme_library_example_runs(capsys):
+    # The python block under README's "Library example" heading, run as
+    # written: the worked example's five indices, with their attacks.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "flow_from 1 3 True (0, 3, 4)",
+        "flow_from 2 2 True (1, 4)",
+        "flow_from 3 1 True (2,)",
+        "flow_to 1 3 True (0, 3, 4)",
+        "injection 1 2 True (1, 4)",
+    ]

@@ -32,7 +32,7 @@ from secindex.costly_cut import CostlyCutInstance, _plain_graph, build_auxiliary
 from secindex.indices import cut_instance_for_line
 from secindex import cli, mincut
 from secindex.mincut import MAX_TOTAL_CAPACITY, _checked_cut, _max_flow, _reach, interleave
-from secindex.power_model import WeightAssignment
+from secindex.power_model import PowerNetwork, WeightAssignment
 
 
 def _sink_side(g, cut):
@@ -859,3 +859,83 @@ def test_layout_sorted_as_narrow_keys_equals_the_int64_layout():
         assert adj == tuple(tuple(arcs[a:b]) for a, b in zip([0, *ends], ends))
         assert to == tuple(interleave(heads, tails).tolist())
         assert cap == tuple(interleave(g.arrays[2], np.zeros(3000, dtype=np.int64)).tolist())
+        # A network's lines by bus are sorted the same way; a shuffled path
+        # through every bus keeps the network connected.
+        path = rng.permutation(node_count)
+        ends = np.concatenate((path[:-1], tails)), np.concatenate((path[1:], heads))
+        net = PowerNetwork.from_arrays(node_count, *ends, np.ones(len(ends[0])))
+        lines, starts = net.adjacency
+        at = interleave(*ends)
+        assert lines.tolist() == (np.argsort(at, kind="stable") >> 1).tolist()
+        assert starts.tolist() == [0, *np.cumsum(np.bincount(at, minlength=node_count)).tolist()]
+
+
+# Each record built from rows given as triples, three rows on three nodes,
+# and from the same rows as arrays: the flow graph, the network and the
+# cut instance. The first row is good; ``row`` is the second.
+_RECORDS = {
+    "graph": (lambda rows: DiGraph(node_count=3, edges=rows),
+              lambda tails, heads: DiGraph.from_arrays(3, tails, heads, np.ones(2, dtype=np.int64))),
+    "network": (lambda rows: PowerNetwork(bus_count=3, lines=rows),
+                lambda tails, heads: PowerNetwork.from_arrays(3, tails, heads, np.ones(2))),
+    "instance": (lambda rows: CostlyCutInstance(node_count=3, edges=rows, node_costs=(0, 0, 0),
+                                                source=0, sink=2),
+                 lambda tails, heads: CostlyCutInstance.from_arrays(3, tails, heads, [1, 1], (0, 0, 0), 0, 2)),
+}
+
+
+@pytest.mark.parametrize("record", sorted(_RECORDS))
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(1.0), True, np.True_, "1"], ids=repr)
+def test_a_float_bool_or_string_id_is_refused_at_both_doors(record, bad):
+    # Never truncated or read as a number: from triples, the row is named;
+    # as an array, one whose dtype is not an integer one is refused.
+    triples, arrays = _RECORDS[record]
+    for row in ((bad, 2, 1), (1, bad, 1)):
+        with pytest.raises(InputError, match=r"^(edge|line) 1: ") as err:
+            triples(((0, 1, 1), row))
+        assert repr(bad) in str(err.value)
+    with pytest.raises(InputError, match="ids must be integers"):
+        arrays(np.array([bad, bad]), np.array([1, 2]))
+    with pytest.raises(InputError, match="ids must be integers"):
+        arrays(np.array([0, 1]), np.array([bad, bad]))
+
+
+def test_a_numpy_integer_id_or_count_is_read_as_its_int():
+    rows = ((np.int64(0), np.int32(1), 1), (np.uint8(1), 2, 1))
+    records = [
+        DiGraph(node_count=np.int64(3), edges=rows).edges,
+        PowerNetwork(bus_count=np.int16(3), lines=rows).lines,
+        CostlyCutInstance(node_count=np.int64(3), edges=rows, node_costs=(0, 0, 0), source=0, sink=2).edges,
+    ]
+    for built in records:
+        assert built == ((0, 1, 1), (1, 2, 1))
+        assert {type(i) for u, v, _ in built for i in (u, v)} == {int}
+    assert type(PowerNetwork(bus_count=np.int16(3), lines=rows).bus_count) is int
+    tails, heads = np.array([0, 1], dtype=np.int32), np.array([1, 2], dtype=np.uint16)
+    for _, arrays in _RECORDS.values():
+        arrays(tails, heads)
+    # a one-bus network has no lines, and NumPy makes [] a float array
+    assert PowerNetwork.from_arrays(1, [], [], []).line_count == 0
+
+
+def test_a_row_that_does_not_read_is_named_once_the_earlier_rows_pass():
+    inst = dict(node_count=3, node_costs=(0, 0, 0), source=0, sink=2)
+    with pytest.raises(InputError, match="^edge 0: self-loop at node 0$"):
+        CostlyCutInstance(edges=((0, 0, 1), (0, 1, "x")), **inst)
+    with pytest.raises(InputError, match="^edge 1: cannot parse cost 'x'$"):
+        CostlyCutInstance(edges=((0, 1, 1), (0, 1, "x"), (2, 2, 1)), **inst)
+    # a reactance past the float range is an input error naming its line
+    with pytest.raises(InputError, match="^line 0: int too large to convert to float$"):
+        PowerNetwork(bus_count=2, lines=((0, 1, 2**2000),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda count: PowerNetwork(bus_count=count, lines=((0, 1, 1.0), (1, 2, 1.0))),
+    lambda count: DiGraph(node_count=count, edges=((0, 1, 1),)),
+    lambda count: CostlyCutInstance(node_count=count, edges=((0, 1, 1),), node_costs=(0, 0, 0),
+                                    source=0, sink=1),
+], ids=["network", "graph", "instance"])
+@pytest.mark.parametrize("count", [3.0, "3", True, np.float64(3.0), None], ids=repr)
+def test_a_count_that_is_not_an_integer_is_refused_at_construction(build, count):
+    with pytest.raises(InputError, match=r"^(bus|node)_count must be an integer, got "):
+        build(count)
