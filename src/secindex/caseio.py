@@ -97,7 +97,16 @@ def _meas_ids(source, raw, count, what):
     return tuple(out)
 
 
-def _parse_weights(source, raw, net, meas):
+# The one spelling of a weight id, a JSON key: ASCII digits, no leading zero.
+_PLAIN_ID = re.compile(r"0|[1-9][0-9]*")
+
+
+def _parse_weights(source, raw, net, meas, bus_index_of=None):
+    """The weights block ``raw`` over the placement's derived weights. Its
+    keys are ids written as plain decimal digits; any other spelling is
+    refused as it was written. An ``edge_costs`` key is a 1-based line
+    position; a ``node_costs`` key is a 1-based bus position, or, for a
+    MATPOWER sidecar, the file's bus id, looked up in ``bus_index_of``."""
     if not isinstance(raw, dict):
         _fail(source, "weights must be an object")
     unknown = set(raw) - _WEIGHT_KEYS
@@ -114,14 +123,22 @@ def _parse_weights(source, raw, net, meas):
         if not isinstance(costs, dict):
             _fail(source, f"weights.{key} must be an object")
         for ident, value in costs.items():
+            if not _PLAIN_ID.fullmatch(ident):
+                _fail(source, f"weights.{key}: id {ident!r} is not an integer in plain digits")
             try:
                 idx = int(ident)
-            except ValueError:
-                _fail(source, f"weights.{key}: id {ident!r} is not an integer")
-            if not (1 <= idx <= count):
-                _fail(source, f"weights.{key}: id {idx} out of range 1..{count}")
+            except ValueError:  # more digits than Python reads: past every id
+                idx = math.inf
+            if key == "node_costs" and bus_index_of is not None:
+                pos = bus_index_of.get(idx)
+                if pos is None:
+                    _fail(source, f"weights.{key}: unknown bus id {ident}")
+            else:
+                pos = idx - 1
+                if not 0 <= pos < count:
+                    _fail(source, f"weights.{key}: id {ident} out of range 1..{count}")
             try:
-                vector[idx - 1] = as_cost(value)
+                vector[pos] = as_cost(value)
             except InputError as exc:
                 _fail(source, f"weights.{key}[{ident}]: {exc}")
     return WeightAssignment(edge_costs=tuple(edge_costs), node_costs=tuple(node_costs))
@@ -179,7 +196,7 @@ def _check_injections(source, net, meas, bus_ids):
     ``build_h`` sums the injection's terms."""
     ends = interleave(*net.endpoints)
     total = np.bincount(ends, weights=np.repeat(net.susceptances(), 2), minlength=net.bus_count)
-    metered = total[np.asarray(meas.injection, dtype=np.intp)]
+    metered = total[meas.id_arrays[2]]
     failed = ~((metered > 0) & (metered < math.inf))
     if failed.any():
         bus = meas.injection[int(failed.argmax())]
@@ -279,7 +296,9 @@ def parse_matpower_subset(path, sidecar_path=None) -> CaseFile:
     ids are renumbered densely in order of appearance, with the original id
     kept per internal index. The placement defaults to full measurement; a
     sidecar native file (keys: measurements, weights) overrides it, using
-    original bus ids and 1-based in-service branch positions.
+    original bus ids (the injection list and the keys of
+    ``weights.node_costs``) and 1-based in-service branch positions (the
+    flow lists and the keys of ``weights.edge_costs``).
     """
     source = str(path)
     text = read_text(path)
@@ -370,7 +389,7 @@ def _parse_sidecar(path, net, bus_index_of):
     )
     weights = None
     if "weights" in doc:
-        weights = _parse_weights(source, doc["weights"], net, meas)
+        weights = _parse_weights(source, doc["weights"], net, meas, bus_index_of)
     return meas, weights
 
 

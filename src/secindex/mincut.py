@@ -17,8 +17,14 @@ flow. Where the search from the other terminal closed first, the
 terminal reaches no node outside the components its own reaches among the
 strongly connected components of the graph's positive-capacity edges,
 built once per graph by one vectorized forward-backward search, with
-Tarjan's algorithm for the nodes it leaves. If those hold at most half the
-graph's nodes, the terminal's search is run to its end and carried.
+Tarjan's algorithm for the nodes it leaves. A graph may come with a proof
+that those edges form one component (``DiGraph.one_component``): the
+costly-cut auxiliary graph proves it from its instance, where every node
+charge is positive and the edges come in reverse pairs that join every
+node (``connected``, the one connectivity test, which ``PowerNetwork``
+runs on its lines too), and then no component is built. If the
+terminal's components hold at most half the graph's nodes, its search is
+run to its end and carried.
 Otherwise the closed set is grown locally, a graph neighbour joining it
 when a search from it closes before meeting the terminal's search, and
 the cut is carried by its other side: that set, with every node of a
@@ -120,14 +126,17 @@ class DiGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     @classmethod
-    def from_arrays(cls, node_count: int, tails, heads, caps) -> DiGraph:
+    def from_arrays(cls, node_count: int, tails, heads, caps, proof=None) -> DiGraph:
         """The graph whose edge i runs ``tails[i] -> heads[i]`` with
         capacity ``caps[i]``, three int64 arrays that the graph keeps and
         nothing may write to; id arrays of another dtype are refused
-        (``id_array``)."""
+        (``id_array``). ``proof``, if given, is a function of no arguments
+        that returns True only if the positive-capacity edges form one
+        strongly connected component; see ``one_component``."""
         g = cls.__new__(cls)
         object.__setattr__(g, "node_count", node_count)
         object.__setattr__(g, "arrays", (id_array(tails, "node"), id_array(heads, "node"), caps))
+        object.__setattr__(g, "proof", proof)
         g.__post_init__()
         return g
 
@@ -175,6 +184,15 @@ class DiGraph:
         """The graph's arcs for the flow (``arc_layout``), built on first
         use."""
         return arc_layout(self.node_count, *self.arrays)
+
+    @cached_property
+    def one_component(self) -> bool:
+        """Whether the graph's proof, run on first use, shows its
+        positive-capacity edges to be one strongly connected component;
+        False for a graph built without one, whose components are then
+        found by search (``capacity_components``)."""
+        proof = vars(self).get("proof")
+        return proof is not None and proof()
 
     @cached_property
     def capacity_components(self):
@@ -362,6 +380,28 @@ def gather(values, starts, keys):
     ends = np.cumsum(counts)
     total = ends[-1] if len(ends) else 0
     return counts, values[np.repeat(lo + counts - ends, counts) + np.arange(total)]
+
+
+def connected(count: int, tails, heads) -> bool:
+    """Whether the edges ``tails[i] - heads[i]``, read as undirected, link
+    every one of ``count`` nodes to node 0. Each node points at a node of
+    no larger id in its component, at first itself; each round, every root
+    that an edge links to a smaller root is pointed at the least such root,
+    then every node at its root, until no edge links two roots (Shiloach
+    and Vishkin's scheme). Node 0 is then the root of its component."""
+    parent = np.arange(count)
+    while True:
+        a, b = parent[tails], parent[heads]
+        apart = a != b
+        if not apart.any():
+            return not parent.any()
+        a, b = a[apart], b[apart]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = parent[parent]
+            if (up == parent).all():
+                break
+            parent = up
 
 
 def _components(layout, positive, tails, heads):
@@ -596,7 +636,10 @@ def _reach(g: DiGraph, cap, searches, back):
     A closed tree is the answer. Otherwise the other search closed, on a
     set of nodes the root cannot reach, and the root reaches only the
     components its own reaches in the positive-capacity graph
-    (``DiGraph.capacity_components``). If those hold at most half the
+    (``DiGraph.capacity_components``): every node, with no component
+    built, on a graph whose proof shows those edges to be one component
+    (``DiGraph.one_component``; the costly-cut auxiliary graph's proof
+    reads its instance's charges and edges). If those hold at most half the
     graph's nodes, the tree is grown to its end. Else the set grows locally
     (Picard and Queyranne, 1980): each graph neighbour y of it in a reached
     component is tested by a search from y in the other direction that
@@ -613,9 +656,11 @@ def _reach(g: DiGraph, cap, searches, back):
     if layer:
         layout = g.residual_layout
         adj, to = layout.adj, layout.to
-        comp, members, *links = g.capacity_components
-        bound = _reached_components(links[back], comp[root])
-        unreached = list(map(members.__getitem__, set(range(len(members))) - bound))
+        comp, unreached = None, ()  # one component: the root reaches every node
+        if not g.one_component:
+            comp, members, *links = g.capacity_components
+            bound = _reached_components(links[back], comp[root])
+            unreached = list(map(members.__getitem__, set(range(len(members))) - bound))
         if 2 * sum(map(len, unreached)) >= g.node_count:
             while layer:
                 layer, _ = _grow(adj, to, cap, layout, layer, tree, (), back)
@@ -623,7 +668,7 @@ def _reach(g: DiGraph, cap, searches, back):
         todo = [to[e] for u in near for e in adj[u]] if layer else ()
         while todo and layer:
             y = todo.pop()
-            if y in region or y in tree or comp[y] not in bound:
+            if y in region or y in tree or (comp is not None and comp[y] not in bound):
                 continue
             region[y] = -1
             found, probe, met = [y], [y], False

@@ -15,9 +15,12 @@ partitions and verifies their residuals. It also builds the hardness gadget
 that encodes positive one-in-three 3SAT instances as measurement systems.
 
 A network holds its lines as arrays (``PowerNetwork.arrays``), validated in
-one vectorized pass, with connectivity decided by union-find over the
-lines; its line triples are built only when read, and the lines at each
-bus come from one stable sort (``PowerNetwork.adjacency``). A placement
+one vectorized pass, with connectivity decided over the lines by
+``mincut.connected``; its line triples are built only when read, and the
+lines at each bus come from one stable sort (``PowerNetwork.adjacency``).
+A placement keeps its id groups as tuples and, built once on first read,
+as arrays (``MeasurementPlacement.id_arrays``), which ``build_h``, the
+derived weights and the case readers' injection check read. A placement
 reads a measurement's label by position (``MeasurementPlacement.label``)
 and builds ``ordering()``, the one whole label order, only for a caller
 that reads it whole; derived weights come from a ``bincount``. The measurement matrix (``ModelMatrix``) is its term table
@@ -42,8 +45,8 @@ import numpy as np
 
 from .costly_cut import as_cost
 from .errors import EstimationError, InputError, InvariantError
-from .mincut import (as_count, as_id, first_failure, gather, id_array, interleave, read_triples,
-                     rows_by, view_on_first_read)
+from .mincut import (as_count, as_id, connected, first_failure, gather, id_array, interleave,
+                     read_triples, rows_by, view_on_first_read)
 
 ZERO_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
@@ -115,7 +118,7 @@ class PowerNetwork:
             )
         if error is not None:
             raise error
-        if n > 1 and not self._connected():
+        if n > 1 and not connected(n, tails, heads):
             raise InputError("network is not connected")
 
     def __getattr__(self, name):
@@ -138,28 +141,6 @@ class PowerNetwork:
         2i + 1 its to bus."""
         order, starts = rows_by(interleave(*self.arrays[:2]), self.bus_count)
         return order >> 1, starts
-
-    def _connected(self) -> bool:
-        """Whether every bus is linked to bus 0. Each bus points at a bus of
-        no larger id in its component, at first itself; each round, every
-        root that a line links to a smaller root is pointed at the least
-        such root, then every bus at its root, until no line links two
-        roots (Shiloach and Vishkin's scheme). Bus 0 is then the root of
-        its component."""
-        tails, heads, _ = self.arrays
-        parent = np.arange(self.bus_count)
-        while True:
-            a, b = parent[tails], parent[heads]
-            apart = a != b
-            if not apart.any():
-                return not parent.any()
-            a, b = a[apart], b[apart]
-            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-            while True:
-                up = parent[parent]
-                if (up == parent).all():
-                    break
-                parent = up
 
     @property
     def line_count(self) -> int:
@@ -239,6 +220,19 @@ class MeasurementPlacement:
     def _groups(self):
         return (FLOW_FROM, self.flow_from), (FLOW_TO, self.flow_to), (INJECTION, self.injection)
 
+    @cached_property
+    def id_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The id groups flow_from, flow_to and injection as intp arrays,
+        built on first read and shared by every reader. A group is sorted
+        and without repeats, so one whose ends lie len - 1 apart is their
+        whole range, made without reading its ids."""
+        return tuple(
+            np.arange(ids[0], ids[-1] + 1, dtype=np.intp)
+            if ids and ids[-1] - ids[0] == len(ids) - 1
+            else np.array(ids, dtype=np.intp)
+            for _, ids in self._groups()
+        )
+
     @property
     def measurement_count(self) -> int:
         return len(self.flow_from) + len(self.flow_to) + len(self.injection)
@@ -316,9 +310,10 @@ class WeightAssignment:
     def from_placement(cls, net: PowerNetwork, meas: MeasurementPlacement) -> "WeightAssignment":
         """The derived weights of a placement."""
         check_placement(net, meas)
-        metered = np.fromiter(chain(meas.flow_from, meas.flow_to), dtype=np.intp)
+        flow_from, flow_to, injection = meas.id_arrays
+        metered = np.concatenate((flow_from, flow_to))
         injected = np.zeros(net.bus_count, dtype=np.intp)
-        injected[np.array(meas.injection, dtype=np.intp)] = 1
+        injected[injection] = 1
         return cls(
             edge_costs=np.bincount(metered, minlength=net.line_count).tolist(),
             node_costs=injected.tolist(),
@@ -579,15 +574,15 @@ def build_h(net: PowerNetwork, meas: MeasurementPlacement) -> ModelMatrix:
     check_placement(net, meas)
     tails, heads = net.endpoints
     susceptance = net.susceptances()
-    flows = np.array(meas.flow_from + meas.flow_to, dtype=np.intp)
-    sign = np.repeat([1.0, -1.0], [len(meas.flow_from), len(meas.flow_to)])
-    injected = np.array(meas.injection, dtype=np.intp)
+    flow_from, flow_to, injected = meas.id_arrays
+    flows = np.concatenate((flow_from, flow_to))
+    sign = np.repeat([1.0, -1.0], [len(flow_from), len(flow_to)])
     counts, met = gather(*net.adjacency, injected)
     at = np.repeat(injected, counts)
     # The terms of each line by slot: its flow_from row, its flow_to row,
     # and its injection terms at its from bus and at its to bus.
     by_line = np.full((net.line_count, 4), -1, dtype=np.intp)
-    metered = len(meas.flow_from)
+    metered = len(flow_from)
     by_line[flows[:metered], 0] = np.arange(metered)
     by_line[flows[metered:], 1] = np.arange(metered, flows.size)
     by_line[met, 2 + (at != tails[met])] = flows.size + np.arange(met.size)

@@ -209,6 +209,30 @@ def test_matpower_sidecar_override():
         os.unlink(sname)
 
 
+def test_matpower_sidecar_weights_name_buses_by_the_files_ids(tmp_path):
+    # Bus ids 10, 20 and 30: a sidecar's node_costs keys are the file's bus
+    # ids, as its injection list is, so "20" charges the second bus; the
+    # index is the native triangle's with bus 2 charged the same.
+    files = _matpower_case((10, 20, 30), ((1, 2, "0.1"), (2, 3, "0.2"), (1, 3, "0.3")))
+    (tmp_path / "case.m").write_text(files["case.m"])
+    (tmp_path / "side.json").write_text('{"weights": {"node_costs": {"20": 2}}}')
+    case = parse_matpower_subset(tmp_path / "case.m", sidecar_path=tmp_path / "side.json")
+    assert case.weights.node_costs == (1, 2, 1) and case.bus_ids == (10, 20, 30)
+    native = json.loads(NATIVE_TRIANGLE)
+    native["lines"] = [[1, 2, 0.1], [2, 3, 0.2], [1, 3, 0.3]]
+    native["measurements"] = {"flow_from": "all", "flow_to": "all", "injection": "all"}
+    native["weights"] = {"node_costs": {"2": 2}}
+    (tmp_path / "case.json").write_text(json.dumps(native))
+    csvs = []
+    for argv in (["index", str(tmp_path / "case.m"), "--measurements", str(tmp_path / "side.json")],
+                 ["index", str(tmp_path / "case.json")]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        csvs.append(out.getvalue())
+    assert csvs[0] == csvs[1]
+
+
 def test_cut_instance_round_trip_fields():
     inst = parse_cut_instance(case_path("comparison.cut"))
     assert inst.node_count == 4
@@ -284,6 +308,18 @@ def _matpower_case(bus_ids, lines):
          "weights.edge_costs: id 'one' is not an integer"),
         (_native('"all"}', '"all"}, "weights": {"node_costs": {"4": 1}}'),
          "weights.node_costs: id 4 out of range 1..3"),
+        (_native('"all"}', '"all"}, "weights": {"edge_costs": {"2": 3, "02": 5}}'),
+         "weights.edge_costs: id '02' is not an integer in plain digits"),
+        (_native('"all"}', '"all"}, "weights": {"edge_costs": {"1_0": 1}}'),
+         "weights.edge_costs: id '1_0' is not an integer in plain digits"),
+        (_native('"all"}', '"all"}, "weights": {"node_costs": {" 2": 1}}'),
+         "weights.node_costs: id ' 2' is not an integer in plain digits"),
+        (_native('"all"}', '"all"}, "weights": {"node_costs": {"+2": 1}}'),
+         "weights.node_costs: id '+2' is not an integer in plain digits"),
+        (_native('"all"}', '"all"}, "weights": {"node_costs": {"\\u0662": 1}}'),
+         "weights.node_costs: id '\u0662' is not an integer in plain digits"),
+        (_native('"all"}', '"all"}, "weights": {"node_costs": {"0": 1}}'),
+         "weights.node_costs: id 0 out of range 1..3"),
         (_native('"all"}', '"all"}, "weights": {"node_costs": {"2": "-1"}}'),
          "weights.node_costs[2]: costs must be nonnegative, got -1"),
         (_native('"all"}', '"all"}, "weights": {"edge_costs": 5}'),
@@ -314,6 +350,12 @@ def _matpower_case(bus_ids, lines):
         (_sidecar('{"measurements": {"injection": [[1]]}}'), "unknown bus id [1]"),
         (_sidecar('{"measurements": {"injection": [true]}}'), "unknown bus id True: not an integer"),
         (_sidecar('{"measurements": {"injection": [1.0]}}'), "unknown bus id 1.0: not an integer"),
+        ({**_matpower_case((10, 20, 30), ((1, 2, "0.1"), (2, 3, "0.2"))),
+          "side.json": '{"weights": {"node_costs": {"2": 2}}}'},
+         "weights.node_costs: unknown bus id 2"),
+        ({**_matpower_case((10, 20, 30), ((1, 2, "0.1"), (2, 3, "0.2"))),
+          "side.json": '{"weights": {"node_costs": {"020": 2}}}'},
+         "weights.node_costs: id '020' is not an integer in plain digits"),
         ({"inst.cut": "nodes 2 3\nsource 1\nsink 2\n"}, "line 1: nodes expects 1 arguments"),
         ({"inst.cut": "nodes 2\nedge 1 2\nsource 1\nsink 2\n"},
          "line 2: edge expects 3 arguments"),
@@ -322,7 +364,9 @@ def _matpower_case(bus_ids, lines):
     ids=[
         "native-lines-not-list", "native-short-line", "native-string-bus",
         "native-string-reactance", "native-weights-not-object", "native-weight-id",
-        "native-weight-range", "native-weight-negative", "native-edge-costs-not-object",
+        "native-weight-range", "native-weight-leading-zero", "native-weight-underscore",
+        "native-weight-space", "native-weight-plus", "native-weight-arabic-digit",
+        "native-weight-zero", "native-weight-negative", "native-edge-costs-not-object",
         "native-node-costs-not-object", "native-injection-without-lines",
         "native-injection-past-float-range", "matpower-no-bus",
         "matpower-empty-bus", "matpower-duplicate-bus", "matpower-short-branch",
@@ -331,6 +375,7 @@ def _matpower_case(bus_ids, lines):
         "sidecar-unknown-bus", "sidecar-node-costs-not-object",
         "sidecar-measurements-not-object", "sidecar-injection-not-list",
         "sidecar-injection-id-list", "sidecar-injection-id-bool", "sidecar-injection-id-float",
+        "sidecar-node-cost-position", "sidecar-node-cost-leading-zero",
         "cut-nodes-arity", "cut-edge-arity", "cut-node-range",
     ],
 )

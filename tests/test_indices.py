@@ -718,6 +718,119 @@ def test_a_partial_grid_sweep_carries_the_smaller_sides(monkeypatch):
     assert 0 < carried <= 244_042 // 4
 
 
+def _line_instance(case):
+    weights = WeightAssignment.resolve(case.net, case.meas, case.weights)
+    return cut_instance_for_line(case.net, weights, 0)
+
+
+def _proof_and_search(inst):
+    """What the one-component proof says of ``inst``'s auxiliary graph, and
+    how many capacity components the search finds on the same graph."""
+    graph = costly_cut.build_auxiliary(inst).graph
+    return graph.one_component, len(graph.capacity_components[1])
+
+
+def _variant(inst, keep=None, charges=None):
+    """``inst`` with only the edges ``keep`` marks, or with other charges."""
+    tails, heads = inst.ends
+    keep = np.ones(len(tails), dtype=bool) if keep is None else keep
+    return costly_cut.CostlyCutInstance.from_arrays(
+        inst.node_count, tails[keep], heads[keep], [c for c, k in zip(inst.costs, keep) if k],
+        inst.node_costs if charges is None else charges, inst.source, inst.sink)
+
+
+def _broken_premises(inst):
+    """The three variants of a line instance that the proof must refuse:
+    one charge 0; the reverse of one edge dropped, the edge into a bus
+    that has only that line, so that the bus's w node is entered by no
+    positive edge; and only the edges within each half of the buses, so
+    that the halves are not joined."""
+    tails, heads = inst.ends
+    n = inst.node_count
+    leaf = int(np.flatnonzero(np.bincount(tails, minlength=n) == 1)[0])
+    half = np.arange(n) < n // 2
+    return (
+        _variant(inst, charges=(0,) + inst.node_costs[1:]),
+        _variant(inst, keep=heads != leaf),
+        _variant(inst, keep=half[tails] == half[heads]),
+    )
+
+
+def test_the_one_component_proof_agrees_with_the_search_on_line_instances():
+    # On the line instances of the desk stream (seeds 1 and 7), ieee118 and
+    # the 300-bus grid, fully measured and under the 60 % placement, the
+    # proof reports one component exactly where the search finds one; on
+    # ieee118's variants whose premises break, the search finds several and
+    # the proof refuses each.
+    generate = benchmark_generate()
+    cases = [parse_native_text(generate.dump(generate.desk_case(seed, i)).decode())
+             for seed in (1, 7) for i in range(3 * len(generate.DESK_CLASSES))]
+    cases += [parse_matpower_subset(case_path("ieee118.m")), _parsed(_grid_doc(False)),
+              _parsed(_grid_doc(True))]
+    instances = [_line_instance(case) for case in cases]
+    instances += _broken_premises(instances[-3])
+    seen = set()
+    for inst in instances:
+        proven, components = _proof_and_search(inst)
+        assert proven == (components == 1)
+        seen.add(proven)
+    assert seen == {False, True}
+    assert [_proof_and_search(inst)[0] for inst in instances[-6:]] == [True, True] + [False] * 4
+
+
+def test_the_one_component_proof_refuses_each_broken_premise():
+    # A charge set to 0, a reverse edge dropped, or the instance split in
+    # two unjoined halves: each is refused on every line instance whose
+    # graph the proof accepts, whatever the search finds.
+    generate = benchmark_generate()
+    cases = [parse_native_text(generate.dump(generate.desk_case(1, i)).decode())
+             for i in range(len(generate.DESK_CLASSES))]
+    cases += [parse_matpower_subset(case_path("ieee118.m")), _parsed(_grid_doc(False))]
+    proven = 0
+    for case in cases:
+        inst = _line_instance(case)
+        if not costly_cut.build_auxiliary(inst).graph.one_component:
+            continue
+        proven += 1
+        n = inst.node_count
+        tails, heads = inst.ends
+        half = np.arange(n) < n // 2
+        for variant in (
+            _variant(inst, charges=inst.node_costs[:-1] + (0,)),
+            _variant(inst, keep=np.arange(len(tails)) != 1),
+            _variant(inst, keep=half[tails] == half[heads]),
+        ):
+            assert not costly_cut.build_auxiliary(variant).graph.one_component
+    assert proven >= 3
+
+
+def test_only_graphs_the_proof_refuses_build_components(monkeypatch):
+    # The 300-bus grid's sweep, fully measured, is proven one component on
+    # every line instance and builds no capacity components; under the
+    # 60 % placement the proof is refused and the search builds them. So
+    # does both extremes' flow on each variant of the fully measured line
+    # instance whose premises break, since one of its two searches is
+    # left open.
+    calls = []
+    components = mincut._components
+
+    def counted(*args):
+        calls.append(len(args[0].adj))
+        return components(*args)
+
+    monkeypatch.setattr(mincut, "_components", counted)
+    for placed, built in ((False, False), (True, True)):
+        case = _parsed(_grid_doc(placed))
+        calls.clear()
+        index_all(case.net, case.meas, case.weights)
+        assert bool(calls) == built
+    for variant in _broken_premises(_line_instance(_parsed(_grid_doc(False)))):
+        calls.clear()
+        graph = costly_cut.build_auxiliary(variant).graph
+        mincut.min_cut_extremes(graph, variant.source, variant.sink)
+        assert calls == [graph.node_count]
+
+
 def _by_entry(report):
     return {(e.kind, e.target): (e.index, e.exact, e.error_bound) for e in report.entries}
 

@@ -813,34 +813,39 @@ def test_a_cold_flow_on_a_long_chain_takes_linear_time():
 
 def test_attacks_on_a_radial_grid_take_linear_time(tmp_path, capsys):
     # A radial network of 2383 buses, a feeder of 800 in a line with short
-    # laterals, fully measured: its auxiliary graph is one component a few
-    # thousand BFS layers deep, which a search takes a layer at a time. The
-    # search stops once its layers turn thin and Tarjan's algorithm takes
-    # the graph, each op about 0.02 s on a 2-vCPU host.
+    # laterals. Fully measured, its auxiliary graph is proven one component
+    # from the line instance, so no attack builds its components. With the
+    # injection at bus 1 unmetered, the proof is refused: the graph is one
+    # component a few thousand BFS layers deep, and two lone nodes, which a
+    # search takes a layer at a time. The search stops once its layers turn
+    # thin and Tarjan's algorithm takes the graph. Each op takes about 0.02
+    # s on a 2-vCPU host either way.
     rng = random.Random("radial")
     lines = []
     for b in range(1, 2383):
         parent = b - 1 if b < 800 or rng.random() >= 0.3 else rng.randrange(800)
         lines.append([parent + 1, b + 1, round(rng.uniform(0.01, 0.5), 4)])
-    doc = {"buses": 2383, "lines": lines,
-           "measurements": {"flow_from": "all", "flow_to": "all", "injection": "all"}}
-    case = tmp_path / "radial.json"
-    case.write_text(json.dumps(doc))
-    built = []
     components = DiGraph.__dict__["capacity_components"]
+    for injection, builds in (("all", []), (list(range(2, 2384)), [3 * 2383] * 4)):
+        doc = {"buses": 2383, "lines": lines,
+               "measurements": {"flow_from": "all", "flow_to": "all", "injection": injection}}
+        case = tmp_path / "radial.json"
+        case.write_text(json.dumps(doc))
+        built = []
 
-    def counted(g):
-        built.append(g.node_count)
-        return components.func(g)
+        def counted(g):
+            built.append(g.node_count)
+            return components.func(g)
 
-    spy = cached_property(counted)
-    spy.__set_name__(DiGraph, "capacity_components")
-    for target in (1200, 3882, 5764, 7147):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(DiGraph, "capacity_components", spy)
-            assert _timed(lambda: cli.main(["attack", str(case), "--target", str(target)]), 1) < 0.5
-        capsys.readouterr()
-    assert built == [3 * 2383] * 4
+        spy = cached_property(counted)
+        spy.__set_name__(DiGraph, "capacity_components")
+        last = 2 * len(lines) + (2383 if injection == "all" else len(injection))
+        for target in (1200, 3882, 5764, last):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(DiGraph, "capacity_components", spy)
+                assert _timed(lambda: cli.main(["attack", str(case), "--target", str(target)]), 1) < 0.5
+            capsys.readouterr()
+        assert built == builds
 
 
 def test_layout_sorted_as_narrow_keys_equals_the_int64_layout():
