@@ -76,9 +76,12 @@ def _json(source, text):
 
 
 def _bus_id(source, where, value):
-    """A MATPOWER bus id, read as a float, as the integer it must be."""
+    """A MATPOWER bus id, read as a float, as the positive integer it must
+    be: MATPOWER numbers buses from 1."""
     if not value.is_integer():
         _fail(source, f"{where}: bus id {value!r} is not an integer")
+    if value < 1:
+        _fail(source, f"{where}: bus id {int(value)} is not positive")
     return int(value)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import caseio, costly_cut, indices, oracle
 from .errors import InputError, InvariantError, SizeLimitError
 from .power_model import (
+    INJECTION,
     ZERO_TOL,
     bdd_residual,
     build_3sat_gadget,
@@ -63,16 +64,20 @@ def _write(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _report_csv(report: indices.IndexReport) -> str:
+def _report_csv(report: indices.IndexReport, bus_ids) -> str:
+    """The index CSV of ``report``. A line is named by its 1-based position,
+    a bus by its id in the case file, ``bus_ids[bus]``, or by its 1-based
+    position where the case has no ids of its own."""
     rows = [CSV_HEADER]
     for e in report.entries:
         support = ";".join(str(i + 1) for i in e.attack.support)
+        target = bus_ids[e.target] if bus_ids and e.kind == INJECTION else e.target + 1
         rows.append(
             ",".join(
                 [
                     str(e.measurement + 1),
                     e.kind,
-                    str(e.target + 1),
+                    str(target),
                     _fmt_fraction(e.index),
                     "true" if e.exact else "false",
                     _fmt_fraction(e.error_bound),
@@ -98,7 +103,7 @@ def _cmd_index(args) -> int:
         report = indices.index_all(case.net, case.meas, case.weights, method=args.method)
     else:
         report = indices.IndexReport(entries=(_target_entry(case, args.target, args.method),))
-    _write(_report_csv(report), args.out)
+    _write(_report_csv(report, case.bus_ids), args.out)
     return 0
 
 

@@ -3,14 +3,16 @@
 The problem: partition the nodes of a directed graph into a source side and
 a sink side, paying the cost of every edge crossing source -> sink plus a
 one-time charge for every node incident to a crossing edge (tails on the
-source side, heads on the sink side). The reduction triples each node i into
-a chain w_i -> v_i -> z_i whose two edges both carry the node charge: a
-tail pays it on v_i -> z_i, a head on w_i -> v_i, and no node is both. It
-protects the chain with edges of cost strictly larger than any node charge,
-so a standard integer min cut on the auxiliary graph yields the optimum; the
-partition of the original nodes is read off the v layer. Edges are directed;
-an undirected instance lists each edge in both directions, and no solver
-needs to know that it does.
+source side, heads on the sink side). The reduction triples each charged
+node i into a chain w_i -> v_i -> z_i whose two edges both carry the node
+charge: a tail pays it on v_i -> z_i, a head on w_i -> v_i, and no node is
+both. It protects the chain with edges of cost strictly larger than any
+node charge, so a standard integer min cut on the auxiliary graph yields
+the optimum; the partition of the original nodes is read off the v layer.
+A node of charge 0 is its v node alone, and no edge of capacity 0 is
+built: such an edge carries no flow and changes no cut. Edges are
+directed; an undirected instance lists each edge in both directions, and
+no solver needs to know that it does.
 
 Rational costs are scaled to integers by the LCM of their denominators
 (``scale_to_int``, the package's one scaling helper), so optimality is
@@ -26,11 +28,11 @@ select. None of the graphs cut here depends on the terminals: the
 auxiliary graph ``solve`` cuts and the edge-only graph each approximation
 cuts are built and validated once per family of instances, on first use,
 and shared with every instance ``with_terminals`` derives. The auxiliary
-graph comes with a proof, run the first time a flow needs its capacity
-components, that its positive capacities are strongly connected wherever
-every node charge is positive and the instance's edges come in reverse
-pairs that join every node (``_one_component``). Each is built
-as arrays, block by block in its documented edge order, from the
+graph comes with its component labels (``DiGraph.labels``), found the
+first time a flow needs them from the instance: the components of its
+live edges, those of positive cost or with a charged end, wherever these
+come in reverse pairs and every charged node has one (``_labels``). Each
+is built as arrays, block by block in its documented edge order, from the
 instance's endpoint arrays (``ends``) and its scaled costs, and handed to
 ``DiGraph.from_arrays``; no per-edge tuple is made. Both constructors
 set ``ends`` and the cost list ``costs``: an instance built from edge
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -66,12 +68,12 @@ from .mincut import (
     DiGraph,
     as_count,
     check_terminals,
-    connected,
     first_failure,
     id_array,
     interleave,
     min_cut,
     min_cut_extremes,
+    paired_labels,
     read_triples,
     source_side_of,
     view_on_first_read,
@@ -253,21 +255,19 @@ class CostlyCutSolution:
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    """The tripled graph (instance node i is its node v_i = i); its
-    capacities are the costs times the instance's ``int_costs`` scale. From
-    edge 2n on, each instance edge adds three edges, the last two of them
-    protective. The graph carries the proof ``_one_component`` as its
-    ``DiGraph.one_component``, so a flow on it builds no capacity
-    components where the instance's charges and edges prove there is
-    one."""
+    """The tripled graph (``build_auxiliary``; instance node i is its node
+    v_i = i), built from positive capacities only: the costs times the
+    instance's ``int_costs`` scale. ``protective`` marks its protective
+    edges. Its builder gives it its component labels
+    (``DiGraph.labels``), read off the instance (``_labels``)."""
 
     graph: DiGraph
+    protective: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
     def big_cost_edges(self) -> frozenset[int]:
         """The ids of the protective edges, built on first read."""
-        first, count = 2 * (self.graph.node_count // 3), len(self.graph.arrays[0])
-        return frozenset(range(first + 1, count, 3)) | frozenset(range(first + 2, count, 3))
+        return frozenset(np.flatnonzero(self.protective).tolist())
 
 
 def scale_to_int(*groups):
@@ -292,63 +292,75 @@ def _shared_graph(inst, build, *args):
 
 
 def build_auxiliary(inst: CostlyCutInstance) -> AuxiliaryGraph:
-    """The tripled auxiliary graph of a costly-cut instance.
+    """The tripled auxiliary graph of a costly-cut instance, with no edge
+    of capacity 0.
 
-    Node i of the instance is v_i = i, w_i = n + i and z_i = 2n + i. Edges:
-    w_i -> v_i and v_i -> z_i per node, each carrying its charge, then per
-    instance edge u -> v its cost v_u -> v_v and the two protective edges
-    v_u -> w_v and z_u -> v_v. The graph does not depend on the terminals:
-    it is built on the first call and shared by every instance
-    ``with_terminals`` derives.
+    Node i of the instance is v_i = i. Each of the k nodes with a positive
+    charge, the j-th of them in id order, also has w_i = n + j and z_i =
+    n + k + j, so an instance whose every charge is positive has w_i = n +
+    i and z_i = 2n + i. Edges: w_i -> v_i and v_i -> z_i per charged node,
+    each carrying its charge, then per instance edge u -> v its cost edge
+    v_u -> v_v if its cost is positive, and the protective edges v_u ->
+    w_v if v is charged and z_u -> v_v if u is charged. An uncharged node
+    would pay nothing on its chain, and a chain edge of capacity 0 carries
+    no flow, so dropping these changes no cut. The graph does not depend
+    on the terminals: it is built on the first call and shared by every
+    instance ``with_terminals`` derives.
     """
     return _shared_graph(inst, _tripled)
 
 
 def _tripled(inst) -> AuxiliaryGraph:
-    # Each block of edges is built as columns, one row per node or per
-    # instance edge, and interleaved row by row: the edge order listed above.
+    # Each block of edges is built as columns, one row per charged node or
+    # per instance edge, interleaved row by row and kept where its capacity
+    # is positive: the edge order listed above.
     n = inst.node_count
     _, edge_scaled, charges = inst.int_costs
     tails, heads = inst.ends
-    m = len(tails)
     costs, charges, big = _capacities(edge_scaled, charges, [max(charges) + 1])
+    charged = charges > 0
+    chain = np.flatnonzero(charged)
+    k = len(chain)
+    # node i's w_i and z_i, read only where i is charged
+    w = np.zeros(n, dtype=np.int64)
+    w[chain] = n + np.arange(k)
+    z = w + k
+    m = len(tails)
     bigs = np.repeat(big, m)
-    nodes = np.arange(n, dtype=np.int64)
+    keep = interleave(costs > 0, charged[heads], charged[tails])
+    protective = np.tile([False, True, True], m)
     graph = DiGraph.from_arrays(
-        3 * n,
-        np.concatenate((interleave(n + nodes, nodes), interleave(tails, tails, 2 * n + tails))),
-        np.concatenate((interleave(nodes, 2 * n + nodes), interleave(heads, n + heads, heads))),
-        np.concatenate((interleave(charges, charges), interleave(costs, bigs, bigs))),
-        proof=partial(_one_component, charges, tails, heads),
+        n + 2 * k,
+        np.concatenate((interleave(w[chain], chain), interleave(tails, tails, z[tails])[keep])),
+        np.concatenate((interleave(chain, z[chain]), interleave(heads, w[heads], heads)[keep])),
+        np.concatenate((interleave(charges[chain], charges[chain]),
+                        interleave(costs, bigs, bigs)[keep])),
+        labels=partial(_labels, charged, costs, tails, heads),
     )
-    return AuxiliaryGraph(graph=graph)
+    return AuxiliaryGraph(graph, np.concatenate((np.zeros(2 * k, dtype=bool), protective[keep])))
 
 
-def _one_component(charges, tails, heads) -> bool:
-    """Whether the tripled graph of the instance whose edge i runs
-    ``tails[i] -> heads[i]``, with node charges ``charges`` (an array), is
-    proven one strongly connected component on its positive capacities:
-    every charge is positive, and the edges come in reverse pairs (the
-    sorted (tail, head) keys equal the sorted (head, tail) keys) that join
-    every node (``mincut.connected``). Then each edge u -> v has the
-    positive path v_u -> w_v -> v_v, each w_i is entered from a
-    neighbour's v and leaves to v_i, and each z_i is entered from v_i and
-    leaves to a neighbour's v. A zero charge leaves w_i with no positive
-    edge out, so the first condition is also necessary; the second is not,
-    and a graph it refuses has its components found by search."""
-    n = len(charges)
-    if not charges.min() > 0:
-        return False
-    # The keys are sorted stably as the narrowest unsigned type that holds
-    # them, as ``mincut.rows_by`` sorts node ids (NumPy radix-sorts up to
-    # 16 bits). NumPy's default sort of int64 keys is a little faster, but
-    # its first call maps about 0.4 MB more of NumPy's code, which showed
-    # in every workload's peak RSS.
-    key = np.min_scalar_type(n * n)
-    tails, heads = (end.astype(np.int64, copy=False) for end in (tails, heads))
-    forward, backward = (np.sort((a * n + b).astype(key), kind="stable")
-                         for a, b in ((tails, heads), (heads, tails)))
-    return np.array_equal(forward, backward) and connected(n, tails, heads)
+def _labels(charged, costs, tails, heads):
+    """The component labels (``DiGraph.labels``) of the tripled graph of
+    the instance whose edge i runs ``tails[i] -> heads[i]`` at scaled cost
+    ``costs[i]``, where ``charged`` marks the nodes of positive charge: the
+    components of the live edges, those whose cost is positive or that
+    have a charged end, for v_i; v_i's label for w_i and z_i. None unless
+    the live edges come in reverse pairs (``paired_labels``) and every
+    charged node has an edge. A live edge u -> v then has the positive
+    path v_u -> v_v, v_u -> w_v -> v_v or v_u -> z_u -> v_v, and so does
+    its reverse; each w_i is entered from a neighbour's v and leaves to
+    v_i, and each z_i is entered from v_i and leaves to a neighbour's v.
+    An edge that is not live has no positive edge in the tripled graph.
+    So the labels are its strongly connected components on positive
+    capacities, and no positive edge leaves one."""
+    n = len(charged)
+    live = (costs > 0) | charged[tails] | charged[heads]
+    tails, heads = tails[live], heads[live]
+    label = paired_labels(n, tails, heads)
+    if label is None or (charged & (np.bincount(tails, minlength=n) == 0)).any():
+        return None
+    return np.concatenate((label, label[charged], label[charged]))
 
 
 def _capacities(*groups):
@@ -364,7 +376,9 @@ def _capacities(*groups):
 
 
 def dump_auxiliary(aux: AuxiliaryGraph) -> str:
-    """Line-oriented debug dump: node count, then one `from to capacity` per edge."""
+    """Line-oriented debug dump: node count, then one `from to capacity` per
+    edge, in the order ``build_auxiliary`` documents; no line has capacity
+    0, and a node of charge 0 has no w or z node."""
     lines = [str(aux.graph.node_count)]
     lines.extend(f"{u} {v} {c}" for (u, v, c) in aux.graph.edges)
     return "\n".join(lines) + "\n"
@@ -445,9 +459,7 @@ def solve(inst: CostlyCutInstance) -> CostlyCutSolution:
     """Optimal costly-node cut via a single min cut on the auxiliary graph."""
     aux = build_auxiliary(inst)
     cut = min_cut(aux.graph, inst.source, inst.sink)
-    # From edge 2n on, every edge but the first of each three is protective.
-    first = 2 * inst.node_count
-    if any(e >= first and (e - first) % 3 for e in cut.cut_edges):
+    if aux.protective[list(cut.cut_edges)].any():
         raise InvariantError("a protective big-cost edge appeared in the minimum cut")
     # v_i = i: the instance's side is the aux side's nodes below n.
     side = frozenset(filter(inst.node_count.__gt__, cut.side))

@@ -14,22 +14,18 @@ partition does not depend on augmentation order or algorithm choice.
 ``min_cut_extremes`` returns that cut and the inclusion-maximal one, whose
 sink side is the set of nodes that still reach the sink, from the same
 flow. Where the search from the other terminal closed first, the
-terminal reaches no node outside the components its own reaches among the
-strongly connected components of the graph's positive-capacity edges,
-built once per graph by one vectorized forward-backward search, with
-Tarjan's algorithm for the nodes it leaves. A graph may come with a proof
-that those edges form one component (``DiGraph.one_component``): the
-costly-cut auxiliary graph proves it from its instance, where every node
-charge is positive and the edges come in reverse pairs that join every
-node (``connected``, the one connectivity test, which ``PowerNetwork``
-runs on its lines too), and then no component is built. If the
-terminal's components hold at most half the graph's nodes, its search is
-run to its end and carried.
+terminal reaches no node outside its own component label
+(``DiGraph.labels``): components of the positive-capacity edges that no
+positive edge leaves, given by the graph's builder, as the costly-cut
+auxiliary graph's are, or else read off those edges where they come in
+reverse pairs (``paired_labels``, by ``component_labels``, the one
+connectivity routine, which ``connected`` and so ``PowerNetwork`` run
+too). A graph without labels has the terminal's search run to its end,
+and so has one whose terminal's label holds at most half its nodes.
 Otherwise the closed set is grown locally, a graph neighbour joining it
 when a search from it closes before meeting the terminal's search, and
-the cut is carried by its other side: that set, with every node of a
-component the terminal does not reach; on a graph whose positive
-capacities join every node, the set alone. The cut's crossing edges are
+the cut is carried by its other side: that set, with the members of
+every other label. The cut's crossing edges are
 read from the arcs of the side carried (``crossing_arcs``), so that step
 costs time in proportion to that side's degree.
 ``DiGraph`` holds its edges as three int64 arrays (tails, heads,
@@ -64,18 +60,6 @@ from .errors import CapacityOverflowError, InputError, InvariantError
 # Total capacity must stay inside signed 64-bit range. Python integers do
 # not wrap, but the bound keeps instances portable and is checked up front.
 MAX_TOTAL_CAPACITY = 2**63 - 1
-# ``DiGraph.capacity_components`` leaves a graph of at most this many nodes
-# to Tarjan's algorithm: a search and Tarjan's algorithm cost about the same
-# on the 354-node auxiliary graph of the bundled 118-bus case.
-TARJAN_NODES = 512
-# Its vectorized search goes on only while it takes this many nodes a step
-# on average, past a first TARJAN_NODES. A step (a BFS layer, some ten NumPy
-# calls) costs about what Tarjan's algorithm in Python spends on five to
-# ten nodes; a thinner search stops and leaves its nodes to Tarjan's
-# algorithm, so a deep graph costs little more than Tarjan's algorithm
-# alone.
-STEP_NODES = 32
-
 
 class ResidualLayout(NamedTuple):
     """A graph's residual arcs, as the flow reads them.
@@ -112,7 +96,7 @@ class DiGraph:
     ``edges`` on first read. Either way the
     edges are held as the arrays ``arrays`` and validated there, by
     ``__post_init__``. Instances are immutable in content and safe to
-    share across threads: the capacity components and the residual
+    share across threads: the component labels and the residual
     layout's arcs, heads and capacities are cached where no flow writes to
     them, and each flow works on its own copy of the capacities. The one
     thing a flow writes is a node's arc tuple in the layout's ``adj``, on
@@ -126,17 +110,17 @@ class DiGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     @classmethod
-    def from_arrays(cls, node_count: int, tails, heads, caps, proof=None) -> DiGraph:
+    def from_arrays(cls, node_count: int, tails, heads, caps, labels=None) -> DiGraph:
         """The graph whose edge i runs ``tails[i] -> heads[i]`` with
         capacity ``caps[i]``, three int64 arrays that the graph keeps and
         nothing may write to; id arrays of another dtype are refused
-        (``id_array``). ``proof``, if given, is a function of no arguments
-        that returns True only if the positive-capacity edges form one
-        strongly connected component; see ``one_component``."""
+        (``id_array``). ``labels``, if given, is a function of no arguments
+        that returns the graph's component labels or None, in place of the
+        rule read off its own edges; see ``DiGraph.labels``."""
         g = cls.__new__(cls)
         object.__setattr__(g, "node_count", node_count)
         object.__setattr__(g, "arrays", (id_array(tails, "node"), id_array(heads, "node"), caps))
-        object.__setattr__(g, "proof", proof)
+        object.__setattr__(g, "label_rule", labels)
         g.__post_init__()
         return g
 
@@ -186,34 +170,31 @@ class DiGraph:
         return arc_layout(self.node_count, *self.arrays)
 
     @cached_property
-    def one_component(self) -> bool:
-        """Whether the graph's proof, run on first use, shows its
-        positive-capacity edges to be one strongly connected component;
-        False for a graph built without one, whose components are then
-        found by search (``capacity_components``)."""
-        proof = vars(self).get("proof")
-        return proof is not None and proof()
-
-    @cached_property
-    def capacity_components(self):
-        """``(comp, members, succ, pred)``: the strongly connected components
-        of the positive-capacity edges. ``comp[u]`` is node u's component,
-        ``members[c]`` the nodes of component c, and ``succ[c]`` /
-        ``pred[c]`` the components a positive-capacity edge leads to from c
-        / into c. Built on first use (``_components``)."""
-        tails, heads, caps = self.arrays
-        positive = caps > 0
-        tails, heads = tails[positive], heads[positive]
-        comp, count = _components(self.residual_layout, positive, tails, heads)
-        order, starts = (a.tolist() for a in rows_by(comp, count))
-        members = tuple(frozenset(order[a:b]) for a, b in zip(starts, starts[1:]))
-        succ = [set() for _ in members]
-        pred = [set() for _ in members]
-        across = comp[tails] != comp[heads]
-        for a, b in zip(comp[tails[across]].tolist(), comp[heads[across]].tolist()):
-            succ[a].add(b)
-            pred[b].add(a)
-        return tuple(comp.tolist()), members, tuple(map(tuple, succ)), tuple(map(tuple, pred))
+    def labels(self) -> tuple[list[int], dict[int, list[int] | range]] | None:
+        """``(label, members)``: node u's component label ``label[u]``, and
+        the nodes of each label, ascending, as ``members[label]``; or None,
+        for a graph that has no labels. Labels are components of the
+        positive-capacity edges that no positive edge leaves, so a residual
+        search from a node reaches only nodes of its own label. They are
+        given by the graph's builder (``from_arrays``), or else read off the
+        positive edges: their components where those edges come in reverse
+        pairs (``paired_labels``). Found on first use: when a flow's search
+        from its root stays open."""
+        rule = vars(self).get("label_rule")
+        if rule is None:
+            tails, heads, caps = self.arrays
+            positive = caps > 0
+            label = paired_labels(self.node_count, tails[positive], heads[positive])
+        else:
+            label = rule()
+        if label is None:
+            return None
+        if not label.any():  # one component
+            return [0] * self.node_count, {0: range(self.node_count)}
+        order, starts = rows_by(label, self.node_count)
+        keys = np.flatnonzero(starts[1:] > starts[:-1]).tolist()
+        order, starts = order.tolist(), starts.tolist()
+        return label.tolist(), {k: order[starts[k]:starts[k + 1]] for k in keys}
 
 
 def as_id(value, what: str) -> int:
@@ -382,19 +363,19 @@ def gather(values, starts, keys):
     return counts, values[np.repeat(lo + counts - ends, counts) + np.arange(total)]
 
 
-def connected(count: int, tails, heads) -> bool:
-    """Whether the edges ``tails[i] - heads[i]``, read as undirected, link
-    every one of ``count`` nodes to node 0. Each node points at a node of
-    no larger id in its component, at first itself; each round, every root
-    that an edge links to a smaller root is pointed at the least such root,
-    then every node at its root, until no edge links two roots (Shiloach
-    and Vishkin's scheme). Node 0 is then the root of its component."""
+def component_labels(count: int, tails, heads) -> np.ndarray:
+    """Each of ``count`` nodes' component of the edges ``tails[i] -
+    heads[i]`` read as undirected, labelled by its least node id. Each node
+    points at a node of no larger id in its component, at first itself;
+    each round, every root that an edge links to a smaller root is pointed
+    at the least such root, then every node at its root, until no edge
+    links two roots (Shiloach and Vishkin's scheme)."""
     parent = np.arange(count)
     while True:
         a, b = parent[tails], parent[heads]
         apart = a != b
         if not apart.any():
-            return not parent.any()
+            return parent
         a, b = a[apart], b[apart]
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while True:
@@ -404,129 +385,27 @@ def connected(count: int, tails, heads) -> bool:
             parent = up
 
 
-def _components(layout, positive, tails, heads):
-    """Each node's strongly connected component of the positive edges
-    ``tails -> heads`` (``positive`` marks them among the graph's edges),
-    numbered from 0, and the count. On a graph of more than
-    ``TARJAN_NODES`` nodes, the component of node 0 is found first, as the
-    set of nodes it reaches that also reach it, by one search along the
-    edges and their reverses at once (forward-backward reach, Fleischer,
-    Hendrickson & Pinar, 2000); on the auxiliary graph of a fully measured
-    grid, that is every node. The search is vectorized, a BFS layer per
-    step, so its cost grows with the graph's depth: a radial network's
-    takes a layer per bus or two. It is dropped once it has taken fewer
-    than ``STEP_NODES`` nodes a step (``_thin``). Tarjan's algorithm in
-    Python numbers the nodes the search has not taken."""
-    n = len(layout.adj)
-    comp = np.full(n, -1, dtype=np.intp)
-    count = 0
-    nodes = np.arange(n)
-    if n > TARJAN_NODES:
-        both = _spread(_positive_rows(layout, positive), [0, n])
-        if both is not None:
-            own = both[:n] & both[n:]
-            comp[own], count = 0, 1
-            left = ~own
-            # the positive edges among the nodes left, as local ids
-            nodes = np.flatnonzero(left)
-            inner = left[tails] & left[heads]
-            local = np.empty(n, dtype=np.intp)
-            local[nodes] = np.arange(len(nodes))
-            tails, heads = local[tails[inner]], local[heads[inner]]
-    if len(nodes):
-        order, starts = rows_by(tails, len(nodes))
-        far, starts = heads[order].tolist(), starts.tolist()
-        comp[nodes], count = _tarjan([far[a:b] for a, b in zip(starts, starts[1:])], count)
-    return comp, count
+def connected(count: int, tails, heads) -> bool:
+    """Whether the edges ``tails[i] - heads[i]``, read as undirected, link
+    every one of ``count`` nodes to node 0 (``component_labels``)."""
+    return not component_labels(count, tails, heads).any()
 
 
-def _positive_rows(layout, positive):
-    """Compressed rows ``(values, starts)`` of the positive edges read off
-    the residual layout's arcs, for a search that spreads both ways at
-    once: node u's row u lists
-    the heads of its positive edges, its row n + u, shifted by n, the tails
-    of the positive edges into it (the heads of their mirror arcs); both in
-    edge order."""
-    n = len(layout.adj)
-    arcs = layout.arcs
-    live = positive[arcs >> 1]
-    odd = (arcs & 1).astype(bool)
-    out, into = live & ~odd, live & odd
-    out_ends = np.concatenate(([0], np.cumsum(out)))[layout.starts]
-    in_ends = np.concatenate(([0], np.cumsum(into)))[layout.starts] + out_ends[-1]
-    return (np.concatenate((layout.heads[out], layout.heads[into] + n)),
-            np.concatenate((out_ends[:-1], in_ends)))
-
-
-def _thin(steps, taken):
-    """Whether a vectorized search that has made ``steps`` steps and taken
-    ``taken`` nodes is to stop: past a first TARJAN_NODES nodes, it took
-    fewer than STEP_NODES a step."""
-    return steps * STEP_NODES > taken + TARJAN_NODES
-
-
-def _spread(rows, roots):
-    """The nodes that ``roots``, a list of them, reach along the compressed
-    rows ``rows`` (``(values, starts)``, as ``gather`` reads them), as a
-    mask; a BFS that takes one whole layer per step. None if its layers
-    turn thin."""
-    seen = np.zeros(len(rows[1]) - 1, dtype=bool)
-    seen[roots] = True
-    layer = np.array(roots)
-    last = np.empty(len(seen), dtype=np.intp)  # a node's last place in a layer
-    steps, taken = 0, len(layer)
-    while len(layer):
-        if _thin(steps, taken):
-            return None
-        steps += 1
-        _, nxt = gather(*rows, layer)
-        nxt = nxt[~seen[nxt]]
-        place = np.arange(len(nxt))
-        last[nxt] = place
-        layer = nxt[last[nxt] == place]
-        seen[layer] = True
-        taken += len(layer)
-    return seen
-
-
-def _tarjan(heads_of, count):
-    """Tarjan's algorithm on the graph of nodes 0 .. len(heads_of) - 1
-    whose edges out of node u lead to ``heads_of[u]``: each node's
-    component, numbered from ``count``, and the next number."""
-    n = len(heads_of)
-    order, low, comp = [-1] * n, [0] * n, [-1] * n
-    stack = []
-    seen = 0
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = seen
-        seen += 1
-        stack.append(root)
-        work = [(root, iter(heads_of[root]))]
-        while work:
-            u, rest = work[-1]
-            for v in rest:
-                if order[v] < 0:
-                    order[v] = low[v] = seen
-                    seen += 1
-                    stack.append(v)
-                    work.append((v, iter(heads_of[v])))
-                    break
-                if comp[v] < 0 and order[v] < low[u]:
-                    low[u] = order[v]
-            else:
-                work.pop()
-                if work and low[u] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[u]
-                if low[u] == order[u]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = count
-                        if w == u:
-                            break
-                    count += 1
-    return comp, count
+def paired_labels(count: int, tails, heads) -> np.ndarray | None:
+    """``component_labels`` of the edges ``tails[i] -> heads[i]`` if they
+    come in reverse pairs (the sorted (tail, head) keys equal the sorted
+    (head, tail) keys), else None. Then each edge's ends reach each other,
+    so these components are the strongly connected ones, and no edge leaves
+    one. The keys are sorted stably as the narrowest unsigned type that
+    holds them, as ``rows_by`` sorts node ids (NumPy radix-sorts up to 16
+    bits); NumPy's default sort of int64 keys is a little faster, but its
+    first call maps about 0.4 MB more of NumPy's code, which showed in
+    every workload's peak RSS."""
+    key = np.min_scalar_type(count * count)
+    tails, heads = (end.astype(np.int64, copy=False) for end in (tails, heads))
+    forward, backward = (np.sort((a * count + b).astype(key), kind="stable")
+                         for a, b in ((tails, heads), (heads, tails)))
+    return component_labels(count, tails, heads) if np.array_equal(forward, backward) else None
 
 
 def source_side_of(side, is_sink: bool, node_count: int) -> frozenset[int]:
@@ -634,41 +513,37 @@ def _reach(g: DiGraph, cap, searches, back):
     and the side returned is the one the searches have in hand.
 
     A closed tree is the answer. Otherwise the other search closed, on a
-    set of nodes the root cannot reach, and the root reaches only the
-    components its own reaches in the positive-capacity graph
-    (``DiGraph.capacity_components``): every node, with no component
-    built, on a graph whose proof shows those edges to be one component
-    (``DiGraph.one_component``; the costly-cut auxiliary graph's proof
-    reads its instance's charges and edges). If those hold at most half the
-    graph's nodes, the tree is grown to its end. Else the set grows locally
-    (Picard and Queyranne, 1980): each graph neighbour y of it in a reached
-    component is tested by a search from y in the other direction that
-    never enters the set, against the tree, which persists across tests and
-    grows a layer at a time; the smaller frontier grows. If they meet, y
-    joins the tree; if y's search closes, all it found joins the set, and
-    their neighbours are tested in turn. If the tree closes, it is the
-    answer; if the candidates run out, the cut's other side is: the set,
-    with every node of a component the root cannot reach. A closed search
-    has expanded every node it holds, so their arcs are made.
+    set of nodes the root cannot reach, and the root reaches only nodes of
+    its own label (``DiGraph.labels``). On a graph without labels, or where
+    the root's label holds at most half the graph's nodes, the tree is
+    grown to its end. Else the set grows locally (Picard and Queyranne,
+    1980): each graph neighbour y of it in the root's label is tested by a
+    search from y in the other direction that never enters the set,
+    against the tree, which persists across tests and grows a layer at a
+    time; the smaller frontier grows. If they meet, y joins the tree; if
+    y's search closes, all it found joins the set, and their neighbours are
+    tested in turn. If the tree closes, it is the answer; if the candidates
+    run out, the cut's other side is: the set, with the members of every
+    other label. A closed search has expanded every node it holds, so
+    their arcs are made.
     """
     root, tree, layer = searches[back]
     other, near, _ = searches[1 - back]
     if layer:
         layout = g.residual_layout
         adj, to = layout.adj, layout.to
-        comp, unreached = None, ()  # one component: the root reaches every node
-        if not g.one_component:
-            comp, members, *links = g.capacity_components
-            bound = _reached_components(links[back], comp[root])
-            unreached = list(map(members.__getitem__, set(range(len(members))) - bound))
-        if 2 * sum(map(len, unreached)) >= g.node_count:
+        labels = g.labels
+        if labels is not None:
+            label, members = labels
+            own = label[root]
+        if labels is None or 2 * len(members[own]) <= g.node_count:
             while layer:
                 layer, _ = _grow(adj, to, cap, layout, layer, tree, (), back)
         region = dict.fromkeys(near, -1)
         todo = [to[e] for u in near for e in adj[u]] if layer else ()
         while todo and layer:
             y = todo.pop()
-            if y in region or y in tree or (comp is not None and comp[y] not in bound):
+            if y in region or y in tree or label[y] != own:
                 continue
             region[y] = -1
             found, probe, met = [y], [y], False
@@ -688,21 +563,13 @@ def _reach(g: DiGraph, cap, searches, back):
                     layer.append(y)
             elif not probe:
                 todo.extend(to[e] for u in found for e in adj[u])
-    side = frozenset(region).union(*unreached) if layer else frozenset(tree)
+    if layer:
+        side = frozenset(region).union(*(nodes for k, nodes in members.items() if k != own))
+    else:
+        side = frozenset(tree)
     if (other in side) != bool(layer):
         raise InvariantError("sink reachable in residual network after max flow")
     return side, bool(back) != bool(layer)
-
-
-def _reached_components(links, start):
-    """The components reachable from ``start`` along ``links``."""
-    seen, todo = {start}, [start]
-    while todo:
-        for c in links[todo.pop()]:
-            if c not in seen:
-                seen.add(c)
-                todo.append(c)
-    return seen
 
 
 def _arcs(layout, u):

@@ -90,6 +90,57 @@ def full_search_reach(g: DiGraph, cap, root: int, back: int = 0) -> frozenset[in
     return frozenset(seen)
 
 
+def mirrored(g: DiGraph, rng: random.Random | None = None) -> DiGraph:
+    """``g`` with the reverse of each of its edges appended, in edge order:
+    at the edge's capacity, or, given ``rng``, at a random capacity that is
+    positive exactly where the edge's is. The positive edges of the result
+    come in reverse pairs, so it has component labels."""
+    back = [(v, u, c if rng is None or not c else rng.randint(1, 3)) for u, v, c in g.edges]
+    return DiGraph(node_count=g.node_count, edges=g.edges + tuple(back))
+
+
+def mutual_reach_classes(g: DiGraph) -> set[frozenset[int]]:
+    """The classes of nodes of ``g`` that reach each other along
+    positive-capacity edges: per node not yet classed, the nodes it
+    reaches that also reach it, by a search each way over every edge."""
+    out = [[] for _ in range(g.node_count)]
+    into = [[] for _ in range(g.node_count)]
+    for u, v, c in g.edges:
+        if c:
+            out[u].append(v)
+            into[v].append(u)
+
+    def reach(root, nxt):
+        seen, todo = {root}, [root]
+        while todo:
+            for v in nxt[todo.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        return seen
+
+    classes, classed = set(), set()
+    for u in range(g.node_count):
+        if u not in classed:
+            found = frozenset(reach(u, out) & reach(u, into))
+            classes.add(found)
+            classed |= found
+    return classes
+
+
+def label_classes(g: DiGraph) -> set[frozenset[int]] | None:
+    """The node sets of ``g``'s labels, or None for a graph with none. The
+    members are checked to hold every node once, in its own label,
+    ascending."""
+    if g.labels is None:
+        return None
+    label, members = g.labels
+    assert sorted(u for nodes in members.values() for u in nodes) == list(range(g.node_count))
+    assert all(list(nodes) == sorted(nodes) for nodes in members.values())
+    assert all(label[u] == k for k, nodes in members.items() for u in nodes)
+    return set(map(frozenset, members.values()))
+
+
 def layout_rows(g: DiGraph):
     """``g``'s residual layout as ``(arcs per node, heads, capacities)``,
     every node's arcs read through ``mincut._arcs``, which makes the ones

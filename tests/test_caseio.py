@@ -212,7 +212,8 @@ def test_matpower_sidecar_override():
 def test_matpower_sidecar_weights_name_buses_by_the_files_ids(tmp_path):
     # Bus ids 10, 20 and 30: a sidecar's node_costs keys are the file's bus
     # ids, as its injection list is, so "20" charges the second bus; the
-    # index is the native triangle's with bus 2 charged the same.
+    # index is the native triangle's with bus 2 charged the same, and its
+    # injection rows name each bus by the file's id.
     files = _matpower_case((10, 20, 30), ((1, 2, "0.1"), (2, 3, "0.2"), (1, 3, "0.3")))
     (tmp_path / "case.m").write_text(files["case.m"])
     (tmp_path / "side.json").write_text('{"weights": {"node_costs": {"20": 2}}}')
@@ -230,7 +231,10 @@ def test_matpower_sidecar_weights_name_buses_by_the_files_ids(tmp_path):
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
         csvs.append(out.getvalue())
-    assert csvs[0] == csvs[1]
+    want = csvs[1]
+    for b in (1, 2, 3):
+        want = want.replace(f",injection,{b},", f",injection,{10 * b},")
+    assert csvs[0] == want != csvs[1]
 
 
 def test_cut_instance_round_trip_fields():
@@ -338,6 +342,10 @@ def _matpower_case(bus_ids, lines):
         (_matpower("2 3 0 0.2;", "2 3 0;"), "branch row 2: need at least 4 columns"),
         (_matpower("2 3 0 0.2;", "2 9 0 0.2;"), "branch row 2: unknown bus id 9"),
         (_matpower("2 3 0 0.2;", "2 3 0 x;"), "branch: non-numeric token in row 3: '2 3 0 x'"),
+        (_matpower_case((-5, 20, 30), ((1, 2, "0.1"), (2, 3, "0.2"), (1, 3, "0.3"))),
+         "bus row 1: bus id -5 is not positive"),
+        (_matpower_case((10, 0, 30), ((1, 2, "0.1"), (2, 3, "0.2"), (1, 3, "0.3"))),
+         "bus row 2: bus id 0 is not positive"),
         (_matpower_case((7,), ()), "metered injection at bus 7, which has no lines"),
         (_matpower_case((10, 20, 30), _TINY_REACTANCES),
          "metered injection at bus 20, whose lines' susceptances 1/x sum past the float range"),
@@ -370,7 +378,8 @@ def _matpower_case(bus_ids, lines):
         "native-node-costs-not-object", "native-injection-without-lines",
         "native-injection-past-float-range", "matpower-no-bus",
         "matpower-empty-bus", "matpower-duplicate-bus", "matpower-short-branch",
-        "matpower-unknown-bus", "matpower-token", "matpower-injection-without-lines",
+        "matpower-unknown-bus", "matpower-token", "matpower-negative-bus-id",
+        "matpower-zero-bus-id", "matpower-injection-without-lines",
         "matpower-injection-past-float-range", "sidecar-unknown-key",
         "sidecar-unknown-bus", "sidecar-node-costs-not-object",
         "sidecar-measurements-not-object", "sidecar-injection-not-list",

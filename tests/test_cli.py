@@ -310,6 +310,29 @@ def test_matpower_bus_id_must_be_an_integer(capsys, tmp_path, old, new, message)
     assert (code, out, err) == (1, "", f"error: {case}: {message}\n")
 
 
+def test_index_csv_names_a_bus_by_the_files_id(capsys, tmp_path):
+    # A MATPOWER case with bus ids 10 to 40: an injection row names its bus
+    # by the file's id, alone (--target) or in the sweep, and a flow row
+    # its line by 1-based position. A native case has no ids of its own,
+    # so its buses are named 1..n.
+    case = tmp_path / "sparse.m"
+    case.write_text("mpc.bus = [\n10 3 0 0;\n20 1 0 0;\n30 1 0 0;\n40 1 0 0;\n];\n"
+                    "mpc.branch = [\n10 20 0 0.1;\n20 30 0 0.2;\n30 40 0 0.3;\n"
+                    "40 10 0 0.4;\n10 30 0 0.5;\n];\n")
+    code, out, _ = run_cli(capsys, "index", str(case))
+    rows = parse_csv(out)
+    named = [(r["kind"], r["line_or_bus"]) for r in rows]
+    assert code == 0 and named == [(kind, str(i)) for kind in ("flow_from", "flow_to")
+                                   for i in range(1, 6)] + [("injection", str(b)) for b in (10, 20, 30, 40)]
+    code, out, _ = run_cli(capsys, "index", str(case), "--target", "12")
+    assert code == 0 and parse_csv(out) == rows[11:12]
+    native = tmp_path / "triangle.json"
+    native.write_text(json.dumps({"buses": 3, "lines": [[1, 2, 0.1], [2, 3, 0.2], [1, 3, 0.3]],
+                                  "measurements": {"injection": "all", "flow_from": "all"}}))
+    code, out, _ = run_cli(capsys, "index", str(native))
+    assert [r["line_or_bus"] for r in parse_csv(out) if r["kind"] == "injection"] == ["1", "2", "3"]
+
+
 def test_native_number_too_large_is_an_input_error(capsys, tmp_path):
     # An integer reactance past the float range used to stop in float(x),
     # and one past Python's digit limit in json.loads, each as a traceback.

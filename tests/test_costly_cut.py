@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import full_scan_partition_objective, layout_rows
+from helpers import full_scan_partition_objective, label_classes, layout_rows, mutual_reach_classes
 from secindex import (
     CostlyCutInstance,
     InputError,
@@ -70,8 +70,10 @@ def test_auxiliary_zero_node_costs():
         sink=2,
     )
     aux = build_auxiliary(inst)
-    chain_edges = aux.graph.edges[: 2 * 3]
-    assert all(c == 0 for (_, _, c) in chain_edges)
+    # no node is charged, so the graph is the v layer alone: no chain and
+    # no protective edge, only the positive cost edges
+    assert aux.graph.node_count == 3 and not aux.big_cost_edges
+    assert aux.graph.edges == ((0, 1, 2), (1, 2, 1))
     # with free nodes the optimum is the plain edge min cut
     plain = DiGraph(node_count=3, edges=((0, 1, 2), (1, 2, 1)))
     assert solve(inst).objective == min_cut(plain, 0, 2).value == 1
@@ -404,17 +406,25 @@ def test_scaling_overflow_rejected():
 def _tuple_auxiliary(inst):
     """The auxiliary graph built edge by edge through the public tuple
     constructor, in the order ``build_auxiliary`` documents, and the ids of
-    its protective edges."""
+    its protective edges: w and z nodes for the charged nodes alone, and no
+    edge of capacity 0."""
     n = inst.node_count
     _, edge_scaled, charges = inst.int_costs
     big = max(charges) + 1
-    edges = []
-    for i in range(n):
-        edges += [(n + i, i, charges[i]), (i, 2 * n + i, charges[i])]
+    charged = [i for i in range(n) if charges[i] > 0]
+    w = {i: n + j for j, i in enumerate(charged)}
+    z = {i: n + len(charged) + j for j, i in enumerate(charged)}
+    edges, protective = [], set()
+    for i in charged:
+        edges += [(w[i], i, charges[i]), (i, z[i], charges[i])]
     for (u, v, _), c in zip(inst.edges, edge_scaled):
-        edges += [(u, v, c), (u, n + v, big), (2 * n + u, v, big)]
-    protective = {e for e in range(2 * n, len(edges)) if (e - 2 * n) % 3}
-    return DiGraph(node_count=3 * n, edges=tuple(edges)), protective
+        if c:
+            edges.append((u, v, c))
+        for tail, head in ((u, w.get(v)), (z.get(u), v)):
+            if tail is not None and head is not None:
+                protective.add(len(edges))
+                edges.append((tail, head, big))
+    return DiGraph(node_count=n + 2 * len(charged), edges=tuple(edges)), protective
 
 
 def _loop_layout(g):
@@ -432,7 +442,8 @@ def _loop_layout(g):
 def test_array_built_graphs_match_the_tuple_constructor():
     # Rational and zero costs: the auxiliary graph and the heuristics'
     # graphs, built from arrays, hold the edges, protective ids, dump and
-    # residual layout that edge-by-edge tuples give.
+    # residual layout that edge-by-edge tuples give. Where every cost and
+    # charge is positive, the auxiliary graph is the whole tripled graph.
     rng = random.Random(1717)
     costs = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(7, 4)]
     for trial in range(60):
@@ -449,7 +460,7 @@ def test_array_built_graphs_match_the_tuple_constructor():
         assert aux.graph.edges == ref.edges, trial
         assert aux.big_cost_edges == protective, trial
         assert dump_auxiliary(aux) == "".join(
-            f"{line}\n" for line in [str(3 * n)] + [f"{u} {v} {c}" for (u, v, c) in ref.edges]
+            f"{line}\n" for line in [str(ref.node_count)] + [f"{u} {v} {c}" for (u, v, c) in ref.edges]
         )
         assert layout_rows(aux.graph) == layout_rows(ref) == _loop_layout(ref), trial
         for fold in (False, True):
@@ -464,6 +475,59 @@ def test_array_built_graphs_match_the_tuple_constructor():
             ))
             assert plain.edges == ref.edges, (trial, fold)
             assert layout_rows(plain) == _loop_layout(ref), (trial, fold)
+    # every cost and charge positive: w_i = n + i, z_i = 2n + i, all 2n + 3|E| edges
+    inst = CostlyCutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 2)), node_costs=(1, 2, 3),
+                             source=0, sink=2)
+    assert build_auxiliary(inst).graph.edges == (
+        (3, 0, 1), (0, 6, 1), (4, 1, 2), (1, 7, 2), (5, 2, 3), (2, 8, 3),
+        (0, 1, 1), (0, 4, 4), (6, 1, 4), (1, 2, 2), (1, 5, 4), (7, 2, 4),
+    )
+
+
+def _two_way_instance(rng):
+    """A random instance that lists each edge both ways at one cost, as a
+    line instance does; zero charges and zero costs are common."""
+    n = rng.randint(2, 10)
+    edges = []
+    for _ in range(rng.randint(1, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        c = rng.choice((0, 0, 1, 2, 3))
+        edges += [(u, v, c), (v, u, c)]
+    charges = tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+    return CostlyCutInstance(node_count=n, edges=tuple(edges), node_costs=charges, source=0, sink=n - 1)
+
+
+def test_labels_are_the_mutual_reach_classes_or_refused():
+    # The auxiliary graph's labels, read off its instance, against the
+    # classes of nodes that reach each other on positive capacities: on
+    # seeded two-way instances and on both heuristics' graphs of each. The
+    # rule must refuse a charged node with no edge, and an edge of positive
+    # cost whose reverse costs 0 between uncharged ends; each refused
+    # instance still solves to the brute-force optimum.
+    rng = random.Random(36)
+    labelled, refused = 0, []
+    for _ in range(300):
+        inst = _two_way_instance(rng)
+        ends = {x for u, v, _ in inst.edges for x in (u, v)}
+        lone = any(c and i not in ends for i, c in enumerate(inst.node_costs))
+        aux = build_auxiliary(inst).graph
+        if lone:
+            assert aux.labels is None
+            refused.append(inst)
+        else:
+            assert label_classes(aux) == mutual_reach_classes(aux)
+            labelled += 1
+        for fold in (False, True):
+            plain = _plain_graph(inst, fold)
+            assert label_classes(plain) == mutual_reach_classes(plain)
+        u, v, c = inst.edges[0]
+        if c and not inst.node_costs[u] and not inst.node_costs[v]:
+            one_way = dataclasses.replace(inst, edges=((u, v, c), (v, u, 0)) + inst.edges[2:])
+            assert build_auxiliary(one_way).graph.labels is None
+            refused.append(one_way)
+    assert labelled >= 100 and len(refused) >= 40
+    for inst in refused:
+        assert solve(inst).objective == solve_brute_force(inst).objective
 
 
 def test_instance_from_arrays_checks_like_the_tuple_constructor():

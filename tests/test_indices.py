@@ -7,6 +7,8 @@ import pytest
 
 from helpers import (
     benchmark_generate,
+    label_classes,
+    mutual_reach_classes,
     per_bus_gap_bound,
     random_network,
     random_observable_case,
@@ -697,12 +699,13 @@ def _parsed(doc):
 
 def test_a_partial_grid_sweep_carries_the_smaller_sides(monkeypatch):
     # The 300-bus grid's partial placement splits the positive-capacity
-    # graphs into many components. A flow whose root's components hold
-    # most of the graph carries the cut's other side, and one whose
-    # components hold at most half finishes the root's search: over one
-    # exact and one ignore-nodes sweep they carry 25,313 + 4,845 nodes.
-    # Carrying the root's components less the closed set instead carries
-    # 145,571 + 98,471 = 244,042; the pin allows a quarter of that.
+    # graphs into several labels. A flow whose root's label holds most of
+    # the graph carries the cut's other side, and one whose label holds at
+    # most half finishes the root's search: over one exact and one
+    # ignore-nodes sweep they carry 2,426 + 4,845 nodes. Carrying the
+    # root's components less the closed set instead carried 145,571 +
+    # 98,471 = 244,042 on the tripled graph with every chain built; the pin
+    # allows a quarter of that.
     case = _parsed(_grid_doc(True))
     carried = 0
     check = mincut._checked_cut
@@ -724,10 +727,15 @@ def _line_instance(case):
 
 
 def _proof_and_search(inst):
-    """What the one-component proof says of ``inst``'s auxiliary graph, and
-    how many capacity components the search finds on the same graph."""
+    """Whether the label rule proves ``inst``'s auxiliary graph one
+    component (it gives one label), and how many classes of nodes that
+    reach each other on positive capacities the test's own search finds on
+    the same graph. Labels, where given, must be those classes."""
     graph = costly_cut.build_auxiliary(inst).graph
-    return graph.one_component, len(graph.capacity_components[1])
+    classes = mutual_reach_classes(graph)
+    labels = label_classes(graph)
+    assert labels is None or labels == classes
+    return labels is not None and len(labels) == 1, len(classes)
 
 
 def _variant(inst, keep=None, charges=None):
@@ -740,11 +748,11 @@ def _variant(inst, keep=None, charges=None):
 
 
 def _broken_premises(inst):
-    """The three variants of a line instance that the proof must refuse:
-    one charge 0; the reverse of one edge dropped, the edge into a bus
-    that has only that line, so that the bus's w node is entered by no
-    positive edge; and only the edges within each half of the buses, so
-    that the halves are not joined."""
+    """Three variants of a line instance: one charge 0, which leaves the
+    graph one component, now without that bus's w and z nodes; the reverse
+    of one edge dropped, the edge into a bus that has only that line, so
+    that the bus is entered by no positive edge; and only the edges within
+    each half of the buses, so that the halves are not joined."""
     tails, heads = inst.ends
     n = inst.node_count
     leaf = int(np.flatnonzero(np.bincount(tails, minlength=n) == 1)[0])
@@ -758,16 +766,20 @@ def _broken_premises(inst):
 
 def test_the_one_component_proof_agrees_with_the_search_on_line_instances():
     # On the line instances of the desk stream (seeds 1 and 7), ieee118 and
-    # the 300-bus grid, fully measured and under the 60 % placement, the
-    # proof reports one component exactly where the search finds one; on
-    # ieee118's variants whose premises break, the search finds several and
-    # the proof refuses each.
+    # the 300-bus grid, fully measured and under the 60 % placement, each
+    # auxiliary graph gets labels from its instance, they are the classes
+    # the test's own search finds, and the proof (one label) holds exactly
+    # where the search finds one class. Of ieee118's variants, the one with
+    # a charge 0 is still one component and proven; the other two are not
+    # one component, and the one whose edges are not in reverse pairs gets
+    # no labels.
     generate = benchmark_generate()
     cases = [parse_native_text(generate.dump(generate.desk_case(seed, i)).decode())
              for seed in (1, 7) for i in range(3 * len(generate.DESK_CLASSES))]
     cases += [parse_matpower_subset(case_path("ieee118.m")), _parsed(_grid_doc(False)),
               _parsed(_grid_doc(True))]
     instances = [_line_instance(case) for case in cases]
+    assert all(costly_cut.build_auxiliary(inst).graph.labels for inst in instances)
     instances += _broken_premises(instances[-3])
     seen = set()
     for inst in instances:
@@ -775,13 +787,17 @@ def test_the_one_component_proof_agrees_with_the_search_on_line_instances():
         assert proven == (components == 1)
         seen.add(proven)
     assert seen == {False, True}
-    assert [_proof_and_search(inst)[0] for inst in instances[-6:]] == [True, True] + [False] * 4
+    assert [_proof_and_search(inst)[0] for inst in instances[-6:]] == [True, True, False, True, False, False]
+    assert costly_cut.build_auxiliary(instances[-2]).graph.labels is None
 
 
 def test_the_one_component_proof_refuses_each_broken_premise():
-    # A charge set to 0, a reverse edge dropped, or the instance split in
-    # two unjoined halves: each is refused on every line instance whose
-    # graph the proof accepts, whatever the search finds.
+    # A charged bus left with no line, a live edge dropped (one whose cost
+    # is positive or that has a charged end), so that its reverse has no
+    # pair, or the instance split in two unjoined halves: each is refused on every line
+    # instance whose graph the proof accepts. The first two get no labels;
+    # the third gets labels that match the search, two or more of them, or
+    # none where a half leaves a charged bus with no line.
     generate = benchmark_generate()
     cases = [parse_native_text(generate.dump(generate.desk_case(1, i)).decode())
              for i in range(len(generate.DESK_CLASSES))]
@@ -789,46 +805,25 @@ def test_the_one_component_proof_refuses_each_broken_premise():
     proven = 0
     for case in cases:
         inst = _line_instance(case)
-        if not costly_cut.build_auxiliary(inst).graph.one_component:
+        if not _proof_and_search(inst)[0]:
             continue
         proven += 1
         n = inst.node_count
         tails, heads = inst.ends
         half = np.arange(n) < n // 2
-        for variant in (
-            _variant(inst, charges=inst.node_costs[:-1] + (0,)),
-            _variant(inst, keep=np.arange(len(tails)) != 1),
+        charged = np.array([c > 0 for c in inst.node_costs])
+        live = np.array([c > 0 for c in inst.costs]) | charged[tails] | charged[heads]
+        lone, unpaired, halves = (
+            _variant(inst, keep=(tails != n - 1) & (heads != n - 1),
+                     charges=inst.node_costs[:-1] + (1,)),
+            _variant(inst, keep=np.arange(len(tails)) != np.flatnonzero(live)[0]),
             _variant(inst, keep=half[tails] == half[heads]),
-        ):
-            assert not costly_cut.build_auxiliary(variant).graph.one_component
+        )
+        for variant in (lone, unpaired, halves):
+            assert not _proof_and_search(variant)[0]
+        for variant in (lone, unpaired):
+            assert costly_cut.build_auxiliary(variant).graph.labels is None
     assert proven >= 3
-
-
-def test_only_graphs_the_proof_refuses_build_components(monkeypatch):
-    # The 300-bus grid's sweep, fully measured, is proven one component on
-    # every line instance and builds no capacity components; under the
-    # 60 % placement the proof is refused and the search builds them. So
-    # does both extremes' flow on each variant of the fully measured line
-    # instance whose premises break, since one of its two searches is
-    # left open.
-    calls = []
-    components = mincut._components
-
-    def counted(*args):
-        calls.append(len(args[0].adj))
-        return components(*args)
-
-    monkeypatch.setattr(mincut, "_components", counted)
-    for placed, built in ((False, False), (True, True)):
-        case = _parsed(_grid_doc(placed))
-        calls.clear()
-        index_all(case.net, case.meas, case.weights)
-        assert bool(calls) == built
-    for variant in _broken_premises(_line_instance(_parsed(_grid_doc(False)))):
-        calls.clear()
-        graph = costly_cut.build_auxiliary(variant).graph
-        mincut.min_cut_extremes(graph, variant.source, variant.sink)
-        assert calls == [graph.node_count]
 
 
 def _by_entry(report):

@@ -15,7 +15,10 @@ from helpers import (
     brute_force_min_cut_value,
     full_scan_crossing_edges,
     full_search_reach,
+    label_classes,
     layout_rows,
+    mirrored,
+    mutual_reach_classes,
     random_digraph,
 )
 from secindex import (
@@ -30,7 +33,7 @@ from secindex.caseio import parse_matpower_subset, parse_native
 from secindex.cases import path as case_path
 from secindex.costly_cut import CostlyCutInstance, _plain_graph, build_auxiliary
 from secindex.indices import cut_instance_for_line
-from secindex import cli, mincut
+from secindex import cli
 from secindex.mincut import MAX_TOTAL_CAPACITY, _checked_cut, _max_flow, _reach, interleave
 from secindex.power_model import PowerNetwork, WeightAssignment
 
@@ -384,7 +387,7 @@ def test_a_near_whole_source_side_is_carried_by_its_sink_side():
     ring = [(i, (i + 1) % n, 5) for i in range(n)] + [((i + 1) % n, i, 5) for i in range(n)]
     g = DiGraph(node_count=n + 1, edges=tuple(ring + [(1, n, 1), (n, 1, 1)]))
     flow, cap, searches = _max_flow(g, 0, n)
-    assert flow == 1 and len(g.capacity_components[1]) == 1
+    assert flow == 1 and len(g.labels[1]) == 1  # one label, found before memory is traced
     one_set = sys.getsizeof(frozenset(range(n)))
     tracemalloc.start()
     try:
@@ -399,19 +402,19 @@ def test_a_near_whole_source_side_is_carried_by_its_sink_side():
 
 
 def test_carried_side_matches_the_full_search_across_capacity_components():
-    # Graphs whose positive-capacity edges form several strongly connected
-    # components, every ordered pair of terminals, so that a local search
-    # ends each way in both directions: with the tree closed (the root's
-    # components hold at most half the nodes, or the tree closed first),
-    # and with the cut's other side carried: the set found, with every
-    # node of a component the root cannot reach.
+    # Graphs whose positive-capacity edges come in reverse pairs and form
+    # several components, so several labels; every ordered pair of
+    # terminals, so that a local search ends each way in both directions:
+    # with the tree closed (the root's label holds at most half the nodes,
+    # or the tree closed first), and with the cut's other side carried: the
+    # set found, with the members of every other label.
     rng = random.Random(1729)
     taken = set()
     graphs = 0
     while graphs < 150:
         nodes = rng.randint(3, 10)
-        g = random_digraph(rng, nodes=nodes, edges=rng.randint(2, 2 * nodes), max_cap=2)
-        if len(g.capacity_components[1]) < 2:
+        g = mirrored(random_digraph(rng, nodes=nodes, edges=rng.randint(2, 2 * nodes), max_cap=2), rng)
+        if len(g.labels[1]) < 2:
             continue
         graphs += 1
         pairs = [(s, t) for s in range(nodes) for t in range(nodes) if s != t]
@@ -440,9 +443,10 @@ def _tree_fed_by_source(depth, fan_out=5):
 def test_cut_readout_reads_only_the_smaller_side():
     # Where the source side is nearly the whole graph, the cut carries its
     # sink side, and the crossing edges are read from the adjacency lists
-    # of the sink side alone.
+    # of the sink side alone. Each edge has its reverse after it, so the
+    # graph is labelled and the far side is found locally.
     for depth in (3, 6):
-        g = _tree_fed_by_source(depth)
+        g = mirrored(_tree_fed_by_source(depth))
         sol = min_cut(g, 0, 1)
         sink_side = _sink_side(g, sol)
         assert sol.value == 2 and sink_side == frozenset({1, 3})
@@ -556,13 +560,18 @@ def _closed_or_not(taken):
 def test_local_reach_matches_the_full_search_on_random_graphs():
     # Every ordered pair of terminals on one shared graph, so every flow
     # but the first runs on a warm graph; parallel and zero-capacity edges.
+    # Every other graph has each edge's reverse appended, so it is
+    # labelled and an open search may end locally; the others mostly have
+    # no labels, and an open search runs to its end.
     rng = random.Random(1618)
     taken = set()
-    for _ in range(120):
+    for trial in range(120):
         nodes = rng.randint(2, 10)
         base = random_digraph(rng, nodes=nodes, edges=rng.randint(0, 3 * nodes), max_cap=4)
         edges = base.edges + base.edges[:3] + tuple((u, v, 0) for (u, v, _) in base.edges[3:6])
         g = DiGraph(node_count=nodes, edges=edges)
+        if trial % 2:
+            g = mirrored(g, rng)
         pairs = [(s, t) for s in range(nodes) for t in range(nodes) if s != t]
         _check_reach_of_every_flow(g, pairs, taken)
     assert _closed_or_not(taken) == {(0, False), (0, True), (1, False), (1, True)}
@@ -613,9 +622,10 @@ def test_local_reach_matches_the_full_search_on_the_bundled_cases():
 
 
 def test_far_side_is_found_locally():
-    # A second flow on a warm graph, its components built: the minimal
-    # source side beside a deep out-tree of the source, and the maximal one
-    # beside a deep in-tree of the sink, each read without walking the tree.
+    # A second flow on a warm graph, its labels found: the minimal source
+    # side beside a deep out-tree of the source, and the maximal one beside
+    # a deep in-tree of the sink, each read without walking the tree. Each
+    # edge has its reverse after it, so the graph is labelled.
     def minimal(g):
         return min_cut(g, 0, 1)
 
@@ -628,10 +638,10 @@ def test_far_side_is_found_locally():
     ):
         reads = []
         for depth in (3, 6):
-            g = make(depth)
+            g = mirrored(make(depth))
             first = solve(g)
             assert min(first.source_side, _sink_side(g, first), key=len) == small_side
-            assert g.capacity_components  # built before the reads are counted
+            assert g.labels  # found before the reads are counted
             counting = _count_arc_reads(g)
             assert solve(g) == first
             reads.append((g.node_count, counting.reads))
@@ -695,90 +705,26 @@ def test_array_graph_builds_its_edges_on_first_read():
 
 
 def test_capacity_components_are_the_mutual_reach_classes():
-    # Two nodes share a component exactly when each reaches the other along
-    # positive-capacity edges; the links are the positive edges between
-    # components.
+    # A graph whose positive-capacity edges come in reverse pairs has
+    # labels, and they are the classes of nodes that reach each other along
+    # those edges, with no positive edge between two of them; a graph whose
+    # positive edges do not has none.
     rng = random.Random(2024)
-    for _ in range(40):
+    labelled = 0
+    for trial in range(80):
         g = random_digraph(rng, nodes=rng.randint(2, 9), edges=rng.randint(1, 20), max_cap=2)
-        n = g.node_count
-        reach = []
-        for s in range(n):
-            seen, todo = {s}, [s]
-            while todo:
-                u = todo.pop()
-                for a, b, c in g.edges:
-                    if a == u and c and b not in seen:
-                        seen.add(b)
-                        todo.append(b)
-            reach.append(seen)
-        comp, members, succ, pred = g.capacity_components
-        for u in range(n):
-            assert members[comp[u]] == {v for v in reach[u] if u in reach[v]}
-        links = {(comp[u], comp[v]) for u, v, c in g.edges if c and comp[u] != comp[v]}
-        assert {(a, b) for a in range(len(members)) for b in succ[a]} == links
-        assert {(a, b) for b in range(len(members)) for a in pred[b]} == links
-
-
-def _component_classes(g):
-    """The capacity components of a fresh copy of ``g`` as a set of member
-    sets, with the links between them as pairs of member sets."""
-    comp, members, succ, _ = DiGraph(node_count=g.node_count, edges=g.edges).capacity_components
-    for u, c in enumerate(comp):
-        assert u in members[c]
-    links = {(members[a], members[b]) for a in range(len(members)) for b in succ[a]}
-    return set(members), links
-
-
-def _tarjan_classes(g):
-    """The capacity components of ``g`` by Tarjan's algorithm alone, as a
-    set of member sets."""
-    heads_of = [[] for _ in range(g.node_count)]
-    for u, v, c in g.edges:
-        if c:
-            heads_of[u].append(v)
-    comp, count = mincut._tarjan(heads_of, 0)
-    members = [set() for _ in range(count)]
-    for u, c in enumerate(comp):
-        members[c].add(u)
-    return set(map(frozenset, members))
-
-
-def test_search_and_tarjan_components_match_tarjans(monkeypatch):
-    # Small random graphs; a 640-node graph of 16 rings chained one way,
-    # with trees hanging off them and zero-capacity links back; and a
-    # 600-node graph whose node 0 has only zero-capacity edges out, so the
-    # search takes node 0 alone and Tarjan's algorithm the rest. With the
-    # defaults; with the search from node 0 made on any graph and run to its
-    # end; and with it stopped at its first step, all left to Tarjan's
-    # algorithm. Each against Tarjan's algorithm alone.
-    rng = random.Random(31)
-    graphs = [random_digraph(rng, nodes=rng.randint(2, 9), edges=rng.randint(1, 20), max_cap=2)
-              for _ in range(60)]
-    edges = [(0, v, 0) for v in range(1, 600, 7)] + [(v, 0, 1) for v in range(1, 600)]
-    edges += [(v, v % 50 + 1, 2) for v in range(1, 600)]
-    edges += [(v + d, v + 1 - d, 1) for v in range(51, 599, 2) for d in (0, 1)]
-    lone = DiGraph(node_count=600, edges=tuple(edges))
-    graphs.append(lone)
-    edges, size = [], 40
-    for base in range(0, 16 * size, size):
-        ring = list(range(base, base + size - 8))
-        edges += [(u, v, rng.randint(1, 3)) for u, v in zip(ring, ring[1:] + ring[:1])]
-        edges += [(rng.choice(ring), rng.choice(ring[1:]), 1) for _ in range(6)]
-        edges += [(rng.choice(ring), leaf, 1) for leaf in range(base + size - 8, base + size)]
-        if base:
-            edges += [(base - size, base, 2), (base, base - size, 0)]
-    graphs.append(DiGraph(node_count=16 * size, edges=tuple((u, v, c) for u, v, c in edges if u != v)))
-    for g in graphs:
-        want = _tarjan_classes(g)
-        assert _component_classes(g)[0] == want
-        monkeypatch.setattr(mincut, "TARJAN_NODES", 0)
-        for step_nodes in (0, 10**9):
-            monkeypatch.setattr(mincut, "STEP_NODES", step_nodes)
-            assert _component_classes(g)[0] == want
-        monkeypatch.undo()
-    assert len(want) == 16 * 9
-    assert frozenset({0}) in _tarjan_classes(lone)
+        if trial % 2:
+            g = mirrored(g, rng)
+        positive = [(u, v) for u, v, c in g.edges if c]
+        paired = sorted(positive) == sorted((v, u) for u, v in positive)
+        assert (g.labels is not None) == paired, trial
+        if g.labels is None:
+            continue
+        labelled += 1
+        assert label_classes(g) == mutual_reach_classes(g), trial
+        label = g.labels[0]
+        assert all(label[u] == label[v] for u, v in positive)
+    assert labelled >= 40
 
 
 def _timed(run, repeat=2):
@@ -793,11 +739,9 @@ def _timed(run, repeat=2):
 
 def test_a_cold_flow_on_a_long_chain_takes_linear_time():
     # A directed chain of 20,000 nodes whose first edge is the cut: the
-    # search from the sink stays open, so the first flow builds the
-    # capacity components, every node its own. The search from node 0 takes
-    # the chain a node a layer; it stops once its layers turn thin and
-    # Tarjan's algorithm takes the whole chain, about 0.2 s on a 2-vCPU
-    # host.
+    # search from the sink stays open. The chain's edges do not come in
+    # reverse pairs, so the graph has no labels, and the sink's search is
+    # run to its end, a node a layer.
     n = 20000
     caps = np.full(n - 1, 2, dtype=np.int64)
     caps[0] = 1
@@ -806,27 +750,26 @@ def test_a_cold_flow_on_a_long_chain_takes_linear_time():
         g = DiGraph.from_arrays(n, np.arange(n - 1), np.arange(1, n), caps)
         minimal, maximal = min_cut_extremes(g, 0, n - 1)
         assert minimal.source_side == maximal.source_side == {0}
-        assert len(g.capacity_components[1]) == n
+        assert g.labels is None
 
     assert _timed(cold_flow) < 0.75
 
 
 def test_attacks_on_a_radial_grid_take_linear_time(tmp_path, capsys):
     # A radial network of 2383 buses, a feeder of 800 in a line with short
-    # laterals. Fully measured, its auxiliary graph is proven one component
-    # from the line instance, so no attack builds its components. With the
-    # injection at bus 1 unmetered, the proof is refused: the graph is one
-    # component a few thousand BFS layers deep, and two lone nodes, which a
-    # search takes a layer at a time. The search stops once its layers turn
-    # thin and Tarjan's algorithm takes the graph. Each op takes about 0.02
-    # s on a 2-vCPU host either way.
+    # laterals. Fully measured, its auxiliary graph has 3 * 2383 nodes; with
+    # the injection at bus 1 unmetered, bus 1 has charge 0 and no w or z
+    # node, so two fewer. Either way the line instance labels the graph one
+    # component, and each attack's flow, whose root search stays open,
+    # grows the closed set locally. Each op takes about 0.02 s on a 2-vCPU
+    # host either way.
     rng = random.Random("radial")
     lines = []
     for b in range(1, 2383):
         parent = b - 1 if b < 800 or rng.random() >= 0.3 else rng.randrange(800)
         lines.append([parent + 1, b + 1, round(rng.uniform(0.01, 0.5), 4)])
-    components = DiGraph.__dict__["capacity_components"]
-    for injection, builds in (("all", []), (list(range(2, 2384)), [3 * 2383] * 4)):
+    labels = DiGraph.__dict__["labels"]
+    for injection, nodes in (("all", 7149), (list(range(2, 2384)), 7147)):
         doc = {"buses": 2383, "lines": lines,
                "measurements": {"flow_from": "all", "flow_to": "all", "injection": injection}}
         case = tmp_path / "radial.json"
@@ -834,18 +777,19 @@ def test_attacks_on_a_radial_grid_take_linear_time(tmp_path, capsys):
         built = []
 
         def counted(g):
-            built.append(g.node_count)
-            return components.func(g)
+            found = labels.func(g)
+            built.append((g.node_count, len(found[1])))
+            return found
 
         spy = cached_property(counted)
-        spy.__set_name__(DiGraph, "capacity_components")
+        spy.__set_name__(DiGraph, "labels")
         last = 2 * len(lines) + (2383 if injection == "all" else len(injection))
         for target in (1200, 3882, 5764, last):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(DiGraph, "capacity_components", spy)
+                patch.setattr(DiGraph, "labels", spy)
                 assert _timed(lambda: cli.main(["attack", str(case), "--target", str(target)]), 1) < 0.5
             capsys.readouterr()
-        assert built == builds
+        assert built == [(nodes, 1)] * 4
 
 
 def test_layout_sorted_as_narrow_keys_equals_the_int64_layout():
