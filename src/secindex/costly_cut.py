@@ -21,6 +21,8 @@ taken as given. The scaling happens once per instance (``int_costs``); the
 instances ``CostlyCutInstance.with_terminals`` derives for other terminal
 pairs share it, together with the already validated edges and charges, so
 a sweep over many terminal pairs validates and scales its costs once.
+Every solver's scaled costs, and the binary oracle's, become int64 values
+in one place (``_capacities``), which refuses a total past 64 bits.
 ``solve_brute_force`` is the exhaustive verifier. The two classical
 approximations (dropping node charges, and folding node charges into
 incident edges) report the true objective of whatever partition they
@@ -328,6 +330,8 @@ def _tripled(inst) -> AuxiliaryGraph:
     m = len(tails)
     bigs = np.repeat(big, m)
     keep = interleave(costs > 0, charged[heads], charged[tails])
+    if keep.all():  # as on a fully measured instance: no copy through the mask
+        keep = slice(None)
     protective = np.tile([False, True, True], m)
     graph = DiGraph.from_arrays(
         n + 2 * k,
@@ -364,15 +368,15 @@ def _labels(charged, costs, tails, heads):
 
 
 def _capacities(*groups):
-    """Each group of nonnegative scaled costs as an int64 array. A cost past
-    the 64-bit range puts its graph's total capacity past it too."""
-    try:
-        return [np.array(group, dtype=np.int64) for group in groups]
-    except OverflowError:
-        worst = max(max(group, default=0) for group in groups)
+    """Each group of nonnegative scaled costs as an int64 array, the one
+    place where scaled costs become int64. An exact total past
+    ``MAX_TOTAL_CAPACITY``, as any cost past 64 bits makes, is refused, so
+    no sum of distinct costs, such as a partition's objective, wraps."""
+    total = sum(map(sum, groups))
+    if total > MAX_TOTAL_CAPACITY:
         raise CapacityOverflowError(
-            f"scaled cost {worst} exceeds the 64-bit limit {MAX_TOTAL_CAPACITY}"
-        ) from None
+            f"total scaled cost {total} exceeds the 64-bit limit {MAX_TOTAL_CAPACITY}")
+    return [np.array(group, dtype=np.int64) for group in groups]
 
 
 def dump_auxiliary(aux: AuxiliaryGraph) -> str:
@@ -475,16 +479,15 @@ def solve(inst: CostlyCutInstance) -> CostlyCutSolution:
 
 def solve_brute_force(inst: CostlyCutInstance) -> CostlyCutSolution:
     """Exhaustive minimizer over all partitions; ties favor the
-    lexicographically smallest membership vector."""
+    lexicographically smallest membership vector. No partition's int64
+    sum wraps: the costs' total fits (``_capacities``)."""
     n = inst.node_count
     if n > BRUTE_FORCE_MAX_NODES:
         raise SizeLimitError(
             f"brute force refuses instances with more than {BRUTE_FORCE_MAX_NODES} nodes"
         )
     scale, *scaled = inst.int_costs
-    edge_cost, charges = (np.array(group, dtype=np.int64) for group in scaled)
-    if int(edge_cost.sum()) + int(charges.sum()) >= 2**62:
-        raise InputError("scaled costs too large for brute force")
+    edge_cost, charges = _capacities(*scaled)
 
     free = [i for i in range(n) if i not in (inst.source, inst.sink)]
     f = len(free)

@@ -35,15 +35,14 @@ the package's records share, and validates them in one vectorized pass
 that names the first offending edge; a graph built from arrays makes its
 edge triples only if they are read (``view_on_first_read``). A graph
 builds its residual layout once, on its first flow (``arc_layout``). What
-is built per graph is a handful of arrays and two lists: a stable sort of
-the arcs by tail (compressed sparse rows, ``rows_by``), the
-arcs' heads in that order, and, indexed by arc, the capacities and the
-heads as the nodes' one id objects. A node's arc tuple, what the flow's
-inner loop reads per node, is sliced from the sorted arcs the first time
-a search visits the node, so a flow that stays near its terminals makes
-tuples for the nodes it reads, not for the graph. Each flow copies only
-the capacity list and runs on the copy, so many flows between different
-terminals share one graph.
+is built per graph is a stable sort of the arcs by tail (compressed sparse
+rows, ``rows_by``) and, indexed by arc, the capacities and the heads as
+the nodes' one id objects. A node's arc tuple, what the flow's inner loop
+reads per node, is sliced from the sorted arcs the first time a search
+visits the node, so a flow that stays near its terminals makes tuples for
+the nodes it reads, not for the graph. Each flow copies only the capacity
+list and runs on the copy, so many flows between different terminals
+share one graph.
 """
 
 from __future__ import annotations
@@ -66,21 +65,19 @@ class ResidualLayout(NamedTuple):
 
     Arrays no flow writes to: ``arcs``, the arc ids stably sorted by tail,
     so that the arcs leaving node u, ascending, are
-    ``arcs[starts[u]:starts[u + 1]]`` (compressed sparse rows); and
-    ``heads``, the head of each arc in that order. Lists: ``cap[a]``, the
-    capacity of arc a before any flow; ``to[a]``, the head of arc a as the
-    head's one id object, so that a search's ``seen`` lookups hit on
-    identity, made for every arc with the layout; and ``adj[u]``, node u's
-    arcs as a tuple, which holds None until a search first reaches u
-    (``_arcs``), so a flow whose searches stay near the terminals makes a
-    handful of tuples, not one per node."""
+    ``arcs[starts[u]:starts[u + 1]]`` (compressed sparse rows). Lists:
+    ``cap[a]``, the capacity of arc a before any flow; ``to[a]``, the head
+    of arc a as the head's one id object, so that a search's ``seen``
+    lookups hit on identity, made for every arc with the layout; and
+    ``adj[u]``, node u's arcs as a tuple, which holds None until a search
+    first reaches u (``_arcs``), so a flow whose searches stay near the
+    terminals makes a handful of tuples, not one per node."""
 
     adj: list[tuple[int, ...] | None]
     to: list[int]
     cap: list[int]
     arcs: np.ndarray
     starts: np.ndarray
-    heads: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -328,17 +325,15 @@ def arc_layout(node_count: int, tails, heads, caps) -> ResidualLayout:
     reverse with capacity 0. The arcs are stably sorted by tail, as the
     narrowest unsigned type that holds every node id, which NumPy
     radix-sorts, to the same permutation. See ``ResidualLayout``."""
-    arc_heads = interleave(heads, tails)
-    cap = [0] * len(arc_heads)
+    cap = [0] * (2 * len(caps))
     cap[0::2] = caps.tolist()
     arcs, starts = rows_by(interleave(tails, heads), node_count)
     return ResidualLayout(
         adj=[None] * node_count,
-        to=np.arange(node_count).astype(object)[arc_heads].tolist(),
+        to=np.arange(node_count).astype(object)[interleave(heads, tails)].tolist(),
         cap=cap,
         arcs=arcs,
         starts=starts,
-        heads=arc_heads[arcs],
     )
 
 

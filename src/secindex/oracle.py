@@ -2,9 +2,9 @@
 
 These oracles certify the min-cut pipeline without sharing its solvers.
 They share only the weight derivation (``WeightAssignment``) and the
-rational-to-integer scaling helper (``scale_to_int``), and every optimum
-they report is re-checked in exact rationals through ``attack_cost``. Two
-continuous solvers are provided:
+integer scaling (``scale_to_int``, then ``costly_cut._capacities``), and
+every optimum they report is re-checked in exact rationals through
+``attack_cost``. Two continuous solvers are provided:
 
 * ``oracle_continuous`` works on a raw matrix. It enumerates candidate
   nonzero row sets one at a time in increasing cost and checks feasibility
@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costly_cut import as_cost, scale_to_int
+from .costly_cut import _capacities, as_cost, scale_to_int
 from .errors import InputError, InvariantError, SizeLimitError
 from .power_model import (
     ZERO_TOL,
@@ -258,10 +258,11 @@ def oracle_continuous(
         grown = np.concatenate([zero_rows, unit[:, None]], axis=1)
         support = tuple(np.flatnonzero(_ranks(grown) > rank).tolist())
         # The zero rows vanish on the witness: each row's h @ witness is at
-        # most ZERO_TOL times |h| @ |witness|, the sum of its entries'
-        # magnitudes times the witness's. ModelMatrix.apply scales by its
-        # line-flow terms' magnitudes instead, which the raw matrix lacks.
-        if np.any(np.abs(h[zero] @ witness) > ZERO_TOL * (np.abs(h[zero]) @ np.abs(witness))):
+        # most ZERO_TOL times its entries' magnitudes summed times max
+        # |witness|: the witness may be at rounding level on every entry a
+        # zero row reads. ModelMatrix.apply scales by its line-flow terms.
+        scale = np.abs(h[zero]).sum(axis=1) * np.abs(witness).max()
+        if np.any(np.abs(h[zero] @ witness) > ZERO_TOL * scale):
             raise InvariantError("witness does not vanish on its zero rows")
         cost = base_cost + sum(group_weight[gi] for gi in chosen)
         support_cost = sum(w[i] for i in support)
@@ -762,7 +763,7 @@ def oracle_binary(
     check_placement(net, meas)
 
     scale, scaled = scale_to_int(edge_costs, node_costs)
-    c_s, p_s = (np.array(group, dtype=np.int64) for group in scaled)
+    c_s, p_s = _capacities(*scaled)
 
     tails, heads = net.endpoints
     su, sv = int(tails[line]), int(heads[line])

@@ -145,9 +145,9 @@ def layout_rows(g: DiGraph):
     """``g``'s residual layout as ``(arcs per node, heads, capacities)``,
     every node's arcs read through ``mincut._arcs``, which makes the ones
     no flow has read yet. Each node's arcs must equal its compressed row,
-    and so must every arc tuple a flow made before; the heads, read in arc
-    order, must equal the layout's ``heads``, and equal heads must be one
-    object."""
+    and so must every arc tuple a flow made before; arc 2i's head must be
+    edge i's head in the graph's own ``arrays``, and arc 2i+1's its tail;
+    and equal heads must be one object."""
     layout = g.residual_layout
     made = list(layout.adj)
     rows = tuple(_arcs(layout, u) for u in range(g.node_count))
@@ -156,7 +156,8 @@ def layout_rows(g: DiGraph):
     for u, row in enumerate(rows):
         assert type(row) is tuple and row == tuple(layout.arcs[starts[u]:starts[u + 1]])
         assert made[u] is None or made[u] == row
-    assert [layout.to[a] for a in layout.arcs.tolist()] == layout.heads.tolist()
+    tails, heads, _ = g.arrays
+    assert layout.to[0::2] == heads.tolist() and layout.to[1::2] == tails.tolist()
     ids = {}
     assert all(ids.setdefault(v, v) is v for v in layout.to)
     return rows, tuple(layout.to), tuple(layout.cap)

@@ -86,6 +86,9 @@ def test_single_partition_instance():
     )
     assert solve_brute_force(inst).objective == 5
     assert solve(inst).objective == 5
+    # brute force sums scaled costs up to a total of 2**63 - 1 exactly
+    big = dataclasses.replace(inst, edges=((0, 1, 3 * 2**60),), node_costs=(2**60, 2**60))
+    assert solve_brute_force(big).objective == 5 * 2**60
 
 
 def test_comparison_instance_golden():
@@ -586,23 +589,35 @@ def test_a_terminal_the_instance_accepts_is_one_its_solver_accepts():
     (2**62, 2**62),  # each fits, the total does not
     (0, 2**63 - 1),  # the protective edges' cost, one more than a charge, does not fit
     (Fraction(2**62, 3), Fraction(1, 5)),  # the scaling pushes the total past the limit
+    (2**62, 0),  # each fits, but the two edges out of the source sum past the limit
 ])
 def test_scaled_capacity_overflow_is_an_input_error(tmp_path, capsys, edge_cost, node_cost):
-    from secindex import CapacityOverflowError
+    from secindex import CapacityOverflowError, PowerNetwork, WeightAssignment, full_measurement
     from secindex.cli import main
+    from secindex.oracle import oracle_binary
 
+    # The diamond 0 -> {1, 2} -> 3, charged at its source, and again with
+    # every node charged, as an instance and as a 4-bus network whose
+    # lines are its edges. Every solver refuses it, the brute-force ones
+    # too, whose partition sums would otherwise wrap.
+    lines = ((0, 1), (0, 2), (1, 3), (2, 3))
     inst = CostlyCutInstance(
-        node_count=2, edges=((0, 1, edge_cost), (1, 0, edge_cost)),
-        node_costs=(node_cost, 0), source=0, sink=1,
+        node_count=4, edges=tuple((u, v, edge_cost) for u, v in lines),
+        node_costs=(node_cost, 0, 0, 0), source=0, sink=3,
     )
+    charged = dataclasses.replace(inst, node_costs=(node_cost,) * 4)
+    net = PowerNetwork(bus_count=4, lines=tuple((u, v, 1.0) for u, v in lines))
+    weights = WeightAssignment(edge_costs=(edge_cost,) * 4, node_costs=charged.node_costs)
+    for solver, arg in ((build_auxiliary, inst), (solve_fold_nodes, charged),
+                        (solve_brute_force, charged)):
+        with pytest.raises(CapacityOverflowError):
+            solver(arg)
     with pytest.raises(CapacityOverflowError):
-        build_auxiliary(inst)
-    with pytest.raises(CapacityOverflowError):
-        solve_fold_nodes(dataclasses.replace(inst, node_costs=(node_cost, node_cost)))
+        oracle_binary(net, full_measurement(net), 0, weights)
     path = tmp_path / "big.cut"
     path.write_text(
-        f"nodes 2\nedge 1 2 {edge_cost}\nedge 2 1 {edge_cost}\nnode 1 {node_cost}\n"
-        "source 1\nsink 2\n"
+        "nodes 4\n" + "".join(f"edge {u + 1} {v + 1} {edge_cost}\n" for u, v in lines)
+        + f"node 1 {node_cost}\nsource 1\nsink 4\n"
     )
     assert main(["cut", str(path)]) == 1
     out, err = capsys.readouterr()

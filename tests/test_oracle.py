@@ -21,6 +21,7 @@ from secindex import (
     full_measurement,
     index_all,
     index_target,
+    is_observable,
     oracle_binary,
     oracle_continuous,
     oracle_continuous_network,
@@ -148,6 +149,25 @@ def test_rowset_oracle_prices_every_row_at_any_reactance(reactance):
         assert res.optimum == 7, k
         assert k in res.support and len(res.support) == 7
         assert abs(model.h[k] @ res.witness - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [1750, 2743])
+def test_rowset_oracle_answers_every_row_of_an_unobservable_case(seed):
+    # Seeded unobservable placements on 9 and 7 buses. On one row of each
+    # the witness is 0 up to rounding (about 5e-17) at both ends of a zero
+    # row, and a zero-row test scaled by the entries that row reads is
+    # itself at rounding level; it is scaled by max |witness| instead.
+    # Each row's optimum is the index where that is exact, and at most it
+    # where not.
+    rng = random.Random(seed)
+    net = random_network(rng, max_buses=12, max_lines=14)
+    meas = random_placement(rng, net)
+    model = build_h(net, meas)
+    assert not is_observable(model)
+    for k, entry in enumerate(index_all(net, meas, model=model).entries):
+        res = oracle_continuous(model.h, k)
+        assert abs(model.h[k] @ res.witness - 1.0) < 1e-9
+        assert res.optimum == entry.index if entry.exact else res.optimum <= entry.index, k
 
 
 def test_binary_two_bus_full_measurement():
